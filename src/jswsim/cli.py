@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
+import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -28,7 +30,6 @@ from dataclasses import replace
 from . import __version__
 from .comparison import (
     ComparisonReport,
-    SystemConfig,
     compare_allocation_ranks,
     compare_server_counts,
     run_trajectory,
@@ -40,7 +41,7 @@ from .errors import ConfigError, InputError, PremiseError, StabilityError
 from .loynes import LoynesResult, estimate_stationary
 from .orderings import run_property_suite
 from .processes import RNG_ALGORITHM, generate, model_label
-from .profiles import pth_step, total_workload
+from .profiles import iter_profiles, total_workload
 
 __all__ = ["main"]
 
@@ -79,15 +80,13 @@ def _open_out(path: str):
 def _sim_one(payload):
     model, seed, horizon, system = payload
     marks = generate(model, seed, horizon)
-    profile = system.start_profile()
-    rows = [(seed, 0, profile, total_workload(profile), None)]
-    wait_sum = 0.0
-    for mark in marks:
-        wait = profile[system.rank - 1]
-        wait_sum += wait
-        profile = pth_step(profile, mark, system.rank)
-        rows.append((seed, len(rows), profile, total_workload(profile), wait))
-    return seed, rows, wait_sum / horizon
+    rank = system.rank
+    profiles = list(iter_profiles(system.start_profile(), marks, rank))
+    # The arrival after step k waits profiles[k][rank - 1]. The waits are
+    # added one at a time in step order, so the mean is the same float on
+    # every Python version.
+    wait_sum = functools.reduce(operator.add, (p[rank - 1] for p in profiles[:-1]), 0.0)
+    return seed, profiles, wait_sum / horizon
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -104,18 +103,17 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             writer = csv.writer(f, lineterminator="\n")
             coord_names = [f"w{i + 1}" for i in range(system.servers)]
             writer.writerow(["seed", "step", *coord_names, "total", "wait"])
-            for _, rows, _ in results:
-                for seed, step, profile, total, wait in rows:
+            for seed, profiles, _ in results:
+                wait = ""  # step 0 precedes the first arrival
+                for step, profile in enumerate(profiles):
                     writer.writerow(
-                        [seed, step]
-                        + [_fmt(x) for x in profile]
-                        + [_fmt(total), "" if wait is None else _fmt(wait)]
+                        [seed, step, *map(_fmt, profile), _fmt(total_workload(profile)), wait]
                     )
-    for seed, rows, mean_wait in results:
-        final = rows[-1][2]
+                    wait = _fmt(profile[system.rank - 1])
+    for seed, profiles, mean_wait in results:
         print(
             f"seed {seed}: {cfg.horizon} arrivals, mean offered wait {mean_wait:.6g}, "
-            f"final total workload {total_workload(final):.6g}"
+            f"final total workload {total_workload(profiles[-1]):.6g}"
         )
     if cfg.out is not None:
         print(f"wrote {cfg.out}")
@@ -181,44 +179,30 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
 def _compare_one(payload):
     model, seed, horizon, settings = payload
     marks = generate(model, seed, horizon)
+    first, second = settings.systems()
     if settings.mode == "servers":
         report = compare_server_counts(
-            settings.servers,
-            settings.servers_small,
+            first.servers,
+            second.servers,
             marks,
             sum_slack=settings.sum_slack,
             corrupt_step=settings.corrupt_step,
         )
     else:
-        servers = settings.servers
-        start = settings.start if settings.start is not None else (0.0,) * servers
-        start_alt = settings.start_alt if settings.start_alt is not None else (0.0,) * servers
         report = compare_allocation_ranks(
-            servers,
-            settings.rank,
-            start,
-            start_alt,
+            first.servers,
+            second.rank,
+            first.start_profile(),
+            second.start_profile(),
             marks,
             tol=settings.tolerance,
+            corrupt_step=settings.corrupt_step,
         )
     return seed, report
 
 
 def _dump_compare_trajectories(cfg: ExperimentConfig, path: str) -> None:
-    settings = cfg.compare
-    if settings.mode == "servers":
-        configs = [
-            SystemConfig(settings.servers, 1),
-            SystemConfig(settings.servers_small, 1),
-        ]
-    else:
-        servers = settings.servers
-        start = settings.start if settings.start is not None else (0.0,) * servers
-        start_alt = settings.start_alt if settings.start_alt is not None else (0.0,) * servers
-        configs = [
-            SystemConfig(servers, 1, start),
-            SystemConfig(servers, settings.rank, start_alt),
-        ]
+    configs = cfg.compare.systems()
     trajectories = []
     for seed in cfg.seeds:
         marks = generate(cfg.model, seed, cfg.horizon)

@@ -5,8 +5,7 @@ same mark sequence, so the checked inequalities are expected to hold at
 every step with zero tolerance (sum comparisons carry a small documented
 slack because accumulating different vectors rounds differently). An
 independent event-based FCFS simulation provides an external cross-check of
-the recursion, and an ECDF dominance diagnostic covers distributional,
-non-pathwise claims.
+the recursion.
 """
 
 from __future__ import annotations
@@ -14,34 +13,28 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import PremiseError
 from .orderings import prec_p, prec_star
-from .profiles import Mark, Profile, pad, pth_step, total_workload, zero_profile
+from .profiles import Profile, iter_profiles, pad, total_workload, zero_profile
 from .processes import MarkSequence, model_label
 
 __all__ = [
     "ComparisonReport",
-    "EcdfDominance",
     "MarksInfo",
     "StepViolation",
     "SystemConfig",
     "Trajectory",
     "compare_allocation_ranks",
     "compare_server_counts",
-    "ecdf_dominance",
     "fcfs_waiting_times",
-    "iter_profiles",
     "run_trajectory",
     "write_trajectory_csv",
     "write_violations_csv",
 ]
 
 DEFAULT_SUM_SLACK = 1e-12
-HISTORY_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -99,19 +92,10 @@ class Trajectory:
     marks_info: MarksInfo
 
 
-def iter_profiles(config: SystemConfig, marks: MarkSequence) -> Iterator[Profile]:
-    """Yield the starting profile, then the profile after each arrival."""
-    state = config.start_profile()
-    yield state
-    rank = config.rank
-    for s_, x_ in zip(marks.sigma.tolist(), marks.xi.tolist()):
-        state = pth_step(state, (s_, x_), rank)
-        yield state
-
-
 def run_trajectory(config: SystemConfig, marks: MarkSequence) -> Trajectory:
     """Materialized trajectory: len(marks) + 1 profiles."""
-    return Trajectory(config, list(iter_profiles(config, marks)), _marks_info(marks))
+    profiles = list(iter_profiles(config.start_profile(), marks, config.rank))
+    return Trajectory(config, profiles, _marks_info(marks))
 
 
 class StepViolation(NamedTuple):
@@ -134,9 +118,6 @@ class ComparisonReport:
     violations: list[StepViolation] = field(default_factory=list)
     mean_offered_wait: tuple[float, float] = (0.0, 0.0)
     final_profiles: tuple[Profile, Profile] = ((), ())
-    # per-step series, kept only while the horizon fits under the history cap
-    totals: tuple[list[float], list[float]] | None = None
-    offered_waits: tuple[list[float], list[float]] | None = None
 
     @property
     def passed(self) -> bool:
@@ -148,12 +129,41 @@ def _corrupted(profile: Profile, reference_total: float) -> Profile:
     return profile[:-1] + (profile[-1] + bump,)
 
 
+def _run_coupled(
+    report: ComparisonReport,
+    first: Iterator[Profile],
+    second: Iterator[Profile],
+    check: Callable[[int, Profile, Profile], StepViolation | None],
+    corrupt_step: int | None,
+) -> ComparisonReport:
+    """Walk two profile streams of the same marks in lockstep and fill ``report``.
+
+    ``check`` sees the step, the first and the second profile, and returns
+    the first inequality that fails at that step, or None. At
+    ``corrupt_step`` it sees a corrupted copy of the first profile. The
+    offered waits are summed in step order from the uncorrupted profiles.
+    """
+    sum_first = 0.0
+    sum_second = 0.0
+    for step, (a, b) in enumerate(zip(first, second)):
+        checked = a if step != corrupt_step else _corrupted(a, total_workload(b))
+        violation = check(step, checked, b)
+        if violation is not None:
+            report.violations.append(violation)
+        sum_first += a[0]
+        sum_second += b[0]
+    steps = step + 1
+    report.steps_checked = steps
+    report.mean_offered_wait = (sum_first / steps, sum_second / steps)
+    report.final_profiles = (a, b)
+    return report
+
+
 def compare_server_counts(
     servers_big: int,
     servers_small: int,
     marks: MarkSequence,
     sum_slack: float = DEFAULT_SUM_SLACK,
-    history_cap: int = HISTORY_CAP,
     corrupt_step: int | None = None,
 ) -> ComparisonReport:
     """Check that more servers never hurt, pathwise, from empty starts.
@@ -175,62 +185,33 @@ def compare_server_counts(
             f"need 1 <= servers_small <= servers_big, got {servers_small}, {servers_big}"
         )
     shift = servers_big - servers_small
-    big = zero_profile(servers_big)
-    small = zero_profile(servers_small)
+
+    def check(step: int, big: Profile, small: Profile) -> StepViolation | None:
+        for j, bound in enumerate(small):
+            if big[shift + j] > bound:
+                return StepViolation(f"coordinate[{j + 1}]", step, big[shift + j], bound)
+        tb = total_workload(big)
+        ts = total_workload(small)
+        if tb > ts + sum_slack:
+            return StepViolation("total", step, tb, ts)
+        star = prec_star(big, pad(small, servers_big), sum_slack)
+        if not star:
+            v = star.first_violation
+            return StepViolation(f"tail_sum[{v.index}]", step, v.lhs, v.rhs)
+        return None
+
     report = ComparisonReport(
         mode="server-count",
         systems=(f"S{servers_big}", f"S{servers_small}"),
         marks_info=_marks_info(marks),
     )
-    keep = len(marks) <= history_cap
-    series_t: tuple[list[float], list[float]] = ([], [])
-    series_w: tuple[list[float], list[float]] = ([], [])
-    sum_w_big = 0.0
-    sum_w_small = 0.0
-    sig = marks.sigma.tolist()
-    xis = marks.xi.tolist()
-    for step in range(len(marks) + 1):
-        checked = big
-        if step == corrupt_step:
-            checked = _corrupted(big, total_workload(small))
-        violation: StepViolation | None = None
-        for j in range(servers_small):
-            if checked[shift + j] > small[j]:
-                violation = StepViolation(
-                    f"coordinate[{j + 1}]", step, checked[shift + j], small[j]
-                )
-                break
-        tb = total_workload(big)
-        ts = total_workload(small)
-        t_checked = tb if checked is big else total_workload(checked)
-        if violation is None and t_checked > ts + sum_slack:
-            violation = StepViolation("total", step, t_checked, ts)
-        if violation is None:
-            star = prec_star(checked, pad(small, servers_big), sum_slack)
-            if not star:
-                v = star.first_violation
-                violation = StepViolation(f"tail_sum[{v.index}]", step, v.lhs, v.rhs)
-        if violation is not None:
-            report.violations.append(violation)
-        sum_w_big += big[0]
-        sum_w_small += small[0]
-        if keep:
-            series_t[0].append(tb)
-            series_t[1].append(ts)
-            series_w[0].append(big[0])
-            series_w[1].append(small[0])
-        if step < len(marks):
-            mark = (sig[step], xis[step])
-            big = pth_step(big, mark, 1)
-            small = pth_step(small, mark, 1)
-    steps = len(marks) + 1
-    report.steps_checked = steps
-    report.mean_offered_wait = (sum_w_big / steps, sum_w_small / steps)
-    report.final_profiles = (big, small)
-    if keep:
-        report.totals = series_t
-        report.offered_waits = series_w
-    return report
+    return _run_coupled(
+        report,
+        iter_profiles(zero_profile(servers_big), marks, 1),
+        iter_profiles(zero_profile(servers_small), marks, 1),
+        check,
+        corrupt_step,
+    )
 
 
 def compare_allocation_ranks(
@@ -240,7 +221,6 @@ def compare_allocation_ranks(
     start_alt: Profile,
     marks: MarkSequence,
     tol: float = 0.0,
-    history_cap: int = HISTORY_CAP,
     corrupt_step: int | None = None,
 ) -> ComparisonReport:
     """Check that shortest-workload allocation stays rank-ordered below
@@ -252,6 +232,8 @@ def compare_allocation_ranks(
     second from ``start_alt`` joining the rank-th least-loaded queue. The
     rank ordering is re-checked after every arrival with tolerance ``tol``
     (the two paths share one arithmetic route, so the default is exact).
+    ``corrupt_step`` corrupts the checked copy of the first profile at one
+    step, as in :func:`compare_server_counts`.
     """
     start = tuple(float(x) for x in start)
     start_alt = tuple(float(x) for x in start_alt)
@@ -263,48 +245,26 @@ def compare_allocation_ranks(
         raise PremiseError(
             f"starts are not rank-ordered: {v.clause}[{v.index}] has {v.lhs!r} > {v.rhs!r}"
         )
+
+    def check(step: int, shortest: Profile, ranked: Profile) -> StepViolation | None:
+        verdict = prec_p(shortest, ranked, rank, tol)
+        if verdict:
+            return None
+        v = verdict.first_violation
+        return StepViolation(f"{v.clause}[{v.index}]", step, v.lhs, v.rhs)
+
     report = ComparisonReport(
         mode="allocation-rank",
         systems=(f"S{servers}P1", f"S{servers}P{rank}"),
         marks_info=_marks_info(marks),
     )
-    keep = len(marks) <= history_cap
-    series_t: tuple[list[float], list[float]] = ([], [])
-    series_w: tuple[list[float], list[float]] = ([], [])
-    sum_w = [0.0, 0.0]
-    shortest = start
-    ranked = start_alt
-    sig = marks.sigma.tolist()
-    xis = marks.xi.tolist()
-    for step in range(len(marks) + 1):
-        checked = shortest
-        if step == corrupt_step:
-            checked = _corrupted(shortest, total_workload(ranked))
-        verdict = prec_p(checked, ranked, rank, tol)
-        if not verdict:
-            v = verdict.first_violation
-            report.violations.append(
-                StepViolation(f"{v.clause}[{v.index}]", step, v.lhs, v.rhs)
-            )
-        sum_w[0] += shortest[0]
-        sum_w[1] += ranked[0]
-        if keep:
-            series_t[0].append(total_workload(shortest))
-            series_t[1].append(total_workload(ranked))
-            series_w[0].append(shortest[0])
-            series_w[1].append(ranked[0])
-        if step < len(marks):
-            mark = (sig[step], xis[step])
-            shortest = pth_step(shortest, mark, 1)
-            ranked = pth_step(ranked, mark, rank)
-    steps = len(marks) + 1
-    report.steps_checked = steps
-    report.mean_offered_wait = (sum_w[0] / steps, sum_w[1] / steps)
-    report.final_profiles = (shortest, ranked)
-    if keep:
-        report.totals = series_t
-        report.offered_waits = series_w
-    return report
+    return _run_coupled(
+        report,
+        iter_profiles(start, marks, 1),
+        iter_profiles(start_alt, marks, rank),
+        check,
+        corrupt_step,
+    )
 
 
 def fcfs_waiting_times(marks: MarkSequence, servers: int) -> list[float]:
@@ -334,50 +294,6 @@ def fcfs_waiting_times(marks: MarkSequence, servers: int) -> list[float]:
         free[j] = begin + s_
         now += x_
     return waits
-
-
-@dataclass(frozen=True)
-class EcdfDominance:
-    """Result of the distributional dominance diagnostic."""
-
-    dominates: bool
-    max_deficit: float
-    violating_fraction: float
-    band: float
-    grid_points: int
-
-
-def ecdf_dominance(
-    samples_a: Sequence[float], samples_b: Sequence[float], band: float | None = None
-) -> EcdfDominance:
-    """Check whether ``samples_a`` is stochastically no larger than ``samples_b``.
-
-    Compares empirical CDFs on the merged sample grid and requires
-    F_a >= F_b - band everywhere. The default band is the two-sample
-    Kolmogorov-Smirnov 95% width 1.36 * sqrt((m + n) / (m * n)). This is a
-    statistical diagnostic; it must never gate a pathwise comparison.
-    """
-    a = np.sort(np.asarray(samples_a, dtype=np.float64))
-    b = np.sort(np.asarray(samples_b, dtype=np.float64))
-    m, n = len(a), len(b)
-    if m == 0 or n == 0:
-        raise ValueError("both sample sets must be nonempty")
-    if band is None:
-        band = 1.36 * math.sqrt((m + n) / (m * n))
-    grid = np.concatenate([a, b])
-    grid.sort()
-    f_a = np.searchsorted(a, grid, side="right") / m
-    f_b = np.searchsorted(b, grid, side="right") / n
-    deficit = f_b - f_a
-    max_deficit = float(max(deficit.max(), 0.0))
-    violating = float(np.mean(deficit > band))
-    return EcdfDominance(
-        dominates=violating == 0.0,
-        max_deficit=max_deficit,
-        violating_fraction=violating,
-        band=float(band),
-        grid_points=len(grid),
-    )
 
 
 # --------------------------------------------------------------------------

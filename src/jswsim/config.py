@@ -49,6 +49,15 @@ __all__ = [
 CONFIG_ENV_VAR = "JSWSIM_CONFIG"
 
 
+def _require(ok: bool, where: str, message: str) -> None:
+    if not ok:
+        raise ConfigError(f"{where}: {message}")
+
+
+# Each settings block validates itself on construction, so a value set by a
+# command line flag through dataclasses.replace is checked like a file value.
+
+
 @dataclass(frozen=True)
 class LoynesSettings:
     servers: int = 2
@@ -57,6 +66,21 @@ class LoynesSettings:
     window: int = 64
     max_n: int = 2**22
     snapshots: str | None = None
+
+    def __post_init__(self) -> None:
+        _require(self.servers >= 1, "[loynes] servers", f"must be >= 1, got {self.servers}")
+        _require(
+            1 <= self.rank <= self.servers,
+            "[loynes] rank",
+            f"allocation rank {self.rank} outside [1, {self.servers}]",
+        )
+        _require(self.tolerance > 0.0, "[loynes] tolerance", f"must be > 0, got {self.tolerance!r}")
+        _require(self.window >= 1, "[loynes] window", f"must be >= 1, got {self.window}")
+        _require(
+            self.max_n >= self.window,
+            "[loynes] max_n",
+            f"{self.max_n} is smaller than window {self.window}",
+        )
 
 
 @dataclass(frozen=True)
@@ -72,6 +96,32 @@ class CompareSettings:
     corrupt_step: int | None = None
     trajectories: str | None = None
 
+    def __post_init__(self) -> None:
+        _require(
+            self.mode in ("servers", "allocation"),
+            "[compare] mode",
+            f"unknown mode {self.mode!r}",
+        )
+        if self.mode == "servers":
+            _require(
+                self.servers_small <= self.servers,
+                "[compare] servers_small",
+                f"{self.servers_small} exceeds servers = {self.servers}",
+            )
+        try:
+            self.systems()
+        except ValueError as exc:
+            raise ConfigError(f"[compare]: {exc}") from exc
+
+    def systems(self) -> tuple[SystemConfig, SystemConfig]:
+        """The two coupled systems; the first is checked below the second."""
+        if self.mode == "servers":
+            return SystemConfig(self.servers), SystemConfig(self.servers_small)
+        return (
+            SystemConfig(self.servers, 1, self.start),
+            SystemConfig(self.servers, self.rank, self.start_alt),
+        )
+
 
 @dataclass(frozen=True)
 class PropertySettings:
@@ -80,6 +130,11 @@ class PropertySettings:
     max_dim: int = 8
     seed: int = 1
     tolerance: float = 0.0
+
+    def __post_init__(self) -> None:
+        for key in ("instances", "max_dim"):
+            value = getattr(self, key)
+            _require(value >= 1, f"[properties] {key}", f"must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +218,7 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
   start_alt     ranked start, allocation mode (zeros)
   sum_slack     slack for workload-sum inequalities (1e-12)
   tolerance     per-step tolerance, allocation mode (0)
-  corrupt_step  self-test hook: corrupt one checked step (none)
+  corrupt_step  self-test hook: corrupt one checked step, either mode (none)
   trajectories  CSV path for coupled trajectories (none)
 
 [properties]                          used by: verify-properties
@@ -378,12 +433,9 @@ def load_config(
     )
 
     cp = sec("compare")
-    mode = (cp.get("mode") or "servers").strip()
-    if mode not in ("servers", "allocation"):
-        raise ConfigError(f"[compare] mode: unknown mode {mode!r}")
     corrupt_raw = cp.get("corrupt_step")
     compare_cfg = CompareSettings(
-        mode=mode,
+        mode=(cp.get("mode") or "servers").strip(),
         servers=cp.get_int("servers", 3),
         servers_small=cp.get_int("servers_small", 2),
         rank=cp.get_int("rank", 2),

@@ -16,10 +16,13 @@ marks stay fixed, which is what makes the monotonicity exact per seed.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import StabilityError
-from .profiles import Profile, pth_step, zero_profile
+# pth_step is no longer called here, but it stays importable from this module:
+# the benchmark's tracer test (bench/test_smoke.py) looks it up here.
+from .profiles import Profile, iter_profiles, pth_step, zero_profile  # noqa: F401
 from .processes import (
     InputModel,
     MarkSequence,
@@ -69,10 +72,7 @@ def loynes_iterate(marks: MarkSequence, servers: int, rank: int = 1) -> Profile:
     ``marks`` lists the preceding customers oldest first; the system starts
     empty and each customer is routed to the rank-th least-loaded queue.
     """
-    state = zero_profile(servers)
-    for s_, x_ in zip(marks.sigma.tolist(), marks.xi.tolist()):
-        state = pth_step(state, (s_, x_), rank)
-    return state
+    return deque(iter_profiles(zero_profile(servers), marks, rank), maxlen=1)[0]
 
 
 def estimate_stationary(

@@ -19,6 +19,7 @@ algorithm identifier below is stored on every generated sequence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +43,6 @@ __all__ = [
     "TraceModel",
     "Uniform",
     "generate",
-    "mean_is_estimate",
     "mean_sigma",
     "mean_xi",
     "model_label",
@@ -63,8 +63,8 @@ def _uniforms(seed: int, stream: int, count: int) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # Distribution laws. Each law knows how many uniforms one draw consumes and
-# maps them to a sample through a single scalar code path, so batch and
-# step-by-step generation are bit-identical.
+# has a single code path, ``draw_batch(cols, n)``, that maps n draws' worth
+# of uniforms to n samples; ``cols[c]`` holds the c-th uniform of every draw.
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,6 @@ class Exponential:
     def positive(self) -> bool:
         # draws use uniforms in the open interval, so 0 is never returned
         return True
-
-    def draw(self, us: Sequence[float]) -> float:
-        return -math.log1p(-us[0]) / self.rate
 
     def draw_batch(self, cols: Sequence[Sequence[float]], n: int) -> list[float]:
         rate = self.rate
@@ -115,9 +112,6 @@ class Deterministic:
     def positive(self) -> bool:
         return self.value > 0.0
 
-    def draw(self, us: Sequence[float]) -> float:
-        return self.value
-
     def draw_batch(self, cols: Sequence[Sequence[float]], n: int) -> list[float]:
         return [self.value] * n
 
@@ -144,9 +138,6 @@ class Uniform:
 
     def positive(self) -> bool:
         return self.lo > 0.0
-
-    def draw(self, us: Sequence[float]) -> float:
-        return self.lo + us[0] * (self.hi - self.lo)
 
     def draw_batch(self, cols: Sequence[Sequence[float]], n: int) -> list[float]:
         lo, span = self.lo, self.hi - self.lo
@@ -196,9 +187,6 @@ class Hyperexponential:
             if u_branch < c:
                 return -math.log1p(-u_exp) / self.rates[j]
         return -math.log1p(-u_exp) / self.rates[-1]
-
-    def draw(self, us: Sequence[float]) -> float:
-        return self._draw2(us[0], us[1])
 
     def draw_batch(self, cols: Sequence[Sequence[float]], n: int) -> list[float]:
         return [self._draw2(a, b) for a, b in zip(cols[0], cols[1])]
@@ -298,10 +286,18 @@ class TraceModel:
     """Marks replayed from a text file: one 'sigma xi' pair per line.
 
     Blank lines are skipped and '#' starts a comment. The seed is ignored
-    for generation but still recorded on the resulting sequence.
+    for generation but still recorded on the resulting sequence. The file is
+    read on first use and kept for the model's lifetime.
     """
 
     path: str
+
+    @functools.cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        sig, xis = _read_trace(self.path)
+        if not sig:
+            raise InputError(f"trace {self.path!r} is empty")
+        return np.asarray(sig, dtype=np.float64), np.asarray(xis, dtype=np.float64)
 
 
 InputModel = IIDModel | MarkovModulatedModel | TraceModel
@@ -352,9 +348,6 @@ class MarkSequence:
     def __len__(self) -> int:
         return len(self.sigma)
 
-    def __getitem__(self, i: int) -> Mark:
-        return Mark(float(self.sigma[i]), float(self.xi[i]))
-
     def __iter__(self) -> Iterator[Mark]:
         return (Mark(s, x) for s, x in zip(self.sigma.tolist(), self.xi.tolist()))
 
@@ -386,7 +379,9 @@ def _pick_state(cum: Sequence[float], u: float) -> int:
     return len(cum) - 1
 
 
-def _generate_markov(model: MarkovModulatedModel, seed: int, length: int) -> tuple[list[float], list[float]]:
+def _generate_markov(
+    model: MarkovModulatedModel, seed: int, length: int
+) -> tuple[Sequence[float], Sequence[float]]:
     n = len(model.transition)
     if n == 1:
         # a single-state chain is exactly the iid model with that state's laws
@@ -408,18 +403,24 @@ def _generate_markov(model: MarkovModulatedModel, seed: int, length: int) -> tup
         state = _pick_state(cum_rows[state], mod[t])
         states.append(state)
 
-    total = sum(model.sigma_laws[s].uniforms + model.xi_laws[s].uniforms for s in states)
-    u = _uniforms(seed, 0, total).tolist()
-    sig: list[float] = []
-    xis: list[float] = []
-    i = 0
-    for s in states:
-        slaw = model.sigma_laws[s]
-        xlaw = model.xi_laws[s]
-        sig.append(slaw.draw(u[i : i + slaw.uniforms]))
-        i += slaw.uniforms
-        xis.append(xlaw.draw(u[i : i + xlaw.uniforms]))
-        i += xlaw.uniforms
+    # Mark t reads its state's sigma uniforms, then its xi uniforms, from
+    # offset first[t] of stream 0. Each state's marks are drawn in one batch
+    # and scattered back to their positions.
+    path = np.asarray(states)
+    used = np.array([law.uniforms for law in model.sigma_laws])[path]
+    used += np.array([law.uniforms for law in model.xi_laws])[path]
+    ends = np.cumsum(used)
+    first = ends - used
+    u = _uniforms(seed, 0, int(ends[-1]))
+    sig = np.empty(length, dtype=np.float64)
+    xis = np.empty(length, dtype=np.float64)
+    for s, laws in enumerate(zip(model.sigma_laws, model.xi_laws)):
+        at = np.flatnonzero(path == s)
+        offset = first[at]
+        for out, law in zip((sig, xis), laws):
+            cols = [u[offset + c].tolist() for c in range(law.uniforms)]
+            out[at] = law.draw_batch(cols, len(at))
+            offset = offset + law.uniforms
     return sig, xis
 
 
@@ -427,7 +428,7 @@ def _read_trace(path: str) -> tuple[list[float], list[float]]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read trace file {path!r}: {exc}") from exc
     sig: list[float] = []
     xis: list[float] = []
@@ -464,7 +465,7 @@ def generate(model: InputModel, seed: int, length: int) -> MarkSequence:
     elif isinstance(model, MarkovModulatedModel):
         sig, xis = _generate_markov(model, seed, length)
     elif isinstance(model, TraceModel):
-        sig, xis = _read_trace(model.path)
+        sig, xis = model._columns
         if len(sig) < length:
             raise InputError(
                 f"trace {model.path!r} has {len(sig)} marks, need {length}"
@@ -492,10 +493,8 @@ def mean_sigma(model: InputModel) -> float:
         pi = model.stationary()
         return math.fsum(p * law.mean() for p, law in zip(pi, model.sigma_laws))
     if isinstance(model, TraceModel):
-        sig, _ = _read_trace(model.path)
-        if not sig:
-            raise InputError(f"trace {model.path!r} is empty")
-        return math.fsum(sig) / len(sig)
+        sig = model._columns[0]
+        return math.fsum(sig.tolist()) / len(sig)
     raise TypeError(f"unknown input model {model!r}")
 
 
@@ -507,16 +506,9 @@ def mean_xi(model: InputModel) -> float:
         pi = model.stationary()
         return math.fsum(p * law.mean() for p, law in zip(pi, model.xi_laws))
     if isinstance(model, TraceModel):
-        _, xis = _read_trace(model.path)
-        if not xis:
-            raise InputError(f"trace {model.path!r} is empty")
-        return math.fsum(xis) / len(xis)
+        xis = model._columns[1]
+        return math.fsum(xis.tolist()) / len(xis)
     raise TypeError(f"unknown input model {model!r}")
-
-
-def mean_is_estimate(model: InputModel) -> bool:
-    """True when the means are empirical estimates rather than analytic values."""
-    return isinstance(model, TraceModel)
 
 
 class StabilityVerdict(Enum):

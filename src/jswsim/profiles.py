@@ -9,16 +9,19 @@ re-sorting yields the profile seen by the next customer (the
 Kiefer-Wolfowitz recursion when p is 1, i.e. join the shortest workload).
 
 All functions here are pure and never mutate their arguments.
+:func:`iter_profiles` is the one place where the recursion is run over a
+sequence of arrivals; every forward, backward and coupled run goes through it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "Mark",
     "Profile",
+    "iter_profiles",
     "kw_step",
     "offered_wait",
     "pad",
@@ -91,6 +94,20 @@ def pth_step(u: Profile, mark: Mark, rank: int) -> Profile:
     vals = [x - xi for x in u]
     vals[rank - 1] = (u[rank - 1] + sigma) - xi
     return tuple(sorted(0.0 if v <= 0.0 else v for v in vals))
+
+
+def iter_profiles(start: Profile, marks, rank: int) -> Iterator[Profile]:
+    """Yield ``start``, then the profile after each arrival of ``marks``.
+
+    ``marks`` is any object with equal-length ``sigma`` and ``xi`` arrays,
+    listed in arrival order; every arrival joins the queue with the rank-th
+    least workload.
+    """
+    state = start
+    yield state
+    for mark in zip(marks.sigma.tolist(), marks.xi.tolist()):
+        state = pth_step(state, mark, rank)
+        yield state
 
 
 def kw_step(u: Profile, mark: Mark) -> Profile:

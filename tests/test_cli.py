@@ -29,6 +29,20 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL" in out and "step 5" in out
 
+    def test_allocation_corrupt_step_is_one_violation(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[compare]\nmode = allocation\nservers = 3\nrank = 2\ncorrupt_step = 5\n"
+        )
+        out_csv = tmp_path / "v.csv"
+        argv = ["compare", "--config", str(cfg), "--seed", "1", "--horizon", "50"]
+        code, out, _ = run(argv + ["--out", str(out_csv)], capsys)
+        assert code == 1
+        assert "seed 1: 51 steps, 1 violations" in out and "step 5" in out
+        rows = out_csv.read_text().splitlines()[1:]
+        assert len(rows) == 1
+        assert rows[0].split(",")[1] == "5"
+
     def test_bad_config_is_two(self, capsys):
         code, _, err = run(["simulate", "--config", "missing.ini"], capsys)
         assert code == 2
@@ -80,6 +94,51 @@ class TestExitCodes:
         )
         assert code == 6
         assert "premise" in err
+
+
+# Inputs that used to escape as a Python traceback with exit 1, the code
+# reserved for a found violation: (config file, extra flags, command).
+BAD_SETTINGS = {
+    "loynes-rank-above-servers": ("[loynes]\nservers = 2\nrank = 3\n", [], "loynes"),
+    "loynes-zero-tolerance": ("[loynes]\ntolerance = 0\n", [], "loynes"),
+    "loynes-zero-window": ("[loynes]\nwindow = 0\n", [], "loynes"),
+    "loynes-max-n-below-window": ("[loynes]\nwindow = 128\nmax_n = 64\n", [], "loynes"),
+    "compare-small-above-servers": (
+        "[compare]\nservers = 2\nservers_small = 3\n",
+        [],
+        "compare",
+    ),
+    "compare-start-wrong-length": (
+        "[compare]\nmode = allocation\nservers = 3\nstart = 0 0\n",
+        [],
+        "compare",
+    ),
+    "compare-start-not-sorted": (
+        "[compare]\nmode = allocation\nservers = 2\nstart_alt = 1 0\n",
+        [],
+        "compare",
+    ),
+    "compare-rank-above-servers": (
+        "[compare]\nmode = allocation\nservers = 3\nrank = 5\n",
+        [],
+        "compare",
+    ),
+    "properties-zero-max-dim": ("[properties]\nmax_dim = 0\n", [], "verify-properties"),
+    "properties-zero-instances-flag": ("", ["--instances", "0"], "verify-properties"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SETTINGS))
+def test_bad_settings_exit_two(name, tmp_path, capsys):
+    text, flags, command = BAD_SETTINGS[name]
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg), *flags]
+    if command != "verify-properties":
+        argv += ["--seed", "1"]
+    code, _, err = run(argv, capsys)
+    assert code == 2, err
+    assert "config error" in err
 
 
 class TestDeterminism:

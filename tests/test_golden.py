@@ -1,0 +1,140 @@
+"""Golden output digests: the same config gives the same bytes across commits.
+
+Each case runs one command in-process, in a fresh directory with relative
+file names, and compares the sha256 of its stdout and of every file it
+writes with a recorded digest. The rerun tests elsewhere only compare two
+runs of the same code; these digests pin the bytes themselves, so a
+refactor of the step loop, the coupled-run harness or the mark generators
+that changes any output byte fails here. A change that alters the output
+contract on purpose updates the digest and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from jswsim.cli import main
+
+MARKOV3 = (
+    "[model]\nkind = markov\n"
+    "transition = 0.7 0.2 0.1 / 0.1 0.8 0.1 / 0.3 0.3 0.4\n"
+    "sigma_states = deterministic(0.75) | hyperexponential(0.4, 0.6; 1.0, 3.0)"
+    " | uniform(0.25, 1.75)\n"
+    "xi_states = uniform(0.5, 1.5) | deterministic(0.6)"
+    " | hyperexponential(0.5, 0.5; 2.0, 0.8)\n"
+)
+
+# name -> (config file, argv, files written, expected exit code)
+CASES = {
+    "simulate-iid-rank1": (
+        "[run]\nseeds = 1..3\nhorizon = 300\n[system]\nservers = 2\nrank = 1\n",
+        ["simulate", "--out", "sim.csv"],
+        ["sim.csv"],
+        0,
+    ),
+    "simulate-rank2-initial": (
+        "[model]\nsigma = exponential(1.0)\nxi = exponential(0.8)\n"
+        "[run]\nseeds = 4 5\nhorizon = 300\n"
+        "[system]\nservers = 3\nrank = 2\ninitial = 0 0.5 2.25\n",
+        ["simulate", "--out", "sim.csv"],
+        ["sim.csv"],
+        0,
+    ),
+    "simulate-markov3-mixed-laws": (
+        MARKOV3 + "[run]\nseeds = 1 7 12345\nhorizon = 400\n[system]\nservers = 2\n",
+        ["simulate", "--out", "sim.csv"],
+        ["sim.csv"],
+        0,
+    ),
+    "loynes-snapshots": (
+        "[run]\nseeds = 1..4\n[loynes]\nservers = 2\nwindow = 16\n",
+        ["loynes", "--out", "snap.csv"],
+        ["snap.csv"],
+        0,
+    ),
+    "compare-servers": (
+        "[run]\nseeds = 1 2\nhorizon = 200\n"
+        "[compare]\nmode = servers\nservers = 3\nservers_small = 2\n"
+        "corrupt_step = 7\ntrajectories = traj.csv\n",
+        ["compare", "--out", "viol.csv"],
+        ["viol.csv", "traj.csv"],
+        1,
+    ),
+    "compare-allocation": (
+        "[run]\nseeds = 1 2\nhorizon = 200\n"
+        "[compare]\nmode = allocation\nservers = 3\nrank = 3\n"
+        "start = 0 2 2\nstart_alt = 1 1 3\ntrajectories = traj.csv\n",
+        ["compare", "--out", "viol.csv"],
+        ["viol.csv", "traj.csv"],
+        0,
+    ),
+    # Recorded after corrupt_step started to reach the allocation-mode
+    # harness; before that the key was ignored in this mode and the run
+    # printed PASS.
+    "compare-allocation-corrupt-step": (
+        "[run]\nseeds = 1 2\nhorizon = 200\n"
+        "[compare]\nmode = allocation\nservers = 3\nrank = 3\n"
+        "start = 0 2 2\nstart_alt = 1 1 3\ncorrupt_step = 7\ntrajectories = traj.csv\n",
+        ["compare", "--out", "viol.csv"],
+        ["viol.csv", "traj.csv"],
+        1,
+    ),
+}
+
+DIGESTS = {
+    "simulate-iid-rank1": {
+        "stdout": "3916220916a070d56a95d99294209626192fcab06cc40221db80f4ea9512e248",
+        "sim.csv": "3acd2450956a750b936961fd4b19452fa562dcc5327d3ebcf125d59ee4cd6d25",
+    },
+    "simulate-rank2-initial": {
+        "stdout": "c15c38a6dd4dee86b90f6d6dc945b10d8cb9887cb54d8564552076fde7c52e72",
+        "sim.csv": "7ea1538d9e40be33742b046b21297e52b5716820e89b45af4e3fad03891736a2",
+    },
+    "simulate-markov3-mixed-laws": {
+        "stdout": "e9bb1675c9d27437d0b1ce8d87e8dfd34a3ee37c1f6fdfa82d3a9c55fe58c6e6",
+        "sim.csv": "92bbdbccce7df7b0388de493cd024c054066b545a5f8fb7ba88266fe5dd6d879",
+    },
+    "loynes-snapshots": {
+        "stdout": "bd642830c34607d30ce8ee5028c84db3a96f2d77a59a0fa046f53caa6a906764",
+        "snap.csv": "4a2e44893edaaffaa0719757790e05527a71035fb2c8b2a61385c1ab413d9bdc",
+    },
+    "compare-servers": {
+        "stdout": "66fcad64bf209528b7a4330dc812009614085e75c932c14bf14b70b4185fc67e",
+        "viol.csv": "3fcad5b2700af806e9a0670ff372d2d23eeb15eeb1e79cf8af4c979e2edc8bab",
+        "traj.csv": "7f3abe600e2635bd5c04c68f9be1a372b774caae29c94462b393edea630e845b",
+    },
+    "compare-allocation": {
+        "stdout": "484dca99f9326408d9a9d41c38c113c234edb34b0e3fe87afc8b6de071e0427a",
+        "viol.csv": "5aa58f3833d078b3036b11991c0b7b10450b15f9dfd0263bdf3481215be3d64d",
+        "traj.csv": "b6f72097022c7999cd1c976a17c2db93b491ae02b45f26e03c2ecb14916f307d",
+    },
+    # recorded after the fix; the trajectories are the clean run's
+    "compare-allocation-corrupt-step": {
+        "stdout": "3c65a87e2a5a726672e758c634cd9398950af385c08cd6fa02bd92bc1b32286c",
+        "viol.csv": "7ea39a9140cff7d31be051e786fa0b365c077f647e7acd47bc0c6d4b0e3a3047",
+        "traj.csv": "b6f72097022c7999cd1c976a17c2db93b491ae02b45f26e03c2ecb14916f307d",
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(name, directory, capsys):
+    """Run one case in ``directory``; return (exit code, {output: sha256})."""
+    config, argv, files, _ = CASES[name]
+    (directory / "c.ini").write_text(config)
+    code = main([argv[0], "--config", "c.ini", *argv[1:]])
+    digests = {"stdout": _sha(capsys.readouterr().out.encode())}
+    for f in files:
+        digests[f] = _sha((directory / f).read_bytes())
+    return code, digests
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_match_recorded_digests(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, digests = run_case(name, tmp_path, capsys)
+    assert code == CASES[name][3]
+    assert digests == DIGESTS[name]

@@ -18,7 +18,6 @@ from jswsim.processes import (
     TraceModel,
     Uniform,
     generate,
-    mean_is_estimate,
     mean_sigma,
     mean_xi,
     model_label,
@@ -104,9 +103,8 @@ class TestReproducibility:
     def test_sequence_interface(self):
         marks = generate(MM1, 5, 10)
         assert len(marks) == 10
-        m0 = marks[0]
-        assert m0.sigma == marks.sigma[0] and m0.xi == marks.xi[0]
         assert [m.sigma for m in marks] == list(marks.sigma)
+        assert [m.xi for m in marks] == list(marks.xi)
         rev = marks.reversed_marks()
         assert np.array_equal(rev.sigma, marks.sigma[::-1])
         assert np.array_equal(rev.xi, marks.xi[::-1])
@@ -221,7 +219,6 @@ class TestTraces:
         marks = generate(model, 999, 2)  # seed is irrelevant for traces
         assert list(marks.sigma) == [3.0, 0.5]
         assert list(marks.xi) == [1.0, 2.0]
-        assert mean_is_estimate(model)
         assert mean_sigma(model) == 1.75
 
     def test_length_capped_by_file(self, tmp_path):
@@ -244,6 +241,28 @@ class TestTraces:
         p.write_text("1.0 0.0\n")
         with pytest.raises(InputError):
             generate(TraceModel(str(p)), 0, 1)
+        p.write_bytes(b"1.0 1.0\n\xff\xfe 1.0\n")  # not UTF-8
+        with pytest.raises(InputError):
+            generate(TraceModel(str(p)), 0, 1)
+
+    def test_file_parsed_once_per_model(self, tmp_path, monkeypatch):
+        import builtins
+
+        from jswsim.loynes import estimate_stationary
+
+        p = tmp_path / "marks.txt"
+        p.write_text("".join(f"{1.0 + (k % 3) * 0.25} 1.5\n" for k in range(4096)))
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        res = estimate_stationary(TraceModel(str(p)), 1, 2, window=64, max_n=4096)
+        assert res.steps_used >= 128  # means plus at least two depths
+        assert opened.count(str(p)) == 1
 
     def test_missing_file(self):
         with pytest.raises(InputError):
@@ -258,7 +277,3 @@ class TestStability:
         assert stability_check(lam2, 8) is StabilityVerdict.STABLE
         knife = IIDModel(Deterministic(2.0), Deterministic(1.0))
         assert stability_check(knife, 2) is StabilityVerdict.CRITICAL
-
-    def test_not_an_estimate_for_closed_forms(self):
-        assert not mean_is_estimate(MM1)
-        assert not mean_is_estimate(TWO_STATE)
