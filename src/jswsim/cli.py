@@ -3,7 +3,7 @@
 Subcommands:
 
     simulate       run forward trajectories, optionally dumping a CSV
-    loynes         backward stationary-profile estimation per seed
+    loynes         backward stationary-profile estimation, all seeds in lockstep
     compare        coupled-path dominance checks (server counts or ranks)
     verify-properties  randomized checks of the ordering closure properties
 
@@ -19,8 +19,10 @@ configuration is byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -38,7 +40,7 @@ from .comparison import (
 )
 from .config import CONFIG_ENV_VAR, CONFIG_HELP, ExperimentConfig, load_config
 from .errors import ConfigError, InputError, PremiseError, StabilityError
-from .loynes import LoynesResult, estimate_stationary
+from .loynes import LoynesResult, estimate_stationary_many
 from .orderings import run_property_suite
 from .processes import RNG_ALGORITHM, generate, model_label
 from .profiles import iter_profiles, total_workload
@@ -55,12 +57,19 @@ EXIT_PREMISE = 6
 
 
 def _pool_map(fn, payloads, jobs):
+    """Yield ``fn(p)`` for each payload, in order, as the results arrive."""
     if jobs <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+        yield from map(fn, payloads)
+        return
     # executor.map keeps submission order, so parallel output is
     # identical to the sequential one.
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, payloads))
+        yield from pool.map(fn, payloads)
+
+
+def _blocks(items, count):
+    """Split ``items`` into ``count`` contiguous blocks of near-equal size."""
+    return [items[k * len(items) // count : (k + 1) * len(items) // count] for k in range(count)]
 
 
 def _fmt(x: float) -> str:
@@ -92,9 +101,13 @@ def _sim_one(payload):
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     system = cfg.system
     payloads = [(cfg.model, s, cfg.horizon, system) for s in cfg.seeds]
-    results = _pool_map(_sim_one, payloads, cfg.jobs)
-    if cfg.out is not None:
-        with _open_out(cfg.out) as f:
+    # Each seed's rows are written as its result arrives; only the numbers
+    # of the summary lines outlive it.
+    summary = []
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if cfg.out is not None:
+            f = stack.enter_context(_open_out(cfg.out))
             f.write("# jswsim simulate\n")
             f.write(f"# model: {model_label(cfg.model)}\n")
             f.write(f"# rng: {RNG_ALGORITHM}\n")
@@ -103,17 +116,19 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             writer = csv.writer(f, lineterminator="\n")
             coord_names = [f"w{i + 1}" for i in range(system.servers)]
             writer.writerow(["seed", "step", *coord_names, "total", "wait"])
-            for seed, profiles, _ in results:
+        for seed, profiles, mean_wait in _pool_map(_sim_one, payloads, cfg.jobs):
+            if writer is not None:
                 wait = ""  # step 0 precedes the first arrival
                 for step, profile in enumerate(profiles):
                     writer.writerow(
                         [seed, step, *map(_fmt, profile), _fmt(total_workload(profile)), wait]
                     )
                     wait = _fmt(profile[system.rank - 1])
-    for seed, profiles, mean_wait in results:
+            summary.append((seed, mean_wait, total_workload(profiles[-1])))
+    for seed, mean_wait, final_total in summary:
         print(
             f"seed {seed}: {cfg.horizon} arrivals, mean offered wait {mean_wait:.6g}, "
-            f"final total workload {total_workload(profiles[-1]):.6g}"
+            f"final total workload {final_total:.6g}"
         )
     if cfg.out is not None:
         print(f"wrote {cfg.out}")
@@ -123,11 +138,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 # ------------------------------------------------------------------ loynes
 
 
-def _loynes_one(payload):
-    model, seed, settings, keep_history = payload
-    return seed, estimate_stationary(
+def _loynes_block(payload):
+    model, seeds, settings, keep_history = payload
+    return estimate_stationary_many(
         model,
-        seed,
+        seeds,
         settings.servers,
         rank=settings.rank,
         tolerance=settings.tolerance,
@@ -140,8 +155,11 @@ def _loynes_one(payload):
 def cmd_loynes(cfg: ExperimentConfig) -> int:
     settings = cfg.loynes
     keep = settings.snapshots is not None
-    payloads = [(cfg.model, s, settings, keep) for s in cfg.seeds]
-    results: list[tuple[int, LoynesResult]] = _pool_map(_loynes_one, payloads, cfg.jobs)
+    # One lockstep estimation per worker, over a contiguous block of seeds.
+    blocks = _blocks(cfg.seeds, min(cfg.jobs, len(cfg.seeds)))
+    payloads = [(cfg.model, block, settings, keep) for block in blocks]
+    estimates = itertools.chain.from_iterable(_pool_map(_loynes_block, payloads, cfg.jobs))
+    results: list[tuple[int, LoynesResult]] = list(zip(cfg.seeds, estimates))
     all_converged = True
     for seed, res in results:
         state = "converged" if res.converged else "NOT CONVERGED"
@@ -149,7 +167,8 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
         inc = "inf" if math.isinf(res.last_increment) else f"{res.last_increment:.3g}"
         prof = "(" + ", ".join(f"{x:.6g}" for x in res.profile) + ")"
         print(f"seed {seed}: n={res.steps_used} {state} increment={inc} profile={prof}")
-    waits = [res.profile[0] for _, res in results]
+    # the wait of an arrival routed to coordinate rank, as in simulate
+    waits = [res.profile[settings.rank - 1] for _, res in results]
     print(f"mean offered wait over {len(waits)} seeds: {math.fsum(waits) / len(waits):.6g}")
     if settings.snapshots is not None:
         with _open_out(settings.snapshots) as f:

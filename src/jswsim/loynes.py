@@ -18,11 +18,20 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import StabilityError
 # pth_step is no longer called here, but it stays importable from this module:
 # the benchmark's tracer test (bench/test_smoke.py) looks it up here.
-from .profiles import Profile, iter_profiles, pth_step, zero_profile  # noqa: F401
+from .profiles import (  # noqa: F401
+    Profile,
+    iter_profiles,
+    lockstep_profiles,
+    pth_step,
+    zero_profile,
+)
 from .processes import (
     InputModel,
     MarkSequence,
@@ -37,8 +46,17 @@ __all__ = [
     "LoynesResult",
     "backward_marks",
     "estimate_stationary",
+    "estimate_stationary_many",
     "loynes_iterate",
 ]
+
+# A replay pass steps fewer seeds than this one at a time: the array kernel
+# costs about as much per step for one seed as for four (S = 2 and S = 8),
+# while the scalar loop costs one step per seed.
+_LOCKSTEP_MIN_SEEDS = 5
+# Marks held per replay pass, which bounds its memory: a pass at depth n
+# takes at most _PASS_MARKS // n seeds.
+_PASS_MARKS = 2**14
 
 
 @dataclass(frozen=True)
@@ -87,15 +105,38 @@ def estimate_stationary(
 ) -> LoynesResult:
     """Estimate the minimal stationary profile for (model, seed).
 
+    The one-seed case of :func:`estimate_stationary_many`.
+    """
+    return estimate_stationary_many(
+        model, [seed], servers, rank, tolerance, window, max_n, keep_history
+    )[0]
+
+
+def estimate_stationary_many(
+    model: InputModel,
+    seeds: Sequence[int],
+    servers: int,
+    rank: int = 1,
+    tolerance: float = 1e-6,
+    window: int = 64,
+    max_n: int = 2**22,
+    keep_history: bool = False,
+) -> list[LoynesResult]:
+    """Estimate the minimal stationary profile for each seed, in order.
+
     Arrivals join the rank-th least-loaded queue, so only the top
     ``servers - rank + 1`` queues ever receive work; the stability premise
     is checked for that effective server count and the construction refuses
     to run for unstable or critical inputs. Evaluation points are
     n = window, 2*window, 4*window, ... up to ``max_n``, each regenerated
-    from the same seed (the backward streams are prefix-coupled), declaring
-    convergence once the sup-norm increment is at most ``tolerance``.
+    from the same seed (the backward streams are prefix-coupled). A seed
+    converges once its sup-norm increment is at most ``tolerance``.
     Convergence detection is heuristic: an increment can vanish on one
     doubling and return on the next, so the flag is evidence, not proof.
+
+    All seeds still running at depth n are replayed together (see
+    :func:`_replay`), and each seed stops on its own increment, so every
+    result equals the one this function gives for that seed alone.
     """
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
@@ -103,6 +144,8 @@ def estimate_stationary(
         raise ValueError(f"window must be >= 1, got {window}")
     if max_n < window:
         raise ValueError(f"max_n {max_n} is smaller than window {window}")
+    if not 1 <= rank <= servers:
+        raise ValueError(f"allocation rank {rank} outside [1, {servers}]")
     effective = servers - rank + 1
     verdict = stability_check(model, effective)
     if verdict is not StabilityVerdict.STABLE:
@@ -111,33 +154,60 @@ def estimate_stationary(
             f"{effective} * {mean_xi(model)!r} for {effective} effective server(s)"
         )
 
-    history: list[tuple[int, Profile]] = []
-    prev: Profile | None = None
-    prev_n = 0
-    increment = math.inf
+    seeds = list(seeds)
+    results: list[LoynesResult | None] = [None] * len(seeds)
+    histories: list[list[tuple[int, Profile]]] = [[] for _ in seeds]
+    prev: list[Profile | None] = [None] * len(seeds)
+    increment = [math.inf] * len(seeds)
+    active = list(range(len(seeds)))
     n = window
-    while True:
-        profile = loynes_iterate(backward_marks(model, seed, n), servers, rank)
-        if keep_history:
-            history.append((n, profile))
-        if prev is not None:
-            increment = max(abs(a - b) for a, b in zip(profile, prev))
-            if increment <= tolerance:
-                return LoynesResult(
+    while active:
+        running = []
+        for i, profile in zip(active, _replay(model, [seeds[i] for i in active], servers, rank, n)):
+            if keep_history:
+                histories[i].append((n, profile))
+            converged = False
+            if prev[i] is not None:
+                increment[i] = max(abs(a - b) for a, b in zip(profile, prev[i]))
+                converged = increment[i] <= tolerance
+            if converged or 2 * n > max_n:
+                results[i] = LoynesResult(
                     profile=profile,
                     steps_used=n,
-                    converged=True,
-                    last_increment=increment,
-                    history=tuple(history) if keep_history else None,
+                    converged=converged,
+                    last_increment=increment[i],
+                    history=tuple(histories[i]) if keep_history else None,
                 )
-        prev = profile
-        prev_n = n
-        if 2 * n > max_n:
-            return LoynesResult(
-                profile=prev,
-                steps_used=prev_n,
-                converged=False,
-                last_increment=increment,
-                history=tuple(history) if keep_history else None,
-            )
+            else:
+                prev[i] = profile
+                running.append(i)
+        active = running
         n *= 2
+    return results  # type: ignore[return-value]
+
+
+def _replay(model: InputModel, seeds: list[int], servers: int, rank: int, n: int) -> list[Profile]:
+    """The n-deep backward profile of each seed, in order.
+
+    Seeds are replayed in passes of at most ``_PASS_MARKS // n`` seeds. A
+    pass of at least ``_LOCKSTEP_MIN_SEEDS`` seeds writes each seed's
+    reversed marks into one column of ``(n, R)`` arrays and steps them in
+    lockstep; a smaller one replays seed by seed, which is faster for a few
+    seeds. Both give the same bits.
+    """
+    passes = -(-len(seeds) // max(1, _PASS_MARKS // n))
+    out: list[Profile] = []
+    for k in range(passes):
+        block = seeds[k * len(seeds) // passes : (k + 1) * len(seeds) // passes]
+        if len(block) < _LOCKSTEP_MIN_SEEDS:
+            out.extend(loynes_iterate(backward_marks(model, s, n), servers, rank) for s in block)
+            continue
+        sigma = np.empty((n, len(block)))
+        xi = np.empty((n, len(block)))
+        for j, seed in enumerate(block):
+            marks = generate(model, seed, n)
+            sigma[::-1, j] = marks.sigma
+            xi[::-1, j] = marks.xi
+        final = lockstep_profiles(np.zeros((len(block), servers)), sigma, xi, rank)
+        out.extend(map(tuple, final.tolist()))
+    return out

@@ -9,8 +9,10 @@ re-sorting yields the profile seen by the next customer (the
 Kiefer-Wolfowitz recursion when p is 1, i.e. join the shortest workload).
 
 All functions here are pure and never mutate their arguments.
-:func:`iter_profiles` is the one place where the recursion is run over a
-sequence of arrivals; every forward, backward and coupled run goes through it.
+:func:`iter_profiles` runs the recursion over a sequence of arrivals for one
+system; every forward, backward and coupled run goes through it.
+:func:`lockstep_profiles` runs it for R independent systems at once, one
+``(R, S)`` array step per arrival, bit for bit the same as :func:`pth_step`.
 """
 
 from __future__ import annotations
@@ -18,11 +20,14 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 __all__ = [
     "Mark",
     "Profile",
     "iter_profiles",
     "kw_step",
+    "lockstep_profiles",
     "offered_wait",
     "pad",
     "pth_step",
@@ -96,6 +101,10 @@ def pth_step(u: Profile, mark: Mark, rank: int) -> Profile:
     return tuple(sorted(0.0 if v <= 0.0 else v for v in vals))
 
 
+# Marks converted to Python floats at a time by iter_profiles.
+_CHUNK = 4096
+
+
 def iter_profiles(start: Profile, marks, rank: int) -> Iterator[Profile]:
     """Yield ``start``, then the profile after each arrival of ``marks``.
 
@@ -105,9 +114,31 @@ def iter_profiles(start: Profile, marks, rank: int) -> Iterator[Profile]:
     """
     state = start
     yield state
-    for mark in zip(marks.sigma.tolist(), marks.xi.tolist()):
-        state = pth_step(state, mark, rank)
-        yield state
+    sigma, xi = marks.sigma, marks.xi
+    for lo in range(0, len(sigma), _CHUNK):
+        for mark in zip(sigma[lo : lo + _CHUNK].tolist(), xi[lo : lo + _CHUNK].tolist()):
+            state = pth_step(state, mark, rank)
+            yield state
+
+
+def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank: int) -> np.ndarray:
+    """Final profiles of R systems stepped in lockstep from the rows of ``start``.
+
+    ``start`` is an ``(R, S)`` float64 array of profiles. ``sigma`` and
+    ``xi`` are ``(n, R)`` arrays: row t holds the marks of arrival t,
+    column r those of system r. Each step is :func:`pth_step` on every row
+    with the same rounding, so row r of the result equals the last profile
+    of :func:`iter_profiles` over column r, bit for bit. Returns a new array
+    unless n is 0.
+    """
+    u = start
+    for s, x in zip(sigma, xi):
+        v = u - x[:, None]
+        v[:, rank - 1] = (u[:, rank - 1] + s) - x
+        v[v <= 0.0] = 0.0  # also maps -0.0 to +0.0, as pth_step does
+        v.sort(axis=1)
+        u = v
+    return u
 
 
 def kw_step(u: Profile, mark: Mark) -> Profile:

@@ -158,6 +158,23 @@ class TestDeterminism:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_loynes_jobs_do_not_change_output(self, tmp_path, capsys):
+        # 19 seeds at load 0.9 stop at mixed depths; two blocks of 9 and 10
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[model]\nsigma = exponential(1.0)\nxi = exponential(1.8)\n"
+            "[run]\nseeds = 1..19\n[loynes]\nservers = 2\nwindow = 16\n"
+        )
+        outputs = []
+        for jobs in ("1", "2"):
+            snap = tmp_path / f"s{jobs}.csv"
+            argv = ["loynes", "--config", str(cfg), "--jobs", jobs, "--out", str(snap)]
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            outputs.append((out.replace(str(snap), "SNAP"), snap.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len({line.split()[2] for line in outputs[0][0].splitlines()[:19]}) > 1
+
     def test_csv_has_no_carriage_returns(self, tmp_path, capsys):
         out = tmp_path / "a.csv"
         main(["simulate", "--seed", "1", "--horizon", "5", "--out", str(out)])
@@ -186,6 +203,18 @@ class TestOutputs:
         lines = snap.read_text().splitlines()
         assert "seed,n,coordinate,value" in lines
         assert any(line.startswith("1,64,1,") for line in lines)
+
+    def test_loynes_wait_is_coordinate_rank(self, tmp_path, capsys):
+        # a rank-2 arrival waits for the second least workload
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[model]\nsigma = exponential(1.0)\nxi = exponential(0.8)\n"
+            "[loynes]\nservers = 3\nrank = 2\n"
+        )
+        code, out, _ = run(["loynes", "--config", str(cfg), "--seed", "2"], capsys)
+        assert code == 0
+        assert "profile=(0, 0.181814, 0.442202)" in out
+        assert "mean offered wait over 1 seeds: 0.181814" in out
 
     def test_compare_violations_csv(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"

@@ -52,6 +52,15 @@ CASES = {
         ["snap.csv"],
         0,
     ),
+    # 64 seeds stopping at n = 32, 64, 128 and 256, two of them not
+    # converged: pins the lockstep estimator, its per-seed tail and the CSV.
+    "loynes-snapshots-many": (
+        "[model]\nsigma = exponential(1.0)\nxi = exponential(2.7)\n"
+        "[run]\nseeds = 1..64\n[loynes]\nservers = 3\nwindow = 16\nmax_n = 256\n",
+        ["loynes", "--out", "snap.csv"],
+        ["snap.csv"],
+        5,
+    ),
     "compare-servers": (
         "[run]\nseeds = 1 2\nhorizon = 200\n"
         "[compare]\nmode = servers\nservers = 3\nservers_small = 2\n"
@@ -97,6 +106,10 @@ DIGESTS = {
     "loynes-snapshots": {
         "stdout": "bd642830c34607d30ce8ee5028c84db3a96f2d77a59a0fa046f53caa6a906764",
         "snap.csv": "4a2e44893edaaffaa0719757790e05527a71035fb2c8b2a61385c1ab413d9bdc",
+    },
+    "loynes-snapshots-many": {
+        "stdout": "85f824973268f19a6ab790efc0abf076ac73a38b524743becee26847c957b31f",
+        "snap.csv": "ba5463267e33544cae7560f3b7ed2c98269b1f6bd9d2c4003bfed992a66626c0",
     },
     "compare-servers": {
         "stdout": "66fcad64bf209528b7a4330dc812009614085e75c932c14bf14b70b4185fc67e",

@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import jswsim.loynes as loynes
 from jswsim.errors import StabilityError
-from jswsim.loynes import backward_marks, estimate_stationary, loynes_iterate
+from jswsim.loynes import (
+    backward_marks,
+    estimate_stationary,
+    estimate_stationary_many,
+    loynes_iterate,
+)
 from jswsim.orderings import prec
 from jswsim.processes import Deterministic, Exponential, IIDModel, generate
 from jswsim.profiles import pth_step
@@ -119,6 +125,51 @@ class TestEstimate:
         a = estimate_stationary(MM1_HALF, 77, 3)
         b = estimate_stationary(MM1_HALF, 77, 3)
         assert a.profile == b.profile and a.steps_used == b.steps_used
+
+
+class TestManySeeds:
+    """The lockstep estimator gives every seed the result it gets alone."""
+
+    # load 0.9 on the two queues a rank-2 arrival can join; at max_n = 64
+    # some seeds stop at each depth and some are not converged
+    MODEL = IIDModel(Exponential(1.0), Exponential(1.8))
+    ARGS = dict(servers=3, rank=2, tolerance=1e-6, window=8, max_n=64, keep_history=True)
+
+    @staticmethod
+    def _fields(res):
+        return (res.profile, res.steps_used, res.converged, repr(res.last_increment), res.history)
+
+    @pytest.mark.parametrize("pass_marks", [2**14, 256])
+    def test_equals_one_seed_at_a_time(self, pass_marks, monkeypatch):
+        # 256 marks per pass splits the early depths into several lockstep
+        # passes and replays n = 64 in passes of four seeds, seed by seed
+        monkeypatch.setattr(loynes, "_PASS_MARKS", pass_marks)
+        calls = []
+        kernel = loynes.lockstep_profiles
+        monkeypatch.setattr(
+            loynes, "lockstep_profiles", lambda *a: calls.append(a[0].shape) or kernel(*a)
+        )
+        seeds = list(range(1, 41))
+        many = estimate_stationary_many(self.MODEL, seeds, **self.ARGS)
+        assert calls, "the lockstep kernel was not used"
+        one = [estimate_stationary(self.MODEL, s, **self.ARGS) for s in seeds]
+        assert [self._fields(r) for r in many] == [self._fields(r) for r in one]
+        assert {r.steps_used for r in many} == {16, 32, 64}
+        assert 0 < sum(not r.converged for r in many) < len(seeds)
+
+    def test_seed_order_and_repeats(self):
+        seeds = [9, 3, 9, 1, 4, 7]
+        many = estimate_stationary_many(self.MODEL, seeds, **self.ARGS)
+        assert [self._fields(r) for r in many] == [
+            self._fields(estimate_stationary(self.MODEL, s, **self.ARGS)) for s in seeds
+        ]
+
+    def test_no_seeds(self):
+        assert estimate_stationary_many(MM1_HALF, [], 2) == []
+
+    def test_rank_outside_servers_is_refused(self):
+        with pytest.raises(ValueError):
+            estimate_stationary_many(MM1_HALF, range(8), 2, rank=0)
 
 
 class TestStationarity:

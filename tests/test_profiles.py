@@ -1,13 +1,17 @@
 """Profile arithmetic and the one-step workload recursion."""
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from jswsim.profiles import (
     Mark,
+    iter_profiles,
     kw_step,
+    lockstep_profiles,
     offered_wait,
     pad,
     pth_step,
@@ -136,3 +140,64 @@ class TestStepProperties:
         assert total_workload(out) == pytest.approx(
             total_workload(u) + sigma, rel=1e-12
         )
+
+
+def _bits(rows):
+    # float.hex tells -0.0 from +0.0, which == does not
+    return [tuple(float.hex(x) for x in row) for row in rows]
+
+
+# Few distinct values, so that ties, sigma = 0 and xi equal to a coordinate
+# (exact zeros before the clamp) come up often; -0.0 tests the clamp's sign.
+tie_coords = st.sampled_from([-0.0, 0.0, 0.25, 1.0, 1.5, 3.0]) | coords
+
+
+class TestLockstep:
+    """The (R, S) array kernel against pth_step, bit for bit."""
+
+    @pytest.mark.parametrize("servers", range(1, 9))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_step_matches_pth_step(self, servers, data):
+        systems = data.draw(st.integers(min_value=1, max_value=5))
+        rows, sigma, xi = [], [], []
+        for _ in range(systems):
+            row = tuple(sorted(data.draw(st.lists(tie_coords, min_size=servers, max_size=servers))))
+            rows.append(row)
+            sigma.append(data.draw(st.sampled_from([0.0, 0.5]) | marks.map(lambda m: m.sigma)))
+            xi.append(data.draw(st.sampled_from(row) | st.sampled_from([0.0, 0.25, 1e-3])))
+        for rank in range(1, servers + 1):
+            out = lockstep_profiles(np.array(rows), np.array([sigma]), np.array([xi]), rank)
+            expected = [pth_step(u, Mark(s, x), rank) for u, s, x in zip(rows, sigma, xi)]
+            assert _bits(out.tolist()) == _bits(expected), rank
+
+    def test_signed_zero_start_is_cleared(self):
+        out = lockstep_profiles(np.array([[-0.0, 0.0]]), np.array([[0.0]]), np.array([[0.0]]), 1)
+        assert _bits(out.tolist()) == _bits([(0.0, 0.0)])
+
+    @pytest.mark.parametrize("servers,rank", [(1, 1), (2, 1), (3, 2), (8, 8)])
+    def test_replay_matches_iter_profiles(self, servers, rank):
+        rng = np.random.default_rng(servers * 10 + rank)
+        n, systems = 300, 7
+        sigma = rng.exponential(1.0, (n, systems)) * (rng.random((n, systems)) < 0.8)
+        xi = rng.exponential(0.9 / servers, (n, systems))
+        start = np.zeros((systems, servers))
+        final = lockstep_profiles(start, sigma, xi, rank)
+        expected = [
+            list(iter_profiles((0.0,) * servers, SimpleNamespace(sigma=sigma[:, r], xi=xi[:, r]), rank))[-1]
+            for r in range(systems)
+        ]
+        assert _bits(final.tolist()) == _bits(expected)
+        assert not start.any()
+
+
+def test_iter_profiles_crosses_chunk_boundaries():
+    rng = np.random.default_rng(3)
+    n = 2 * 4096 + 3
+    marks = SimpleNamespace(sigma=rng.exponential(1.0, n), xi=rng.exponential(0.6, n))
+    state = (0.0, 0.0)
+    expected = [state]
+    for m in zip(marks.sigma.tolist(), marks.xi.tolist()):
+        state = pth_step(state, m, 2)
+        expected.append(state)
+    assert list(iter_profiles((0.0, 0.0), marks, 2)) == expected
