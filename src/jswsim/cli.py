@@ -12,8 +12,11 @@ configuration, 3 bad input data, 4 the offered load is not subcritical,
 5 the backward iteration hit max_n without converging (the estimate is
 still printed), 6 a comparison premise does not hold.
 
-Output files contain no timestamps, so a rerun with the same
-configuration is byte-identical.
+Every output file is a CSV written by this module. Each one is opened
+before the run starts, so an unwritable path is a configuration error, and
+its rows are written as the results arrive. Floats are written with repr
+(shortest round-trip), line endings are LF and nothing depends on the
+clock, so a rerun with the same configuration is byte-identical.
 """
 
 from __future__ import annotations
@@ -25,22 +28,16 @@ import functools
 import itertools
 import math
 import operator
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import __version__
-from .comparison import (
-    ComparisonReport,
-    compare_allocation_ranks,
-    compare_server_counts,
-    run_trajectory,
-    write_trajectory_csv,
-    write_violations_csv,
-)
+from .comparison import compare_allocation_ranks, compare_server_counts
 from .config import CONFIG_ENV_VAR, CONFIG_HELP, ExperimentConfig, load_config
 from .errors import ConfigError, InputError, PremiseError, StabilityError
-from .loynes import LoynesResult, estimate_stationary_many
+from .loynes import estimate_stationary_many
 from .orderings import run_property_suite
 from .processes import RNG_ALGORITHM, generate, model_label
 from .profiles import iter_profiles, total_workload
@@ -83,6 +80,21 @@ def _open_out(path: str):
         raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
 
 
+def _csv_writer(stack: contextlib.ExitStack, path: str, columns, comments=()):
+    """Open ``path`` on ``stack``, write the ``# `` comment lines and the
+    column header, and return a CSV writer for the rows."""
+    f = stack.enter_context(_open_out(path))
+    f.writelines(f"# {line}\n" for line in comments)
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(columns)
+    return writer
+
+
+def _provenance(title: str, cfg: ExperimentConfig) -> list[str]:
+    """The comment lines that open the simulate and loynes CSVs."""
+    return [f"jswsim {title}", f"model: {model_label(cfg.model)}", f"rng: {RNG_ALGORITHM}"]
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -107,15 +119,16 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     with contextlib.ExitStack() as stack:
         writer = None
         if cfg.out is not None:
-            f = stack.enter_context(_open_out(cfg.out))
-            f.write("# jswsim simulate\n")
-            f.write(f"# model: {model_label(cfg.model)}\n")
-            f.write(f"# rng: {RNG_ALGORITHM}\n")
-            f.write(f"# servers: {system.servers} rank: {system.rank}\n")
-            f.write(f"# seeds: {' '.join(str(s) for s in cfg.seeds)}\n")
-            writer = csv.writer(f, lineterminator="\n")
-            coord_names = [f"w{i + 1}" for i in range(system.servers)]
-            writer.writerow(["seed", "step", *coord_names, "total", "wait"])
+            writer = _csv_writer(
+                stack,
+                cfg.out,
+                ["seed", "step", *(f"w{i + 1}" for i in range(system.servers)), "total", "wait"],
+                [
+                    *_provenance("simulate", cfg),
+                    f"servers: {system.servers} rank: {system.rank}",
+                    f"seeds: {' '.join(str(s) for s in cfg.seeds)}",
+                ],
+            )
         for seed, profiles, mean_wait in _pool_map(_sim_one, payloads, cfg.jobs):
             if writer is not None:
                 wait = ""  # step 0 precedes the first arrival
@@ -158,29 +171,35 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
     # One lockstep estimation per worker, over a contiguous block of seeds.
     blocks = _blocks(cfg.seeds, min(cfg.jobs, len(cfg.seeds)))
     payloads = [(cfg.model, block, settings, keep) for block in blocks]
-    estimates = itertools.chain.from_iterable(_pool_map(_loynes_block, payloads, cfg.jobs))
-    results: list[tuple[int, LoynesResult]] = list(zip(cfg.seeds, estimates))
+    lines = []
+    waits = []
     all_converged = True
-    for seed, res in results:
-        state = "converged" if res.converged else "NOT CONVERGED"
-        all_converged &= res.converged
-        inc = "inf" if math.isinf(res.last_increment) else f"{res.last_increment:.3g}"
-        prof = "(" + ", ".join(f"{x:.6g}" for x in res.profile) + ")"
-        print(f"seed {seed}: n={res.steps_used} {state} increment={inc} profile={prof}")
-    # the wait of an arrival routed to coordinate rank, as in simulate
-    waits = [res.profile[settings.rank - 1] for _, res in results]
-    print(f"mean offered wait over {len(waits)} seeds: {math.fsum(waits) / len(waits):.6g}")
-    if settings.snapshots is not None:
-        with _open_out(settings.snapshots) as f:
-            f.write("# jswsim loynes snapshots\n")
-            f.write(f"# model: {model_label(cfg.model)}\n")
-            f.write(f"# rng: {RNG_ALGORITHM}\n")
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["seed", "n", "coordinate", "value"])
-            for seed, res in results:
-                for n, profile in res.history or ():
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if keep:
+            writer = _csv_writer(
+                stack,
+                settings.snapshots,
+                ["seed", "n", "coordinate", "value"],
+                _provenance("loynes snapshots", cfg),
+            )
+        estimates = itertools.chain.from_iterable(_pool_map(_loynes_block, payloads, cfg.jobs))
+        for seed, res in zip(cfg.seeds, estimates):
+            state = "converged" if res.converged else "NOT CONVERGED"
+            all_converged &= res.converged
+            inc = "inf" if math.isinf(res.last_increment) else f"{res.last_increment:.3g}"
+            prof = "(" + ", ".join(f"{x:.6g}" for x in res.profile) + ")"
+            lines.append(f"seed {seed}: n={res.steps_used} {state} increment={inc} profile={prof}")
+            # the wait of an arrival routed to coordinate rank, as in simulate
+            waits.append(res.profile[settings.rank - 1])
+            if writer is not None:
+                for n, profile in res.history:
                     for j, value in enumerate(profile, start=1):
                         writer.writerow([seed, n, j, _fmt(value)])
+    for line in lines:
+        print(line)
+    print(f"mean offered wait over {len(waits)} seeds: {math.fsum(waits) / len(waits):.6g}")
+    if keep:
         print(f"wrote {settings.snapshots}")
     if not all_converged:
         print(
@@ -220,41 +239,63 @@ def _compare_one(payload):
     return seed, report
 
 
-def _dump_compare_trajectories(cfg: ExperimentConfig, path: str) -> None:
-    configs = cfg.compare.systems()
-    trajectories = []
+def _write_trajectories(writer, cfg: ExperimentConfig) -> int:
+    """Replay both systems of every seed and write each profile coordinate
+    as a step, system, coordinate, value row; return the row count."""
+    rows = 0
     for seed in cfg.seeds:
         marks = generate(cfg.model, seed, cfg.horizon)
-        trajectories.extend(run_trajectory(c, marks) for c in configs)
-    rows = write_trajectory_csv(path, trajectories)
-    print(f"wrote {path} ({rows} rows)")
+        for system in cfg.compare.systems():
+            label = f"seed{seed}:{system.label}"
+            profiles = iter_profiles(system.start_profile(), marks, system.rank)
+            writer.writerows(
+                [step, label, i, _fmt(value)]
+                for step, profile in enumerate(profiles)
+                for i, value in enumerate(profile, start=1)
+            )
+            rows += (len(marks) + 1) * system.servers
+    return rows
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
     settings = cfg.compare
+    paths = [p for p in (cfg.out, settings.trajectories) if p is not None]
+    if len({os.path.realpath(p) for p in paths}) < len(paths):
+        raise ConfigError(f"--out and [compare] trajectories both name {cfg.out!r}")
     payloads = [(cfg.model, s, cfg.horizon, settings) for s in cfg.seeds]
-    results: list[tuple[int, ComparisonReport]] = _pool_map(_compare_one, payloads, cfg.jobs)
     total_violations = 0
-    labeled = []
-    for seed, report in results:
-        total_violations += len(report.violations)
-        label_a, label_b = report.systems
-        waits = report.mean_offered_wait
-        print(
-            f"seed {seed}: {report.steps_checked} steps, {len(report.violations)} violations, "
-            f"mean offered wait {label_a}={waits[0]:.6g} {label_b}={waits[1]:.6g}"
-        )
-        context = f"seed{seed}:{label_a}-vs-{label_b}"
-        for v in report.violations[:5]:
-            print(f"  step {v.step} {v.inequality}: {v.lhs!r} vs {v.rhs!r}")
-        if len(report.violations) > 5:
-            print(f"  ... {len(report.violations) - 5} more")
-        labeled.extend((context, v) for v in report.violations)
+    with contextlib.ExitStack() as stack:
+        violations = trajectories = None
+        if cfg.out is not None:
+            violations = _csv_writer(stack, cfg.out, ["inequality", "step", "lhs", "rhs"])
+        if settings.trajectories is not None:
+            trajectories = _csv_writer(
+                stack, settings.trajectories, ["step", "system", "coordinate", "value"]
+            )
+        for seed, report in _pool_map(_compare_one, payloads, cfg.jobs):
+            total_violations += len(report.violations)
+            label_a, label_b = report.systems
+            waits = report.mean_offered_wait
+            print(
+                f"seed {seed}: {report.steps_checked} steps, {len(report.violations)} violations, "
+                f"mean offered wait {label_a}={waits[0]:.6g} {label_b}={waits[1]:.6g}"
+            )
+            for v in report.violations[:5]:
+                print(f"  step {v.step} {v.inequality}: {v.lhs!r} vs {v.rhs!r}")
+            if len(report.violations) > 5:
+                print(f"  ... {len(report.violations) - 5} more")
+            if violations is not None:
+                context = f"seed{seed}:{label_a}-vs-{label_b}"
+                violations.writerows(
+                    [f"{context}:{v.inequality}", v.step, _fmt(v.lhs), _fmt(v.rhs)]
+                    for v in report.violations
+                )
+        if trajectories is not None:
+            rows = _write_trajectories(trajectories, cfg)
     if cfg.out is not None:
-        write_violations_csv(cfg.out, labeled)
-        print(f"wrote {cfg.out} ({len(labeled)} violations)")
+        print(f"wrote {cfg.out} ({total_violations} violations)")
     if settings.trajectories is not None:
-        _dump_compare_trajectories(cfg, settings.trajectories)
+        print(f"wrote {settings.trajectories} ({rows} rows)")
     if total_violations:
         print(f"FAIL: {total_violations} dominance violations")
         return EXIT_VIOLATION

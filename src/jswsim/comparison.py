@@ -10,28 +10,22 @@ the recursion.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import PremiseError
 from .orderings import prec_p, prec_star
 from .profiles import Profile, iter_profiles, pad, total_workload, zero_profile
-from .processes import MarkSequence, model_label
+from .processes import MarkSequence
 
 __all__ = [
     "ComparisonReport",
-    "MarksInfo",
     "StepViolation",
     "SystemConfig",
-    "Trajectory",
     "compare_allocation_ranks",
     "compare_server_counts",
     "fcfs_waiting_times",
-    "run_trajectory",
-    "write_trajectory_csv",
-    "write_violations_csv",
 ]
 
 DEFAULT_SUM_SLACK = 1e-12
@@ -70,34 +64,6 @@ class SystemConfig:
         return self.initial if self.initial is not None else zero_profile(self.servers)
 
 
-class MarksInfo(NamedTuple):
-    """Provenance of the marks a trajectory consumed."""
-
-    seed: int
-    model: str
-    length: int
-    algorithm: str
-
-
-def _marks_info(marks: MarkSequence) -> MarksInfo:
-    return MarksInfo(marks.seed, model_label(marks.model), len(marks), marks.algorithm)
-
-
-@dataclass
-class Trajectory:
-    """Profiles seen by customers 0..n when replaying a mark sequence."""
-
-    config: SystemConfig
-    profiles: list[Profile]
-    marks_info: MarksInfo
-
-
-def run_trajectory(config: SystemConfig, marks: MarkSequence) -> Trajectory:
-    """Materialized trajectory: len(marks) + 1 profiles."""
-    profiles = list(iter_profiles(config.start_profile(), marks, config.rank))
-    return Trajectory(config, profiles, _marks_info(marks))
-
-
 class StepViolation(NamedTuple):
     """One failed inequality: identifier, step, and both sides."""
 
@@ -111,9 +77,7 @@ class StepViolation(NamedTuple):
 class ComparisonReport:
     """Outcome of a coupled-path comparison between two systems."""
 
-    mode: str
     systems: tuple[str, str]
-    marks_info: MarksInfo
     steps_checked: int = 0
     violations: list[StepViolation] = field(default_factory=list)
     mean_offered_wait: tuple[float, float] = (0.0, 0.0)
@@ -131,30 +95,36 @@ def _corrupted(profile: Profile, reference_total: float) -> Profile:
 
 def _run_coupled(
     report: ComparisonReport,
-    first: Iterator[Profile],
-    second: Iterator[Profile],
+    first: tuple[Iterator[Profile], int],
+    second: tuple[Iterator[Profile], int],
     check: Callable[[int, Profile, Profile], StepViolation | None],
     corrupt_step: int | None,
 ) -> ComparisonReport:
     """Walk two profile streams of the same marks in lockstep and fill ``report``.
 
-    ``check`` sees the step, the first and the second profile, and returns
-    the first inequality that fails at that step, or None. At
-    ``corrupt_step`` it sees a corrupted copy of the first profile. The
-    offered waits are summed in step order from the uncorrupted profiles.
+    ``first`` and ``second`` pair a profile stream with the allocation rank
+    that drives it. ``check`` sees the step, the first and the second
+    profile, and returns the first inequality that fails at that step, or
+    None. At ``corrupt_step`` it sees a corrupted copy of the first profile.
+    A system's mean offered wait is coordinate ``rank`` of the profiles its
+    arrivals saw (all but the last), added in step order from the
+    uncorrupted profiles and divided by the number of arrivals, the same
+    float ``simulate`` reports.
     """
-    sum_first = 0.0
-    sum_second = 0.0
-    for step, (a, b) in enumerate(zip(first, second)):
+    (profiles_a, rank_a), (profiles_b, rank_b) = first, second
+    sum_first = sum_second = wait_a = wait_b = 0.0
+    for step, (a, b) in enumerate(zip(profiles_a, profiles_b)):
+        # the arrival after the previous step saw its profiles
+        sum_first += wait_a
+        sum_second += wait_b
         checked = a if step != corrupt_step else _corrupted(a, total_workload(b))
         violation = check(step, checked, b)
         if violation is not None:
             report.violations.append(violation)
-        sum_first += a[0]
-        sum_second += b[0]
-    steps = step + 1
-    report.steps_checked = steps
-    report.mean_offered_wait = (sum_first / steps, sum_second / steps)
+        wait_a = a[rank_a - 1]
+        wait_b = b[rank_b - 1]
+    report.steps_checked = step + 1  # the last step is the number of arrivals
+    report.mean_offered_wait = (sum_first / step, sum_second / step)
     report.final_profiles = (a, b)
     return report
 
@@ -200,15 +170,11 @@ def compare_server_counts(
             return StepViolation(f"tail_sum[{v.index}]", step, v.lhs, v.rhs)
         return None
 
-    report = ComparisonReport(
-        mode="server-count",
-        systems=(f"S{servers_big}", f"S{servers_small}"),
-        marks_info=_marks_info(marks),
-    )
+    report = ComparisonReport(systems=(f"S{servers_big}", f"S{servers_small}"))
     return _run_coupled(
         report,
-        iter_profiles(zero_profile(servers_big), marks, 1),
-        iter_profiles(zero_profile(servers_small), marks, 1),
+        (iter_profiles(zero_profile(servers_big), marks, 1), 1),
+        (iter_profiles(zero_profile(servers_small), marks, 1), 1),
         check,
         corrupt_step,
     )
@@ -253,15 +219,11 @@ def compare_allocation_ranks(
         v = verdict.first_violation
         return StepViolation(f"{v.clause}[{v.index}]", step, v.lhs, v.rhs)
 
-    report = ComparisonReport(
-        mode="allocation-rank",
-        systems=(f"S{servers}P1", f"S{servers}P{rank}"),
-        marks_info=_marks_info(marks),
-    )
+    report = ComparisonReport(systems=(f"S{servers}P1", f"S{servers}P{rank}"))
     return _run_coupled(
         report,
-        iter_profiles(start, marks, 1),
-        iter_profiles(start_alt, marks, rank),
+        (iter_profiles(start, marks, 1), 1),
+        (iter_profiles(start_alt, marks, rank), rank),
         check,
         corrupt_step,
     )
@@ -294,47 +256,3 @@ def fcfs_waiting_times(marks: MarkSequence, servers: int) -> list[float]:
         free[j] = begin + s_
         now += x_
     return waits
-
-
-# --------------------------------------------------------------------------
-# CSV serialization. Floats are written with repr (shortest round-trip), line
-# endings are LF, the decimal separator is always '.'; reruns with identical
-# inputs produce byte-identical files.
-
-
-def write_trajectory_csv(path: str, trajectories: Iterable[Trajectory]) -> int:
-    """Write trajectories in long form: step, system id, coordinate, value.
-
-    Returns the number of data rows written. The system id embeds the seed
-    so trajectories from several seeds can share one file.
-    """
-    rows = 0
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["step", "system", "coordinate", "value"])
-        for traj in trajectories:
-            system = f"seed{traj.marks_info.seed}:{traj.config.label}"
-            for step, profile in enumerate(traj.profiles):
-                for i, value in enumerate(profile, start=1):
-                    writer.writerow([step, system, i, repr(value)])
-                    rows += 1
-    return rows
-
-
-def write_violations_csv(
-    path: str, violations: Iterable[tuple[str, StepViolation]]
-) -> int:
-    """Write (system id, violation) pairs as inequality, step, lhs, rhs rows.
-
-    The system id is folded into the inequality identifier when nonempty.
-    Returns the number of data rows written.
-    """
-    rows = 0
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["inequality", "step", "lhs", "rhs"])
-        for system, v in violations:
-            name = f"{system}:{v.inequality}" if system else v.inequality
-            writer.writerow([name, v.step, repr(v.lhs), repr(v.rhs)])
-            rows += 1
-    return rows

@@ -1,11 +1,15 @@
 """End-to-end command line behavior: exit codes, determinism, output files."""
 
+import re
 import subprocess
 import sys
 
 import pytest
 
 from jswsim.cli import main
+from jswsim.config import load_config
+from jswsim.processes import generate
+from jswsim.profiles import iter_profiles
 
 
 def run(argv, capsys):
@@ -97,7 +101,9 @@ class TestExitCodes:
 
 
 # Inputs that used to escape as a Python traceback with exit 1, the code
-# reserved for a found violation: (config file, extra flags, command).
+# reserved for a found violation, or that were reported only after the run:
+# (config file, extra flags, command). Paths are relative to an empty
+# directory, so no-such-dir does not exist.
 BAD_SETTINGS = {
     "loynes-rank-above-servers": ("[loynes]\nservers = 2\nrank = 3\n", [], "loynes"),
     "loynes-zero-tolerance": ("[loynes]\ntolerance = 0\n", [], "loynes"),
@@ -125,20 +131,35 @@ BAD_SETTINGS = {
     ),
     "properties-zero-max-dim": ("[properties]\nmax_dim = 0\n", [], "verify-properties"),
     "properties-zero-instances-flag": ("", ["--instances", "0"], "verify-properties"),
+    "simulate-out-unwritable": ("", ["--out", "no-such-dir/sim.csv"], "simulate"),
+    "loynes-out-unwritable": ("", ["--out", "no-such-dir/snap.csv"], "loynes"),
+    "compare-out-unwritable": ("", ["--out", "no-such-dir/viol.csv"], "compare"),
+    "compare-trajectories-unwritable": (
+        "[compare]\ntrajectories = no-such-dir/traj.csv\n",
+        [],
+        "compare",
+    ),
+    "compare-out-is-trajectories": (
+        "[compare]\ntrajectories = same.csv\n",
+        ["--out", "./same.csv"],
+        "compare",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_SETTINGS))
-def test_bad_settings_exit_two(name, tmp_path, capsys):
+def test_bad_settings_exit_two(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     text, flags, command = BAD_SETTINGS[name]
-    cfg = tmp_path / "c.ini"
-    cfg.write_text(text)
-    argv = [command, "--config", str(cfg), *flags]
+    (tmp_path / "c.ini").write_text(text)
+    argv = [command, "--config", "c.ini", *flags]
     if command != "verify-properties":
         argv += ["--seed", "1"]
-    code, _, err = run(argv, capsys)
+    code, out, err = run(argv, capsys)
     assert code == 2, err
     assert "config error" in err
+    assert out == ""  # rejected before any work
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
 
 
 class TestDeterminism:
@@ -174,6 +195,24 @@ class TestDeterminism:
             outputs.append((out.replace(str(snap), "SNAP"), snap.read_bytes()))
         assert outputs[0] == outputs[1]
         assert len({line.split()[2] for line in outputs[0][0].splitlines()[:19]}) > 1
+
+    def test_compare_jobs_do_not_change_output(self, tmp_path, capsys, monkeypatch):
+        outputs = []
+        for jobs in ("1", "2"):
+            work = tmp_path / jobs
+            work.mkdir()
+            monkeypatch.chdir(work)
+            (work / "c.ini").write_text(
+                "[run]\nseeds = 1..4\nhorizon = 30\n"
+                "[compare]\nservers = 3\nservers_small = 2\ncorrupt_step = 4\n"
+                "trajectories = traj.csv\n"
+            )
+            argv = ["compare", "--config", "c.ini", "--jobs", jobs, "--out", "viol.csv"]
+            code, out, _ = run(argv, capsys)
+            assert code == 1
+            outputs.append((out, (work / "viol.csv").read_bytes(), (work / "traj.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert "wrote viol.csv (4 violations)" in outputs[0][0]
 
     def test_csv_has_no_carriage_returns(self, tmp_path, capsys):
         out = tmp_path / "a.csv"
@@ -238,19 +277,61 @@ class TestOutputs:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "inequality,step,lhs,rhs"
         assert len(lines) == 3  # one corrupted step per seed
+        for seed, line in zip((1, 2), lines[1:]):
+            assert line.startswith(f"seed{seed}:S2-vs-S1:")
+            assert line.split(",")[1] == "3"
 
     def test_compare_trajectory_dump(self, tmp_path, capsys):
         traj = tmp_path / "t.csv"
         cfg = tmp_path / "c.ini"
         cfg.write_text(f"[compare]\nservers = 2\nservers_small = 1\ntrajectories = {traj}\n")
-        code, _, _ = run(
-            ["compare", "--config", str(cfg), "--seed", "3", "--horizon", "10"], capsys
+        code, out, _ = run(
+            ["compare", "--config", str(cfg), "--seeds", "3 4", "--horizon", "10"], capsys
         )
         assert code == 0
-        lines = traj.read_text().splitlines()
+        raw = traj.read_bytes()
+        assert b"\r" not in raw
+        lines = raw.decode().splitlines()
         assert lines[0] == "step,system,coordinate,value"
-        assert any("seed3:S2P1" in line for line in lines)
-        assert any("seed3:S1P1" in line for line in lines)
+        rows = 2 * 11 * (2 + 1)  # seeds x (horizon + 1) x (S_big + S_small)
+        assert len(lines) == 1 + rows
+        assert f"wrote {traj} ({rows} rows)" in out
+        # every value is the repr of the profile coordinate, bit for bit
+        model = load_config(str(cfg)).model
+        expected = [
+            f"{step},seed{seed}:S{servers}P1,{i},{value!r}"
+            for seed in (3, 4)
+            for servers in (2, 1)
+            for step, profile in enumerate(
+                iter_profiles((0.0,) * servers, generate(model, seed, 10), 1)
+            )
+            for i, value in enumerate(profile, start=1)
+        ]
+        assert lines[1:] == expected
+
+    def test_compare_wait_is_simulate_wait(self, tmp_path, capsys):
+        # Each system's mean offered wait is the string simulate prints for
+        # that system: coordinate rank over the horizon's arrivals.
+        def simulate_wait(servers, rank):
+            cfg = tmp_path / "s.ini"
+            cfg.write_text(f"[system]\nservers = {servers}\nrank = {rank}\n")
+            argv = ["simulate", "--config", str(cfg), "--seed", "1", "--horizon", "2000"]
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            return re.search(r"mean offered wait (\S+),", out).group(1)
+
+        for section, systems in (
+            ("servers = 3\nservers_small = 2\n", [("S3", 3, 1), ("S2", 2, 1)]),
+            ("mode = allocation\nservers = 3\nrank = 3\n", [("S3P1", 3, 1), ("S3P3", 3, 3)]),
+        ):
+            cfg = tmp_path / "c.ini"
+            cfg.write_text("[compare]\n" + section)
+            argv = ["compare", "--config", str(cfg), "--seed", "1", "--horizon", "2000"]
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            for label, servers, rank in systems:
+                wait = re.search(rf" {label}=(\S+)", out).group(1)
+                assert wait == simulate_wait(servers, rank), label
 
     def test_verify_properties_lines(self, capsys):
         code, out, _ = run(["verify-properties", "--instances", "50"], capsys)

@@ -1,4 +1,4 @@
-"""Coupled-path dominance checks, the FCFS oracle, and CSV output."""
+"""Coupled-path dominance checks and the FCFS oracle."""
 
 import pytest
 
@@ -7,9 +7,6 @@ from jswsim.comparison import (
     compare_allocation_ranks,
     compare_server_counts,
     fcfs_waiting_times,
-    run_trajectory,
-    write_trajectory_csv,
-    write_violations_csv,
 )
 from jswsim.errors import PremiseError
 from jswsim.processes import Deterministic, Exponential, IIDModel, Uniform, generate
@@ -47,22 +44,6 @@ class TestSystemConfig:
             SystemConfig(2, 1, (-1.0, 1.0))
 
 
-class TestTrajectory:
-    def test_two_step_example(self, tmp_path):
-        marks = trace_marks([(1.0, 0.4), (1.0, 0.4)], tmp_path)
-        traj = run_trajectory(SystemConfig(2, 1), marks)
-        assert traj.profiles[0] == (0.0, 0.0)
-        assert traj.profiles[1] == (0.0, 0.6)
-        assert traj.profiles[2] == pytest.approx((0.2, 0.6), abs=1e-12)
-        assert len(traj.profiles) == 3
-
-    def test_marks_info_recorded(self):
-        marks = generate(MM1, 9, 5)
-        traj = run_trajectory(SystemConfig(2, 1), marks)
-        assert traj.marks_info.seed == 9
-        assert traj.marks_info.length == 5
-
-
 class TestServerCountComparison:
     def test_worked_example(self, tmp_path):
         marks = trace_marks([(3.0, 1.0), (3.0, 1.0)], tmp_path)
@@ -75,6 +56,8 @@ class TestServerCountComparison:
         assert total_workload(big) == 3.0
         assert total_workload(small) == 4.0
         assert report.steps_checked == 3
+        # the two arrivals saw (0, 0), (0, 2) and (0), (2)
+        assert report.mean_offered_wait == (0.0, 1.0)
 
     def test_continuous_run_clean(self):
         marks = generate(MM1, 4, 3000)
@@ -181,44 +164,6 @@ class TestFcfsOracle:
         for k, mark in enumerate(marks):
             assert abs(waits[k] - profile[0]) <= 1e-9, k
             profile = kw_step(profile, mark)
-
-
-class TestCsvOutput:
-    def test_trajectory_csv_stable(self, tmp_path):
-        marks = generate(MM1, 2, 20)
-        trajs = [
-            run_trajectory(SystemConfig(2, 1), marks),
-            run_trajectory(SystemConfig(3, 1), marks),
-        ]
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        rows = write_trajectory_csv(str(p1), trajs)
-        write_trajectory_csv(str(p2), trajs)
-        assert p1.read_bytes() == p2.read_bytes()
-        body = p1.read_text().splitlines()
-        assert body[0] == "step,system,coordinate,value"
-        assert rows == 21 * 2 + 21 * 3 == len(body) - 1
-        assert body[1].startswith("0,seed2:S2P1,1,")
-        assert b"\r" not in p1.read_bytes()
-
-    def test_violations_csv(self, tmp_path):
-        marks = generate(MM1, 8, 100)
-        report = compare_server_counts(3, 2, marks, corrupt_step=14)
-        p = tmp_path / "v.csv"
-        write_violations_csv(str(p), [("seed8:S3-vs-S2", v) for v in report.violations])
-        lines = p.read_text().splitlines()
-        assert lines[0] == "inequality,step,lhs,rhs"
-        assert len(lines) == 2
-        assert lines[1].startswith("seed8:S3-vs-S2:")
-        assert ",14," in lines[1]
-
-    def test_float_reprs_round_trip(self, tmp_path):
-        marks = generate(MM1, 2, 5)
-        traj = run_trajectory(SystemConfig(2, 1), marks)
-        p = tmp_path / "t.csv"
-        write_trajectory_csv(str(p), [traj])
-        values = [float(line.rsplit(",", 1)[1]) for line in p.read_text().splitlines()[1:]]
-        flat = [x for prof in traj.profiles for x in prof]
-        assert values == flat
 
 
 class TestMeanWaitMonotoneInServers:

@@ -111,19 +111,22 @@ DIGESTS = {
         "stdout": "85f824973268f19a6ab790efc0abf076ac73a38b524743becee26847c957b31f",
         "snap.csv": "ba5463267e33544cae7560f3b7ed2c98269b1f6bd9d2c4003bfed992a66626c0",
     },
+    # The three compare stdout digests were re-recorded when the mean offered
+    # wait became coordinate rank over the horizon's arrivals, as in
+    # simulate; only the wait numbers changed, the CSV digests did not.
     "compare-servers": {
-        "stdout": "66fcad64bf209528b7a4330dc812009614085e75c932c14bf14b70b4185fc67e",
+        "stdout": "840351fc1491b3f7eeb519498949379bfe5b98dfa04ad71890f2300d0c487e95",
         "viol.csv": "3fcad5b2700af806e9a0670ff372d2d23eeb15eeb1e79cf8af4c979e2edc8bab",
         "traj.csv": "7f3abe600e2635bd5c04c68f9be1a372b774caae29c94462b393edea630e845b",
     },
     "compare-allocation": {
-        "stdout": "484dca99f9326408d9a9d41c38c113c234edb34b0e3fe87afc8b6de071e0427a",
+        "stdout": "3f9884f0de5a9c879c7df56db1fa79b1ea99bfd97d7a0b270afb28bc529c4733",
         "viol.csv": "5aa58f3833d078b3036b11991c0b7b10450b15f9dfd0263bdf3481215be3d64d",
         "traj.csv": "b6f72097022c7999cd1c976a17c2db93b491ae02b45f26e03c2ecb14916f307d",
     },
     # recorded after the fix; the trajectories are the clean run's
     "compare-allocation-corrupt-step": {
-        "stdout": "3c65a87e2a5a726672e758c634cd9398950af385c08cd6fa02bd92bc1b32286c",
+        "stdout": "a0bf9602869881be2f007b5d2daa0ae4cf679e8a03fb6b0c4559684beecab9b9",
         "viol.csv": "7ea39a9140cff7d31be051e786fa0b365c077f647e7acd47bc0c6d4b0e3a3047",
         "traj.csv": "b6f72097022c7999cd1c976a17c2db93b491ae02b45f26e03c2ecb14916f307d",
     },
