@@ -71,7 +71,6 @@ from .profiles import (
     iter_profiles,
     kw_step,
     lockstep_profiles,
-    offered_wait,
     pad,
     pth_step,
     sort_ascending,
@@ -128,7 +127,6 @@ __all__ = [
     "mean_sigma",
     "mean_xi",
     "model_label",
-    "offered_wait",
     "pad",
     "parse_law",
     "parse_seeds",

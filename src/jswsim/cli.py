@@ -29,6 +29,7 @@ import itertools
 import math
 import operator
 import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -80,10 +81,23 @@ def _open_out(path: str):
         raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
 
 
+def _close_out(f, exc_type, exc, tb) -> None:
+    """Close ``f``; if an exception is unwinding the command, delete it too,
+    so a failed run leaves no file that reads like a finished result. Only a
+    regular file is deleted, never a device such as /dev/null or a symlink."""
+    f.close()
+    if exc_type is not None:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(f.name).st_mode):
+                os.unlink(f.name)
+
+
 def _csv_writer(stack: contextlib.ExitStack, path: str, columns, comments=()):
     """Open ``path`` on ``stack``, write the ``# `` comment lines and the
-    column header, and return a CSV writer for the rows."""
-    f = stack.enter_context(_open_out(path))
+    column header, and return a CSV writer for the rows. The file is closed
+    when ``stack`` unwinds, and deleted if an exception unwinds it."""
+    f = _open_out(path)
+    stack.push(functools.partial(_close_out, f))
     f.writelines(f"# {line}\n" for line in comments)
     writer = csv.writer(f, lineterminator="\n")
     writer.writerow(columns)

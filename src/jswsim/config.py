@@ -2,7 +2,8 @@
 
 Parsed with configparser ('#' starts a comment, values never span lines).
 Unknown sections or keys are rejected with a message naming the offender,
-as are values that fail to parse. Command line flags override file values.
+as are values that fail to parse. A key with an empty value is treated as
+absent. Command line flags override file values.
 
 Law grammar (used by sigma, xi and the per-state lists):
 
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .comparison import DEFAULT_SUM_SLACK, SystemConfig
 from .errors import ConfigError
@@ -47,6 +49,10 @@ __all__ = [
 ]
 
 CONFIG_ENV_VAR = "JSWSIM_CONFIG"
+
+# The model of a config without [model], and the defaults of kind, sigma and xi
+_DEFAULT_KIND = "iid"
+_DEFAULT_MODEL = IIDModel(Exponential(1.0), Exponential(0.5))
 
 
 def _require(ok: bool, where: str, message: str) -> None:
@@ -132,6 +138,11 @@ class PropertySettings:
     tolerance: float = 0.0
 
     def __post_init__(self) -> None:
+        known = suite_names()
+        for name in self.suites:
+            _require(
+                name in known, "[properties] suites", f"unknown suite {name!r}, choose from {known}"
+            )
         for key in ("instances", "max_dim"):
             value = getattr(self, key)
             _require(value >= 1, f"[properties] {key}", f"must be >= 1, got {value}")
@@ -139,45 +150,27 @@ class PropertySettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: InputModel = field(default_factory=lambda: IIDModel(Exponential(1.0), Exponential(0.5)))
+    model: InputModel = _DEFAULT_MODEL
     seeds: tuple[int, ...] = (1,)
     horizon: int = 1000
     jobs: int = 1
     out: str | None = None
-    system: SystemConfig = field(default_factory=lambda: SystemConfig(2, 1))
-    loynes: LoynesSettings = field(default_factory=LoynesSettings)
-    compare: CompareSettings = field(default_factory=CompareSettings)
-    properties: PropertySettings = field(default_factory=PropertySettings)
+    system: SystemConfig = SystemConfig(2)
+    loynes: LoynesSettings = LoynesSettings()
+    compare: CompareSettings = CompareSettings()
+    properties: PropertySettings = PropertySettings()
 
+    def __post_init__(self) -> None:
+        _require(self.horizon >= 1, "[run] horizon", f"must be >= 1, got {self.horizon}")
+        _require(self.jobs >= 1, "[run] jobs", f"must be >= 1, got {self.jobs}")
+        # Seed order is part of the output contract: reports are written
+        # seed-sorted no matter how the seed list was spelled.
+        object.__setattr__(self, "seeds", tuple(sorted(self.seeds)))
 
-_SECTIONS: dict[str, tuple[str, ...]] = {
-    "model": ("kind", "sigma", "xi", "transition", "sigma_states", "xi_states", "path"),
-    "run": ("seeds", "horizon", "jobs", "out"),
-    "system": ("servers", "rank", "initial"),
-    "loynes": ("servers", "rank", "tolerance", "window", "max_n", "snapshots"),
-    "compare": (
-        "mode",
-        "servers",
-        "servers_small",
-        "rank",
-        "start",
-        "start_alt",
-        "sum_slack",
-        "tolerance",
-        "corrupt_step",
-        "trajectories",
-    ),
-    "properties": ("suites", "instances", "max_dim", "seed", "tolerance"),
-}
-
-_MODEL_KEYS = {
-    "iid": ("sigma", "xi"),
-    "markov": ("transition", "sigma_states", "xi_states"),
-    "trace": ("path",),
-}
 
 CONFIG_HELP = """\
 configuration file keys (defaults in parentheses)
+a key with an empty value (key =) is the same as leaving it out
 
 law grammar: exponential(RATE), deterministic(VALUE), uniform(LO,HI),
 hyperexponential(P1,..,Pk; R1,..,Rk)
@@ -203,7 +196,8 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
   initial       starting profile, nondecreasing (all zeros)
 
 [loynes]                          used by: loynes
-  servers       (2)     rank      (1)
+  servers       number of queues (2)
+  rank          allocation rank (1)
   tolerance     sup-norm doubling increment declaring convergence (1e-6)
   window        first evaluation point (64)
   max_n         largest evaluation point (4194304)
@@ -232,14 +226,27 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
 _LAW_NAMES = ("exponential", "deterministic", "uniform", "hyperexponential")
 
 
-def _floats(text: str, where: str) -> list[float]:
-    out = []
-    for tok in text.replace(",", " ").split():
+# Value parsers take the raw text and the "[section] key" their error names.
+
+_Parser = typing.Callable[[str, str], object]
+
+
+def _scalar(kind: type, noun: str) -> _Parser:
+    def parse(text: str, where: str):
         try:
-            out.append(float(tok))
+            return kind(text)
         except ValueError:
-            raise ConfigError(f"{where}: cannot parse number {tok!r}") from None
-    return out
+            raise ConfigError(f"{where}: cannot parse {noun} {text!r}") from None
+
+    return parse
+
+
+_int = _scalar(int, "integer")
+_float = _scalar(float, "number")
+
+
+def _floats(text: str, where: str) -> tuple[float, ...]:
+    return tuple(_float(tok, where) for tok in text.replace(",", " ").split())
 
 
 def parse_law(text: str, where: str = "law"):
@@ -265,7 +272,7 @@ def parse_law(text: str, where: str = "law"):
         parts = args.split(";")
         if len(parts) != 2:
             raise ConfigError(f"{where}: hyperexponential needs 'probs;rates'")
-        return Hyperexponential(tuple(_floats(parts[0], where)), tuple(_floats(parts[1], where)))
+        return Hyperexponential(_floats(parts[0], where), _floats(parts[1], where))
     except ValueError:
         raise ConfigError(f"{where}: wrong number of arguments in {text!r}") from None
 
@@ -292,74 +299,85 @@ def parse_seeds(text: str, where: str = "[run] seeds") -> tuple[int, ...]:
     return tuple(seeds)
 
 
-def _profile_or_none(text: str | None, where: str) -> tuple[float, ...] | None:
-    if text is None or not text.strip():
-        return None
-    return tuple(_floats(text, where))
+def _text(text: str, where: str) -> str:
+    return text
 
 
-class _Section:
-    """One config section with typed, error-naming accessors."""
-
-    def __init__(self, name: str, values: dict[str, str]):
-        self.name = name
-        self.values = values
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
-
-    def get_int(self, key: str, default: int) -> int:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: cannot parse integer {raw!r}") from None
-
-    def get_float(self, key: str, default: float) -> float:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: cannot parse number {raw!r}") from None
+def _suites(text: str, where: str) -> tuple[str, ...]:
+    return suite_names() if text == "all" else tuple(text.split())
 
 
-def _parse_model(section: _Section) -> InputModel:
-    kind = (section.get("kind") or "iid").strip()
+_PARSERS: dict[object, _Parser] = {
+    int: _int,
+    int | None: _int,
+    float: _float,
+    str: _text,
+    str | None: _text,
+    tuple[float, ...] | None: _floats,
+    tuple[int, ...]: parse_seeds,
+    tuple[str, ...]: _suites,
+}
+
+
+def _schema() -> dict[str, dict[str, _Parser]]:
+    """Section -> key -> parser. Each settings block of ExperimentConfig is
+    the section of its name; the other fields but ``model`` form [run]."""
+    top = typing.get_type_hints(ExperimentConfig)
+    schema: dict[str, dict[str, _Parser]] = {"run": {}}
+    for f in fields(ExperimentConfig):
+        block = top[f.name]
+        if is_dataclass(block):
+            hints = typing.get_type_hints(block)
+            schema[f.name] = {g.name: _PARSERS[hints[g.name]] for g in fields(block)}
+        elif f.name != "model":
+            schema["run"][f.name] = _PARSERS[block]
+    return schema
+
+
+_SCHEMA = _schema()
+
+_MODEL_KEYS = {
+    "iid": ("sigma", "xi"),
+    "markov": ("transition", "sigma_states", "xi_states"),
+    "trace": ("path",),
+}
+
+_SECTIONS: dict[str, tuple[str, ...]] = {
+    "model": ("kind", *(key for keys in _MODEL_KEYS.values() for key in keys)),
+    **{name: tuple(parsers) for name, parsers in _SCHEMA.items()},
+}
+
+
+def _parse_model(values: dict[str, str]) -> InputModel:
+    kind = values.get("kind", _DEFAULT_KIND)
     if kind not in _MODEL_KEYS:
         raise ConfigError(f"[model] kind: unknown kind {kind!r}, choose from {sorted(_MODEL_KEYS)}")
-    allowed = set(_MODEL_KEYS[kind]) | {"kind"}
-    for key in section.values:
-        if key not in allowed:
+    for key in values:
+        if key not in _MODEL_KEYS[kind] and key != "kind":
             raise ConfigError(f"[model] {key}: not valid for kind={kind}")
     if kind == "iid":
-        sigma = parse_law(section.get("sigma", "exponential(1.0)"), "[model] sigma")
-        xi = parse_law(section.get("xi", "exponential(0.5)"), "[model] xi")
-        return IIDModel(sigma, xi)
+        laws = {
+            f"{key}_law": parse_law(text, f"[model] {key}")
+            for key, text in values.items()
+            if key != "kind"
+        }
+        return replace(_DEFAULT_MODEL, **laws)
     if kind == "trace":
-        path = section.get("path")
-        if not path:
+        if "path" not in values:
             raise ConfigError("[model] path: required for kind=trace")
-        return TraceModel(path.strip())
-    raw_rows = section.get("transition")
-    if not raw_rows:
+        return TraceModel(values["path"])
+    if "transition" not in values:
         raise ConfigError("[model] transition: required for kind=markov")
-    rows = tuple(
-        tuple(_floats(row, "[model] transition")) for row in raw_rows.split("/")
-    )
-    raw_sig = section.get("sigma_states")
-    raw_xi = section.get("xi_states")
-    if not raw_sig or not raw_xi:
+    rows = tuple(_floats(row, "[model] transition") for row in values["transition"].split("/"))
+    if "sigma_states" not in values or "xi_states" not in values:
         raise ConfigError("[model] sigma_states and xi_states: required for kind=markov")
-    sig_laws = tuple(parse_law(p, "[model] sigma_states") for p in raw_sig.split("|"))
-    xi_laws = tuple(parse_law(p, "[model] xi_states") for p in raw_xi.split("|"))
+    sig_laws = tuple(parse_law(p, "[model] sigma_states") for p in values["sigma_states"].split("|"))
+    xi_laws = tuple(parse_law(p, "[model] xi_states") for p in values["xi_states"].split("|"))
     return MarkovModulatedModel(rows, sig_laws, xi_laws)
 
 
-def _read_file(path: str) -> dict[str, _Section]:
+def _read_file(path: str) -> dict[str, dict[str, str]]:
+    """The file's sections and their non-empty values, stripped."""
     parser = configparser.ConfigParser(
         interpolation=None,
         delimiters=("=",),
@@ -373,7 +391,7 @@ def _read_file(path: str) -> dict[str, _Section]:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
-    sections: dict[str, _Section] = {}
+    sections: dict[str, dict[str, str]] = {}
     for name in parser.sections():
         if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]")
@@ -381,7 +399,7 @@ def _read_file(path: str) -> dict[str, _Section]:
         for key in values:
             if key not in _SECTIONS[name]:
                 raise ConfigError(f"[{name}] {key}: unknown key")
-        sections[name] = _Section(name, values)
+        sections[name] = {key: text.strip() for key, text in values.items() if text.strip()}
     return sections
 
 
@@ -400,96 +418,22 @@ def load_config(
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR) or None
     sections = _read_file(path) if path is not None else {}
-
-    def sec(name: str) -> _Section:
-        return sections.get(name, _Section(name, {}))
-
-    model = _parse_model(sec("model")) if "model" in sections else ExperimentConfig().model
-
-    run = sec("run")
-    cfg_seeds = parse_seeds(run.get("seeds", "1"), "[run] seeds")
-    cfg_horizon = run.get_int("horizon", 1000)
-    cfg_jobs = run.get_int("jobs", 1)
-    cfg_out = run.get("out")
-
-    system = sec("system")
-    try:
-        system_cfg = SystemConfig(
-            servers=system.get_int("servers", 2),
-            rank=system.get_int("rank", 1),
-            initial=_profile_or_none(system.get("initial"), "[system] initial"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[system]: {exc}") from exc
-
-    ly = sec("loynes")
-    loynes_cfg = LoynesSettings(
-        servers=ly.get_int("servers", 2),
-        rank=ly.get_int("rank", 1),
-        tolerance=ly.get_float("tolerance", 1e-6),
-        window=ly.get_int("window", 64),
-        max_n=ly.get_int("max_n", 2**22),
-        snapshots=ly.get("snapshots"),
-    )
-
-    cp = sec("compare")
-    corrupt_raw = cp.get("corrupt_step")
-    compare_cfg = CompareSettings(
-        mode=(cp.get("mode") or "servers").strip(),
-        servers=cp.get_int("servers", 3),
-        servers_small=cp.get_int("servers_small", 2),
-        rank=cp.get_int("rank", 2),
-        start=_profile_or_none(cp.get("start"), "[compare] start"),
-        start_alt=_profile_or_none(cp.get("start_alt"), "[compare] start_alt"),
-        sum_slack=cp.get_float("sum_slack", DEFAULT_SUM_SLACK),
-        tolerance=cp.get_float("tolerance", 0.0),
-        corrupt_step=None if corrupt_raw is None else cp.get_int("corrupt_step", 0),
-        trajectories=cp.get("trajectories"),
-    )
-
-    lm = sec("properties")
-    suites_raw = (lm.get("suites") or "all").strip()
-    if suites_raw == "all":
-        suites = suite_names()
-    else:
-        suites = tuple(suites_raw.split())
-        unknown = [s for s in suites if s not in suite_names()]
-        if unknown:
-            raise ConfigError(
-                f"[properties] suites: unknown suite {unknown[0]!r}, choose from {suite_names()}"
-            )
-    properties_cfg = PropertySettings(
-        suites=suites,
-        instances=lm.get_int("instances", 10000),
-        max_dim=lm.get_int("max_dim", 8),
-        seed=lm.get_int("seed", 1),
-        tolerance=lm.get_float("tolerance", 0.0),
-    )
-
-    cfg = ExperimentConfig(
-        model=model,
-        seeds=cfg_seeds,
-        horizon=cfg_horizon,
-        jobs=cfg_jobs,
-        out=cfg_out,
-        system=system_cfg,
-        loynes=loynes_cfg,
-        compare=compare_cfg,
-        properties=properties_cfg,
-    )
+    default = ExperimentConfig()
+    changes: dict[str, object] = {}
+    if "model" in sections:
+        changes["model"] = _parse_model(sections["model"])
+    for name, parsers in _SCHEMA.items():
+        values = sections.get(name, {})
+        parsed = {key: parsers[key](text, f"[{name}] {key}") for key, text in values.items()}
+        if name == "run":
+            changes.update(parsed)
+            continue
+        try:
+            changes[name] = replace(getattr(default, name), **parsed)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}]: {exc}") from exc
     if seeds is not None:
-        cfg = replace(cfg, seeds=parse_seeds(seeds, "--seeds"))
-    if horizon is not None:
-        cfg = replace(cfg, horizon=horizon)
-    if jobs is not None:
-        cfg = replace(cfg, jobs=jobs)
-    if out is not None:
-        cfg = replace(cfg, out=out)
-    # Seed order is part of the output contract: reports are written
-    # seed-sorted no matter how the seed list was spelled.
-    cfg = replace(cfg, seeds=tuple(sorted(cfg.seeds)))
-    if cfg.horizon < 1:
-        raise ConfigError(f"[run] horizon: must be >= 1, got {cfg.horizon}")
-    if cfg.jobs < 1:
-        raise ConfigError(f"[run] jobs: must be >= 1, got {cfg.jobs}")
-    return cfg
+        changes["seeds"] = parse_seeds(seeds, "--seeds")
+    flags = {"horizon": horizon, "jobs": jobs, "out": out}
+    changes.update((key, value) for key, value in flags.items() if value is not None)
+    return replace(default, **changes)

@@ -20,15 +20,15 @@ algorithm identifier below is stored on every generated sequence.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .profiles import Mark
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -147,6 +147,11 @@ class Uniform:
         return f"uniform({self.lo!r},{self.hi!r})"
 
 
+def _cumulative(probs: Sequence[float]) -> tuple[float, ...]:
+    """Running sums of ``probs``, added one at a time from the left."""
+    return tuple(itertools.accumulate(probs))
+
+
 @dataclass(frozen=True)
 class Hyperexponential:
     """Mixture of exponentials: branch i with probability probs[i], rate rates[i]."""
@@ -166,12 +171,7 @@ class Hyperexponential:
             raise ConfigError(f"hyperexponential probabilities must sum to 1, got {self.probs!r}")
         if any(r <= 0.0 or not math.isfinite(r) for r in self.rates):
             raise ConfigError(f"hyperexponential rates must be positive, got {self.rates!r}")
-        cum = []
-        acc = 0.0
-        for p in self.probs:
-            acc += p
-            cum.append(acc)
-        object.__setattr__(self, "_cum", tuple(cum))
+        object.__setattr__(self, "_cum", _cumulative(self.probs))
 
     def mean(self) -> float:
         return math.fsum(p / r for p, r in zip(self.probs, self.rates))
@@ -348,9 +348,6 @@ class MarkSequence:
     def __len__(self) -> int:
         return len(self.sigma)
 
-    def __iter__(self) -> Iterator[Mark]:
-        return (Mark(s, x) for s, x in zip(self.sigma.tolist(), self.xi.tolist()))
-
     def reversed_marks(self) -> "MarkSequence":
         """The same marks in reverse order."""
         return MarkSequence(
@@ -362,14 +359,18 @@ class MarkSequence:
         )
 
 
-def _generate_iid(sigma_law: Law, xi_law: Law, seed: int, length: int) -> tuple[list[float], list[float]]:
-    ks = sigma_law.uniforms
-    kx = xi_law.uniforms
-    ku = ks + kx
-    u = _uniforms(seed, 0, length * ku).tolist()
-    sigma_cols = [u[c::ku] for c in range(ks)]
-    xi_cols = [u[ks + c::ku] for c in range(kx)]
-    return sigma_law.draw_batch(sigma_cols, length), xi_law.draw_batch(xi_cols, length)
+def _generate_iid(
+    sigma_law: Law, xi_law: Law, seed: int, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    ku = sigma_law.uniforms + xi_law.uniforms
+    u = _uniforms(seed, 0, length * ku)
+
+    def draw(law: Law, first: int) -> np.ndarray:
+        # Mark t's uniforms are u[t * ku : (t + 1) * ku], the law's from first on.
+        cols = [u[c::ku].tolist() for c in range(first, first + law.uniforms)]
+        return np.asarray(law.draw_batch(cols, length), dtype=np.float64)
+
+    return draw(sigma_law, 0), draw(xi_law, sigma_law.uniforms)
 
 
 def _pick_state(cum: Sequence[float], u: float) -> int:
@@ -387,17 +388,8 @@ def _generate_markov(
         # a single-state chain is exactly the iid model with that state's laws
         return _generate_iid(model.sigma_laws[0], model.xi_laws[0], seed, length)
     mod = _uniforms(seed, 1, length).tolist()
-
-    def cumulative(row: Sequence[float]) -> tuple[float, ...]:
-        acc = 0.0
-        out = []
-        for p in row:
-            acc += p
-            out.append(acc)
-        return tuple(out)
-
-    cum_rows = [cumulative(row) for row in model.transition]
-    state = _pick_state(cumulative(model.stationary()), mod[0])
+    cum_rows = [_cumulative(row) for row in model.transition]
+    state = _pick_state(_cumulative(model.stationary()), mod[0])
     states = [state]
     for t in range(1, length):
         state = _pick_state(cum_rows[state], mod[t])

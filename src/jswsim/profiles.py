@@ -28,7 +28,6 @@ __all__ = [
     "iter_profiles",
     "kw_step",
     "lockstep_profiles",
-    "offered_wait",
     "pad",
     "pth_step",
     "sort_ascending",
@@ -158,7 +157,3 @@ def total_workload(u: Profile) -> float:
     """Sum of all residual workloads (exactly rounded)."""
     return math.fsum(u)
 
-
-def offered_wait(u: Profile) -> float:
-    """Waiting time offered to an arrival, i.e. the least residual workload."""
-    return u[0]

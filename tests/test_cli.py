@@ -162,6 +162,54 @@ def test_bad_settings_exit_two(name, tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
 
 
+# Runs that fail after their outputs are opened: (config file, extra flags,
+# command, exit code). t.txt is a trace whose first line does not parse.
+FAILED_RUNS = {
+    "simulate-bad-trace": (
+        "[model]\nkind = trace\npath = t.txt\n[run]\nhorizon = 2\n",
+        ["--out", "sim.csv"],
+        "simulate",
+        3,
+    ),
+    "loynes-unstable": (
+        "[model]\nsigma = exponential(0.5)\nxi = exponential(2.0)\n[loynes]\nservers = 2\n",
+        ["--out", "snap.csv"],
+        "loynes",
+        4,
+    ),
+    "compare-premise": (
+        "[compare]\nmode = allocation\nservers = 3\nrank = 2\n"
+        "start = 0 2 2\nstart_alt = 1 1 3\ntrajectories = traj.csv\n",
+        ["--out", "viol.csv"],
+        "compare",
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILED_RUNS))
+def test_failed_run_leaves_no_output(name, tmp_path, capsys, monkeypatch):
+    # A header-only CSV would read like a finished run with no rows.
+    monkeypatch.chdir(tmp_path)
+    text, flags, command, expected = FAILED_RUNS[name]
+    (tmp_path / "c.ini").write_text(text)
+    (tmp_path / "t.txt").write_text("x y\n")
+    code, _, err = run([command, "--config", "c.ini", "--seed", "1", *flags], capsys)
+    assert code == expected, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "t.txt"]
+
+
+def test_failed_run_keeps_a_symlinked_output(tmp_path, capsys, monkeypatch):
+    # Only regular files are deleted, so a link (or a device) stays.
+    monkeypatch.chdir(tmp_path)
+    text, _, command, expected = FAILED_RUNS["loynes-unstable"]
+    (tmp_path / "c.ini").write_text(text)
+    (tmp_path / "link.csv").symlink_to("target.csv")
+    code, _, _ = run([command, "--config", "c.ini", "--seed", "1", "--out", "link.csv"], capsys)
+    assert code == expected
+    assert (tmp_path / "link.csv").is_symlink() and (tmp_path / "target.csv").is_file()
+
+
 class TestDeterminism:
     def test_simulate_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -161,7 +161,7 @@ class TestFcfsOracle:
         profile = (0.0,) * servers
         from jswsim.profiles import kw_step
 
-        for k, mark in enumerate(marks):
+        for k, mark in enumerate(zip(marks.sigma.tolist(), marks.xi.tolist())):
             assert abs(waits[k] - profile[0]) <= 1e-9, k
             profile = kw_step(profile, mark)
 

@@ -1,16 +1,22 @@
 """Configuration file parsing and flag overrides."""
 
+import re
+
 import pytest
 
 from jswsim.config import (
     CONFIG_ENV_VAR,
     CONFIG_HELP,
+    _SCHEMA,
     _SECTIONS,
+    ExperimentConfig,
+    PropertySettings,
     load_config,
     parse_law,
     parse_seeds,
 )
 from jswsim.errors import ConfigError
+from jswsim.orderings import suite_names
 from jswsim.processes import (
     Deterministic,
     Exponential,
@@ -238,3 +244,49 @@ class TestHelpText:
             "hyperexponential",
         ):
             assert fragment in CONFIG_HELP, fragment
+
+
+class TestSchema:
+    """The settings dataclasses are the only declaration of keys and defaults."""
+
+    def test_no_file_is_the_dataclass_defaults(self):
+        assert load_config(None) == ExperimentConfig()
+
+    @pytest.mark.parametrize(
+        "section, key", [(section, key) for section, keys in _SECTIONS.items() for key in keys]
+    )
+    def test_empty_value_is_the_default(self, section, key, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[{section}]\n{key} =   \n")
+        assert load_config(str(p)) == ExperimentConfig()
+
+    def test_blocks_validate_on_construction(self):
+        with pytest.raises(ConfigError, match=r"\[run\] horizon"):
+            ExperimentConfig(horizon=0)
+        with pytest.raises(ConfigError, match=r"\[run\] jobs"):
+            ExperimentConfig(jobs=0)
+        assert ExperimentConfig(seeds=(3, 1, 2)).seeds == (1, 2, 3)
+        with pytest.raises(ConfigError, match="bogus"):
+            PropertySettings(suites=("convex-battery", "bogus"))
+
+    # The words CONFIG_HELP writes for defaults that are not a value's text.
+    HELP_WORDS = {"none": None, "zeros": None, "all zeros": None, "all": suite_names()}
+
+    @pytest.mark.parametrize("section", ["run", "system", "loynes", "compare", "properties"])
+    def test_help_defaults_are_the_dataclass_defaults(self, section):
+        documented = {}
+        current = None
+        for line in CONFIG_HELP.splitlines():
+            header = re.match(r"\[(\w+)\]", line)
+            if header:
+                current = header.group(1)
+            entry = re.match(r"  (\w+) .*\(([^()]*)\)$", line)
+            if current == section and entry:
+                documented[entry.group(1)] = entry.group(2)
+        default = ExperimentConfig()
+        block = default if section == "run" else getattr(default, section)
+        assert sorted(documented) == sorted(_SCHEMA[section])
+        for key, parse in _SCHEMA[section].items():
+            text = documented[key]
+            value = self.HELP_WORDS[text] if text in self.HELP_WORDS else parse(text, key)
+            assert value == getattr(block, key), (section, key, text)

@@ -12,7 +12,6 @@ from jswsim.profiles import (
     iter_profiles,
     kw_step,
     lockstep_profiles,
-    offered_wait,
     pad,
     pth_step,
     sort_ascending,
@@ -90,7 +89,6 @@ class TestHelpers:
 
     def test_totals_and_wait(self):
         assert total_workload((0.25, 0.5, 1.0)) == 1.75
-        assert offered_wait((0.25, 0.5, 1.0)) == 0.25
 
 
 class TestStepProperties:
