@@ -10,11 +10,13 @@ Subcommands:
 Exit codes: 0 success, 1 violation or counterexample found, 2 bad
 configuration, 3 bad input data, 4 the offered load is not subcritical,
 5 the backward iteration hit max_n without converging (the estimate is
-still printed), 6 a comparison premise does not hold.
+still printed), 6 a comparison premise does not hold, 70 an internal error
+(any other exception; its traceback goes to stderr).
 
 Every output file is a CSV written by this module. Each one is opened
 before the run starts, so an unwritable path is a configuration error, and
-its rows are written as the results arrive. Floats are written with repr
+its rows are written as the results arrive, to a new file that replaces the
+named one only when the command finishes. Floats are written with repr
 (shortest round-trip), line endings are LF and nothing depends on the
 clock, so a rerun with the same configuration is byte-identical.
 """
@@ -31,6 +33,8 @@ import operator
 import os
 import stat
 import sys
+import tempfile
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -52,6 +56,7 @@ EXIT_INPUT = 3
 EXIT_UNSTABLE = 4
 EXIT_NO_CONVERGENCE = 5
 EXIT_PREMISE = 6
+EXIT_INTERNAL = 70
 
 
 def _pool_map(fn, payloads, jobs):
@@ -75,29 +80,55 @@ def _fmt(x: float) -> str:
 
 
 def _open_out(path: str):
+    """Open the output ``path``; return the file and the (written, final)
+    paths :func:`_close_out` moves it between, or None if it is written in
+    place.
+
+    A regular file (or a path that does not exist yet) is written to a new
+    file in the directory of its real path, so a symlink stays a symlink and
+    the old bytes stay until the run has finished. Anything else, such as
+    /dev/null or a FIFO, is written directly.
+    """
+    target = os.path.realpath(path)
+    mode = os.stat(target).st_mode if os.path.exists(target) else None
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        if mode is not None and not stat.S_ISREG(mode):
+            return open(path, "w", encoding="utf-8", newline=""), None
+        fd, tmp = tempfile.mkstemp(
+            prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
+        )
+        if mode is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.fchmod(fd, stat.S_IMODE(mode))  # mkstemp's 0600 would hide the file
+        return open(fd, "w", encoding="utf-8", newline=""), (tmp, target)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def _close_out(f, exc_type, exc, tb) -> None:
-    """Close ``f``; if an exception is unwinding the command, delete it too,
-    so a failed run leaves no file that reads like a finished result. Only a
-    regular file is deleted, never a device such as /dev/null or a symlink."""
+def _close_out(f, move, exc_type, exc, tb) -> None:
+    """Close ``f``. If it was written to ``tmp`` for ``target`` (``move``),
+    it replaces ``target`` when the command finished and is deleted when an
+    exception is unwinding it, so a failed run leaves the old file, or none,
+    but never a partial one."""
     f.close()
-    if exc_type is not None:
+    if move is None:
+        return
+    tmp, target = move
+    if exc_type is None:
+        os.replace(tmp, target)
+    else:
         with contextlib.suppress(OSError):
-            if stat.S_ISREG(os.lstat(f.name).st_mode):
-                os.unlink(f.name)
+            os.unlink(tmp)
 
 
 def _csv_writer(stack: contextlib.ExitStack, path: str, columns, comments=()):
     """Open ``path`` on ``stack``, write the ``# `` comment lines and the
-    column header, and return a CSV writer for the rows. The file is closed
-    when ``stack`` unwinds, and deleted if an exception unwinds it."""
-    f = _open_out(path)
-    stack.push(functools.partial(_close_out, f))
+    column header, and return a CSV writer for the rows. The file is put in
+    place when ``stack`` unwinds (see :func:`_close_out`)."""
+    f, move = _open_out(path)
+    stack.push(functools.partial(_close_out, f, move))
     f.writelines(f"# {line}\n" for line in comments)
     writer = csv.writer(f, lineterminator="\n")
     writer.writerow(columns)
@@ -432,6 +463,10 @@ def main(argv: list[str] | None = None) -> int:
     except PremiseError as exc:
         print(f"premise not satisfied: {exc}", file=sys.stderr)
         return EXIT_PREMISE
+    except Exception:
+        # exit 1 means an inequality failed, never that the program did
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .processes import (
     MarkSequence,
     StabilityVerdict,
     generate,
+    generate_many,
     mean_sigma,
     mean_xi,
     stability_check,
@@ -190,10 +191,10 @@ def _replay(model: InputModel, seeds: list[int], servers: int, rank: int, n: int
     """The n-deep backward profile of each seed, in order.
 
     Seeds are replayed in passes of at most ``_PASS_MARKS // n`` seeds. A
-    pass of at least ``_LOCKSTEP_MIN_SEEDS`` seeds writes each seed's
-    reversed marks into one column of ``(n, R)`` arrays and steps them in
-    lockstep; a smaller one replays seed by seed, which is faster for a few
-    seeds. Both give the same bits.
+    pass of at least ``_LOCKSTEP_MIN_SEEDS`` seeds draws the marks of all its
+    seeds in one :func:`generate_many` call and steps the reversed rows of
+    its ``(n, R)`` arrays in lockstep; a smaller one replays seed by seed,
+    which is faster for a few seeds. Both give the same bits.
     """
     passes = -(-len(seeds) // max(1, _PASS_MARKS // n))
     out: list[Profile] = []
@@ -202,12 +203,7 @@ def _replay(model: InputModel, seeds: list[int], servers: int, rank: int, n: int
         if len(block) < _LOCKSTEP_MIN_SEEDS:
             out.extend(loynes_iterate(backward_marks(model, s, n), servers, rank) for s in block)
             continue
-        sigma = np.empty((n, len(block)))
-        xi = np.empty((n, len(block)))
-        for j, seed in enumerate(block):
-            marks = generate(model, seed, n)
-            sigma[::-1, j] = marks.sigma
-            xi[::-1, j] = marks.xi
-        final = lockstep_profiles(np.zeros((len(block), servers)), sigma, xi, rank)
+        sigma, xi = generate_many(model, block, n)
+        final = lockstep_profiles(np.zeros((len(block), servers)), sigma[::-1], xi[::-1], rank)
         out.extend(map(tuple, final.tolist()))
     return out

@@ -11,7 +11,8 @@ of a seed drives the marks, stream 1 drives the modulating chain of a
 Markov-modulated model (the two streams use the Philox key ``(seed, stream)``).
 Raw 64-bit words are mapped to uniforms in the open interval (0, 1) by
 ``u = (top 52 bits + 1/2) * 2**-52``, and every law transforms uniforms
-through a fixed inverse-CDF code path. For each mark the sigma draw consumes
+through a fixed inverse-CDF code path (logarithms come from the C library's
+``log1p`` via ``math.log1p``). For each mark the sigma draw consumes
 its uniforms first, then the xi draw, so a longer sequence for the same
 (model, seed) extends a shorter one without changing its prefix. The
 algorithm identifier below is stored on every generated sequence.
@@ -43,6 +44,7 @@ __all__ = [
     "TraceModel",
     "Uniform",
     "generate",
+    "generate_many",
     "mean_sigma",
     "mean_xi",
     "model_label",
@@ -52,19 +54,63 @@ __all__ = [
 RNG_ALGORITHM = "philox4x64/u52/inverse-cdf"
 
 _CRITICALITY_REL_TOL = 1e-12
+_LOG1P_CHUNK = 4096
 
 
-def _uniforms(seed: int, stream: int, count: int) -> np.ndarray:
-    """``count`` uniforms in (0, 1) from Philox stream ``stream`` of ``seed``."""
-    key = np.array([seed % 2**64, stream], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(count)
-    return ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+def _reset(bitgen: np.random.Philox, seed: int, stream: int) -> np.random.Philox:
+    """``bitgen`` moved to the start of stream ``stream`` of ``seed``.
+
+    Philox is counter-based, so with the key ``(seed, stream)``, a zero
+    counter and an empty buffer it gives exactly the words a freshly built
+    ``np.random.Philox(key=...)`` would, without seeding a throwaway one.
+    """
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed % 2**64, stream], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # empty: the next word starts a new block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bitgen
+
+
+def _to_uniforms(raw: np.ndarray) -> np.ndarray:
+    """Map raw words to uniforms in (0, 1) in place; returns a float64 view of ``raw``."""
+    np.right_shift(raw, np.uint64(12), out=raw)
+    u = raw.view(np.float64)
+    np.add(raw, 0.5, out=u)  # exact: the shifted words are below 2**52
+    u *= 2.0**-52
+    return u
+
+
+def _uniforms(bitgen: np.random.Philox, seed: int, stream: int, count: int) -> np.ndarray:
+    """``count`` uniforms in (0, 1) from Philox stream ``stream`` of ``seed``,
+    read with ``bitgen`` (see :func:`_reset`)."""
+    return _to_uniforms(_reset(bitgen, seed, stream).random_raw(count))
+
+
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """``math.log1p`` of every element of the 1-d ``x``: the C library's
+    log1p, called from a C loop. ``np.log1p`` is not used: its SIMD kernels
+    are not bit-identical to it. ``x`` goes through Python floats a chunk at
+    a time, so few of them are alive at once."""
+    out = np.empty(x.size)
+    for start in range(0, x.size, _LOG1P_CHUNK):
+        part = x[start : start + _LOG1P_CHUNK].tolist()
+        out[start : start + len(part)] = np.fromiter(map(math.log1p, part), np.float64, len(part))
+    return out
 
 
 # --------------------------------------------------------------------------
 # Distribution laws. Each law knows how many uniforms one draw consumes and
 # has a single code path, ``draw_batch(cols, n)``, that maps n draws' worth
-# of uniforms to n samples; ``cols[c]`` holds the c-th uniform of every draw.
+# of uniforms to a float64 array of n samples; ``cols[c]`` is a float64 array
+# of the c-th uniform of every draw. Each sample takes the same IEEE
+# operations, in the same order, as the scalar inverse CDF it implements.
 
 
 @dataclass(frozen=True)
@@ -86,9 +132,8 @@ class Exponential:
         # draws use uniforms in the open interval, so 0 is never returned
         return True
 
-    def draw_batch(self, cols: Sequence[Sequence[float]], n: int) -> list[float]:
-        rate = self.rate
-        return [-math.log1p(-u) / rate for u in cols[0]]
+    def draw_batch(self, cols: Sequence[np.ndarray], n: int) -> np.ndarray:
+        return -_log1p(-cols[0]) / self.rate
 
     def label(self) -> str:
         return f"exponential({self.rate!r})"
@@ -112,8 +157,8 @@ class Deterministic:
     def positive(self) -> bool:
         return self.value > 0.0
 
-    def draw_batch(self, cols: Sequence[Sequence[float]], n: int) -> list[float]:
-        return [self.value] * n
+    def draw_batch(self, cols: Sequence[np.ndarray], n: int) -> np.ndarray:
+        return np.full(n, self.value)
 
     def label(self) -> str:
         return f"deterministic({self.value!r})"
@@ -139,9 +184,8 @@ class Uniform:
     def positive(self) -> bool:
         return self.lo > 0.0
 
-    def draw_batch(self, cols: Sequence[Sequence[float]], n: int) -> list[float]:
-        lo, span = self.lo, self.hi - self.lo
-        return [lo + u * span for u in cols[0]]
+    def draw_batch(self, cols: Sequence[np.ndarray], n: int) -> np.ndarray:
+        return self.lo + cols[0] * (self.hi - self.lo)
 
     def label(self) -> str:
         return f"uniform({self.lo!r},{self.hi!r})"
@@ -182,14 +226,12 @@ class Hyperexponential:
     def positive(self) -> bool:
         return True
 
-    def _draw2(self, u_branch: float, u_exp: float) -> float:
-        for j, c in enumerate(self._cum):  # type: ignore[attr-defined]
-            if u_branch < c:
-                return -math.log1p(-u_exp) / self.rates[j]
-        return -math.log1p(-u_exp) / self.rates[-1]
-
-    def draw_batch(self, cols: Sequence[Sequence[float]], n: int) -> list[float]:
-        return [self._draw2(a, b) for a, b in zip(cols[0], cols[1])]
+    def draw_batch(self, cols: Sequence[np.ndarray], n: int) -> np.ndarray:
+        # Branch j is the first with cols[0] < cum[j], the last if there is
+        # none; then -log1p(-u) / rates[j] with u from cols[1].
+        cum = self._cum  # type: ignore[attr-defined]
+        branch = np.minimum(np.searchsorted(cum, cols[0], side="right"), len(cum) - 1)
+        return -_log1p(-cols[1]) / np.asarray(self.rates)[branch]
 
     def label(self) -> str:
         ps = ",".join(repr(p) for p in self.probs)
@@ -360,15 +402,20 @@ class MarkSequence:
 
 
 def _generate_iid(
-    sigma_law: Law, xi_law: Law, seed: int, length: int
+    sigma_law: Law, xi_law: Law, seeds: Sequence[int], length: int
 ) -> tuple[np.ndarray, np.ndarray]:
     ku = sigma_law.uniforms + xi_law.uniforms
-    u = _uniforms(seed, 0, length * ku)
+    bitgen = np.random.Philox(key=0)
+    words = np.empty((len(seeds), length * ku), dtype=np.uint64)
+    for r, seed in enumerate(seeds):
+        words[r] = _reset(bitgen, seed, 0).random_raw(length * ku)
+    # Uniform c of mark t of seeds[r] is u[t, r, c]; the sigma law's come first.
+    u = _to_uniforms(words).reshape(len(seeds), length, ku).swapaxes(0, 1)
+    size = length * len(seeds)
 
     def draw(law: Law, first: int) -> np.ndarray:
-        # Mark t's uniforms are u[t * ku : (t + 1) * ku], the law's from first on.
-        cols = [u[c::ku].tolist() for c in range(first, first + law.uniforms)]
-        return np.asarray(law.draw_batch(cols, length), dtype=np.float64)
+        cols = [u[:, :, c].ravel() for c in range(first, first + law.uniforms)]
+        return law.draw_batch(cols, size).reshape(length, len(seeds))
 
     return draw(sigma_law, 0), draw(xi_law, sigma_law.uniforms)
 
@@ -381,13 +428,12 @@ def _pick_state(cum: Sequence[float], u: float) -> int:
 
 
 def _generate_markov(
-    model: MarkovModulatedModel, seed: int, length: int
-) -> tuple[Sequence[float], Sequence[float]]:
-    n = len(model.transition)
-    if n == 1:
-        # a single-state chain is exactly the iid model with that state's laws
-        return _generate_iid(model.sigma_laws[0], model.xi_laws[0], seed, length)
-    mod = _uniforms(seed, 1, length).tolist()
+    model: MarkovModulatedModel, seed: int, sig: np.ndarray, xis: np.ndarray
+) -> None:
+    """Write the marks of ``seed`` into ``sig`` and ``xis`` (equal lengths)."""
+    length = len(sig)
+    bitgen = np.random.Philox(key=0)
+    mod = _uniforms(bitgen, seed, 1, length).tolist()
     cum_rows = [_cumulative(row) for row in model.transition]
     state = _pick_state(_cumulative(model.stationary()), mod[0])
     states = [state]
@@ -403,17 +449,14 @@ def _generate_markov(
     used += np.array([law.uniforms for law in model.xi_laws])[path]
     ends = np.cumsum(used)
     first = ends - used
-    u = _uniforms(seed, 0, int(ends[-1]))
-    sig = np.empty(length, dtype=np.float64)
-    xis = np.empty(length, dtype=np.float64)
+    u = _uniforms(bitgen, seed, 0, int(ends[-1]))
     for s, laws in enumerate(zip(model.sigma_laws, model.xi_laws)):
         at = np.flatnonzero(path == s)
         offset = first[at]
         for out, law in zip((sig, xis), laws):
-            cols = [u[offset + c].tolist() for c in range(law.uniforms)]
+            cols = [u[offset + c] for c in range(law.uniforms)]
             out[at] = law.draw_batch(cols, len(at))
             offset = offset + law.uniforms
-    return sig, xis
 
 
 def _read_trace(path: str) -> tuple[list[float], list[float]]:
@@ -444,33 +487,49 @@ def _read_trace(path: str) -> tuple[list[float], list[float]]:
     return sig, xis
 
 
+def generate_many(
+    model: InputModel, seeds: Sequence[int], length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``length`` marks of every seed, as ``(sigma, xi)``.
+
+    Both are ``(length, R)`` float64 arrays for R seeds: column r holds the
+    marks of ``seeds[r]``, bit for bit those of ``generate(model, seeds[r],
+    length)``. The words of all iid seeds are drawn into one block and each
+    law maps the block's uniforms in one call. A trace ignores the seed, so
+    its arrays are read-only views whose columns share the file's marks.
+    """
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    seeds = list(seeds)
+    if isinstance(model, IIDModel):
+        return _generate_iid(model.sigma_law, model.xi_law, seeds, length)
+    if isinstance(model, MarkovModulatedModel):
+        if len(model.transition) == 1:
+            # a single-state chain is exactly the iid model with that state's laws
+            return _generate_iid(model.sigma_laws[0], model.xi_laws[0], seeds, length)
+        sig = np.empty((length, len(seeds)))
+        xis = np.empty((length, len(seeds)))
+        for r, seed in enumerate(seeds):
+            _generate_markov(model, seed, sig[:, r], xis[:, r])
+        return sig, xis
+    if isinstance(model, TraceModel):
+        sig, xis = model._columns
+        if len(sig) < length:
+            raise InputError(f"trace {model.path!r} has {len(sig)} marks, need {length}")
+        shape = (length, len(seeds))
+        return np.broadcast_to(sig[:length, None], shape), np.broadcast_to(xis[:length, None], shape)
+    raise TypeError(f"unknown input model {model!r}")
+
+
 def generate(model: InputModel, seed: int, length: int) -> MarkSequence:
-    """Generate ``length`` marks for (model, seed).
+    """Generate ``length`` marks for (model, seed): the one-seed case of
+    :func:`generate_many`.
 
     Bit-identical on regeneration, and a longer run extends a shorter one:
     ``generate(m, s, a).sigma == generate(m, s, b).sigma[:a]`` for a <= b.
     """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if isinstance(model, IIDModel):
-        sig, xis = _generate_iid(model.sigma_law, model.xi_law, seed, length)
-    elif isinstance(model, MarkovModulatedModel):
-        sig, xis = _generate_markov(model, seed, length)
-    elif isinstance(model, TraceModel):
-        sig, xis = model._columns
-        if len(sig) < length:
-            raise InputError(
-                f"trace {model.path!r} has {len(sig)} marks, need {length}"
-            )
-        sig, xis = sig[:length], xis[:length]
-    else:
-        raise TypeError(f"unknown input model {model!r}")
-    return MarkSequence(
-        sigma=np.asarray(sig, dtype=np.float64),
-        xi=np.asarray(xis, dtype=np.float64),
-        seed=seed,
-        model=model,
-    )
+    sig, xis = generate_many(model, [seed], length)
+    return MarkSequence(sigma=sig[:, 0], xi=xis[:, 0], seed=seed, model=model)
 
 
 # --------------------------------------------------------------------------

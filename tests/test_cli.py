@@ -1,11 +1,13 @@
 """End-to-end command line behavior: exit codes, determinism, output files."""
 
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+from jswsim import cli
 from jswsim.cli import main
 from jswsim.config import load_config
 from jswsim.processes import generate
@@ -46,6 +48,15 @@ class TestExitCodes:
         rows = out_csv.read_text().splitlines()[1:]
         assert len(rows) == 1
         assert rows[0].split(",")[1] == "5"
+
+    def test_escaped_exception_is_seventy(self, capsys, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_simulate", broken)
+        code, _, err = run(["simulate", "--seed", "1", "--horizon", "5"], capsys)
+        assert code == cli.EXIT_INTERNAL == 70
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
     def test_bad_config_is_two(self, capsys):
         code, _, err = run(["simulate", "--config", "missing.ini"], capsys)
@@ -200,14 +211,44 @@ def test_failed_run_leaves_no_output(name, tmp_path, capsys, monkeypatch):
 
 
 def test_failed_run_keeps_a_symlinked_output(tmp_path, capsys, monkeypatch):
-    # Only regular files are deleted, so a link (or a device) stays.
+    # The output is written beside the link's target and moved over it only
+    # when the run finishes, so a failed run leaves the link and the old bytes.
     monkeypatch.chdir(tmp_path)
     text, _, command, expected = FAILED_RUNS["loynes-unstable"]
     (tmp_path / "c.ini").write_text(text)
+    (tmp_path / "target.csv").write_bytes(b"old,bytes\n1,2\n")
     (tmp_path / "link.csv").symlink_to("target.csv")
     code, _, _ = run([command, "--config", "c.ini", "--seed", "1", "--out", "link.csv"], capsys)
     assert code == expected
-    assert (tmp_path / "link.csv").is_symlink() and (tmp_path / "target.csv").is_file()
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "target.csv").read_bytes() == b"old,bytes\n1,2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "link.csv", "target.csv"]
+
+
+def test_finished_run_replaces_a_symlinked_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "target.csv").write_bytes(b"old,bytes\n")
+    (tmp_path / "target.csv").chmod(0o640)
+    (tmp_path / "link.csv").symlink_to("target.csv")
+    code, _, _ = run(["loynes", "--seed", "1", "--out", "link.csv"], capsys)
+    assert code == 0
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "target.csv").read_text().startswith("# jswsim loynes snapshots\n")
+    assert (tmp_path / "target.csv").stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+    # a new file gets the permissions open() would give it
+    umask = os.umask(0o027)
+    try:
+        assert run(["loynes", "--seed", "1", "--out", "new.csv"], capsys)[0] == 0
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o640
+
+
+def test_device_output_is_written_directly(capsys):
+    code, out, _ = run(["loynes", "--seed", "1", "--out", os.devnull], capsys)
+    assert code == 0
+    assert f"wrote {os.devnull}" in out
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Backward stationary construction: monotonicity, convergence, refusals."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -156,6 +157,31 @@ class TestManySeeds:
         assert [self._fields(r) for r in many] == [self._fields(r) for r in one]
         assert {r.steps_used for r in many} == {16, 32, 64}
         assert 0 < sum(not r.converged for r in many) < len(seeds)
+
+    # sha256 of the repr of every seed's fields for seeds 1..40 under ARGS,
+    # recorded before the passes drew their marks in one block
+    DIGEST_1_40 = "40ad9f96f66d865fbc1b77b75839ebf9dfb9d235fb5c7334b4d51b62a130c10c"
+
+    def test_one_mark_block_per_lockstep_pass(self, monkeypatch):
+        blocks, singles = [], []
+        generate_many = loynes.generate_many
+
+        def counting_many(model, seeds, n):
+            blocks.append((len(seeds), n))
+            return generate_many(model, seeds, n)
+
+        monkeypatch.setattr(loynes, "generate_many", counting_many)
+        monkeypatch.setattr(loynes, "generate", lambda *a: singles.append(a) or generate(*a))
+        many = estimate_stationary_many(self.MODEL, range(1, 41), **self.ARGS)
+        # every depth replays all its running seeds in one pass: 40 seeds
+        # at n = 8 and 16, the 14 still running at n = 32, the 8 at n = 64
+        running = [(sum(n in dict(r.history) for r in many), n) for n in (8, 16, 32, 64)]
+        assert running == [(40, 8), (40, 16), (14, 32), (8, 64)]
+        assert blocks == running
+        assert singles == []
+        text = repr([(r.profile, r.steps_used, r.converged, r.last_increment, r.history)
+                     for r in many])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST_1_40
 
     def test_seed_order_and_repeats(self):
         seeds = [9, 3, 9, 1, 4, 7]

@@ -1,6 +1,7 @@
 """Mark generation: laws, reproducibility, modulation, traces, stability."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,9 @@ from jswsim.processes import (
     StabilityVerdict,
     TraceModel,
     Uniform,
+    _uniforms,
     generate,
+    generate_many,
     mean_sigma,
     mean_xi,
     model_label,
@@ -139,6 +142,110 @@ class TestReproducibility:
     def test_length_validated(self):
         with pytest.raises(ValueError):
             generate(MM1, 1, 0)
+
+
+LAWS = (
+    Exponential(1.25),
+    Deterministic(0.75),
+    Uniform(0.25, 1.75),
+    Hyperexponential((0.4, 0.6), (1.0, 3.0)),
+)
+THREE_STATE = MarkovModulatedModel(
+    ((0.5, 0.3, 0.2), (0.1, 0.8, 0.1), (0.3, 0.3, 0.4)),
+    (Exponential(1.0), LAWS[3], Deterministic(0.5)),
+    (Uniform(0.5, 1.5), Exponential(2.0), LAWS[3]),
+)
+BLOCK_SEEDS = (0, 2**63 + 9, 2**64 - 1)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBlockGeneration:
+    """``generate_many`` columns are the per-seed ``generate`` marks, bit for bit."""
+
+    @staticmethod
+    def assert_columns_match(model, seeds, length):
+        sigma, xi = generate_many(model, seeds, length)
+        assert sigma.shape == xi.shape == (length, len(seeds))
+        assert sigma.dtype == xi.dtype == np.float64
+        for r, seed in enumerate(seeds):
+            marks = generate(model, seed, length)
+            assert np.array_equal(bits(sigma[:, r]), bits(marks.sigma)), (seed, "sigma")
+            assert np.array_equal(bits(xi[:, r]), bits(marks.xi)), (seed, "xi")
+
+    @pytest.mark.parametrize("length", [1, 7, 64])
+    @pytest.mark.parametrize("xi_law", LAWS, ids=lambda law: type(law).__name__)
+    @pytest.mark.parametrize("sigma_law", LAWS, ids=lambda law: type(law).__name__)
+    def test_iid_columns(self, sigma_law, xi_law, length):
+        self.assert_columns_match(IIDModel(sigma_law, xi_law), BLOCK_SEEDS, length)
+
+    @pytest.mark.parametrize("length", [1, 7, 64])
+    def test_markov_columns(self, length):
+        self.assert_columns_match(THREE_STATE, BLOCK_SEEDS, length)
+
+    def test_trace_columns_are_shared(self, tmp_path):
+        p = tmp_path / "marks.txt"
+        p.write_text("".join(f"{0.5 + k} {1.0 + k / 8}\n" for k in range(64)))
+        model = TraceModel(str(p))
+        for length in (1, 7, 64):
+            self.assert_columns_match(model, BLOCK_SEEDS, length)
+        sigma, _ = generate_many(model, BLOCK_SEEDS, 7)
+        assert sigma.strides[1] == 0 and not sigma.flags.writeable
+
+    def test_leftover_words_do_not_leak_between_seeds(self):
+        # three words per mark: seven marks leave words of the last Philox
+        # block buffered, which must not start the next seed's stream
+        model = IIDModel(Hyperexponential((0.4, 0.6), (1.0, 3.0)), Exponential(1.8))
+        seeds = [5, 5, 6, 2**64 - 1, 6]
+        self.assert_columns_match(model, seeds, 7)
+        sigma, _ = generate_many(model, seeds, 7)
+        assert np.array_equal(bits(sigma[:, 0]), bits(sigma[:, 1]))
+        assert np.array_equal(bits(sigma[:, 2]), bits(sigma[:, 4]))
+
+    def test_block_spans_several_log1p_chunks(self):
+        # 2 x 3000 draws per law in the block, 3000 in each one-seed call
+        self.assert_columns_match(IIDModel(LAWS[3], LAWS[0]), [1, 2], 3000)
+
+    def test_uniforms_reset_between_streams(self):
+        bitgen = np.random.Philox(key=0)
+        _uniforms(bitgen, 3, 0, 5)  # leaves three of four block words buffered
+        for seed, stream in ((2**63 + 9, 1), (3, 0)):
+            key = np.array([seed % 2**64, stream], dtype=np.uint64)
+            raw = np.random.Philox(key=key).random_raw(11)
+            fresh = ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+            assert np.array_equal(bits(_uniforms(bitgen, seed, stream, 11)), bits(fresh))
+
+    # the smallest and the largest uniform the u52 mapping produces, and the
+    # first cumulative probability of LAWS[3], where the branch test is a tie
+    EDGES = (2.0**-53, 0.4, 1.0 - 2.0**-53)
+
+    @staticmethod
+    def scalar_draw(law, u_first, u_second):
+        if isinstance(law, Exponential):
+            return -math.log1p(-u_first) / law.rate
+        if isinstance(law, Deterministic):
+            return law.value
+        if isinstance(law, Uniform):
+            return law.lo + u_first * (law.hi - law.lo)
+        for c, rate in zip(itertools.accumulate(law.probs), law.rates):
+            if u_first < c:
+                return -math.log1p(-u_second) / rate
+        return -math.log1p(-u_second) / law.rates[-1]
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+    def test_draw_batch_at_the_edge_uniforms(self, law):
+        pairs = list(itertools.product(self.EDGES, repeat=2))
+        cols = [np.array([p[c] for p in pairs]) for c in range(law.uniforms)]
+        got = law.draw_batch(cols, len(pairs))
+        want = np.array([self.scalar_draw(law, a, b) for a, b in pairs])
+        assert got.dtype == np.float64
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_length_validated(self):
+        with pytest.raises(ValueError):
+            generate_many(MM1, [1, 2], 0)
 
 
 class TestStatisticalFit:
