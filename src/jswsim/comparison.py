@@ -12,11 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, islice
+from operator import add
 from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import PremiseError
 from .orderings import prec_p, prec_star
-from .profiles import Profile, iter_profiles, pad, total_workload, zero_profile
+from .profiles import _CHUNK, Profile, iter_profiles, pad, total_workload, zero_profile
 from .processes import MarkSequence
 
 __all__ = [
@@ -93,39 +98,82 @@ def _corrupted(profile: Profile, reference_total: float) -> Profile:
     return profile[:-1] + (profile[-1] + bump,)
 
 
+def _next_block(profiles: Iterator[Profile], rows: int, servers: int) -> np.ndarray:
+    """The next ``rows`` profiles of a stream as the rows of an ``(rows, S)`` array."""
+    flat = np.fromiter(chain.from_iterable(islice(profiles, rows)), float, rows * servers)
+    return flat.reshape(rows, servers)
+
+
+def _tail_sums(rows: np.ndarray) -> np.ndarray:
+    """Column k of row t is the sum of the top k + 1 coordinates of row t,
+    added from the top down: the same float additions as :func:`prec_star`."""
+    return np.cumsum(rows[:, ::-1], axis=1)
+
+
 def _run_coupled(
     report: ComparisonReport,
-    first: tuple[Iterator[Profile], int],
-    second: tuple[Iterator[Profile], int],
+    marks: MarkSequence,
+    first: tuple[Profile, int],
+    second: tuple[Profile, int],
+    screen: Callable[[np.ndarray, np.ndarray], np.ndarray],
     check: Callable[[int, Profile, Profile], StepViolation | None],
     corrupt_step: int | None,
 ) -> ComparisonReport:
-    """Walk two profile streams of the same marks in lockstep and fill ``report``.
+    """Run two systems on the same marks in lockstep and fill ``report``.
 
-    ``first`` and ``second`` pair a profile stream with the allocation rank
-    that drives it. ``check`` sees the step, the first and the second
-    profile, and returns the first inequality that fails at that step, or
-    None. At ``corrupt_step`` it sees a corrupted copy of the first profile.
+    ``first`` and ``second`` pair a start profile with the allocation rank
+    that drives the system. ``check`` sees the step, the first and the
+    second profile, and returns the first inequality that fails at that
+    step, or None. At ``corrupt_step`` it sees a corrupted copy of the first
+    profile.
+
+    The profile streams are read in blocks of ``_CHUNK`` steps. ``screen``
+    maps a block's first and second profiles, as ``(n, S)`` arrays, to one
+    slack per row, and ``check`` can fail only on a row whose slack is not
+    ``>= 0`` (a NaN slack counts as failing). ``check`` runs, in step order,
+    on those rows, on the block's smallest-slack row and at
+    ``corrupt_step``, so every violation is the one a check at every step
+    records.
+
     A system's mean offered wait is coordinate ``rank`` of the profiles its
     arrivals saw (all but the last), added in step order from the
     uncorrupted profiles and divided by the number of arrivals, the same
     float ``simulate`` reports.
     """
-    (profiles_a, rank_a), (profiles_b, rank_b) = first, second
-    sum_first = sum_second = wait_a = wait_b = 0.0
-    for step, (a, b) in enumerate(zip(profiles_a, profiles_b)):
-        # the arrival after the previous step saw its profiles
-        sum_first += wait_a
-        sum_second += wait_b
-        checked = a if step != corrupt_step else _corrupted(a, total_workload(b))
-        violation = check(step, checked, b)
-        if violation is not None:
-            report.violations.append(violation)
-        wait_a = a[rank_a - 1]
-        wait_b = b[rank_b - 1]
-    report.steps_checked = step + 1  # the last step is the number of arrivals
-    report.mean_offered_wait = (sum_first / step, sum_second / step)
-    report.final_profiles = (a, b)
+    steps = len(marks.sigma) + 1
+    if steps == 1:
+        raise ValueError("a coupled comparison needs at least one arrival, got no marks")
+    (start_a, rank_a), (start_b, rank_b) = first, second
+    profiles_a = iter_profiles(start_a, marks, rank_a)
+    profiles_b = iter_profiles(start_b, marks, rank_b)
+    sum_a = sum_b = wait_a = wait_b = 0.0
+    for base in range(0, steps, _CHUNK):
+        rows = min(_CHUNK, steps - base)
+        block_a = _next_block(profiles_a, rows, len(start_a))
+        block_b = _next_block(profiles_b, rows, len(start_b))
+        slack = screen(block_a, block_b)
+        confirm = set(np.flatnonzero(~(slack >= 0.0)).tolist())
+        confirm.add(int(slack.argmin()))
+        if corrupt_step is not None and 0 <= corrupt_step - base < rows:
+            confirm.add(corrupt_step - base)
+        for i in sorted(confirm):
+            # tolist gives back the very floats the stream produced
+            a, b = tuple(block_a[i].tolist()), tuple(block_b[i].tolist())
+            step = base + i
+            checked = a if step != corrupt_step else _corrupted(a, total_workload(b))
+            violation = check(step, checked, b)
+            if violation is not None:
+                report.violations.append(violation)
+        # A profile's wait is added once the next profile shows that an
+        # arrival saw it: the pending wait first, then the block's in order.
+        sum_a = reduce(add, block_a[:-1, rank_a - 1].tolist(), sum_a + wait_a)
+        sum_b = reduce(add, block_b[:-1, rank_b - 1].tolist(), sum_b + wait_b)
+        last_a, last_b = block_a[-1].tolist(), block_b[-1].tolist()
+        wait_a, wait_b = last_a[rank_a - 1], last_b[rank_b - 1]
+    arrivals = steps - 1
+    report.steps_checked = steps
+    report.mean_offered_wait = (sum_a / arrivals, sum_b / arrivals)
+    report.final_profiles = (tuple(last_a), tuple(last_b))
     return report
 
 
@@ -155,6 +203,33 @@ def compare_server_counts(
             f"need 1 <= servers_small <= servers_big, got {servers_small}, {servers_big}"
         )
     shift = servers_big - servers_small
+    # Bounds the gap between the screen's naive totals and the fsum totals
+    # of check: each of the servers_big + servers_small - 2 additions of the
+    # naive sums, the two fsum roundings, the addition of sum_slack in check
+    # and the screen's own three operations err by at most 2**-53 of
+    # (total_big + total_small + |sum_slack|); the margin allows twice that.
+    margin = (servers_big + servers_small + 4) * 2.0**-52
+
+    def screen(big: np.ndarray, small: np.ndarray) -> np.ndarray:
+        # Per row, the least rhs - lhs over the inequalities of check. A
+        # float difference has the sign of the exact one, so the coordinate
+        # and tail-sum slacks are negative exactly when check fails them;
+        # the total slack is negative whenever the fsum totals might fail.
+        tail_big, tail_small = _tail_sums(big), _tail_sums(small)
+        total_big, total_small = tail_big[:, -1], tail_small[:, -1]
+        # Past servers_small the padded small tail stays at its total while
+        # the big tail only grows, so the least of those slacks is the one
+        # of the full sums, which the total slack bounds from below.
+        slack = ((total_small + sum_slack) - total_big) - margin * (
+            total_big + total_small + abs(sum_slack)
+        )
+        # The rest works in tail_small, so a block makes no other (n, S)
+        # array; total_small, a view of it, is used up.
+        tail_small += sum_slack
+        tail_small -= tail_big[:, :servers_small]
+        np.minimum(slack, tail_small.min(axis=1), out=slack)
+        np.subtract(small, big[:, shift:], out=tail_small)
+        return np.minimum(slack, tail_small.min(axis=1), out=slack)
 
     def check(step: int, big: Profile, small: Profile) -> StepViolation | None:
         for j, bound in enumerate(small):
@@ -173,8 +248,10 @@ def compare_server_counts(
     report = ComparisonReport(systems=(f"S{servers_big}", f"S{servers_small}"))
     return _run_coupled(
         report,
-        (iter_profiles(zero_profile(servers_big), marks, 1), 1),
-        (iter_profiles(zero_profile(servers_small), marks, 1), 1),
+        marks,
+        (zero_profile(servers_big), 1),
+        (zero_profile(servers_small), 1),
+        screen,
         check,
         corrupt_step,
     )
@@ -192,8 +269,10 @@ def compare_allocation_ranks(
     """Check that shortest-workload allocation stays rank-ordered below
     rank allocation, pathwise, from rank-ordered starts.
 
-    The premise requires ``start`` rank-ordered below ``start_alt``; it is an
-    error to call with starts that violate it. Both systems consume the same
+    ``start`` and ``start_alt`` are nondecreasing profiles of finite
+    nonnegative floats, one entry per server. The premise requires ``start``
+    rank-ordered below ``start_alt``; it is an error to call with starts
+    that violate it. Both systems consume the same
     marks: the first from ``start`` joining the least-loaded queue, the
     second from ``start_alt`` joining the rank-th least-loaded queue. The
     rank ordering is re-checked after every arrival with tolerance ``tol``
@@ -201,16 +280,21 @@ def compare_allocation_ranks(
     ``corrupt_step`` corrupts the checked copy of the first profile at one
     step, as in :func:`compare_server_counts`.
     """
-    start = tuple(float(x) for x in start)
-    start_alt = tuple(float(x) for x in start_alt)
-    if len(start) != servers or len(start_alt) != servers:
-        raise ValueError("starting profiles must have one entry per server")
+    start = SystemConfig(servers, 1, start).start_profile()
+    start_alt = SystemConfig(servers, rank, start_alt).start_profile()
     premise = prec_p(start, start_alt, rank, tol)
     if not premise:
         v = premise.first_violation
         raise PremiseError(
             f"starts are not rank-ordered: {v.clause}[{v.index}] has {v.lhs!r} > {v.rhs!r}"
         )
+
+    def screen(shortest: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+        # per row, the least rhs - lhs over the clauses of prec_p; negative
+        # exactly when check fails, as in compare_server_counts
+        coordinates = ((ranked[:, rank - 1 :] + tol) - shortest[:, rank - 1 :]).min(axis=1)
+        tails = ((_tail_sums(ranked) + tol) - _tail_sums(shortest)).min(axis=1)
+        return np.minimum(coordinates, tails)
 
     def check(step: int, shortest: Profile, ranked: Profile) -> StepViolation | None:
         verdict = prec_p(shortest, ranked, rank, tol)
@@ -222,8 +306,10 @@ def compare_allocation_ranks(
     report = ComparisonReport(systems=(f"S{servers}P1", f"S{servers}P{rank}"))
     return _run_coupled(
         report,
-        (iter_profiles(start, marks, 1), 1),
-        (iter_profiles(start_alt, marks, rank), rank),
+        marks,
+        (start, 1),
+        (start_alt, rank),
+        screen,
         check,
         corrupt_step,
     )

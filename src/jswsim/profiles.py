@@ -18,6 +18,7 @@ system; every forward, backward and coupled run goes through it.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -82,22 +83,48 @@ def zero_profile(servers: int) -> Profile:
     return (0.0,) * servers
 
 
+def _require_profile(u: Profile) -> None:
+    """Reject a profile that is empty, not finite, negative or not nondecreasing."""
+    if not u:
+        raise ValueError("a workload profile needs at least one server")
+    prev = 0.0
+    for x in u:
+        # false for nan, inf, a negative first entry and a decrease
+        if not prev <= x < math.inf:
+            raise ValueError(
+                f"a profile must be finite, nonnegative and nondecreasing, got {tuple(u)!r}"
+            )
+        prev = x
+
+
+def _require_rank(u: Profile, rank: int) -> None:
+    if not 1 <= rank <= len(u):
+        raise ValueError(f"allocation rank {rank} outside [1, {len(u)}]")
+
+
+def _step(u: Profile, sigma: float, xi: float, rank: int) -> Profile:
+    # u is nondecreasing, so moving coordinate rank to its place after adding
+    # sigma sorts the vector; x -> max(x - xi, 0) is monotone and keeps it
+    # sorted. Each coordinate gets the same operations as in the formula
+    # "add sigma at rank, subtract xi from all, clamp, sort", so the result
+    # is the same floats; x > xi is x - xi > 0 for finite floats.
+    w = list(u)
+    insort(w, w.pop(rank - 1) + sigma)
+    return tuple([x - xi if x > xi else 0.0 for x in w])
+
+
 def pth_step(u: Profile, mark: Mark, rank: int) -> Profile:
     """Advance one arrival that joins the queue with the rank-th least workload.
 
-    The service requirement is added at coordinate ``rank``, every queue is
-    aged by the inter-arrival gap, negative residuals are clamped to zero
-    and the result is re-sorted.
+    ``u`` must be a nondecreasing profile of finite nonnegative floats. The
+    service requirement is added at coordinate ``rank``, every queue is aged
+    by the inter-arrival gap, negative residuals are clamped to zero and the
+    result is sorted.
     """
-    servers = len(u)
-    if servers == 0:
-        raise ValueError("a workload profile needs at least one server")
-    if not 1 <= rank <= servers:
-        raise ValueError(f"allocation rank {rank} outside [1, {servers}]")
+    _require_profile(u)
+    _require_rank(u, rank)
     sigma, xi = mark
-    vals = [x - xi for x in u]
-    vals[rank - 1] = (u[rank - 1] + sigma) - xi
-    return tuple(sorted(0.0 if v <= 0.0 else v for v in vals))
+    return _step(u, sigma, xi, rank)
 
 
 # Marks converted to Python floats at a time by iter_profiles.
@@ -107,16 +134,22 @@ _CHUNK = 4096
 def iter_profiles(start: Profile, marks, rank: int) -> Iterator[Profile]:
     """Yield ``start``, then the profile after each arrival of ``marks``.
 
-    ``marks`` is any object with equal-length ``sigma`` and ``xi`` arrays,
-    listed in arrival order; every arrival joins the queue with the rank-th
-    least workload.
+    ``start`` must be a nondecreasing profile of finite nonnegative floats;
+    it is checked, with ``rank``, when this function is called. ``marks`` is
+    any object with equal-length ``sigma`` and ``xi`` arrays, listed in
+    arrival order; every arrival joins the queue with the rank-th least
+    workload.
     """
-    state = start
+    _require_profile(start)
+    _require_rank(start, rank)
+    return _iter_steps(start, marks.sigma, marks.xi, rank)
+
+
+def _iter_steps(state: Profile, sigma, xi, rank: int) -> Iterator[Profile]:
     yield state
-    sigma, xi = marks.sigma, marks.xi
     for lo in range(0, len(sigma), _CHUNK):
-        for mark in zip(sigma[lo : lo + _CHUNK].tolist(), xi[lo : lo + _CHUNK].tolist()):
-            state = pth_step(state, mark, rank)
+        for s, x in zip(sigma[lo : lo + _CHUNK].tolist(), xi[lo : lo + _CHUNK].tolist()):
+            state = _step(state, s, x, rank)
             yield state
 
 

@@ -1,16 +1,25 @@
 """Coupled-path dominance checks and the FCFS oracle."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jswsim.comparison import (
+    DEFAULT_SUM_SLACK,
+    ComparisonReport,
+    StepViolation,
     SystemConfig,
     compare_allocation_ranks,
     compare_server_counts,
     fcfs_waiting_times,
 )
 from jswsim.errors import PremiseError
-from jswsim.processes import Deterministic, Exponential, IIDModel, Uniform, generate
-from jswsim.profiles import total_workload
+from jswsim.orderings import prec, prec_p, prec_star
+from jswsim.processes import Exponential, IIDModel, MarkSequence, generate
+from jswsim.profiles import iter_profiles, pad, total_workload, zero_profile
 
 MM1 = IIDModel(Exponential(1.0), Exponential(0.5))
 
@@ -183,3 +192,289 @@ class TestMeanWaitMonotoneInServers:
         assert all(hi >= lo for hi, lo in zip(means, means[1:])), means
         assert means[0] > 0.5  # M/M/1 at half load really queues
         assert means[-1] < 1e-3  # five servers at that load nearly never do
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "start,start_alt",
+        [
+            ((2.0, 0.0, 1.0), (2.0, 0.0, 1.0)),  # unsorted, and premise-ordered
+            ((0.0, 0.0, 0.0), (2.0, 0.0, 1.0)),
+            ((-1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+            ((0.0, 0.0, 0.0), (0.0, 0.0, math.inf)),
+            ((0.0, 0.0, math.nan), (0.0, 0.0, 1.0)),
+        ],
+    )
+    def test_bad_starts_rejected(self, start, start_alt):
+        marks = generate(MM1, 3, 10)
+        with pytest.raises(ValueError):
+            compare_allocation_ranks(3, 3, start, start_alt, marks)
+
+    def test_empty_mark_sequence_rejected(self):
+        marks = external_marks([], [])
+        with pytest.raises(ValueError, match="at least one arrival"):
+            compare_server_counts(2, 1, marks)
+        with pytest.raises(ValueError, match="at least one arrival"):
+            compare_allocation_ranks(2, 2, (0.0, 0.0), (0.0, 0.0), marks)
+
+
+# ----------------------------------------------------------------------------
+# The block screen against a scalar reference that checks every step.
+
+
+def external_marks(sigma, xi):
+    return MarkSequence(
+        sigma=np.array(sigma, dtype=float), xi=np.array(xi, dtype=float), seed=0, model=None
+    )
+
+
+def corrupted(profile, reference_total):
+    return profile[:-1] + (profile[-1] + 10.0 * (1.0 + abs(reference_total)),)
+
+
+def reference_run(systems, paths, ranks, check, corrupt_step):
+    """A ComparisonReport from checking every step of two profile paths."""
+    report = ComparisonReport(systems=systems)
+    for step, (a, b) in enumerate(zip(*paths)):
+        checked = a if step != corrupt_step else corrupted(a, math.fsum(b))
+        violation = check(step, checked, b)
+        if violation is not None:
+            report.violations.append(violation)
+    arrivals = len(paths[0]) - 1
+    waits = []
+    for path, rank in zip(paths, ranks):
+        total = 0.0
+        for profile in path[:-1]:
+            total += profile[rank - 1]
+        waits.append(total / arrivals)
+    report.steps_checked = arrivals + 1
+    report.mean_offered_wait = tuple(waits)
+    report.final_profiles = (paths[0][-1], paths[1][-1])
+    return report
+
+
+def reference_servers(big_n, small_n, marks, sum_slack=DEFAULT_SUM_SLACK, corrupt_step=None):
+    shift = big_n - small_n
+
+    def check(step, big, small):
+        for j in range(small_n):
+            if big[shift + j] > small[j]:
+                return StepViolation(f"coordinate[{j + 1}]", step, big[shift + j], small[j])
+        tb, ts = math.fsum(big), math.fsum(small)
+        if tb > ts + sum_slack:
+            return StepViolation("total", step, tb, ts)
+        star = prec_star(big, pad(small, big_n), sum_slack)
+        if not star:
+            v = star.first_violation
+            return StepViolation(f"tail_sum[{v.index}]", step, v.lhs, v.rhs)
+        return None
+
+    paths = [list(iter_profiles(zero_profile(n), marks, 1)) for n in (big_n, small_n)]
+    return reference_run((f"S{big_n}", f"S{small_n}"), paths, (1, 1), check, corrupt_step)
+
+
+def reference_allocation(servers, rank, start, start_alt, marks, tol=0.0, corrupt_step=None):
+    def check(step, shortest, ranked):
+        verdict = prec_p(shortest, ranked, rank, tol)
+        if verdict:
+            return None
+        v = verdict.first_violation
+        return StepViolation(f"{v.clause}[{v.index}]", step, v.lhs, v.rhs)
+
+    paths = [list(iter_profiles(start, marks, 1)), list(iter_profiles(start_alt, marks, rank))]
+    systems = (f"S{servers}P1", f"S{servers}P{rank}")
+    return reference_run(systems, paths, (1, rank), check, corrupt_step)
+
+
+def assert_same_report(actual, expected):
+    # repr tells -0.0 from 0.0 and prints every float exactly
+    for f in dataclasses.fields(ComparisonReport):
+        assert repr(getattr(actual, f.name)) == repr(getattr(expected, f.name)), f.name
+
+
+def servers_case(big_n, small_n, marks, **kw):
+    assert_same_report(
+        compare_server_counts(big_n, small_n, marks, **kw),
+        reference_servers(big_n, small_n, marks, **kw),
+    )
+
+
+def allocation_case(servers, rank, start, start_alt, marks, **kw):
+    assert_same_report(
+        compare_allocation_ranks(servers, rank, start, start_alt, marks, **kw),
+        reference_allocation(servers, rank, start, start_alt, marks, **kw),
+    )
+
+
+# Busy enough that every server of both systems works: naive and exactly
+# rounded totals then differ, and tail sums of different orders round apart.
+BUSY = IIDModel(Exponential(1.0), Exponential(2.2))
+
+
+# Horizons around the 4096-step block and corrupt steps at block edges and
+# at the last step (the step number equals the horizon).
+BLOCK_EDGES = [
+    (horizon, corrupt)
+    for horizon in (4095, 4096, 4097, 9000)
+    for corrupt in sorted({0, 4095, 4096, horizon} & set(range(horizon + 1))) + [None]
+]
+
+
+def nudged(value, ulps):
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+class TestScreenMatchesEveryStepCheck:
+    """compare_* screen each block of steps with array checks and re-check
+    only the flagged rows; their reports must equal a check at every step."""
+
+    @pytest.mark.parametrize("horizon,corrupt_step", BLOCK_EDGES)
+    def test_block_edges_servers(self, horizon, corrupt_step):
+        servers_case(3, 2, generate(MM1, 11, horizon), corrupt_step=corrupt_step)
+
+    @pytest.mark.parametrize("horizon,corrupt_step", BLOCK_EDGES)
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_block_edges_allocation(self, horizon, tol, corrupt_step):
+        allocation_case(
+            3, 3, (0.0, 2.0, 2.0), (1.0, 1.0, 3.0), generate(MM1, 12, horizon),
+            tol=tol, corrupt_step=corrupt_step,
+        )
+
+    @pytest.mark.parametrize("big_n,small_n", [(2, 1), (4, 3), (8, 4), (5, 5)])
+    @pytest.mark.parametrize("slack", [-1e-1, -1e-9, 0.0])
+    def test_many_violations_servers(self, big_n, small_n, slack):
+        # a negative slack makes the tail sum and total families fail often
+        servers_case(big_n, small_n, generate(BUSY, 5, 5000), sum_slack=slack)
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    @pytest.mark.parametrize("tol", [-1e-1, -1e-9])
+    def test_many_violations_allocation(self, rank, tol):
+        # the premise is checked with tol too, so the ranked start is higher
+        start, start_alt = (0.0, 0.5, 1.0, 1.0), (1.0, 1.5, 2.0, 2.0)
+        allocation_case(4, rank, start, start_alt, generate(BUSY, 6, 5000), tol=tol)
+
+    def test_totals_within_ulps_of_the_slack(self):
+        # sum_slack puts fsum(small) + sum_slack within 3 ulps of fsum(big)
+        # at rows where only the exactly rounded total fails: the tail sums,
+        # whose last one is the naive total, and the coordinates all hold
+        marks = generate(BUSY, 7, 2000)
+        path_big = list(iter_profiles(zero_profile(4), marks, 1))
+        path_small = list(iter_profiles(zero_profile(3), marks, 1))
+        slacks = []
+        for big, small in zip(path_big, path_small):
+            total_big, total_small = math.fsum(big), math.fsum(small)
+            for ulps in range(-3, 4):
+                slack = nudged(total_big, ulps) - total_small
+                if (
+                    total_big > total_small + slack
+                    and prec(big[1:], small)
+                    and prec_star(big, pad(small, 4), slack)
+                ):
+                    slacks.append(slack)
+        assert len(slacks) >= 5
+        for slack in slacks:
+            servers_case(4, 3, marks, sum_slack=slack)
+
+    def test_tail_sums_within_ulps_of_the_slack(self):
+        # sum_slack puts a tail sum of the padded small system plus sum_slack
+        # within 2 ulps of the big system's, at rows where the verdict
+        # depends on the order of addition: prec_star, which adds each tail
+        # from the top down, fails, and every tail added bottom-up holds
+        marks = generate(IIDModel(Exponential(1.0), Exponential(3.2)), 7, 1000)
+        path_big = list(iter_profiles(zero_profile(8), marks, 1))
+        path_small = list(iter_profiles(zero_profile(4), marks, 1))
+        slacks = []
+        for big, small in zip(path_big, path_small):
+            padded = pad(small, 8)
+            for k in range(1, 8):
+                top_down_big, top_down_small = sum(reversed(big[-k:])), sum(reversed(padded[-k:]))
+                for ulps in range(-2, 3):
+                    slack = nudged(top_down_big, ulps) - top_down_small
+                    if (
+                        not prec_star(big, padded, slack)
+                        and math.fsum(big) <= math.fsum(small) + slack
+                        and all(sum(big[-j:]) <= sum(padded[-j:]) + slack for j in range(1, 9))
+                    ):
+                        slacks.append(slack)
+        assert len(slacks) >= 5
+        for slack in slacks:
+            servers_case(8, 4, marks, sum_slack=slack)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        steps=st.integers(2, 30),
+        mode=st.sampled_from(["servers", "allocation"]),
+    )
+    def test_arbitrary_profile_streams(self, data, steps, mode):
+        # Streams of unrelated sorted profiles, as a faulty step kernel could
+        # give: every family fails somewhere, and often one family alone.
+        small = data.draw(st.integers(1, 5))
+        sizes = (small + data.draw(st.integers(0, 3)), small) if mode == "servers" else (small,) * 2
+        values = st.sampled_from([0.0, 0.5, 1.0, 1.0 / 3.0, 2.0])
+
+        def profile(n):
+            return tuple(sorted(data.draw(st.lists(values, min_size=n, max_size=n))))
+
+        paths = [[profile(n) for _ in range(steps)] for n in sizes]
+        # the harness, then the reference, each open the first stream first
+        calls = iter(paths * 2)
+
+        def fake_iter_profiles(start, marks, rank):
+            return iter(next(calls))
+
+        marks = external_marks([0.0] * (steps - 1), [0.0] * (steps - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("jswsim.comparison.iter_profiles", fake_iter_profiles)
+            mp.setitem(globals(), "iter_profiles", fake_iter_profiles)
+            if mode == "servers":
+                servers_case(*sizes, marks, sum_slack=data.draw(st.sampled_from([0.0, 1e-12])))
+            else:
+                servers = sizes[0]
+                rank = data.draw(st.integers(1, servers))
+                start, start_alt = (0.0,) * servers, (9.0,) * servers
+                allocation_case(servers, rank, start, start_alt, marks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.0 / 3.0, 2.5]),
+                st.sampled_from([0.0, 0.1, 0.25, 0.3, 1.0]),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        big_n=st.integers(1, 5),
+        extra=st.integers(0, 3),
+        slack=st.sampled_from([0.0, 1e-12, -1e-12, 1e-16, -0.05]),
+        corrupt=st.none() | st.integers(0, 60),
+    )
+    def test_random_traces_servers(self, pairs, big_n, extra, slack, corrupt):
+        marks = external_marks(*zip(*pairs))
+        servers_case(big_n + extra, big_n, marks, sum_slack=slack, corrupt_step=corrupt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.0 / 3.0, 2.5]),
+                st.sampled_from([0.0, 0.1, 0.25, 0.3, 1.0]),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        servers=st.integers(1, 5),
+        data=st.data(),
+        tol=st.sampled_from([0.0, 1e-12, -1e-12, -0.05]),
+        corrupt=st.none() | st.integers(0, 60),
+    )
+    def test_random_traces_allocation(self, pairs, servers, data, tol, corrupt):
+        rank = data.draw(st.integers(1, servers))
+        start = tuple(sorted(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                                 min_size=servers, max_size=servers))))
+        start_alt = tuple(x + 1.0 for x in start)
+        marks = external_marks(*zip(*pairs))
+        allocation_case(servers, rank, start, start_alt, marks, tol=tol, corrupt_step=corrupt)

@@ -69,6 +69,16 @@ CASES = {
         ["viol.csv", "traj.csv"],
         1,
     ),
+    # 9001 steps: the coupled run checks blocks of 4096 steps, and the
+    # corrupted step is the first of the second block.
+    "compare-servers-blocks": (
+        "[run]\nseeds = 1 2\nhorizon = 9000\n"
+        "[compare]\nmode = servers\nservers = 3\nservers_small = 2\n"
+        "corrupt_step = 4096\ntrajectories = traj.csv\n",
+        ["compare", "--out", "viol.csv"],
+        ["viol.csv", "traj.csv"],
+        1,
+    ),
     "compare-allocation": (
         "[run]\nseeds = 1 2\nhorizon = 200\n"
         "[compare]\nmode = allocation\nservers = 3\nrank = 3\n"
@@ -118,6 +128,12 @@ DIGESTS = {
         "stdout": "840351fc1491b3f7eeb519498949379bfe5b98dfa04ad71890f2300d0c487e95",
         "viol.csv": "3fcad5b2700af806e9a0670ff372d2d23eeb15eeb1e79cf8af4c979e2edc8bab",
         "traj.csv": "7f3abe600e2635bd5c04c68f9be1a372b774caae29c94462b393edea630e845b",
+    },
+    # recorded before the coupled run checked blocks of steps
+    "compare-servers-blocks": {
+        "stdout": "f5615dc159d0a7076d630128de43d69acc29be1cc50c40dfd6c305f4dc9b45c9",
+        "viol.csv": "3d03deb91be5ac399b523f75269fdd8d049874dbd53c5c69934d6807a399c86e",
+        "traj.csv": "f80783b179e9846a32b26851c8de3b04cfd24fc28aa68686b20887d34cdb5609",
     },
     "compare-allocation": {
         "stdout": "3f9884f0de5a9c879c7df56db1fa79b1ea99bfd97d7a0b270afb28bc529c4733",

@@ -150,6 +150,70 @@ def _bits(rows):
 tie_coords = st.sampled_from([-0.0, 0.0, 0.25, 1.0, 1.5, 3.0]) | coords
 
 
+def sort_formula_step(u, mark, rank):
+    """The step as first written: add sigma at rank, age all, clamp, sort."""
+    sigma, xi = mark
+    vals = [x - xi for x in u]
+    vals[rank - 1] = (u[rank - 1] + sigma) - xi
+    return tuple(sorted(0.0 if v <= 0.0 else v for v in vals))
+
+
+class TestInsertionStep:
+    """pth_step moves coordinate rank into place instead of sorting; the
+    floats must be those of the sort formula, bit for bit."""
+
+    @pytest.mark.parametrize("servers", range(1, 9))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_sort_formula(self, servers, data):
+        u = tuple(sorted(data.draw(st.lists(tie_coords, min_size=servers, max_size=servers))))
+        sigma = data.draw(st.sampled_from([0.0, 0.25, 1.0]) | marks.map(lambda m: m.sigma))
+        # xi equal to a coordinate, or to a coordinate plus sigma, clamps to exact zeros
+        xi = data.draw(
+            st.sampled_from(u)
+            | st.sampled_from([x + sigma for x in u])
+            | st.sampled_from([0.0, 0.25, 1e-3])
+            | marks.map(lambda m: m.xi)
+        )
+        for rank in range(1, servers + 1):
+            expected = sort_formula_step(u, (sigma, xi), rank)
+            assert _bits([pth_step(u, Mark(sigma, xi), rank)]) == _bits([expected]), rank
+
+    @pytest.mark.parametrize("servers,rank", [(1, 1), (3, 1), (3, 3), (8, 1), (8, 5)])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        start=st.lists(tie_coords, min_size=8, max_size=8),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.5]) | coords, st.sampled_from([0.0, 0.5]) | coords
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_iter_profiles_matches_sort_formula(self, servers, rank, start, steps):
+        u = tuple(sorted(start[:servers]))
+        expected = [u]
+        for mark in steps:
+            expected.append(sort_formula_step(expected[-1], mark, rank))
+        sigma, xi = (np.array(col) for col in zip(*steps))
+        got = list(iter_profiles(u, SimpleNamespace(sigma=sigma, xi=xi), rank))
+        assert _bits(got) == _bits(expected)
+
+    @pytest.mark.parametrize(
+        "bad", [(2.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (0.0, 1.0, math.inf), (0.0, math.nan, 1.0)]
+    )
+    def test_profile_must_be_sorted_finite_nonnegative(self, bad):
+        # an unsorted start once sent the arrival to the 2.0 queue
+        with pytest.raises(ValueError):
+            pth_step(bad, Mark(1.0, 0.0), 1)
+        with pytest.raises(ValueError):
+            iter_profiles(bad, SimpleNamespace(sigma=np.ones(2), xi=np.ones(2)), 1)
+
+    def test_signed_zeros_are_accepted(self):
+        assert _bits([pth_step((0.0, -0.0), Mark(0.0, 0.0), 2)]) == _bits([(0.0, 0.0)])
+
+
 class TestLockstep:
     """The (R, S) array kernel against pth_step, bit for bit."""
 
