@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import itertools
 import math
-import operator
 import os
 import stat
 import sys
@@ -45,7 +43,7 @@ from .errors import ConfigError, InputError, PremiseError, StabilityError
 from .loynes import estimate_stationary_many
 from .orderings import run_property_suite
 from .processes import RNG_ALGORITHM, generate, model_label
-from .profiles import iter_profiles, total_workload
+from .profiles import _CHUNK, iter_profiles
 
 __all__ = ["main"]
 
@@ -65,8 +63,9 @@ def _pool_map(fn, payloads, jobs):
         yield from map(fn, payloads)
         return
     # executor.map keeps submission order, so parallel output is
-    # identical to the sequential one.
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # identical to the sequential one. A forked pool starts all its workers
+    # at the first submit, so it gets no more than there are payloads.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         yield from pool.map(fn, payloads)
 
 
@@ -123,16 +122,19 @@ def _close_out(f, move, exc_type, exc, tb) -> None:
             os.unlink(tmp)
 
 
-def _csv_writer(stack: contextlib.ExitStack, path: str, columns, comments=()):
+def _open_csv(stack: contextlib.ExitStack, path: str, columns, comments=()):
     """Open ``path`` on ``stack``, write the ``# `` comment lines and the
-    column header, and return a CSV writer for the rows. The file is put in
-    place when ``stack`` unwinds (see :func:`_close_out`)."""
+    column header, and return the file for the rows. The file is put in
+    place when ``stack`` unwinds (see :func:`_close_out`).
+
+    Every row is its fields joined by "," and ended by a newline. No field
+    needs quoting: each one is a program-built int, label or float repr.
+    """
     f, move = _open_out(path)
     stack.push(functools.partial(_close_out, f, move))
     f.writelines(f"# {line}\n" for line in comments)
-    writer = csv.writer(f, lineterminator="\n")
-    writer.writerow(columns)
-    return writer
+    f.write(",".join(columns) + "\n")
+    return f
 
 
 def _provenance(title: str, cfg: ExperimentConfig) -> list[str]:
@@ -144,27 +146,46 @@ def _provenance(title: str, cfg: ExperimentConfig) -> list[str]:
 
 
 def _sim_one(payload):
-    model, seed, horizon, system = payload
-    marks = generate(model, seed, horizon)
-    rank = system.rank
-    profiles = list(iter_profiles(system.start_profile(), marks, rank))
-    # The arrival after step k waits profiles[k][rank - 1]. The waits are
+    """Step one seed; return it, its CSV rows as text blocks of ``_CHUNK``
+    rows (none unless ``write``), its mean offered wait and its final total
+    workload."""
+    model, seed, horizon, system, write = payload
+    r = system.rank - 1
+    steps = enumerate(iter_profiles(system.start_profile(), generate(model, seed, horizon), r + 1))
+    blocks = []
+    # The arrival after step k waits profile[r] of step k. The waits are
     # added one at a time in step order, so the mean is the same float on
-    # every Python version.
-    wait_sum = functools.reduce(operator.add, (p[rank - 1] for p in profiles[:-1]), 0.0)
-    return seed, profiles, wait_sum / horizon
+    # every Python version; step 0 adds 0.0 to 0.0.
+    wait_sum = wait = 0.0
+    wait_cell = ""  # step 0 precedes the first arrival
+    for _ in range(0, horizon + 1, _CHUNK):
+        rows = []
+        for step, profile in itertools.islice(steps, _CHUNK):
+            wait_sum += wait
+            wait = profile[r]
+            if write:
+                # the coordinates are Python floats, so repr is _fmt's
+                cells = list(map(repr, profile))
+                rows.append(
+                    f"{seed},{step},{','.join(cells)},{math.fsum(profile)!r},{wait_cell}\n"
+                )
+                wait_cell = cells[r]
+        if write:
+            blocks.append("".join(rows))
+    return seed, blocks, wait_sum / horizon, math.fsum(profile)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     system = cfg.system
-    payloads = [(cfg.model, s, cfg.horizon, system) for s in cfg.seeds]
-    # Each seed's rows are written as its result arrives; only the numbers
-    # of the summary lines outlive it.
+    write = cfg.out is not None
+    payloads = [(cfg.model, s, cfg.horizon, system, write) for s in cfg.seeds]
+    # Each seed's rows are formatted in its worker and written as its result
+    # arrives; only the numbers of the summary lines outlive it.
     summary = []
     with contextlib.ExitStack() as stack:
-        writer = None
-        if cfg.out is not None:
-            writer = _csv_writer(
+        out = None
+        if write:
+            out = _open_csv(
                 stack,
                 cfg.out,
                 ["seed", "step", *(f"w{i + 1}" for i in range(system.servers)), "total", "wait"],
@@ -174,21 +195,16 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                     f"seeds: {' '.join(str(s) for s in cfg.seeds)}",
                 ],
             )
-        for seed, profiles, mean_wait in _pool_map(_sim_one, payloads, cfg.jobs):
-            if writer is not None:
-                wait = ""  # step 0 precedes the first arrival
-                for step, profile in enumerate(profiles):
-                    writer.writerow(
-                        [seed, step, *map(_fmt, profile), _fmt(total_workload(profile)), wait]
-                    )
-                    wait = _fmt(profile[system.rank - 1])
-            summary.append((seed, mean_wait, total_workload(profiles[-1])))
+        for seed, blocks, mean_wait, final_total in _pool_map(_sim_one, payloads, cfg.jobs):
+            if out is not None:
+                out.writelines(blocks)
+            summary.append((seed, mean_wait, final_total))
     for seed, mean_wait, final_total in summary:
         print(
             f"seed {seed}: {cfg.horizon} arrivals, mean offered wait {mean_wait:.6g}, "
             f"final total workload {final_total:.6g}"
         )
-    if cfg.out is not None:
+    if write:
         print(f"wrote {cfg.out}")
     return EXIT_OK
 
@@ -220,9 +236,9 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
     waits = []
     all_converged = True
     with contextlib.ExitStack() as stack:
-        writer = None
+        out = None
         if keep:
-            writer = _csv_writer(
+            out = _open_csv(
                 stack,
                 settings.snapshots,
                 ["seed", "n", "coordinate", "value"],
@@ -237,10 +253,12 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
             lines.append(f"seed {seed}: n={res.steps_used} {state} increment={inc} profile={prof}")
             # the wait of an arrival routed to coordinate rank, as in simulate
             waits.append(res.profile[settings.rank - 1])
-            if writer is not None:
-                for n, profile in res.history:
-                    for j, value in enumerate(profile, start=1):
-                        writer.writerow([seed, n, j, _fmt(value)])
+            if out is not None:
+                out.writelines(
+                    f"{seed},{n},{j},{_fmt(value)}\n"
+                    for n, profile in res.history
+                    for j, value in enumerate(profile, start=1)
+                )
     for line in lines:
         print(line)
     print(f"mean offered wait over {len(waits)} seeds: {math.fsum(waits) / len(waits):.6g}")
@@ -284,7 +302,7 @@ def _compare_one(payload):
     return seed, report
 
 
-def _write_trajectories(writer, cfg: ExperimentConfig) -> int:
+def _write_trajectories(out, cfg: ExperimentConfig) -> int:
     """Replay both systems of every seed and write each profile coordinate
     as a step, system, coordinate, value row; return the row count."""
     rows = 0
@@ -293,8 +311,8 @@ def _write_trajectories(writer, cfg: ExperimentConfig) -> int:
         for system in cfg.compare.systems():
             label = f"seed{seed}:{system.label}"
             profiles = iter_profiles(system.start_profile(), marks, system.rank)
-            writer.writerows(
-                [step, label, i, _fmt(value)]
+            out.writelines(
+                f"{step},{label},{i},{_fmt(value)}\n"
                 for step, profile in enumerate(profiles)
                 for i, value in enumerate(profile, start=1)
             )
@@ -312,9 +330,9 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     with contextlib.ExitStack() as stack:
         violations = trajectories = None
         if cfg.out is not None:
-            violations = _csv_writer(stack, cfg.out, ["inequality", "step", "lhs", "rhs"])
+            violations = _open_csv(stack, cfg.out, ["inequality", "step", "lhs", "rhs"])
         if settings.trajectories is not None:
-            trajectories = _csv_writer(
+            trajectories = _open_csv(
                 stack, settings.trajectories, ["step", "system", "coordinate", "value"]
             )
         for seed, report in _pool_map(_compare_one, payloads, cfg.jobs):
@@ -331,8 +349,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                 print(f"  ... {len(report.violations) - 5} more")
             if violations is not None:
                 context = f"seed{seed}:{label_a}-vs-{label_b}"
-                violations.writerows(
-                    [f"{context}:{v.inequality}", v.step, _fmt(v.lhs), _fmt(v.rhs)]
+                violations.writelines(
+                    f"{context}:{v.inequality},{v.step},{_fmt(v.lhs)},{_fmt(v.rhs)}\n"
                     for v in report.violations
                 )
         if trajectories is not None:

@@ -54,7 +54,8 @@ __all__ = [
 RNG_ALGORITHM = "philox4x64/u52/inverse-cdf"
 
 _CRITICALITY_REL_TOL = 1e-12
-_LOG1P_CHUNK = 4096
+# Elements turned into Python objects at a time by _log1p and _markov_states.
+_CHUNK = 4096
 
 
 def _reset(bitgen: np.random.Philox, seed: int, stream: int) -> np.random.Philox:
@@ -99,8 +100,8 @@ def _log1p(x: np.ndarray) -> np.ndarray:
     are not bit-identical to it. ``x`` goes through Python floats a chunk at
     a time, so few of them are alive at once."""
     out = np.empty(x.size)
-    for start in range(0, x.size, _LOG1P_CHUNK):
-        part = x[start : start + _LOG1P_CHUNK].tolist()
+    for start in range(0, x.size, _CHUNK):
+        part = x[start : start + _CHUNK].tolist()
         out[start : start + len(part)] = np.fromiter(map(math.log1p, part), np.float64, len(part))
     return out
 
@@ -420,11 +421,30 @@ def _generate_iid(
     return draw(sigma_law, 0), draw(xi_law, sigma_law.uniforms)
 
 
-def _pick_state(cum: Sequence[float], u: float) -> int:
-    for j, c in enumerate(cum):
-        if u < c:
-            return j
-    return len(cum) - 1
+def _markov_states(
+    start: Sequence[float], rows: Sequence[Sequence[float]], u: np.ndarray
+) -> list[int]:
+    """The chain's state path picked by the uniforms ``u``.
+
+    State 0 is picked from the running sums ``start`` by ``u[0]``, state t
+    from ``rows[state t - 1]`` by ``u[t]``. A pick is the first j with
+    ``u < cum[j]``, or the last state when there is none. For each chunk of
+    ``u``, every row's picks come from one ``searchsorted`` and the path
+    walks those tables, so memory stays at (states, chunk) entries.
+    """
+    last = len(rows) - 1
+
+    def picks(cum, v):
+        return np.minimum(np.searchsorted(cum, v, side="right"), last)
+
+    state = int(picks(start, u[0]))
+    states = [state]
+    for lo in range(1, len(u), _CHUNK):
+        part = u[lo : lo + _CHUNK]
+        # tables[t][k] is the state after u[lo + t] when the state before is k
+        tables = zip(*(picks(cum, part).tolist() for cum in rows))
+        states += [state := nxt[state] for nxt in tables]
+    return states
 
 
 def _generate_markov(
@@ -433,13 +453,11 @@ def _generate_markov(
     """Write the marks of ``seed`` into ``sig`` and ``xis`` (equal lengths)."""
     length = len(sig)
     bitgen = np.random.Philox(key=0)
-    mod = _uniforms(bitgen, seed, 1, length).tolist()
-    cum_rows = [_cumulative(row) for row in model.transition]
-    state = _pick_state(_cumulative(model.stationary()), mod[0])
-    states = [state]
-    for t in range(1, length):
-        state = _pick_state(cum_rows[state], mod[t])
-        states.append(state)
+    states = _markov_states(
+        _cumulative(model.stationary()),
+        [_cumulative(row) for row in model.transition],
+        _uniforms(bitgen, seed, 1, length),
+    )
 
     # Mark t reads its state's sigma uniforms, then its xi uniforms, from
     # offset first[t] of stream 0. Each state's marks are drawn in one batch

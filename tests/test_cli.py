@@ -1,5 +1,8 @@
 """End-to-end command line behavior: exit codes, determinism, output files."""
 
+import csv
+import io
+import math
 import os
 import re
 import subprocess
@@ -318,6 +321,99 @@ class TestDeterminism:
         assert main(["simulate", "--seeds", "1..3", "--horizon", "5", "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+def reference_simulate_rows(cfg):
+    """The header and rows of ``simulate --out``, written by csv.writer with
+    every float as repr(float(x)), independently of the command's formatter."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    system = cfg.system
+    writer.writerow(["seed", "step", *(f"w{i + 1}" for i in range(system.servers)), "total", "wait"])
+    for seed in cfg.seeds:
+        marks = generate(cfg.model, seed, cfg.horizon)
+        wait = ""
+        for step, profile in enumerate(iter_profiles(system.start_profile(), marks, system.rank)):
+            fields = [repr(float(x)) for x in profile]
+            writer.writerow([seed, step, *fields, repr(float(math.fsum(profile))), wait])
+            wait = repr(float(profile[system.rank - 1]))
+    return buf.getvalue()
+
+
+class TestSimulateRows:
+    """simulate formats its rows as text blocks of 4096; these compare them
+    byte for byte with a csv.writer reference, around the block boundary."""
+
+    def assert_rows_match(self, tmp_path, capsys, text, argv=()):
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(text)
+        out = tmp_path / "sim.csv"
+        code, _, _ = run(["simulate", "--config", str(cfg_path), "--out", str(out), *argv], capsys)
+        assert code == 0
+        raw = out.read_text()
+        rows = "".join(raw.splitlines(keepends=True)[5:])  # past the comment lines
+        assert rows == reference_simulate_rows(load_config(str(cfg_path)))
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("servers", range(1, 9))
+    def test_every_rank_around_the_block_boundary(self, servers, tmp_path, capsys):
+        for rank in range(1, servers + 1):
+            for horizon in (4095, 4096, 4097):
+                self.assert_rows_match(
+                    tmp_path,
+                    capsys,
+                    "[model]\nsigma = exponential(1.0)\nxi = exponential(0.9)\n"
+                    f"[run]\nseeds = {rank}\nhorizon = {horizon}\n"
+                    f"[system]\nservers = {servers}\nrank = {rank}\n",
+                )
+
+    def test_exponent_notation_initial_profile(self, tmp_path, capsys):
+        for rank in (1, 2, 3):
+            raw = self.assert_rows_match(
+                tmp_path,
+                capsys,
+                "[run]\nseeds = 3 1\nhorizon = 4097\n"
+                f"[system]\nservers = 3\nrank = {rank}\ninitial = 0 1e-05 2.5e+16\n",
+            )
+            assert b"\n3,0,0.0,1e-05,2.5e+16,2.5e+16,\n" in raw
+
+    def test_jobs_give_the_same_bytes(self, tmp_path, capsys):
+        text = "[run]\nseeds = 1..3\nhorizon = 4097\n[system]\nservers = 2\nrank = 2\n"
+        one = self.assert_rows_match(tmp_path, capsys, text, ["--jobs", "1"])
+        two = self.assert_rows_match(tmp_path, capsys, text, ["--jobs", "2"])
+        assert one == two
+
+    def test_stdout_does_not_depend_on_out(self, tmp_path, capsys):
+        argv = ["simulate", "--seeds", "1 2", "--horizon", "4097"]
+        _, without, _ = run(argv, capsys)
+        out = tmp_path / "sim.csv"
+        _, with_out, _ = run(argv + ["--out", str(out)], capsys)
+        assert with_out == without + f"wrote {out}\n"
+
+
+def test_pool_has_no_more_workers_than_payloads(capsys, monkeypatch):
+    workers = []
+
+    class RecordingPool:
+        """Runs in process and records the pool size it was asked for."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert list(cli._pool_map(abs, [-1, -2, -3], 2)) == [1, 2, 3]
+    code, out, _ = run(["simulate", "--seeds", "1 2", "--horizon", "5", "--jobs", "64"], capsys)
+    assert code == 0 and out.count("seed ") == 2
+    assert workers == [2, 2]
 
 
 class TestOutputs:

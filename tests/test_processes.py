@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from jswsim.errors import ConfigError, InputError
 from jswsim.processes import (
@@ -19,6 +20,7 @@ from jswsim.processes import (
     StabilityVerdict,
     TraceModel,
     Uniform,
+    _markov_states,
     _uniforms,
     generate,
     generate_many,
@@ -338,6 +340,59 @@ class TestMarkovModulation:
         marks = generate(TWO_STATE, 31, 200_000)
         # state 2 doubles the mean service; the blend shows in the average
         assert abs(marks.sigma.mean() - mean_sigma(TWO_STATE)) < 0.02
+
+
+def pick_state(cum, u):
+    """The scalar pick: the first j with u < cum[j], else the last state."""
+    for j, c in enumerate(cum):
+        if u < c:
+            return j
+    return len(cum) - 1
+
+
+def scalar_states(start, rows, u):
+    """State path with one scalar pick per uniform, the reference for _markov_states."""
+    state = pick_state(start, u[0])
+    states = [state]
+    for x in u[1:]:
+        state = pick_state(rows[state], x)
+        states.append(state)
+    return states
+
+
+# Transition entries: exact zeros, values whose running sums tie, arbitrary
+# floats. Rows are not normalised, so running sums may end below 1.
+ENTRY = st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.25, 0.5]), st.floats(0.0, 1.0))
+
+
+class TestMarkovStatePath:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda k: st.lists(st.lists(ENTRY, min_size=k, max_size=k), min_size=k + 1, max_size=k + 1)
+        ),
+        st.sampled_from([1, 2, 3, 100, 4095, 4096, 4097, 4098, 8193]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_picks(self, probs, length, seed):
+        cums = [tuple(itertools.accumulate(p)) for p in probs]
+        start, rows = cums[0], cums[1:]
+        rng = np.random.default_rng(seed)
+        u = rng.random(length)
+        # a third of the uniforms hit a running sum exactly or lie past them all
+        edges = np.array(sorted({c for cum in cums for c in cum} | {max(cums[0][-1], 1.0)}))
+        at = rng.random(length) < 1 / 3
+        u[at] = rng.choice(edges, int(at.sum()))
+        assert _markov_states(start, rows, u) == scalar_states(start, rows, u.tolist())
+
+    def test_zero_entries_and_short_rows(self):
+        # Row 0 never stays (a zero entry). Row 1 never moves to state 1 and
+        # sums to 0.75, so u = 0.75 falls past it and picks the last state.
+        rows = [(0.0, 1.0, 1.0), (0.5, 0.5, 0.75), (0.0, 0.0, 1.0)]
+        u = np.array([0.3, 0.2, 0.9, 0.1, 0.5, 0.75, 0.999])
+        expected = [1, 0, 1, 0, 1, 2, 2]
+        assert _markov_states((0.25, 0.5, 1.0), rows, u) == expected
+        assert scalar_states((0.25, 0.5, 1.0), rows, u.tolist()) == expected
 
 
 class TestTraces:
