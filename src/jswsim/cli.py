@@ -228,7 +228,8 @@ def _loynes_block(payload):
 
 def cmd_loynes(cfg: ExperimentConfig) -> int:
     settings = cfg.loynes
-    keep = settings.snapshots is not None
+    snapshots = cfg.out if cfg.out is not None else settings.snapshots
+    keep = snapshots is not None
     # One lockstep estimation per worker, over a contiguous block of seeds.
     blocks = _blocks(cfg.seeds, min(cfg.jobs, len(cfg.seeds)))
     payloads = [(cfg.model, block, settings, keep) for block in blocks]
@@ -240,7 +241,7 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
         if keep:
             out = _open_csv(
                 stack,
-                settings.snapshots,
+                snapshots,
                 ["seed", "n", "coordinate", "value"],
                 _provenance("loynes snapshots", cfg),
             )
@@ -263,7 +264,7 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
         print(line)
     print(f"mean offered wait over {len(waits)} seeds: {math.fsum(waits) / len(waits):.6g}")
     if keep:
-        print(f"wrote {settings.snapshots}")
+        print(f"wrote {snapshots}")
     if not all_converged:
         print(
             f"tolerance {settings.tolerance:g} not reached by n={settings.max_n}; "
@@ -458,8 +459,6 @@ def _configure(args: argparse.Namespace) -> ExperimentConfig:
         if args.instances is not None:
             props = replace(props, instances=args.instances)
         cfg = replace(cfg, properties=props)
-    if args.func is cmd_loynes and getattr(args, "out", None) is not None:
-        cfg = replace(cfg, loynes=replace(cfg.loynes, snapshots=args.out))
     return cfg
 
 

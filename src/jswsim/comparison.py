@@ -10,7 +10,6 @@ the recursion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, islice
@@ -20,8 +19,17 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import PremiseError
-from .orderings import prec_p, prec_star
-from .profiles import _CHUNK, Profile, iter_profiles, pad, total_workload, zero_profile
+from .orderings import _require_tolerance, prec_p, prec_star
+from .profiles import (
+    _CHUNK,
+    Profile,
+    _require_profile,
+    _require_rank,
+    iter_profiles,
+    pad,
+    total_workload,
+    zero_profile,
+)
 from .processes import MarkSequence
 
 __all__ = [
@@ -45,21 +53,16 @@ class SystemConfig:
     initial: Profile | None = None
 
     def __post_init__(self) -> None:
-        if self.servers < 1:
-            raise ValueError(f"servers must be >= 1, got {self.servers}")
-        if not 1 <= self.rank <= self.servers:
-            raise ValueError(f"allocation rank {self.rank} outside [1, {self.servers}]")
         if self.initial is not None:
             start = tuple(float(x) for x in self.initial)
             if len(start) != self.servers:
                 raise ValueError(
                     f"initial profile has {len(start)} entries, expected {self.servers}"
                 )
-            if any(not math.isfinite(x) or x < 0.0 for x in start):
-                raise ValueError("initial profile entries must be finite and >= 0")
-            if any(a > b for a, b in zip(start, start[1:])):
-                raise ValueError("initial profile must be nondecreasing")
             object.__setattr__(self, "initial", start)
+        start = self.start_profile()
+        _require_profile(start, "initial profile")
+        _require_rank(start, self.rank)
 
     @property
     def label(self) -> str:
@@ -177,6 +180,13 @@ def _run_coupled(
     return report
 
 
+def _require_server_counts(servers_big: int, servers_small: int) -> None:
+    if not 1 <= servers_small <= servers_big:
+        raise ValueError(
+            f"need 1 <= servers_small <= servers_big, got {servers_small}, {servers_big}"
+        )
+
+
 def compare_server_counts(
     servers_big: int,
     servers_small: int,
@@ -198,10 +208,8 @@ def compare_server_counts(
     the big profile at one step; it exists so tests can prove the harness
     reports violations.
     """
-    if not 1 <= servers_small <= servers_big:
-        raise ValueError(
-            f"need 1 <= servers_small <= servers_big, got {servers_small}, {servers_big}"
-        )
+    _require_server_counts(servers_big, servers_small)
+    _require_tolerance(sum_slack, "sum_slack")
     shift = servers_big - servers_small
     # Bounds the gap between the screen's naive totals and the fsum totals
     # of check: each of the servers_big + servers_small - 2 additions of the
@@ -325,9 +333,7 @@ def fcfs_waiting_times(marks: MarkSequence, servers: int) -> list[float]:
     equals the least coordinate of the profile recursion's k-th profile,
     up to the rounding drift of absolute epochs.
     """
-    if servers < 1:
-        raise ValueError(f"servers must be >= 1, got {servers}")
-    free = [0.0] * servers
+    free = list(zero_profile(servers))
     now = 0.0
     waits: list[float] = []
     for s_, x_ in zip(marks.sigma.tolist(), marks.xi.tolist()):

@@ -18,13 +18,15 @@ Seed lists accept integers and inclusive ranges: ``seeds = 1 2 10..20``.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .comparison import DEFAULT_SUM_SLACK, SystemConfig
+from .comparison import DEFAULT_SUM_SLACK, SystemConfig, _require_server_counts
 from .errors import ConfigError
-from .orderings import suite_names
+from .loynes import _require_loynes_settings
+from .orderings import _require_suite_settings, _require_tolerance, suite_names
 from .processes import (
     Deterministic,
     Exponential,
@@ -60,8 +62,17 @@ def _require(ok: bool, where: str, message: str) -> None:
         raise ConfigError(f"{where}: {message}")
 
 
-# Each settings block validates itself on construction, so a value set by a
-# command line flag through dataclasses.replace is checked like a file value.
+@contextlib.contextmanager
+def _section(name: str) -> typing.Iterator[None]:
+    """Report a ValueError as a ConfigError naming the section ``[name]``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"[{name}]: {exc}") from exc
+
+
+# Each settings block validates itself on construction with the checks of the functions it
+# configures, so a flag set through dataclasses.replace is checked like a file value.
 
 
 @dataclass(frozen=True)
@@ -74,19 +85,10 @@ class LoynesSettings:
     snapshots: str | None = None
 
     def __post_init__(self) -> None:
-        _require(self.servers >= 1, "[loynes] servers", f"must be >= 1, got {self.servers}")
-        _require(
-            1 <= self.rank <= self.servers,
-            "[loynes] rank",
-            f"allocation rank {self.rank} outside [1, {self.servers}]",
-        )
-        _require(self.tolerance > 0.0, "[loynes] tolerance", f"must be > 0, got {self.tolerance!r}")
-        _require(self.window >= 1, "[loynes] window", f"must be >= 1, got {self.window}")
-        _require(
-            self.max_n >= self.window,
-            "[loynes] max_n",
-            f"{self.max_n} is smaller than window {self.window}",
-        )
+        with _section("loynes"):
+            _require_loynes_settings(
+                self.servers, self.rank, self.tolerance, self.window, self.max_n
+            )
 
 
 @dataclass(frozen=True)
@@ -103,21 +105,14 @@ class CompareSettings:
     trajectories: str | None = None
 
     def __post_init__(self) -> None:
-        _require(
-            self.mode in ("servers", "allocation"),
-            "[compare] mode",
-            f"unknown mode {self.mode!r}",
-        )
-        if self.mode == "servers":
-            _require(
-                self.servers_small <= self.servers,
-                "[compare] servers_small",
-                f"{self.servers_small} exceeds servers = {self.servers}",
-            )
-        try:
+        with _section("compare"):
+            if self.mode not in ("servers", "allocation"):
+                raise ValueError(f"unknown mode {self.mode!r}")
             self.systems()
-        except ValueError as exc:
-            raise ConfigError(f"[compare]: {exc}") from exc
+            if self.mode == "servers":
+                _require_server_counts(self.servers, self.servers_small)
+            _require_tolerance(self.sum_slack, "sum_slack")
+            _require_tolerance(self.tolerance, "tolerance")
 
     def systems(self) -> tuple[SystemConfig, SystemConfig]:
         """The two coupled systems; the first is checked below the second."""
@@ -138,14 +133,8 @@ class PropertySettings:
     tolerance: float = 0.0
 
     def __post_init__(self) -> None:
-        known = suite_names()
-        for name in self.suites:
-            _require(
-                name in known, "[properties] suites", f"unknown suite {name!r}, choose from {known}"
-            )
-        for key in ("instances", "max_dim"):
-            value = getattr(self, key)
-            _require(value >= 1, f"[properties] {key}", f"must be >= 1, got {value}")
+        with _section("properties"):
+            _require_suite_settings(self.suites, self.instances, self.max_dim, self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -188,7 +177,7 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
   seeds         integers and inclusive ranges: 1 2 10..20 (1)
   horizon       customers per run, >= 1 (1000)
   jobs          seed-level worker processes (1)
-  out           CSV output path (none)
+  out           CSV output path; for loynes it wins over [loynes] snapshots (none)
 
 [system]                          used by: simulate
   servers       number of queues (2)
@@ -198,7 +187,7 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
 [loynes]                          used by: loynes
   servers       number of queues (2)
   rank          allocation rank (1)
-  tolerance     sup-norm doubling increment declaring convergence (1e-6)
+  tolerance     sup-norm doubling increment declaring convergence, > 0 (1e-6)
   window        first evaluation point (64)
   max_n         largest evaluation point (4194304)
   snapshots     CSV path for per-doubling profiles (none)
@@ -210,8 +199,8 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
   rank          allocation rank, allocation mode (2)
   start         shortest-workload start, allocation mode (zeros)
   start_alt     ranked start, allocation mode (zeros)
-  sum_slack     slack for workload-sum inequalities (1e-12)
-  tolerance     per-step tolerance, allocation mode (0)
+  sum_slack     slack for workload-sum inequalities, finite, < 0 tightens (1e-12)
+  tolerance     per-step tolerance, allocation mode, finite, < 0 tightens (0)
   corrupt_step  self-test hook: corrupt one checked step, either mode (none)
   trajectories  CSV path for coupled trajectories (none)
 
@@ -220,7 +209,7 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
   instances     instances per suite (10000)
   max_dim       profile lengths cycle over 1..max_dim (8)
   seed          sampler seed (1)
-  tolerance     comparison tolerance (0)
+  tolerance     comparison tolerance, finite, < 0 tightens (0)
 """.format(suites=" ".join(suite_names()))
 
 _LAW_NAMES = ("exponential", "deterministic", "uniform", "hyperexponential")
@@ -428,10 +417,8 @@ def load_config(
         if name == "run":
             changes.update(parsed)
             continue
-        try:
+        with _section(name):
             changes[name] = replace(getattr(default, name), **parsed)
-        except ValueError as exc:
-            raise ConfigError(f"[{name}]: {exc}") from exc
     if seeds is not None:
         changes["seeds"] = parse_seeds(seeds, "--seeds")
     flags = {"horizon": horizon, "jobs": jobs, "out": out}

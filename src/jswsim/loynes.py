@@ -27,6 +27,7 @@ from .errors import StabilityError
 # the benchmark's tracer test (bench/test_smoke.py) looks it up here.
 from .profiles import (  # noqa: F401
     Profile,
+    _require_rank,
     iter_profiles,
     lockstep_profiles,
     pth_step,
@@ -113,6 +114,20 @@ def estimate_stationary(
     )[0]
 
 
+def _require_loynes_settings(
+    servers: int, rank: int, tolerance: float, window: int, max_n: int
+) -> None:
+    """The input rules of :func:`estimate_stationary_many`."""
+    _require_rank(zero_profile(servers), rank)
+    # false for NaN too
+    if not tolerance > 0.0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if max_n < window:
+        raise ValueError(f"max_n {max_n} is smaller than window {window}")
+
+
 def estimate_stationary_many(
     model: InputModel,
     seeds: Sequence[int],
@@ -139,14 +154,7 @@ def estimate_stationary_many(
     :func:`_replay`), and each seed stops on its own increment, so every
     result equals the one this function gives for that seed alone.
     """
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if max_n < window:
-        raise ValueError(f"max_n {max_n} is smaller than window {window}")
-    if not 1 <= rank <= servers:
-        raise ValueError(f"allocation rank {rank} outside [1, {servers}]")
+    _require_loynes_settings(servers, rank, tolerance, window, max_n)
     effective = servers - rank + 1
     verdict = stability_check(model, effective)
     if verdict is not StabilityVerdict.STABLE:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import PremiseError
-from .profiles import Mark, Profile, kw_step, pth_step, sort_raw
+from .profiles import Mark, Profile, _require_rank, kw_step, pth_step, sort_raw
 
 __all__ = [
     "OrderVerdict",
@@ -86,9 +86,16 @@ def _require_same_length(u: Sequence[float], v: Sequence[float]) -> int:
     return len(u)
 
 
+def _require_tolerance(tol: float, name: str = "tol") -> None:
+    """Reject a NaN or infinite tolerance: it makes every clause that adds it hold."""
+    if not math.isfinite(tol):
+        raise ValueError(f"{name} must be finite, got {tol!r}")
+
+
 def prec(u: Profile, v: Profile, tol: float = 0.0) -> OrderVerdict:
     """Coordinatewise domination of sorted profiles: u(i) <= v(i) + tol."""
     n = _require_same_length(u, v)
+    _require_tolerance(tol)
     for i in range(n):
         if u[i] > v[i] + tol:
             return _fail("coordinate", i + 1, u[i], v[i])
@@ -102,6 +109,7 @@ def prec_star(u: Profile, v: Profile, tol: float = 0.0) -> OrderVerdict:
     The first violation in accumulation order (largest k first) is reported.
     """
     n = _require_same_length(u, v)
+    _require_tolerance(tol)
     tu = 0.0
     tv = 0.0
     for i in range(n - 1, -1, -1):
@@ -116,8 +124,8 @@ def prec_p(u: Profile, v: Profile, rank: int, tol: float = 0.0) -> OrderVerdict:
     """Rank-ordered domination: tail-sum domination plus coordinatewise
     domination from the given rank upwards."""
     n = _require_same_length(u, v)
-    if not 1 <= rank <= n:
-        raise ValueError(f"allocation rank {rank} outside [1, {n}]")
+    _require_rank(u, rank)
+    _require_tolerance(tol)
     for i in range(rank - 1, n):
         if u[i] > v[i] + tol:
             return _fail("coordinate", i + 1, u[i], v[i])
@@ -133,6 +141,7 @@ def schur_convex_leq(u: Sequence[float], v: Sequence[float], tol: float = 0.0) -
     consistently (v at least as spread out as u).
     """
     n = _require_same_length(u, v)
+    _require_tolerance(tol)
     su = math.fsum(u)
     sv = math.fsum(v)
     if abs(su - sv) > tol:
@@ -474,6 +483,18 @@ def suite_names() -> tuple[str, ...]:
     return tuple(_SUITES)
 
 
+def _require_suite_settings(names: Iterable[str], instances: int, max_dim: int, tol: float) -> None:
+    """The input rules of :func:`run_property_suite`, for each suite name."""
+    for name in names:
+        if name not in _SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be >= 1, got {max_dim}")
+    _require_tolerance(tol, "tolerance")
+
+
 def run_property_suite(
     name: str,
     instances: int,
@@ -487,14 +508,8 @@ def run_property_suite(
     Dimensions cycle over [1, max_dim]. String-seeded so runs are reproducible
     and independent across suites for the same seed.
     """
-    try:
-        runner = _SUITES[name]
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}") from None
-    if instances < 1:
-        raise ValueError("instances must be >= 1")
-    if max_dim < 1:
-        raise ValueError("max_dim must be >= 1")
+    _require_suite_settings((name,), instances, max_dim, tol)
+    runner = _SUITES[name]
     rng = random.Random(f"{name}:{seed}")
     report = PropertySuiteReport(name=name, instances=instances)
     for k in range(instances):

@@ -112,6 +112,8 @@ def _log1p(x: np.ndarray) -> np.ndarray:
 # of uniforms to a float64 array of n samples; ``cols[c]`` is a float64 array
 # of the c-th uniform of every draw. Each sample takes the same IEEE
 # operations, in the same order, as the scalar inverse CDF it implements.
+# Each constructor rejects a negative support, so every law is a valid
+# service law; ``positive()`` says whether it is also a valid gap law.
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,6 @@ class Exponential:
 
     def mean(self) -> float:
         return 1.0 / self.rate
-
-    def min_support(self) -> float:
-        return 0.0
 
     def positive(self) -> bool:
         # draws use uniforms in the open interval, so 0 is never returned
@@ -150,9 +149,6 @@ class Deterministic:
             raise ConfigError(f"deterministic value must be >= 0, got {self.value!r}")
 
     def mean(self) -> float:
-        return self.value
-
-    def min_support(self) -> float:
         return self.value
 
     def positive(self) -> bool:
@@ -178,9 +174,6 @@ class Uniform:
 
     def mean(self) -> float:
         return (self.lo + self.hi) / 2.0
-
-    def min_support(self) -> float:
-        return self.lo
 
     def positive(self) -> bool:
         return self.lo > 0.0
@@ -221,9 +214,6 @@ class Hyperexponential:
     def mean(self) -> float:
         return math.fsum(p / r for p, r in zip(self.probs, self.rates))
 
-    def min_support(self) -> float:
-        return 0.0
-
     def positive(self) -> bool:
         return True
 
@@ -243,11 +233,6 @@ class Hyperexponential:
 Law = Exponential | Deterministic | Uniform | Hyperexponential
 
 
-def _validate_sigma_law(law: Law, where: str) -> None:
-    if law.min_support() < 0.0:
-        raise ConfigError(f"{where}: service law must have nonnegative support")
-
-
 def _validate_xi_law(law: Law, where: str) -> None:
     if not law.positive():
         raise ConfigError(f"{where}: inter-arrival law must have strictly positive support")
@@ -265,7 +250,6 @@ class IIDModel:
     xi_law: Law
 
     def __post_init__(self) -> None:
-        _validate_sigma_law(self.sigma_law, "iid model")
         _validate_xi_law(self.xi_law, "iid model")
 
 
@@ -298,30 +282,41 @@ class MarkovModulatedModel:
                 raise ConfigError(f"transition row {i} does not sum to 1")
         if len(self.sigma_laws) != n or len(self.xi_laws) != n:
             raise ConfigError("need one sigma law and one xi law per chain state")
-        for s, law in enumerate(self.sigma_laws):
-            _validate_sigma_law(law, f"state {s}")
         for s, law in enumerate(self.xi_laws):
             _validate_xi_law(law, f"state {s}")
         if not _strongly_connected(rows):
             raise ConfigError("modulating chain must be irreducible")
+        pi = _gth_stationary(rows)
+        object.__setattr__(self, "_stationary", pi)
+        # for every seed: the running sums that pick states, each state's uniforms per mark
+        used = np.array([s.uniforms + x.uniforms for s, x in zip(self.sigma_laws, self.xi_laws)])
+        object.__setattr__(self, "_tables", (_cumulative(pi), tuple(map(_cumulative, rows)), used))
 
     def stationary(self) -> tuple[float, ...]:
-        """Stationary distribution by damped power iteration.
+        """Stationary distribution of the modulating chain (see :func:`_gth_stationary`)."""
+        return self._stationary  # type: ignore[attr-defined]
 
-        Iterates pi <- pi (I + P) / 2; the damping leaves the fixed point
-        unchanged and converges for periodic chains too.
-        """
-        p = np.asarray(self.transition, dtype=np.float64)
-        n = p.shape[0]
-        pi = np.full(n, 1.0 / n)
-        for _ in range(100_000):
-            nxt = 0.5 * (pi + pi @ p)
-            if np.abs(nxt - pi).sum() < 1e-14:
-                pi = nxt
-                break
-            pi = nxt
-        pi = pi / pi.sum()
-        return tuple(float(x) for x in pi)
+
+def _gth_stationary(rows: tuple[tuple[float, ...], ...]) -> tuple[float, ...]:
+    """Stationary law of an irreducible chain by GTH elimination (Grassmann,
+    Taksar & Heyman 1985): exact up to rounding, since it never subtracts.
+
+    States n-1, ..., 1 are censored in turn; irreducibility keeps each one's
+    exit mass towards the lower states positive.
+    """
+    p = [list(row) for row in rows]
+    n = len(p)
+    for k in range(n - 1, 0, -1):
+        exit_mass = math.fsum(p[k][:k])
+        for i in range(k):
+            p[i][k] /= exit_mass
+            for j in range(k):
+                p[i][j] += p[i][k] * p[k][j]
+    x = [1.0]
+    for k in range(1, n):
+        x.append(math.fsum(x[i] * p[i][k] for i in range(k)))
+    total = math.fsum(x)
+    return tuple(v / total for v in x)
 
 
 @dataclass(frozen=True)
@@ -451,20 +446,15 @@ def _generate_markov(
     model: MarkovModulatedModel, seed: int, sig: np.ndarray, xis: np.ndarray
 ) -> None:
     """Write the marks of ``seed`` into ``sig`` and ``xis`` (equal lengths)."""
-    length = len(sig)
+    start_cum, row_cums, mark_uniforms = model._tables  # type: ignore[attr-defined]
     bitgen = np.random.Philox(key=0)
-    states = _markov_states(
-        _cumulative(model.stationary()),
-        [_cumulative(row) for row in model.transition],
-        _uniforms(bitgen, seed, 1, length),
-    )
+    states = _markov_states(start_cum, row_cums, _uniforms(bitgen, seed, 1, len(sig)))
 
     # Mark t reads its state's sigma uniforms, then its xi uniforms, from
     # offset first[t] of stream 0. Each state's marks are drawn in one batch
     # and scattered back to their positions.
     path = np.asarray(states)
-    used = np.array([law.uniforms for law in model.sigma_laws])[path]
-    used += np.array([law.uniforms for law in model.xi_laws])[path]
+    used = mark_uniforms[path]
     ends = np.cumsum(used)
     first = ends - used
     u = _uniforms(bitgen, seed, 0, int(ends[-1]))
@@ -522,9 +512,6 @@ def generate_many(
     if isinstance(model, IIDModel):
         return _generate_iid(model.sigma_law, model.xi_law, seeds, length)
     if isinstance(model, MarkovModulatedModel):
-        if len(model.transition) == 1:
-            # a single-state chain is exactly the iid model with that state's laws
-            return _generate_iid(model.sigma_laws[0], model.xi_laws[0], seeds, length)
         sig = np.empty((length, len(seeds)))
         xis = np.empty((length, len(seeds)))
         for r, seed in enumerate(seeds):

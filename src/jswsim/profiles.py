@@ -69,21 +69,18 @@ def sort_ascending(values: Iterable[float]) -> Profile:
     :func:`sort_raw` for signed vectors.
     """
     out = sort_raw(values)
-    if not out:
-        raise ValueError("a workload profile needs at least one server")
-    if out[0] < 0.0:
-        raise ValueError(f"negative entry {out[0]!r} in workload profile")
+    _require_profile(out)
     return out
 
 
 def zero_profile(servers: int) -> Profile:
     """The empty-system profile for the given number of servers."""
     if servers < 1:
-        raise ValueError("a workload profile needs at least one server")
+        raise ValueError(f"servers must be >= 1, got {servers}")
     return (0.0,) * servers
 
 
-def _require_profile(u: Profile) -> None:
+def _require_profile(u: Profile, name: str = "a profile") -> None:
     """Reject a profile that is empty, not finite, negative or not nondecreasing."""
     if not u:
         raise ValueError("a workload profile needs at least one server")
@@ -92,7 +89,7 @@ def _require_profile(u: Profile) -> None:
         # false for nan, inf, a negative first entry and a decrease
         if not prev <= x < math.inf:
             raise ValueError(
-                f"a profile must be finite, nonnegative and nondecreasing, got {tuple(u)!r}"
+                f"{name} must be finite, nonnegative and nondecreasing, got {tuple(u)!r}"
             )
         prev = x
 

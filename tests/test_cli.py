@@ -143,6 +143,13 @@ BAD_SETTINGS = {
         [],
         "compare",
     ),
+    "compare-nan-tolerance": (
+        "[compare]\nmode = allocation\ntolerance = nan\ncorrupt_step = 9\n",
+        [],
+        "compare",
+    ),
+    "compare-inf-sum-slack": ("[compare]\nsum_slack = inf\n", [], "compare"),
+    "properties-inf-tolerance": ("[properties]\ntolerance = inf\n", [], "verify-properties"),
     "properties-zero-max-dim": ("[properties]\nmax_dim = 0\n", [], "verify-properties"),
     "properties-zero-instances-flag": ("", ["--instances", "0"], "verify-properties"),
     "simulate-out-unwritable": ("", ["--out", "no-such-dir/sim.csv"], "simulate"),
@@ -427,6 +434,16 @@ class TestOutputs:
         lines = snap.read_text().splitlines()
         assert "seed,n,coordinate,value" in lines
         assert any(line.startswith("1,64,1,") for line in lines)
+
+    def test_loynes_writes_run_out(self, tmp_path, capsys, monkeypatch):
+        # [run] out names the snapshot CSV as --out does, ahead of [loynes] snapshots
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.ini").write_text("[run]\nout = file.csv\n[loynes]\nsnapshots = no.csv\n")
+        argv = ["loynes", "--config", "c.ini", "--seeds", "1 2"]
+        assert run(argv, capsys)[0] == 0
+        assert run(["loynes", "--seeds", "1 2", "--out", "flag.csv"], capsys)[0] == 0
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+        assert not (tmp_path / "no.csv").exists()
 
     def test_loynes_wait_is_coordinate_rank(self, tmp_path, capsys):
         # a rank-2 arrival waits for the second least workload

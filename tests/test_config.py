@@ -1,9 +1,11 @@
 """Configuration file parsing and flag overrides."""
 
+import math
 import re
 
 import pytest
 
+from jswsim.comparison import compare_allocation_ranks, compare_server_counts
 from jswsim.config import (
     CONFIG_ENV_VAR,
     CONFIG_HELP,
@@ -16,7 +18,8 @@ from jswsim.config import (
     parse_seeds,
 )
 from jswsim.errors import ConfigError
-from jswsim.orderings import suite_names
+from jswsim.loynes import estimate_stationary
+from jswsim.orderings import run_property_suite, suite_names
 from jswsim.processes import (
     Deterministic,
     Exponential,
@@ -25,6 +28,7 @@ from jswsim.processes import (
     MarkovModulatedModel,
     TraceModel,
     Uniform,
+    generate,
 )
 
 
@@ -290,3 +294,78 @@ class TestSchema:
             text = documented[key]
             value = self.HELP_WORDS[text] if text in self.HELP_WORDS else parse(text, key)
             assert value == getattr(block, key), (section, key, text)
+
+
+MM1 = IIDModel(Exponential(1.0), Exponential(0.5))
+MARKS = generate(MM1, 1, 20)
+
+# An invalid value, as a config file section and as the same value passed to
+# the API function that section configures. Small windows keep the rows fast
+# where an unchecked value would run.
+INVALID_VALUES = {
+    "loynes-nan-tolerance": (
+        "[loynes]\ntolerance = nan\n",
+        lambda: estimate_stationary(MM1, 1, 2, tolerance=math.nan, window=16, max_n=64),
+    ),
+    "loynes-zero-tolerance": (
+        "[loynes]\ntolerance = 0\n",
+        lambda: estimate_stationary(MM1, 1, 2, tolerance=0.0),
+    ),
+    "loynes-zero-window": (
+        "[loynes]\nwindow = 0\n",
+        lambda: estimate_stationary(MM1, 1, 2, window=0),
+    ),
+    "loynes-rank-above-servers": (
+        "[loynes]\nservers = 2\nrank = 3\n",
+        lambda: estimate_stationary(MM1, 1, 2, rank=3),
+    ),
+    "compare-small-above-big": (
+        "[compare]\nservers = 2\nservers_small = 3\n",
+        lambda: compare_server_counts(2, 3, MARKS),
+    ),
+    "compare-unsorted-start": (
+        "[compare]\nmode = allocation\nservers = 2\nstart = 1 0\n",
+        lambda: compare_allocation_ranks(2, 2, (1.0, 0.0), (0.0, 0.0), MARKS),
+    ),
+    "compare-nan-tolerance": (
+        "[compare]\nmode = allocation\ntolerance = nan\n",
+        lambda: compare_allocation_ranks(3, 2, (0.0,) * 3, (0.0,) * 3, MARKS, tol=math.nan),
+    ),
+    "compare-inf-tolerance": (
+        "[compare]\nmode = allocation\ntolerance = inf\n",
+        lambda: compare_allocation_ranks(3, 2, (0.0,) * 3, (0.0,) * 3, MARKS, tol=math.inf),
+    ),
+    "compare-inf-sum-slack": (
+        "[compare]\nsum_slack = inf\n",
+        lambda: compare_server_counts(3, 2, MARKS, sum_slack=math.inf),
+    ),
+    "properties-unknown-suite": (
+        "[properties]\nsuites = bogus\n",
+        lambda: run_property_suite("bogus", 1),
+    ),
+    "properties-zero-instances": (
+        "[properties]\ninstances = 0\n",
+        lambda: run_property_suite("convex-battery", 0),
+    ),
+    "properties-inf-tolerance": (
+        "[properties]\ntolerance = inf\n",
+        lambda: run_property_suite("convex-battery", 1, tol=math.inf),
+    ),
+    "properties-nan-tolerance": (
+        "[properties]\ntolerance = nan\n",
+        lambda: run_property_suite("convex-battery", 1, tol=math.nan),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_VALUES))
+def test_config_and_api_reject_alike(name, tmp_path):
+    """A value the API rejects is rejected from a config file too, naming its section."""
+    text, call = INVALID_VALUES[name]
+    with pytest.raises(ValueError):
+        call()
+    p = tmp_path / "c.ini"
+    p.write_text(text)
+    section = text.split("\n", 1)[0]
+    with pytest.raises(ConfigError, match=re.escape(section)):
+        load_config(str(p))

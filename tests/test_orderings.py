@@ -80,6 +80,18 @@ class TestPredicateExamples:
         assert not prec((0.0, 1.05), (1.0, 1.0))
         assert prec((0.0, 1.05), (1.0, 1.0), tol=0.1)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # a NaN or infinite tolerance would make every clause that adds it hold
+        for check in (
+            lambda: prec((5.0,), (1.0,), tol),
+            lambda: prec_star((5.0,), (1.0,), tol),
+            lambda: prec_p((5.0,), (1.0,), 1, tol),
+            lambda: schur_convex_leq((5.0,), (1.0,), tol),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                check()
+
 
 class TestVerdictObject:
     def test_truthiness_and_fields(self):

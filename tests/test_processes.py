@@ -318,6 +318,34 @@ class TestMarkovModulation:
         )
         assert flip.stationary() == pytest.approx((0.5, 0.5), abs=1e-12)
 
+    def test_stationary_slowly_mixing_chain_is_exact(self):
+        # mixes so slowly that an iterative solver stopped early is far off
+        slow = MarkovModulatedModel(
+            ((1 - 1e-6, 1e-6), (2e-6, 1 - 2e-6)),
+            (Exponential(1.0), Exponential(2.0)),
+            (Exponential(1.0), Exponential(1.0)),
+        )
+        assert slow.stationary() == pytest.approx((2 / 3, 1 / 3), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda k: st.lists(
+                st.lists(st.floats(1e-9, 1.0), min_size=k, max_size=k), min_size=k, max_size=k
+            )
+        )
+    )
+    def test_stationary_is_balanced(self, weights):
+        # positive rows, so every chain is irreducible
+        rows = tuple(tuple(w / math.fsum(row) for w in row) for row in weights)
+        k = len(rows)
+        model = MarkovModulatedModel(rows, (Exponential(1.0),) * k, (Exponential(1.0),) * k)
+        pi = model.stationary()
+        assert math.fsum(pi) == pytest.approx(1.0, abs=1e-15)
+        for j in range(k):
+            flow = math.fsum(pi[i] * rows[i][j] for i in range(k))
+            assert flow == pytest.approx(pi[j], rel=1e-12)
+
     def test_single_state_reduces_to_iid(self):
         single = MarkovModulatedModel(((1.0,),), (Exponential(1.0),), (Exponential(0.5),))
         a = generate(single, 17, 500)
