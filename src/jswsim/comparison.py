@@ -44,6 +44,18 @@ __all__ = [
 DEFAULT_SUM_SLACK = 1e-12
 
 
+def _start_profile(servers: int, start: Profile | None, name: str) -> Profile:
+    """``start`` as the profile of a ``servers``-server system, all zeros when
+    None; ``name`` names it when it is rejected."""
+    if start is None:
+        return zero_profile(servers)
+    u = tuple(float(x) for x in start)
+    if len(u) != servers:
+        raise ValueError(f"{name} has {len(u)} entries, expected {servers}")
+    _require_profile(u, name)
+    return u
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """One simulated system: server count, allocation rank, starting profile."""
@@ -53,15 +65,9 @@ class SystemConfig:
     initial: Profile | None = None
 
     def __post_init__(self) -> None:
+        start = _start_profile(self.servers, self.initial, "initial profile")
         if self.initial is not None:
-            start = tuple(float(x) for x in self.initial)
-            if len(start) != self.servers:
-                raise ValueError(
-                    f"initial profile has {len(start)} entries, expected {self.servers}"
-                )
             object.__setattr__(self, "initial", start)
-        start = self.start_profile()
-        _require_profile(start, "initial profile")
         _require_rank(start, self.rank)
 
     @property
@@ -265,6 +271,16 @@ def compare_server_counts(
     )
 
 
+def _allocation_starts(
+    servers: int, rank: int, start: Profile | None, start_alt: Profile | None
+) -> tuple[Profile, Profile]:
+    """The input rules of :func:`compare_allocation_ranks`: its two starts, as profiles."""
+    start = _start_profile(servers, start, "start")
+    start_alt = _start_profile(servers, start_alt, "start_alt")
+    _require_rank(start_alt, rank)
+    return start, start_alt
+
+
 def compare_allocation_ranks(
     servers: int,
     rank: int,
@@ -288,8 +304,7 @@ def compare_allocation_ranks(
     ``corrupt_step`` corrupts the checked copy of the first profile at one
     step, as in :func:`compare_server_counts`.
     """
-    start = SystemConfig(servers, 1, start).start_profile()
-    start_alt = SystemConfig(servers, rank, start_alt).start_profile()
+    start, start_alt = _allocation_starts(servers, rank, start, start_alt)
     premise = prec_p(start, start_alt, rank, tol)
     if not premise:
         v = premise.first_violation

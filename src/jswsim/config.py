@@ -23,7 +23,12 @@ import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .comparison import DEFAULT_SUM_SLACK, SystemConfig, _require_server_counts
+from .comparison import (
+    DEFAULT_SUM_SLACK,
+    SystemConfig,
+    _allocation_starts,
+    _require_server_counts,
+)
 from .errors import ConfigError
 from .loynes import _require_loynes_settings
 from .orderings import _require_suite_settings, _require_tolerance, suite_names
@@ -108,9 +113,10 @@ class CompareSettings:
         with _section("compare"):
             if self.mode not in ("servers", "allocation"):
                 raise ValueError(f"unknown mode {self.mode!r}")
-            self.systems()
             if self.mode == "servers":
                 _require_server_counts(self.servers, self.servers_small)
+            else:
+                _allocation_starts(self.servers, self.rank, self.start, self.start_alt)
             _require_tolerance(self.sum_slack, "sum_slack")
             _require_tolerance(self.tolerance, "tolerance")
 

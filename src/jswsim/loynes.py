@@ -38,7 +38,7 @@ from .processes import (
     MarkSequence,
     StabilityVerdict,
     generate,
-    generate_many,
+    generate_chunks,
     mean_sigma,
     mean_xi,
     stability_check,
@@ -52,13 +52,20 @@ __all__ = [
     "loynes_iterate",
 ]
 
-# A replay pass steps fewer seeds than this one at a time: the array kernel
-# costs about as much per step for one seed as for four (S = 2 and S = 8),
-# while the scalar loop costs one step per seed.
-_LOCKSTEP_MIN_SEEDS = 5
-# Marks held per replay pass, which bounds its memory: a pass at depth n
-# takes at most _PASS_MARKS // n seeds.
-_PASS_MARKS = 2**14
+# A replay pass of fewer seeds steps them one at a time. The array kernel
+# costs about as much per step for one seed as for ten, the scalar loop one
+# step per seed. Median microseconds per step of R seeds, 2048 steps, array
+# kernel / scalar loop, 2-core VM, numpy 2.4.6:
+#   S = 2: R = 1 7.9/1.3, R = 4 7.5/5.0, R = 6 7.0/7.6, R = 8 6.9/9.3
+#   S = 4: R = 1 12.7/1.0, R = 4 11.7/5.7, R = 8 10.5/9.4, R = 10 11.9/14.2
+#   S = 8: R = 1 27.4/1.8, R = 4 20.4/7.4, R = 8 18.6/12.6, R = 10 15.0/15.4
+# The kernel wins from R = 6 at S = 2, 9 at S = 4 and 10 at S = 8.
+_LOCKSTEP_MIN_SEEDS = 8
+# Marks held per replay pass, as seeds x rows of one chunk, at any depth.
+_PASS_MARKS = 2**15
+# Rows per chunk when a pass has many seeds, so that moving each seed's
+# Philox stream to the chunk stays a small share of drawing it.
+_MIN_CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -86,13 +93,17 @@ def backward_marks(model: InputModel, seed: int, n: int) -> MarkSequence:
     return generate(model, seed, n).reversed_marks()
 
 
-def loynes_iterate(marks: MarkSequence, servers: int, rank: int = 1) -> Profile:
+def loynes_iterate(
+    marks: MarkSequence, servers: int, rank: int = 1, start: Profile | None = None
+) -> Profile:
     """Profile seen by the reference arrival after replaying ``marks``.
 
     ``marks`` lists the preceding customers oldest first; the system starts
-    empty and each customer is routed to the rank-th least-loaded queue.
+    from ``start``, empty when None, and each customer is routed to the
+    rank-th least-loaded queue.
     """
-    return deque(iter_profiles(zero_profile(servers), marks, rank), maxlen=1)[0]
+    start = zero_profile(servers) if start is None else start
+    return deque(iter_profiles(start, marks, rank), maxlen=1)[0]
 
 
 def estimate_stationary(
@@ -145,7 +156,8 @@ def estimate_stationary_many(
     is checked for that effective server count and the construction refuses
     to run for unstable or critical inputs. Evaluation points are
     n = window, 2*window, 4*window, ... up to ``max_n``, each regenerated
-    from the same seed (the backward streams are prefix-coupled). A seed
+    from the same seed (the backward streams are prefix-coupled), except
+    that the first two share one draw. A seed
     converges once its sup-norm increment is at most ``tolerance``.
     Convergence detection is heuristic: an increment can vanish on one
     doubling and return on the next, so the flag is evidence, not proof.
@@ -168,50 +180,90 @@ def estimate_stationary_many(
     histories: list[list[tuple[int, Profile]]] = [[] for _ in seeds]
     prev: list[Profile | None] = [None] * len(seeds)
     increment = [math.inf] * len(seeds)
+
+    def record(i: int, n: int, profile: Profile) -> bool:
+        """Take seed i's n-deep profile; True when the seed stops there."""
+        if keep_history:
+            histories[i].append((n, profile))
+        converged = False
+        if prev[i] is not None:
+            increment[i] = max(abs(a - b) for a, b in zip(profile, prev[i]))
+            converged = increment[i] <= tolerance
+        if converged or 2 * n > max_n:
+            results[i] = LoynesResult(
+                profile=profile,
+                steps_used=n,
+                converged=converged,
+                last_increment=increment[i],
+                history=tuple(histories[i]) if keep_history else None,
+            )
+            return True
+        prev[i] = profile
+        return False
+
     active = list(range(len(seeds)))
-    n = window
+    # Every seed needs the first two depths before it can stop, so they share one draw.
+    depths = [window, 2 * window] if 2 * window <= max_n else [window]
     while active:
-        running = []
-        for i, profile in zip(active, _replay(model, [seeds[i] for i in active], servers, rank, n)):
-            if keep_history:
-                histories[i].append((n, profile))
-            converged = False
-            if prev[i] is not None:
-                increment[i] = max(abs(a - b) for a, b in zip(profile, prev[i]))
-                converged = increment[i] <= tolerance
-            if converged or 2 * n > max_n:
-                results[i] = LoynesResult(
-                    profile=profile,
-                    steps_used=n,
-                    converged=converged,
-                    last_increment=increment[i],
-                    history=tuple(histories[i]) if keep_history else None,
-                )
-            else:
-                prev[i] = profile
-                running.append(i)
-        active = running
-        n *= 2
+        replays = _replay(model, [seeds[i] for i in active], servers, rank, depths)
+        active = [
+            i
+            for i, profiles in zip(active, replays)
+            if not any(record(i, n, profile) for n, profile in zip(depths, profiles))
+        ]
+        depths = [2 * depths[-1]]
     return results  # type: ignore[return-value]
 
 
-def _replay(model: InputModel, seeds: list[int], servers: int, rank: int, n: int) -> list[Profile]:
-    """The n-deep backward profile of each seed, in order.
+def _replay(
+    model: InputModel, seeds: list[int], servers: int, rank: int, depths: list[int]
+) -> list[tuple[Profile, ...]]:
+    """The backward profile of each seed, in order, at each of the ascending ``depths``.
 
-    Seeds are replayed in passes of at most ``_PASS_MARKS // n`` seeds. A
-    pass of at least ``_LOCKSTEP_MIN_SEEDS`` seeds draws the marks of all its
-    seeds in one :func:`generate_many` call and steps the reversed rows of
-    its ``(n, R)`` arrays in lockstep; a smaller one replays seed by seed,
-    which is faster for a few seeds. Both give the same bits.
+    All depths replay one draw of the deepest past, n = ``depths[-1]``
+    marks: a replay starts empty at the oldest mark, and the replay of a
+    shallower depth d joins it, empty, at mark d - 1, after which they step
+    together. The marks come oldest first in chunks (:func:`generate_chunks`),
+    and a pass holds R seeds times one chunk, at most ``_PASS_MARKS`` marks,
+    at every depth. A pass of at least ``_LOCKSTEP_MIN_SEEDS`` seeds steps
+    the reversed rows of each chunk through :func:`lockstep_profiles`, all
+    its replays as rows of one array; a smaller one steps each replay
+    through :func:`loynes_iterate`, which is faster for a few seeds. Both
+    give the same bits.
     """
-    passes = -(-len(seeds) // max(1, _PASS_MARKS // n))
-    out: list[Profile] = []
+    n = depths[-1]
+    rows = min(n, max(_MIN_CHUNK_ROWS, _PASS_MARKS // len(seeds)))
+    passes = -(-len(seeds) // (_PASS_MARKS // rows))
+    out: list[tuple[Profile, ...]] = []
     for k in range(passes):
         block = seeds[k * len(seeds) // passes : (k + 1) * len(seeds) // passes]
-        if len(block) < _LOCKSTEP_MIN_SEEDS:
-            out.extend(loynes_iterate(backward_marks(model, s, n), servers, rank) for s in block)
-            continue
-        sigma, xi = generate_many(model, block, n)
-        final = lockstep_profiles(np.zeros((len(block), servers)), sigma[::-1], xi[::-1], rank)
-        out.extend(map(tuple, final.tolist()))
+        lockstep = len(block) >= _LOCKSTEP_MIN_SEEDS
+        # deepest replay first: (replays * R, S) in lockstep, else per seed
+        state: np.ndarray | list[list[Profile]] = (
+            np.zeros((0, servers)) if lockstep else [[] for _ in block]
+        )
+        for lo, sigma, xi in generate_chunks(model, block, n, rows):
+            hi = lo + len(sigma)
+            cuts = sorted({lo, hi, *(d for d in depths if lo < d < hi)}, reverse=True)
+            for top, bottom in zip(cuts, cuts[1:]):
+                fresh = top in depths
+                sig, x = sigma[bottom - lo : top - lo][::-1], xi[bottom - lo : top - lo][::-1]
+                if lockstep:
+                    if fresh:
+                        state = np.concatenate((state, np.zeros((len(block), servers))))
+                    reps = len(state) // len(block)
+                    if reps > 1:
+                        sig, x = np.tile(sig, reps), np.tile(x, reps)
+                    state = lockstep_profiles(state, sig, x, rank)
+                    continue
+                for r, seed in enumerate(block):
+                    if fresh:
+                        state[r].append(zero_profile(servers))
+                    marks = MarkSequence(sig[:, r], x[:, r], seed, model)
+                    state[r] = [loynes_iterate(marks, servers, rank, u) for u in state[r]]
+        if lockstep:
+            final = [list(map(tuple, part.tolist())) for part in np.split(state, len(depths))]
+            out.extend(zip(*final[::-1]))
+        else:
+            out.extend(tuple(replays[::-1]) for replays in state)
     return out

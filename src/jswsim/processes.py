@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "TraceModel",
     "Uniform",
     "generate",
+    "generate_chunks",
     "generate_many",
     "mean_sigma",
     "mean_xi",
@@ -58,20 +59,22 @@ _CRITICALITY_REL_TOL = 1e-12
 _CHUNK = 4096
 
 
-def _reset(bitgen: np.random.Philox, seed: int, stream: int) -> np.random.Philox:
-    """``bitgen`` moved to the start of stream ``stream`` of ``seed``.
+def _reset(bitgen: np.random.Philox, seed: int, stream: int, block: int) -> np.random.Philox:
+    """``bitgen`` moved to word ``4 * block`` of stream ``stream`` of ``seed``.
 
-    Philox is counter-based, so with the key ``(seed, stream)``, a zero
-    counter and an empty buffer it gives exactly the words a freshly built
-    ``np.random.Philox(key=...)`` would, without seeding a throwaway one.
+    Philox is counter-based (Salmon et al. 2011, "Parallel random numbers:
+    as easy as 1, 2, 3"): each 4-word block is a function of the key and
+    the counter alone. With the key ``(seed, stream)``, the counter
+    ``[block, 0, 0, 0]`` and an empty buffer, the next word is word
+    ``4 * block`` of the words a freshly built ``np.random.Philox(key=...)``
+    gives, and no earlier word is computed.
     """
+    # The state setter reads each word with a C cast, so plain lists serve
+    # and no small arrays are built for them.
     bitgen.state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([seed % 2**64, stream], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [block, 0, 0, 0], "key": [seed % 2**64, stream]},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,  # empty: the next word starts a new block
         "has_uint32": 0,
         "uinteger": 0,
@@ -88,10 +91,21 @@ def _to_uniforms(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def _uniforms(bitgen: np.random.Philox, seed: int, stream: int, count: int) -> np.ndarray:
-    """``count`` uniforms in (0, 1) from Philox stream ``stream`` of ``seed``,
+def _words(bitgen: np.random.Philox, seed: int, stream: int, first: int, count: int) -> np.ndarray:
+    """Words ``[first, first + count)`` of Philox stream ``stream`` of ``seed``,
     read with ``bitgen`` (see :func:`_reset`)."""
-    return _to_uniforms(_reset(bitgen, seed, stream).random_raw(count))
+    _reset(bitgen, seed, stream, first // 4)
+    if first % 4:
+        bitgen.random_raw(first % 4)  # the earlier words of the first block
+    return bitgen.random_raw(count)
+
+
+def _uniforms(
+    bitgen: np.random.Philox, seed: int, stream: int, count: int, first: int = 0
+) -> np.ndarray:
+    """Uniforms ``[first, first + count)`` in (0, 1) of Philox stream ``stream``
+    of ``seed``, one per word, read with ``bitgen``."""
+    return _to_uniforms(_words(bitgen, seed, stream, first, count))
 
 
 def _log1p(x: np.ndarray) -> np.ndarray:
@@ -398,13 +412,14 @@ class MarkSequence:
 
 
 def _generate_iid(
-    sigma_law: Law, xi_law: Law, seeds: Sequence[int], length: int
+    sigma_law: Law, xi_law: Law, seeds: Sequence[int], length: int, start: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    # mark t of a seed reads words [t * ku, (t + 1) * ku) of its stream 0
     ku = sigma_law.uniforms + xi_law.uniforms
     bitgen = np.random.Philox(key=0)
     words = np.empty((len(seeds), length * ku), dtype=np.uint64)
     for r, seed in enumerate(seeds):
-        words[r] = _reset(bitgen, seed, 0).random_raw(length * ku)
+        words[r] = _words(bitgen, seed, 0, start * ku, length * ku)
     # Uniform c of mark t of seeds[r] is u[t, r, c]; the sigma law's come first.
     u = _to_uniforms(words).reshape(len(seeds), length, ku).swapaxes(0, 1)
     size = length * len(seeds)
@@ -417,22 +432,26 @@ def _generate_iid(
 
 
 def _markov_states(
-    start: Sequence[float], rows: Sequence[Sequence[float]], u: np.ndarray
+    start: Sequence[float],
+    rows: Sequence[Sequence[float]],
+    u: np.ndarray,
+    prev: int | None = None,
 ) -> list[int]:
     """The chain's state path picked by the uniforms ``u``.
 
-    State 0 is picked from the running sums ``start`` by ``u[0]``, state t
-    from ``rows[state t - 1]`` by ``u[t]``. A pick is the first j with
-    ``u < cum[j]``, or the last state when there is none. For each chunk of
-    ``u``, every row's picks come from one ``searchsorted`` and the path
-    walks those tables, so memory stays at (states, chunk) entries.
+    The first state is picked by ``u[0]`` from ``rows[prev]``, or from the
+    running sums ``start`` when ``prev`` is None (the chain's first mark);
+    state t from ``rows[state t - 1]`` by ``u[t]``. A pick is the first j
+    with ``u < cum[j]``, or the last state when there is none. For each
+    chunk of ``u``, every row's picks come from one ``searchsorted`` and the
+    path walks those tables, so memory stays at (states, chunk) entries.
     """
     last = len(rows) - 1
 
     def picks(cum, v):
         return np.minimum(np.searchsorted(cum, v, side="right"), last)
 
-    state = int(picks(start, u[0]))
+    state = int(picks(start if prev is None else rows[prev], u[0]))
     states = [state]
     for lo in range(1, len(u), _CHUNK):
         part = u[lo : lo + _CHUNK]
@@ -442,29 +461,62 @@ def _markov_states(
     return states
 
 
+# Where a Markov seed's marks start: the chain's state before the first mark
+# (None at mark 0) and the stream-0 words the earlier marks read.
+Checkpoint = tuple[int | None, int]
+
+
+def _markov_checkpoints(
+    model: MarkovModulatedModel, seed: int, stops: Sequence[int]
+) -> list[Checkpoint]:
+    """The checkpoint of ``seed`` at each of the ascending ``stops``.
+
+    One walk of stream 1 from mark 0, ``_CHUNK`` marks at a time, so memory
+    does not grow with the distance walked.
+    """
+    start_cum, row_cums, used = model._tables  # type: ignore[attr-defined]
+    bitgen = np.random.Philox(key=0)
+    out = []
+    state, words, at = None, 0, 0
+    for stop in stops:
+        while at < stop:
+            step = min(_CHUNK, stop - at)
+            path = _markov_states(start_cum, row_cums, _uniforms(bitgen, seed, 1, step, at), state)
+            state, words, at = path[-1], words + int(used[path].sum()), at + step
+        out.append((state, words))
+    return out
+
+
 def _generate_markov(
-    model: MarkovModulatedModel, seed: int, sig: np.ndarray, xis: np.ndarray
-) -> None:
-    """Write the marks of ``seed`` into ``sig`` and ``xis`` (equal lengths)."""
+    model: MarkovModulatedModel,
+    seeds: Sequence[int],
+    length: int,
+    start: int,
+    checkpoints: Sequence[Checkpoint],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Marks ``[start, start + length)`` of every seed, from its checkpoint at ``start``."""
     start_cum, row_cums, mark_uniforms = model._tables  # type: ignore[attr-defined]
     bitgen = np.random.Philox(key=0)
-    states = _markov_states(start_cum, row_cums, _uniforms(bitgen, seed, 1, len(sig)))
-
-    # Mark t reads its state's sigma uniforms, then its xi uniforms, from
-    # offset first[t] of stream 0. Each state's marks are drawn in one batch
-    # and scattered back to their positions.
-    path = np.asarray(states)
-    used = mark_uniforms[path]
-    ends = np.cumsum(used)
-    first = ends - used
-    u = _uniforms(bitgen, seed, 0, int(ends[-1]))
-    for s, laws in enumerate(zip(model.sigma_laws, model.xi_laws)):
-        at = np.flatnonzero(path == s)
-        offset = first[at]
-        for out, law in zip((sig, xis), laws):
-            cols = [u[offset + c] for c in range(law.uniforms)]
-            out[at] = law.draw_batch(cols, len(at))
-            offset = offset + law.uniforms
+    sig = np.empty((length, len(seeds)))
+    xis = np.empty((length, len(seeds)))
+    for r, (seed, (state, words)) in enumerate(zip(seeds, checkpoints)):
+        u1 = _uniforms(bitgen, seed, 1, length, start)
+        path = np.asarray(_markov_states(start_cum, row_cums, u1, state))
+        # Mark t reads its state's sigma uniforms, then its xi uniforms, from
+        # offset first[t] of stream 0. Each state's marks are drawn in one
+        # batch and scattered back to their positions.
+        used = mark_uniforms[path]
+        ends = np.cumsum(used)
+        first = ends - used
+        u = _uniforms(bitgen, seed, 0, int(ends[-1]), words)
+        for s, laws in enumerate(zip(model.sigma_laws, model.xi_laws)):
+            at = np.flatnonzero(path == s)
+            offset = first[at]
+            for out, law in zip((sig[:, r], xis[:, r]), laws):
+                cols = [u[offset + c] for c in range(law.uniforms)]
+                out[at] = law.draw_batch(cols, len(at))
+                offset = offset + law.uniforms
+    return sig, xis
 
 
 def _read_trace(path: str) -> tuple[list[float], list[float]]:
@@ -496,34 +548,63 @@ def _read_trace(path: str) -> tuple[list[float], list[float]]:
 
 
 def generate_many(
-    model: InputModel, seeds: Sequence[int], length: int
+    model: InputModel, seeds: Sequence[int], length: int, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``length`` marks of every seed, as ``(sigma, xi)``.
+    """Marks ``[start, start + length)`` of every seed, as ``(sigma, xi)``.
 
     Both are ``(length, R)`` float64 arrays for R seeds: column r holds the
-    marks of ``seeds[r]``, bit for bit those of ``generate(model, seeds[r],
-    length)``. The words of all iid seeds are drawn into one block and each
-    law maps the block's uniforms in one call. A trace ignores the seed, so
-    its arrays are read-only views whose columns share the file's marks.
+    marks of ``seeds[r]``, bit for bit rows ``start`` onward of
+    ``generate(model, seeds[r], start + length)``. The words of all iid
+    seeds are drawn into one block, from the Philox block that holds the
+    first one, and each law maps the block's uniforms in one call. A Markov
+    seed first walks its chain over the ``start`` earlier marks. A trace
+    ignores the seed, so its arrays are read-only views whose columns share
+    the file's marks.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
     seeds = list(seeds)
     if isinstance(model, IIDModel):
-        return _generate_iid(model.sigma_law, model.xi_law, seeds, length)
+        return _generate_iid(model.sigma_law, model.xi_law, seeds, length, start)
     if isinstance(model, MarkovModulatedModel):
-        sig = np.empty((length, len(seeds)))
-        xis = np.empty((length, len(seeds)))
-        for r, seed in enumerate(seeds):
-            _generate_markov(model, seed, sig[:, r], xis[:, r])
-        return sig, xis
+        checkpoints = [_markov_checkpoints(model, seed, [start])[0] for seed in seeds]
+        return _generate_markov(model, seeds, length, start, checkpoints)
     if isinstance(model, TraceModel):
         sig, xis = model._columns
-        if len(sig) < length:
-            raise InputError(f"trace {model.path!r} has {len(sig)} marks, need {length}")
+        if len(sig) < start + length:
+            raise InputError(f"trace {model.path!r} has {len(sig)} marks, need {start + length}")
         shape = (length, len(seeds))
-        return np.broadcast_to(sig[:length, None], shape), np.broadcast_to(xis[:length, None], shape)
+        part = slice(start, start + length)
+        return np.broadcast_to(sig[part, None], shape), np.broadcast_to(xis[part, None], shape)
     raise TypeError(f"unknown input model {model!r}")
+
+
+def generate_chunks(
+    model: InputModel, seeds: Sequence[int], length: int, rows: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The first ``length`` marks of every seed, oldest first, ``rows`` at a time.
+
+    Yields ``(lo, sigma, xi)`` for hi = length, length - rows, ... while
+    hi > 0, with lo = max(0, hi - rows): ``sigma`` and ``xi`` equal, bit
+    for bit, the arrays of ``generate_many(model, seeds, hi - lo, lo)``, and
+    only one chunk is held at a time. A Markov model walks each seed's chain once,
+    recording its checkpoint at every chunk start, and each chunk then
+    walks only its own marks.
+    """
+    if rows < 1:
+        raise ValueError(f"rows must be >= 1, got {rows}")
+    seeds = list(seeds)
+    bounds = [(max(0, hi - rows), hi) for hi in range(length, 0, -rows)]
+    if not isinstance(model, MarkovModulatedModel):
+        for lo, hi in bounds:
+            yield (lo, *generate_many(model, seeds, hi - lo, lo))
+        return
+    starts = [lo for lo, _ in reversed(bounds)]
+    walks = [dict(zip(starts, _markov_checkpoints(model, seed, starts))) for seed in seeds]
+    for lo, hi in bounds:
+        yield (lo, *_generate_markov(model, seeds, hi - lo, lo, [walk[lo] for walk in walks]))
 
 
 def generate(model: InputModel, seed: int, length: int) -> MarkSequence:

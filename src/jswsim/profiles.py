@@ -157,17 +157,43 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
     ``xi`` are ``(n, R)`` arrays: row t holds the marks of arrival t,
     column r those of system r. Each step is :func:`pth_step` on every row
     with the same rounding, so row r of the result equals the last profile
-    of :func:`iter_profiles` over column r, bit for bit. Returns a new array
-    unless n is 0.
+    of :func:`iter_profiles` over column r, bit for bit, and a run over
+    marks split in two is one call chained into another. Returns a new
+    ``(R, S)`` array.
+
+    The state is kept as ``(S, R)``, one contiguous row per coordinate. A
+    step inserts the arrival's queue plus ``sigma`` into the other queues
+    by ``np.minimum``/``np.maximum`` selection, as :func:`_step` does by
+    ``insort``; selection does no arithmetic, so it is exact. Then every
+    queue x becomes ``max(x - xi, 0.0)``. Adding +0.0 to the start maps
+    -0.0 to +0.0, as :func:`pth_step` does, after which no difference is
+    -0.0, so the maximum never has to choose between two zeros.
     """
-    u = start
+    u = np.array(start.T, dtype=np.float64, order="C")
+    u += 0.0
+    servers = u.shape[0]
+    p = rank - 1
+    # One step's calls after the add: the other queues in order, each
+    # replaced by the smaller of itself and the carried value, which carries
+    # the larger on; the last one takes what is left.
+    carry, spare = np.empty(u.shape[1:]), np.empty(u.shape[1:])
+    first = carry  # takes the arrival's queue plus sigma
+    plan = []
+    for j in range(p):
+        plan += [(np.maximum, (u[j], carry), spare), (np.minimum, (u[j], carry), u[j])]
+        carry, spare = spare, carry
+    for j in range(p + 1, servers):
+        plan += [(np.minimum, (u[j], carry), u[j - 1])]
+        plan += [(np.maximum, (u[j], carry), carry if j < servers - 1 else u[j])]
+    if p == servers - 1:
+        plan += [(np.positive, (carry,), u[p])]
     for s, x in zip(sigma, xi):
-        v = u - x[:, None]
-        v[:, rank - 1] = (u[:, rank - 1] + s) - x
-        v[v <= 0.0] = 0.0  # also maps -0.0 to +0.0, as pth_step does
-        v.sort(axis=1)
-        u = v
-    return u
+        np.add(u[p], s, out=first)
+        for f, args, out in plan:
+            f(*args, out=out)
+        u -= x
+        np.maximum(u, 0.0, out=u)
+    return u.T
 
 
 def kw_step(u: Profile, mark: Mark) -> Profile:

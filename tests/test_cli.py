@@ -138,6 +138,11 @@ BAD_SETTINGS = {
         [],
         "compare",
     ),
+    "compare-start-alt-negative": (
+        "[compare]\nmode = allocation\nservers = 2\nstart_alt = -1 0\n",
+        [],
+        "compare",
+    ),
     "compare-rank-above-servers": (
         "[compare]\nmode = allocation\nservers = 3\nrank = 5\n",
         [],

@@ -327,6 +327,10 @@ INVALID_VALUES = {
         "[compare]\nmode = allocation\nservers = 2\nstart = 1 0\n",
         lambda: compare_allocation_ranks(2, 2, (1.0, 0.0), (0.0, 0.0), MARKS),
     ),
+    "compare-unsorted-start-alt": (
+        "[compare]\nmode = allocation\nservers = 2\nstart_alt = 1 0\n",
+        lambda: compare_allocation_ranks(2, 2, (0.0, 0.0), (1.0, 0.0), MARKS),
+    ),
     "compare-nan-tolerance": (
         "[compare]\nmode = allocation\ntolerance = nan\n",
         lambda: compare_allocation_ranks(3, 2, (0.0,) * 3, (0.0,) * 3, MARKS, tol=math.nan),
@@ -368,4 +372,16 @@ def test_config_and_api_reject_alike(name, tmp_path):
     p.write_text(text)
     section = text.split("\n", 1)[0]
     with pytest.raises(ConfigError, match=re.escape(section)):
+        load_config(str(p))
+
+
+@pytest.mark.parametrize("key", ["start", "start_alt"])
+def test_compare_start_errors_name_their_key(key, tmp_path):
+    p = tmp_path / "c.ini"
+    p.write_text(f"[compare]\nmode = allocation\nservers = 2\n{key} = 2 1\n")
+    rule = f"[compare]: {key} must be finite, nonnegative and nondecreasing, got (2.0, 1.0)"
+    with pytest.raises(ConfigError, match=re.escape(rule)):
+        load_config(str(p))
+    p.write_text(f"[compare]\nmode = allocation\nservers = 2\n{key} = 0\n")
+    with pytest.raises(ConfigError, match=re.escape(f"[compare]: {key} has 1 entries, expected 2")):
         load_config(str(p))

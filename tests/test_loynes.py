@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import jswsim.loynes as loynes
+import jswsim.processes as processes
 from jswsim.errors import StabilityError
 from jswsim.loynes import (
     backward_marks,
@@ -162,26 +163,66 @@ class TestManySeeds:
     # recorded before the passes drew their marks in one block
     DIGEST_1_40 = "40ad9f96f66d865fbc1b77b75839ebf9dfb9d235fb5c7334b4d51b62a130c10c"
 
-    def test_one_mark_block_per_lockstep_pass(self, monkeypatch):
-        blocks, singles = [], []
-        generate_many = loynes.generate_many
+    # (marks per pass, rows per chunk at least): the defaults, which hold
+    # each depth in one chunk, and small ones, which cut every depth into
+    # chunks of 5 to 12 rows, one of them across the row where the 8-deep
+    # replay joins the 16-deep one
+    @pytest.mark.parametrize(
+        "pass_marks,min_rows", [(loynes._PASS_MARKS, loynes._MIN_CHUNK_ROWS), (100, 5)]
+    )
+    def test_chunks_tile_each_depth_oldest_first(self, pass_marks, min_rows, monkeypatch):
+        monkeypatch.setattr(loynes, "_PASS_MARKS", pass_marks)
+        monkeypatch.setattr(loynes, "_MIN_CHUNK_ROWS", min_rows)
+        draws = {}
+        generate_many = processes.generate_many
 
-        def counting_many(model, seeds, n):
-            blocks.append((len(seeds), n))
-            return generate_many(model, seeds, n)
+        def recording_many(model, seeds, length, start=0):
+            assert length * len(seeds) <= pass_marks
+            for seed in seeds:
+                draws.setdefault(seed, []).append((start, start + length))
+            return generate_many(model, seeds, length, start)
 
-        monkeypatch.setattr(loynes, "generate_many", counting_many)
-        monkeypatch.setattr(loynes, "generate", lambda *a: singles.append(a) or generate(*a))
+        monkeypatch.setattr(processes, "generate_many", recording_many)
+        kernel_rows = []
+        kernel = loynes.lockstep_profiles
+        monkeypatch.setattr(
+            loynes, "lockstep_profiles", lambda *a: kernel_rows.append(len(a[0])) or kernel(*a)
+        )
         many = estimate_stationary_many(self.MODEL, range(1, 41), **self.ARGS)
-        # every depth replays all its running seeds in one pass: 40 seeds
-        # at n = 8 and 16, the 14 still running at n = 32, the 8 at n = 64
+        assert kernel_rows, "the lockstep kernel was not used"
+        # 40 seeds at n = 8 and 16, the 14 still running at n = 32, the 8 at n = 64
         running = [(sum(n in dict(r.history) for r in many), n) for n in (8, 16, 32, 64)]
         assert running == [(40, 8), (40, 16), (14, 32), (8, 64)]
-        assert blocks == running
-        assert singles == []
+        for seed, res in zip(range(1, 41), many):
+            # the first draw serves n = 8 and n = 16; each later depth has its own
+            depths = [n for n, _ in res.history if n > self.ARGS["window"]]
+            calls = iter(draws[seed])
+            for n in depths:
+                hi = n
+                while hi > 0:
+                    lo, top = next(calls)
+                    assert top == hi and 0 <= lo < hi, (seed, n, lo, top)
+                    hi = lo
+            assert next(calls, None) is None, seed
         text = repr([(r.profile, r.steps_used, r.converged, r.last_increment, r.history)
                      for r in many])
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST_1_40
+
+    def test_deep_replay_stays_in_lockstep(self, monkeypatch):
+        # 8 seeds at n = 2^13 and 2^14: a pass of all eight, in chunks
+        kernel_rows = []
+        kernel = loynes.lockstep_profiles
+        monkeypatch.setattr(
+            loynes, "lockstep_profiles", lambda *a: kernel_rows.append(len(a[0])) or kernel(*a)
+        )
+        model = IIDModel(Exponential(1.0), Exponential(0.55))
+        args = dict(servers=2, tolerance=1e-12, window=2**13, max_n=2**14)
+        seeds = list(range(8))
+        many = estimate_stationary_many(model, seeds, **args)
+        assert set(kernel_rows) == {8, 16}
+        one = [estimate_stationary(model, s, **args) for s in seeds]
+        assert [self._fields(r) for r in many] == [self._fields(r) for r in one]
+        assert {r.steps_used for r in many} == {2**14}
 
     def test_seed_order_and_repeats(self):
         seeds = [9, 3, 9, 1, 4, 7]

@@ -20,9 +20,11 @@ from jswsim.processes import (
     StabilityVerdict,
     TraceModel,
     Uniform,
+    _CHUNK,
     _markov_states,
     _uniforms,
     generate,
+    generate_chunks,
     generate_many,
     mean_sigma,
     mean_xi,
@@ -248,6 +250,87 @@ class TestBlockGeneration:
     def test_length_validated(self):
         with pytest.raises(ValueError):
             generate_many(MM1, [1, 2], 0)
+
+
+class TestOffsets:
+    """Marks from a start offset are the slice of a longer draw, bit for bit."""
+
+    @staticmethod
+    def assert_slice(model, seeds, length, start):
+        sigma, xi = generate_many(model, seeds, length, start)
+        longer_sigma, longer_xi = generate_many(model, seeds, start + length)
+        assert sigma.shape == xi.shape == (length, len(seeds))
+        assert np.array_equal(bits(sigma), bits(longer_sigma[start:])), start
+        assert np.array_equal(bits(xi), bits(longer_xi[start:])), start
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sigma_law=st.sampled_from(LAWS),
+        xi_law=st.sampled_from(LAWS),
+        seeds=st.lists(st.sampled_from(BLOCK_SEEDS + (7,)), min_size=1, max_size=3),
+        length=st.integers(1, 24),
+        start=st.integers(0, 40),
+    )
+    def test_iid(self, sigma_law, xi_law, seeds, length, start):
+        self.assert_slice(IIDModel(sigma_law, xi_law), seeds, length, start)
+
+    # one, two and three uniforms per mark: every start below 8 begins at
+    # each word of a Philox block
+    @pytest.mark.parametrize(
+        "sigma_law,xi_law",
+        [(LAWS[0], LAWS[1]), (LAWS[1], LAWS[3]), (LAWS[3], LAWS[0])],
+        ids=["ku1", "ku2", "ku3"],
+    )
+    def test_iid_every_word_offset(self, sigma_law, xi_law):
+        for start in range(9):
+            self.assert_slice(IIDModel(sigma_law, xi_law), BLOCK_SEEDS, 5, start)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        start=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 3])
+        | st.integers(0, 2 * _CHUNK),
+        length=st.integers(1, 40),
+    )
+    def test_markov(self, start, length):
+        self.assert_slice(THREE_STATE, BLOCK_SEEDS[:2], length, start)
+
+    @settings(max_examples=40, deadline=None)
+    @given(start=st.integers(0, 63), length=st.integers(1, 64))
+    def test_trace(self, tmp_path_factory, start, length):
+        p = tmp_path_factory.mktemp("trace") / "marks.txt"
+        p.write_text("".join(f"{0.5 + k} {1.0 + k / 8}\n" for k in range(64)))
+        model = TraceModel(str(p))
+        if start + length > 64:
+            with pytest.raises(InputError):
+                generate_many(model, [1], length, start)
+        else:
+            self.assert_slice(model, BLOCK_SEEDS, length, start)
+
+    def test_negative_start(self):
+        with pytest.raises(ValueError):
+            generate_many(MM1, [1], 4, -1)
+
+    @pytest.mark.parametrize("rows", [5, 500, _CHUNK, 3 * _CHUNK])
+    def test_chunks_tile_oldest_first(self, rows, tmp_path):
+        # 2 * _CHUNK + 5 marks: the Markov checkpoints fall on both sides of
+        # its walk's _CHUNK boundaries
+        p = tmp_path / "marks.txt"
+        n = 2 * _CHUNK + 5
+        p.write_text("".join(f"{k % 5} {1 + k % 3}\n" for k in range(n)))
+        models = [THREE_STATE, IIDModel(LAWS[3], LAWS[0]), TraceModel(str(p))]
+        for model in models:
+            sigma, xi = generate_many(model, BLOCK_SEEDS, n)
+            hi = n
+            for lo, s, x in generate_chunks(model, BLOCK_SEEDS, n, rows):
+                assert lo == max(0, hi - rows)
+                assert np.array_equal(bits(s), bits(sigma[lo:hi]))
+                assert np.array_equal(bits(x), bits(xi[lo:hi]))
+                hi = lo
+            assert hi == 0
+
+    def test_chunk_rows_validated(self):
+        with pytest.raises(ValueError):
+            next(generate_chunks(MM1, [1], 4, 0))
 
 
 class TestStatisticalFit:

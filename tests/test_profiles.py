@@ -253,6 +253,18 @@ class TestLockstep:
         assert not start.any()
 
 
+    @pytest.mark.parametrize("servers,rank", [(1, 1), (2, 1), (3, 2), (4, 4)])
+    def test_two_chunks_chain_into_one_call(self, servers, rank):
+        rng = np.random.default_rng(servers * 7 + rank)
+        n, systems = 300, 6
+        sigma = rng.exponential(1.0, (n, systems))
+        xi = rng.exponential(0.9 / servers, (n, systems))
+        start = np.sort(rng.exponential(1.0, (systems, servers)), axis=1)
+        whole = lockstep_profiles(start, sigma, xi, rank)
+        head = lockstep_profiles(start, sigma[:137], xi[:137], rank)
+        chained = lockstep_profiles(head, sigma[137:], xi[137:], rank)
+        assert _bits(chained.tolist()) == _bits(whole.tolist())
+
 def test_iter_profiles_crosses_chunk_boundaries():
     rng = np.random.default_rng(3)
     n = 2 * 4096 + 3
