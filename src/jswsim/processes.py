@@ -11,11 +11,14 @@ of a seed drives the marks, stream 1 drives the modulating chain of a
 Markov-modulated model (the two streams use the Philox key ``(seed, stream)``).
 Raw 64-bit words are mapped to uniforms in the open interval (0, 1) by
 ``u = (top 52 bits + 1/2) * 2**-52``, and every law transforms uniforms
-through a fixed inverse-CDF code path (logarithms come from the C library's
-``log1p`` via ``math.log1p``). For each mark the sigma draw consumes
-its uniforms first, then the xi draw, so a longer sequence for the same
-(model, seed) extends a shorter one without changing its prefix. The
-algorithm identifier below is stored on every generated sequence.
+through a fixed inverse-CDF code path. Its logarithm, :func:`_log1m`, is
+fdlibm's ``log1p`` built from correctly rounded ``+ - * /`` and exact bit
+operations alone, so its bits depend on neither the C library nor the CPU's
+FMA or SIMD units. ``np.log1p`` is not used: its SIMD kernels give other bits
+on some CPUs. For each mark the sigma draw consumes its uniforms first, then
+the xi draw, so a longer sequence for the same (model, seed) extends a
+shorter one without changing its prefix. The algorithm identifier below is
+stored on every generated sequence.
 """
 
 from __future__ import annotations
@@ -52,10 +55,11 @@ __all__ = [
     "stability_check",
 ]
 
-RNG_ALGORITHM = "philox4x64/u52/inverse-cdf"
+RNG_ALGORITHM = "philox4x64/u52/inverse-cdf-v2"
 
 _CRITICALITY_REL_TOL = 1e-12
-# Elements turned into Python objects at a time by _log1p and _markov_states.
+# Uniforms whose state picks _markov_states turns into Python ints at a time,
+# and marks _markov_checkpoints walks at a time.
 _CHUNK = 4096
 
 
@@ -108,16 +112,128 @@ def _uniforms(
     return _to_uniforms(_words(bitgen, seed, stream, first, count))
 
 
-def _log1p(x: np.ndarray) -> np.ndarray:
-    """``math.log1p`` of every element of the 1-d ``x``: the C library's
-    log1p, called from a C loop. ``np.log1p`` is not used: its SIMD kernels
-    are not bit-identical to it. ``x`` goes through Python floats a chunk at
-    a time, so few of them are alive at once."""
-    out = np.empty(x.size)
-    for start in range(0, x.size, _CHUNK):
-        part = x[start : start + _CHUNK].tolist()
-        out[start : start + len(part)] = np.fromiter(map(math.log1p, part), np.float64, len(part))
+# fdlibm's s_log1p.c (Sun Microsystems, 1993): ln 2 split so that k * _LN2_HI
+# is exact, and the coefficients of R(z) ~ log((1 + s) / (1 - s)) / s - 2.
+_LN2_HI = 6.93147180369123816490e-01  # 0x3fe62e42fee00000
+_LN2_LO = 1.90821492927058770002e-10  # 0x3dea39ef35793c76
+_LP1, _LP2, _LP3, _LP4, _LP5, _LP6, _LP7 = (
+    6.666666666666735130e-01,  # 0x3fe5555555555593
+    3.999999999940941908e-01,  # 0x3fd999999997fa04
+    2.857142874366239149e-01,  # 0x3fd2492494229359
+    2.222219843214978396e-01,  # 0x3fcc71c51d8e78af
+    1.818357216161805012e-01,  # 0x3fc7466496cb03de
+    1.531383769920937332e-01,  # 0x3fc39a09d078c69f
+    1.479819860511658591e-01,  # 0x3fc2f112df3e5244
+)
+# v = 2**k * z with z in [sqrt(2)/2, sqrt(2)), as musl's log splits it:
+# subtracting the bits of sqrt(2)/2's high word from v's leaves k in the
+# exponent field, and clearing that field from v's bits gives z. Only the
+# high word is compared, as fdlibm does.
+_SQRT_HALF_BITS = 0x3FE6A09E << 32
+_EXPONENT_FIELD = -(1 << 52)  # 0xfff0000000000000 as int64
+# hfsq = f * f / 2 at |f| = 1.5 * 2**-20: every lane at or below it is
+# checked against fdlibm's two rare branches.
+_RARE_HFSQ = 1.125 * 2.0**-40
+# Elements per pass of _log1m: its eight float buffers stay in a core's L2.
+_LOG_CHUNK = 8192
+
+
+def _log1m(u: np.ndarray) -> np.ndarray:
+    """``log(1 - u)`` of every element of the 1-d ``u``, a float64 array of
+    uniforms on the u52 grid, bit for bit as fdlibm's ``log1p(-u)``
+    (s_log1p.c) computes it with plain IEEE operations, as glibc's build for
+    a CPU without FMA does.
+
+    Only correctly rounded ``+ - * /``, exact operations on the bits and
+    ``np.where`` are used, so the bits depend on neither the C library nor
+    the CPU; ``np.log1p`` and ``np.log`` take SIMD kernels whose bits do.
+    On the u52 grid ``v = 1 - u`` is exact, so fdlibm's correction term is 0
+    and its two argument paths are one: ``v = 2**k * (1 + f)`` with
+    ``1 + f`` in [sqrt(2)/2, sqrt(2)) gives k = 0 and f = -u wherever
+    fdlibm takes its |x| < 0.2929 path. Then, with s = f / (2 + f),
+    z = s * s, hfsq = f * f / 2 and the polynomial R in z,
+
+        log(1 - u) = k*ln2_hi - ((hfsq - (s*(hfsq + R) + k*ln2_lo)) - f).
+
+    The lanes where fdlibm branches away from this, u < 2**-29 and a zero
+    high mantissa word of the reduced argument, are fixed up after each
+    pass by :func:`_log1m_rare`. Works in passes of ``_LOG_CHUNK`` elements
+    through reused buffers.
+    """
+    out = np.empty(u.size)
+    n = min(_LOG_CHUNK, u.size)
+    f, k, h, s, z, z2, r, t = np.empty((8, n))
+    b = np.empty(n, np.int64)
+    rare = np.empty(n, bool)
+    for lo in range(0, u.size, _LOG_CHUNK):
+        o = out[lo : lo + n]
+        part = u[lo : lo + n]
+        if len(part) < n:
+            m = len(part)
+            f, k, h, s, z, z2, r, t, b, rare = (a[:m] for a in (f, k, h, s, z, z2, r, t, b, rare))
+        # v = 1 - u = 2**k * (1 + f)
+        np.subtract(1.0, part, out=f)
+        bits = f.view(np.int64)
+        np.subtract(bits, _SQRT_HALF_BITS, out=b)
+        np.bitwise_and(b, _EXPONENT_FIELD, out=b)
+        np.subtract(bits, b, out=bits)
+        np.right_shift(b, 52, out=b)
+        np.copyto(k, b)
+        f -= 1.0
+        # hfsq, s, z and R = z*Lp1 + z2*(Lp2 + z*Lp3) + z4*(Lp4 + z*Lp5) + z6*(Lp6 + z*Lp7),
+        # summed from the left
+        np.multiply(f, 0.5, out=h)
+        h *= f
+        np.less_equal(h, _RARE_HFSQ, out=rare)
+        np.add(f, 2.0, out=s)
+        np.divide(f, s, out=s)
+        np.multiply(s, s, out=z)
+        np.multiply(z, _LP1, out=r)
+        np.multiply(z, z, out=z2)
+        np.multiply(z, _LP3, out=t)
+        t += _LP2
+        t *= z2
+        r += t
+        np.multiply(z, _LP5, out=t)
+        t += _LP4
+        np.multiply(z, _LP7, out=o)
+        o += _LP6
+        np.multiply(z2, z2, out=z)  # z4
+        t *= z
+        r += t
+        z *= z2  # z6
+        o *= z
+        r += o
+        # k*ln2_hi - ((hfsq - (s*(hfsq + R) + k*ln2_lo)) - f)
+        r += h
+        r *= s
+        np.multiply(k, _LN2_LO, out=t)
+        r += t
+        h -= r
+        h -= f
+        np.multiply(k, _LN2_HI, out=o)
+        o -= h
+        if np.count_nonzero(rare):
+            at = np.flatnonzero(rare)
+            o[at] = _log1m_rare(part[at], f[at], k[at], o[at])
     return out
+
+
+def _log1m_rare(u: np.ndarray, f: np.ndarray, k: np.ndarray, common: np.ndarray) -> np.ndarray:
+    """fdlibm's ``log1p(-u)`` on lanes that :func:`_log1m` flags, given their
+    reduced argument ``f``, ``k`` and its result ``common``.
+
+    For u < 2**-29 fdlibm returns x - x*x/2 with x = -u. A zero high
+    mantissa word of 1 + f (-3 * 2**-21 <= f < 2**-20) with k < 0, which
+    occurs only outside its |x| < 0.2929 path, takes a shorter series.
+    Every other flagged lane keeps ``common``.
+    """
+    x = -u
+    hfsq = 0.5 * f * f
+    series = hfsq * (1.0 - 0.66666666666666666 * f)
+    short = k * _LN2_HI - ((series - k * _LN2_LO) - f)
+    zero_word = (k != 0.0) & (f >= -3 * 2.0**-21) & (f < 2.0**-20)
+    return np.where(u < 2.0**-29, x - x * x * 0.5, np.where(zero_word, short, common))
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +263,10 @@ class Exponential:
         return True
 
     def draw_batch(self, cols: Sequence[np.ndarray], n: int) -> np.ndarray:
-        return -_log1p(-cols[0]) / self.rate
+        # -log(1 - u) / rate; dividing by -rate gives the same bits
+        draws = _log1m(cols[0])
+        draws /= -self.rate
+        return draws
 
     def label(self) -> str:
         return f"exponential({self.rate!r})"
@@ -233,10 +352,12 @@ class Hyperexponential:
 
     def draw_batch(self, cols: Sequence[np.ndarray], n: int) -> np.ndarray:
         # Branch j is the first with cols[0] < cum[j], the last if there is
-        # none; then -log1p(-u) / rates[j] with u from cols[1].
+        # none; then -log(1 - u) / rates[j] with u from cols[1].
         cum = self._cum  # type: ignore[attr-defined]
         branch = np.minimum(np.searchsorted(cum, cols[0], side="right"), len(cum) - 1)
-        return -_log1p(-cols[1]) / np.asarray(self.rates)[branch]
+        draws = _log1m(cols[1])
+        draws /= np.negative(self.rates)[branch]
+        return draws
 
     def label(self) -> str:
         ps = ",".join(repr(p) for p in self.probs)
@@ -497,26 +618,32 @@ def _generate_markov(
     """Marks ``[start, start + length)`` of every seed, from its checkpoint at ``start``."""
     start_cum, row_cums, mark_uniforms = model._tables  # type: ignore[attr-defined]
     bitgen = np.random.Philox(key=0)
-    sig = np.empty((length, len(seeds)))
-    xis = np.empty((length, len(seeds)))
-    for r, (seed, (state, words)) in enumerate(zip(seeds, checkpoints)):
+    # Entry r * length + t of the joined paths is the state of mark t of seeds[r].
+    path = np.empty(len(seeds) * length, dtype=np.intp)
+    for r, (seed, (state, _)) in enumerate(zip(seeds, checkpoints)):
         u1 = _uniforms(bitgen, seed, 1, length, start)
-        path = np.asarray(_markov_states(start_cum, row_cums, u1, state))
-        # Mark t reads its state's sigma uniforms, then its xi uniforms, from
-        # offset first[t] of stream 0. Each state's marks are drawn in one
-        # batch and scattered back to their positions.
-        used = mark_uniforms[path]
-        ends = np.cumsum(used)
-        first = ends - used
-        u = _uniforms(bitgen, seed, 0, int(ends[-1]), words)
-        for s, laws in enumerate(zip(model.sigma_laws, model.xi_laws)):
-            at = np.flatnonzero(path == s)
-            offset = first[at]
-            for out, law in zip((sig[:, r], xis[:, r]), laws):
-                cols = [u[offset + c] for c in range(law.uniforms)]
-                out[at] = law.draw_batch(cols, len(at))
-                offset = offset + law.uniforms
-    return sig, xis
+        path[r * length : (r + 1) * length] = _markov_states(start_cum, row_cums, u1, state)
+    # That mark reads its state's sigma uniforms, then its xi uniforms, from
+    # offset first[r * length + t] of the joined stream-0 words of all seeds.
+    used = mark_uniforms[path]
+    ends = np.cumsum(used)
+    first = ends - used
+    u = np.empty(int(ends[-1]))
+    for r, (seed, (_, words)) in enumerate(zip(seeds, checkpoints)):
+        lo, hi = int(first[r * length]), int(ends[(r + 1) * length - 1])
+        u[lo:hi] = _uniforms(bitgen, seed, 0, hi - lo, words)
+    # Each state's marks of every seed are drawn in one batch, as short
+    # batches cost the array logarithm more per draw, and scattered back.
+    sig = np.empty((len(seeds), length))
+    xis = np.empty((len(seeds), length))
+    for s, laws in enumerate(zip(model.sigma_laws, model.xi_laws)):
+        at = np.flatnonzero(path == s)
+        offset = first[at]
+        for out, law in zip((sig.reshape(-1), xis.reshape(-1)), laws):
+            cols = [u[offset + c] for c in range(law.uniforms)]
+            out[at] = law.draw_batch(cols, len(at))
+            offset = offset + law.uniforms
+    return sig.T, xis.T
 
 
 def _read_trace(path: str) -> tuple[list[float], list[float]]:

@@ -165,9 +165,10 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
     step inserts the arrival's queue plus ``sigma`` into the other queues
     by ``np.minimum``/``np.maximum`` selection, as :func:`_step` does by
     ``insort``; selection does no arithmetic, so it is exact. Then every
-    queue x becomes ``max(x - xi, 0.0)``. Adding +0.0 to the start maps
-    -0.0 to +0.0, as :func:`pth_step` does, after which no difference is
-    -0.0, so the maximum never has to choose between two zeros.
+    queue x becomes ``max(x - xi, 0.0)``, from one ``(n, S, R)`` copy of
+    ``xi``. Adding +0.0 to the start maps -0.0 to +0.0, as :func:`pth_step`
+    does, after which no difference is -0.0, so the maximum never has to
+    choose between two zeros.
     """
     u = np.array(start.T, dtype=np.float64, order="C")
     u += 0.0
@@ -187,7 +188,11 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
         plan += [(np.maximum, (u[j], carry), carry if j < servers - 1 else u[j])]
     if p == servers - 1:
         plan += [(np.positive, (carry,), u[p])]
-    for s, x in zip(sigma, xi):
+    # Each step's gaps copied to every coordinate row, so that the subtract
+    # is same-shape: broadcasting an (R,) row over (S, R) costs about three
+    # times as much per step.
+    gaps = np.repeat(np.asarray(xi)[:, None, :], servers, axis=1)
+    for s, x in zip(sigma, gaps):
         np.add(u[p], s, out=first)
         for f, args, out in plan:
             f(*args, out=out)

@@ -1,11 +1,13 @@
-"""Closed-form queueing formulas used as oracles by the tests.
+"""Closed-form queueing formulas and a scalar log1p used as oracles by the tests.
 
-All of these are textbook results for the FCFS multi-server queue with
-Poisson arrivals and exponential service, computed independently of the
-package under test.
+The queueing formulas are textbook results for the FCFS multi-server queue
+with Poisson arrivals and exponential service; ``log1p_fdlibm`` is a scalar
+port of the C library routine the mark generator's array logarithm
+reproduces. All are computed independently of the package under test.
 """
 
 import math
+import struct
 
 
 def erlang_c(servers: int, offered_load: float) -> float:
@@ -33,3 +35,86 @@ def mm1_wait_cdf(arrival_rate: float, service_rate: float, t: float) -> float:
     if t < 0:
         return 0.0
     return 1.0 - rho * math.exp(-(service_rate - arrival_rate) * t)
+
+
+# fdlibm s_log1p.c (Sun Microsystems, 1993), the constants glibc uses.
+LN2_HI = 6.93147180369123816490e-01  # 0x3fe62e42fee00000
+LN2_LO = 1.90821492927058770002e-10  # 0x3dea39ef35793c76
+LP = (
+    6.666666666666735130e-01,
+    3.999999999940941908e-01,
+    2.857142874366239149e-01,
+    2.222219843214978396e-01,
+    1.818357216161805012e-01,
+    1.531383769920937332e-01,
+    1.479819860511658591e-01,
+)
+
+
+def _high_word(x: float) -> int:
+    """The upper 32 bits of ``x``, as a signed 32-bit int."""
+    return struct.unpack("<q", struct.pack("<d", x))[0] >> 32
+
+
+def _with_high_word(x: float, hi: int) -> float:
+    """``x`` with its upper 32 bits replaced by ``hi``."""
+    low = struct.unpack("<Q", struct.pack("<d", x))[0] & 0xFFFFFFFF
+    return struct.unpack("<d", struct.pack("<Q", (hi << 32) | low))[0]
+
+
+def log1p_fdlibm(x: float) -> float:
+    """log(1 + x) for finite x > -1, one Python float operation per C
+    operation of fdlibm's s_log1p.c as glibc's generic (non-FMA) build
+    evaluates it, branch for branch."""
+    hx = _high_word(x)
+    ax = hx & 0x7FFFFFFF
+    k = 1
+    if hx < 0x3FDA827A:  # x < 0.41422
+        if ax < 0x3E200000:  # |x| < 2**-29
+            return x if ax < 0x3C900000 else x - x * x * 0.5
+        if hx > 0 or hx <= 0xBFD2BEC3 - 2**32:  # -0.2929 < x < 0.41422
+            k, f, hu, c = 0, x, 1, 0.0
+    if k != 0:
+        if hx < 0x43400000:
+            u = 1.0 + x
+            hu = _high_word(u)
+            k = (hu >> 20) - 1023
+            c = 1.0 - (u - x) if k > 0 else x - (u - 1.0)  # correction term
+            c /= u
+        else:
+            u = x
+            hu = _high_word(u)
+            k = (hu >> 20) - 1023
+            c = 0.0
+        hu &= 0x000FFFFF
+        if hu < 0x6A09E:
+            u = _with_high_word(u, hu | 0x3FF00000)  # normalize u
+        else:
+            k += 1
+            u = _with_high_word(u, hu | 0x3FE00000)  # normalize u / 2
+            hu = (0x00100000 - hu) >> 2
+        f = u - 1.0
+    hfsq = 0.5 * f * f
+    if hu == 0:  # |f| < 2**-20
+        if f == 0.0:
+            if k == 0:
+                return 0.0
+            c += k * LN2_LO
+            return k * LN2_HI + c
+        R = hfsq * (1.0 - 0.66666666666666666 * f)
+        if k == 0:
+            return f - R
+        return k * LN2_HI - ((R - (c + k * LN2_LO)) - f)
+    s = f / (2.0 + f)
+    z = s * s
+    R1 = z * LP[0]
+    z2 = z * z
+    R2 = LP[1] + z * LP[2]
+    z4 = z2 * z2
+    R3 = LP[3] + z * LP[4]
+    z6 = z4 * z2
+    R4 = LP[5] + z * LP[6]
+    R = R1 + z2 * R2 + z4 * R3 + z6 * R4
+    if k == 0:
+        return f - (hfsq - s * (hfsq + R))
+    return k * LN2_HI - ((hfsq - (s * (hfsq + R) + (k * LN2_LO + c))) - f)

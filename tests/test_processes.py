@@ -1,14 +1,21 @@
 """Mark generation: laws, reproducibility, modulation, traces, stability."""
 
+import decimal
 import hashlib
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.stats
+from formulas import log1p_fdlibm
 from hypothesis import given, settings, strategies as st
 
+import jswsim
 from jswsim.errors import ConfigError, InputError
 from jswsim.processes import (
     RNG_ALGORITHM,
@@ -21,6 +28,8 @@ from jswsim.processes import (
     TraceModel,
     Uniform,
     _CHUNK,
+    _LOG_CHUNK,
+    _log1m,
     _markov_states,
     _uniforms,
     generate,
@@ -73,7 +82,7 @@ class TestLaws:
 class TestReproducibility:
     def test_algorithm_tag(self):
         marks = generate(MM1, 1, 4)
-        assert marks.algorithm == RNG_ALGORITHM == "philox4x64/u52/inverse-cdf"
+        assert marks.algorithm == RNG_ALGORITHM == "philox4x64/u52/inverse-cdf-v2"
 
     def test_same_seed_identical(self):
         a = generate(MM1, 42, 1000)
@@ -119,13 +128,16 @@ class TestReproducibility:
 
     # sha256 of the sigma and xi bytes of 1000 marks, seed 11, with the law
     # as sigma and then as xi (exponential(0.5) on the other side); recorded
-    # before the iid generator stopped building one list of all uniforms.
+    # before the iid generator stopped building one list of all uniforms,
+    # and re-recorded for inverse-cdf-v2, whose logarithm moved 1, 1 and 2
+    # of the 4000 draws behind the exponential, uniform and hyperexponential
+    # digests by 1 ulp.
     IID_DIGESTS = {
-        Exponential(1.25): "648c47ccfb7b97cf987be45f64986f9f1e930784e5b0d12977295ef4533b77fe",
+        Exponential(1.25): "f4224793a191b2a4b2e3a8908f13d46da8bb9a79a20aea4eccb1b4798b7baac4",
         Deterministic(0.75): "a08b14e3d37d7aebf683c53699566111122c97cbcc27cfb504d4bd1aeab4fdec",
-        Uniform(0.25, 1.75): "2d69f0d520dbc4350319360c50c59f462c018f5f393ea66cfee543efefad297c",
+        Uniform(0.25, 1.75): "3afacb6694ae3f060c085890e7c62f19757a4086be3ecb812adb02f6a09d6173",
         Hyperexponential((0.4, 0.6), (1.0, 3.0)): (
-            "566d04132c9bdde6759b392cbed6b107bc639aa056dfa8b75ffe339c682fab6b"
+            "f837835404d31a002d9572ce1b6233aefab671ff66630aa0321df23f8516a92e"
         ),
     }
 
@@ -209,8 +221,9 @@ class TestBlockGeneration:
         assert np.array_equal(bits(sigma[:, 2]), bits(sigma[:, 4]))
 
     def test_block_spans_several_log1p_chunks(self):
-        # 2 x 3000 draws per law in the block, 3000 in each one-seed call
-        self.assert_columns_match(IIDModel(LAWS[3], LAWS[0]), [1, 2], 3000)
+        # 2 x (_LOG_CHUNK + 7) draws per law in the block, three passes of
+        # the array logarithm; two in each one-seed call
+        self.assert_columns_match(IIDModel(LAWS[3], LAWS[0]), [1, 2], _LOG_CHUNK + 7)
 
     def test_uniforms_reset_between_streams(self):
         bitgen = np.random.Philox(key=0)
@@ -228,15 +241,15 @@ class TestBlockGeneration:
     @staticmethod
     def scalar_draw(law, u_first, u_second):
         if isinstance(law, Exponential):
-            return -math.log1p(-u_first) / law.rate
+            return -log1p_fdlibm(-u_first) / law.rate
         if isinstance(law, Deterministic):
             return law.value
         if isinstance(law, Uniform):
             return law.lo + u_first * (law.hi - law.lo)
         for c, rate in zip(itertools.accumulate(law.probs), law.rates):
             if u_first < c:
-                return -math.log1p(-u_second) / rate
-        return -math.log1p(-u_second) / law.rates[-1]
+                return -log1p_fdlibm(-u_second) / rate
+        return -log1p_fdlibm(-u_second) / law.rates[-1]
 
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
     def test_draw_batch_at_the_edge_uniforms(self, law):
@@ -250,6 +263,130 @@ class TestBlockGeneration:
     def test_length_validated(self):
         with pytest.raises(ValueError):
             generate_many(MM1, [1, 2], 0)
+
+
+def grid(m):
+    """Grid point m of the u52 mapping: (m + 1/2) * 2**-52, m in [0, 2**52)."""
+    return (m + 0.5) * 2.0**-52
+
+
+def grid_near(x):
+    """The four u52 grid points nearest ``x``, two on each side."""
+    m = math.floor(x * 2.0**52 - 0.5)
+    return [grid(j) for j in range(m - 1, m + 3) if 0 <= j < 2**52]
+
+
+# Two grid points below 2**-29 where the common path rounds fdlibm's
+# x - x*x/2 the other way.
+TINY_OTHER_WAY = (float.fromhex("0x1.fec81e0000000p-30"), float.fromhex("0x1.ffe0520000000p-30"))
+
+
+def rare_uniforms():
+    """Grid points where fdlibm's log1p(-u) leaves its common path, or where
+    its reduction changes: u below and above 2**-29; v = 1 - u just above a
+    power of two (a zero high mantissa word) and just below one (a reduced
+    high word of 0 after the sqrt(2)/2 fold), with v = 2**-53 the last grid
+    point; both sides of the |x| < 0.2929 test (high word 0x3fd2bec3) and of
+    the sqrt(2)/2 fold of v (high mantissa word 0x6a09e)."""
+    points = [grid(0), grid(1), grid(2**52 - 1), grid(2**52 - 2), *TINY_OTHER_WAY]
+    points += grid_near(2.0**-29) + grid_near(3 * 2.0**-21) + grid_near(2.0**-20)
+    points += grid_near(float.fromhex("0x1.2bec4p-2"))  # high word 0x3fd2bec4
+    for j in (1, 2, 3, 7, 20, 31, 32):
+        power = 2.0**-j
+        for word in (0, 1, 0xFFFFC, 0xFFFFD, 0x6A09D, 0x6A09E):
+            points += grid_near(1.0 - power * (1 + word * 2.0**-20))
+        # v = 2**-j plus or minus one and three grid half-steps (2**-53)
+        points += [1.0 - (power + e * 2.0**-53) for e in (1, 3, -1, -3) if power + e * 2.0**-53 < 1]
+    return np.array(sorted(set(points)))
+
+
+def within_one_ulp(u, got):
+    """``got`` is within one unit in the last place of ln(1 - u)."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        exact = (decimal.Decimal(1) - decimal.Decimal(u)).ln()
+        return abs(decimal.Decimal(got) - exact) < decimal.Decimal(math.ulp(got))
+
+
+class TestLog1m:
+    """The array logarithm behind the exponential draws: bit for bit the
+    scalar fdlibm port, within one ulp of ln(1 - u)."""
+
+    @staticmethod
+    def assert_matches_port(u):
+        got = _log1m(u)
+        want = np.array([log1p_fdlibm(-x) for x in u.tolist()])
+        assert np.array_equal(bits(got), bits(want)), u[bits(got) != bits(want)]
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**52 - 1), min_size=1, max_size=64))
+    def test_matches_port_and_decimal_on_the_grid(self, ms):
+        u = np.array([grid(m) for m in ms])
+        got = self.assert_matches_port(u)
+        for x, y in zip(u.tolist(), got.tolist()):
+            assert within_one_ulp(x, y), x.hex()
+
+    def test_grid_ends(self):
+        u = np.array([grid(m) for m in (0, 1, 2, 3, 2**52 - 4, 2**52 - 3, 2**52 - 2, 2**52 - 1)])
+        got = self.assert_matches_port(u)
+        assert all(within_one_ulp(x, y) for x, y in zip(u.tolist(), got.tolist()))
+        assert _log1m(np.empty(0)).shape == (0,)
+
+    def test_rare_lanes(self):
+        u = rare_uniforms()
+        assert ((u - 2.0**-53) * 2.0**52 == np.round((u - 2.0**-53) * 2.0**52)).all()
+        got = self.assert_matches_port(u)
+        for x, y in zip(u.tolist(), got.tolist()):
+            assert within_one_ulp(x, y), x.hex()
+
+    @pytest.mark.parametrize("length", [_LOG_CHUNK - 1, _LOG_CHUNK, _LOG_CHUNK + 1])
+    def test_chunk_boundaries(self, length):
+        u = _uniforms(np.random.Philox(key=0), 5, 0, length)
+        # lanes that need the fix-up at both ends of each pass
+        for j, at in enumerate((0, _LOG_CHUNK - 1, _LOG_CHUNK, length - 1)):
+            if at < length:
+                u[at] = TINY_OTHER_WAY[j % 2]
+        self.assert_matches_port(u)
+
+    # (u, log(1 - u)) by float.hex. The first two are uniforms 3790 and 3872
+    # of seed 0, stream 0, where the result is 1 ulp from glibc's FMA build
+    # of log1p; then the smallest and largest grid points and 0.5 + 2**-53.
+    PINNED = (
+        ("0x1.2a75de2ada42ep-2", "-0x1.60d355e45e991p-2"),
+        ("0x1.a2ba2982b1104p-3", "-0x1.d4705ac5ebb71p-3"),
+        ("0x1.0000000000000p-53", "-0x1.0000000000000p-53"),
+        ("0x1.fffffffffffffp-1", "-0x1.25e4f7b2737fap+5"),
+        ("0x1.0000000000001p-1", "-0x1.62e42fefa39f1p-1"),
+    )
+
+    def test_pinned_draws(self):
+        u = np.array([float.fromhex(x) for x, _ in self.PINNED])
+        assert [float(y).hex() for y in _log1m(u)] == [y for _, y in self.PINNED]
+        # the first marks of seed 1 under MM1
+        marks = generate(MM1, 1, 2)
+        sigma, xi = ([float(x).hex() for x in a] for a in (marks.sigma, marks.xi))
+        assert sigma == ["0x1.7277cfd314743p-2", "0x1.5bac6f45dfc49p-3"]
+        assert xi == ["0x1.e377e9f10d2d4p+1", "0x1.02df1567e07bcp-4"]
+
+    def test_bits_do_not_depend_on_cpu_features(self):
+        # numpy picks its SIMD kernels by CPU when it is imported. With
+        # X86_V4 disabled, np.log1p(-u) changes bits on an AVX-512 CPU;
+        # the marks must not.
+        code = (
+            "import hashlib\n"
+            "from jswsim.processes import Exponential, IIDModel, generate\n"
+            "m = generate(IIDModel(Exponential(1.0), Exponential(0.5)), 3, 100000)\n"
+            "print(hashlib.sha256(m.sigma.tobytes() + m.xi.tobytes()).hexdigest())\n"
+        )
+        src = str(pathlib.Path(jswsim.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4", PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        marks = generate(MM1, 3, 100000)
+        here = hashlib.sha256(marks.sigma.tobytes() + marks.xi.tobytes()).hexdigest()
+        assert run.stdout.strip() == here
 
 
 class TestOffsets:
