@@ -37,8 +37,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import __version__
-from .comparison import compare_allocation_ranks, compare_server_counts
-from .config import CONFIG_ENV_VAR, CONFIG_HELP, ExperimentConfig, load_config
+from .comparison import _require_corrupt_step, compare_allocation_ranks, compare_server_counts
+from .config import CONFIG_ENV_VAR, CONFIG_HELP, ExperimentConfig, _section, load_config
 from .errors import ConfigError, InputError, PremiseError, StabilityError
 from .loynes import estimate_stationary_many
 from .orderings import run_property_suite
@@ -57,15 +57,22 @@ EXIT_PREMISE = 6
 EXIT_INTERNAL = 70
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _pool_map(fn, payloads, jobs):
     """Yield ``fn(p)`` for each payload, in order, as the results arrive."""
-    if jobs <= 1 or len(payloads) <= 1:
+    workers = min(jobs, len(payloads), _usable_cpus())
+    if workers <= 1:
         yield from map(fn, payloads)
         return
     # executor.map keeps submission order, so parallel output is
     # identical to the sequential one. A forked pool starts all its workers
-    # at the first submit, so it gets no more than there are payloads.
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+    # at the first submit, so it gets no more than payloads or usable CPUs.
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, payloads)
 
 
@@ -231,7 +238,7 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
     snapshots = cfg.out if cfg.out is not None else settings.snapshots
     keep = snapshots is not None
     # One lockstep estimation per worker, over a contiguous block of seeds.
-    blocks = _blocks(cfg.seeds, min(cfg.jobs, len(cfg.seeds)))
+    blocks = _blocks(cfg.seeds, min(cfg.jobs, len(cfg.seeds), _usable_cpus()))
     payloads = [(cfg.model, block, settings, keep) for block in blocks]
     lines = []
     waits = []
@@ -326,6 +333,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     paths = [p for p in (cfg.out, settings.trajectories) if p is not None]
     if len({os.path.realpath(p) for p in paths}) < len(paths):
         raise ConfigError(f"--out and [compare] trajectories both name {cfg.out!r}")
+    with _section("compare"):
+        _require_corrupt_step(settings.corrupt_step, cfg.horizon)
     payloads = [(cfg.model, s, cfg.horizon, settings) for s in cfg.seeds]
     total_violations = 0
     with contextlib.ExitStack() as stack:

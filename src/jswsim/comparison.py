@@ -119,6 +119,11 @@ def _tail_sums(rows: np.ndarray) -> np.ndarray:
     return np.cumsum(rows[:, ::-1], axis=1)
 
 
+def _require_corrupt_step(corrupt_step: int | None, arrivals: int) -> None:
+    if corrupt_step is not None and not 0 <= corrupt_step <= arrivals:
+        raise ValueError(f"corrupt_step must be in 0..{arrivals}, got {corrupt_step}")
+
+
 def _run_coupled(
     report: ComparisonReport,
     marks: MarkSequence,
@@ -152,6 +157,7 @@ def _run_coupled(
     steps = len(marks.sigma) + 1
     if steps == 1:
         raise ValueError("a coupled comparison needs at least one arrival, got no marks")
+    _require_corrupt_step(corrupt_step, steps - 1)
     (start_a, rank_a), (start_b, rank_b) = first, second
     profiles_a = iter_profiles(start_a, marks, rank_a)
     profiles_b = iter_profiles(start_b, marks, rank_b)
@@ -211,8 +217,8 @@ def compare_server_counts(
     servers, for rank ``servers_big - servers_small + 1`` (tail sums within
     ``sum_slack``). At most one violation is recorded per step, the first in
     that order. ``corrupt_step`` deliberately corrupts the checked copy of
-    the big profile at one step; it exists so tests can prove the harness
-    reports violations.
+    the big profile at one step, 0 to ``len(marks)``; it exists so tests
+    can prove the harness reports violations.
     """
     _require_server_counts(servers_big, servers_small)
     _require_tolerance(sum_slack, "sum_slack")

@@ -182,7 +182,7 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
 [run]
   seeds         integers and inclusive ranges: 1 2 10..20 (1)
   horizon       customers per run, >= 1 (1000)
-  jobs          seed-level worker processes (1)
+  jobs          seed-level worker processes, at most one per usable CPU (1)
   out           CSV output path; for loynes it wins over [loynes] snapshots (none)
 
 [system]                          used by: simulate
@@ -207,7 +207,7 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
   start_alt     ranked start, allocation mode (zeros)
   sum_slack     slack for workload-sum inequalities, finite, < 0 tightens (1e-12)
   tolerance     per-step tolerance, allocation mode, finite, < 0 tightens (0)
-  corrupt_step  self-test hook: corrupt one checked step, either mode (none)
+  corrupt_step  self-test hook: corrupt one checked step, 0..horizon (none)
   trajectories  CSV path for coupled trajectories (none)
 
 [properties]                          used by: verify-properties

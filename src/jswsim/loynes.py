@@ -23,8 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StabilityError
-# pth_step is no longer called here, but it stays importable from this module:
-# the benchmark's tracer test (bench/test_smoke.py) looks it up here.
+# pth_step is not called here; it stays importable for the benchmark's tracer test.
 from .profiles import (  # noqa: F401
     Profile,
     _require_rank,
@@ -52,15 +51,6 @@ __all__ = [
     "loynes_iterate",
 ]
 
-# A replay pass of fewer seeds steps them one at a time. The array kernel
-# costs about as much per step for one seed as for ten, the scalar loop one
-# step per seed. Median microseconds per step of R seeds, 2048 steps, array
-# kernel / scalar loop, 2-core VM, numpy 2.4.6:
-#   S = 2: R = 1 7.9/1.3, R = 4 7.5/5.0, R = 6 7.0/7.6, R = 8 6.9/9.3
-#   S = 4: R = 1 12.7/1.0, R = 4 11.7/5.7, R = 8 10.5/9.4, R = 10 11.9/14.2
-#   S = 8: R = 1 27.4/1.8, R = 4 20.4/7.4, R = 8 18.6/12.6, R = 10 15.0/15.4
-# The kernel wins from R = 6 at S = 2, 9 at S = 4 and 10 at S = 8.
-_LOCKSTEP_MIN_SEEDS = 8
 # Marks held per replay pass, as seeds x rows of one chunk, at any depth.
 _PASS_MARKS = 2**15
 # Rows per chunk when a pass has many seeds, so that moving each seed's
@@ -93,17 +83,13 @@ def backward_marks(model: InputModel, seed: int, n: int) -> MarkSequence:
     return generate(model, seed, n).reversed_marks()
 
 
-def loynes_iterate(
-    marks: MarkSequence, servers: int, rank: int = 1, start: Profile | None = None
-) -> Profile:
+def loynes_iterate(marks: MarkSequence, servers: int, rank: int = 1) -> Profile:
     """Profile seen by the reference arrival after replaying ``marks``.
 
     ``marks`` lists the preceding customers oldest first; the system starts
-    from ``start``, empty when None, and each customer is routed to the
-    rank-th least-loaded queue.
+    empty and each customer is routed to the rank-th least-loaded queue.
     """
-    start = zero_profile(servers) if start is None else start
-    return deque(iter_profiles(start, marks, rank), maxlen=1)[0]
+    return deque(iter_profiles(zero_profile(servers), marks, rank), maxlen=1)[0]
 
 
 def estimate_stationary(
@@ -225,11 +211,8 @@ def _replay(
     shallower depth d joins it, empty, at mark d - 1, after which they step
     together. The marks come oldest first in chunks (:func:`generate_chunks`),
     and a pass holds R seeds times one chunk, at most ``_PASS_MARKS`` marks,
-    at every depth. A pass of at least ``_LOCKSTEP_MIN_SEEDS`` seeds steps
-    the reversed rows of each chunk through :func:`lockstep_profiles`, all
-    its replays as rows of one array; a smaller one steps each replay
-    through :func:`loynes_iterate`, which is faster for a few seeds. Both
-    give the same bits.
+    at every depth. Each pass steps all its replays, the rows of one array,
+    through :func:`lockstep_profiles`, one call per stretch between joins.
     """
     n = depths[-1]
     rows = min(n, max(_MIN_CHUNK_ROWS, _PASS_MARKS // len(seeds)))
@@ -237,33 +220,17 @@ def _replay(
     out: list[tuple[Profile, ...]] = []
     for k in range(passes):
         block = seeds[k * len(seeds) // passes : (k + 1) * len(seeds) // passes]
-        lockstep = len(block) >= _LOCKSTEP_MIN_SEEDS
-        # deepest replay first: (replays * R, S) in lockstep, else per seed
-        state: np.ndarray | list[list[Profile]] = (
-            np.zeros((0, servers)) if lockstep else [[] for _ in block]
-        )
+        # (replays * R, S), deepest replay first
+        state = np.zeros((0, servers))
         for lo, sigma, xi in generate_chunks(model, block, n, rows):
             hi = lo + len(sigma)
             cuts = sorted({lo, hi, *(d for d in depths if lo < d < hi)}, reverse=True)
             for top, bottom in zip(cuts, cuts[1:]):
-                fresh = top in depths
+                if top in depths:
+                    state = np.concatenate((state, np.zeros((len(block), servers))))
+                reps = len(state) // len(block)
                 sig, x = sigma[bottom - lo : top - lo][::-1], xi[bottom - lo : top - lo][::-1]
-                if lockstep:
-                    if fresh:
-                        state = np.concatenate((state, np.zeros((len(block), servers))))
-                    reps = len(state) // len(block)
-                    if reps > 1:
-                        sig, x = np.tile(sig, reps), np.tile(x, reps)
-                    state = lockstep_profiles(state, sig, x, rank)
-                    continue
-                for r, seed in enumerate(block):
-                    if fresh:
-                        state[r].append(zero_profile(servers))
-                    marks = MarkSequence(sig[:, r], x[:, r], seed, model)
-                    state[r] = [loynes_iterate(marks, servers, rank, u) for u in state[r]]
-        if lockstep:
-            final = [list(map(tuple, part.tolist())) for part in np.split(state, len(depths))]
-            out.extend(zip(*final[::-1]))
-        else:
-            out.extend(tuple(replays[::-1]) for replays in state)
+                state = lockstep_profiles(state, np.tile(sig, reps), np.tile(x, reps), rank)
+        final = [list(map(tuple, part.tolist())) for part in np.split(state, len(depths))]
+        out.extend(zip(*final[::-1]))
     return out

@@ -10,15 +10,16 @@ Kiefer-Wolfowitz recursion when p is 1, i.e. join the shortest workload).
 
 All functions here are pure and never mutate their arguments.
 :func:`iter_profiles` runs the recursion over a sequence of arrivals for one
-system; every forward, backward and coupled run goes through it.
-:func:`lockstep_profiles` runs it for R independent systems at once, one
-``(R, S)`` array step per arrival, bit for bit the same as :func:`pth_step`.
+system; forward and coupled runs go through it. :func:`lockstep_profiles`
+gives the final profiles of R systems, the rows of an array, bit for bit
+those of :func:`pth_step`; backward replays go through it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import insort
+from collections import deque
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -126,6 +127,15 @@ def pth_step(u: Profile, mark: Mark, rank: int) -> Profile:
 
 # Marks converted to Python floats at a time by iter_profiles.
 _CHUNK = 4096
+# A lockstep_profiles call with fewer rows steps them one at a time. The
+# array kernel costs about as much per step for one row as for ten, the
+# scalar loop one step per row. Median microseconds per step of R seeds,
+# 2048 steps, array kernel / scalar loop, 2-core VM, numpy 2.4.6:
+#   S = 2: R = 1 7.9/1.3, R = 4 7.5/5.0, R = 6 7.0/7.6, R = 8 6.9/9.3
+#   S = 4: R = 1 12.7/1.0, R = 4 11.7/5.7, R = 8 10.5/9.4, R = 10 11.9/14.2
+#   S = 8: R = 1 27.4/1.8, R = 4 20.4/7.4, R = 8 18.6/12.6, R = 10 15.0/15.4
+# The kernel wins from R = 6 at S = 2, 9 at S = 4 and 10 at S = 8.
+_LOCKSTEP_MIN_ROWS = 8
 
 
 def iter_profiles(start: Profile, marks, rank: int) -> Iterator[Profile]:
@@ -159,7 +169,8 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
     with the same rounding, so row r of the result equals the last profile
     of :func:`iter_profiles` over column r, bit for bit, and a run over
     marks split in two is one call chained into another. Returns a new
-    ``(R, S)`` array.
+    ``(R, S)`` array. Fewer than ``_LOCKSTEP_MIN_ROWS`` rows are stepped one
+    at a time, as by :func:`iter_profiles`; more as one array, as follows.
 
     The state is kept as ``(S, R)``, one contiguous row per coordinate. A
     step inserts the arrival's queue plus ``sigma`` into the other queues
@@ -170,8 +181,13 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
     does, after which no difference is -0.0, so the maximum never has to
     choose between two zeros.
     """
-    u = np.array(start.T, dtype=np.float64, order="C")
+    u = np.array(start, dtype=np.float64)
     u += 0.0
+    if len(u) < _LOCKSTEP_MIN_ROWS:
+        for r, row in enumerate(u.tolist()):
+            u[r] = deque(_iter_steps(tuple(row), sigma[:, r], xi[:, r], rank), maxlen=1)[0]
+        return u
+    u = np.array(u.T, order="C")
     servers = u.shape[0]
     p = rank - 1
     # One step's calls after the add: the other queues in order, each

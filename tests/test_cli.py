@@ -154,6 +154,18 @@ BAD_SETTINGS = {
         "compare",
     ),
     "compare-inf-sum-slack": ("[compare]\nsum_slack = inf\n", [], "compare"),
+    # the corrupted step must be one of the run's, 0..horizon, from a file or a flag
+    "compare-corrupt-step-negative": ("[compare]\ncorrupt_step = -1\n", [], "compare"),
+    "compare-corrupt-step-past-horizon": (
+        "[run]\nhorizon = 50\n[compare]\ncorrupt_step = 51\n",
+        [],
+        "compare",
+    ),
+    "compare-corrupt-step-past-horizon-flag": (
+        "[compare]\ncorrupt_step = 50\n",
+        ["--horizon", "49"],
+        "compare",
+    ),
     "properties-inf-tolerance": ("[properties]\ntolerance = inf\n", [], "verify-properties"),
     "properties-zero-max-dim": ("[properties]\nmax_dim = 0\n", [], "verify-properties"),
     "properties-zero-instances-flag": ("", ["--instances", "0"], "verify-properties"),
@@ -403,14 +415,15 @@ class TestSimulateRows:
         assert with_out == without + f"wrote {out}\n"
 
 
-def test_pool_has_no_more_workers_than_payloads(capsys, monkeypatch):
-    workers = []
+@pytest.fixture
+def pools(monkeypatch):
+    """Swap the process pool for one that runs in process and records each
+    pool's (max_workers, payloads), with an affinity mask of 3 CPUs."""
+    calls = []
 
     class RecordingPool:
-        """Runs in process and records the pool size it was asked for."""
-
         def __init__(self, max_workers):
-            workers.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -419,13 +432,38 @@ def test_pool_has_no_more_workers_than_payloads(capsys, monkeypatch):
             return False
 
         def map(self, fn, payloads):
+            calls.append((self.max_workers, payloads))
             return map(fn, payloads)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    return calls
+
+
+def test_pool_has_no_more_workers_than_payloads(capsys, pools):
     assert list(cli._pool_map(abs, [-1, -2, -3], 2)) == [1, 2, 3]
     code, out, _ = run(["simulate", "--seeds", "1 2", "--horizon", "5", "--jobs", "64"], capsys)
     assert code == 0 and out.count("seed ") == 2
-    assert workers == [2, 2]
+    assert [workers for workers, _ in pools] == [2, 2]
+
+
+def test_pool_has_no_more_workers_than_cpus(capsys, pools):
+    argv = ["--seeds", "1..7", "--jobs", "100000"]
+    code, out, _ = run(["simulate", "--horizon", "5", *argv], capsys)
+    assert code == 0 and out.count("seed ") == 7
+    code, out, _ = run(["loynes", *argv], capsys)
+    assert code == 0 and out.count("seed ") == 7
+    assert [workers for workers, _ in pools] == [3, 3]
+    # loynes splits its seeds into one block per worker
+    assert [len(block) for _, block, _, _ in pools[1][1]] == [2, 2, 3]
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert cli._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
 
 
 class TestOutputs:

@@ -102,6 +102,18 @@ class TestServerCountComparison:
         assert v.inequality.startswith(("coordinate", "total", "tail_sum"))
         assert v.lhs > v.rhs
 
+    @pytest.mark.parametrize("step", [-1, 201])
+    def test_corrupt_step_outside_the_run_is_refused(self, step):
+        # 0..len(marks) are the run's steps; a step outside them could never fire
+        marks = generate(MM1, 8, 200)
+        with pytest.raises(ValueError, match="corrupt_step"):
+            compare_server_counts(3, 2, marks, corrupt_step=step)
+        start = (0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="corrupt_step"):
+            compare_allocation_ranks(3, 2, start, start, marks, corrupt_step=step)
+        last = compare_server_counts(3, 2, marks, corrupt_step=200)
+        assert [v.step for v in last.violations] == [200]
+
     def test_corruption_does_not_pollute_series(self):
         marks = generate(MM1, 8, 200)
         clean = compare_server_counts(3, 2, marks)
@@ -450,9 +462,10 @@ class TestScreenMatchesEveryStepCheck:
         big_n=st.integers(1, 5),
         extra=st.integers(0, 3),
         slack=st.sampled_from([0.0, 1e-12, -1e-12, 1e-16, -0.05]),
-        corrupt=st.none() | st.integers(0, 60),
+        data=st.data(),
     )
-    def test_random_traces_servers(self, pairs, big_n, extra, slack, corrupt):
+    def test_random_traces_servers(self, pairs, big_n, extra, slack, data):
+        corrupt = data.draw(st.none() | st.integers(0, len(pairs)))
         marks = external_marks(*zip(*pairs))
         servers_case(big_n + extra, big_n, marks, sum_slack=slack, corrupt_step=corrupt)
 
@@ -469,10 +482,10 @@ class TestScreenMatchesEveryStepCheck:
         servers=st.integers(1, 5),
         data=st.data(),
         tol=st.sampled_from([0.0, 1e-12, -1e-12, -0.05]),
-        corrupt=st.none() | st.integers(0, 60),
     )
-    def test_random_traces_allocation(self, pairs, servers, data, tol, corrupt):
+    def test_random_traces_allocation(self, pairs, servers, data, tol):
         rank = data.draw(st.integers(1, servers))
+        corrupt = data.draw(st.none() | st.integers(0, len(pairs)))
         start = tuple(sorted(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
                                                  min_size=servers, max_size=servers))))
         start_alt = tuple(x + 1.0 for x in start)

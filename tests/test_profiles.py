@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jswsim.profiles
 from jswsim.profiles import (
     Mark,
     iter_profiles,
@@ -217,6 +218,15 @@ class TestInsertionStep:
 class TestLockstep:
     """The (R, S) array kernel against pth_step, bit for bit."""
 
+    # rows per call from which the kernel steps them as one array: every call here
+    MIN_ROWS = 0
+
+    @pytest.fixture(autouse=True, scope="class")
+    def min_rows(self, request):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jswsim.profiles, "_LOCKSTEP_MIN_ROWS", request.cls.MIN_ROWS)
+            yield
+
     @pytest.mark.parametrize("servers", range(1, 9))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -237,6 +247,16 @@ class TestLockstep:
         out = lockstep_profiles(np.array([[-0.0, 0.0]]), np.array([[0.0]]), np.array([[0.0]]), 1)
         assert _bits(out.tolist()) == _bits([(0.0, 0.0)])
 
+    def test_zero_marks_clear_a_signed_zero_start(self):
+        start = np.array([[-0.0, 0.0, 1.5], [-0.0, -0.0, 0.0]])
+        out = lockstep_profiles(start, np.empty((0, 2)), np.empty((0, 2)), 2)
+        assert _bits(out.tolist()) == _bits([(0.0, 0.0, 1.5), (0.0, 0.0, 0.0)])
+        assert math.copysign(1.0, start[0, 0]) == -1.0
+
+    def test_zero_rows(self):
+        out = lockstep_profiles(np.zeros((0, 3)), np.ones((5, 0)), np.ones((5, 0)), 2)
+        assert out.shape == (0, 3)
+
     @pytest.mark.parametrize("servers,rank", [(1, 1), (2, 1), (3, 2), (8, 8)])
     def test_replay_matches_iter_profiles(self, servers, rank):
         rng = np.random.default_rng(servers * 10 + rank)
@@ -252,7 +272,6 @@ class TestLockstep:
         assert _bits(final.tolist()) == _bits(expected)
         assert not start.any()
 
-
     @pytest.mark.parametrize("servers,rank", [(1, 1), (2, 1), (3, 2), (4, 4)])
     def test_two_chunks_chain_into_one_call(self, servers, rank):
         rng = np.random.default_rng(servers * 7 + rank)
@@ -264,6 +283,13 @@ class TestLockstep:
         head = lockstep_profiles(start, sigma[:137], xi[:137], rank)
         chained = lockstep_profiles(head, sigma[137:], xi[137:], rank)
         assert _bits(chained.tolist()) == _bits(whole.tolist())
+
+
+class TestLockstepRowByRow(TestLockstep):
+    """The same cases with every call stepping its rows one at a time."""
+
+    MIN_ROWS = 2**62
+
 
 def test_iter_profiles_crosses_chunk_boundaries():
     rng = np.random.default_rng(3)
