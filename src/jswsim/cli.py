@@ -235,8 +235,7 @@ def _loynes_block(payload):
 
 def cmd_loynes(cfg: ExperimentConfig) -> int:
     settings = cfg.loynes
-    snapshots = cfg.out if cfg.out is not None else settings.snapshots
-    keep = snapshots is not None
+    keep = cfg.out is not None
     # One lockstep estimation per worker, over a contiguous block of seeds.
     blocks = _blocks(cfg.seeds, min(cfg.jobs, len(cfg.seeds), _usable_cpus()))
     payloads = [(cfg.model, block, settings, keep) for block in blocks]
@@ -248,7 +247,7 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
         if keep:
             out = _open_csv(
                 stack,
-                snapshots,
+                cfg.out,
                 ["seed", "n", "coordinate", "value"],
                 _provenance("loynes snapshots", cfg),
             )
@@ -271,7 +270,7 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
         print(line)
     print(f"mean offered wait over {len(waits)} seeds: {math.fsum(waits) / len(waits):.6g}")
     if keep:
-        print(f"wrote {snapshots}")
+        print(f"wrote {cfg.out}")
     if not all_converged:
         print(
             f"tolerance {settings.tolerance:g} not reached by n={settings.max_n}; "

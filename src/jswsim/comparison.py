@@ -154,7 +154,7 @@ def _run_coupled(
     uncorrupted profiles and divided by the number of arrivals, the same
     float ``simulate`` reports.
     """
-    steps = len(marks.sigma) + 1
+    steps = len(marks) + 1
     if steps == 1:
         raise ValueError("a coupled comparison needs at least one arrival, got no marks")
     _require_corrupt_step(corrupt_step, steps - 1)
@@ -208,17 +208,18 @@ def compare_server_counts(
 ) -> ComparisonReport:
     """Check that more servers never hurt, pathwise, from empty starts.
 
-    Both systems run shortest-workload allocation on the same marks. At
-    every step three families of inequalities are checked: the top
-    ``servers_small`` coordinates of the big system are bounded by the small
-    system's coordinates (exact), the total workload of the big system is
-    bounded by the small system's (within ``sum_slack``), and the big
-    profile is rank-ordered below the small profile padded with idle
-    servers, for rank ``servers_big - servers_small + 1`` (tail sums within
-    ``sum_slack``). At most one violation is recorded per step, the first in
-    that order. ``corrupt_step`` deliberately corrupts the checked copy of
-    the big profile at one step, 0 to ``len(marks)``; it exists so tests
-    can prove the harness reports violations.
+    Both systems run shortest-workload allocation on the same nonempty
+    :class:`MarkSequence` ``marks``. At every step three families of
+    inequalities are checked: the top ``servers_small`` coordinates of the
+    big system are bounded by the small system's coordinates (exact), the
+    total workload of the big system is bounded by the small system's
+    (within ``sum_slack``), and the big profile is rank-ordered below the
+    small profile padded with idle servers, for rank ``servers_big -
+    servers_small + 1`` (tail sums within ``sum_slack``). At most one
+    violation is recorded per step, the first in that order.
+    ``corrupt_step`` deliberately corrupts the checked copy of the big
+    profile at one step, 0 to ``len(marks)``; it exists so tests can prove
+    the harness reports violations.
     """
     _require_server_counts(servers_big, servers_small)
     _require_tolerance(sum_slack, "sum_slack")
@@ -302,11 +303,12 @@ def compare_allocation_ranks(
     ``start`` and ``start_alt`` are nondecreasing profiles of finite
     nonnegative floats, one entry per server. The premise requires ``start``
     rank-ordered below ``start_alt``; it is an error to call with starts
-    that violate it. Both systems consume the same
-    marks: the first from ``start`` joining the least-loaded queue, the
-    second from ``start_alt`` joining the rank-th least-loaded queue. The
-    rank ordering is re-checked after every arrival with tolerance ``tol``
-    (the two paths share one arithmetic route, so the default is exact).
+    that violate it. Both systems consume the same nonempty
+    :class:`MarkSequence` ``marks``: the first from ``start`` joining the
+    least-loaded queue, the second from ``start_alt`` joining the rank-th
+    least-loaded queue. The rank ordering is re-checked after every arrival
+    with tolerance ``tol`` (the two paths share one arithmetic route, so the
+    default is exact).
     ``corrupt_step`` corrupts the checked copy of the first profile at one
     step, as in :func:`compare_server_counts`.
     """
@@ -348,11 +350,11 @@ def fcfs_waiting_times(marks: MarkSequence, servers: int) -> list[float]:
     """Waiting times from an independent event-based FCFS simulation.
 
     Tracks absolute server-free epochs instead of workload profiles:
-    customer k arrives at the cumulative sum of the gaps before it, waits
-    for the earliest-free server (ties broken by lowest server index) and
-    occupies it for its service requirement. Customer k's waiting time
-    equals the least coordinate of the profile recursion's k-th profile,
-    up to the rounding drift of absolute epochs.
+    customer k of the :class:`MarkSequence` ``marks`` arrives at the sum of
+    the gaps before it, waits for the earliest-free server (ties broken by
+    lowest server index) and occupies it for its service requirement. Its
+    waiting time equals the least coordinate of the profile recursion's
+    k-th profile, up to the rounding drift of absolute epochs.
     """
     free = list(zero_profile(servers))
     now = 0.0

@@ -41,6 +41,7 @@ from .processes import (
     MarkovModulatedModel,
     TraceModel,
     Uniform,
+    _require_seeds,
 )
 
 __all__ = [
@@ -87,7 +88,6 @@ class LoynesSettings:
     tolerance: float = 1e-6
     window: int = 64
     max_n: int = 2**22
-    snapshots: str | None = None
 
     def __post_init__(self) -> None:
         with _section("loynes"):
@@ -158,6 +158,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         _require(self.horizon >= 1, "[run] horizon", f"must be >= 1, got {self.horizon}")
         _require(self.jobs >= 1, "[run] jobs", f"must be >= 1, got {self.jobs}")
+        with _section("run"):
+            _require_seeds(self.seeds)
         # Seed order is part of the output contract: reports are written
         # seed-sorted no matter how the seed list was spelled.
         object.__setattr__(self, "seeds", tuple(sorted(self.seeds)))
@@ -180,10 +182,10 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
   path          trace file of 'sigma xi' lines, '#' comments allowed
 
 [run]
-  seeds         integers and inclusive ranges: 1 2 10..20 (1)
+  seeds         integers in [0, 2**64) and inclusive ranges: 1 2 10..20 (1)
   horizon       customers per run, >= 1 (1000)
   jobs          seed-level worker processes, at most one per usable CPU (1)
-  out           CSV output path; for loynes it wins over [loynes] snapshots (none)
+  out           CSV output path; for loynes the per-doubling profiles (none)
 
 [system]                          used by: simulate
   servers       number of queues (2)
@@ -196,7 +198,6 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
   tolerance     sup-norm doubling increment declaring convergence, > 0 (1e-6)
   window        first evaluation point (64)
   max_n         largest evaluation point (4194304)
-  snapshots     CSV path for per-doubling profiles (none)
 
 [compare]                         used by: compare
   mode          servers | allocation (servers)

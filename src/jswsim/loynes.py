@@ -80,14 +80,15 @@ def backward_marks(model: InputModel, seed: int, n: int) -> MarkSequence:
     Reverses the generated stream, so for fixed (model, seed) a larger n
     prepends older customers while the recent past is unchanged.
     """
-    return generate(model, seed, n).reversed_marks()
+    marks = generate(model, seed, n)
+    return MarkSequence(sigma=marks.sigma[::-1], xi=marks.xi[::-1])
 
 
 def loynes_iterate(marks: MarkSequence, servers: int, rank: int = 1) -> Profile:
     """Profile seen by the reference arrival after replaying ``marks``.
 
-    ``marks`` lists the preceding customers oldest first; the system starts
-    empty and each customer is routed to the rank-th least-loaded queue.
+    ``marks``, a :class:`MarkSequence`, lists the preceding customers oldest
+    first; from an empty start each joins the rank-th least-loaded queue.
     """
     return deque(iter_profiles(zero_profile(servers), marks, rank), maxlen=1)[0]
 

@@ -1,13 +1,13 @@
 """Seeded generators for customer mark sequences.
 
-A mark sequence is the per-customer input of a simulation: service
-requirement ``sigma`` (nonnegative) and inter-arrival gap ``xi`` (strictly
-positive), for ``length`` consecutive customers.
+A mark sequence is the per-customer input of a simulation: finite,
+nonnegative service requirements ``sigma`` and inter-arrival gaps ``xi``
+(generated gaps are positive) of ``length`` consecutive customers.
 
 Reproducibility contract
 ------------------------
 All randomness comes from the Philox 4x64 counter-based generator. Stream 0
-of a seed drives the marks, stream 1 drives the modulating chain of a
+of a seed in [0, 2**64) drives the marks, stream 1 the modulating chain of a
 Markov-modulated model (the two streams use the Philox key ``(seed, stream)``).
 Raw 64-bit words are mapped to uniforms in the open interval (0, 1) by
 ``u = (top 52 bits + 1/2) * 2**-52``, and every law transforms uniforms
@@ -18,7 +18,7 @@ FMA or SIMD units. ``np.log1p`` is not used: its SIMD kernels give other bits
 on some CPUs. For each mark the sigma draw consumes its uniforms first, then
 the xi draw, so a longer sequence for the same (model, seed) extends a
 shorter one without changing its prefix. The algorithm identifier below is
-stored on every generated sequence.
+stamped into CSV headers.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _reset(bitgen: np.random.Philox, seed: int, stream: int, block: int) -> np.r
     # and no small arrays are built for them.
     bitgen.state = {
         "bit_generator": "Philox",
-        "state": {"counter": [block, 0, 0, 0], "key": [seed % 2**64, stream]},
+        "state": {"counter": [block, 0, 0, 0], "key": [seed, stream]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,  # empty: the next word starts a new block
         "has_uint32": 0,
@@ -458,9 +458,8 @@ def _gth_stationary(rows: tuple[tuple[float, ...], ...]) -> tuple[float, ...]:
 class TraceModel:
     """Marks replayed from a text file: one 'sigma xi' pair per line.
 
-    Blank lines are skipped and '#' starts a comment. The seed is ignored
-    for generation but still recorded on the resulting sequence. The file is
-    read on first use and kept for the model's lifetime.
+    Blank lines are skipped and '#' starts a comment. The seed is ignored.
+    The file is read on first use and kept for the model's lifetime.
     """
 
     path: str
@@ -502,34 +501,25 @@ def _strongly_connected(rows: tuple[tuple[float, ...], ...]) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class MarkSequence:
-    """A realized sequence of marks plus everything needed to regenerate it.
-
-    ``model`` is None for sequences assembled directly from arrays; those
-    cannot be regenerated from (model, seed) and are labeled "external".
-    """
+    """Service requirements ``sigma`` and gaps ``xi`` of customers in arrival
+    order: read-only 1-d float64 arrays of one length (0 too), finite, >= 0."""
 
     sigma: np.ndarray
     xi: np.ndarray
-    seed: int
-    model: InputModel | None
-    algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
-        self.sigma.setflags(write=False)
-        self.xi.setflags(write=False)
+        for name, a in (("sigma", self.sigma), ("xi", self.xi)):
+            if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.float64):
+                raise ValueError(f"{name} must be a 1-d float64 array")
+            bad = np.flatnonzero(~((a >= 0.0) & (a < math.inf)))  # NaN too
+            if bad.size:
+                raise ValueError(f"{name}[{bad[0]}] = {float(a[bad[0]])!r}, must be finite, >= 0")
+            a.setflags(write=False)
+        if len(self.sigma) != len(self.xi):
+            raise ValueError(f"{len(self.sigma)} sigma marks but {len(self.xi)} xi marks")
 
     def __len__(self) -> int:
         return len(self.sigma)
-
-    def reversed_marks(self) -> "MarkSequence":
-        """The same marks in reverse order."""
-        return MarkSequence(
-            sigma=self.sigma[::-1].copy(),
-            xi=self.xi[::-1].copy(),
-            seed=self.seed,
-            model=self.model,
-            algorithm=self.algorithm,
-        )
 
 
 def _generate_iid(
@@ -674,6 +664,13 @@ def _read_trace(path: str) -> tuple[list[float], list[float]]:
     return sig, xis
 
 
+def _require_seeds(seeds: Sequence[int]) -> None:
+    """Philox keys a stream by a 64-bit seed, so every seed is in [0, 2**64)."""
+    for seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def generate_many(
     model: InputModel, seeds: Sequence[int], length: int, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -693,6 +690,7 @@ def generate_many(
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
     seeds = list(seeds)
+    _require_seeds(seeds)
     if isinstance(model, IIDModel):
         return _generate_iid(model.sigma_law, model.xi_law, seeds, length, start)
     if isinstance(model, MarkovModulatedModel):
@@ -723,6 +721,7 @@ def generate_chunks(
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
     seeds = list(seeds)
+    _require_seeds(seeds)
     bounds = [(max(0, hi - rows), hi) for hi in range(length, 0, -rows)]
     if not isinstance(model, MarkovModulatedModel):
         for lo, hi in bounds:
@@ -742,7 +741,7 @@ def generate(model: InputModel, seed: int, length: int) -> MarkSequence:
     ``generate(m, s, a).sigma == generate(m, s, b).sigma[:a]`` for a <= b.
     """
     sig, xis = generate_many(model, [seed], length)
-    return MarkSequence(sigma=sig[:, 0], xi=xis[:, 0], seed=seed, model=model)
+    return MarkSequence(sigma=sig[:, 0], xi=xis[:, 0])
 
 
 # --------------------------------------------------------------------------
@@ -798,14 +797,8 @@ def stability_check(model: InputModel, servers: int) -> StabilityVerdict:
     return StabilityVerdict.UNSTABLE
 
 
-def model_label(model: InputModel | None) -> str:
-    """Canonical one-line description, used in report headers.
-
-    ``None`` labels mark sequences assembled directly from arrays rather
-    than drawn from a model.
-    """
-    if model is None:
-        return "external"
+def model_label(model: InputModel) -> str:
+    """Canonical one-line description, used in report headers."""
     if isinstance(model, IIDModel):
         return f"iid(sigma={model.sigma_law.label()},xi={model.xi_law.label()})"
     if isinstance(model, MarkovModulatedModel):

@@ -143,9 +143,8 @@ def iter_profiles(start: Profile, marks, rank: int) -> Iterator[Profile]:
 
     ``start`` must be a nondecreasing profile of finite nonnegative floats;
     it is checked, with ``rank``, when this function is called. ``marks`` is
-    any object with equal-length ``sigma`` and ``xi`` arrays, listed in
-    arrival order; every arrival joins the queue with the rank-th least
-    workload.
+    a :class:`~jswsim.processes.MarkSequence`, in arrival order; every
+    arrival joins the queue with the rank-th least workload.
     """
     _require_profile(start)
     _require_rank(start, rank)
@@ -169,8 +168,9 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
     with the same rounding, so row r of the result equals the last profile
     of :func:`iter_profiles` over column r, bit for bit, and a run over
     marks split in two is one call chained into another. Returns a new
-    ``(R, S)`` array. Fewer than ``_LOCKSTEP_MIN_ROWS`` rows are stepped one
-    at a time, as by :func:`iter_profiles`; more as one array, as follows.
+    ``(R, S)`` array; other shapes and a rank outside [1, S] raise
+    ValueError. Fewer than ``_LOCKSTEP_MIN_ROWS`` rows are stepped one at a
+    time, as by :func:`iter_profiles`; more as one array, as follows.
 
     The state is kept as ``(S, R)``, one contiguous row per coordinate. A
     step inserts the arrival's queue plus ``sigma`` into the other queues
@@ -182,6 +182,9 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
     choose between two zeros.
     """
     u = np.array(start, dtype=np.float64)
+    if u.ndim != 2 or np.shape(sigma) != np.shape(xi) or np.shape(sigma)[1:] != u.shape[:1]:
+        raise ValueError(f"need (R, S) starts and (n, R) marks, got {u.shape}, {np.shape(sigma)}")
+    _require_rank(zero_profile(u.shape[1]), rank)
     u += 0.0
     if len(u) < _LOCKSTEP_MIN_ROWS:
         for r, row in enumerate(u.tolist()):

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 _criterion_lines: list[str] = []
@@ -14,3 +16,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(_criterion_lines):
             terminalreporter.write_line(line)
+
+
+def pytest_collection_modifyitems(items):
+    """Turn numpy's RuntimeWarnings into failures in this directory's tests:
+    a NaN or an overflow met while stepping is a fault, not a result."""
+    here = pathlib.Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))

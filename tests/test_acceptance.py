@@ -58,7 +58,7 @@ def dyadic_mark_arrays(rng: random.Random, n: int) -> MarkSequence:
     """A mark stream on the 1/64 grid so coupled folds are float-exact."""
     sigma = np.array([rng.randint(0, 128) / 64.0 for _ in range(n)])
     xi = np.array([rng.randint(1, 64) / 64.0 for _ in range(n)])
-    return MarkSequence(sigma=sigma, xi=xi, seed=0, model=None)
+    return MarkSequence(sigma=sigma, xi=xi)
 
 
 def test_c01_step_correctness(criterion_log):

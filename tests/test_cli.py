@@ -166,6 +166,10 @@ BAD_SETTINGS = {
         ["--horizon", "49"],
         "compare",
     ),
+    # Philox takes 64-bit seeds, so any other seed would alias one of them
+    "run-seed-negative": ("[run]\nseeds = 1 -1\n", [], "simulate"),
+    "run-seed-2-64-flag": ("", ["--seeds", "18446744073709551616"], "loynes"),
+    "run-seed-negative-flag": ("", ["--seed", "-1"], "compare"),
     "properties-inf-tolerance": ("[properties]\ntolerance = inf\n", [], "verify-properties"),
     "properties-zero-max-dim": ("[properties]\nmax_dim = 0\n", [], "verify-properties"),
     "properties-zero-instances-flag": ("", ["--instances", "0"], "verify-properties"),
@@ -191,7 +195,8 @@ def test_bad_settings_exit_two(name, tmp_path, capsys, monkeypatch):
     text, flags, command = BAD_SETTINGS[name]
     (tmp_path / "c.ini").write_text(text)
     argv = [command, "--config", "c.ini", *flags]
-    if command != "verify-properties":
+    # one seed, unless the row's seeds are its bad value
+    if command != "verify-properties" and "seed" not in text + " ".join(flags):
         argv += ["--seed", "1"]
     code, out, err = run(argv, capsys)
     assert code == 2, err
@@ -479,13 +484,17 @@ class TestOutputs:
         assert any(line.startswith("1,64,1,") for line in lines)
 
     def test_loynes_writes_run_out(self, tmp_path, capsys, monkeypatch):
-        # [run] out names the snapshot CSV as --out does, ahead of [loynes] snapshots
+        # [run] out names the snapshot CSV as --out does; [loynes] has no path key
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "c.ini").write_text("[run]\nout = file.csv\n[loynes]\nsnapshots = no.csv\n")
+        (tmp_path / "c.ini").write_text("[run]\nout = file.csv\n")
         argv = ["loynes", "--config", "c.ini", "--seeds", "1 2"]
         assert run(argv, capsys)[0] == 0
         assert run(["loynes", "--seeds", "1 2", "--out", "flag.csv"], capsys)[0] == 0
         assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+        (tmp_path / "c.ini").write_text("[loynes]\nsnapshots = no.csv\n")
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert "[loynes] snapshots: unknown key" in err
         assert not (tmp_path / "no.csv").exists()
 
     def test_loynes_wait_is_coordinate_rank(self, tmp_path, capsys):

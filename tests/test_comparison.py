@@ -229,15 +229,31 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="at least one arrival"):
             compare_allocation_ranks(2, 2, (0.0, 0.0), (0.0, 0.0), marks)
 
+    @pytest.mark.parametrize(
+        "sigma,xi",
+        [
+            ([1.0, math.nan, 0.5], [1.0, 1.0, 1.0]),
+            ([1.0, math.inf, 0.5], [1.0, 1.0, 1.0]),
+            ([1.0, 1.0, 0.5], [1.0, math.nan, 1.0]),
+        ],
+        ids=["nan-sigma", "inf-sigma", "nan-xi"],
+    )
+    def test_non_finite_marks_are_refused_before_any_step(self, sigma, xi, monkeypatch):
+        # unchecked, such marks pass every check: a NaN gap clamps every queue to 0
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("jswsim.comparison.iter_profiles", no_steps)
+        with pytest.raises(ValueError, match="must be finite, >= 0"):
+            compare_server_counts(3, 2, external_marks(sigma, xi))
+
 
 # ----------------------------------------------------------------------------
 # The block screen against a scalar reference that checks every step.
 
 
 def external_marks(sigma, xi):
-    return MarkSequence(
-        sigma=np.array(sigma, dtype=float), xi=np.array(xi, dtype=float), seed=0, model=None
-    )
+    return MarkSequence(sigma=np.array(sigma, dtype=float), xi=np.array(xi, dtype=float))
 
 
 def corrupted(profile, reference_total):

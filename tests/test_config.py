@@ -129,7 +129,6 @@ servers = 3
 tolerance = 1e-7
 window = 32
 max_n = 4096
-snapshots = snap.csv
 
 [compare]
 mode = allocation
@@ -154,7 +153,6 @@ instances = 123
         assert cfg.system.servers == 4
         assert cfg.system.initial == (0.0, 0.0, 1.0, 2.5)
         assert cfg.loynes.tolerance == 1e-7
-        assert cfg.loynes.snapshots == "snap.csv"
         assert cfg.compare.mode == "allocation"
         assert cfg.compare.rank == 3
         assert cfg.compare.start == (0.0, 0.0, 0.0, 0.0)
@@ -342,6 +340,11 @@ INVALID_VALUES = {
     "compare-inf-sum-slack": (
         "[compare]\nsum_slack = inf\n",
         lambda: compare_server_counts(3, 2, MARKS, sum_slack=math.inf),
+    ),
+    "run-seed-negative": ("[run]\nseeds = -1\n", lambda: generate(MM1, -1, 5)),
+    "run-seed-2-64": (
+        "[run]\nseeds = 18446744073709551616\n",
+        lambda: estimate_stationary(MM1, 2**64, 2, window=16, max_n=64),
     ),
     "properties-unknown-suite": (
         "[properties]\nsuites = bogus\n",

@@ -29,7 +29,7 @@ def marks_from_pairs(pairs):
 
     sigma = np.array([p[0] for p in pairs], dtype=np.float64)
     xi = np.array([p[1] for p in pairs], dtype=np.float64)
-    return proc.MarkSequence(sigma=sigma, xi=xi, seed=0, model=None)
+    return proc.MarkSequence(sigma=sigma, xi=xi)
 
 
 class TestBackwardFold:

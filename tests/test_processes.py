@@ -1,5 +1,6 @@
 """Mark generation: laws, reproducibility, modulation, traces, stability."""
 
+import dataclasses
 import decimal
 import hashlib
 import itertools
@@ -23,6 +24,7 @@ from jswsim.processes import (
     Exponential,
     Hyperexponential,
     IIDModel,
+    MarkSequence,
     MarkovModulatedModel,
     StabilityVerdict,
     TraceModel,
@@ -79,10 +81,50 @@ class TestLaws:
         assert "exponential" in lab and "1.0" in lab and "0.5" in lab
 
 
+class TestMarkSequence:
+    """A mark sequence is two checked arrays."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    @pytest.mark.parametrize("field", ["sigma", "xi"])
+    def test_entries_must_be_finite_and_nonnegative(self, field, bad):
+        arrays = {"sigma": np.ones(4), "xi": np.ones(4)}
+        arrays[field][2] = bad
+        with pytest.raises(ValueError, match=rf"{field}\[2\] = .*must be finite, >= 0"):
+            MarkSequence(**arrays)
+
+    @pytest.mark.parametrize(
+        "sigma,xi",
+        [
+            (np.ones((2, 2)), np.ones((2, 2))),
+            (np.ones(3), np.ones((3, 1))),
+            (np.ones(3, dtype=np.float32), np.ones(3)),
+            (np.ones(3), np.ones(3, dtype=np.int64)),
+            ([1.0, 2.0], np.ones(2)),
+            (np.float64(1.0), np.ones(1)),
+        ],
+        ids=["2d", "xi-column", "float32-sigma", "int-xi", "list-sigma", "scalar-sigma"],
+    )
+    def test_arrays_must_be_1d_float64(self, sigma, xi):
+        with pytest.raises(ValueError, match="must be a 1-d float64 array"):
+            MarkSequence(sigma, xi)
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="3 sigma marks but 2 xi marks"):
+            MarkSequence(np.ones(3), np.ones(2))
+
+    def test_empty_and_zero_marks_are_accepted(self):
+        assert len(MarkSequence(np.empty(0), np.empty(0))) == 0
+        marks = MarkSequence(np.array([0.0, -0.0, 2.5]), np.zeros(3))
+        assert len(marks) == 3
+        assert not marks.sigma.flags.writeable and not marks.xi.flags.writeable
+
+    def test_only_the_two_arrays(self):
+        assert [f.name for f in dataclasses.fields(MarkSequence)] == ["sigma", "xi"]
+
+
 class TestReproducibility:
     def test_algorithm_tag(self):
-        marks = generate(MM1, 1, 4)
-        assert marks.algorithm == RNG_ALGORITHM == "philox4x64/u52/inverse-cdf-v2"
+        assert RNG_ALGORITHM == "philox4x64/u52/inverse-cdf-v2"
 
     def test_same_seed_identical(self):
         a = generate(MM1, 42, 1000)
@@ -122,9 +164,19 @@ class TestReproducibility:
         assert len(marks) == 10
         assert marks.sigma.shape == marks.xi.shape == (10,)
         assert marks.sigma.dtype == marks.xi.dtype == np.float64
-        rev = marks.reversed_marks()
-        assert np.array_equal(rev.sigma, marks.sigma[::-1])
-        assert np.array_equal(rev.xi, marks.xi[::-1])
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seeds_outside_64_bits_are_refused(self, seed):
+        # Philox keys a stream by 64 bits: such a seed would alias seed % 2**64
+        for call in (
+            lambda: generate(MM1, seed, 3),
+            lambda: generate_many(MM1, [1, seed], 3),
+            lambda: next(generate_chunks(MM1, [seed], 3, 2)),
+            lambda: next(generate_chunks(THREE_STATE, [seed], 3, 2)),
+            lambda: jswsim.estimate_stationary_many(MM1, [1, seed], 2, window=4, max_n=8),
+        ):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                call()
 
     # sha256 of the sigma and xi bytes of 1000 marks, seed 11, with the law
     # as sigma and then as xi (exponential(0.5) on the other side); recorded

@@ -257,6 +257,36 @@ class TestLockstep:
         out = lockstep_profiles(np.zeros((0, 3)), np.ones((5, 0)), np.ones((5, 0)), 2)
         assert out.shape == (0, 3)
 
+    # rows of start, shape of sigma, shape of xi
+    @pytest.mark.parametrize(
+        "rows,sigma_shape,xi_shape",
+        [
+            (8, (3, 1), (3, 1)),
+            (7, (3, 1), (3, 1)),
+            (2, (3, 2), (4, 2)),
+            (2, (3, 2), (3, 3)),
+            (2, (2,), (2,)),
+            (1, (3, 1, 1), (3, 1, 1)),
+        ],
+    )
+    def test_marks_need_one_column_per_row(self, rows, sigma_shape, xi_shape):
+        with pytest.raises(ValueError, match="need"):
+            lockstep_profiles(np.zeros((rows, 2)), np.ones(sigma_shape), np.ones(xi_shape), 1)
+
+    def test_start_needs_rows_of_servers(self):
+        for start in (np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="need"):
+                lockstep_profiles(start, np.ones((3, 2)), np.ones((3, 2)), 1)
+        with pytest.raises(ValueError, match="servers must be >= 1"):
+            lockstep_profiles(np.zeros((2, 0)), np.ones((3, 2)), np.ones((3, 2)), 1)
+
+    @pytest.mark.parametrize("rank", [0, -1, 4])
+    def test_rank_outside_the_servers_is_refused(self, rank):
+        # unchecked, rank 0 would step as rank S and rank -1 leave profiles unsorted
+        sigma, xi = np.full((4, 2), 0.5), np.full((4, 2), 0.1)
+        with pytest.raises(ValueError, match=rf"allocation rank {rank} outside \[1, 3\]"):
+            lockstep_profiles(np.zeros((2, 3)), sigma, xi, rank)
+
     @pytest.mark.parametrize("servers,rank", [(1, 1), (2, 1), (3, 2), (8, 8)])
     def test_replay_matches_iter_profiles(self, servers, rank):
         rng = np.random.default_rng(servers * 10 + rank)
