@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, islice
 from operator import add
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,8 +24,8 @@ from .profiles import (
     Profile,
     _require_profile,
     _require_rank,
-    iter_profiles,
     pad,
+    path_profiles,
     total_workload,
     zero_profile,
 )
@@ -42,6 +41,12 @@ __all__ = [
 ]
 
 DEFAULT_SUM_SLACK = 1e-12
+# Arrivals per path_profiles call of _run_coupled. The same probe as for
+# profiles._PATH_BLOCK, with the peak traced memory of its first case:
+#   2**13: 0.181 0.321 0.377 0.518 0.650, 2.0 MB
+#   2**14: 0.165 0.308 0.332 0.441 0.622, 4.0 MB
+#   2**15: 0.152 0.280 0.331 0.437 0.631, 7.9 MB
+_PATH_CHUNK = 2**14
 
 
 def _start_profile(servers: int, start: Profile | None, name: str) -> Profile:
@@ -107,12 +112,6 @@ def _corrupted(profile: Profile, reference_total: float) -> Profile:
     return profile[:-1] + (profile[-1] + bump,)
 
 
-def _next_block(profiles: Iterator[Profile], rows: int, servers: int) -> np.ndarray:
-    """The next ``rows`` profiles of a stream as the rows of an ``(rows, S)`` array."""
-    flat = np.fromiter(chain.from_iterable(islice(profiles, rows)), float, rows * servers)
-    return flat.reshape(rows, servers)
-
-
 def _tail_sums(rows: np.ndarray) -> np.ndarray:
     """Column k of row t is the sum of the top k + 1 coordinates of row t,
     added from the top down: the same float additions as :func:`prec_star`."""
@@ -141,7 +140,10 @@ def _run_coupled(
     step, or None. At ``corrupt_step`` it sees a corrupted copy of the first
     profile.
 
-    The profile streams are read in blocks of ``_CHUNK`` steps. ``screen``
+    Each system's profiles come from :func:`~jswsim.profiles.path_profiles`,
+    bit for bit those of ``iter_profiles``, one call per ``_PATH_CHUNK``
+    marks, each chunk starting from the last profile of the one before.
+    Each chunk's rows are screened in blocks of ``_CHUNK`` steps. ``screen``
     maps a block's first and second profiles, as ``(n, S)`` arrays, to one
     slack per row, and ``check`` can fail only on a row whose slack is not
     ``>= 0`` (a NaN slack counts as failing). ``check`` runs, in step order,
@@ -154,41 +156,43 @@ def _run_coupled(
     uncorrupted profiles and divided by the number of arrivals, the same
     float ``simulate`` reports.
     """
-    steps = len(marks) + 1
-    if steps == 1:
+    arrivals = len(marks)
+    if not arrivals:
         raise ValueError("a coupled comparison needs at least one arrival, got no marks")
-    _require_corrupt_step(corrupt_step, steps - 1)
+    _require_corrupt_step(corrupt_step, arrivals)
     (start_a, rank_a), (start_b, rank_b) = first, second
-    profiles_a = iter_profiles(start_a, marks, rank_a)
-    profiles_b = iter_profiles(start_b, marks, rank_b)
-    sum_a = sum_b = wait_a = wait_b = 0.0
-    for base in range(0, steps, _CHUNK):
-        rows = min(_CHUNK, steps - base)
-        block_a = _next_block(profiles_a, rows, len(start_a))
-        block_b = _next_block(profiles_b, rows, len(start_b))
-        slack = screen(block_a, block_b)
-        confirm = set(np.flatnonzero(~(slack >= 0.0)).tolist())
-        confirm.add(int(slack.argmin()))
-        if corrupt_step is not None and 0 <= corrupt_step - base < rows:
-            confirm.add(corrupt_step - base)
-        for i in sorted(confirm):
-            # tolist gives back the very floats the stream produced
-            a, b = tuple(block_a[i].tolist()), tuple(block_b[i].tolist())
-            step = base + i
-            checked = a if step != corrupt_step else _corrupted(a, total_workload(b))
-            violation = check(step, checked, b)
-            if violation is not None:
-                report.violations.append(violation)
-        # A profile's wait is added once the next profile shows that an
-        # arrival saw it: the pending wait first, then the block's in order.
-        sum_a = reduce(add, block_a[:-1, rank_a - 1].tolist(), sum_a + wait_a)
-        sum_b = reduce(add, block_b[:-1, rank_b - 1].tolist(), sum_b + wait_b)
-        last_a, last_b = block_a[-1].tolist(), block_b[-1].tolist()
-        wait_a, wait_b = last_a[rank_a - 1], last_b[rank_b - 1]
-    arrivals = steps - 1
-    report.steps_checked = steps
+    sum_a = sum_b = 0.0
+    for lo in range(0, arrivals, _PATH_CHUNK):
+        hi = min(lo + _PATH_CHUNK, arrivals)
+        sigma, xi = marks.sigma[lo:hi], marks.xi[lo:hi]
+        path_a = path_profiles(start_a, sigma, xi, rank_a)
+        path_b = path_profiles(start_b, sigma, xi, rank_b)
+        # Row 0 is step lo, and the last row, step hi, starts the next
+        # chunk; the last chunk checks it too.
+        end = hi - lo + (hi == arrivals)
+        for base in range(0, end, _CHUNK):
+            rows = slice(base, min(base + _CHUNK, end))
+            block_a, block_b = path_a[rows], path_b[rows]
+            slack = screen(block_a, block_b)
+            confirm = set(np.flatnonzero(~(slack >= 0.0)).tolist())
+            confirm.add(int(slack.argmin()))
+            if corrupt_step is not None and 0 <= corrupt_step - lo - base < len(block_a):
+                confirm.add(corrupt_step - lo - base)
+            for i in sorted(confirm):
+                # tolist gives back the very floats the path holds
+                a, b = tuple(block_a[i].tolist()), tuple(block_b[i].tolist())
+                step = lo + base + i
+                checked = a if step != corrupt_step else _corrupted(a, total_workload(b))
+                violation = check(step, checked, b)
+                if violation is not None:
+                    report.violations.append(violation)
+        # The profiles arrivals lo .. hi - 1 saw, added in step order.
+        sum_a = reduce(add, path_a[:-1, rank_a - 1].tolist(), sum_a)
+        sum_b = reduce(add, path_b[:-1, rank_b - 1].tolist(), sum_b)
+        start_a, start_b = tuple(path_a[-1].tolist()), tuple(path_b[-1].tolist())
+    report.steps_checked = arrivals + 1
     report.mean_offered_wait = (sum_a / arrivals, sum_b / arrivals)
-    report.final_profiles = (tuple(last_a), tuple(last_b))
+    report.final_profiles = (start_a, start_b)
     return report
 
 

@@ -236,6 +236,17 @@ def _log1m_rare(u: np.ndarray, f: np.ndarray, k: np.ndarray, common: np.ndarray)
     return np.where(u < 2.0**-29, x - x * x * 0.5, np.where(zero_word, short, common))
 
 
+def _require_finite_draws(rate: float, law: str) -> None:
+    """Reject a rate whose largest exponential draw, ``log(1 - u) / -rate``
+    at the largest uniform u = 1 - 2**-53, overflows to inf."""
+    # -log(1 - u) <= 53 ln 2 < 40, so only a rate for which 40 / rate
+    # overflows needs the bound in the draws' own arithmetic
+    if math.isinf(40.0 / rate):
+        largest = float(_log1m(np.array([1.0 - 2.0**-53]))[0]) / -rate
+        if math.isinf(largest):
+            raise ConfigError(f"{law} rate {rate!r} is so small that its draws overflow to inf")
+
+
 # --------------------------------------------------------------------------
 # Distribution laws. Each law knows how many uniforms one draw consumes and
 # has a single code path, ``draw_batch(cols, n)``, that maps n draws' worth
@@ -254,6 +265,7 @@ class Exponential:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rate) and self.rate > 0.0):
             raise ConfigError(f"exponential rate must be positive, got {self.rate!r}")
+        _require_finite_draws(self.rate, "exponential")
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -342,6 +354,8 @@ class Hyperexponential:
             raise ConfigError(f"hyperexponential probabilities must sum to 1, got {self.probs!r}")
         if any(r <= 0.0 or not math.isfinite(r) for r in self.rates):
             raise ConfigError(f"hyperexponential rates must be positive, got {self.rates!r}")
+        for rate in self.rates:
+            _require_finite_draws(rate, "hyperexponential")
         object.__setattr__(self, "_cum", _cumulative(self.probs))
 
     def mean(self) -> float:

@@ -5,6 +5,18 @@ import pytest
 _criterion_lines: list[str] = []
 
 
+@pytest.fixture(scope="class", params=[1, 2, 3], ids=lambda b: f"block{b}")
+def forced_split(request):
+    """``path_profiles`` cut into blocks of 1 to 3 arrivals, each pass of
+    them stepped as one array however few are dirty."""
+    import jswsim.profiles
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jswsim.profiles, "_PATH_BLOCK", request.param)
+        mp.setattr(jswsim.profiles, "_LOCKSTEP_MIN_ROWS", 0)
+        yield request.param
+
+
 @pytest.fixture(scope="session")
 def criterion_log():
     """Collector for the acceptance suite's one-line-per-criterion report."""

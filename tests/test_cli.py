@@ -119,6 +119,13 @@ class TestExitCodes:
 # (config file, extra flags, command). Paths are relative to an empty
 # directory, so no-such-dir does not exist.
 BAD_SETTINGS = {
+    # a rate whose largest draw overflows to inf, for a service and a gap law
+    "model-exponential-overflows": ("[model]\nsigma = exponential(1e-308)\n", [], "simulate"),
+    "model-hyperexponential-overflows": (
+        "[model]\nxi = hyperexponential(0.5,0.5;1e-308,1.0)\n",
+        ["--horizon", "50"],
+        "compare",
+    ),
     "loynes-rank-above-servers": ("[loynes]\nservers = 2\nrank = 3\n", [], "loynes"),
     "loynes-zero-tolerance": ("[loynes]\ntolerance = 0\n", [], "loynes"),
     "loynes-zero-window": ("[loynes]\nwindow = 0\n", [], "loynes"),

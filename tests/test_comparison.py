@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jswsim.comparison
+import jswsim.profiles
 from jswsim.comparison import (
     DEFAULT_SUM_SLACK,
     ComparisonReport,
@@ -243,7 +245,7 @@ class TestInputValidation:
         def no_steps(*args):
             raise AssertionError("stepped")
 
-        monkeypatch.setattr("jswsim.comparison.iter_profiles", no_steps)
+        monkeypatch.setattr("jswsim.comparison.path_profiles", no_steps)
         with pytest.raises(ValueError, match="must be finite, >= 0"):
             compare_server_counts(3, 2, external_marks(sigma, xi))
 
@@ -348,6 +350,10 @@ BLOCK_EDGES = [
 ]
 
 
+# Path chunks of _run_coupled ending just before, at and after the horizon.
+CHUNK_EDGES = [(1, -1), (1, 0), (1, 1), (2, 1)]
+
+
 def nudged(value, ulps):
     for _ in range(abs(ulps)):
         value = math.nextafter(value, math.copysign(math.inf, ulps))
@@ -369,6 +375,19 @@ class TestScreenMatchesEveryStepCheck:
             3, 3, (0.0, 2.0, 2.0), (1.0, 1.0, 3.0), generate(MM1, 12, horizon),
             tol=tol, corrupt_step=corrupt_step,
         )
+
+    @pytest.mark.parametrize("chunks,extra", CHUNK_EDGES)
+    def test_chunk_edges(self, chunks, extra):
+        # horizons around whole path_profiles chunks, corrupt steps at the
+        # first chunk's last row, which starts the second chunk, and beside it
+        size = jswsim.comparison._PATH_CHUNK
+        horizon = chunks * size + extra
+        for corrupt in [c for c in (size - 1, size, size + 1) if c <= horizon] + [None]:
+            servers_case(3, 2, generate(BUSY, 13, horizon), corrupt_step=corrupt)
+            allocation_case(
+                3, 2, (0.0, 0.5, 2.0), (0.0, 0.5, 2.0), generate(BUSY, 14, horizon),
+                corrupt_step=corrupt,
+            )
 
     @pytest.mark.parametrize("big_n,small_n", [(2, 1), (4, 3), (8, 4), (5, 5)])
     @pytest.mark.parametrize("slack", [-1e-1, -1e-9, 0.0])
@@ -447,15 +466,18 @@ class TestScreenMatchesEveryStepCheck:
             return tuple(sorted(data.draw(st.lists(values, min_size=n, max_size=n))))
 
         paths = [[profile(n) for _ in range(steps)] for n in sizes]
-        # the harness, then the reference, each open the first stream first
+        # the harness, then the reference, each step the first system first
         calls = iter(paths * 2)
+
+        def fake_path_profiles(start, sigma, xi, rank):
+            return np.array(next(calls))
 
         def fake_iter_profiles(start, marks, rank):
             return iter(next(calls))
 
         marks = external_marks([0.0] * (steps - 1), [0.0] * (steps - 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("jswsim.comparison.iter_profiles", fake_iter_profiles)
+            mp.setattr("jswsim.comparison.path_profiles", fake_path_profiles)
             mp.setitem(globals(), "iter_profiles", fake_iter_profiles)
             if mode == "servers":
                 servers_case(*sizes, marks, sum_slack=data.draw(st.sampled_from([0.0, 1e-12])))
@@ -507,3 +529,42 @@ class TestScreenMatchesEveryStepCheck:
         start_alt = tuple(x + 1.0 for x in start)
         marks = external_marks(*zip(*pairs))
         allocation_case(servers, rank, start, start_alt, marks, tol=tol, corrupt_step=corrupt)
+
+
+@pytest.mark.parametrize("forced_split", [3], indirect=True, ids=["block3"])
+@pytest.mark.usefixtures("forced_split")
+class TestScreenMatchesEveryStepCheckSplit(TestScreenMatchesEveryStepCheck):
+    """The same cases with every path cut into chunks of 1000 arrivals and
+    those into blocks of 3, stepped side by side: each chunk ends in a
+    ragged block."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def small_chunks(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jswsim.comparison, "_PATH_CHUNK", 1000)
+            yield
+
+    # it feeds the harness made-up paths in place of path_profiles
+    test_arbitrary_profile_streams = None
+
+
+def test_compare_steps_most_rows_as_arrays(monkeypatch):
+    # compare-wide's systems: 8 vs 4 servers at load 0.8 on the small one
+    marks = generate(IIDModel(Exponential(1.0), Exponential(3.2)), 1, 2**14 + 5)
+    steps = {"array": 0, "one at a time": 0}
+    lockstep, iter_steps = jswsim.profiles._iter_lockstep, jswsim.profiles._iter_steps
+
+    def array_spy(u, sigma, gaps, rank):
+        steps["array"] += len(sigma) * u.shape[1]
+        return lockstep(u, sigma, gaps, rank)
+
+    def scalar_spy(state, sigma, xi, rank):
+        steps["one at a time"] += len(sigma)
+        return iter_steps(state, sigma, xi, rank)
+
+    monkeypatch.setattr(jswsim.profiles, "_iter_lockstep", array_spy)
+    monkeypatch.setattr(jswsim.profiles, "_iter_steps", scalar_spy)
+    assert compare_server_counts(8, 4, marks).passed
+    # each system's every row is stepped as an array at least once
+    assert steps["array"] >= 2 * len(marks)
+    assert steps["one at a time"] < 0.1 * 2 * len(marks), steps

@@ -58,6 +58,16 @@ class TestLawGrammar:
         # law-level validation still applies
         with pytest.raises(ConfigError):
             parse_law("exponential(-1)")
+        # the largest draw, -log(2**-53) / rate, would overflow to inf
+        with pytest.raises(ConfigError, match="overflow"):
+            parse_law("exponential(1e-308)")
+        with pytest.raises(ConfigError, match="overflow"):
+            parse_law("hyperexponential(0.5, 0.5; 1e-308, 1.0)")
+
+    def test_smallest_rates_with_finite_draws(self):
+        # 36.74 / 2.1e-307 is just below the float maximum, 1.8e308
+        assert math.isfinite(parse_law("exponential(2.1e-307)").mean())
+        assert parse_law("hyperexponential(0.5, 0.5; 2.1e-307, 1.0)").rates[0] == 2.1e-307
 
 
 class TestSeedGrammar:

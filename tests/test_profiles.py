@@ -14,6 +14,7 @@ from jswsim.profiles import (
     kw_step,
     lockstep_profiles,
     pad,
+    path_profiles,
     pth_step,
     sort_ascending,
     total_workload,
@@ -319,6 +320,82 @@ class TestLockstepRowByRow(TestLockstep):
     """The same cases with every call stepping its rows one at a time."""
 
     MIN_ROWS = 2**62
+
+
+def _path_reference(start, sigma, xi, rank):
+    marks = SimpleNamespace(sigma=np.array(sigma, float), xi=np.array(xi, float))
+    return np.array(list(iter_profiles(start, marks, rank)), float).reshape(-1, len(start))
+
+
+def _assert_same_path(start, sigma, xi, rank):
+    path = path_profiles(start, np.array(sigma, float), np.array(xi, float), rank)
+    expected = _path_reference(start, sigma, xi, rank)
+    assert path.shape == expected.shape
+    assert (path.view(np.uint64) == expected.view(np.uint64)).all()
+
+
+@pytest.mark.usefixtures("forced_split")
+class TestPathProfiles:
+    """path_profiles against iter_profiles, bit for bit, with each path cut
+    into blocks of 1 to 3 arrivals stepped side by side."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_iter_profiles(self, data):
+        servers = data.draw(st.integers(1, 5))
+        rank = data.draw(st.integers(1, servers))
+        start = tuple(sorted(data.draw(st.lists(tie_coords, min_size=servers, max_size=servers))))
+        # zero marks, ties with the coordinates, and lengths that leave the
+        # last block ragged or empty
+        pairs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 20.0),
+                    st.sampled_from([0.0, 0.25, 1.0, 1.5]) | st.floats(0.0, 5.0),
+                ),
+                max_size=40,
+            )
+        )
+        sigma, xi = [p[0] for p in pairs], [p[1] for p in pairs]
+        _assert_same_path(start, sigma, xi, rank)
+
+    @pytest.mark.parametrize("servers,rank", [(1, 1), (2, 1), (3, 2), (3, 3)])
+    def test_overloaded_blocks_never_merge(self, servers, rank):
+        # the workload grows at every arrival, so no block stepped from zeros
+        # ever meets its true start and the path is finished in order
+        n = 50
+        _assert_same_path((0.0,) * servers, [1.0] * n, [0.1] * n, rank)
+
+    def test_signed_zero_start_is_row_zero(self):
+        path = path_profiles((-0.0, 0.0, 1.0), np.array([0.5, 0.0]), np.array([0.0, 0.25]), 1)
+        assert _bits(path.tolist())[0] == _bits([(-0.0, 0.0, 1.0)])[0]
+        _assert_same_path((-0.0, -0.0, 1.0), [0.5, 0.0, 2.0], [0.0, 0.25, 0.0], 2)
+
+    def test_no_marks(self):
+        path = path_profiles((0.0, 2.0), np.empty(0), np.empty(0), 2)
+        assert path.tolist() == [[0.0, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "servers,rank,xi_rate", [(4, 1, 3.2), (4, 2, 3.9), (2, 1, 1.8), (8, 1, 3.2)]
+)
+def test_path_profiles_at_full_size(servers, rank, xi_rate):
+    # the real block length and row threshold, light and heavy load: fix-up
+    # passes stepped as arrays, and paths finished in order
+    rng = np.random.default_rng(servers * 10 + rank)
+    n = 4000
+    sigma, xi = rng.exponential(1.0, n), rng.exponential(1.0 / xi_rate, n)
+    _assert_same_path((0.0,) * servers, sigma, xi, rank)
+    start = tuple(np.sort(rng.exponential(2.0, servers)).tolist())
+    _assert_same_path(start, sigma[:1001], xi[:1001], rank)
+
+
+@pytest.mark.parametrize(
+    "start,rank", [((0.0, 1.0), 0), ((0.0, 1.0), 3), ((1.0, 0.0), 1), ((), 1)]
+)
+def test_path_profiles_checks_start_and_rank(start, rank):
+    with pytest.raises(ValueError):
+        path_profiles(start, np.ones(3), np.ones(3), rank)
 
 
 def test_iter_profiles_crosses_chunk_boundaries():
