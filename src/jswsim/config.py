@@ -383,7 +383,7 @@ def _read_file(path: str) -> dict[str, dict[str, str]]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             parser.read_file(f)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from exc

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Iterator, Sequence
@@ -473,17 +474,18 @@ class TraceModel:
     """Marks replayed from a text file: one 'sigma xi' pair per line.
 
     Blank lines are skipped and '#' starts a comment. The seed is ignored.
-    The file is read on first use and kept for the model's lifetime.
+    The file is read on first use and kept for the model's lifetime, by
+    :func:`_read_trace`: numpy's text reader takes a well-formed file in one
+    call, and any other file goes through the per-line loop
+    :func:`_read_trace_lines`, which defines the format and locates its
+    errors.
     """
 
     path: str
 
     @functools.cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        sig, xis = _read_trace(self.path)
-        if not sig:
-            raise InputError(f"trace {self.path!r} is empty")
-        return np.asarray(sig, dtype=np.float64), np.asarray(xis, dtype=np.float64)
+        return _read_trace(self.path)
 
 
 InputModel = IIDModel | MarkovModulatedModel | TraceModel
@@ -650,7 +652,39 @@ def _generate_markov(
     return sig.T, xis.T
 
 
-def _read_trace(path: str) -> tuple[list[float], list[float]]:
+def _read_trace(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The trace's ``(sigma, xi)`` columns, as contiguous float64 arrays.
+
+    ``np.loadtxt`` splits on the same whitespace and comments as
+    :func:`_read_trace_lines` and converts each token with CPython's
+    correctly rounded ``PyOS_string_to_double``, so a file it reads into n
+    valid rows of two values gives ``float()``'s bits. It refuses some
+    tokens ``float()`` takes (``1_0``, non-ASCII digits), and every refusal,
+    wrong shape, empty file or out-of-range value is left to the loop, which
+    returns its marks or raises its ``path:line`` error.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as f, warnings.catch_warnings():
+            # numpy warns on a file without data; the loop reports it
+            warnings.simplefilter("ignore", UserWarning)
+            marks = np.loadtxt(f, comments="#", ndmin=2, dtype=np.float64)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        marks = None
+    if marks is not None and marks.shape[0] >= 1 and marks.shape[1] == 2:
+        sig, xis = marks.T.copy()
+        if np.isfinite(marks).all() and (sig >= 0.0).all() and (xis > 0.0).all():
+            return sig, xis
+    sig_list, xis_list = _read_trace_lines(path)
+    if not sig_list:
+        raise InputError(f"trace {path!r} is empty")
+    return np.asarray(sig_list, dtype=np.float64), np.asarray(xis_list, dtype=np.float64)
+
+
+def _read_trace_lines(path: str) -> tuple[list[float], list[float]]:
+    """The trace format's definition: per line, the text before the first
+    '#', split on whitespace into nothing or a ``sigma xi`` pair that
+    ``float()`` parses, with sigma finite and >= 0 and xi finite and > 0.
+    Raises ``InputError`` naming the path and line of the first problem."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()

@@ -1,13 +1,18 @@
-"""Closed-form queueing formulas and a scalar log1p used as oracles by the tests.
+"""Closed-form queueing formulas, a scalar log1p and a trace reader used as
+oracles by the tests.
 
 The queueing formulas are textbook results for the FCFS multi-server queue
 with Poisson arrivals and exponential service; ``log1p_fdlibm`` is a scalar
 port of the C library routine the mark generator's array logarithm
-reproduces. All are computed independently of the package under test.
+reproduces; ``read_trace_reference`` is the per-line trace reader as it was
+before numpy's text reader took the well-formed files. All are computed
+independently of the package under test, which only lends its error class.
 """
 
 import math
 import struct
+
+from jswsim.errors import InputError
 
 
 def erlang_c(servers: int, offered_load: float) -> float:
@@ -118,3 +123,36 @@ def log1p_fdlibm(x: float) -> float:
     if k == 0:
         return f - (hfsq - s * (hfsq + R))
     return k * LN2_HI - ((hfsq - (s * (hfsq + R) + (k * LN2_LO + c))) - f)
+
+
+def read_trace_reference(path: str) -> tuple[list[float], list[float]]:
+    """A trace file's ``(sigma, xi)`` marks, read one line at a time; kept
+    frozen so that a faster reader can be checked against it, bit for bit
+    and message for message."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read trace file {path!r}: {exc}") from exc
+    sig: list[float] = []
+    xis: list[float] = []
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        fields = body.split()
+        if len(fields) != 2:
+            raise InputError(f"{path}:{lineno}: expected 'sigma xi', got {body!r}")
+        try:
+            s, x = float(fields[0]), float(fields[1])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if not (math.isfinite(s) and s >= 0.0):
+            raise InputError(f"{path}:{lineno}: service requirement must be >= 0, got {s!r}")
+        if not (math.isfinite(x) and x > 0.0):
+            raise InputError(f"{path}:{lineno}: inter-arrival gap must be > 0, got {x!r}")
+        sig.append(s)
+        xis.append(x)
+    if not sig:
+        raise InputError(f"trace {path!r} is empty")
+    return sig, xis

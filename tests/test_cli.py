@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from jswsim import cli
@@ -66,6 +67,15 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
 
+    def test_config_not_utf8_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes(b"# \xff\xfe\n[run]\nseeds = 1\n")
+        code, out, err = run(["simulate", "--config", str(cfg), "--horizon", "5"], capsys)
+        assert code == 2
+        assert err.startswith(f"config error: cannot read config file {str(cfg)!r}: ")
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_seed_seeds_conflict_is_two(self, capsys):
         code, _, err = run(["simulate", "--seed", "1", "--seeds", "1 2"], capsys)
         assert code == 2
@@ -81,6 +91,22 @@ class TestExitCodes:
         )
         assert code == 3
         assert "input error" in err
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n   \n"], ids=["empty", "comments"])
+    def test_trace_without_marks_is_three(self, tmp_path, text):
+        # a separate interpreter, so that any warning would reach its stderr
+        trace = tmp_path / "t.txt"
+        trace.write_text(text)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[model]\nkind = trace\npath = {trace}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "jswsim.cli", "loynes", "--config", str(cfg), "--seed", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"input error: trace {str(trace)!r} is empty\n"
 
     def test_unstable_is_four(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
@@ -323,6 +349,41 @@ class TestDeterminism:
             outputs.append((out.replace(str(snap), "SNAP"), snap.read_bytes()))
         assert outputs[0] == outputs[1]
         assert len({line.split()[2] for line in outputs[0][0].splitlines()[:19]}) > 1
+
+    def test_loynes_trace_jobs_do_not_change_output(self, tmp_path, capsys, monkeypatch):
+        # Each worker reads the trace itself: under --jobs 2 this process
+        # never parses it, so the model is sent to the workers unread.
+        import jswsim.processes as processes
+
+        real_read = processes._read_trace
+        reads = []
+
+        def counting_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(processes, "_read_trace", counting_read)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        trace = tmp_path / "t.txt"
+        rng = np.random.default_rng(7)
+        pairs = zip(rng.exponential(1.0, 3000).tolist(), rng.exponential(0.6, 3000).tolist())
+        trace.write_text("# sigma xi\n" + "".join(f"{s!r} {x!r}\n" for s, x in pairs))
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            f"[model]\nkind = trace\npath = {trace}\n"
+            "[run]\nseeds = 1..4\n[loynes]\nservers = 2\nwindow = 16\nmax_n = 2048\n"
+        )
+        outputs = []
+        for jobs in ("1", "2"):
+            reads.clear()
+            snap = tmp_path / f"s{jobs}.csv"
+            argv = ["loynes", "--config", str(cfg), "--jobs", jobs, "--out", str(snap)]
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            outputs.append((out.replace(str(snap), "SNAP"), snap.read_bytes()))
+            assert len(reads) == (1 if jobs == "1" else 0)
+        assert outputs[0] == outputs[1]
+        assert "seed 4: n=256 converged" in outputs[0][0]
 
     def test_compare_jobs_do_not_change_output(self, tmp_path, capsys, monkeypatch):
         outputs = []

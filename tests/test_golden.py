@@ -10,6 +10,7 @@ contract on purpose updates the digest and says why in CHANGES.md.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -24,7 +25,26 @@ MARKOV3 = (
     " | hyperexponential(0.5, 0.5; 2.0, 0.8)\n"
 )
 
-# name -> (config file, argv, files written, expected exit code)
+
+def _trace_bytes() -> bytes:
+    """600 exponential marks drawn at load 5/6 on two servers (the sample's
+    own load is 0.95), as the trace cases read them: ``repr`` floats, comment
+    lines, inline comments, blank lines, runs of spaces and tabs, and CRLF
+    line endings."""
+    rng = random.Random(2041)
+    lines = ["# sigma xi, measured"]
+    for k in range(600):
+        sigma, xi = rng.expovariate(1.0), rng.expovariate(1 / 0.6)
+        if k % 50 == 0:
+            lines += [f"# block {k // 50}", ""]
+        gap = rng.choice([" ", "  ", "\t", " \t "])
+        note = "  # note" if k % 7 == 0 else ""
+        lines.append(f"{sigma!r}{gap}{xi!r}{note}")
+    return "\r\n".join(lines + [""]).encode()
+
+
+# name -> (config file, argv, files written, expected exit code). Every case
+# runs beside t.txt, the trace _trace_bytes writes.
 CASES = {
     "simulate-iid-rank1": (
         "[run]\nseeds = 1..3\nhorizon = 300\n[system]\nservers = 2\nrank = 1\n",
@@ -98,6 +118,20 @@ CASES = {
         ["viol.csv", "traj.csv"],
         1,
     ),
+    "simulate-trace": (
+        "[model]\nkind = trace\npath = t.txt\n[run]\nseeds = 1 2\nhorizon = 600\n"
+        "[system]\nservers = 2\n",
+        ["simulate", "--out", "sim.csv"],
+        ["sim.csv"],
+        0,
+    ),
+    "loynes-trace": (
+        "[model]\nkind = trace\npath = t.txt\n[run]\nseeds = 1 2\n"
+        "[loynes]\nservers = 2\nwindow = 16\nmax_n = 512\n",
+        ["loynes", "--out", "snap.csv"],
+        ["snap.csv"],
+        0,
+    ),
 }
 
 # The simulate and loynes CSV digests were re-recorded for
@@ -151,6 +185,16 @@ DIGESTS = {
         "viol.csv": "7ea39a9140cff7d31be051e786fa0b365c077f647e7acd47bc0c6d4b0e3a3047",
         "traj.csv": "b6f72097022c7999cd1c976a17c2db93b491ae02b45f26e03c2ecb14916f307d",
     },
+    # recorded while traces were read by the per-line loop alone
+    "simulate-trace": {
+        "stdout": "d23007483821a13b925048cee223f0e494b2f0b20348b0cb0cf8a84a574cff9c",
+        "sim.csv": "6a252cccde5b4ddff2d1442d1b50e9be074f7958e814fc5300e976ba6602f87b",
+    },
+    # the estimate stops at n = 256 of the trace's 600 marks
+    "loynes-trace": {
+        "stdout": "ed23753ec18164b87a274a6233ee93eb98d7f1ca6ce81fb6e8d3806701b1df79",
+        "snap.csv": "6ae4ed2f79effdb19ea041268c7a571d12de8e7cee691b03c474dba7ceed7c6b",
+    },
 }
 
 
@@ -162,6 +206,7 @@ def run_case(name, directory, capsys):
     """Run one case in ``directory``; return (exit code, {output: sha256})."""
     config, argv, files, _ = CASES[name]
     (directory / "c.ini").write_text(config)
+    (directory / "t.txt").write_bytes(_trace_bytes())
     code = main([argv[0], "--config", "c.ini", *argv[1:]])
     digests = {"stdout": _sha(capsys.readouterr().out.encode())}
     for f in files:

@@ -13,8 +13,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.stats
-from formulas import log1p_fdlibm
-from hypothesis import given, settings, strategies as st
+from formulas import log1p_fdlibm, read_trace_reference
+from hypothesis import example, given, settings, strategies as st
 
 import jswsim
 from jswsim.errors import ConfigError, InputError
@@ -33,6 +33,7 @@ from jswsim.processes import (
     _LOG_CHUNK,
     _log1m,
     _markov_states,
+    _read_trace,
     _uniforms,
     generate,
     generate_chunks,
@@ -695,6 +696,74 @@ class TestMarkovStatePath:
         assert scalar_states((0.25, 0.5, 1.0), rows, u.tolist()) == expected
 
 
+# Tokens where numpy's text reader and float() could part ways: spellings
+# float() takes and numpy may not, values at the edges of float64 and of the
+# trace's ranges, and near misses of a number.
+TRICKY_TOKENS = [
+    "1_0", "1__0", "_1", "\u0661\u0662", "\uff11", "inf", "-inf", "Infinity", "nan", "-nan",
+    "NaN", "1e400", "-1e400", "5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+    "1.7976931348623157e308", "1.7976931348623159e308", "9007199254740993", "0x1p3", "0x10",
+    "1d0", "1e", ".5", "5.", "+.5e-3", "-0", "-0.0", "0", "007", "\ufeff1", "1\ufeff",
+    "0." + "3" * 400, "1,5", "'1'", "1\x002",
+]  # fmt: skip
+# Whitespace str.split() and str.strip() know, and characters that only look like it.
+WHITESPACE = [
+    " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003",
+    "\u3000", "\u2028",
+]  # fmt: skip
+NOT_WHITESPACE = ["\ufeff", "_", ","]
+COMMENTS = ["", "#", " # note", "#\x85 1 2", "\t#1 2 3"]
+ENDINGS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def trace_files(draw):
+    """The bytes of a trace file. Half hold only lines of two numbers in
+    several spellings, split and padded by any whitespace; the other half
+    also hold tricky tokens, lines of 0, 1 or 3 fields, characters that only
+    look like whitespace, a BOM or a byte that is not UTF-8."""
+    noisy = draw(st.booleans())
+    number = st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False).map(repr),
+        st.floats(min_value=1e-320, max_value=1e300).map(lambda x: f"{x:.6e}"),
+        st.integers(1, 10**30).map(str),
+    )
+    odd = 0 if noisy else -1
+    token = st.integers(0, 9).flatmap(
+        lambda k: st.sampled_from(TRICKY_TOKENS) if k == odd else number
+    )
+    spaces = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=3)
+    gap = st.integers(0, 5).flatmap(
+        lambda k: st.text(st.sampled_from(NOT_WHITESPACE + WHITESPACE), min_size=1, max_size=3)
+        if k == odd
+        else st.one_of(st.sampled_from([" ", "  ", "\t"]), spaces)
+    )
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        fields = draw(st.sampled_from([2] * 8 + [0, 1, 3])) if noisy else 2
+        body = draw(gap).join(draw(token) for _ in range(fields))
+        pad = st.one_of(st.just(""), spaces)
+        note, end = draw(st.sampled_from(COMMENTS)), draw(st.sampled_from(ENDINGS))
+        lines.append(draw(pad) + body + draw(pad) + note + end)
+    data = "".join(lines).encode()
+    if noisy and draw(st.integers(0, 9)) == 0:
+        data = b"\xef\xbb\xbf" + data
+    if noisy and draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def read_or_message(reader, path):
+    """``reader(path)``'s two columns as uint64 bit patterns, or its
+    ``InputError`` message."""
+    try:
+        sig, xis = reader(path)
+    except InputError as exc:
+        return str(exc)
+    return [np.asarray(c, dtype=np.float64).view(np.uint64).tolist() for c in (sig, xis)]
+
+
 class TestTraces:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "marks.txt"
@@ -751,6 +820,89 @@ class TestTraces:
     def test_missing_file(self):
         with pytest.raises(InputError):
             generate(TraceModel("/nonexistent/trace.txt"), 0, 1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(trace_files())
+    @example(b"1_0 2\n")
+    @example(b"\xef\xbb\xbf1 2\n")
+    @example(b"1\x0b2\r\n3\x0c4\r5\x1c6\n")
+    @example("1\x852\n3\xa04\u20035 6\n".encode())
+    @example(b"1e400 1\n")
+    @example(b"5e-324 5e-324\n0 2.4703282292062328e-324\n")
+    @example(b"1 1\n\n# only comments after\n")
+    def test_reader_matches_the_line_loop(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("trace") / "marks.txt"
+        path.write_bytes(data)
+        new = read_or_message(_read_trace, str(path))
+        assert new == read_or_message(read_trace_reference, str(path))
+        if not isinstance(new, str):
+            sig, xis = _read_trace(str(path))
+            assert sig.dtype == xis.dtype == np.float64
+            assert sig.flags.c_contiguous and xis.flags.c_contiguous
+
+    # Each kind of refusal, after a comment, a mark and a blank line, so the
+    # message must count lines as the reference does.
+    BAD_LINES = {
+        "one-field": b"2\n",
+        "three-fields": b"1 2 3\n",
+        "unparsable": b"1 x\n",
+        "sigma-negative": b"-1 1\n",
+        "sigma-nan": b"nan 1\n",
+        "sigma-inf": b"inf 1\n",
+        "xi-zero": b"1 0\n",
+        "xi-negative": b"1 -2\n",
+        "xi-inf": b"1 inf\n",
+        "not-utf8": b"\xff\xfe 1\n",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_LINES))
+    def test_errors_match_the_line_loop(self, tmp_path, kind):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# trace\r\n0.5 1.5\r\n\r\n" + self.BAD_LINES[kind] + b"1 1\n")
+        message = read_or_message(_read_trace, str(path))
+        assert isinstance(message, str)
+        assert message == read_or_message(read_trace_reference, str(path))
+        if kind != "not-utf8":
+            assert message.startswith(f"{path}:4: ")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "empty", "comments"])
+    def test_unreadable_and_empty_match_the_line_loop(self, tmp_path, kind):
+        path = tmp_path / "t.txt"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "comments":
+            path.write_bytes(b"# a\r\n\r\n  # b\n\t\n")
+        message = read_or_message(_read_trace, str(path))
+        assert isinstance(message, str)
+        assert message == read_or_message(read_trace_reference, str(path))
+
+    def test_valid_trace_skips_the_line_loop(self, tmp_path, monkeypatch):
+        import builtins
+
+        import jswsim.processes as processes
+
+        p = tmp_path / "marks.txt"
+        rows = (f"{1.0 + (k % 3) * 0.25} {1.5 + k / 4096!r}  # mark {k}\n" for k in range(4096))
+        p.write_text("# sigma xi\n" + "".join(rows))
+        expected = read_or_message(read_trace_reference, str(p))
+
+        def no_loop(path):
+            raise AssertionError("the line loop ran")
+
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(processes, "_read_trace_lines", no_loop)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        model = TraceModel(str(p))
+        assert read_or_message(lambda path: model._columns, str(p)) == expected
+        assert opened == [str(p)]
 
 
 class TestStability:
