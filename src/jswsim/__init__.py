@@ -25,10 +25,8 @@ from .config import ExperimentConfig, load_config, parse_law, parse_seeds
 from .errors import ConfigError, InputError, PremiseError, StabilityError
 from .loynes import (
     LoynesResult,
-    backward_marks,
     estimate_stationary,
     estimate_stationary_many,
-    loynes_iterate,
 )
 from .orderings import (
     PropertySuiteReport,
@@ -108,7 +106,6 @@ __all__ = [
     "TraceModel",
     "Uniform",
     "Violation",
-    "backward_marks",
     "check_clamp_insert_stability",
     "check_negation_symmetry",
     "check_shift_monotonicity",
@@ -127,7 +124,6 @@ __all__ = [
     "kw_step",
     "load_config",
     "lockstep_profiles",
-    "loynes_iterate",
     "mean_sigma",
     "mean_xi",
     "model_label",

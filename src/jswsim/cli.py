@@ -28,6 +28,7 @@ import contextlib
 import functools
 import itertools
 import math
+import operator
 import os
 import stat
 import sys
@@ -43,7 +44,7 @@ from .errors import ConfigError, InputError, PremiseError, StabilityError
 from .loynes import estimate_stationary_many
 from .orderings import run_property_suite
 from .processes import RNG_ALGORITHM, generate, model_label
-from .profiles import _CHUNK, iter_profiles
+from .profiles import _CHUNK, path_profiles
 
 __all__ = ["main"]
 
@@ -93,21 +94,37 @@ def _open_out(path: str):
     A regular file (or a path that does not exist yet) is written to a new
     file in the directory of its real path, so a symlink stays a symlink and
     the old bytes stay until the run has finished. Anything else, such as
-    /dev/null or a FIFO, is written directly.
+    /dev/null or a FIFO, is written directly. So is the file stdout writes
+    to (``/dev/stdout`` into a pipe or a redirected file): it is written
+    through stdout's own descriptor, after what stdout holds so far, and
+    stdout's later lines follow it.
     """
     target = os.path.realpath(path)
-    mode = os.stat(target).st_mode if os.path.exists(target) else None
     try:
-        if mode is not None and not stat.S_ISREG(mode):
+        # stat follows a /proc/self/fd link, whose realpath may not exist
+        status = os.stat(path)
+    except OSError:
+        status = None
+    try:
+        is_stdout = status is not None and os.path.samestat(status, os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # stdout is not backed by a file
+        is_stdout = False
+    try:
+        if is_stdout:
+            sys.stdout.flush()
+            return open(os.dup(sys.stdout.fileno()), "w", encoding="utf-8", newline=""), None
+        if status is not None and not stat.S_ISREG(status.st_mode):
             return open(path, "w", encoding="utf-8", newline=""), None
         fd, tmp = tempfile.mkstemp(
             prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
         )
-        if mode is None:
+        if status is not None:
+            mode = stat.S_IMODE(status.st_mode)
+        else:
             umask = os.umask(0)
             os.umask(umask)
             mode = 0o666 & ~umask
-        os.fchmod(fd, stat.S_IMODE(mode))  # mkstemp's 0600 would hide the file
+        os.fchmod(fd, mode)  # mkstemp's 0600 would hide the file
         return open(fd, "w", encoding="utf-8", newline=""), (tmp, target)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
@@ -149,37 +166,59 @@ def _provenance(title: str, cfg: ExperimentConfig) -> list[str]:
     return [f"jswsim {title}", f"model: {model_label(cfg.model)}", f"rng: {RNG_ALGORITHM}"]
 
 
+def _path_chunks(start, marks, rank):
+    """Yield ``(step, rows)`` for one system's run over ``marks``: ``rows``
+    holds the profiles of steps ``step``, ``step + 1``, ... as an ``(n, S)``
+    array, and the chunks together hold steps 0 .. ``len(marks)``, each
+    once, in order.
+
+    Each chunk is one :func:`~jswsim.profiles.path_profiles` call over
+    ``_CHUNK`` arrivals, bit for bit the profiles of ``iter_profiles``; a
+    later chunk starts from the last profile of the one before and drops
+    its own row 0, that same profile. Step 0 is ``start`` as given.
+    """
+    for lo in range(0, len(marks), _CHUNK):
+        hi = lo + _CHUNK
+        path = path_profiles(start, marks.sigma[lo:hi], marks.xi[lo:hi], rank)
+        yield (0, path) if lo == 0 else (lo + 1, path[1:])
+        start = tuple(path[-1].tolist())
+
+
 # ---------------------------------------------------------------- simulate
 
 
 def _sim_one(payload):
-    """Step one seed; return it, its CSV rows as text blocks of ``_CHUNK``
-    rows (none unless ``write``), its mean offered wait and its final total
-    workload."""
+    """Step one seed; return it, its CSV rows as text blocks of one
+    ``_path_chunks`` chunk each (none unless ``write``), its mean offered
+    wait and its final total workload.
+
+    The rows are formatted by columns: ``tolist`` gives back the very
+    floats the path holds, so each cell is the ``repr`` of a coordinate and
+    ``total`` that of their exactly rounded sum."""
     model, seed, horizon, system, write = payload
     r = system.rank - 1
-    steps = enumerate(iter_profiles(system.start_profile(), generate(model, seed, horizon), r + 1))
+    marks = generate(model, seed, horizon)
+    seed_cell = str(seed)
     blocks = []
-    # The arrival after step k waits profile[r] of step k. The waits are
-    # added one at a time in step order, so the mean is the same float on
-    # every Python version; step 0 adds 0.0 to 0.0.
-    wait_sum = wait = 0.0
-    wait_cell = ""  # step 0 precedes the first arrival
-    for _ in range(0, horizon + 1, _CHUNK):
-        rows = []
-        for step, profile in itertools.islice(steps, _CHUNK):
-            wait_sum += wait
-            wait = profile[r]
-            if write:
-                # the coordinates are Python floats, so repr is _fmt's
-                cells = list(map(repr, profile))
-                rows.append(
-                    f"{seed},{step},{','.join(cells)},{math.fsum(profile)!r},{wait_cell}\n"
-                )
-                wait_cell = cells[r]
+    # The arrival after step k waits coordinate r of step k. The waits are
+    # added in step order, so the mean is the same float on every Python
+    # version.
+    wait_sum = 0.0
+    wait_cell = [""]  # step 0 precedes the first arrival
+    for step, path in _path_chunks(system.start_profile(), marks, system.rank):
+        cols = path.T.tolist()
+        # every row but the final step is seen by an arrival
+        wait_sum = functools.reduce(operator.add, cols[r][: horizon - step], wait_sum)
         if write:
-            blocks.append("".join(rows))
-    return seed, blocks, wait_sum / horizon, math.fsum(profile)
+            cells = [list(map(repr, col)) for col in cols]
+            totals = [repr(math.fsum(row)) for row in zip(*cols)]
+            # the wait column is coordinate r shifted down one row
+            waits = wait_cell + cells[r][:-1]
+            wait_cell = cells[r][-1:]
+            steps = map(str, range(step, step + len(path)))
+            rows = zip(itertools.repeat(seed_cell), steps, *cells, totals, waits)
+            blocks.append("\n".join(map(",".join, rows)) + "\n")
+    return seed, blocks, wait_sum / horizon, math.fsum(path[-1].tolist())
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -317,12 +356,14 @@ def _write_trajectories(out, cfg: ExperimentConfig) -> int:
         marks = generate(cfg.model, seed, cfg.horizon)
         for system in cfg.compare.systems():
             label = f"seed{seed}:{system.label}"
-            profiles = iter_profiles(system.start_profile(), marks, system.rank)
-            out.writelines(
-                f"{step},{label},{i},{_fmt(value)}\n"
-                for step, profile in enumerate(profiles)
-                for i, value in enumerate(profile, start=1)
-            )
+            for step, path in _path_chunks(system.start_profile(), marks, system.rank):
+                steps = list(map(str, range(step, step + len(path))))
+                # each coordinate's rows, by columns, then interleaved step by step
+                coords = [
+                    map(",".join, zip(steps, itertools.repeat(f"{label},{i}"), map(repr, col)))
+                    for i, col in enumerate(path.T.tolist(), start=1)
+                ]
+                out.write("\n".join(itertools.chain.from_iterable(zip(*coords))) + "\n")
             rows += (len(marks) + 1) * system.servers
     return rows
 

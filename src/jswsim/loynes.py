@@ -16,7 +16,6 @@ marks stay fixed, which is what makes the monotonicity exact per seed.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,16 +26,13 @@ from .errors import StabilityError
 from .profiles import (  # noqa: F401
     Profile,
     _require_rank,
-    iter_profiles,
     lockstep_profiles,
     pth_step,
     zero_profile,
 )
 from .processes import (
     InputModel,
-    MarkSequence,
     StabilityVerdict,
-    generate,
     generate_chunks,
     mean_sigma,
     mean_xi,
@@ -45,10 +41,8 @@ from .processes import (
 
 __all__ = [
     "LoynesResult",
-    "backward_marks",
     "estimate_stationary",
     "estimate_stationary_many",
-    "loynes_iterate",
 ]
 
 # Marks held per replay pass, as seeds x rows of one chunk, at any depth.
@@ -72,25 +66,6 @@ class LoynesResult:
     converged: bool
     last_increment: float
     history: tuple[tuple[int, Profile], ...] | None = None
-
-
-def backward_marks(model: InputModel, seed: int, n: int) -> MarkSequence:
-    """Marks of the n customers before the reference arrival, oldest first.
-
-    Reverses the generated stream, so for fixed (model, seed) a larger n
-    prepends older customers while the recent past is unchanged.
-    """
-    marks = generate(model, seed, n)
-    return MarkSequence(sigma=marks.sigma[::-1], xi=marks.xi[::-1])
-
-
-def loynes_iterate(marks: MarkSequence, servers: int, rank: int = 1) -> Profile:
-    """Profile seen by the reference arrival after replaying ``marks``.
-
-    ``marks``, a :class:`MarkSequence`, lists the preceding customers oldest
-    first; from an empty start each joins the rank-th least-loaded queue.
-    """
-    return deque(iter_profiles(zero_profile(servers), marks, rank), maxlen=1)[0]
 
 
 def estimate_stationary(

@@ -10,9 +10,10 @@ Kiefer-Wolfowitz recursion when p is 1, i.e. join the shortest workload).
 
 All public functions here are pure and never mutate their arguments.
 :func:`iter_profiles` runs the recursion over a sequence of arrivals for one
-system; forward runs go through it. :func:`path_profiles` gives the same
-profiles as the rows of one array, stepping blocks of the arrivals side by
-side; coupled runs go through it. :func:`lockstep_profiles` gives the final
+system, one arrival at a time: the reference loop the others are checked
+against. :func:`path_profiles` gives the same profiles as the rows of one
+array, stepping blocks of the arrivals side by side; forward and coupled
+runs go through it. :func:`lockstep_profiles` gives the final
 profiles of R systems, the rows of an array, bit for bit those of
 :func:`pth_step`; backward replays go through it. The last two share one
 array step, :func:`_iter_lockstep`.
@@ -130,7 +131,8 @@ def pth_step(u: Profile, mark: Mark, rank: int) -> Profile:
     return _step(u, sigma, xi, rank)
 
 
-# Marks converted to Python floats at a time by iter_profiles.
+# Marks converted to Python floats at a time by iter_profiles, and rows
+# stepped and formatted at a time by the command line's forward runs.
 _CHUNK = 4096
 # Arrivals per block of path_profiles. Shorter blocks take more fix-up
 # passes, longer ones waste more steps per pass. Median CPU seconds of

@@ -1,18 +1,24 @@
-"""Closed-form queueing formulas, a scalar log1p and a trace reader used as
-oracles by the tests.
+"""Closed-form queueing formulas, a scalar log1p, a trace reader and a
+scalar backward replay used as oracles by the tests.
 
 The queueing formulas are textbook results for the FCFS multi-server queue
 with Poisson arrivals and exponential service; ``log1p_fdlibm`` is a scalar
 port of the C library routine the mark generator's array logarithm
 reproduces; ``read_trace_reference`` is the per-line trace reader as it was
-before numpy's text reader took the well-formed files. All are computed
+before numpy's text reader took the well-formed files. These are computed
 independently of the package under test, which only lends its error class.
+``backward_marks`` and ``loynes_iterate`` replay one seed's past from empty
+with the package's reference step loop, ``iter_profiles``, one customer at a
+time: the definition the lockstep estimator is checked against.
 """
 
 import math
 import struct
+from collections import deque
 
 from jswsim.errors import InputError
+from jswsim.processes import InputModel, MarkSequence, generate
+from jswsim.profiles import Profile, iter_profiles, zero_profile
 
 
 def erlang_c(servers: int, offered_load: float) -> float:
@@ -156,3 +162,22 @@ def read_trace_reference(path: str) -> tuple[list[float], list[float]]:
     if not sig:
         raise InputError(f"trace {path!r} is empty")
     return sig, xis
+
+
+def backward_marks(model: InputModel, seed: int, n: int) -> MarkSequence:
+    """Marks of the n customers before the reference arrival, oldest first.
+
+    Reverses the generated stream, so for fixed (model, seed) a larger n
+    prepends older customers while the recent past is unchanged.
+    """
+    marks = generate(model, seed, n)
+    return MarkSequence(sigma=marks.sigma[::-1], xi=marks.xi[::-1])
+
+
+def loynes_iterate(marks: MarkSequence, servers: int, rank: int = 1) -> Profile:
+    """Profile seen by the reference arrival after replaying ``marks``.
+
+    ``marks``, a :class:`MarkSequence`, lists the preceding customers oldest
+    first; from an empty start each joins the rank-th least-loaded queue.
+    """
+    return deque(iter_profiles(zero_profile(servers), marks, rank), maxlen=1)[0]

@@ -14,13 +14,13 @@ import random
 import numpy as np
 import pytest
 
-from formulas import mmc_mean_wait
+from formulas import backward_marks, loynes_iterate, mmc_mean_wait
 from jswsim.comparison import (
     compare_allocation_ranks,
     compare_server_counts,
     fcfs_waiting_times,
 )
-from jswsim.loynes import backward_marks, estimate_stationary, loynes_iterate
+from jswsim.loynes import estimate_stationary
 from jswsim.orderings import (
     prec,
     sample_rank_ordered_pair,

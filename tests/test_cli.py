@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from jswsim import cli
+from jswsim import cli, profiles
 from jswsim.cli import main
 from jswsim.config import load_config
 from jswsim.processes import generate
@@ -316,6 +316,35 @@ def test_device_output_is_written_directly(capsys):
     assert f"wrote {os.devnull}" in out
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+class TestOutToStdout:
+    """``--out /dev/stdout`` writes the CSV into stdout, ahead of the
+    summary lines, whether stdout is a pipe or a redirected file."""
+
+    ARGV = [sys.executable, "-m", "jswsim.cli", "simulate", "--seeds", "1 2", "--horizon", "3"]
+
+    def expected(self, tmp_path):
+        ref = tmp_path / "ref.csv"
+        proc = subprocess.run([*self.ARGV, "--out", str(ref)], capture_output=True, text=True)
+        assert proc.returncode == 0
+        return ref.read_text() + proc.stdout.replace(str(ref), "/dev/stdout")
+
+    def test_into_a_pipe(self, tmp_path):
+        proc = subprocess.run([*self.ARGV, "--out", "/dev/stdout"], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == self.expected(tmp_path)
+
+    def test_into_a_redirected_file(self, tmp_path):
+        dest = tmp_path / "stdout.txt"
+        with open(dest, "w") as f:
+            proc = subprocess.run(
+                [*self.ARGV, "--out", "/dev/stdout"], stdout=f, stderr=subprocess.PIPE, text=True
+            )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert dest.read_text() == self.expected(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.csv", "stdout.txt"]
+
+
 class TestDeterminism:
     def test_simulate_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -437,9 +466,25 @@ def reference_simulate_rows(cfg):
     return buf.getvalue()
 
 
+def reference_simulate_summary(cfg, seed):
+    """simulate's mean offered wait and final total workload for ``seed``,
+    from an ``iter_profiles`` loop that adds the waits one at a time in step
+    order, step 0 adding 0.0 to 0.0."""
+    system = cfg.system
+    marks = generate(cfg.model, seed, cfg.horizon)
+    wait_sum = wait = 0.0
+    for profile in iter_profiles(system.start_profile(), marks, system.rank):
+        wait_sum += wait
+        wait = profile[system.rank - 1]
+    return wait_sum / cfg.horizon, math.fsum(profile)
+
+
 class TestSimulateRows:
-    """simulate formats its rows as text blocks of 4096; these compare them
-    byte for byte with a csv.writer reference, around the block boundary."""
+    """simulate steps each seed in chunks of 4096 arrivals and formats each
+    chunk's rows by columns; these compare the rows byte for byte with a
+    csv.writer reference around the chunk boundaries, and the summary
+    numbers bit for bit with an iter_profiles loop (the printed %.6g would
+    hide a last-bit difference)."""
 
     def assert_rows_match(self, tmp_path, capsys, text, argv=()):
         cfg_path = tmp_path / "c.ini"
@@ -449,7 +494,14 @@ class TestSimulateRows:
         assert code == 0
         raw = out.read_text()
         rows = "".join(raw.splitlines(keepends=True)[5:])  # past the comment lines
-        assert rows == reference_simulate_rows(load_config(str(cfg_path)))
+        cfg = load_config(str(cfg_path))
+        assert rows == reference_simulate_rows(cfg)
+        for seed in cfg.seeds:
+            _, _, mean_wait, final_total = cli._sim_one(
+                (cfg.model, seed, cfg.horizon, cfg.system, False)
+            )
+            expected = reference_simulate_summary(cfg, seed)
+            assert (repr(mean_wait), repr(final_total)) == tuple(map(repr, expected)), seed
         return out.read_bytes()
 
     @pytest.mark.parametrize("servers", range(1, 9))
@@ -463,6 +515,47 @@ class TestSimulateRows:
                     f"[run]\nseeds = {rank}\nhorizon = {horizon}\n"
                     f"[system]\nservers = {servers}\nrank = {rank}\n",
                 )
+
+    @pytest.mark.parametrize("horizon", [1, 8191, 8192, 8193])
+    def test_horizons_around_two_chunks(self, horizon, tmp_path, capsys):
+        for servers, rank in ((1, 1), (3, 2)):
+            self.assert_rows_match(
+                tmp_path,
+                capsys,
+                f"[run]\nseeds = 2 9\nhorizon = {horizon}\n"
+                f"[system]\nservers = {servers}\nrank = {rank}\n",
+            )
+
+    def test_negative_zero_initial_profile(self, tmp_path, capsys):
+        raw = self.assert_rows_match(
+            tmp_path,
+            capsys,
+            "[run]\nseeds = 1\nhorizon = 5\n[system]\nservers = 2\ninitial = -0.0 1\n",
+        )
+        lines = raw.decode().splitlines()
+        assert lines[6] == "1,0,-0.0,1.0,1.0,"
+        assert lines[7].startswith("1,1,") and lines[7].endswith(",-0.0")
+
+    def test_correlated_marks_step_in_order(self, tmp_path, capsys, monkeypatch):
+        # The bench's 2-state chain: its long busy stretches leave most time
+        # blocks of a chunk dirty, so path_profiles steps them in order.
+        calls = []
+        in_order = profiles._step_blocks_in_order
+
+        def spy(*args):
+            calls.append(args)
+            return in_order(*args)
+
+        monkeypatch.setattr(profiles, "_step_blocks_in_order", spy)
+        self.assert_rows_match(
+            tmp_path,
+            capsys,
+            "[model]\nkind = markov\ntransition = 0.99 0.01 / 0.02 0.98\n"
+            "sigma_states = exponential(1.0) | exponential(0.5)\n"
+            "xi_states = exponential(1.0) | exponential(1.5)\n"
+            "[run]\nseeds = 1\nhorizon = 20000\n[system]\nservers = 2\n",
+        )
+        assert calls
 
     def test_exponent_notation_initial_profile(self, tmp_path, capsys):
         for rank in (1, 2, 3):
@@ -607,15 +700,16 @@ class TestOutputs:
         traj = tmp_path / "t.csv"
         cfg = tmp_path / "c.ini"
         cfg.write_text(f"[compare]\nservers = 2\nservers_small = 1\ntrajectories = {traj}\n")
+        # past the first two chunks of 4096 arrivals
         code, out, _ = run(
-            ["compare", "--config", str(cfg), "--seeds", "3 4", "--horizon", "10"], capsys
+            ["compare", "--config", str(cfg), "--seeds", "3 4", "--horizon", "8193"], capsys
         )
         assert code == 0
         raw = traj.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode().splitlines()
         assert lines[0] == "step,system,coordinate,value"
-        rows = 2 * 11 * (2 + 1)  # seeds x (horizon + 1) x (S_big + S_small)
+        rows = 2 * 8194 * (2 + 1)  # seeds x (horizon + 1) x (S_big + S_small)
         assert len(lines) == 1 + rows
         assert f"wrote {traj} ({rows} rows)" in out
         # every value is the repr of the profile coordinate, bit for bit
@@ -625,7 +719,7 @@ class TestOutputs:
             for seed in (3, 4)
             for servers in (2, 1)
             for step, profile in enumerate(
-                iter_profiles((0.0,) * servers, generate(model, seed, 10), 1)
+                iter_profiles((0.0,) * servers, generate(model, seed, 8193), 1)
             )
             for i, value in enumerate(profile, start=1)
         ]

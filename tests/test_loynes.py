@@ -8,13 +8,9 @@ import pytest
 
 import jswsim.loynes as loynes
 import jswsim.processes as processes
+from formulas import backward_marks, loynes_iterate
 from jswsim.errors import StabilityError
-from jswsim.loynes import (
-    backward_marks,
-    estimate_stationary,
-    estimate_stationary_many,
-    loynes_iterate,
-)
+from jswsim.loynes import estimate_stationary, estimate_stationary_many
 from jswsim.orderings import prec
 from jswsim.processes import Deterministic, Exponential, IIDModel, generate
 from jswsim.profiles import _LOCKSTEP_MIN_ROWS, pth_step
