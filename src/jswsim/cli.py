@@ -34,8 +34,9 @@ import stat
 import sys
 import tempfile
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+
+import numpy as np
 
 from . import __version__
 from .comparison import _require_corrupt_step, compare_allocation_ranks, compare_server_counts
@@ -44,7 +45,7 @@ from .errors import ConfigError, InputError, PremiseError, StabilityError
 from .loynes import estimate_stationary_many
 from .orderings import run_property_suite
 from .processes import RNG_ALGORITHM, generate, model_label
-from .profiles import _CHUNK, path_profiles
+from .profiles import _CHUNK, _PATH_CHUNK, path_profiles
 
 __all__ = ["main"]
 
@@ -70,9 +71,13 @@ def _pool_map(fn, payloads, jobs):
     if workers <= 1:
         yield from map(fn, payloads)
         return
-    # executor.map keeps submission order, so parallel output is
-    # identical to the sequential one. A forked pool starts all its workers
-    # at the first submit, so it gets no more than payloads or usable CPUs.
+    # Imported here: importing concurrent.futures.process takes about 27 ms,
+    # which a one-worker run never needs. executor.map keeps submission
+    # order, so parallel output is identical to the sequential one. A forked
+    # pool starts all its workers at the first submit, so it gets no more
+    # than payloads or usable CPUs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, payloads)
 
@@ -169,22 +174,53 @@ def _provenance(title: str, cfg: ExperimentConfig) -> list[str]:
 def _path_chunks(start, marks, rank):
     """Yield ``(step, rows)`` for one system's run over ``marks``: ``rows``
     holds the profiles of steps ``step``, ``step + 1``, ... as an ``(n, S)``
-    array, and the chunks together hold steps 0 .. ``len(marks)``, each
-    once, in order.
+    array of at most ``_CHUNK`` rows, and the chunks together hold steps
+    0 .. ``len(marks)``, each once, in order.
 
-    Each chunk is one :func:`~jswsim.profiles.path_profiles` call over
-    ``_CHUNK`` arrivals, bit for bit the profiles of ``iter_profiles``; a
-    later chunk starts from the last profile of the one before and drops
-    its own row 0, that same profile. Step 0 is ``start`` as given.
+    The profiles come from one :func:`~jswsim.profiles.path_profiles` call
+    per ``_PATH_CHUNK`` arrivals, bit for bit the profiles of
+    ``iter_profiles``; a later call starts from the last profile of the one
+    before and drops its own row 0, that same profile. Step 0 is ``start``
+    as given.
     """
-    for lo in range(0, len(marks), _CHUNK):
-        hi = lo + _CHUNK
+    for lo in range(0, len(marks), _PATH_CHUNK):
+        hi = lo + _PATH_CHUNK
         path = path_profiles(start, marks.sigma[lo:hi], marks.xi[lo:hi], rank)
-        yield (0, path) if lo == 0 else (lo + 1, path[1:])
+        for base in range(0 if lo == 0 else 1, len(path), _CHUNK):
+            yield lo + base, path[base : base + _CHUNK]
         start = tuple(path[-1].tolist())
 
 
 # ---------------------------------------------------------------- simulate
+
+
+def _total_cells(path, last):
+    """The ``total`` cells of ``path``, an ``(n, S)`` array of profiles past
+    step 0, whose coordinate S has the cells ``last``: each the ``repr`` of
+    ``math.fsum`` of its row.
+
+    A profile past step 0 is nondecreasing and each zero in it is +0.0, so
+    a row with at most one nonzero coordinate sums to its coordinate S and
+    one with at most two (S <= 2 or coordinate S - 2 zero) to the sum of
+    its last two, one IEEE add, rounded correctly as ``fsum`` rounds. The
+    other rows, and those whose add is not finite, go through ``fsum``,
+    which raises on an overflow.
+    """
+    cells = list(last)
+    if path.shape[1] == 1:
+        return cells
+    two = np.flatnonzero(path[:, -2])  # the rows with two or more nonzero
+    with np.errstate(over="ignore"):
+        pair = path[two, -2] + path[two, -1]
+    exact = np.isfinite(pair)
+    if path.shape[1] > 2:
+        exact &= path[two, -3] == 0.0
+    for i, x in zip(two[exact].tolist(), map(repr, pair[exact].tolist())):
+        cells[i] = x
+    rest = two[~exact]
+    for i, row in zip(rest.tolist(), path[rest].tolist()):
+        cells[i] = repr(math.fsum(row))
+    return cells
 
 
 def _sim_one(payload):
@@ -194,7 +230,8 @@ def _sim_one(payload):
 
     The rows are formatted by columns: ``tolist`` gives back the very
     floats the path holds, so each cell is the ``repr`` of a coordinate and
-    ``total`` that of their exactly rounded sum."""
+    ``total`` that of their exactly rounded sum (see :func:`_total_cells`;
+    step 0 goes through ``fsum``, which sums a -0.0 start to 0.0)."""
     model, seed, horizon, system, write = payload
     r = system.rank - 1
     marks = generate(model, seed, horizon)
@@ -211,7 +248,9 @@ def _sim_one(payload):
         wait_sum = functools.reduce(operator.add, cols[r][: horizon - step], wait_sum)
         if write:
             cells = [list(map(repr, col)) for col in cols]
-            totals = [repr(math.fsum(row)) for row in zip(*cols)]
+            totals = _total_cells(path, cells[-1])
+            if step == 0:
+                totals[0] = repr(math.fsum(path[0].tolist()))
             # the wait column is coordinate r shifted down one row
             waits = wait_cell + cells[r][:-1]
             wait_cell = cells[r][-1:]
@@ -244,6 +283,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         for seed, blocks, mean_wait, final_total in _pool_map(_sim_one, payloads, cfg.jobs):
             if out is not None:
                 out.writelines(blocks)
+            # the loop would hold this seed's text while the next one runs
+            del blocks
             summary.append((seed, mean_wait, final_total))
     for seed, mean_wait, final_total in summary:
         print(

@@ -21,6 +21,7 @@ from .errors import PremiseError
 from .orderings import _require_tolerance, prec_p, prec_star
 from .profiles import (
     _CHUNK,
+    _PATH_CHUNK,
     Profile,
     _require_profile,
     _require_rank,
@@ -41,12 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_SUM_SLACK = 1e-12
-# Arrivals per path_profiles call of _run_coupled. The same probe as for
-# profiles._PATH_BLOCK, with the peak traced memory of its first case:
-#   2**13: 0.181 0.321 0.377 0.518 0.650, 2.0 MB
-#   2**14: 0.165 0.308 0.332 0.441 0.622, 4.0 MB
-#   2**15: 0.152 0.280 0.331 0.437 0.631, 7.9 MB
-_PATH_CHUNK = 2**14
 
 
 def _start_profile(servers: int, start: Profile | None, name: str) -> Profile:

@@ -805,7 +805,7 @@ def mean_sigma(model: InputModel) -> float:
         return math.fsum(p * law.mean() for p, law in zip(pi, model.sigma_laws))
     if isinstance(model, TraceModel):
         sig = model._columns[0]
-        return math.fsum(sig.tolist()) / len(sig)
+        return math.fsum(memoryview(sig)) / len(sig)
     raise TypeError(f"unknown input model {model!r}")
 
 
@@ -818,7 +818,7 @@ def mean_xi(model: InputModel) -> float:
         return math.fsum(p * law.mean() for p, law in zip(pi, model.xi_laws))
     if isinstance(model, TraceModel):
         xis = model._columns[1]
-        return math.fsum(xis.tolist()) / len(xis)
+        return math.fsum(memoryview(xis)) / len(xis)
     raise TypeError(f"unknown input model {model!r}")
 
 

@@ -131,8 +131,9 @@ def pth_step(u: Profile, mark: Mark, rank: int) -> Profile:
     return _step(u, sigma, xi, rank)
 
 
-# Marks converted to Python floats at a time by iter_profiles, and rows
-# stepped and formatted at a time by the command line's forward runs.
+# Marks converted to Python floats at a time by iter_profiles, rows
+# screened at a time by compare and rows formatted at a time by the
+# command line's forward runs.
 _CHUNK = 4096
 # Arrivals per block of path_profiles. Shorter blocks take more fix-up
 # passes, longer ones waste more steps per pass. Median CPU seconds of
@@ -143,6 +144,13 @@ _CHUNK = 4096
 #   32: 0.165 0.308 0.332 0.441 0.622
 #   64: 0.174 0.312 0.326 0.454 0.688
 _PATH_BLOCK = 32
+# Arrivals per path_profiles call of every caller that steps a long run:
+# compare, simulate and the trajectory dump. Median CPU seconds of compare
+# on the same five cases, with the peak traced memory of the first:
+#   2**13: 0.181 0.321 0.377 0.518 0.650, 2.0 MB
+#   2**14: 0.165 0.308 0.332 0.441 0.622, 4.0 MB
+#   2**15: 0.152 0.280 0.331 0.437 0.631, 7.9 MB
+_PATH_CHUNK = 2**14
 # A lockstep_profiles call with fewer rows steps them one at a time. The
 # array kernel costs about as much per step for one row as for ten, the
 # scalar loop one step per row. Median microseconds per step of R seeds,

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, determinism, output files."""
 
+import concurrent.futures
 import csv
 import io
 import math
@@ -7,9 +8,11 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jswsim import cli, profiles
 from jswsim.cli import main
@@ -480,11 +483,13 @@ def reference_simulate_summary(cfg, seed):
 
 
 class TestSimulateRows:
-    """simulate steps each seed in chunks of 4096 arrivals and formats each
-    chunk's rows by columns; these compare the rows byte for byte with a
-    csv.writer reference around the chunk boundaries, and the summary
-    numbers bit for bit with an iter_profiles loop (the printed %.6g would
-    hide a last-bit difference)."""
+    """simulate steps each seed in path chunks of profiles._PATH_CHUNK
+    (2^14) arrivals, formats the rows by columns in blocks of 4096 and
+    takes each total from numpy where that is fsum's value; these compare
+    the rows byte for byte with a csv.writer reference around the chunk and
+    block boundaries and in every totals branch, and the summary numbers
+    bit for bit with an iter_profiles loop (the printed %.6g would hide a
+    last-bit difference)."""
 
     def assert_rows_match(self, tmp_path, capsys, text, argv=()):
         cfg_path = tmp_path / "c.ini"
@@ -516,15 +521,43 @@ class TestSimulateRows:
                     f"[system]\nservers = {servers}\nrank = {rank}\n",
                 )
 
-    @pytest.mark.parametrize("horizon", [1, 8191, 8192, 8193])
+    # two formatting blocks, then one path chunk
+    @pytest.mark.parametrize("horizon", [1, 8191, 8192, 8193, 16383, 16384, 16385])
     def test_horizons_around_two_chunks(self, horizon, tmp_path, capsys):
-        for servers, rank in ((1, 1), (3, 2)):
+        assert profiles._PATH_CHUNK == 16384
+        for servers, rank in ((1, 1), (3, 2), (8, 8)):
             self.assert_rows_match(
                 tmp_path,
                 capsys,
                 f"[run]\nseeds = 2 9\nhorizon = {horizon}\n"
                 f"[system]\nservers = {servers}\nrank = {rank}\n",
             )
+
+    def test_overloaded_rows_take_every_totals_branch(self, tmp_path, capsys):
+        # load 1.5 on 4 servers, from empty: rows with 0, 1, 2 and 3 or 4
+        # busy queues, then rows that fsum adds
+        raw = self.assert_rows_match(
+            tmp_path,
+            capsys,
+            "[model]\nsigma = exponential(1.0)\nxi = exponential(6.0)\n"
+            "[run]\nseeds = 5\nhorizon = 5000\n[system]\nservers = 4\n",
+        )
+        rows = raw.decode().splitlines()[6:]
+        busy = {sum(float(w) != 0.0 for w in row.split(",")[2:6]) for row in rows}
+        assert busy == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize(
+        "initial,first",
+        [("-0.0 -0.0", "1,0,-0.0,-0.0,0.0,"), ("0.0 -0.0 2.0", "1,0,0.0,-0.0,2.0,2.0,")],
+    )
+    def test_negative_zero_start_sums_by_fsum(self, initial, first, tmp_path, capsys):
+        raw = self.assert_rows_match(
+            tmp_path,
+            capsys,
+            f"[run]\nseeds = 1\nhorizon = 300\n[system]\ninitial = {initial}\n"
+            f"servers = {len(initial.split())}\n",
+        )
+        assert raw.decode().splitlines()[6] == first
 
     def test_negative_zero_initial_profile(self, tmp_path, capsys):
         raw = self.assert_rows_match(
@@ -581,6 +614,64 @@ class TestSimulateRows:
         assert with_out == without + f"wrote {out}\n"
 
 
+# Rows of nondecreasing floats >= +0.0, the profiles simulate sums past step
+# 0: many zeros, subnormals, sums that overflow and infinities.
+_coordinates = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e-300),
+    st.floats(min_value=0.0),
+    st.sampled_from([1.0, 1e308, 1.7e308, math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda servers: st.lists(
+            st.lists(_coordinates, min_size=servers, max_size=servers).map(sorted),
+            min_size=1,
+            max_size=12,
+        )
+    )
+)
+def test_total_cells_are_fsum(rows):
+    path = np.array(rows)
+    last = list(map(repr, path[:, -1].tolist()))
+    try:
+        expected = [repr(math.fsum(row)) for row in rows]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            cli._total_cells(path, last)
+        return
+    assert cli._total_cells(path, last) == expected
+
+
+def test_simulate_drops_each_seed_text_before_the_next(tmp_path, capsys, monkeypatch):
+    class Blocks(list):
+        pass
+
+    alive = []
+    sim_one = cli._sim_one
+
+    def spy(payload):
+        assert all(ref() is None for ref in alive)
+        seed, blocks, mean_wait, final_total = sim_one(payload)
+        blocks = Blocks(blocks)
+        alive.append(weakref.ref(blocks))
+        return seed, blocks, mean_wait, final_total
+
+    monkeypatch.setattr(cli, "_sim_one", spy)
+    argv = ["simulate", "--seeds", "1..3", "--horizon", "50", "--out", str(tmp_path / "s.csv")]
+    code, _, _ = run(argv, capsys)
+    assert code == 0 and len(alive) == 3
+
+
+def test_import_leaves_the_process_pool_out():
+    code = "import sys, jswsim.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """Swap the process pool for one that runs in process and records each
@@ -601,7 +692,7 @@ def pools(monkeypatch):
             calls.append((self.max_workers, payloads))
             return map(fn, payloads)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     return calls
 

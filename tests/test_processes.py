@@ -2,9 +2,11 @@
 
 import dataclasses
 import decimal
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import os
 import pathlib
 import subprocess
@@ -773,6 +775,16 @@ class TestTraces:
         assert list(marks.sigma) == [3.0, 0.5]
         assert list(marks.xi) == [1.0, 2.0]
         assert mean_sigma(model) == 1.75
+
+    def test_means_are_exactly_rounded(self, tmp_path):
+        # Added left to right, 1.0 swallows every small entry; fsum keeps them.
+        p = tmp_path / "marks.txt"
+        p.write_text("1.0 1.0\n" + "1e-16 3e-17\n" * 10)
+        model = TraceModel(str(p))
+        for mean, col in zip((mean_sigma, mean_xi), model._columns):
+            values = col.tolist()
+            assert functools.reduce(operator.add, values) != math.fsum(values)
+            assert repr(mean(model)) == repr(math.fsum(values) / len(values))
 
     def test_length_capped_by_file(self, tmp_path):
         p = tmp_path / "marks.txt"
