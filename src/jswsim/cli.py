@@ -28,7 +28,6 @@ import contextlib
 import functools
 import itertools
 import math
-import operator
 import os
 import stat
 import sys
@@ -42,10 +41,10 @@ from . import __version__
 from .comparison import _require_corrupt_step, compare_allocation_ranks, compare_server_counts
 from .config import CONFIG_ENV_VAR, CONFIG_HELP, ExperimentConfig, _section, load_config
 from .errors import ConfigError, InputError, PremiseError, StabilityError
-from .loynes import estimate_stationary_many
+from .loynes import _blocks, estimate_stationary_many
 from .orderings import run_property_suite
 from .processes import RNG_ALGORITHM, generate, model_label
-from .profiles import _CHUNK, _PATH_CHUNK, path_profiles
+from .profiles import _OfferedWait, _path_chunks
 
 __all__ = ["main"]
 
@@ -80,11 +79,6 @@ def _pool_map(fn, payloads, jobs):
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, payloads)
-
-
-def _blocks(items, count):
-    """Split ``items`` into ``count`` contiguous blocks of near-equal size."""
-    return [items[k * len(items) // count : (k + 1) * len(items) // count] for k in range(count)]
 
 
 def _fmt(x: float) -> str:
@@ -171,26 +165,6 @@ def _provenance(title: str, cfg: ExperimentConfig) -> list[str]:
     return [f"jswsim {title}", f"model: {model_label(cfg.model)}", f"rng: {RNG_ALGORITHM}"]
 
 
-def _path_chunks(start, marks, rank):
-    """Yield ``(step, rows)`` for one system's run over ``marks``: ``rows``
-    holds the profiles of steps ``step``, ``step + 1``, ... as an ``(n, S)``
-    array of at most ``_CHUNK`` rows, and the chunks together hold steps
-    0 .. ``len(marks)``, each once, in order.
-
-    The profiles come from one :func:`~jswsim.profiles.path_profiles` call
-    per ``_PATH_CHUNK`` arrivals, bit for bit the profiles of
-    ``iter_profiles``; a later call starts from the last profile of the one
-    before and drops its own row 0, that same profile. Step 0 is ``start``
-    as given.
-    """
-    for lo in range(0, len(marks), _PATH_CHUNK):
-        hi = lo + _PATH_CHUNK
-        path = path_profiles(start, marks.sigma[lo:hi], marks.xi[lo:hi], rank)
-        for base in range(0 if lo == 0 else 1, len(path), _CHUNK):
-            yield lo + base, path[base : base + _CHUNK]
-        start = tuple(path[-1].tolist())
-
-
 # ---------------------------------------------------------------- simulate
 
 
@@ -225,8 +199,8 @@ def _total_cells(path, last):
 
 def _sim_one(payload):
     """Step one seed; return it, its CSV rows as text blocks of one
-    ``_path_chunks`` chunk each (none unless ``write``), its mean offered
-    wait and its final total workload.
+    :func:`~jswsim.profiles._path_chunks` chunk each (none unless
+    ``write``), its mean offered wait and its final total workload.
 
     The rows are formatted by columns: ``tolist`` gives back the very
     floats the path holds, so each cell is the ``repr`` of a coordinate and
@@ -237,17 +211,12 @@ def _sim_one(payload):
     marks = generate(model, seed, horizon)
     seed_cell = str(seed)
     blocks = []
-    # The arrival after step k waits coordinate r of step k. The waits are
-    # added in step order, so the mean is the same float on every Python
-    # version.
-    wait_sum = 0.0
+    wait = _OfferedWait(system.rank, horizon)
     wait_cell = [""]  # step 0 precedes the first arrival
     for step, path in _path_chunks(system.start_profile(), marks, system.rank):
-        cols = path.T.tolist()
-        # every row but the final step is seen by an arrival
-        wait_sum = functools.reduce(operator.add, cols[r][: horizon - step], wait_sum)
+        wait.add(step, path)
         if write:
-            cells = [list(map(repr, col)) for col in cols]
+            cells = [list(map(repr, col)) for col in path.T.tolist()]
             totals = _total_cells(path, cells[-1])
             if step == 0:
                 totals[0] = repr(math.fsum(path[0].tolist()))
@@ -257,7 +226,7 @@ def _sim_one(payload):
             steps = map(str, range(step, step + len(path)))
             rows = zip(itertools.repeat(seed_cell), steps, *cells, totals, waits)
             blocks.append("\n".join(map(",".join, rows)) + "\n")
-    return seed, blocks, wait_sum / horizon, math.fsum(path[-1].tolist())
+    return seed, blocks, wait.mean, math.fsum(path[-1].tolist())
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:

@@ -11,8 +11,6 @@ the recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -20,13 +18,12 @@ import numpy as np
 from .errors import PremiseError
 from .orderings import _require_tolerance, prec_p, prec_star
 from .profiles import (
-    _CHUNK,
-    _PATH_CHUNK,
     Profile,
+    _OfferedWait,
+    _path_chunks,
     _require_profile,
     _require_rank,
     pad,
-    path_profiles,
     total_workload,
     zero_profile,
 )
@@ -135,59 +132,44 @@ def _run_coupled(
     step, or None. At ``corrupt_step`` it sees a corrupted copy of the first
     profile.
 
-    Each system's profiles come from :func:`~jswsim.profiles.path_profiles`,
-    bit for bit those of ``iter_profiles``, one call per ``_PATH_CHUNK``
-    marks, each chunk starting from the last profile of the one before.
-    Each chunk's rows are screened in blocks of ``_CHUNK`` steps. ``screen``
-    maps a block's first and second profiles, as ``(n, S)`` arrays, to one
-    slack per row, and ``check`` can fail only on a row whose slack is not
-    ``>= 0`` (a NaN slack counts as failing). ``check`` runs, in step order,
-    on those rows, on the block's smallest-slack row and at
-    ``corrupt_step``, so every violation is the one a check at every step
-    records.
+    Each system's profiles come from its forward walk,
+    :func:`~jswsim.profiles._path_chunks`, bit for bit those of
+    ``iter_profiles``; the two walks are read in lockstep, one block of
+    steps at a time. ``screen`` maps a block's first and second profiles,
+    as ``(n, S)`` arrays, to one slack per row, and ``check`` can fail only
+    on a row whose slack is not ``>= 0`` (a NaN slack counts as failing). ``check`` runs, in step order, on those rows,
+    on the block's smallest-slack row and at ``corrupt_step``, so every
+    violation is the one a check at every step records.
 
-    A system's mean offered wait is coordinate ``rank`` of the profiles its
-    arrivals saw (all but the last), added in step order from the
-    uncorrupted profiles and divided by the number of arrivals, the same
-    float ``simulate`` reports.
+    Each system's mean offered wait is that of
+    :class:`~jswsim.profiles._OfferedWait`, from the uncorrupted profiles,
+    the same float ``simulate`` reports.
     """
     arrivals = len(marks)
     if not arrivals:
         raise ValueError("a coupled comparison needs at least one arrival, got no marks")
     _require_corrupt_step(corrupt_step, arrivals)
     (start_a, rank_a), (start_b, rank_b) = first, second
-    sum_a = sum_b = 0.0
-    for lo in range(0, arrivals, _PATH_CHUNK):
-        hi = min(lo + _PATH_CHUNK, arrivals)
-        sigma, xi = marks.sigma[lo:hi], marks.xi[lo:hi]
-        path_a = path_profiles(start_a, sigma, xi, rank_a)
-        path_b = path_profiles(start_b, sigma, xi, rank_b)
-        # Row 0 is step lo, and the last row, step hi, starts the next
-        # chunk; the last chunk checks it too.
-        end = hi - lo + (hi == arrivals)
-        for base in range(0, end, _CHUNK):
-            rows = slice(base, min(base + _CHUNK, end))
-            block_a, block_b = path_a[rows], path_b[rows]
-            slack = screen(block_a, block_b)
-            confirm = set(np.flatnonzero(~(slack >= 0.0)).tolist())
-            confirm.add(int(slack.argmin()))
-            if corrupt_step is not None and 0 <= corrupt_step - lo - base < len(block_a):
-                confirm.add(corrupt_step - lo - base)
-            for i in sorted(confirm):
-                # tolist gives back the very floats the path holds
-                a, b = tuple(block_a[i].tolist()), tuple(block_b[i].tolist())
-                step = lo + base + i
-                checked = a if step != corrupt_step else _corrupted(a, total_workload(b))
-                violation = check(step, checked, b)
-                if violation is not None:
-                    report.violations.append(violation)
-        # The profiles arrivals lo .. hi - 1 saw, added in step order.
-        sum_a = reduce(add, path_a[:-1, rank_a - 1].tolist(), sum_a)
-        sum_b = reduce(add, path_b[:-1, rank_b - 1].tolist(), sum_b)
-        start_a, start_b = tuple(path_a[-1].tolist()), tuple(path_b[-1].tolist())
+    wait_a, wait_b = _OfferedWait(rank_a, arrivals), _OfferedWait(rank_b, arrivals)
+    walks = zip(_path_chunks(start_a, marks, rank_a), _path_chunks(start_b, marks, rank_b))
+    for (step, block_a), (_, block_b) in walks:
+        slack = screen(block_a, block_b)
+        confirm = set(np.flatnonzero(~(slack >= 0.0)).tolist())
+        confirm.add(int(slack.argmin()))
+        if corrupt_step is not None and 0 <= corrupt_step - step < len(block_a):
+            confirm.add(corrupt_step - step)
+        for i in sorted(confirm):
+            # tolist gives back the very floats the path holds
+            a, b = tuple(block_a[i].tolist()), tuple(block_b[i].tolist())
+            checked = a if step + i != corrupt_step else _corrupted(a, total_workload(b))
+            violation = check(step + i, checked, b)
+            if violation is not None:
+                report.violations.append(violation)
+        wait_a.add(step, block_a)
+        wait_b.add(step, block_b)
     report.steps_checked = arrivals + 1
-    report.mean_offered_wait = (sum_a / arrivals, sum_b / arrivals)
-    report.final_profiles = (start_a, start_b)
+    report.mean_offered_wait = (wait_a.mean, wait_b.mean)
+    report.final_profiles = (tuple(block_a[-1].tolist()), tuple(block_b[-1].tolist()))
     return report
 
 

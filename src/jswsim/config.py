@@ -195,7 +195,7 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
 [loynes]                          used by: loynes
   servers       number of queues (2)
   rank          allocation rank (1)
-  tolerance     sup-norm doubling increment declaring convergence, > 0 (1e-6)
+  tolerance     sup-norm doubling increment declaring convergence, finite, > 0 (1e-6)
   window        first evaluation point (64)
   max_n         largest evaluation point (4194304)
 

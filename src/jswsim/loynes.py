@@ -93,8 +93,8 @@ def _require_loynes_settings(
     """The input rules of :func:`estimate_stationary_many`."""
     _require_rank(zero_profile(servers), rank)
     # false for NaN too
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite, > 0, got {tolerance!r}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if max_n < window:
@@ -177,6 +177,11 @@ def estimate_stationary_many(
     return results  # type: ignore[return-value]
 
 
+def _blocks(items, count):
+    """Split ``items`` into ``count`` contiguous blocks of near-equal size."""
+    return [items[k * len(items) // count : (k + 1) * len(items) // count] for k in range(count)]
+
+
 def _replay(
     model: InputModel, seeds: list[int], servers: int, rank: int, depths: list[int]
 ) -> list[tuple[Profile, ...]]:
@@ -194,8 +199,7 @@ def _replay(
     rows = min(n, max(_MIN_CHUNK_ROWS, _PASS_MARKS // len(seeds)))
     passes = -(-len(seeds) // (_PASS_MARKS // rows))
     out: list[tuple[Profile, ...]] = []
-    for k in range(passes):
-        block = seeds[k * len(seeds) // passes : (k + 1) * len(seeds) // passes]
+    for block in _blocks(seeds, passes):
         # (replays * R, S), deepest replay first
         state = np.zeros((0, servers))
         for lo, sigma, xi in generate_chunks(model, block, n, rows):

@@ -12,8 +12,11 @@ All public functions here are pure and never mutate their arguments.
 :func:`iter_profiles` runs the recursion over a sequence of arrivals for one
 system, one arrival at a time: the reference loop the others are checked
 against. :func:`path_profiles` gives the same profiles as the rows of one
-array, stepping blocks of the arrivals side by side; forward and coupled
-runs go through it. :func:`lockstep_profiles` gives the final
+array, stepping blocks of the arrivals side by side. :func:`_path_chunks`
+is the one forward walk of a long run: it cuts it into ``path_profiles``
+calls and row blocks. ``compare``, ``simulate`` and the trajectory dump
+all step through it, and the first two take a system's mean offered wait
+from :class:`_OfferedWait`. :func:`lockstep_profiles` gives the final
 profiles of R systems, the rows of an array, bit for bit those of
 :func:`pth_step`; backward replays go through it. The last two share one
 array step, :func:`_iter_lockstep`.
@@ -24,7 +27,9 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
+from functools import reduce
 from itertools import chain
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -131,9 +136,9 @@ def pth_step(u: Profile, mark: Mark, rank: int) -> Profile:
     return _step(u, sigma, xi, rank)
 
 
-# Marks converted to Python floats at a time by iter_profiles, rows
-# screened at a time by compare and rows formatted at a time by the
-# command line's forward runs.
+# Marks converted to Python floats at a time by iter_profiles and the most
+# rows of one block of the forward walk, _path_chunks: compare screens and
+# simulate and the trajectory dump format one block at a time.
 _CHUNK = 4096
 # Arrivals per block of path_profiles. Shorter blocks take more fix-up
 # passes, longer ones waste more steps per pass. Median CPU seconds of
@@ -144,9 +149,9 @@ _CHUNK = 4096
 #   32: 0.165 0.308 0.332 0.441 0.622
 #   64: 0.174 0.312 0.326 0.454 0.688
 _PATH_BLOCK = 32
-# Arrivals per path_profiles call of every caller that steps a long run:
-# compare, simulate and the trajectory dump. Median CPU seconds of compare
-# on the same five cases, with the peak traced memory of the first:
+# Arrivals per path_profiles call of the forward walk, _path_chunks. Median
+# CPU seconds of compare on the same five cases, with the peak traced
+# memory of the first:
 #   2**13: 0.181 0.321 0.377 0.518 0.650, 2.0 MB
 #   2**14: 0.165 0.308 0.332 0.441 0.622, 4.0 MB
 #   2**15: 0.152 0.280 0.331 0.437 0.631, 7.9 MB
@@ -348,6 +353,45 @@ def _step_blocks_in_order(body, starts, sig, gap, first: int, state: Profile, ra
         while e < blocks and state == begun[e]:
             state, e = tuple(body[e, -1].tolist()), e + 1
         b = e
+
+
+def _path_chunks(start: Profile, marks, rank: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(step, rows)`` for one system's forward run over ``marks``,
+    at least one arrival: ``rows`` holds the profiles of steps ``step``,
+    ``step + 1``, ... as an ``(n, S)`` array of at most ``_CHUNK`` rows, and
+    the chunks together hold steps 0 .. ``len(marks)``, each once, in order.
+
+    The profiles come from one :func:`path_profiles` call per
+    ``_PATH_CHUNK`` arrivals, bit for bit the profiles of
+    :func:`iter_profiles`; a later call starts from the last profile of the
+    one before and drops its own row 0, that same profile. Step 0 is
+    ``start`` as given.
+    """
+    for lo in range(0, len(marks.sigma), _PATH_CHUNK):
+        hi = lo + _PATH_CHUNK
+        path = path_profiles(start, marks.sigma[lo:hi], marks.xi[lo:hi], rank)
+        for base in range(0 if lo == 0 else 1, len(path), _CHUNK):
+            yield lo + base, path[base : base + _CHUNK]
+        start = tuple(path[-1].tolist())
+
+
+class _OfferedWait:
+    """The mean offered wait of a forward run over ``arrivals`` marks whose
+    arrivals join coordinate ``rank``: coordinate ``rank`` of steps 0 ..
+    ``arrivals - 1``, the profiles the arrivals see, added in step order,
+    so that it is the same float on every Python version, and divided by
+    ``arrivals``. :meth:`add` takes the chunks of :func:`_path_chunks`, in
+    order."""
+
+    def __init__(self, rank: int, arrivals: int) -> None:
+        self.rank, self.arrivals, self.sum = rank, arrivals, 0.0
+
+    def add(self, step: int, rows: np.ndarray) -> None:
+        self.sum = reduce(add, rows[: self.arrivals - step, self.rank - 1].tolist(), self.sum)
+
+    @property
+    def mean(self) -> float:
+        return self.sum / self.arrivals
 
 
 def kw_step(u: Profile, mark: Mark) -> Profile:

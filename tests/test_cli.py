@@ -157,6 +157,7 @@ BAD_SETTINGS = {
     ),
     "loynes-rank-above-servers": ("[loynes]\nservers = 2\nrank = 3\n", [], "loynes"),
     "loynes-zero-tolerance": ("[loynes]\ntolerance = 0\n", [], "loynes"),
+    "loynes-inf-tolerance": ("[loynes]\ntolerance = inf\n", [], "loynes"),
     "loynes-zero-window": ("[loynes]\nwindow = 0\n", [], "loynes"),
     "loynes-max-n-below-window": ("[loynes]\nwindow = 128\nmax_n = 64\n", [], "loynes"),
     "compare-small-above-servers": (
@@ -500,7 +501,13 @@ class TestSimulateRows:
         raw = out.read_text()
         rows = "".join(raw.splitlines(keepends=True)[5:])  # past the comment lines
         cfg = load_config(str(cfg_path))
-        assert rows == reference_simulate_rows(cfg)
+        # line by line, endings kept, so as strict as comparing the whole
+        # text, whose diff on a failure is slow and unreadable
+        got = rows.splitlines(keepends=True)
+        want = reference_simulate_rows(cfg).splitlines(keepends=True)
+        assert len(got) == len(want)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a == b, f"line {i}: {a!r} != {b!r}"
         for seed in cfg.seeds:
             _, _, mean_wait, final_total = cli._sim_one(
                 (cfg.model, seed, cfg.horizon, cfg.system, False)

@@ -245,7 +245,7 @@ class TestInputValidation:
         def no_steps(*args):
             raise AssertionError("stepped")
 
-        monkeypatch.setattr("jswsim.comparison.path_profiles", no_steps)
+        monkeypatch.setattr("jswsim.profiles.path_profiles", no_steps)
         with pytest.raises(ValueError, match="must be finite, >= 0"):
             compare_server_counts(3, 2, external_marks(sigma, xi))
 
@@ -380,7 +380,7 @@ class TestScreenMatchesEveryStepCheck:
     def test_chunk_edges(self, chunks, extra):
         # horizons around whole path_profiles chunks, corrupt steps at the
         # first chunk's last row, which starts the second chunk, and beside it
-        size = jswsim.comparison._PATH_CHUNK
+        size = jswsim.profiles._PATH_CHUNK
         horizon = chunks * size + extra
         for corrupt in [c for c in (size - 1, size, size + 1) if c <= horizon] + [None]:
             servers_case(3, 2, generate(BUSY, 13, horizon), corrupt_step=corrupt)
@@ -477,7 +477,7 @@ class TestScreenMatchesEveryStepCheck:
 
         marks = external_marks([0.0] * (steps - 1), [0.0] * (steps - 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("jswsim.comparison.path_profiles", fake_path_profiles)
+            mp.setattr("jswsim.profiles.path_profiles", fake_path_profiles)
             mp.setitem(globals(), "iter_profiles", fake_iter_profiles)
             if mode == "servers":
                 servers_case(*sizes, marks, sum_slack=data.draw(st.sampled_from([0.0, 1e-12])))
@@ -541,7 +541,7 @@ class TestScreenMatchesEveryStepCheckSplit(TestScreenMatchesEveryStepCheck):
     @pytest.fixture(autouse=True, scope="class")
     def small_chunks(self):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(jswsim.comparison, "_PATH_CHUNK", 1000)
+            mp.setattr(jswsim.profiles, "_PATH_CHUNK", 1000)
             yield
 
     # it feeds the harness made-up paths in place of path_profiles

@@ -319,6 +319,10 @@ INVALID_VALUES = {
         "[loynes]\ntolerance = 0\n",
         lambda: estimate_stationary(MM1, 1, 2, tolerance=0.0),
     ),
+    "loynes-inf-tolerance": (
+        "[loynes]\ntolerance = inf\n",
+        lambda: estimate_stationary(MM1, 1, 2, tolerance=math.inf, window=16, max_n=64),
+    ),
     "loynes-zero-window": (
         "[loynes]\nwindow = 0\n",
         lambda: estimate_stationary(MM1, 1, 2, window=0),

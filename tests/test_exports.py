@@ -33,3 +33,12 @@ def test_bench_lookups_resolve(name):
     module = importlib.import_module(f"jswsim.{name}")
     missing = [n for n in BENCH_LOOKUPS[name] if not hasattr(module, n)]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("name", ["comparison", "cli"])
+def test_forward_runs_go_through_the_one_walk(name):
+    # profiles._path_chunks alone cuts a run into path_profiles calls and
+    # row blocks; the modules that step forward runs only consume it
+    module = importlib.import_module(f"jswsim.{name}")
+    bound = [n for n in ("path_profiles", "_PATH_CHUNK", "_CHUNK") if hasattr(module, n)]
+    assert not bound, bound

@@ -376,6 +376,26 @@ class TestPathProfiles:
         assert path.tolist() == [[0.0, 2.0]]
 
 
+@pytest.mark.parametrize("path_chunk", [1, 7, 2**14])
+def test_path_chunks_walk_every_step_once(path_chunk, monkeypatch):
+    # the one forward walk, at horizons around whole path_profiles calls
+    monkeypatch.setattr(jswsim.profiles, "_PATH_CHUNK", path_chunk)
+    rng = np.random.default_rng(path_chunk)
+    start, rank = (-0.0, 0.5, 1.0), 2
+    for n in sorted({1} | {k * path_chunk + d for k in (1, 2) for d in (-1, 0, 1)} - {0}):
+        marks = SimpleNamespace(sigma=rng.exponential(1.0, n), xi=rng.exponential(0.6, n))
+        chunks = list(jswsim.profiles._path_chunks(start, marks, rank))
+        assert all(1 <= len(rows) <= jswsim.profiles._CHUNK for _, rows in chunks)
+        steps = [step + i for step, rows in chunks for i in range(len(rows))]
+        assert steps == list(range(n + 1))
+        walked = np.concatenate([rows for _, rows in chunks]).view(np.uint64)
+        whole = path_profiles(start, marks.sigma, marks.xi, rank).view(np.uint64)
+        reference = _path_reference(start, marks.sigma, marks.xi, rank).view(np.uint64)
+        assert walked.shape == whole.shape == reference.shape == (n + 1, 3)
+        assert (walked == whole).all() and (walked == reference).all()
+        assert math.copysign(1.0, chunks[0][1][0, 0]) == -1.0
+
+
 @pytest.mark.parametrize(
     "servers,rank,xi_rate", [(4, 1, 3.2), (4, 2, 3.9), (2, 1, 1.8), (8, 1, 3.2)]
 )
