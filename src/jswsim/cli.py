@@ -43,8 +43,8 @@ from .config import CONFIG_ENV_VAR, CONFIG_HELP, ExperimentConfig, _section, loa
 from .errors import ConfigError, InputError, PremiseError, StabilityError
 from .loynes import _blocks, estimate_stationary_many
 from .orderings import run_property_suite
-from .processes import RNG_ALGORITHM, generate, model_label
-from .profiles import _OfferedWait, _path_chunks
+from .processes import RNG_ALGORITHM, generate, generate_forward, model_label
+from .profiles import _OfferedWait, _path_chunks, _slices
 
 __all__ = ["main"]
 
@@ -64,9 +64,15 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def _workers(jobs: int, tasks: int) -> int:
+    """The worker processes for ``tasks`` tasks: at most ``jobs``, the tasks
+    and the usable CPUs."""
+    return min(jobs, tasks, _usable_cpus())
+
+
 def _pool_map(fn, payloads, jobs):
     """Yield ``fn(p)`` for each payload, in order, as the results arrive."""
-    workers = min(jobs, len(payloads), _usable_cpus())
+    workers = _workers(jobs, len(payloads))
     if workers <= 1:
         yield from map(fn, payloads)
         return
@@ -197,23 +203,29 @@ def _total_cells(path, last):
     return cells
 
 
-def _sim_one(payload):
+def _sim_one(payload, out=None):
     """Step one seed; return it, its CSV rows as text blocks of one
-    :func:`~jswsim.profiles._path_chunks` chunk each (none unless
-    ``write``), its mean offered wait and its final total workload.
+    :func:`~jswsim.profiles._path_chunks` chunk each, its mean offered wait
+    and its final total workload. The rows are formatted only if ``write``.
+    Given the open CSV ``out``, each block is written to it as soon as it
+    is formatted and none is returned.
 
-    The rows are formatted by columns: ``tolist`` gives back the very
-    floats the path holds, so each cell is the ``repr`` of a coordinate and
-    ``total`` that of their exactly rounded sum (see :func:`_total_cells`;
-    step 0 goes through ``fsum``, which sums a -0.0 start to 0.0)."""
+    The marks are drawn by :func:`~jswsim.processes.generate_forward`, one
+    walk chunk at a time, just before they are stepped, so that with ``out``
+    memory does not grow with the horizon. The rows are formatted by
+    columns: ``tolist`` gives back the very floats the path holds, so each
+    cell is the ``repr`` of a coordinate and ``total`` that of their exactly
+    rounded sum (see :func:`_total_cells`; step 0 goes through ``fsum``,
+    which sums a -0.0 start to 0.0)."""
     model, seed, horizon, system, write = payload
     r = system.rank - 1
-    marks = generate(model, seed, horizon)
+    draw = functools.partial(generate_forward, model, seed, horizon)
     seed_cell = str(seed)
     blocks = []
+    emit = blocks.append if out is None else out.write
     wait = _OfferedWait(system.rank, horizon)
     wait_cell = [""]  # step 0 precedes the first arrival
-    for step, path in _path_chunks(system.start_profile(), marks, system.rank):
+    for step, path in _path_chunks(system.start_profile(), draw, system.rank):
         wait.add(step, path)
         if write:
             cells = [list(map(repr, col)) for col in path.T.tolist()]
@@ -225,7 +237,7 @@ def _sim_one(payload):
             wait_cell = cells[r][-1:]
             steps = map(str, range(step, step + len(path)))
             rows = zip(itertools.repeat(seed_cell), steps, *cells, totals, waits)
-            blocks.append("\n".join(map(",".join, rows)) + "\n")
+            emit("\n".join(map(",".join, rows)) + "\n")
     return seed, blocks, wait.mean, math.fsum(path[-1].tolist())
 
 
@@ -233,8 +245,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     system = cfg.system
     write = cfg.out is not None
     payloads = [(cfg.model, s, cfg.horizon, system, write) for s in cfg.seeds]
-    # Each seed's rows are formatted in its worker and written as its result
-    # arrives; only the numbers of the summary lines outlive it.
     summary = []
     with contextlib.ExitStack() as stack:
         out = None
@@ -249,7 +259,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                     f"seeds: {' '.join(str(s) for s in cfg.seeds)}",
                 ],
             )
-        for seed, blocks, mean_wait, final_total in _pool_map(_sim_one, payloads, cfg.jobs):
+        # One worker writes each block of rows as it formats it. A pool
+        # worker formats its seed's rows and returns them, written as its
+        # result arrives; only the numbers of the summary lines outlive it.
+        sim = _sim_one
+        if _workers(cfg.jobs, len(payloads)) <= 1:
+            sim = functools.partial(_sim_one, out=out)
+        for seed, blocks, mean_wait, final_total in _pool_map(sim, payloads, cfg.jobs):
             if out is not None:
                 out.writelines(blocks)
             # the loop would hold this seed's text while the next one runs
@@ -286,7 +302,7 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
     settings = cfg.loynes
     keep = cfg.out is not None
     # One lockstep estimation per worker, over a contiguous block of seeds.
-    blocks = _blocks(cfg.seeds, min(cfg.jobs, len(cfg.seeds), _usable_cpus()))
+    blocks = _blocks(cfg.seeds, _workers(cfg.jobs, len(cfg.seeds)))
     payloads = [(cfg.model, block, settings, keep) for block in blocks]
     lines = []
     waits = []
@@ -366,7 +382,7 @@ def _write_trajectories(out, cfg: ExperimentConfig) -> int:
         marks = generate(cfg.model, seed, cfg.horizon)
         for system in cfg.compare.systems():
             label = f"seed{seed}:{system.label}"
-            for step, path in _path_chunks(system.start_profile(), marks, system.rank):
+            for step, path in _path_chunks(system.start_profile(), _slices(marks), system.rank):
                 steps = list(map(str, range(step, step + len(path))))
                 # each coordinate's rows, by columns, then interleaved step by step
                 coords = [

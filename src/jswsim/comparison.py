@@ -23,6 +23,7 @@ from .profiles import (
     _path_chunks,
     _require_profile,
     _require_rank,
+    _slices,
     pad,
     total_workload,
     zero_profile,
@@ -132,8 +133,8 @@ def _run_coupled(
     step, or None. At ``corrupt_step`` it sees a corrupted copy of the first
     profile.
 
-    Each system's profiles come from its forward walk,
-    :func:`~jswsim.profiles._path_chunks`, bit for bit those of
+    Each system's profiles come from its forward walk over slices of
+    ``marks``, :func:`~jswsim.profiles._path_chunks`, bit for bit those of
     ``iter_profiles``; the two walks are read in lockstep, one block of
     steps at a time. ``screen`` maps a block's first and second profiles,
     as ``(n, S)`` arrays, to one slack per row, and ``check`` can fail only
@@ -151,7 +152,10 @@ def _run_coupled(
     _require_corrupt_step(corrupt_step, arrivals)
     (start_a, rank_a), (start_b, rank_b) = first, second
     wait_a, wait_b = _OfferedWait(rank_a, arrivals), _OfferedWait(rank_b, arrivals)
-    walks = zip(_path_chunks(start_a, marks, rank_a), _path_chunks(start_b, marks, rank_b))
+    walks = zip(
+        _path_chunks(start_a, _slices(marks), rank_a),
+        _path_chunks(start_b, _slices(marks), rank_b),
+    )
     for (step, block_a), (_, block_b) in walks:
         slack = screen(block_a, block_b)
         confirm = set(np.flatnonzero(~(slack >= 0.0)).tolist())

@@ -49,6 +49,7 @@ __all__ = [
     "Uniform",
     "generate",
     "generate_chunks",
+    "generate_forward",
     "generate_many",
     "mean_sigma",
     "mean_xi",
@@ -620,8 +621,9 @@ def _generate_markov(
     length: int,
     start: int,
     checkpoints: Sequence[Checkpoint],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Marks ``[start, start + length)`` of every seed, from its checkpoint at ``start``."""
+) -> tuple[np.ndarray, np.ndarray, list[Checkpoint]]:
+    """Marks ``[start, start + length)`` of every seed, from its checkpoint
+    at ``start``, and every seed's checkpoint at ``start + length``."""
     start_cum, row_cums, mark_uniforms = model._tables  # type: ignore[attr-defined]
     bitgen = np.random.Philox(key=0)
     # Entry r * length + t of the joined paths is the state of mark t of seeds[r].
@@ -649,7 +651,11 @@ def _generate_markov(
             cols = [u[offset + c] for c in range(law.uniforms)]
             out[at] = law.draw_batch(cols, len(at))
             offset = offset + law.uniforms
-    return sig.T, xis.T
+    after = [
+        (int(path[hi - 1]), words + int(ends[hi - 1] - first[hi - length]))
+        for hi, (_, words) in zip(range(length, len(path) + 1, length), checkpoints)
+    ]
+    return sig.T, xis.T, after
 
 
 def _read_trace(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -743,7 +749,7 @@ def generate_many(
         return _generate_iid(model.sigma_law, model.xi_law, seeds, length, start)
     if isinstance(model, MarkovModulatedModel):
         checkpoints = [_markov_checkpoints(model, seed, [start])[0] for seed in seeds]
-        return _generate_markov(model, seeds, length, start, checkpoints)
+        return _generate_markov(model, seeds, length, start, checkpoints)[:2]
     if isinstance(model, TraceModel):
         sig, xis = model._columns
         if len(sig) < start + length:
@@ -778,7 +784,37 @@ def generate_chunks(
     starts = [lo for lo, _ in reversed(bounds)]
     walks = [dict(zip(starts, _markov_checkpoints(model, seed, starts))) for seed in seeds]
     for lo, hi in bounds:
-        yield (lo, *_generate_markov(model, seeds, hi - lo, lo, [walk[lo] for walk in walks]))
+        yield (lo, *_generate_markov(model, seeds, hi - lo, lo, [walk[lo] for walk in walks])[:2])
+
+
+def generate_forward(
+    model: InputModel, seed: int, length: int, rows: int
+) -> Iterator[MarkSequence]:
+    """The first ``length`` marks of (model, seed), oldest first, ``rows`` at a time.
+
+    Yields :class:`MarkSequence` chunks of ``rows`` marks, the last one
+    shorter, bit for bit the slices of ``generate(model, seed, length)``;
+    only one chunk is held at a time. An iid or trace chunk is
+    ``generate_many(model, [seed], n, lo)``, and a trace too short for
+    ``length`` marks is refused before the first one. A Markov chunk starts
+    from the checkpoint the chunk before it ended at, so the seed's chain is
+    walked once, mark by mark, over the whole run.
+    """
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    if rows < 1:
+        raise ValueError(f"rows must be >= 1, got {rows}")
+    _require_seeds([seed])
+    if isinstance(model, TraceModel):
+        generate_many(model, [seed], length)  # views: it only checks the length
+    checkpoint: Checkpoint = (None, 0)
+    for lo in range(0, length, rows):
+        n = min(rows, length - lo)
+        if isinstance(model, MarkovModulatedModel):
+            sig, xis, (checkpoint,) = _generate_markov(model, [seed], n, lo, [checkpoint])
+        else:
+            sig, xis = generate_many(model, [seed], n, lo)
+        yield MarkSequence(sigma=sig[:, 0], xi=xis[:, 0])
 
 
 def generate(model: InputModel, seed: int, length: int) -> MarkSequence:

@@ -13,10 +13,11 @@ All public functions here are pure and never mutate their arguments.
 system, one arrival at a time: the reference loop the others are checked
 against. :func:`path_profiles` gives the same profiles as the rows of one
 array, stepping blocks of the arrivals side by side. :func:`_path_chunks`
-is the one forward walk of a long run: it cuts it into ``path_profiles``
-calls and row blocks. ``compare``, ``simulate`` and the trajectory dump
-all step through it, and the first two take a system's mean offered wait
-from :class:`_OfferedWait`. :func:`lockstep_profiles` gives the final
+is the one forward walk of a long run: it asks for the run's marks a chunk
+at a time, steps each chunk in one ``path_profiles`` call and hands out the
+rows in blocks. ``compare``, ``simulate`` and the trajectory dump all step
+through it, and the first two take a system's mean offered wait from
+:class:`_OfferedWait`. :func:`lockstep_profiles` gives the final
 profiles of R systems, the rows of an array, bit for bit those of
 :func:`pth_step`; backward replays go through it. The last two share one
 array step, :func:`_iter_lockstep`.
@@ -30,9 +31,11 @@ from collections import deque
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
+
+from .processes import MarkSequence
 
 __all__ = [
     "Mark",
@@ -149,9 +152,9 @@ _CHUNK = 4096
 #   32: 0.165 0.308 0.332 0.441 0.622
 #   64: 0.174 0.312 0.326 0.454 0.688
 _PATH_BLOCK = 32
-# Arrivals per path_profiles call of the forward walk, _path_chunks. Median
-# CPU seconds of compare on the same five cases, with the peak traced
-# memory of the first:
+# Arrivals per path_profiles call of the forward walk, _path_chunks, and so
+# per chunk of marks that simulate draws. Median CPU seconds of compare on
+# the same five cases, with the peak traced memory of the first:
 #   2**13: 0.181 0.321 0.377 0.518 0.650, 2.0 MB
 #   2**14: 0.165 0.308 0.332 0.441 0.622, 4.0 MB
 #   2**15: 0.152 0.280 0.331 0.437 0.631, 7.9 MB
@@ -355,24 +358,38 @@ def _step_blocks_in_order(body, starts, sig, gap, first: int, state: Profile, ra
         b = e
 
 
-def _path_chunks(start: Profile, marks, rank: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(step, rows)`` for one system's forward run over ``marks``,
-    at least one arrival: ``rows`` holds the profiles of steps ``step``,
-    ``step + 1``, ... as an ``(n, S)`` array of at most ``_CHUNK`` rows, and
-    the chunks together hold steps 0 .. ``len(marks)``, each once, in order.
+def _path_chunks(
+    start: Profile, draw: Callable[[int], Iterable[MarkSequence]], rank: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(step, rows)`` for one system's forward run, at least one
+    arrival: ``rows`` holds the profiles of steps ``step``, ``step + 1``,
+    ... as an ``(n, S)`` array of at most ``_CHUNK`` rows, and the chunks
+    together hold steps 0 .. n, each once, in order.
 
-    The profiles come from one :func:`path_profiles` call per
-    ``_PATH_CHUNK`` arrivals, bit for bit the profiles of
-    :func:`iter_profiles`; a later call starts from the last profile of the
-    one before and drops its own row 0, that same profile. Step 0 is
-    ``start`` as given.
+    ``draw(_PATH_CHUNK)`` gives the run's marks, oldest first, as
+    :class:`~jswsim.processes.MarkSequence` chunks of ``_PATH_CHUNK`` marks,
+    the last one shorter: :func:`~jswsim.processes.generate_forward`, which
+    draws each chunk just before it is stepped, or :func:`_slices` of marks
+    already held. Each chunk is one :func:`path_profiles` call, bit for bit
+    the profiles of :func:`iter_profiles`; a later call starts from the last
+    profile of the one before and drops its own row 0, that same profile.
+    Step 0 is ``start`` as given.
     """
-    for lo in range(0, len(marks.sigma), _PATH_CHUNK):
-        hi = lo + _PATH_CHUNK
-        path = path_profiles(start, marks.sigma[lo:hi], marks.xi[lo:hi], rank)
-        for base in range(0 if lo == 0 else 1, len(path), _CHUNK):
-            yield lo + base, path[base : base + _CHUNK]
-        start = tuple(path[-1].tolist())
+    step = 0
+    for marks in draw(_PATH_CHUNK):
+        path = path_profiles(start, marks.sigma, marks.xi, rank)
+        for base in range(1 if step else 0, len(path), _CHUNK):
+            yield step + base, path[base : base + _CHUNK]
+        start, step = tuple(path[-1].tolist()), step + len(marks)
+
+
+def _slices(marks: MarkSequence) -> Callable[[int], Iterator[MarkSequence]]:
+    """The ``draw`` of :func:`_path_chunks` for a run whose marks are all
+    held: ``draw(rows)`` yields ``marks`` in slices of ``rows``, oldest first."""
+    return lambda rows: (
+        MarkSequence(sigma=marks.sigma[lo : lo + rows], xi=marks.xi[lo : lo + rows])
+        for lo in range(0, len(marks), rows)
+    )
 
 
 class _OfferedWait:

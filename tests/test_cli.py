@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -653,24 +654,75 @@ def test_total_cells_are_fsum(rows):
     assert cli._total_cells(path, last) == expected
 
 
-def test_simulate_drops_each_seed_text_before_the_next(tmp_path, capsys, monkeypatch):
+def test_simulate_drops_each_seed_text_before_the_next(tmp_path, capsys, monkeypatch, pools):
+    # a pool worker returns its seed's text, which is written and dropped
+    # before the next seed's result arrives
     class Blocks(list):
         pass
 
     alive = []
     sim_one = cli._sim_one
 
-    def spy(payload):
-        assert all(ref() is None for ref in alive)
+    def spy(payload, out=None):
+        assert out is None and all(ref() is None for ref in alive)
         seed, blocks, mean_wait, final_total = sim_one(payload)
         blocks = Blocks(blocks)
         alive.append(weakref.ref(blocks))
         return seed, blocks, mean_wait, final_total
 
     monkeypatch.setattr(cli, "_sim_one", spy)
-    argv = ["simulate", "--seeds", "1..3", "--horizon", "50", "--out", str(tmp_path / "s.csv")]
-    code, _, _ = run(argv, capsys)
+    argv = ["simulate", "--seeds", "1..3", "--horizon", "50", "--jobs", "2"]
+    code, _, _ = run([*argv, "--out", str(tmp_path / "s.csv")], capsys)
     assert code == 0 and len(alive) == 3
+    assert [workers for workers, _ in pools] == [2]
+
+
+def test_simulate_writes_each_block_as_it_is_formatted(tmp_path, capsys, monkeypatch, pools):
+    # one worker writes a seed's rows to the open CSV while it steps the
+    # seed, and returns no text
+    sim_one = cli._sim_one
+    written = []
+
+    def spy(payload, out=None):
+        seed, blocks, mean_wait, final_total = sim_one(payload, out)
+        assert blocks == []
+        out.flush()
+        (tmp,) = tmp_path.glob(".s.csv.*.tmp")  # the file that replaces s.csv
+        written.append(sum(line.startswith(f"{seed},") for line in tmp.read_text().splitlines()))
+        return seed, blocks, mean_wait, final_total
+
+    monkeypatch.setattr(cli, "_sim_one", spy)
+    argv = ["simulate", "--seeds", "1..3", "--horizon", "5000", "--jobs", "1"]
+    code, _, _ = run([*argv, "--out", str(tmp_path / "s.csv")], capsys)
+    assert code == 0 and written == [5001] * 3 and pools == []
+    rows = (tmp_path / "s.csv").read_text().splitlines()[6:]
+    assert [row.split(",", 2)[:2] for row in rows] == [
+        [str(seed), str(step)] for seed in (1, 2, 3) for step in range(5001)
+    ]
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
+    # the bench's 2-state Markov model, S = 2, one seed: the marks are drawn
+    # and the rows written one walk chunk (2^14 arrivals) at a time
+    def peak(horizon):
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(
+            "[model]\nkind = markov\ntransition = 0.99 0.01 / 0.02 0.98\n"
+            "sigma_states = exponential(1.0) | exponential(0.5)\n"
+            "xi_states = exponential(1.0) | exponential(1.5)\n"
+            f"[run]\nseeds = 7\nhorizon = {horizon}\n[system]\nservers = 2\nrank = 1\n"
+        )
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]
+        tracemalloc.start()
+        try:
+            code, _, _ = run(argv, capsys)
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (short_code, short), (long_code, long) = peak(2**14), peak(2**17)
+    assert short_code == long_code == 0
+    assert long <= short + 2**20, (short, long)
 
 
 def test_import_leaves_the_process_pool_out():

@@ -36,9 +36,19 @@ def test_bench_lookups_resolve(name):
 
 
 @pytest.mark.parametrize("name", ["comparison", "cli"])
-def test_forward_runs_go_through_the_one_walk(name):
+def test_forward_runs_go_through_the_one_walk(name, monkeypatch, tmp_path, capsys):
     # profiles._path_chunks alone cuts a run into path_profiles calls and
     # row blocks; the modules that step forward runs only consume it
     module = importlib.import_module(f"jswsim.{name}")
     bound = [n for n in ("path_profiles", "_PATH_CHUNK", "_CHUNK") if hasattr(module, n)]
     assert not bound, bound
+    if name == "cli":
+        # simulate draws its marks chunk by chunk as the walk steps them,
+        # never the whole run at once; compare still draws through generate
+        def whole_run(*args):
+            raise AssertionError("simulate drew a whole run")
+
+        monkeypatch.setattr(module, "generate", whole_run)
+        argv = ["simulate", "--seeds", "1 2", "--horizon", "40000", "--jobs", "1"]
+        assert module.main([*argv, "--out", str(tmp_path / "s.csv")]) == 0
+        assert capsys.readouterr().out.count("40000 arrivals") == 2

@@ -39,6 +39,7 @@ from jswsim.processes import (
     _uniforms,
     generate,
     generate_chunks,
+    generate_forward,
     generate_many,
     mean_sigma,
     mean_xi,
@@ -523,6 +524,108 @@ class TestOffsets:
     def test_chunk_rows_validated(self):
         with pytest.raises(ValueError):
             next(generate_chunks(MM1, [1], 4, 0))
+
+
+# Chunk sizes of the forward source: single marks, a size that divides
+# nothing here, the Markov walk's _CHUNK and the forward walk's _PATH_CHUNK.
+FORWARD_ROWS = [1, 7, 4096, 2**14]
+
+
+def lengths_around(rows):
+    """One and two chunks of ``rows`` marks, each one mark short and over."""
+    return sorted({k * rows + d for k in (1, 2) for d in (-1, 0, 1)} - {0})
+
+
+@st.composite
+def markov_chains(draw):
+    """Irreducible chains of up to 5 states, rows with zero entries or
+    near-absorbing ones (0.999 to stay), and a law per state."""
+    k = draw(st.integers(1, 5))
+    rows = []
+    for i in range(k):
+        if k > 1 and draw(st.booleans()):
+            row = [0.0] * k
+            row[i], row[(i + 1) % k] = 0.999, 0.001
+        else:
+            weight = st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])
+            weights = draw(st.lists(weight, min_size=k, max_size=k))
+            # the cycle 0 -> 1 -> ... -> 0 keeps every chain irreducible
+            weights[(i + 1) % k] += 1.0
+            total = math.fsum(weights)
+            row = [w / total for w in weights]
+        rows.append(tuple(row))
+    laws = st.lists(st.sampled_from(LAWS), min_size=k, max_size=k)
+    return MarkovModulatedModel(tuple(rows), tuple(draw(laws)), tuple(draw(laws)))
+
+
+class TestForwardChunks:
+    """``generate_forward`` yields the marks of one seed oldest first, in
+    checked chunks that are the slices of ``generate``, bit for bit."""
+
+    @staticmethod
+    def assert_slices(model, seed, length, rows):
+        whole = generate(model, seed, length)
+        chunks = list(generate_forward(model, seed, length, rows))
+        assert [len(c) for c in chunks] == [min(rows, length - lo) for lo in range(0, length, rows)]
+        for lo, chunk in zip(range(0, length, rows), chunks):
+            assert isinstance(chunk, MarkSequence)
+            assert not (chunk.sigma.flags.writeable or chunk.xi.flags.writeable)
+            assert np.array_equal(bits(chunk.sigma), bits(whole.sigma[lo : lo + rows])), lo
+            assert np.array_equal(bits(chunk.xi), bits(whole.xi[lo : lo + rows])), lo
+
+    @pytest.mark.parametrize("rows", FORWARD_ROWS)
+    def test_iid_every_law(self, rows):
+        for sigma_law, xi_law in itertools.product(LAWS, repeat=2):
+            for length in lengths_around(rows):
+                self.assert_slices(IIDModel(sigma_law, xi_law), 2**64 - 1, length, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=markov_chains(),
+        rows=st.sampled_from(FORWARD_ROWS),
+        chunks=st.integers(1, 2),
+        extra=st.integers(-1, 1),
+        seed=st.sampled_from(BLOCK_SEEDS),
+    )
+    def test_markov_walks_each_chain_once(self, model, rows, chunks, extra, seed):
+        length = chunks * rows + extra or 1
+        self.assert_slices(model, seed, length, rows)
+        walked = []
+        states = jswsim.processes._markov_states
+
+        def counting_states(start, rows_, u, prev=None):
+            walked.append(len(u))
+            return states(start, rows_, u, prev)
+
+        def no_checkpoints(*args):
+            raise AssertionError("a forward run walks no checkpoints")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jswsim.processes, "_markov_states", counting_states)
+            mp.setattr(jswsim.processes, "_markov_checkpoints", no_checkpoints)
+            for _ in generate_forward(model, seed, length, rows):
+                pass
+        assert sum(walked) == length
+
+    def test_trace(self, tmp_path):
+        p = tmp_path / "marks.txt"
+        n = 2 * 2**14 + 1
+        p.write_text("".join(f"{k % 5} {1 + k % 3}\n" for k in range(n)))
+        model = TraceModel(str(p))
+        for rows in FORWARD_ROWS:
+            for length in lengths_around(rows):
+                self.assert_slices(model, 3, length, rows)
+        # a trace too short for the run is refused before any chunk
+        with pytest.raises(InputError, match=f"has {n} marks, need {n + 1}"):
+            next(generate_forward(model, 3, n + 1, 7))
+
+    @pytest.mark.parametrize(
+        "seed,length,rows", [(1, 0, 4), (1, 4, 0), (-1, 4, 4), (2**64, 4, 4)]
+    )
+    def test_arguments_are_checked(self, seed, length, rows):
+        for model in (MM1, THREE_STATE):
+            with pytest.raises(ValueError):
+                next(generate_forward(model, seed, length, rows))
 
 
 class TestStatisticalFit:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jswsim.profiles
+from jswsim.processes import MarkSequence
 from jswsim.profiles import (
     Mark,
     iter_profiles,
@@ -383,8 +384,18 @@ def test_path_chunks_walk_every_step_once(path_chunk, monkeypatch):
     rng = np.random.default_rng(path_chunk)
     start, rank = (-0.0, 0.5, 1.0), 2
     for n in sorted({1} | {k * path_chunk + d for k in (1, 2) for d in (-1, 0, 1)} - {0}):
-        marks = SimpleNamespace(sigma=rng.exponential(1.0, n), xi=rng.exponential(0.6, n))
-        chunks = list(jswsim.profiles._path_chunks(start, marks, rank))
+        marks = MarkSequence(sigma=rng.exponential(1.0, n), xi=rng.exponential(0.6, n))
+        asked = []
+
+        def draw(rows):
+            # the walk asks its marks for chunks of _PATH_CHUNK, lazily
+            asked.append(rows)
+            return jswsim.profiles._slices(marks)(rows)
+
+        walk = jswsim.profiles._path_chunks(start, draw, rank)
+        assert asked == []
+        chunks = list(walk)
+        assert asked == [path_chunk]
         assert all(1 <= len(rows) <= jswsim.profiles._CHUNK for _, rows in chunks)
         steps = [step + i for step, rows in chunks for i in range(len(rows))]
         assert steps == list(range(n + 1))
