@@ -29,6 +29,7 @@ import functools
 import itertools
 import math
 import os
+import shutil
 import stat
 import sys
 import tempfile
@@ -175,80 +176,87 @@ def _provenance(title: str, cfg: ExperimentConfig) -> list[str]:
 
 
 def _total_cells(path, last):
-    """The ``total`` cells of ``path``, an ``(n, S)`` array of profiles past
-    step 0, whose coordinate S has the cells ``last``: each the ``repr`` of
-    ``math.fsum`` of its row.
+    """The ``total`` cells of ``path``, an ``(S, n)`` array whose columns
+    are profiles past step 0 and whose row S - 1 has the cells ``last``:
+    each the ``repr`` of ``math.fsum`` of its column.
 
     A profile past step 0 is nondecreasing and each zero in it is +0.0, so
-    a row with at most one nonzero coordinate sums to its coordinate S and
+    one with at most one nonzero coordinate sums to its coordinate S and
     one with at most two (S <= 2 or coordinate S - 2 zero) to the sum of
     its last two, one IEEE add, rounded correctly as ``fsum`` rounds. The
-    other rows, and those whose add is not finite, go through ``fsum``,
+    other profiles, and those whose add is not finite, go through ``fsum``,
     which raises on an overflow.
     """
     cells = list(last)
-    if path.shape[1] == 1:
+    if len(path) == 1:
         return cells
-    two = np.flatnonzero(path[:, -2])  # the rows with two or more nonzero
+    two = np.flatnonzero(path[-2])  # the profiles with two or more nonzero
     with np.errstate(over="ignore"):
-        pair = path[two, -2] + path[two, -1]
+        pair = path[-2, two] + path[-1, two]
     exact = np.isfinite(pair)
-    if path.shape[1] > 2:
-        exact &= path[two, -3] == 0.0
+    if len(path) > 2:
+        exact &= path[-3, two] == 0.0
     for i, x in zip(two[exact].tolist(), map(repr, pair[exact].tolist())):
         cells[i] = x
     rest = two[~exact]
-    for i, row in zip(rest.tolist(), path[rest].tolist()):
-        cells[i] = repr(math.fsum(row))
+    for i, profile in zip(rest.tolist(), path[:, rest].T.tolist()):
+        cells[i] = repr(math.fsum(profile))
     return cells
 
 
 def _sim_one(payload, out=None):
-    """Step one seed; return it, its CSV rows as text blocks of one
-    :func:`~jswsim.profiles._path_chunks` chunk each, its mean offered wait
-    and its final total workload. The rows are formatted only if ``write``.
-    Given the open CSV ``out``, each block is written to it as soon as it
-    is formatted and none is returned.
+    """Step one seed; return it, its mean offered wait and its final total
+    workload. Given the open CSV ``out``, format its rows, one
+    :func:`~jswsim.profiles._path_chunks` block at a time, and write each
+    block to ``out`` as soon as it is formatted.
 
     The marks are drawn by :func:`~jswsim.processes.generate_forward`, one
-    walk chunk at a time, just before they are stepped, so that with ``out``
-    memory does not grow with the horizon. The rows are formatted by
-    columns: ``tolist`` gives back the very floats the path holds, so each
-    cell is the ``repr`` of a coordinate and ``total`` that of their exactly
-    rounded sum (see :func:`_total_cells`; step 0 goes through ``fsum``,
-    which sums a -0.0 start to 0.0)."""
-    model, seed, horizon, system, write = payload
+    walk chunk at a time, just before they are stepped, so that memory does
+    not grow with the horizon. The rows are formatted by coordinates, one
+    contiguous row of the block each: ``tolist`` gives back the very floats
+    the path holds, so each cell is the ``repr`` of a coordinate and
+    ``total`` that of their exactly rounded sum (see :func:`_total_cells`;
+    step 0 goes through ``fsum``, which sums a -0.0 start to 0.0)."""
+    model, seed, horizon, system = payload
     r = system.rank - 1
     draw = functools.partial(generate_forward, model, seed, horizon)
     seed_cell = str(seed)
-    blocks = []
-    emit = blocks.append if out is None else out.write
     wait = _OfferedWait(system.rank, horizon)
     wait_cell = [""]  # step 0 precedes the first arrival
     for step, path in _path_chunks(system.start_profile(), draw, system.rank):
         wait.add(step, path)
-        if write:
-            cells = [list(map(repr, col)) for col in path.T.tolist()]
+        if out is not None:
+            cells = [list(map(repr, row)) for row in path.tolist()]
             totals = _total_cells(path, cells[-1])
             if step == 0:
-                totals[0] = repr(math.fsum(path[0].tolist()))
+                totals[0] = repr(math.fsum(path[:, 0].tolist()))
             # the wait column is coordinate r shifted down one row
             waits = wait_cell + cells[r][:-1]
             wait_cell = cells[r][-1:]
-            steps = map(str, range(step, step + len(path)))
+            steps = map(str, range(step, step + path.shape[1]))
             rows = zip(itertools.repeat(seed_cell), steps, *cells, totals, waits)
-            emit("\n".join(map(",".join, rows)) + "\n")
-    return seed, blocks, wait.mean, math.fsum(path[-1].tolist())
+            out.write("\n".join(map(",".join, rows)) + "\n")
+    return seed, wait.mean, math.fsum(path[:, -1].tolist())
+
+
+def _sim_spooled(payload):
+    """A pool worker's :func:`_sim_one`: write the seed's rows to a new file
+    of its own in the directory that ends ``payload`` and return the
+    numbers of :func:`_sim_one`, then the file's path, so that only they,
+    not the seed's text, go back to the parent."""
+    *run, spool = payload
+    fd, path = tempfile.mkstemp(suffix=".csv", dir=spool)
+    with open(fd, "w", encoding="utf-8", newline="") as f:
+        return (*_sim_one(run, f), path)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     system = cfg.system
-    write = cfg.out is not None
-    payloads = [(cfg.model, s, cfg.horizon, system, write) for s in cfg.seeds]
+    payloads = [(cfg.model, s, cfg.horizon, system) for s in cfg.seeds]
     summary = []
     with contextlib.ExitStack() as stack:
         out = None
-        if write:
+        if cfg.out is not None:
             out = _open_csv(
                 stack,
                 cfg.out,
@@ -259,24 +267,31 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                     f"seeds: {' '.join(str(s) for s in cfg.seeds)}",
                 ],
             )
-        # One worker writes each block of rows as it formats it. A pool
-        # worker formats its seed's rows and returns them, written as its
-        # result arrives; only the numbers of the summary lines outlive it.
+        # One worker writes each block of rows to the CSV as it formats it.
+        # A pool worker writes them to a file of its own in a directory that
+        # is removed, with whatever it still holds, when the run ends; the
+        # parent appends each file in seed order and deletes it.
         sim = _sim_one
         if _workers(cfg.jobs, len(payloads)) <= 1:
             sim = functools.partial(_sim_one, out=out)
-        for seed, blocks, mean_wait, final_total in _pool_map(sim, payloads, cfg.jobs):
-            if out is not None:
-                out.writelines(blocks)
-            # the loop would hold this seed's text while the next one runs
-            del blocks
+        elif out is not None:
+            spool = stack.enter_context(tempfile.TemporaryDirectory(prefix="jswsim-"))
+            sim, payloads = _sim_spooled, [(*p, spool) for p in payloads]
+        # closed first as the stack unwinds, so no worker still writes when
+        # the directory goes
+        results = stack.enter_context(contextlib.closing(_pool_map(sim, payloads, cfg.jobs)))
+        for seed, mean_wait, final_total, *spooled in results:
+            for path in spooled:
+                with open(path, encoding="utf-8", newline="") as rows:
+                    shutil.copyfileobj(rows, out)
+                os.unlink(path)
             summary.append((seed, mean_wait, final_total))
     for seed, mean_wait, final_total in summary:
         print(
             f"seed {seed}: {cfg.horizon} arrivals, mean offered wait {mean_wait:.6g}, "
             f"final total workload {final_total:.6g}"
         )
-    if write:
+    if cfg.out is not None:
         print(f"wrote {cfg.out}")
     return EXIT_OK
 
@@ -383,11 +398,11 @@ def _write_trajectories(out, cfg: ExperimentConfig) -> int:
         for system in cfg.compare.systems():
             label = f"seed{seed}:{system.label}"
             for step, path in _path_chunks(system.start_profile(), _slices(marks), system.rank):
-                steps = list(map(str, range(step, step + len(path))))
-                # each coordinate's rows, by columns, then interleaved step by step
+                steps = list(map(str, range(step, step + path.shape[1])))
+                # each coordinate's rows, by coordinates, then interleaved step by step
                 coords = [
-                    map(",".join, zip(steps, itertools.repeat(f"{label},{i}"), map(repr, col)))
-                    for i, col in enumerate(path.T.tolist(), start=1)
+                    map(",".join, zip(steps, itertools.repeat(f"{label},{i}"), map(repr, row)))
+                    for i, row in enumerate(path.tolist(), start=1)
                 ]
                 out.write("\n".join(itertools.chain.from_iterable(zip(*coords))) + "\n")
             rows += (len(marks) + 1) * system.servers

@@ -106,9 +106,14 @@ def _corrupted(profile: Profile, reference_total: float) -> Profile:
 
 
 def _tail_sums(rows: np.ndarray) -> np.ndarray:
-    """Column k of row t is the sum of the top k + 1 coordinates of row t,
-    added from the top down: the same float additions as :func:`prec_star`."""
-    return np.cumsum(rows[:, ::-1], axis=1)
+    """Row k, column t is the sum of the top k + 1 coordinates of the
+    profile in column t of the ``(S, n)`` array ``rows``, added from the top
+    down in S - 1 row adds: the same float additions as :func:`prec_star`."""
+    tails = np.empty_like(rows)
+    tails[0] = rows[-1]
+    for k in range(1, len(rows)):
+        np.add(tails[k - 1], rows[-1 - k], out=tails[k])
+    return tails
 
 
 def _require_corrupt_step(corrupt_step: int | None, arrivals: int) -> None:
@@ -137,10 +142,11 @@ def _run_coupled(
     ``marks``, :func:`~jswsim.profiles._path_chunks`, bit for bit those of
     ``iter_profiles``; the two walks are read in lockstep, one block of
     steps at a time. ``screen`` maps a block's first and second profiles,
-    as ``(n, S)`` arrays, to one slack per row, and ``check`` can fail only
-    on a row whose slack is not ``>= 0`` (a NaN slack counts as failing). ``check`` runs, in step order, on those rows,
-    on the block's smallest-slack row and at ``corrupt_step``, so every
-    violation is the one a check at every step records.
+    the columns of ``(S, n)`` arrays, to one slack per step, and ``check``
+    can fail only at a step whose slack is not ``>= 0`` (a NaN slack counts
+    as failing). ``check`` runs, in step order, at those steps, at the
+    block's smallest-slack step and at ``corrupt_step``, so every violation
+    is the one a check at every step records.
 
     Each system's mean offered wait is that of
     :class:`~jswsim.profiles._OfferedWait`, from the uncorrupted profiles,
@@ -160,11 +166,11 @@ def _run_coupled(
         slack = screen(block_a, block_b)
         confirm = set(np.flatnonzero(~(slack >= 0.0)).tolist())
         confirm.add(int(slack.argmin()))
-        if corrupt_step is not None and 0 <= corrupt_step - step < len(block_a):
+        if corrupt_step is not None and 0 <= corrupt_step - step < block_a.shape[1]:
             confirm.add(corrupt_step - step)
         for i in sorted(confirm):
             # tolist gives back the very floats the path holds
-            a, b = tuple(block_a[i].tolist()), tuple(block_b[i].tolist())
+            a, b = tuple(block_a[:, i].tolist()), tuple(block_b[:, i].tolist())
             checked = a if step + i != corrupt_step else _corrupted(a, total_workload(b))
             violation = check(step + i, checked, b)
             if violation is not None:
@@ -173,7 +179,7 @@ def _run_coupled(
         wait_b.add(step, block_b)
     report.steps_checked = arrivals + 1
     report.mean_offered_wait = (wait_a.mean, wait_b.mean)
-    report.final_profiles = (tuple(block_a[-1].tolist()), tuple(block_b[-1].tolist()))
+    report.final_profiles = (tuple(block_a[:, -1].tolist()), tuple(block_b[:, -1].tolist()))
     return report
 
 
@@ -217,25 +223,25 @@ def compare_server_counts(
     margin = (servers_big + servers_small + 4) * 2.0**-52
 
     def screen(big: np.ndarray, small: np.ndarray) -> np.ndarray:
-        # Per row, the least rhs - lhs over the inequalities of check. A
+        # Per step, the least rhs - lhs over the inequalities of check. A
         # float difference has the sign of the exact one, so the coordinate
         # and tail-sum slacks are negative exactly when check fails them;
         # the total slack is negative whenever the fsum totals might fail.
         tail_big, tail_small = _tail_sums(big), _tail_sums(small)
-        total_big, total_small = tail_big[:, -1], tail_small[:, -1]
+        total_big, total_small = tail_big[-1], tail_small[-1]
         # Past servers_small the padded small tail stays at its total while
         # the big tail only grows, so the least of those slacks is the one
         # of the full sums, which the total slack bounds from below.
         slack = ((total_small + sum_slack) - total_big) - margin * (
             total_big + total_small + abs(sum_slack)
         )
-        # The rest works in tail_small, so a block makes no other (n, S)
+        # The rest works in tail_small, so a block makes no other (S, n)
         # array; total_small, a view of it, is used up.
         tail_small += sum_slack
-        tail_small -= tail_big[:, :servers_small]
-        np.minimum(slack, tail_small.min(axis=1), out=slack)
-        np.subtract(small, big[:, shift:], out=tail_small)
-        return np.minimum(slack, tail_small.min(axis=1), out=slack)
+        tail_small -= tail_big[:servers_small]
+        np.minimum(slack, np.minimum.reduce(tail_small, axis=0), out=slack)
+        np.subtract(small, big[shift:], out=tail_small)
+        return np.minimum(slack, np.minimum.reduce(tail_small, axis=0), out=slack)
 
     def check(step: int, big: Profile, small: Profile) -> StepViolation | None:
         for j, bound in enumerate(small):
@@ -306,11 +312,13 @@ def compare_allocation_ranks(
         )
 
     def screen(shortest: np.ndarray, ranked: np.ndarray) -> np.ndarray:
-        # per row, the least rhs - lhs over the clauses of prec_p; negative
+        # per step, the least rhs - lhs over the clauses of prec_p; negative
         # exactly when check fails, as in compare_server_counts
-        coordinates = ((ranked[:, rank - 1 :] + tol) - shortest[:, rank - 1 :]).min(axis=1)
-        tails = ((_tail_sums(ranked) + tol) - _tail_sums(shortest)).min(axis=1)
-        return np.minimum(coordinates, tails)
+        coordinates = (ranked[rank - 1 :] + tol) - shortest[rank - 1 :]
+        tails = (_tail_sums(ranked) + tol) - _tail_sums(shortest)
+        return np.minimum(
+            np.minimum.reduce(coordinates, axis=0), np.minimum.reduce(tails, axis=0)
+        )
 
     def check(step: int, shortest: Profile, ranked: Profile) -> StepViolation | None:
         verdict = prec_p(shortest, ranked, rank, tol)

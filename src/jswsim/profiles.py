@@ -14,10 +14,10 @@ system, one arrival at a time: the reference loop the others are checked
 against. :func:`path_profiles` gives the same profiles as the rows of one
 array, stepping blocks of the arrivals side by side. :func:`_path_chunks`
 is the one forward walk of a long run: it asks for the run's marks a chunk
-at a time, steps each chunk in one ``path_profiles`` call and hands out the
-rows in blocks. ``compare``, ``simulate`` and the trajectory dump all step
-through it, and the first two take a system's mean offered wait from
-:class:`_OfferedWait`. :func:`lockstep_profiles` gives the final
+at a time, steps each chunk in one ``path_profiles`` call and hands out its
+profiles in blocks, one contiguous row per coordinate. ``compare``,
+``simulate`` and the trajectory dump all step through it, and the first
+two take a system's mean offered wait from :class:`_OfferedWait`. :func:`lockstep_profiles` gives the final
 profiles of R systems, the rows of an array, bit for bit those of
 :func:`pth_step`; backward replays go through it. The last two share one
 array step, :func:`_iter_lockstep`.
@@ -28,9 +28,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
-from functools import reduce
 from itertools import chain
-from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -161,12 +159,16 @@ _PATH_BLOCK = 32
 _PATH_CHUNK = 2**14
 # A lockstep_profiles call with fewer rows steps them one at a time. The
 # array kernel costs about as much per step for one row as for ten, the
-# scalar loop one step per row. Median microseconds per step of R seeds,
-# 2048 steps, array kernel / scalar loop, 2-core VM, numpy 2.4.6:
-#   S = 2: R = 1 7.9/1.3, R = 4 7.5/5.0, R = 6 7.0/7.6, R = 8 6.9/9.3
-#   S = 4: R = 1 12.7/1.0, R = 4 11.7/5.7, R = 8 10.5/9.4, R = 10 11.9/14.2
-#   S = 8: R = 1 27.4/1.8, R = 4 20.4/7.4, R = 8 18.6/12.6, R = 10 15.0/15.4
-# The kernel wins from R = 6 at S = 2, 9 at S = 4 and 10 at S = 8.
+# scalar loop one step per row. Microseconds per step of R seeds, 2048
+# steps at rank 1, array kernel / scalar loop, median of three runs of 15
+# pinned to one CPU of a 2-core VM, numpy 2.4.6:
+#   S = 2: R = 1 7.3/1.5, R = 4 6.2/6.2, R = 5 6.4/7.6, R = 6 6.4/8.5, R = 8 6.3/12.2
+#   S = 4: R = 1 10.8/1.8, R = 4 10.5/6.7, R = 6 10.2/8.9, R = 7 9.4/12.1, R = 8 8.3/13.3
+#   S = 8: R = 1 10.4/2.1, R = 4 10.5/8.4, R = 5 10.7/10.5, R = 6 10.7/12.3, R = 8 10.7/16.6
+# The kernel wins from R = 5 at S = 2, 7 at S = 4 and 6 at S = 8. The
+# threshold stays 8: path_profiles also finishes fewer dirty blocks than
+# this in order, at once, where a kernel pass may leave some dirty, and
+# with 7 the bench's compare-wide ran slower in two pairs of runs.
 _LOCKSTEP_MIN_ROWS = 8
 
 
@@ -231,33 +233,41 @@ def _iter_lockstep(u: np.ndarray, sigma, gaps, rank: int) -> Iterator[np.ndarray
     yielded.
 
     Column r of ``u`` is a profile, +0.0 where it is zero, and steps as
-    :func:`_step` steps it, bit for bit. A step inserts the arrival's queue
-    plus ``sigma`` into the other queues by ``np.minimum``/``np.maximum``
-    selection, as :func:`_step` does by ``insort``; selection does no
-    arithmetic, so it is exact. Then every queue x becomes
-    ``max(x - xi, 0.0)``; no difference is -0.0, so the maximum never has
-    to choose between two zeros.
+    :func:`_step` steps it, bit for bit. A step inserts v, the arrival's
+    queue plus ``sigma``, into a, the other queues in order, as
+    :func:`_step` does by ``insort``: queue 0 becomes min(a[0], v), queues
+    1 .. S - 2 become max(a[k - 1], min(v, a[k])) as two whole-array calls,
+    and queue S - 1 becomes max(a[S - 2], v). With the add and the ageing
+    below, that is seven array calls per step for any S >= 3 and five at
+    S = 2; at a rank above 1, a is copied from u first, in one or two
+    calls. Selection does no arithmetic, so it is exact. Then every queue
+    x becomes ``max(x - xi, 0.0)``; no difference is -0.0, so the maximum
+    never has to choose between two zeros.
     """
-    servers = u.shape[0]
-    p = rank - 1
-    # One step's calls after the add: the other queues in order, each
-    # replaced by the smaller of itself and the carried value, which carries
-    # the larger on; the last one takes what is left.
-    carry, spare = np.empty(u.shape[1:]), np.empty(u.shape[1:])
-    first = carry  # takes the arrival's queue plus sigma
-    plan = []
-    for j in range(p):
-        plan += [(np.maximum, (u[j], carry), spare), (np.minimum, (u[j], carry), u[j])]
-        carry, spare = spare, carry
-    for j in range(p + 1, servers):
-        plan += [(np.minimum, (u[j], carry), u[j - 1])]
-        plan += [(np.maximum, (u[j], carry), carry if j < servers - 1 else u[j])]
-    if p == servers - 1:
-        plan += [(np.positive, (carry,), u[p])]
+    servers, p = u.shape[0], rank - 1
+    arrival = u[p]
+    # v, the arrival's queue plus sigma; at S = 1 the whole profile
+    v = arrival if servers == 1 else np.empty(u.shape[1:])
+    if servers > 1:
+        # a, the other queues in order: at rank 1 rows 1 .. S - 1 of u, each
+        # read before the step writes over it, else a copy taken each step
+        a = u[1:] if p == 0 else np.empty((servers - 1, *u.shape[1:]))
+        pairs = ((a[:p], u[:p]), (a[p:], u[p + 1 :])) if p else ()
+        copies = [(dst, src) for dst, src in pairs if len(src)]
+        a_first, a_low, a_high, a_last = a[0], a[:-1], a[1:], a[-1]
+        first, middle, last = u[0], u[1:-1], u[-1]
+        # min(v, a[k]) for the middle queues k = 1 .. S - 2
+        low = np.empty(middle.shape)
     for s, x in zip(sigma, gaps):
-        np.add(u[p], s, out=first)
-        for f, args, out in plan:
-            f(*args, out=out)
+        np.add(arrival, s, out=v)
+        if servers > 1:
+            for dst, src in copies:
+                np.copyto(dst, src)
+            np.minimum(a_first, v, out=first)
+            if servers > 2:
+                np.minimum(v, a_high, out=low)
+                np.maximum(a_low, low, out=middle)
+            np.maximum(a_last, v, out=last)
         u -= x
         np.maximum(u, 0.0, out=u)
         yield u
@@ -363,8 +373,11 @@ def _path_chunks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(step, rows)`` for one system's forward run, at least one
     arrival: ``rows`` holds the profiles of steps ``step``, ``step + 1``,
-    ... as an ``(n, S)`` array of at most ``_CHUNK`` rows, and the chunks
-    together hold steps 0 .. n, each once, in order.
+    ... as the columns of a C-contiguous ``(S, n)`` array, n at most
+    ``_CHUNK``, and the chunks together hold steps 0 .. n, each once, in
+    order. So row j of ``rows``, coordinate j + 1 of those profiles, is
+    contiguous, and the screens, the wait and the CSV columns read whole
+    coordinates.
 
     ``draw(_PATH_CHUNK)`` gives the run's marks, oldest first, as
     :class:`~jswsim.processes.MarkSequence` chunks of ``_PATH_CHUNK`` marks,
@@ -373,13 +386,15 @@ def _path_chunks(
     already held. Each chunk is one :func:`path_profiles` call, bit for bit
     the profiles of :func:`iter_profiles`; a later call starts from the last
     profile of the one before and drops its own row 0, that same profile.
-    Step 0 is ``start`` as given.
+    Step 0 is ``start`` as given. Each block is a transposed copy of its
+    rows, at most 256 KB at S = 8: one copy of a whole call's rows raised
+    the peak RSS of ``compare`` at 8 vs 4 servers by 2 MB.
     """
     step = 0
     for marks in draw(_PATH_CHUNK):
         path = path_profiles(start, marks.sigma, marks.xi, rank)
         for base in range(1 if step else 0, len(path), _CHUNK):
-            yield step + base, path[base : base + _CHUNK]
+            yield step + base, np.ascontiguousarray(path[base : base + _CHUNK].T)
         start, step = tuple(path[-1].tolist()), step + len(marks)
 
 
@@ -398,13 +413,18 @@ class _OfferedWait:
     ``arrivals - 1``, the profiles the arrivals see, added in step order,
     so that it is the same float on every Python version, and divided by
     ``arrivals``. :meth:`add` takes the chunks of :func:`_path_chunks`, in
-    order."""
+    order, and adds a chunk's coordinate row by ``np.add.accumulate``
+    seeded with the sum so far: one IEEE add per step, in step order, the
+    adds ``functools.reduce(operator.add, ...)`` makes."""
 
     def __init__(self, rank: int, arrivals: int) -> None:
         self.rank, self.arrivals, self.sum = rank, arrivals, 0.0
 
     def add(self, step: int, rows: np.ndarray) -> None:
-        self.sum = reduce(add, rows[: self.arrivals - step, self.rank - 1].tolist(), self.sum)
+        seeded = np.concatenate(([self.sum], rows[self.rank - 1, : self.arrivals - step]))
+        # a sum past the largest float is inf, as a Python add gives it
+        with np.errstate(over="ignore"):
+            self.sum = float(np.add.accumulate(seeded)[-1])
 
     @property
     def mean(self) -> float:

@@ -8,8 +8,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -510,9 +510,7 @@ class TestSimulateRows:
         for i, (a, b) in enumerate(zip(got, want)):
             assert a == b, f"line {i}: {a!r} != {b!r}"
         for seed in cfg.seeds:
-            _, _, mean_wait, final_total = cli._sim_one(
-                (cfg.model, seed, cfg.horizon, cfg.system, False)
-            )
+            _, mean_wait, final_total = cli._sim_one((cfg.model, seed, cfg.horizon, cfg.system))
             expected = reference_simulate_summary(cfg, seed)
             assert (repr(mean_wait), repr(final_total)) == tuple(map(repr, expected)), seed
         return out.read_bytes()
@@ -643,8 +641,9 @@ _coordinates = st.one_of(
     )
 )
 def test_total_cells_are_fsum(rows):
-    path = np.array(rows)
-    last = list(map(repr, path[:, -1].tolist()))
+    # the walk's blocks hold one profile per column, one coordinate per row
+    path = np.ascontiguousarray(np.array(rows).T)
+    last = list(map(repr, path[-1].tolist()))
     try:
         expected = [repr(math.fsum(row)) for row in rows]
     except OverflowError:
@@ -655,26 +654,50 @@ def test_total_cells_are_fsum(rows):
 
 
 def test_simulate_drops_each_seed_text_before_the_next(tmp_path, capsys, monkeypatch, pools):
-    # a pool worker returns its seed's text, which is written and dropped
+    # a pool worker writes its seed's rows to a file of its own and returns
+    # its path, not the text; the parent appends the file and deletes it
     # before the next seed's result arrives
-    class Blocks(list):
-        pass
+    spooled = []
+    sim_spooled = cli._sim_spooled
 
-    alive = []
-    sim_one = cli._sim_one
+    def spy(payload):
+        assert not any(os.path.exists(path) for path in spooled)
+        *numbers, path = sim_spooled(payload)
+        assert not any(isinstance(x, str) for x in numbers)
+        spooled.append(path)
+        return (*numbers, path)
 
-    def spy(payload, out=None):
-        assert out is None and all(ref() is None for ref in alive)
-        seed, blocks, mean_wait, final_total = sim_one(payload)
-        blocks = Blocks(blocks)
-        alive.append(weakref.ref(blocks))
-        return seed, blocks, mean_wait, final_total
-
-    monkeypatch.setattr(cli, "_sim_one", spy)
+    monkeypatch.setattr(cli, "_sim_spooled", spy)
     argv = ["simulate", "--seeds", "1..3", "--horizon", "50", "--jobs", "2"]
     code, _, _ = run([*argv, "--out", str(tmp_path / "s.csv")], capsys)
-    assert code == 0 and len(alive) == 3
+    assert code == 0 and len(spooled) == 3
     assert [workers for workers, _ in pools] == [2]
+    # the directory of the spooled files went with the run
+    assert not os.path.exists(os.path.dirname(spooled[0]))
+    code, _, _ = run([*argv[:-2], "--jobs", "1", "--out", str(tmp_path / "one.csv")], capsys)
+    assert code == 0 and (tmp_path / "s.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_simulate_spool_is_removed_when_a_seed_fails(tmp_path, capsys, monkeypatch):
+    # a real pool of two workers; seed 2 fails while seeds 1 and 3 may have
+    # written their files: none is left, and neither is a partial CSV
+    sim_one = cli._sim_one
+
+    def failing(payload, out=None):
+        if payload[1] == 2:
+            raise RuntimeError("seed 2 failed")
+        return sim_one(payload, out)
+
+    spool_root = tmp_path / "tmp"
+    spool_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_root))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_sim_one", failing)
+    argv = ["simulate", "--seeds", "1..4", "--horizon", "3000", "--jobs", "2"]
+    code, _, err = run([*argv, "--out", str(tmp_path / "s.csv")], capsys)
+    assert code == 70 and "seed 2 failed" in err
+    assert list(spool_root.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tmp"]
 
 
 def test_simulate_writes_each_block_as_it_is_formatted(tmp_path, capsys, monkeypatch, pools):
@@ -684,12 +707,12 @@ def test_simulate_writes_each_block_as_it_is_formatted(tmp_path, capsys, monkeyp
     written = []
 
     def spy(payload, out=None):
-        seed, blocks, mean_wait, final_total = sim_one(payload, out)
-        assert blocks == []
+        seed, mean_wait, final_total = sim_one(payload, out)
+        assert not any(isinstance(x, str) for x in (mean_wait, final_total))
         out.flush()
         (tmp,) = tmp_path.glob(".s.csv.*.tmp")  # the file that replaces s.csv
         written.append(sum(line.startswith(f"{seed},") for line in tmp.read_text().splitlines()))
-        return seed, blocks, mean_wait, final_total
+        return seed, mean_wait, final_total
 
     monkeypatch.setattr(cli, "_sim_one", spy)
     argv = ["simulate", "--seeds", "1..3", "--horizon", "5000", "--jobs", "1"]

@@ -389,7 +389,8 @@ class TestScreenMatchesEveryStepCheck:
                 corrupt_step=corrupt,
             )
 
-    @pytest.mark.parametrize("big_n,small_n", [(2, 1), (4, 3), (8, 4), (5, 5)])
+    # 8 vs 1 servers: the widest and the narrowest screen rows of one block
+    @pytest.mark.parametrize("big_n,small_n", [(2, 1), (4, 3), (8, 4), (5, 5), (8, 1)])
     @pytest.mark.parametrize("slack", [-1e-1, -1e-9, 0.0])
     def test_many_violations_servers(self, big_n, small_n, slack):
         # a negative slack makes the tail sum and total families fail often
@@ -401,6 +402,16 @@ class TestScreenMatchesEveryStepCheck:
         # the premise is checked with tol too, so the ranked start is higher
         start, start_alt = (0.0, 0.5, 1.0, 1.0), (1.0, 1.5, 2.0, 2.0)
         allocation_case(4, rank, start, start_alt, generate(BUSY, 6, 5000), tol=tol)
+
+    @pytest.mark.parametrize("servers", [1, 2, 8])
+    @pytest.mark.parametrize("tol", [-1e-1, 0.0])
+    def test_allocation_rank_is_servers(self, servers, tol):
+        # the coordinate clauses of prec_p then read one screen row
+        start = tuple(0.25 * j for j in range(servers))
+        start_alt = tuple(x + 1.0 for x in start)
+        allocation_case(
+            servers, servers, start, start_alt, generate(BUSY, 15, 5000), tol=tol
+        )
 
     def test_totals_within_ulps_of_the_slack(self):
         # sum_slack puts fsum(small) + sum_slack within 3 ulps of fsum(big)

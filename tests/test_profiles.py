@@ -1,6 +1,8 @@
 """Profile arithmetic and the one-step workload recursion."""
 
+import functools
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -229,7 +231,9 @@ class TestLockstep:
             mp.setattr(jswsim.profiles, "_LOCKSTEP_MIN_ROWS", request.cls.MIN_ROWS)
             yield
 
-    @pytest.mark.parametrize("servers", range(1, 9))
+    # past the bench's 8 servers too: the rank-1 view of the other queues
+    # and the copy taken at every other rank
+    @pytest.mark.parametrize("servers", range(1, 13))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_step_matches_pth_step(self, servers, data):
@@ -289,7 +293,9 @@ class TestLockstep:
         with pytest.raises(ValueError, match=rf"allocation rank {rank} outside \[1, 3\]"):
             lockstep_profiles(np.zeros((2, 3)), sigma, xi, rank)
 
-    @pytest.mark.parametrize("servers,rank", [(1, 1), (2, 1), (3, 2), (8, 8)])
+    @pytest.mark.parametrize(
+        "servers,rank", [(1, 1), (2, 1), (3, 2), (8, 8), (12, 1), (12, 6), (12, 12)]
+    )
     def test_replay_matches_iter_profiles(self, servers, rank):
         rng = np.random.default_rng(servers * 10 + rank)
         n, systems = 300, 7
@@ -396,15 +402,44 @@ def test_path_chunks_walk_every_step_once(path_chunk, monkeypatch):
         assert asked == []
         chunks = list(walk)
         assert asked == [path_chunk]
-        assert all(1 <= len(rows) <= jswsim.profiles._CHUNK for _, rows in chunks)
-        steps = [step + i for step, rows in chunks for i in range(len(rows))]
+        # one profile per column, each coordinate a contiguous row
+        assert all(rows.shape[0] == 3 for _, rows in chunks)
+        assert all(rows.flags.c_contiguous for _, rows in chunks)
+        assert all(row.flags.c_contiguous for _, rows in chunks for row in rows)
+        assert all(1 <= rows.shape[1] <= jswsim.profiles._CHUNK for _, rows in chunks)
+        steps = [step + i for step, rows in chunks for i in range(rows.shape[1])]
         assert steps == list(range(n + 1))
-        walked = np.concatenate([rows for _, rows in chunks]).view(np.uint64)
+        walked = np.concatenate([rows for _, rows in chunks], axis=1).T.view(np.uint64)
         whole = path_profiles(start, marks.sigma, marks.xi, rank).view(np.uint64)
         reference = _path_reference(start, marks.sigma, marks.xi, rank).view(np.uint64)
         assert walked.shape == whole.shape == reference.shape == (n + 1, 3)
         assert (walked == whole).all() and (walked == reference).all()
         assert math.copysign(1.0, chunks[0][1][0, 0]) == -1.0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_offered_wait_adds_as_reduce_does(chunk, rank):
+    # np.add.accumulate seeded with the running sum against the Python
+    # adds of functools.reduce, bit for bit, fed as the walk's (S, rows)
+    # blocks: profiles scaled by 1e-300 to 1e300 among unscaled ones, whose
+    # adds round, with zeros between
+    rng = np.random.default_rng(chunk * 10 + rank)
+    # a sum past a 1e300 step stays there, so short runs take many draws
+    for n in [2 * chunk, 2 * chunk + 3] * (1 if chunk > 100 else 20):
+        # 2 * chunk arrivals leave step n alone in the last block
+        scale = np.where(rng.random(n + 1) < 0.2, 10.0 ** rng.uniform(-300, 300, n + 1), 1.0)
+        coords = rng.random((3, n + 1)) * scale * (rng.random((3, n + 1)) < 0.8)
+        path = np.ascontiguousarray(np.sort(coords, axis=0))
+        wait = jswsim.profiles._OfferedWait(rank, n)
+        blocks = [(step, path[:, step : step + chunk]) for step in range(0, n + 1, chunk)]
+        for step, rows in blocks:
+            wait.add(step, rows)
+        expected = functools.reduce(operator.add, path[rank - 1, :n].tolist(), 0.0)
+        if n == 2 * chunk:
+            assert blocks[-1][0] == n and blocks[-1][1].shape == (3, 1)
+        assert wait.sum.hex() == expected.hex()
+        assert wait.mean.hex() == (expected / n).hex()
 
 
 @pytest.mark.parametrize(
