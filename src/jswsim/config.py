@@ -158,11 +158,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         _require(self.horizon >= 1, "[run] horizon", f"must be >= 1, got {self.horizon}")
         _require(self.jobs >= 1, "[run] jobs", f"must be >= 1, got {self.jobs}")
-        with _section("run"):
-            _require_seeds(self.seeds)
         # Seed order is part of the output contract: reports are written
         # seed-sorted no matter how the seed list was spelled.
-        object.__setattr__(self, "seeds", tuple(sorted(self.seeds)))
+        with _section("run"):
+            object.__setattr__(self, "seeds", tuple(sorted(_require_seeds(self.seeds))))
 
 
 CONFIG_HELP = """\

@@ -190,9 +190,9 @@ def _replay(
     All depths replay one draw of the deepest past, n = ``depths[-1]``
     marks: a replay starts empty at the oldest mark, and the replay of a
     shallower depth d joins it, empty, at mark d - 1, after which they step
-    together. The marks come oldest first in chunks (:func:`generate_chunks`),
-    and a pass holds R seeds times one chunk, at most ``_PASS_MARKS`` marks,
-    at every depth. Each pass steps all its replays, the rows of one array,
+    together. The marks come oldest first, in descending mark index, in
+    chunks (:func:`generate_chunks`), and a pass holds R seeds times one
+    chunk, at most ``_PASS_MARKS`` marks, at every depth. Each pass steps all its replays, the rows of one array,
     through :func:`lockstep_profiles`, one call per stretch between joins.
     """
     n = depths[-1]

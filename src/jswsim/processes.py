@@ -18,7 +18,9 @@ FMA or SIMD units. ``np.log1p`` is not used: its SIMD kernels give other bits
 on some CPUs. For each mark the sigma draw consumes its uniforms first, then
 the xi draw, so a longer sequence for the same (model, seed) extends a
 shorter one without changing its prefix. The algorithm identifier below is
-stamped into CSV headers.
+stamped into CSV headers. Every generator draws through :func:`_stream`,
+so the marks are the same bits however they are cut into chunks and in
+whichever order the chunks are read.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,31 +64,8 @@ RNG_ALGORITHM = "philox4x64/u52/inverse-cdf-v2"
 
 _CRITICALITY_REL_TOL = 1e-12
 # Uniforms whose state picks _markov_states turns into Python ints at a time,
-# and marks _markov_checkpoints walks at a time.
+# and marks a states-only walk (_walk) steps a Markov chain at a time.
 _CHUNK = 4096
-
-
-def _reset(bitgen: np.random.Philox, seed: int, stream: int, block: int) -> np.random.Philox:
-    """``bitgen`` moved to word ``4 * block`` of stream ``stream`` of ``seed``.
-
-    Philox is counter-based (Salmon et al. 2011, "Parallel random numbers:
-    as easy as 1, 2, 3"): each 4-word block is a function of the key and
-    the counter alone. With the key ``(seed, stream)``, the counter
-    ``[block, 0, 0, 0]`` and an empty buffer, the next word is word
-    ``4 * block`` of the words a freshly built ``np.random.Philox(key=...)``
-    gives, and no earlier word is computed.
-    """
-    # The state setter reads each word with a C cast, so plain lists serve
-    # and no small arrays are built for them.
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [block, 0, 0, 0], "key": [seed, stream]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,  # empty: the next word starts a new block
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return bitgen
 
 
 def _to_uniforms(raw: np.ndarray) -> np.ndarray:
@@ -99,8 +79,25 @@ def _to_uniforms(raw: np.ndarray) -> np.ndarray:
 
 def _words(bitgen: np.random.Philox, seed: int, stream: int, first: int, count: int) -> np.ndarray:
     """Words ``[first, first + count)`` of Philox stream ``stream`` of ``seed``,
-    read with ``bitgen`` (see :func:`_reset`)."""
-    _reset(bitgen, seed, stream, first // 4)
+    read with ``bitgen``.
+
+    Philox is counter-based (Salmon et al. 2011, "Parallel random numbers:
+    as easy as 1, 2, 3"): each 4-word block is a function of the key and
+    the counter alone. With the key ``(seed, stream)``, the counter
+    ``[first // 4, 0, 0, 0]`` and an empty buffer, the next word is word
+    ``first - first % 4`` of the words a freshly built
+    ``np.random.Philox(key=...)`` gives, and no earlier word is computed.
+    """
+    # The state setter reads each word with a C cast, so plain lists serve
+    # and no small arrays are built for them.
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [first // 4, 0, 0, 0], "key": [seed, stream]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,  # empty: the next word starts a new block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     if first % 4:
         bitgen.random_raw(first % 4)  # the earlier words of the first block
     return bitgen.random_raw(count)
@@ -539,24 +536,91 @@ class MarkSequence:
         return len(self.sigma)
 
 
+# Where the Markov marks of R seeds continue: each seed's chain state before
+# the next mark (None before mark 0) and its stream-0 words read. An iid mark
+# t reads words [t * ku, (t + 1) * ku), so the iid marks need none.
+Checkpoint = tuple[np.ndarray | None, np.ndarray]
+
+
+def _stream(
+    model: InputModel,
+    seeds: Iterable[int],
+    length: int,
+    rows: int,
+    start: int = 0,
+    at: Checkpoint | None = None,
+    marks: bool = True,
+) -> Iterator[tuple]:
+    """Marks ``[start, start + length)`` of every seed, ascending, ``rows`` at a time.
+
+    Yields ``(lo, sigma, xi)`` for lo = start, start + rows, ...: ``(n, R)``
+    float64 arrays of marks ``[lo, lo + n)``, column r for ``seeds[r]``.
+    The first chunk starts from ``at``, the checkpoint at ``start``, or else
+    from the chains walked there states only; each later chunk from the
+    checkpoint the one before it ended at. With ``marks`` false it draws
+    nothing and yields ``(lo, checkpoint)`` at the start of every chunk of a
+    descending read, whose chunks are cut down from the end.
+    """
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    if rows < 1:
+        raise ValueError(f"rows must be >= 1, got {rows}")
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
+    seeds = _require_seeds(seeds)
+    end = start + length
+    if not isinstance(model, (IIDModel, MarkovModulatedModel, TraceModel)):
+        raise TypeError(f"unknown input model {model!r}")
+    if isinstance(model, TraceModel) and len(model._columns[0]) < end:
+        raise InputError(f"trace {model.path!r} has {len(model._columns[0])} marks, need {end}")
+    if at is None:
+        at = _walk(model, seeds, (None, np.zeros(len(seeds), np.int64)), 0, start)
+    if not marks:
+        yield start, at
+        for lo, hi in itertools.pairwise([start, *reversed(range(end - rows, start, -rows))]):
+            at = _walk(model, seeds, at, lo, hi - lo)
+            yield hi, at
+        return
+    for lo in range(start, end, rows):
+        n = min(rows, end - lo)
+        if isinstance(model, TraceModel):
+            # the seed is ignored: read-only views whose columns share the file's marks
+            shape = (n, len(seeds))
+            yield lo, *(np.broadcast_to(c[lo : lo + n, None], shape) for c in model._columns)
+            continue
+        draw = _generate_iid if isinstance(model, IIDModel) else _generate_markov
+        sigma, xi, at = draw(model, seeds, at, lo, n)
+        yield lo, sigma, xi
+
+
+def _walk(model: InputModel, seeds: list[int], at: Checkpoint, lo: int, n: int) -> Checkpoint:
+    """Every seed's checkpoint ``n`` marks after ``at``, its checkpoint at mark
+    ``lo``, with no mark drawn: each chain is walked ``_CHUNK`` marks at a time."""
+    if isinstance(model, MarkovModulatedModel):
+        for a in range(lo, lo + n, _CHUNK):
+            at = _chain(model, seeds, at, a, min(_CHUNK, lo + n - a))[1]
+    return at
+
+
 def _generate_iid(
-    sigma_law: Law, xi_law: Law, seeds: Sequence[int], length: int, start: int
-) -> tuple[np.ndarray, np.ndarray]:
-    # mark t of a seed reads words [t * ku, (t + 1) * ku) of its stream 0
+    model: IIDModel, seeds: list[int], at: Checkpoint, lo: int, n: int
+) -> tuple[np.ndarray, np.ndarray, Checkpoint]:
+    """Marks ``[lo, lo + n)`` of every seed, and ``at`` as it was: iid marks carry none."""
+    # uniform c of mark t of seeds[r] is u[t, r, c], the sigma law's first
+    sigma_law, xi_law = model.sigma_law, model.xi_law
     ku = sigma_law.uniforms + xi_law.uniforms
     bitgen = np.random.Philox(key=0)
-    words = np.empty((len(seeds), length * ku), dtype=np.uint64)
+    words = np.empty((len(seeds), n * ku), dtype=np.uint64)
     for r, seed in enumerate(seeds):
-        words[r] = _words(bitgen, seed, 0, start * ku, length * ku)
-    # Uniform c of mark t of seeds[r] is u[t, r, c]; the sigma law's come first.
-    u = _to_uniforms(words).reshape(len(seeds), length, ku).swapaxes(0, 1)
-    size = length * len(seeds)
+        words[r] = _words(bitgen, seed, 0, lo * ku, n * ku)
+    u = _to_uniforms(words).reshape(len(seeds), n, ku).swapaxes(0, 1)
+    size = n * len(seeds)
 
     def draw(law: Law, first: int) -> np.ndarray:
         cols = [u[:, :, c].ravel() for c in range(first, first + law.uniforms)]
-        return law.draw_batch(cols, size).reshape(length, len(seeds))
+        return law.draw_batch(cols, size).reshape(n, len(seeds))
 
-    return draw(sigma_law, 0), draw(xi_law, sigma_law.uniforms)
+    return draw(sigma_law, 0), draw(xi_law, sigma_law.uniforms), at
 
 
 def _markov_states(
@@ -589,72 +653,47 @@ def _markov_states(
     return states
 
 
-# Where a Markov seed's marks start: the chain's state before the first mark
-# (None at mark 0) and the stream-0 words the earlier marks read.
-Checkpoint = tuple[int | None, int]
-
-
-def _markov_checkpoints(
-    model: MarkovModulatedModel, seed: int, stops: Sequence[int]
-) -> list[Checkpoint]:
-    """The checkpoint of ``seed`` at each of the ascending ``stops``.
-
-    One walk of stream 1 from mark 0, ``_CHUNK`` marks at a time, so memory
-    does not grow with the distance walked.
-    """
+def _chain(
+    model: MarkovModulatedModel, seeds: list[int], at: Checkpoint, lo: int, n: int
+) -> tuple[np.ndarray, Checkpoint]:
+    """The ``(R, n)`` states of marks ``[lo, lo + n)`` from ``at``, and the checkpoint
+    after, which copies the last states so that a kept checkpoint holds no path."""
     start_cum, row_cums, used = model._tables  # type: ignore[attr-defined]
+    states, words = at
     bitgen = np.random.Philox(key=0)
-    out = []
-    state, words, at = None, 0, 0
-    for stop in stops:
-        while at < stop:
-            step = min(_CHUNK, stop - at)
-            path = _markov_states(start_cum, row_cums, _uniforms(bitgen, seed, 1, step, at), state)
-            state, words, at = path[-1], words + int(used[path].sum()), at + step
-        out.append((state, words))
-    return out
+    path = np.empty((len(seeds), n), dtype=np.intp)
+    for r, seed in enumerate(seeds):
+        prev = None if states is None else int(states[r])
+        path[r] = _markov_states(start_cum, row_cums, _uniforms(bitgen, seed, 1, n, lo), prev)
+    return path, (path[:, -1].copy(), words + used[path].sum(axis=1))
 
 
 def _generate_markov(
-    model: MarkovModulatedModel,
-    seeds: Sequence[int],
-    length: int,
-    start: int,
-    checkpoints: Sequence[Checkpoint],
-) -> tuple[np.ndarray, np.ndarray, list[Checkpoint]]:
-    """Marks ``[start, start + length)`` of every seed, from its checkpoint
-    at ``start``, and every seed's checkpoint at ``start + length``."""
-    start_cum, row_cums, mark_uniforms = model._tables  # type: ignore[attr-defined]
+    model: MarkovModulatedModel, seeds: list[int], at: Checkpoint, lo: int, n: int
+) -> tuple[np.ndarray, np.ndarray, Checkpoint]:
+    """Marks ``[lo, lo + n)`` of every seed from its checkpoint ``at``, and the checkpoint after."""
+    path, after = _chain(model, seeds, at, lo, n)
+    # Mark t of seeds[r] reads its state's sigma uniforms, then its xi
+    # uniforms, from offset first[r, t] of the joined stream-0 words of all seeds.
+    used = model._tables[2][path]  # type: ignore[attr-defined]
+    first = np.cumsum(used).reshape(used.shape) - used
+    u = np.empty(int(used.sum()))
     bitgen = np.random.Philox(key=0)
-    # Entry r * length + t of the joined paths is the state of mark t of seeds[r].
-    path = np.empty(len(seeds) * length, dtype=np.intp)
-    for r, (seed, (state, _)) in enumerate(zip(seeds, checkpoints)):
-        u1 = _uniforms(bitgen, seed, 1, length, start)
-        path[r * length : (r + 1) * length] = _markov_states(start_cum, row_cums, u1, state)
-    # That mark reads its state's sigma uniforms, then its xi uniforms, from
-    # offset first[r * length + t] of the joined stream-0 words of all seeds.
-    used = mark_uniforms[path]
-    ends = np.cumsum(used)
-    first = ends - used
-    u = np.empty(int(ends[-1]))
-    for r, (seed, (_, words)) in enumerate(zip(seeds, checkpoints)):
-        lo, hi = int(first[r * length]), int(ends[(r + 1) * length - 1])
-        u[lo:hi] = _uniforms(bitgen, seed, 0, hi - lo, words)
+    counts = (after[1] - at[1]).tolist()
+    for seed, off, count, word in zip(seeds, first[:, 0].tolist(), counts, at[1].tolist()):
+        u[off : off + count] = _uniforms(bitgen, seed, 0, count, word)
+    first = first.ravel()
     # Each state's marks of every seed are drawn in one batch, as short
     # batches cost the array logarithm more per draw, and scattered back.
-    sig = np.empty((len(seeds), length))
-    xis = np.empty((len(seeds), length))
+    sig = np.empty(used.shape)
+    xis = np.empty(used.shape)
     for s, laws in enumerate(zip(model.sigma_laws, model.xi_laws)):
-        at = np.flatnonzero(path == s)
-        offset = first[at]
+        picked = np.flatnonzero(path == s)
+        offset = first[picked]
         for out, law in zip((sig.reshape(-1), xis.reshape(-1)), laws):
             cols = [u[offset + c] for c in range(law.uniforms)]
-            out[at] = law.draw_batch(cols, len(at))
+            out[picked] = law.draw_batch(cols, len(picked))
             offset = offset + law.uniforms
-    after = [
-        (int(path[hi - 1]), words + int(ends[hi - 1] - first[hi - length]))
-        for hi, (_, words) in zip(range(length, len(path) + 1, length), checkpoints)
-    ]
     return sig.T, xis.T, after
 
 
@@ -718,11 +757,17 @@ def _read_trace_lines(path: str) -> tuple[list[float], list[float]]:
     return sig, xis
 
 
-def _require_seeds(seeds: Sequence[int]) -> None:
-    """Philox keys a stream by a 64-bit seed, so every seed is in [0, 2**64)."""
+def _require_seeds(seeds: Iterable[int]) -> list[int]:
+    """``seeds`` as ints. Philox keys a stream by a 64-bit seed, so every seed
+    is an integer in [0, 2**64): any other would alias one, as 1.5 would 1."""
+    try:
+        seeds = [operator.index(seed) for seed in seeds]
+    except TypeError as exc:
+        raise ValueError(f"seed must be an integer: {exc}") from None
     for seed in seeds:
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seeds
 
 
 def generate_many(
@@ -732,89 +777,46 @@ def generate_many(
 
     Both are ``(length, R)`` float64 arrays for R seeds: column r holds the
     marks of ``seeds[r]``, bit for bit rows ``start`` onward of
-    ``generate(model, seeds[r], start + length)``. The words of all iid
-    seeds are drawn into one block, from the Philox block that holds the
-    first one, and each law maps the block's uniforms in one call. A Markov
-    seed first walks its chain over the ``start`` earlier marks. A trace
-    ignores the seed, so its arrays are read-only views whose columns share
-    the file's marks.
+    ``generate(model, seeds[r], start + length)``: the one-chunk case of
+    :func:`_stream`. A trace ignores the seed, so its arrays are read-only
+    views whose columns share the file's marks.
     """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if start < 0:
-        raise ValueError(f"start must be >= 0, got {start}")
-    seeds = list(seeds)
-    _require_seeds(seeds)
-    if isinstance(model, IIDModel):
-        return _generate_iid(model.sigma_law, model.xi_law, seeds, length, start)
-    if isinstance(model, MarkovModulatedModel):
-        checkpoints = [_markov_checkpoints(model, seed, [start])[0] for seed in seeds]
-        return _generate_markov(model, seeds, length, start, checkpoints)[:2]
-    if isinstance(model, TraceModel):
-        sig, xis = model._columns
-        if len(sig) < start + length:
-            raise InputError(f"trace {model.path!r} has {len(sig)} marks, need {start + length}")
-        shape = (length, len(seeds))
-        part = slice(start, start + length)
-        return np.broadcast_to(sig[part, None], shape), np.broadcast_to(xis[part, None], shape)
-    raise TypeError(f"unknown input model {model!r}")
+    return next(_stream(model, seeds, length, length, start))[1:]
 
 
 def generate_chunks(
     model: InputModel, seeds: Sequence[int], length: int, rows: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The first ``length`` marks of every seed, oldest first, ``rows`` at a time.
+    """The first ``length`` marks of every seed, ``rows`` at a time, in
+    descending mark index: the deepest past first.
 
     Yields ``(lo, sigma, xi)`` for hi = length, length - rows, ... while
     hi > 0, with lo = max(0, hi - rows): ``sigma`` and ``xi`` equal, bit
     for bit, the arrays of ``generate_many(model, seeds, hi - lo, lo)``, and
-    only one chunk is held at a time. A Markov model walks each seed's chain once,
-    recording its checkpoint at every chunk start, and each chunk then
-    walks only its own marks.
+    only one chunk is held at a time. The states-only part of :func:`_stream`
+    records each chunk's checkpoint, and each chunk is drawn from its own.
     """
-    if rows < 1:
-        raise ValueError(f"rows must be >= 1, got {rows}")
     seeds = list(seeds)
-    _require_seeds(seeds)
-    bounds = [(max(0, hi - rows), hi) for hi in range(length, 0, -rows)]
-    if not isinstance(model, MarkovModulatedModel):
-        for lo, hi in bounds:
-            yield (lo, *generate_many(model, seeds, hi - lo, lo))
-        return
-    starts = [lo for lo, _ in reversed(bounds)]
-    walks = [dict(zip(starts, _markov_checkpoints(model, seed, starts))) for seed in seeds]
-    for lo, hi in bounds:
-        yield (lo, *_generate_markov(model, seeds, hi - lo, lo, [walk[lo] for walk in walks])[:2])
+    hi = length
+    for lo, at in reversed(list(_stream(model, seeds, length, rows, marks=False))):
+        yield next(_stream(model, seeds, hi - lo, rows, lo, at))
+        hi = lo
 
 
 def generate_forward(
     model: InputModel, seed: int, length: int, rows: int
 ) -> Iterator[MarkSequence]:
-    """The first ``length`` marks of (model, seed), oldest first, ``rows`` at a time.
+    """The first ``length`` marks of (model, seed), ``rows`` at a time, in
+    ascending mark index: the first mark first.
 
     Yields :class:`MarkSequence` chunks of ``rows`` marks, the last one
     shorter, bit for bit the slices of ``generate(model, seed, length)``;
-    only one chunk is held at a time. An iid or trace chunk is
-    ``generate_many(model, [seed], n, lo)``, and a trace too short for
-    ``length`` marks is refused before the first one. A Markov chunk starts
-    from the checkpoint the chunk before it ended at, so the seed's chain is
-    walked once, mark by mark, over the whole run.
+    only one chunk is held at a time, and a trace too short for ``length``
+    marks is refused before the first one: the one-seed case of
+    :func:`_stream`.
     """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if rows < 1:
-        raise ValueError(f"rows must be >= 1, got {rows}")
-    _require_seeds([seed])
-    if isinstance(model, TraceModel):
-        generate_many(model, [seed], length)  # views: it only checks the length
-    checkpoint: Checkpoint = (None, 0)
-    for lo in range(0, length, rows):
-        n = min(rows, length - lo)
-        if isinstance(model, MarkovModulatedModel):
-            sig, xis, (checkpoint,) = _generate_markov(model, [seed], n, lo, [checkpoint])
-        else:
-            sig, xis = generate_many(model, [seed], n, lo)
-        yield MarkSequence(sigma=sig[:, 0], xi=xis[:, 0])
+    for _, sigma, xi in _stream(model, [seed], length, rows):
+        yield MarkSequence(sigma=sigma[:, 0], xi=xi[:, 0])
 
 
 def generate(model: InputModel, seed: int, length: int) -> MarkSequence:
@@ -832,30 +834,27 @@ def generate(model: InputModel, seed: int, length: int) -> MarkSequence:
 # Moments and stability.
 
 
+def _mean(model: InputModel, side: int) -> float:
+    """Mean of the sigma (``side`` 0) or xi (1) marks, empirical for a trace."""
+    if isinstance(model, IIDModel):
+        return (model.sigma_law, model.xi_law)[side].mean()
+    if isinstance(model, MarkovModulatedModel):
+        laws = (model.sigma_laws, model.xi_laws)[side]
+        return math.fsum(p * law.mean() for p, law in zip(model.stationary(), laws))
+    if isinstance(model, TraceModel):
+        marks = model._columns[side]
+        return math.fsum(memoryview(marks)) / len(marks)
+    raise TypeError(f"unknown input model {model!r}")
+
+
 def mean_sigma(model: InputModel) -> float:
     """Mean service requirement (empirical for trace models)."""
-    if isinstance(model, IIDModel):
-        return model.sigma_law.mean()
-    if isinstance(model, MarkovModulatedModel):
-        pi = model.stationary()
-        return math.fsum(p * law.mean() for p, law in zip(pi, model.sigma_laws))
-    if isinstance(model, TraceModel):
-        sig = model._columns[0]
-        return math.fsum(memoryview(sig)) / len(sig)
-    raise TypeError(f"unknown input model {model!r}")
+    return _mean(model, 0)
 
 
 def mean_xi(model: InputModel) -> float:
     """Mean inter-arrival gap (empirical for trace models)."""
-    if isinstance(model, IIDModel):
-        return model.xi_law.mean()
-    if isinstance(model, MarkovModulatedModel):
-        pi = model.stationary()
-        return math.fsum(p * law.mean() for p, law in zip(pi, model.xi_laws))
-    if isinstance(model, TraceModel):
-        xis = model._columns[1]
-        return math.fsum(memoryview(xis)) / len(xis)
-    raise TypeError(f"unknown input model {model!r}")
+    return _mean(model, 1)
 
 
 class StabilityVerdict(Enum):

@@ -379,7 +379,7 @@ def _path_chunks(
     contiguous, and the screens, the wait and the CSV columns read whole
     coordinates.
 
-    ``draw(_PATH_CHUNK)`` gives the run's marks, oldest first, as
+    ``draw(_PATH_CHUNK)`` gives the run's marks in ascending index as
     :class:`~jswsim.processes.MarkSequence` chunks of ``_PATH_CHUNK`` marks,
     the last one shorter: :func:`~jswsim.processes.generate_forward`, which
     draws each chunk just before it is stepped, or :func:`_slices` of marks
@@ -400,7 +400,7 @@ def _path_chunks(
 
 def _slices(marks: MarkSequence) -> Callable[[int], Iterator[MarkSequence]]:
     """The ``draw`` of :func:`_path_chunks` for a run whose marks are all
-    held: ``draw(rows)`` yields ``marks`` in slices of ``rows``, oldest first."""
+    held: ``draw(rows)`` yields ``marks`` in slices of ``rows``, in ascending index."""
     return lambda rows: (
         MarkSequence(sigma=marks.sigma[lo : lo + rows], xi=marks.xi[lo : lo + rows])
         for lo in range(0, len(marks), rows)

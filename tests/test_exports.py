@@ -52,3 +52,31 @@ def test_forward_runs_go_through_the_one_walk(name, monkeypatch, tmp_path, capsy
         argv = ["simulate", "--seeds", "1 2", "--horizon", "40000", "--jobs", "1"]
         assert module.main([*argv, "--out", str(tmp_path / "s.csv")]) == 0
         assert capsys.readouterr().out.count("40000 arrivals") == 2
+
+
+# One call of each public mark generator of jswsim.processes.
+DRAWS = {
+    "generate": lambda p, model: p.generate(model, 1, 3),
+    "generate_many": lambda p, model: p.generate_many(model, [1, 2], 3, 1),
+    "generate_chunks": lambda p, model: next(p.generate_chunks(model, [1, 2], 3, 2)),
+    "generate_forward": lambda p, model: next(p.generate_forward(model, 1, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAWS))
+def test_every_generator_draws_through_the_one_stream(name, monkeypatch):
+    # processes._stream alone knows how a seed's marks continue from the mark
+    # before; a generator that drew its marks another way would not reach it
+    processes = importlib.import_module("jswsim.processes")
+    assert sorted(n for n in processes.__all__ if n.startswith("generate")) == sorted(DRAWS)
+
+    class Reached(Exception):
+        pass
+
+    def stream(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(processes, "_stream", stream)
+    model = processes.IIDModel(processes.Exponential(1.0), processes.Exponential(0.5))
+    with pytest.raises(Reached):
+        DRAWS[name](processes, model)

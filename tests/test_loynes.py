@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import jswsim.loynes as loynes
-import jswsim.processes as processes
 from formulas import backward_marks, loynes_iterate
 from jswsim.errors import StabilityError
 from jswsim.loynes import estimate_stationary, estimate_stationary_many
@@ -171,15 +170,16 @@ class TestManySeeds:
         monkeypatch.setattr(loynes, "_PASS_MARKS", pass_marks)
         monkeypatch.setattr(loynes, "_MIN_CHUNK_ROWS", min_rows)
         draws = {}
-        generate_many = processes.generate_many
+        generate_chunks = loynes.generate_chunks
 
-        def recording_many(model, seeds, length, start=0):
-            assert length * len(seeds) <= pass_marks
-            for seed in seeds:
-                draws.setdefault(seed, []).append((start, start + length))
-            return generate_many(model, seeds, length, start)
+        def recording_chunks(model, seeds, length, rows):
+            for lo, sigma, xi in generate_chunks(model, seeds, length, rows):
+                assert sigma.size <= pass_marks
+                for seed in seeds:
+                    draws.setdefault(seed, []).append((lo, lo + len(sigma)))
+                yield lo, sigma, xi
 
-        monkeypatch.setattr(processes, "generate_many", recording_many)
+        monkeypatch.setattr(loynes, "generate_chunks", recording_chunks)
         kernel_rows = []
         kernel = loynes.lockstep_profiles
         monkeypatch.setattr(

@@ -182,6 +182,23 @@ class TestReproducibility:
             with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
                 call()
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
+    def test_seeds_that_are_not_integers_are_refused(self, seed):
+        # Philox would truncate 1.5 to seed 1's key and give seed 1's marks
+        for call in (
+            lambda: generate(MM1, seed, 3),
+            lambda: generate_many(MM1, [1, seed], 3),
+            lambda: next(generate_chunks(THREE_STATE, [seed], 3, 2)),
+            lambda: next(generate_forward(MM1, seed, 3, 2)),
+        ):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                call()
+
+    def test_numpy_integer_seeds_are_accepted(self):
+        for seed in (np.uint64(2**64 - 1), np.int32(7)):
+            marks, same = generate(THREE_STATE, seed, 5), generate(THREE_STATE, int(seed), 5)
+            assert np.array_equal(bits(marks.sigma), bits(same.sigma))
+
     # sha256 of the sigma and xi bytes of 1000 marks, seed 11, with the law
     # as sigma and then as xi (exponential(0.5) on the other side); recorded
     # before the iid generator stopped building one list of all uniforms,
@@ -524,6 +541,20 @@ class TestOffsets:
     def test_chunk_rows_validated(self):
         with pytest.raises(ValueError):
             next(generate_chunks(MM1, [1], 4, 0))
+        for length in (0, -3):
+            for model in (MM1, THREE_STATE):
+                with pytest.raises(ValueError, match="length must be >= 1"):
+                    next(generate_chunks(model, [1], length, 4))
+
+    def test_no_seeds(self, tmp_path):
+        p = tmp_path / "marks.txt"
+        p.write_text("".join(f"{0.5 + k} {1.0 + k / 8}\n" for k in range(9)))
+        for model in (MM1, THREE_STATE, TraceModel(str(p))):
+            for start in (0, 5):
+                sigma, xi = generate_many(model, [], 4, start)
+                assert sigma.shape == xi.shape == (4, 0)
+            chunks = [(lo, s.shape, x.shape) for lo, s, x in generate_chunks(model, [], 9, 4)]
+            assert chunks == [(5, (4, 0), (4, 0)), (1, (4, 0), (4, 0)), (0, (1, 0), (1, 0))]
 
 
 # Chunk sizes of the forward source: single marks, a size that divides
@@ -590,22 +621,31 @@ class TestForwardChunks:
     def test_markov_walks_each_chain_once(self, model, rows, chunks, extra, seed):
         length = chunks * rows + extra or 1
         self.assert_slices(model, seed, length, rows)
-        walked = []
+        seeds = [seed, 5]
         states = jswsim.processes._markov_states
 
-        def counting_states(start, rows_, u, prev=None):
-            walked.append(len(u))
-            return states(start, rows_, u, prev)
+        def walked(run):
+            # the uniforms _markov_states turns into states in run(), over all calls
+            counts = []
 
-        def no_checkpoints(*args):
-            raise AssertionError("a forward run walks no checkpoints")
+            def counting_states(start, rows_, u, prev=None):
+                counts.append(len(u))
+                return states(start, rows_, u, prev)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(jswsim.processes, "_markov_states", counting_states)
-            mp.setattr(jswsim.processes, "_markov_checkpoints", no_checkpoints)
-            for _ in generate_forward(model, seed, length, rows):
-                pass
-        assert sum(walked) == length
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(jswsim.processes, "_markov_states", counting_states)
+                for _ in run():
+                    pass
+            return sum(counts)
+
+        assert walked(lambda: generate_forward(model, seed, length, rows)) == length
+        # a states-only walk to the start of the last chunk, then each chunk
+        # once: at most 2 * length per seed
+        chunks_walked = walked(lambda: generate_chunks(model, seeds, length, rows))
+        assert chunks_walked == (2 * length - min(rows, length)) * len(seeds)
+        # from start = rows: the earlier marks states only, then the draw's own
+        many_walked = walked(lambda: [generate_many(model, seeds, length, rows)])
+        assert many_walked == (rows + length) * len(seeds)
 
     def test_trace(self, tmp_path):
         p = tmp_path / "marks.txt"
