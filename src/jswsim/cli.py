@@ -39,8 +39,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .comparison import _require_corrupt_step, compare_allocation_ranks, compare_server_counts
-from .config import CONFIG_ENV_VAR, CONFIG_HELP, ExperimentConfig, _section, load_config
+from .comparison import compare_allocation_ranks, compare_server_counts
+from .config import CONFIG_ENV_VAR, CONFIG_HELP, ExperimentConfig, load_config
 from .errors import ConfigError, InputError, PremiseError, StabilityError
 from .loynes import _blocks, estimate_stationary_many
 from .orderings import run_property_suite
@@ -370,11 +370,7 @@ def _compare_one(payload):
     first, second = settings.systems()
     if settings.mode == "servers":
         report = compare_server_counts(
-            first.servers,
-            second.servers,
-            marks,
-            sum_slack=settings.sum_slack,
-            corrupt_step=settings.corrupt_step,
+            first.servers, second.servers, marks, sum_slack=settings.sum_slack
         )
     else:
         report = compare_allocation_ranks(
@@ -384,7 +380,6 @@ def _compare_one(payload):
             second.start_profile(),
             marks,
             tol=settings.tolerance,
-            corrupt_step=settings.corrupt_step,
         )
     return seed, report
 
@@ -414,8 +409,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     paths = [p for p in (cfg.out, settings.trajectories) if p is not None]
     if len({os.path.realpath(p) for p in paths}) < len(paths):
         raise ConfigError(f"--out and [compare] trajectories both name {cfg.out!r}")
-    with _section("compare"):
-        _require_corrupt_step(settings.corrupt_step, cfg.horizon)
     payloads = [(cfg.model, s, cfg.horizon, settings) for s in cfg.seeds]
     total_violations = 0
     with contextlib.ExitStack() as stack:

@@ -100,11 +100,6 @@ class ComparisonReport:
         return not self.violations
 
 
-def _corrupted(profile: Profile, reference_total: float) -> Profile:
-    bump = 10.0 * (1.0 + abs(reference_total))
-    return profile[:-1] + (profile[-1] + bump,)
-
-
 def _tail_sums(rows: np.ndarray) -> np.ndarray:
     """Row k, column t is the sum of the top k + 1 coordinates of the
     profile in column t of the ``(S, n)`` array ``rows``, added from the top
@@ -116,11 +111,6 @@ def _tail_sums(rows: np.ndarray) -> np.ndarray:
     return tails
 
 
-def _require_corrupt_step(corrupt_step: int | None, arrivals: int) -> None:
-    if corrupt_step is not None and not 0 <= corrupt_step <= arrivals:
-        raise ValueError(f"corrupt_step must be in 0..{arrivals}, got {corrupt_step}")
-
-
 def _run_coupled(
     report: ComparisonReport,
     marks: MarkSequence,
@@ -128,15 +118,13 @@ def _run_coupled(
     second: tuple[Profile, int],
     screen: Callable[[np.ndarray, np.ndarray], np.ndarray],
     check: Callable[[int, Profile, Profile], StepViolation | None],
-    corrupt_step: int | None,
 ) -> ComparisonReport:
     """Run two systems on the same marks in lockstep and fill ``report``.
 
     ``first`` and ``second`` pair a start profile with the allocation rank
     that drives the system. ``check`` sees the step, the first and the
     second profile, and returns the first inequality that fails at that
-    step, or None. At ``corrupt_step`` it sees a corrupted copy of the first
-    profile.
+    step, or None.
 
     Each system's profiles come from its forward walk over slices of
     ``marks``, :func:`~jswsim.profiles._path_chunks`, bit for bit those of
@@ -144,18 +132,17 @@ def _run_coupled(
     steps at a time. ``screen`` maps a block's first and second profiles,
     the columns of ``(S, n)`` arrays, to one slack per step, and ``check``
     can fail only at a step whose slack is not ``>= 0`` (a NaN slack counts
-    as failing). ``check`` runs, in step order, at those steps, at the
-    block's smallest-slack step and at ``corrupt_step``, so every violation
-    is the one a check at every step records.
+    as failing). ``check`` runs, in step order, at those steps and at the
+    block's smallest-slack step, so every violation is the one a check at
+    every step records.
 
     Each system's mean offered wait is that of
-    :class:`~jswsim.profiles._OfferedWait`, from the uncorrupted profiles,
-    the same float ``simulate`` reports.
+    :class:`~jswsim.profiles._OfferedWait`, the same float ``simulate``
+    reports.
     """
     arrivals = len(marks)
     if not arrivals:
         raise ValueError("a coupled comparison needs at least one arrival, got no marks")
-    _require_corrupt_step(corrupt_step, arrivals)
     (start_a, rank_a), (start_b, rank_b) = first, second
     wait_a, wait_b = _OfferedWait(rank_a, arrivals), _OfferedWait(rank_b, arrivals)
     walks = zip(
@@ -166,13 +153,10 @@ def _run_coupled(
         slack = screen(block_a, block_b)
         confirm = set(np.flatnonzero(~(slack >= 0.0)).tolist())
         confirm.add(int(slack.argmin()))
-        if corrupt_step is not None and 0 <= corrupt_step - step < block_a.shape[1]:
-            confirm.add(corrupt_step - step)
         for i in sorted(confirm):
             # tolist gives back the very floats the path holds
             a, b = tuple(block_a[:, i].tolist()), tuple(block_b[:, i].tolist())
-            checked = a if step + i != corrupt_step else _corrupted(a, total_workload(b))
-            violation = check(step + i, checked, b)
+            violation = check(step + i, a, b)
             if violation is not None:
                 report.violations.append(violation)
         wait_a.add(step, block_a)
@@ -195,7 +179,6 @@ def compare_server_counts(
     servers_small: int,
     marks: MarkSequence,
     sum_slack: float = DEFAULT_SUM_SLACK,
-    corrupt_step: int | None = None,
 ) -> ComparisonReport:
     """Check that more servers never hurt, pathwise, from empty starts.
 
@@ -207,10 +190,8 @@ def compare_server_counts(
     (within ``sum_slack``), and the big profile is rank-ordered below the
     small profile padded with idle servers, for rank ``servers_big -
     servers_small + 1`` (tail sums within ``sum_slack``). At most one
-    violation is recorded per step, the first in that order.
-    ``corrupt_step`` deliberately corrupts the checked copy of the big
-    profile at one step, 0 to ``len(marks)``; it exists so tests can prove
-    the harness reports violations.
+    violation is recorded per step, the first in that order. A negative
+    ``sum_slack`` tightens the sum inequalities, and so forces violations.
     """
     _require_server_counts(servers_big, servers_small)
     _require_tolerance(sum_slack, "sum_slack")
@@ -258,15 +239,8 @@ def compare_server_counts(
         return None
 
     report = ComparisonReport(systems=(f"S{servers_big}", f"S{servers_small}"))
-    return _run_coupled(
-        report,
-        marks,
-        (zero_profile(servers_big), 1),
-        (zero_profile(servers_small), 1),
-        screen,
-        check,
-        corrupt_step,
-    )
+    first, second = (zero_profile(servers_big), 1), (zero_profile(servers_small), 1)
+    return _run_coupled(report, marks, first, second, screen, check)
 
 
 def _allocation_starts(
@@ -286,7 +260,6 @@ def compare_allocation_ranks(
     start_alt: Profile,
     marks: MarkSequence,
     tol: float = 0.0,
-    corrupt_step: int | None = None,
 ) -> ComparisonReport:
     """Check that shortest-workload allocation stays rank-ordered below
     rank allocation, pathwise, from rank-ordered starts.
@@ -299,9 +272,7 @@ def compare_allocation_ranks(
     least-loaded queue, the second from ``start_alt`` joining the rank-th
     least-loaded queue. The rank ordering is re-checked after every arrival
     with tolerance ``tol`` (the two paths share one arithmetic route, so the
-    default is exact).
-    ``corrupt_step`` corrupts the checked copy of the first profile at one
-    step, as in :func:`compare_server_counts`.
+    default is exact; a negative ``tol`` tightens every clause).
     """
     start, start_alt = _allocation_starts(servers, rank, start, start_alt)
     premise = prec_p(start, start_alt, rank, tol)
@@ -328,15 +299,7 @@ def compare_allocation_ranks(
         return StepViolation(f"{v.clause}[{v.index}]", step, v.lhs, v.rhs)
 
     report = ComparisonReport(systems=(f"S{servers}P1", f"S{servers}P{rank}"))
-    return _run_coupled(
-        report,
-        marks,
-        (start, 1),
-        (start_alt, rank),
-        screen,
-        check,
-        corrupt_step,
-    )
+    return _run_coupled(report, marks, (start, 1), (start_alt, rank), screen, check)
 
 
 def fcfs_waiting_times(marks: MarkSequence, servers: int) -> list[float]:

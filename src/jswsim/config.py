@@ -106,7 +106,6 @@ class CompareSettings:
     start_alt: tuple[float, ...] | None = None
     sum_slack: float = DEFAULT_SUM_SLACK
     tolerance: float = 0.0
-    corrupt_step: int | None = None
     trajectories: str | None = None
 
     def __post_init__(self) -> None:
@@ -207,7 +206,6 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
   start_alt     ranked start, allocation mode (zeros)
   sum_slack     slack for workload-sum inequalities, finite, < 0 tightens (1e-12)
   tolerance     per-step tolerance, allocation mode, finite, < 0 tightens (0)
-  corrupt_step  self-test hook: corrupt one checked step, 0..horizon (none)
   trajectories  CSV path for coupled trajectories (none)
 
 [properties]                          used by: verify-properties
@@ -304,7 +302,6 @@ def _suites(text: str, where: str) -> tuple[str, ...]:
 
 _PARSERS: dict[object, _Parser] = {
     int: _int,
-    int | None: _int,
     float: _float,
     str: _text,
     str | None: _text,

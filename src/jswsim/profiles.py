@@ -165,11 +165,16 @@ _PATH_CHUNK = 2**14
 #   S = 2: R = 1 7.3/1.5, R = 4 6.2/6.2, R = 5 6.4/7.6, R = 6 6.4/8.5, R = 8 6.3/12.2
 #   S = 4: R = 1 10.8/1.8, R = 4 10.5/6.7, R = 6 10.2/8.9, R = 7 9.4/12.1, R = 8 8.3/13.3
 #   S = 8: R = 1 10.4/2.1, R = 4 10.5/8.4, R = 5 10.7/10.5, R = 6 10.7/12.3, R = 8 10.7/16.6
-# The kernel wins from R = 5 at S = 2, 7 at S = 4 and 6 at S = 8. The
-# threshold stays 8: path_profiles also finishes fewer dirty blocks than
-# this in order, at once, where a kernel pass may leave some dirty, and
-# with 7 the bench's compare-wide ran slower in two pairs of runs.
+# The kernel wins from R = 5 at S = 2, 7 at S = 4 and 6 at S = 8, so 7
+# would serve every S here; the threshold stays 8 until the loynes
+# workloads, its callers, are timed at 7.
 _LOCKSTEP_MIN_ROWS = 8
+# A pass of path_profiles with fewer dirty blocks finishes the path in
+# order, at once, where a kernel pass may leave some dirty. The bench's
+# compare-wide (8 vs 4 servers, load 0.8, 2 seeds x 2e5 arrivals, seed
+# 102, 2-core VM) read 654k and 604k arrivals/s with 7 against 791k and
+# 685k with 8, in two pairs of runs.
+_PATH_MIN_DIRTY = 8
 
 
 def iter_profiles(start: Profile, marks, rank: int) -> Iterator[Profile]:
@@ -290,7 +295,7 @@ def path_profiles(start: Profile, sigma: np.ndarray, xi: np.ndarray, rank: int) 
     induction from block 0 every block then starts from its true profile
     and all rows are exact: time-parallel simulation with fix-up passes
     (Heidelberger & Stone 1990; Lin & Lazowska 1991). When fewer than
-    ``_LOCKSTEP_MIN_ROWS`` blocks are dirty, when the first fix-up pass
+    ``_PATH_MIN_DIRTY`` blocks are dirty, when the first fix-up pass
     leaves more than half of all blocks dirty, or when a later one leaves
     more than four fifths of those it stepped, the rest is stepped in
     order, one block at a time, by :func:`_iter_steps`; a block that starts
@@ -313,7 +318,7 @@ def path_profiles(start: Profile, sigma: np.ndarray, xi: np.ndarray, rank: int) 
     dirty, passes = np.arange(blocks), 0
     while len(dirty):
         if (
-            len(dirty) < _LOCKSTEP_MIN_ROWS
+            len(dirty) < _PATH_MIN_DIRTY
             or (passes == 2 and 2 * len(dirty) > blocks)
             or (passes > 2 and 5 * len(dirty) > 4 * stepped)
         ):

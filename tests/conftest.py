@@ -13,7 +13,7 @@ def forced_split(request):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jswsim.profiles, "_PATH_BLOCK", request.param)
-        mp.setattr(jswsim.profiles, "_LOCKSTEP_MIN_ROWS", 0)
+        mp.setattr(jswsim.profiles, "_PATH_MIN_DIRTY", 0)
         yield request.param
 
 

@@ -267,7 +267,7 @@ def test_c10_byte_identical_reruns(criterion_log, tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text(
         "[run]\nseeds = 1..3\nhorizon = 60\n"
-        "[compare]\nservers = 3\nservers_small = 2\ncorrupt_step = 9\n"
+        "[compare]\nservers = 3\nservers_small = 2\nsum_slack = -0.05\n"
     )
     outputs = []
     for tag in ("x", "y"):

@@ -36,26 +36,30 @@ class TestExitCodes:
 
     def test_violation_is_one(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
-        cfg.write_text("[compare]\nservers = 3\nservers_small = 2\ncorrupt_step = 5\n")
+        # a negative slack makes two empty systems' equal totals fail
+        cfg.write_text("[compare]\nservers = 3\nservers_small = 2\nsum_slack = -0.05\n")
         code, out, _ = run(
             ["compare", "--config", str(cfg), "--seed", "1", "--horizon", "50"], capsys
         )
         assert code == 1
-        assert "FAIL" in out and "step 5" in out
+        assert "FAIL" in out and "step 0 total: 0.0 vs 0.0" in out
 
     def test_allocation_corrupt_step_is_one_violation(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
+        # the starts meet the premise at the negative tolerance, the path does not
         cfg.write_text(
-            "[compare]\nmode = allocation\nservers = 3\nrank = 2\ncorrupt_step = 5\n"
+            "[compare]\nmode = allocation\nservers = 3\nrank = 2\n"
+            "start = 0 2 2\nstart_alt = 1 3 3\ntolerance = -0.05\n"
         )
         out_csv = tmp_path / "v.csv"
         argv = ["compare", "--config", str(cfg), "--seed", "1", "--horizon", "50"]
         code, out, _ = run(argv + ["--out", str(out_csv)], capsys)
         assert code == 1
-        assert "seed 1: 51 steps, 1 violations" in out and "step 5" in out
         rows = out_csv.read_text().splitlines()[1:]
-        assert len(rows) == 1
-        assert rows[0].split(",")[1] == "5"
+        assert f"seed 1: 51 steps, {len(rows)} violations" in out and rows
+        assert all(row.startswith("seed1:S3P1-vs-S3P2:") for row in rows)
+        steps = [int(row.split(",")[1]) for row in rows]
+        assert steps == sorted(set(steps)) and steps[-1] <= 50
 
     def test_escaped_exception_is_seventy(self, capsys, monkeypatch):
         def broken(cfg):
@@ -187,23 +191,13 @@ BAD_SETTINGS = {
         "compare",
     ),
     "compare-nan-tolerance": (
-        "[compare]\nmode = allocation\ntolerance = nan\ncorrupt_step = 9\n",
+        "[compare]\nmode = allocation\ntolerance = nan\n",
         [],
         "compare",
     ),
     "compare-inf-sum-slack": ("[compare]\nsum_slack = inf\n", [], "compare"),
-    # the corrupted step must be one of the run's, 0..horizon, from a file or a flag
-    "compare-corrupt-step-negative": ("[compare]\ncorrupt_step = -1\n", [], "compare"),
-    "compare-corrupt-step-past-horizon": (
-        "[run]\nhorizon = 50\n[compare]\ncorrupt_step = 51\n",
-        [],
-        "compare",
-    ),
-    "compare-corrupt-step-past-horizon-flag": (
-        "[compare]\ncorrupt_step = 50\n",
-        ["--horizon", "49"],
-        "compare",
-    ),
+    # the self-test key corrupt_step is gone: a negative tolerance forces violations
+    "compare-corrupt-step-unknown-key": ("[compare]\ncorrupt_step = 5\n", [], "compare"),
     # Philox takes 64-bit seeds, so any other seed would alias one of them
     "run-seed-negative": ("[run]\nseeds = 1 -1\n", [], "simulate"),
     "run-seed-2-64-flag": ("", ["--seeds", "18446744073709551616"], "loynes"),
@@ -427,7 +421,7 @@ class TestDeterminism:
             monkeypatch.chdir(work)
             (work / "c.ini").write_text(
                 "[run]\nseeds = 1..4\nhorizon = 30\n"
-                "[compare]\nservers = 3\nservers_small = 2\ncorrupt_step = 4\n"
+                "[compare]\nservers = 3\nservers_small = 2\nsum_slack = -0.05\n"
                 "trajectories = traj.csv\n"
             )
             argv = ["compare", "--config", "c.ini", "--jobs", jobs, "--out", "viol.csv"]
@@ -435,7 +429,13 @@ class TestDeterminism:
             assert code == 1
             outputs.append((out, (work / "viol.csv").read_bytes(), (work / "traj.csv").read_bytes()))
         assert outputs[0] == outputs[1]
-        assert "wrote viol.csv (4 violations)" in outputs[0][0]
+        out, viol, _ = outputs[0]
+        rows = viol.decode().splitlines()[1:]
+        assert f"wrote viol.csv ({len(rows)} violations)" in out
+        # both systems start empty, so every seed's step 0 fails the tightened total
+        assert [r.split(":")[0] for r in rows if r.split(",")[1] == "0"] == [
+            f"seed{seed}" for seed in range(1, 5)
+        ]
 
     def test_csv_has_no_carriage_returns(self, tmp_path, capsys):
         out = tmp_path / "a.csv"
@@ -845,7 +845,7 @@ class TestOutputs:
 
     def test_compare_violations_csv(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
-        cfg.write_text("[compare]\nservers = 2\nservers_small = 1\ncorrupt_step = 3\n")
+        cfg.write_text("[compare]\nservers = 2\nservers_small = 1\nsum_slack = -0.05\n")
         out_csv = tmp_path / "v.csv"
         code, _, _ = run(
             [
@@ -864,10 +864,15 @@ class TestOutputs:
         assert code == 1
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "inequality,step,lhs,rhs"
-        assert len(lines) == 3  # one corrupted step per seed
-        for seed, line in zip((1, 2), lines[1:]):
-            assert line.startswith(f"seed{seed}:S2-vs-S1:")
-            assert line.split(",")[1] == "3"
+        # seed 1's rows, then seed 2's, each in step order; both start empty,
+        # and equal totals fail the tightened total
+        rows = [line.split(",") for line in lines[1:]]
+        keys = [(label.split(":")[0], int(step)) for label, step, _, _ in rows]
+        assert keys == sorted(set(keys))
+        assert ("seed1", 0) in keys and ("seed2", 0) in keys
+        for label, _, lhs, rhs in rows:
+            assert label.split(":")[1:] == ["S2-vs-S1", "total"]
+            assert float(lhs) > float(rhs) - 0.05
 
     def test_compare_trajectory_dump(self, tmp_path, capsys):
         traj = tmp_path / "t.csv"
@@ -1065,7 +1070,6 @@ class TestHelp:
             "verify-properties",
             "[model]",
             "sigma_states",
-            "corrupt_step",
             "JSWSIM_CONFIG",
             "exponential(RATE)",
         ):

@@ -1,6 +1,8 @@
 """Coupled-path dominance checks and the FCFS oracle."""
 
+import contextlib
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -96,7 +98,8 @@ class TestServerCountComparison:
 
     def test_corrupt_step_caught_exactly_once(self):
         marks = generate(MM1, 8, 200)
-        report = compare_server_counts(3, 2, marks, corrupt_step=57)
+        with injected((57,), bump_for(marks)):
+            report = compare_server_counts(3, 2, marks)
         assert not report.passed
         assert len(report.violations) == 1
         v = report.violations[0]
@@ -104,24 +107,17 @@ class TestServerCountComparison:
         assert v.inequality.startswith(("coordinate", "total", "tail_sum"))
         assert v.lhs > v.rhs
 
-    @pytest.mark.parametrize("step", [-1, 201])
-    def test_corrupt_step_outside_the_run_is_refused(self, step):
-        # 0..len(marks) are the run's steps; a step outside them could never fire
+    def test_slack_does_not_change_series(self):
+        # the verdicts depend on the slack, the paths and their waits do not
         marks = generate(MM1, 8, 200)
-        with pytest.raises(ValueError, match="corrupt_step"):
-            compare_server_counts(3, 2, marks, corrupt_step=step)
-        start = (0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="corrupt_step"):
-            compare_allocation_ranks(3, 2, start, start, marks, corrupt_step=step)
-        last = compare_server_counts(3, 2, marks, corrupt_step=200)
-        assert [v.step for v in last.violations] == [200]
-
-    def test_corruption_does_not_pollute_series(self):
-        marks = generate(MM1, 8, 200)
-        clean = compare_server_counts(3, 2, marks)
-        dirty = compare_server_counts(3, 2, marks, corrupt_step=57)
-        assert clean.mean_offered_wait == dirty.mean_offered_wait
-        assert clean.final_profiles == dirty.final_profiles
+        start, start_alt = (0.0, 2.0, 2.0), (1.0, 3.0, 3.0)
+        for loose, tight in (
+            [compare_server_counts(3, 2, marks, sum_slack=s) for s in (1e-12, -0.05)],
+            [compare_allocation_ranks(3, 2, start, start_alt, marks, tol=t) for t in (0.0, -0.05)],
+        ):
+            assert loose.passed and not tight.passed
+            assert loose.mean_offered_wait == tight.mean_offered_wait
+            assert loose.final_profiles == tight.final_profiles
 
 
 class TestAllocationComparison:
@@ -155,12 +151,10 @@ class TestAllocationComparison:
     def test_corrupt_step_caught_exactly_once(self):
         marks = generate(MM1, 3, 200)
         start = (0.0, 0.0, 0.0)
-        clean = compare_allocation_ranks(3, 2, start, start, marks)
-        report = compare_allocation_ranks(3, 2, start, start, marks, corrupt_step=57)
+        with injected((57,), bump_for(marks)):
+            report = compare_allocation_ranks(3, 2, start, start, marks)
         assert [v.step for v in report.violations] == [57]
         assert report.violations[0].lhs > report.violations[0].rhs
-        assert report.mean_offered_wait == clean.mean_offered_wait
-        assert report.final_profiles == clean.final_profiles
 
     def test_rank_validated(self):
         marks = generate(MM1, 3, 10)
@@ -258,16 +252,45 @@ def external_marks(sigma, xi):
     return MarkSequence(sigma=np.array(sigma, dtype=float), xi=np.array(xi, dtype=float))
 
 
-def corrupted(profile, reference_total):
-    return profile[:-1] + (profile[-1] + 10.0 * (1.0 + abs(reference_total)),)
+def bump_for(marks, start_alt=()):
+    """More than any coordinate of a path from a start no higher than
+    ``start_alt`` over ``marks``: its total plus all the work that arrives."""
+    return 10.0 * (1.0 + math.fsum(start_alt) + math.fsum(marks.sigma))
 
 
-def reference_run(systems, paths, ranks, check, corrupt_step):
-    """A ComparisonReport from checking every step of two profile paths."""
+@contextlib.contextmanager
+def injected(steps, bump):
+    """Run compare_* on a first path whose top coordinate is raised by
+    ``bump`` at ``steps``, as a faulty step kernel might raise it: the
+    blocks the harness reads carry the raised rows, so its screen and its
+    check both see them."""
+    walk = jswsim.comparison._path_chunks
+    systems = itertools.count()
+
+    def chunks(start, draw, rank):
+        # _run_coupled opens the first system's walk, then the second's
+        first = next(systems) % 2 == 0
+        for step, rows in walk(start, draw, rank):
+            hit = [t - step for t in steps if first and 0 <= t - step < rows.shape[1]]
+            if hit:
+                rows = rows.copy()  # at S = 1 a block may be a view of the walk's path
+                rows[-1, hit] += bump
+            yield step, rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jswsim.comparison, "_path_chunks", chunks)
+        yield
+
+
+def reference_run(systems, paths, ranks, check, inject, bump):
+    """A ComparisonReport from checking every step of two profile paths,
+    the first raised as :func:`injected` raises it."""
+    for step in inject:
+        *low, top = paths[0][step]
+        paths[0][step] = (*low, top + bump)
     report = ComparisonReport(systems=systems)
     for step, (a, b) in enumerate(zip(*paths)):
-        checked = a if step != corrupt_step else corrupted(a, math.fsum(b))
-        violation = check(step, checked, b)
+        violation = check(step, a, b)
         if violation is not None:
             report.violations.append(violation)
     arrivals = len(paths[0]) - 1
@@ -283,7 +306,7 @@ def reference_run(systems, paths, ranks, check, corrupt_step):
     return report
 
 
-def reference_servers(big_n, small_n, marks, sum_slack=DEFAULT_SUM_SLACK, corrupt_step=None):
+def reference_servers(big_n, small_n, marks, inject, sum_slack=DEFAULT_SUM_SLACK):
     shift = big_n - small_n
 
     def check(step, big, small):
@@ -300,10 +323,11 @@ def reference_servers(big_n, small_n, marks, sum_slack=DEFAULT_SUM_SLACK, corrup
         return None
 
     paths = [list(iter_profiles(zero_profile(n), marks, 1)) for n in (big_n, small_n)]
-    return reference_run((f"S{big_n}", f"S{small_n}"), paths, (1, 1), check, corrupt_step)
+    systems = (f"S{big_n}", f"S{small_n}")
+    return reference_run(systems, paths, (1, 1), check, inject, bump_for(marks))
 
 
-def reference_allocation(servers, rank, start, start_alt, marks, tol=0.0, corrupt_step=None):
+def reference_allocation(servers, rank, start, start_alt, marks, inject, tol=0.0):
     def check(step, shortest, ranked):
         verdict = prec_p(shortest, ranked, rank, tol)
         if verdict:
@@ -313,7 +337,7 @@ def reference_allocation(servers, rank, start, start_alt, marks, tol=0.0, corrup
 
     paths = [list(iter_profiles(start, marks, 1)), list(iter_profiles(start_alt, marks, rank))]
     systems = (f"S{servers}P1", f"S{servers}P{rank}")
-    return reference_run(systems, paths, (1, rank), check, corrupt_step)
+    return reference_run(systems, paths, (1, rank), check, inject, bump_for(marks, start_alt))
 
 
 def assert_same_report(actual, expected):
@@ -322,18 +346,26 @@ def assert_same_report(actual, expected):
         assert repr(getattr(actual, f.name)) == repr(getattr(expected, f.name)), f.name
 
 
-def servers_case(big_n, small_n, marks, **kw):
-    assert_same_report(
-        compare_server_counts(big_n, small_n, marks, **kw),
-        reference_servers(big_n, small_n, marks, **kw),
-    )
+def assert_injected_caught(report, inject):
+    assert set(inject) <= {v.step for v in report.violations}
 
 
-def allocation_case(servers, rank, start, start_alt, marks, **kw):
-    assert_same_report(
-        compare_allocation_ranks(servers, rank, start, start_alt, marks, **kw),
-        reference_allocation(servers, rank, start, start_alt, marks, **kw),
-    )
+def servers_case(big_n, small_n, marks, inject=(), **kw):
+    """compare_server_counts against the reference, with the first path
+    raised at the steps ``inject``."""
+    with injected(inject, bump_for(marks)):
+        report = compare_server_counts(big_n, small_n, marks, **kw)
+    assert_same_report(report, reference_servers(big_n, small_n, marks, inject, **kw))
+    assert_injected_caught(report, inject)
+
+
+def allocation_case(servers, rank, start, start_alt, marks, inject=(), **kw):
+    """compare_allocation_ranks against the reference, as servers_case."""
+    with injected(inject, bump_for(marks, start_alt)):
+        report = compare_allocation_ranks(servers, rank, start, start_alt, marks, **kw)
+    expected = reference_allocation(servers, rank, start, start_alt, marks, inject, **kw)
+    assert_same_report(report, expected)
+    assert_injected_caught(report, inject)
 
 
 # Busy enough that every server of both systems works: naive and exactly
@@ -341,13 +373,18 @@ def allocation_case(servers, rank, start, start_alt, marks, **kw):
 BUSY = IIDModel(Exponential(1.0), Exponential(2.2))
 
 
-# Horizons around the 4096-step block and corrupt steps at block edges and
-# at the last step (the step number equals the horizon).
+# Horizons around the 4096-step block and corrupt steps, raised by
+# injected, at block edges and at the last step (the step number equals
+# the horizon).
 BLOCK_EDGES = [
     (horizon, corrupt)
     for horizon in (4095, 4096, 4097, 9000)
     for corrupt in sorted({0, 4095, 4096, horizon} & set(range(horizon + 1))) + [None]
 ]
+
+
+def injection(corrupt):
+    return () if corrupt is None else (corrupt,)
 
 
 # Path chunks of _run_coupled ending just before, at and after the horizon.
@@ -364,17 +401,25 @@ class TestScreenMatchesEveryStepCheck:
     """compare_* screen each block of steps with array checks and re-check
     only the flagged rows; their reports must equal a check at every step."""
 
-    @pytest.mark.parametrize("horizon,corrupt_step", BLOCK_EDGES)
-    def test_block_edges_servers(self, horizon, corrupt_step):
-        servers_case(3, 2, generate(MM1, 11, horizon), corrupt_step=corrupt_step)
+    @pytest.mark.parametrize("horizon,corrupt", BLOCK_EDGES)
+    def test_block_edges_servers(self, horizon, corrupt):
+        servers_case(3, 2, generate(MM1, 11, horizon), injection(corrupt))
 
-    @pytest.mark.parametrize("horizon,corrupt_step", BLOCK_EDGES)
+    @pytest.mark.parametrize("horizon,corrupt", BLOCK_EDGES)
     @pytest.mark.parametrize("tol", [0.0, 1e-9])
-    def test_block_edges_allocation(self, horizon, tol, corrupt_step):
+    def test_block_edges_allocation(self, horizon, tol, corrupt):
         allocation_case(
             3, 3, (0.0, 2.0, 2.0), (1.0, 1.0, 3.0), generate(MM1, 12, horizon),
-            tol=tol, corrupt_step=corrupt_step,
+            injection(corrupt), tol=tol,
         )
+
+    def test_every_flagged_step_of_a_block_is_checked(self):
+        # two steps of one block, and every edge of the run at once: the
+        # check must run at each flagged step, not only at the block's least slack
+        marks = generate(MM1, 11, 9000)
+        for inject in ((0, 4095), (0, 4095, 4096, 9000)):
+            servers_case(3, 2, marks, inject)
+            allocation_case(3, 3, (0.0, 2.0, 2.0), (1.0, 1.0, 3.0), marks, inject)
 
     @pytest.mark.parametrize("chunks,extra", CHUNK_EDGES)
     def test_chunk_edges(self, chunks, extra):
@@ -383,10 +428,10 @@ class TestScreenMatchesEveryStepCheck:
         size = jswsim.profiles._PATH_CHUNK
         horizon = chunks * size + extra
         for corrupt in [c for c in (size - 1, size, size + 1) if c <= horizon] + [None]:
-            servers_case(3, 2, generate(BUSY, 13, horizon), corrupt_step=corrupt)
+            servers_case(3, 2, generate(BUSY, 13, horizon), injection(corrupt))
             allocation_case(
                 3, 2, (0.0, 0.5, 2.0), (0.0, 0.5, 2.0), generate(BUSY, 14, horizon),
-                corrupt_step=corrupt,
+                injection(corrupt),
             )
 
     # 8 vs 1 servers: the widest and the narrowest screen rows of one block
@@ -516,7 +561,7 @@ class TestScreenMatchesEveryStepCheck:
     def test_random_traces_servers(self, pairs, big_n, extra, slack, data):
         corrupt = data.draw(st.none() | st.integers(0, len(pairs)))
         marks = external_marks(*zip(*pairs))
-        servers_case(big_n + extra, big_n, marks, sum_slack=slack, corrupt_step=corrupt)
+        servers_case(big_n + extra, big_n, marks, injection(corrupt), sum_slack=slack)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -539,7 +584,7 @@ class TestScreenMatchesEveryStepCheck:
                                                  min_size=servers, max_size=servers))))
         start_alt = tuple(x + 1.0 for x in start)
         marks = external_marks(*zip(*pairs))
-        allocation_case(servers, rank, start, start_alt, marks, tol=tol, corrupt_step=corrupt)
+        allocation_case(servers, rank, start, start_alt, marks, injection(corrupt), tol=tol)
 
 
 @pytest.mark.parametrize("forced_split", [3], indirect=True, ids=["block3"])

@@ -187,6 +187,13 @@ instances = 123
         with pytest.raises(ConfigError, match="horizont"):
             load_config(str(p))
 
+    def test_corrupt_step_is_an_unknown_key(self, tmp_path):
+        # the old self-test hook; a negative tolerance or sum_slack forces violations
+        p = tmp_path / "bad.ini"
+        p.write_text("[compare]\ncorrupt_step = 5\n")
+        with pytest.raises(ConfigError, match=r"^\[compare\] corrupt_step: unknown key$"):
+            load_config(str(p))
+
     def test_key_wrong_for_kind(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[model]\nkind = iid\ntransition = 0.5 0.5 / 0.5 0.5\n")

@@ -81,20 +81,22 @@ CASES = {
         ["snap.csv"],
         5,
     ),
+    # A negative sum_slack fails the totals wherever they are near equal,
+    # both systems empty among them.
     "compare-servers": (
         "[run]\nseeds = 1 2\nhorizon = 200\n"
         "[compare]\nmode = servers\nservers = 3\nservers_small = 2\n"
-        "corrupt_step = 7\ntrajectories = traj.csv\n",
+        "sum_slack = -0.05\ntrajectories = traj.csv\n",
         ["compare", "--out", "viol.csv"],
         ["viol.csv", "traj.csv"],
         1,
     ),
     # 9001 steps: the coupled run checks blocks of 4096 steps, and the
-    # corrupted step is the first of the second block.
+    # violations fall on both sides of step 4096, where the second begins.
     "compare-servers-blocks": (
         "[run]\nseeds = 1 2\nhorizon = 9000\n"
         "[compare]\nmode = servers\nservers = 3\nservers_small = 2\n"
-        "corrupt_step = 4096\ntrajectories = traj.csv\n",
+        "sum_slack = -0.05\ntrajectories = traj.csv\n",
         ["compare", "--out", "viol.csv"],
         ["viol.csv", "traj.csv"],
         1,
@@ -107,13 +109,12 @@ CASES = {
         ["viol.csv", "traj.csv"],
         0,
     ),
-    # Recorded after corrupt_step started to reach the allocation-mode
-    # harness; before that the key was ignored in this mode and the run
-    # printed PASS.
-    "compare-allocation-corrupt-step": (
+    # The starts meet the premise at the negative tolerance; 1 1 3, as in
+    # compare-allocation, would fail it at any tolerance below 0.
+    "compare-allocation-negative-tolerance": (
         "[run]\nseeds = 1 2\nhorizon = 200\n"
         "[compare]\nmode = allocation\nservers = 3\nrank = 3\n"
-        "start = 0 2 2\nstart_alt = 1 1 3\ncorrupt_step = 7\ntrajectories = traj.csv\n",
+        "start = 0 2 2\nstart_alt = 1 3 3\ntolerance = -0.05\ntrajectories = traj.csv\n",
         ["compare", "--out", "viol.csv"],
         ["viol.csv", "traj.csv"],
         1,
@@ -163,15 +164,17 @@ DIGESTS = {
     # The three compare stdout digests were re-recorded when the mean offered
     # wait became coordinate rank over the horizon's arrivals, as in
     # simulate; only the wait numbers changed, the CSV digests did not.
+    # The two servers cases' stdout and viol.csv were re-recorded when their
+    # violations came from a negative sum_slack; their traj.csv did not move.
     "compare-servers": {
-        "stdout": "840351fc1491b3f7eeb519498949379bfe5b98dfa04ad71890f2300d0c487e95",
-        "viol.csv": "3fcad5b2700af806e9a0670ff372d2d23eeb15eeb1e79cf8af4c979e2edc8bab",
+        "stdout": "3b8803c21bd288de1fcc1e438f1421d0dc7f8d61d4939fe59f6e90adfd57c9e8",
+        "viol.csv": "dfc695546fb341d1d4a9a6f01f3206556764c9d64b2bc2a9e36183e36f3e6c2a",
         "traj.csv": "7f3abe600e2635bd5c04c68f9be1a372b774caae29c94462b393edea630e845b",
     },
-    # recorded before the coupled run checked blocks of steps
+    # traj.csv recorded before the coupled run checked blocks of steps
     "compare-servers-blocks": {
-        "stdout": "f5615dc159d0a7076d630128de43d69acc29be1cc50c40dfd6c305f4dc9b45c9",
-        "viol.csv": "3d03deb91be5ac399b523f75269fdd8d049874dbd53c5c69934d6807a399c86e",
+        "stdout": "5c7e1ceef740595a4f8192ee1da336361401968dbe94d7e44a9d6e7021875fa3",
+        "viol.csv": "c5e1bf8590bb0685add9825b760fd018791eed8d2ab6007d65715de48ea6be2e",
         "traj.csv": "bcf22924c43e27d2443b926f3edd470d76eff516d36d98d3f9fd66ced3aa7ee5",
     },
     "compare-allocation": {
@@ -179,11 +182,10 @@ DIGESTS = {
         "viol.csv": "5aa58f3833d078b3036b11991c0b7b10450b15f9dfd0263bdf3481215be3d64d",
         "traj.csv": "b6f72097022c7999cd1c976a17c2db93b491ae02b45f26e03c2ecb14916f307d",
     },
-    # recorded after the fix; the trajectories are the clean run's
-    "compare-allocation-corrupt-step": {
-        "stdout": "a0bf9602869881be2f007b5d2daa0ae4cf679e8a03fb6b0c4559684beecab9b9",
-        "viol.csv": "7ea39a9140cff7d31be051e786fa0b365c077f647e7acd47bc0c6d4b0e3a3047",
-        "traj.csv": "b6f72097022c7999cd1c976a17c2db93b491ae02b45f26e03c2ecb14916f307d",
+    "compare-allocation-negative-tolerance": {
+        "stdout": "bb498747104c0dfee2e1d0076ca7c7a459a198810ccaa4e8e99d0a57304913e7",
+        "viol.csv": "163f317f7ac4a23193080b356cabcaaeb71001a886752f4590b340d75ce71118",
+        "traj.csv": "2119bdf0a1ff532efa951733c08776f04ee6d7583c276e0a9a4f7cbe72b33847",
     },
     # recorded while traces were read by the per-line loop alone
     "simulate-trace": {
