@@ -14,7 +14,8 @@ system, one arrival at a time: the reference loop the others are checked
 against. :func:`path_profiles` gives the same profiles as the rows of one
 array, stepping blocks of the arrivals side by side. :func:`_path_chunks`
 is the one forward walk of a long run: it asks for the run's marks a chunk
-at a time, steps each chunk in one ``path_profiles`` call and hands out its
+at a time, steps each chunk as ``path_profiles`` does, or in order where
+the chunk before showed that array passes would not pay, and hands out its
 profiles in blocks, one contiguous row per coordinate. ``compare``,
 ``simulate`` and the trajectory dump all step through it, and the first
 two take a system's mean offered wait from :class:`_OfferedWait`. :func:`lockstep_profiles` gives the final
@@ -149,6 +150,10 @@ _CHUNK = 4096
 #   16: 0.173 0.312 0.365 0.604 0.787
 #   32: 0.165 0.308 0.332 0.441 0.622
 #   64: 0.174 0.312 0.326 0.454 0.688
+# With the interleaved first pass (_PATH_CLASSES), median ratio of walk CPU,
+# 64 against 32, over 15 alternating runs in one process (same VM), on the
+# five cases and then 2e5 marks of simulate-markov-csv's 2-state chain:
+# 1.26 0.95 1.12 0.93 0.95, 0.82. The first is the bench's compare-wide.
 _PATH_BLOCK = 32
 # Arrivals per path_profiles call of the forward walk, _path_chunks, and so
 # per chunk of marks that simulate draws. Median CPU seconds of compare on
@@ -173,8 +178,43 @@ _LOCKSTEP_MIN_ROWS = 8
 # order, at once, where a kernel pass may leave some dirty. The bench's
 # compare-wide (8 vs 4 servers, load 0.8, 2 seeds x 2e5 arrivals, seed
 # 102, 2-core VM) read 654k and 604k arrivals/s with 7 against 791k and
-# 685k with 8, in two pairs of runs.
+# 685k with 8, in two pairs of runs. With the interleaved first pass, the
+# median walk-CPU ratio against 8 on the six cases of _PATH_BLOCK's probe:
+#   6: 1.01 0.99 1.04 1.01 1.03 1.01
+#   7: 0.98 1.00 1.02 0.99 1.01 0.99
+#   9: 0.96 1.00 0.99 1.01 1.01 0.98
+#  10: 0.99 0.98 1.02 1.01 1.01 0.98
+# Two settings that step the same work read 0.96 on the first case there,
+# so none of these is a gain.
 _PATH_MIN_DIRTY = 8
+# Classes of the first pass of path_profiles, blocks b mod _PATH_CLASSES:
+# each class after the first starts from the ends the class before has just
+# given, so where a block from zeros meets the path, the blocks after it in
+# its run of classes are right at once. More classes start fewer blocks
+# from zeros but take more array calls. Array block-steps per arrival and
+# share of arrivals stepped in order, compare-wide's two systems, 2 seeds x
+# 2e5 (bench seed 7001), with 1, which steps every block from zeros, to 4:
+#   1: 2.17, 0.8%   2: 1.60, 1.1%   3: 1.40, 1.1%   4: 1.30, 1.2%
+# Median walk-CPU ratio against 3 on the six cases of _PATH_BLOCK's probe:
+#   2: 0.98 0.95 0.98 0.98 0.99 1.02
+#   4: 1.00 0.98 1.00 1.03 1.01 1.06
+_PATH_CLASSES = 3
+# _path_chunks steps a chunk in order, with no array pass, after a chunk
+# whose passes left at least this share of its blocks to be stepped in
+# order. A chunk's passes (5 array calls of about 0.2 ms, 1.7 block-steps
+# per arrival at 0.6 us per 32 arrivals, S = 4) cost about what stepping a
+# tenth of its blocks in order does (0.9 us per arrival), so 0.9 would be
+# the break-even; but a chunk stepped without passes only estimates its
+# share (_path), up to 0.09 high near there. Array block-steps per arrival
+# and share stepped in order, rank 2 / rank 1 on 4 servers at load 0.975
+# (2e5 marks, seed 1), then one server at load 0.99 (2e5 other marks):
+#   never: 1.66, 99.0% / 1.61, 78.0%    1.54, 90.9%
+#   0.9:   0.14, 99.9% / 1.33, 83.3%    0.63, 92.4%
+#   0.95:  0.14, 99.9% / 1.47, 80.0%    0.63, 92.4%
+#   0.97:  0.14, 99.9% / 1.61, 78.0%    0.78, 91.9%
+# Per chunk the shares split cleanly: 3-46% on simulate-markov-csv's two
+# seeds, 99% for rank 2 at load 0.975.
+_PATH_IN_ORDER_SHARE = 0.95
 
 
 def iter_profiles(start: Profile, marks, rank: int) -> Iterator[Profile]:
@@ -287,21 +327,38 @@ def path_profiles(start: Profile, sigma: np.ndarray, xi: np.ndarray, rank: int) 
     there.
 
     The marks are cut into blocks of ``_PATH_BLOCK`` arrivals, which are
-    stepped side by side as the columns of :func:`_iter_lockstep`: block 0
-    from ``start + 0.0``, every other block from zeros. A block whose start
-    differs, bit for bit, from the end of the block before it is dirty, and
-    is stepped again from that end; this repeats until no block is dirty.
-    The step is a function of the profile and the mark alone, so by
-    induction from block 0 every block then starts from its true profile
+    stepped side by side as the columns of :func:`_iter_lockstep`. The
+    first pass takes them in ``_PATH_CLASSES`` interleaved classes, class j
+    holding the blocks b with b mod ``_PATH_CLASSES`` = j, one array call
+    each: class 0 steps block 0 from ``start + 0.0`` and its other blocks
+    from zeros, and each block of class j > 0 starts from the end that the
+    block before it, of class j - 1, has just been given. A block whose
+    start differs, bit for bit, from the end of the block before it is
+    dirty, and is stepped again from that end; this repeats until no block
+    is dirty. The step is a function of the profile and the mark alone, so
+    by induction from block 0 every block then starts from its true profile
     and all rows are exact: time-parallel simulation with fix-up passes
     (Heidelberger & Stone 1990; Lin & Lazowska 1991). When fewer than
-    ``_PATH_MIN_DIRTY`` blocks are dirty, when the first fix-up pass
-    leaves more than half of all blocks dirty, or when a later one leaves
-    more than four fifths of those it stepped, the rest is stepped in
-    order, one block at a time, by :func:`_iter_steps`; a block that starts
-    from its true profile is skipped. A ragged last block is padded with
-    zero marks; the rows they give are dropped.
+    ``_PATH_MIN_DIRTY`` blocks are dirty, or when a fix-up pass after the
+    first leaves more than four fifths of those it stepped, the rest is
+    stepped in order, one row at a time, by :func:`_step_blocks_in_order`:
+    each dirty block, then each block after it while the end just given to
+    the block before differs from its start; the clean stretches between
+    are jumped over. A ragged last block is padded with zero marks; the
+    rows they give are dropped.
     """
+    return _path(start, sigma, xi, rank, True)[0]
+
+
+def _path(start: Profile, sigma, xi, rank: int, array_passes: bool) -> tuple[np.ndarray, float]:
+    """:func:`path_profiles`, and the share of its blocks that the array
+    passes left to be stepped in order. With ``array_passes`` false every
+    block is stepped in order and the share is an estimate: the blocks in
+    whose rows coordinate ``rank``, the queue arrivals join, is never zero.
+    At one server those are exactly the blocks in which a block stepped
+    from zeros cannot meet the path. Over six chunks each of ten systems,
+    S = 1 to 8 at loads 0.9 to 1.2, the estimate read from 0.08 below to
+    0.28 above the share that the passes measured."""
     _require_profile(start)
     _require_rank(start, rank)
     servers, n = len(start), len(sigma)
@@ -315,26 +372,31 @@ def path_profiles(start: Profile, sigma: np.ndarray, xi: np.ndarray, rank: int) 
     # the start each block's rows were stepped from; NaN, which equals no
     # profile, until they are
     starts = np.full((blocks, servers), np.nan)
-    dirty, passes = np.arange(blocks), 0
+    dirty, passes, in_order = np.arange(blocks), 0, 0
     while len(dirty):
         if (
-            len(dirty) < _PATH_MIN_DIRTY
-            or (passes == 2 and 2 * len(dirty) > blocks)
+            not array_passes
+            or len(dirty) < _PATH_MIN_DIRTY
             or (passes > 2 and 5 * len(dirty) > 4 * stepped)
         ):
-            first = dirty[0]
-            state = out[0] + 0.0 if first == 0 else body[first - 1, -1]
-            _step_blocks_in_order(body, starts, sig, gap, first, tuple(state.tolist()), rank)
+            in_order = _step_blocks_in_order(body, starts, sig, gap, dirty, out[0] + 0.0, rank)
             break
         if passes:
             starts[dirty] = body[dirty - 1, -1]
+            _step_blocks_at_once(body, starts, sig, gap, dirty, rank)
         else:
             starts[0], starts[1:] = out[0] + 0.0, 0.0
-        _step_blocks_at_once(body, starts, sig, gap, dirty, rank)
+            for j in range(min(_PATH_CLASSES, blocks)):
+                rows = np.arange(j, blocks, _PATH_CLASSES)
+                if j:
+                    starts[rows] = body[rows - 1, -1]
+                _step_blocks_at_once(body, starts, sig, gap, rows, rank)
         stepped, passes = len(dirty), passes + 1
         ends = body[:-1, -1].view(np.uint64)
         dirty = np.flatnonzero((starts[1:].view(np.uint64) != ends).any(axis=1)) + 1
-    return out[: n + 1]
+    if not array_passes:
+        in_order = int(np.count_nonzero(body[:, :, rank - 1].all(axis=1)))
+    return out[: n + 1], in_order / max(blocks, 1)
 
 
 def _step_blocks_at_once(body, starts, sig, gap, rows, rank: int) -> None:
@@ -349,28 +411,36 @@ def _step_blocks_at_once(body, starts, sig, gap, rows, rank: int) -> None:
     body[rows] = steps.transpose(2, 0, 1)
 
 
-def _step_blocks_in_order(body, starts, sig, gap, first: int, state: Profile, rank: int) -> None:
-    """Step the blocks of a path from ``first`` on in order, one row at a
-    time, ``first`` from ``state`` and each later one from the end of the
-    block before it, skipping a block whose rows were stepped from that
-    very profile."""
+def _step_blocks_in_order(body, starts, sig, gap, dirty, start: np.ndarray, rank: int) -> int:
+    """Step the ``dirty`` blocks of a path in order, one row at a time, each
+    from the end of the block before it, block 0 from ``start``, and with
+    each one the blocks after it, up to the first whose ``starts`` row is
+    the end just given to the block before it; return how many blocks were
+    stepped."""
     blocks, length, servers = body.shape
-    # no profile holds -0.0 or NaN, so == on these floats is equality of bits
-    begun = list(map(tuple, starts.tolist()))
-    b = first
-    while b < blocks:
-        # a run of blocks stepped anew, written at once, at most _CHUNK rows
-        rows, e = [], b
-        while e < blocks and state != begun[e] and len(rows) < _CHUNK:
-            steps = _iter_steps(state, sig[e], gap[e], rank)
-            next(steps)
-            rows += steps
-            state, e = rows[-1], e + 1
-        flat = np.fromiter(chain.from_iterable(rows), float, len(rows) * servers)
-        body[b:e] = flat.reshape(e - b, length, servers)
-        while e < blocks and state == begun[e]:
-            state, e = tuple(body[e, -1].tolist()), e + 1
-        b = e
+    stepped = done = 0
+    for b in dirty.tolist():
+        if b < done:
+            continue
+        state = tuple((start if b == 0 else body[b - 1, -1]).tolist())
+        chained = True
+        while chained:
+            # a run of blocks stepped anew, written at once, at most _CHUNK rows
+            rows, e = [], b
+            while chained and len(rows) < _CHUNK:
+                steps = _iter_steps(state, sig[e], gap[e], rank)
+                next(steps)
+                rows += steps
+                state, e = rows[-1], e + 1
+                # no profile holds -0.0 or NaN, so == on these floats is
+                # equality of bits
+                chained = e < blocks and state != tuple(starts[e].tolist())
+            flat = np.fromiter(chain.from_iterable(rows), float, len(rows) * servers)
+            body[b:e] = flat.reshape(e - b, length, servers)
+            stepped, b = stepped + e - b, e
+        # block e, if any, starts from the end just given to block e - 1
+        done = e + 1
+    return stepped
 
 
 def _path_chunks(
@@ -388,16 +458,22 @@ def _path_chunks(
     :class:`~jswsim.processes.MarkSequence` chunks of ``_PATH_CHUNK`` marks,
     the last one shorter: :func:`~jswsim.processes.generate_forward`, which
     draws each chunk just before it is stepped, or :func:`_slices` of marks
-    already held. Each chunk is one :func:`path_profiles` call, bit for bit
-    the profiles of :func:`iter_profiles`; a later call starts from the last
+    already held. Each chunk is one :func:`_path` call, bit for bit the
+    profiles of :func:`iter_profiles`; a later call starts from the last
     profile of the one before and drops its own row 0, that same profile.
-    Step 0 is ``start`` as given. Each block is a transposed copy of its
-    rows, at most 256 KB at S = 8: one copy of a whole call's rows raised
-    the peak RSS of ``compare`` at 8 vs 4 servers by 2 MB.
+    A chunk after one whose array passes left at least
+    ``_PATH_IN_ORDER_SHARE`` of its blocks to be stepped in order is stepped
+    in order from the start, with no array pass, as the passes would most
+    likely be wasted there too; its own share is then estimated, as
+    :func:`_path` says. Step 0 is ``start`` as given. Each block is a
+    transposed copy of its rows, at most 256 KB at S = 8: one copy of a
+    whole call's rows raised the peak RSS of ``compare`` at 8 vs 4 servers
+    by 2 MB.
     """
-    step = 0
+    step, array_passes = 0, True
     for marks in draw(_PATH_CHUNK):
-        path = path_profiles(start, marks.sigma, marks.xi, rank)
+        path, in_order = _path(start, marks.sigma, marks.xi, rank, array_passes)
+        array_passes = in_order < _PATH_IN_ORDER_SHARE
         for base in range(1 if step else 0, len(path), _CHUNK):
             yield step + base, np.ascontiguousarray(path[base : base + _CHUNK].T)
         start, step = tuple(path[-1].tolist()), step + len(marks)

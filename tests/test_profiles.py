@@ -417,6 +417,37 @@ def test_path_chunks_walk_every_step_once(path_chunk, monkeypatch):
         assert math.copysign(1.0, chunks[0][1][0, 0]) == -1.0
 
 
+def _walk(start, marks, rank):
+    chunks = list(jswsim.profiles._path_chunks(start, jswsim.profiles._slices(marks), rank))
+    return np.concatenate([rows for _, rows in chunks], axis=1).T
+
+
+@pytest.mark.parametrize("servers,rank", [(1, 1), (2, 1), (3, 2)])
+def test_walk_steps_in_order_after_a_chunk_that_did(servers, rank, array_calls):
+    # overloaded: no block stepped from zeros ever meets the path, so after
+    # the first chunk the walk spends no array pass
+    rng = np.random.default_rng(servers)
+    n = 4 * jswsim.profiles._PATH_CHUNK + 100
+    marks = MarkSequence(sigma=rng.exponential(1.0, n), xi=rng.exponential(1.0 / (1.5 * servers), n))
+    start = (0.0,) * servers
+    walked = _walk(start, marks, rank)
+    assert array_calls[0] > 0 and array_calls[1:] == [0] * 4
+    assert (walked.view(np.uint64) == _path_reference(start, marks.sigma, marks.xi, rank).view(np.uint64)).all()
+
+
+def test_walk_takes_array_passes_again_once_a_backlog_drains(array_calls):
+    # load 0.5 on 2 servers from a backlog of 4 * 10^4 on each: the walk
+    # steps in order while it drains, over about 80000 arrivals, then the
+    # queue arrivals join empties often and the array passes come back
+    rng = np.random.default_rng(3)
+    n = 10 * jswsim.profiles._PATH_CHUNK
+    marks = MarkSequence(sigma=rng.exponential(1.0, n), xi=rng.exponential(1.0, n))
+    start = (4e4, 4e4)
+    walked = _walk(start, marks, 1)
+    assert array_calls[0] > 0 and array_calls[1:4] == [0] * 3 and all(array_calls[7:])
+    assert (walked.view(np.uint64) == _path_reference(start, marks.sigma, marks.xi, 1).view(np.uint64)).all()
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_offered_wait_adds_as_reduce_does(chunk, rank):
@@ -454,6 +485,48 @@ def test_path_profiles_at_full_size(servers, rank, xi_rate):
     _assert_same_path((0.0,) * servers, sigma, xi, rank)
     start = tuple(np.sort(rng.exponential(2.0, servers)).tolist())
     _assert_same_path(start, sigma[:1001], xi[:1001], rank)
+    # bursts: gaps cut to 0.3 of their length for 150 of every 600
+    # arrivals, so that the in-order tail meets dirty chains with clean
+    # blocks between them; 0, 1 and 2 blocks past a multiple of the
+    # first pass's classes, the last block ragged
+    length, classes = jswsim.profiles._PATH_BLOCK, jswsim.profiles._PATH_CLASSES
+    for blocks in range(40 * classes, 40 * classes + 3):
+        n = blocks * length - 7
+        sigma, xi = rng.exponential(1.0, n), rng.exponential(1.0 / xi_rate, n)
+        xi[np.arange(n) % 600 < 150] *= 0.3
+        _assert_same_path((0.0,) * servers, sigma, xi, rank)
+
+
+@pytest.mark.parametrize("servers,rank,xi_rate", [(1, 1, 1.1), (2, 1, 1.8), (3, 2, 2.0)])
+def test_in_order_tail_steps_just_the_stale_blocks(servers, rank, xi_rate):
+    # A path whose blocks were stepped, in runs, from made-up starts, as
+    # array passes leave it. The tail must step exactly the blocks whose
+    # recorded start is not their true one, jumping over the rest, and
+    # leave the true rows.
+    rng = np.random.default_rng(servers)
+    length, blocks = jswsim.profiles._PATH_BLOCK, 40
+    sig = rng.exponential(1.0, (blocks, length))
+    gap = rng.exponential(1.0 / xi_rate, (blocks, length))
+    true = _path_reference((0.0,) * servers, sig.ravel(), gap.ravel(), rank)
+    true_starts = true[:-1:length]
+    body = np.array(true[1:]).reshape(blocks, length, servers)
+    starts = np.array(true_starts)
+    for first in rng.choice(blocks, 8, replace=False):
+        # blocks first .. first + run - 1 stepped in turn from a wrong start
+        state = tuple(np.sort(rng.exponential(3.0, servers)).tolist())
+        for b in range(first, min(first + rng.integers(1, 4), blocks)):
+            starts[b] = state
+            body[b] = _path_reference(state, sig[b], gap[b], rank)[1:]
+            state = tuple(body[b, -1].tolist())
+    stale = set(np.flatnonzero((starts != true_starts).any(axis=1)).tolist())
+    ends = np.vstack([true[:1], body[:-1, -1]])
+    dirty = np.flatnonzero((starts != ends).any(axis=1))
+    # stale blocks reached only by a chain, and dirty ones whose start is
+    # made true again by fixing the block before
+    assert stale - set(dirty.tolist()) and set(dirty.tolist()) - stale
+    stepped = jswsim.profiles._step_blocks_in_order(body, starts, sig, gap, dirty, true[0], rank)
+    assert stepped == len(stale) < blocks
+    assert (body.reshape(-1, servers).view(np.uint64) == true[1:].view(np.uint64)).all()
 
 
 @pytest.mark.parametrize(
