@@ -14,8 +14,7 @@ system, one arrival at a time: the reference loop the others are checked
 against. :func:`path_profiles` gives the same profiles as the rows of one
 array, stepping blocks of the arrivals side by side. :func:`_path_chunks`
 is the one forward walk of a long run: it asks for the run's marks a chunk
-at a time, steps each chunk as ``path_profiles`` does, or in order where
-the chunk before showed that array passes would not pay, and hands out its
+at a time, steps each chunk in one ``path_profiles`` call and hands out its
 profiles in blocks, one contiguous row per coordinate. ``compare``,
 ``simulate`` and the trajectory dump all step through it, and the first
 two take a system's mean offered wait from :class:`_OfferedWait`. :func:`lockstep_profiles` gives the final
@@ -199,22 +198,6 @@ _PATH_MIN_DIRTY = 8
 #   2: 0.98 0.95 0.98 0.98 0.99 1.02
 #   4: 1.00 0.98 1.00 1.03 1.01 1.06
 _PATH_CLASSES = 3
-# _path_chunks steps a chunk in order, with no array pass, after a chunk
-# whose passes left at least this share of its blocks to be stepped in
-# order. A chunk's passes (5 array calls of about 0.2 ms, 1.7 block-steps
-# per arrival at 0.6 us per 32 arrivals, S = 4) cost about what stepping a
-# tenth of its blocks in order does (0.9 us per arrival), so 0.9 would be
-# the break-even; but a chunk stepped without passes only estimates its
-# share (_path), up to 0.09 high near there. Array block-steps per arrival
-# and share stepped in order, rank 2 / rank 1 on 4 servers at load 0.975
-# (2e5 marks, seed 1), then one server at load 0.99 (2e5 other marks):
-#   never: 1.66, 99.0% / 1.61, 78.0%    1.54, 90.9%
-#   0.9:   0.14, 99.9% / 1.33, 83.3%    0.63, 92.4%
-#   0.95:  0.14, 99.9% / 1.47, 80.0%    0.63, 92.4%
-#   0.97:  0.14, 99.9% / 1.61, 78.0%    0.78, 91.9%
-# Per chunk the shares split cleanly: 3-46% on simulate-markov-csv's two
-# seeds, 99% for rank 2 at load 0.975.
-_PATH_IN_ORDER_SHARE = 0.95
 
 
 def iter_profiles(start: Profile, marks, rank: int) -> Iterator[Profile]:
@@ -347,18 +330,6 @@ def path_profiles(start: Profile, sigma: np.ndarray, xi: np.ndarray, rank: int) 
     are jumped over. A ragged last block is padded with zero marks; the
     rows they give are dropped.
     """
-    return _path(start, sigma, xi, rank, True)[0]
-
-
-def _path(start: Profile, sigma, xi, rank: int, array_passes: bool) -> tuple[np.ndarray, float]:
-    """:func:`path_profiles`, and the share of its blocks that the array
-    passes left to be stepped in order. With ``array_passes`` false every
-    block is stepped in order and the share is an estimate: the blocks in
-    whose rows coordinate ``rank``, the queue arrivals join, is never zero.
-    At one server those are exactly the blocks in which a block stepped
-    from zeros cannot meet the path. Over six chunks each of ten systems,
-    S = 1 to 8 at loads 0.9 to 1.2, the estimate read from 0.08 below to
-    0.28 above the share that the passes measured."""
     _require_profile(start)
     _require_rank(start, rank)
     servers, n = len(start), len(sigma)
@@ -372,14 +343,13 @@ def _path(start: Profile, sigma, xi, rank: int, array_passes: bool) -> tuple[np.
     # the start each block's rows were stepped from; NaN, which equals no
     # profile, until they are
     starts = np.full((blocks, servers), np.nan)
-    dirty, passes, in_order = np.arange(blocks), 0, 0
+    dirty, passes = np.arange(blocks), 0
     while len(dirty):
         if (
-            not array_passes
-            or len(dirty) < _PATH_MIN_DIRTY
+            len(dirty) < _PATH_MIN_DIRTY
             or (passes > 2 and 5 * len(dirty) > 4 * stepped)
         ):
-            in_order = _step_blocks_in_order(body, starts, sig, gap, dirty, out[0] + 0.0, rank)
+            _step_blocks_in_order(body, starts, sig, gap, dirty, out[0] + 0.0, rank)
             break
         if passes:
             starts[dirty] = body[dirty - 1, -1]
@@ -394,9 +364,7 @@ def _path(start: Profile, sigma, xi, rank: int, array_passes: bool) -> tuple[np.
         stepped, passes = len(dirty), passes + 1
         ends = body[:-1, -1].view(np.uint64)
         dirty = np.flatnonzero((starts[1:].view(np.uint64) != ends).any(axis=1)) + 1
-    if not array_passes:
-        in_order = int(np.count_nonzero(body[:, :, rank - 1].all(axis=1)))
-    return out[: n + 1], in_order / max(blocks, 1)
+    return out[: n + 1]
 
 
 def _step_blocks_at_once(body, starts, sig, gap, rows, rank: int) -> None:
@@ -458,22 +426,16 @@ def _path_chunks(
     :class:`~jswsim.processes.MarkSequence` chunks of ``_PATH_CHUNK`` marks,
     the last one shorter: :func:`~jswsim.processes.generate_forward`, which
     draws each chunk just before it is stepped, or :func:`_slices` of marks
-    already held. Each chunk is one :func:`_path` call, bit for bit the
-    profiles of :func:`iter_profiles`; a later call starts from the last
+    already held. Each chunk is one :func:`path_profiles` call, bit for bit
+    the profiles of :func:`iter_profiles`; a later call starts from the last
     profile of the one before and drops its own row 0, that same profile.
-    A chunk after one whose array passes left at least
-    ``_PATH_IN_ORDER_SHARE`` of its blocks to be stepped in order is stepped
-    in order from the start, with no array pass, as the passes would most
-    likely be wasted there too; its own share is then estimated, as
-    :func:`_path` says. Step 0 is ``start`` as given. Each block is a
-    transposed copy of its rows, at most 256 KB at S = 8: one copy of a
-    whole call's rows raised the peak RSS of ``compare`` at 8 vs 4 servers
-    by 2 MB.
+    Step 0 is ``start`` as given. Each block is a transposed copy of its
+    rows, at most 256 KB at S = 8: one copy of a whole call's rows raised
+    the peak RSS of ``compare`` at 8 vs 4 servers by 2 MB.
     """
-    step, array_passes = 0, True
+    step = 0
     for marks in draw(_PATH_CHUNK):
-        path, in_order = _path(start, marks.sigma, marks.xi, rank, array_passes)
-        array_passes = in_order < _PATH_IN_ORDER_SHARE
+        path = path_profiles(start, marks.sigma, marks.xi, rank)
         for base in range(1 if step else 0, len(path), _CHUNK):
             yield step + base, np.ascontiguousarray(path[base : base + _CHUNK].T)
         start, step = tuple(path[-1].tolist()), step + len(marks)

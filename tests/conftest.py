@@ -1,4 +1,3 @@
-import math
 import pathlib
 
 import pytest
@@ -9,37 +8,13 @@ _criterion_lines: list[str] = []
 @pytest.fixture(scope="class", params=[1, 2, 3], ids=lambda b: f"block{b}")
 def forced_split(request):
     """``path_profiles`` cut into blocks of 1 to 3 arrivals, each pass of
-    them stepped as one array however few are dirty, and every chunk of the
-    forward walk given its array passes, however many blocks the chunk
-    before left to be stepped in order."""
+    them stepped as one array however few are dirty."""
     import jswsim.profiles
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jswsim.profiles, "_PATH_BLOCK", request.param)
         mp.setattr(jswsim.profiles, "_PATH_MIN_DIRTY", 0)
-        mp.setattr(jswsim.profiles, "_PATH_IN_ORDER_SHARE", math.inf)
         yield request.param
-
-
-@pytest.fixture
-def array_calls(monkeypatch):
-    """The number of array calls of each chunk of the forward walk, one
-    entry per ``profiles._path`` call, in order."""
-    import jswsim.profiles
-
-    calls, path, at_once = [], jswsim.profiles._path, jswsim.profiles._step_blocks_at_once
-
-    def path_spy(*args):
-        calls.append(0)
-        return path(*args)
-
-    def at_once_spy(*args):
-        calls[-1] += 1
-        return at_once(*args)
-
-    monkeypatch.setattr(jswsim.profiles, "_path", path_spy)
-    monkeypatch.setattr(jswsim.profiles, "_step_blocks_at_once", at_once_spy)
-    return calls
 
 
 @pytest.fixture(scope="session")

@@ -575,11 +575,9 @@ class TestSimulateRows:
         assert lines[6] == "1,0,-0.0,1.0,1.0,"
         assert lines[7].startswith("1,1,") and lines[7].endswith(",-0.0")
 
-    def test_correlated_marks_step_in_order(self, tmp_path, capsys, monkeypatch, array_calls):
+    def test_correlated_marks_step_in_order(self, tmp_path, capsys, monkeypatch):
         # The bench's 2-state chain: its long busy stretches leave most time
-        # blocks of a chunk dirty, so path_profiles steps them in order. Its
-        # light stretches still pay for array passes, so every chunk of the
-        # walk, the second too, is given them.
+        # blocks of a chunk dirty, so path_profiles steps them in order.
         calls = []
         in_order = profiles._step_blocks_in_order
 
@@ -597,7 +595,6 @@ class TestSimulateRows:
             "[run]\nseeds = 1\nhorizon = 20000\n[system]\nservers = 2\n",
         )
         assert calls
-        assert len(array_calls) >= 2 and all(array_calls), array_calls
 
     def test_exponent_notation_initial_profile(self, tmp_path, capsys):
         for rank in (1, 2, 3):

@@ -239,7 +239,7 @@ class TestInputValidation:
         def no_steps(*args):
             raise AssertionError("stepped")
 
-        monkeypatch.setattr("jswsim.profiles._path", no_steps)
+        monkeypatch.setattr("jswsim.profiles.path_profiles", no_steps)
         with pytest.raises(ValueError, match="must be finite, >= 0"):
             compare_server_counts(3, 2, external_marks(sigma, xi))
 
@@ -525,15 +525,15 @@ class TestScreenMatchesEveryStepCheck:
         # the harness, then the reference, each step the first system first
         calls = iter(paths * 2)
 
-        def fake_path(start, sigma, xi, rank, array_passes):
-            return np.array(next(calls)), 0.0
+        def fake_path_profiles(start, sigma, xi, rank):
+            return np.array(next(calls))
 
         def fake_iter_profiles(start, marks, rank):
             return iter(next(calls))
 
         marks = external_marks([0.0] * (steps - 1), [0.0] * (steps - 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("jswsim.profiles._path", fake_path)
+            mp.setattr("jswsim.profiles.path_profiles", fake_path_profiles)
             mp.setitem(globals(), "iter_profiles", fake_iter_profiles)
             if mode == "servers":
                 servers_case(*sizes, marks, sum_slack=data.draw(st.sampled_from([0.0, 1e-12])))
@@ -600,7 +600,7 @@ class TestScreenMatchesEveryStepCheckSplit(TestScreenMatchesEveryStepCheck):
             mp.setattr(jswsim.profiles, "_PATH_CHUNK", 1000)
             yield
 
-    # it feeds the harness made-up paths in place of the walk's _path
+    # it feeds the harness made-up paths in place of path_profiles
     test_arbitrary_profile_streams = None
 
 

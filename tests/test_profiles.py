@@ -417,37 +417,6 @@ def test_path_chunks_walk_every_step_once(path_chunk, monkeypatch):
         assert math.copysign(1.0, chunks[0][1][0, 0]) == -1.0
 
 
-def _walk(start, marks, rank):
-    chunks = list(jswsim.profiles._path_chunks(start, jswsim.profiles._slices(marks), rank))
-    return np.concatenate([rows for _, rows in chunks], axis=1).T
-
-
-@pytest.mark.parametrize("servers,rank", [(1, 1), (2, 1), (3, 2)])
-def test_walk_steps_in_order_after_a_chunk_that_did(servers, rank, array_calls):
-    # overloaded: no block stepped from zeros ever meets the path, so after
-    # the first chunk the walk spends no array pass
-    rng = np.random.default_rng(servers)
-    n = 4 * jswsim.profiles._PATH_CHUNK + 100
-    marks = MarkSequence(sigma=rng.exponential(1.0, n), xi=rng.exponential(1.0 / (1.5 * servers), n))
-    start = (0.0,) * servers
-    walked = _walk(start, marks, rank)
-    assert array_calls[0] > 0 and array_calls[1:] == [0] * 4
-    assert (walked.view(np.uint64) == _path_reference(start, marks.sigma, marks.xi, rank).view(np.uint64)).all()
-
-
-def test_walk_takes_array_passes_again_once_a_backlog_drains(array_calls):
-    # load 0.5 on 2 servers from a backlog of 4 * 10^4 on each: the walk
-    # steps in order while it drains, over about 80000 arrivals, then the
-    # queue arrivals join empties often and the array passes come back
-    rng = np.random.default_rng(3)
-    n = 10 * jswsim.profiles._PATH_CHUNK
-    marks = MarkSequence(sigma=rng.exponential(1.0, n), xi=rng.exponential(1.0, n))
-    start = (4e4, 4e4)
-    walked = _walk(start, marks, 1)
-    assert array_calls[0] > 0 and array_calls[1:4] == [0] * 3 and all(array_calls[7:])
-    assert (walked.view(np.uint64) == _path_reference(start, marks.sigma, marks.xi, 1).view(np.uint64)).all()
-
-
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_offered_wait_adds_as_reduce_does(chunk, rank):
