@@ -88,6 +88,35 @@ def _pool_map(fn, payloads, jobs):
         yield from pool.map(fn, payloads)
 
 
+def _spooled(fn, spool, payload):
+    """A pool worker's ``fn``: write the rows to a new file in ``spool``; return
+    the result and the file's path, so the seed's text stays out of the parent."""
+    fd, path = tempfile.mkstemp(suffix=".csv", dir=spool)
+    with open(fd, "w", encoding="utf-8", newline="") as f:
+        return fn(payload, f), path
+
+
+def _run_seeds(fn, payloads, jobs, out):
+    """Yield ``fn(p, out)`` for each payload, in order, as the results
+    arrive: ``fn`` writes the seed's rows to the open CSV ``out``, if any.
+    One worker passes ``out`` itself. A pool worker writes to a file of its
+    own (:func:`_spooled`) in a directory that goes, with whatever it still
+    holds, when the run ends; the parent appends each file to ``out`` in
+    seed order and deletes it."""
+    if out is None or _workers(jobs, len(payloads)) <= 1:
+        yield from _pool_map(functools.partial(fn, out=out), payloads, jobs)
+        return
+    with tempfile.TemporaryDirectory(prefix="jswsim-") as spool:
+        # closed first, so no worker still writes when the directory goes
+        results = _pool_map(functools.partial(_spooled, fn, spool), payloads, jobs)
+        with contextlib.closing(results):
+            for result, path in results:
+                with open(path, encoding="utf-8", newline="") as rows:
+                    shutil.copyfileobj(rows, out)
+                os.unlink(path)
+                yield result
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -239,21 +268,9 @@ def _sim_one(payload, out=None):
     return seed, wait.mean, math.fsum(path[:, -1].tolist())
 
 
-def _sim_spooled(payload):
-    """A pool worker's :func:`_sim_one`: write the seed's rows to a new file
-    of its own in the directory that ends ``payload`` and return the
-    numbers of :func:`_sim_one`, then the file's path, so that only they,
-    not the seed's text, go back to the parent."""
-    *run, spool = payload
-    fd, path = tempfile.mkstemp(suffix=".csv", dir=spool)
-    with open(fd, "w", encoding="utf-8", newline="") as f:
-        return (*_sim_one(run, f), path)
-
-
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     system = cfg.system
     payloads = [(cfg.model, s, cfg.horizon, system) for s in cfg.seeds]
-    summary = []
     with contextlib.ExitStack() as stack:
         out = None
         if cfg.out is not None:
@@ -267,25 +284,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                     f"seeds: {' '.join(str(s) for s in cfg.seeds)}",
                 ],
             )
-        # One worker writes each block of rows to the CSV as it formats it.
-        # A pool worker writes them to a file of its own in a directory that
-        # is removed, with whatever it still holds, when the run ends; the
-        # parent appends each file in seed order and deletes it.
-        sim = _sim_one
-        if _workers(cfg.jobs, len(payloads)) <= 1:
-            sim = functools.partial(_sim_one, out=out)
-        elif out is not None:
-            spool = stack.enter_context(tempfile.TemporaryDirectory(prefix="jswsim-"))
-            sim, payloads = _sim_spooled, [(*p, spool) for p in payloads]
-        # closed first as the stack unwinds, so no worker still writes when
-        # the directory goes
-        results = stack.enter_context(contextlib.closing(_pool_map(sim, payloads, cfg.jobs)))
-        for seed, mean_wait, final_total, *spooled in results:
-            for path in spooled:
-                with open(path, encoding="utf-8", newline="") as rows:
-                    shutil.copyfileobj(rows, out)
-                os.unlink(path)
-            summary.append((seed, mean_wait, final_total))
+        summary = list(_run_seeds(_sim_one, payloads, cfg.jobs, out))
     for seed, mean_wait, final_total in summary:
         print(
             f"seed {seed}: {cfg.horizon} arrivals, mean offered wait {mean_wait:.6g}, "
@@ -364,7 +363,10 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
 # ----------------------------------------------------------------- compare
 
 
-def _compare_one(payload):
+def _compare_one(payload, out=None):
+    """Check one seed; return it and its report. Given the open CSV ``out``,
+    write both systems' trajectories from the marks just checked, one
+    step, system, coordinate, value row per profile coordinate."""
     model, seed, horizon, settings = payload
     marks = generate(model, seed, horizon)
     first, second = settings.systems()
@@ -381,18 +383,10 @@ def _compare_one(payload):
             marks,
             tol=settings.tolerance,
         )
-    return seed, report
-
-
-def _write_trajectories(out, cfg: ExperimentConfig) -> int:
-    """Replay both systems of every seed and write each profile coordinate
-    as a step, system, coordinate, value row; return the row count."""
-    rows = 0
-    for seed in cfg.seeds:
-        marks = generate(cfg.model, seed, cfg.horizon)
-        for system in cfg.compare.systems():
-            label = f"seed{seed}:{system.label}"
-            for step, path in _path_chunks(system.start_profile(), _slices(marks), system.rank):
+    if out is not None:
+        for system in (first, second):
+            label, start = f"seed{seed}:{system.label}", system.start_profile()
+            for step, path in _path_chunks(start, _slices(marks), system.rank):
                 steps = list(map(str, range(step, step + path.shape[1])))
                 # each coordinate's rows, by coordinates, then interleaved step by step
                 coords = [
@@ -400,8 +394,7 @@ def _write_trajectories(out, cfg: ExperimentConfig) -> int:
                     for i, row in enumerate(path.tolist(), start=1)
                 ]
                 out.write("\n".join(itertools.chain.from_iterable(zip(*coords))) + "\n")
-            rows += (len(marks) + 1) * system.servers
-    return rows
+    return seed, report
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
@@ -410,7 +403,9 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     if len({os.path.realpath(p) for p in paths}) < len(paths):
         raise ConfigError(f"--out and [compare] trajectories both name {cfg.out!r}")
     payloads = [(cfg.model, s, cfg.horizon, settings) for s in cfg.seeds]
-    total_violations = 0
+    servers = sum(system.servers for system in settings.systems())
+    lines = []
+    total_violations = rows = 0
     with contextlib.ExitStack() as stack:
         violations = trajectories = None
         if cfg.out is not None:
@@ -419,26 +414,28 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             trajectories = _open_csv(
                 stack, settings.trajectories, ["step", "system", "coordinate", "value"]
             )
-        for seed, report in _pool_map(_compare_one, payloads, cfg.jobs):
+        results = _run_seeds(_compare_one, payloads, cfg.jobs, trajectories)
+        for seed, report in stack.enter_context(contextlib.closing(results)):
             total_violations += len(report.violations)
+            rows += report.steps_checked * servers
             label_a, label_b = report.systems
             waits = report.mean_offered_wait
-            print(
+            lines.append(
                 f"seed {seed}: {report.steps_checked} steps, {len(report.violations)} violations, "
                 f"mean offered wait {label_a}={waits[0]:.6g} {label_b}={waits[1]:.6g}"
             )
             for v in report.violations[:5]:
-                print(f"  step {v.step} {v.inequality}: {v.lhs!r} vs {v.rhs!r}")
+                lines.append(f"  step {v.step} {v.inequality}: {v.lhs!r} vs {v.rhs!r}")
             if len(report.violations) > 5:
-                print(f"  ... {len(report.violations) - 5} more")
+                lines.append(f"  ... {len(report.violations) - 5} more")
             if violations is not None:
                 context = f"seed{seed}:{label_a}-vs-{label_b}"
                 violations.writelines(
                     f"{context}:{v.inequality},{v.step},{_fmt(v.lhs)},{_fmt(v.rhs)}\n"
                     for v in report.violations
                 )
-        if trajectories is not None:
-            rows = _write_trajectories(trajectories, cfg)
+    for line in lines:
+        print(line)
     if cfg.out is not None:
         print(f"wrote {cfg.out} ({total_violations} violations)")
     if settings.trajectories is not None:

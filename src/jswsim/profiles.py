@@ -17,10 +17,10 @@ is the one forward walk of a long run: it asks for the run's marks a chunk
 at a time, steps each chunk in one ``path_profiles`` call and hands out its
 profiles in blocks, one contiguous row per coordinate. ``compare``,
 ``simulate`` and the trajectory dump all step through it, and the first
-two take a system's mean offered wait from :class:`_OfferedWait`. :func:`lockstep_profiles` gives the final
-profiles of R systems, the rows of an array, bit for bit those of
-:func:`pth_step`; backward replays go through it. The last two share one
-array step, :func:`_iter_lockstep`.
+two take a system's mean offered wait from :class:`_OfferedWait`.
+:func:`lockstep_profiles` gives R systems' final profiles, the rows of an
+array, bit for bit those of :func:`pth_step`, for backward replays; it
+shares one array step, :func:`_iter_lockstep`, with :func:`path_profiles`.
 """
 
 from __future__ import annotations
@@ -170,8 +170,9 @@ _PATH_CHUNK = 2**14
 #   S = 4: R = 1 10.8/1.8, R = 4 10.5/6.7, R = 6 10.2/8.9, R = 7 9.4/12.1, R = 8 8.3/13.3
 #   S = 8: R = 1 10.4/2.1, R = 4 10.5/8.4, R = 5 10.7/10.5, R = 6 10.7/12.3, R = 8 10.7/16.6
 # The kernel wins from R = 5 at S = 2, 7 at S = 4 and 6 at S = 8, so 7
-# would serve every S here; the threshold stays 8 until the loynes
-# workloads, its callers, are timed at 7.
+# would serve every S here. It stays 8, as no bench workload steps 3 to 7
+# rows: loynes on 5 to 7 seeds at S = 2, 4 and 8, whose lockstep calls step
+# that many rows, timed end to end at 7 against 8, would settle it.
 _LOCKSTEP_MIN_ROWS = 8
 # A pass of path_profiles with fewer dirty blocks finishes the path in
 # order, at once, where a kernel pass may leave some dirty. The bench's

@@ -315,33 +315,67 @@ def test_device_output_is_written_directly(capsys):
     assert f"wrote {os.devnull}" in out
 
 
+# A config and argv whose output file, DEST, goes to stdout: the summary
+# lines follow the CSV, and for compare each seed's lines and violations too.
+OUT_TO_STDOUT = {
+    "simulate": ("", ["simulate", "--seeds", "1 2", "--horizon", "3", "--out", "DEST"]),
+    "compare": (
+        "[compare]\nsum_slack = -0.05\n",
+        ["compare", "--seeds", "1..3", "--horizon", "50", "--out", "DEST"],
+    ),
+    # two workers' spooled trajectories, appended in seed order
+    "trajectories": (
+        "[compare]\nsum_slack = -0.05\ntrajectories = DEST\n",
+        ["compare", "--seeds", "1..3", "--horizon", "50", "--jobs", "2"],
+    ),
+}
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
 class TestOutToStdout:
-    """``--out /dev/stdout`` writes the CSV into stdout, ahead of the
-    summary lines, whether stdout is a pipe or a redirected file."""
+    """``--out /dev/stdout`` (or ``[compare] trajectories``) writes the CSV
+    into stdout, ahead of the summary lines, whether stdout is a pipe or a
+    redirected file and whether Python buffers it or not. Each test runs
+    every case of OUT_TO_STDOUT with ``PYTHONUNBUFFERED`` unset and set to 1,
+    in a directory of its own."""
 
-    ARGV = [sys.executable, "-m", "jswsim.cli", "simulate", "--seeds", "1 2", "--horizon", "3"]
+    CASES = [(command, unbuffered) for command in OUT_TO_STDOUT for unbuffered in (False, True)]
 
-    def expected(self, tmp_path):
-        ref = tmp_path / "ref.csv"
-        proc = subprocess.run([*self.ARGV, "--out", str(ref)], capture_output=True, text=True)
-        assert proc.returncode == 0
-        return ref.read_text() + proc.stdout.replace(str(ref), "/dev/stdout")
+    @staticmethod
+    def call(work, command, unbuffered, dest, **kwargs):
+        text, argv = OUT_TO_STDOUT[command]
+        (work / "c.ini").write_text(text.replace("DEST", dest))
+        argv = [arg.replace("DEST", dest) for arg in argv]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        cmd = [sys.executable, "-m", "jswsim.cli", *argv, "--config", str(work / "c.ini")]
+        return subprocess.run(cmd, env=env, text=True, **kwargs)
+
+    def expected(self, work, command, unbuffered):
+        ref = work / "ref.csv"
+        proc = self.call(work, command, unbuffered, str(ref), capture_output=True)
+        assert proc.stderr == ""
+        return proc.returncode, ref.read_text() + proc.stdout.replace(str(ref), "/dev/stdout")
 
     def test_into_a_pipe(self, tmp_path):
-        proc = subprocess.run([*self.ARGV, "--out", "/dev/stdout"], capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == self.expected(tmp_path)
+        for case in self.CASES:
+            work = tmp_path / "-".join(map(str, case))
+            work.mkdir()
+            proc = self.call(work, *case, "/dev/stdout", capture_output=True)
+            assert proc.stderr == "", case
+            assert (proc.returncode, proc.stdout) == self.expected(work, *case), case
 
     def test_into_a_redirected_file(self, tmp_path):
-        dest = tmp_path / "stdout.txt"
-        with open(dest, "w") as f:
-            proc = subprocess.run(
-                [*self.ARGV, "--out", "/dev/stdout"], stdout=f, stderr=subprocess.PIPE, text=True
-            )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert dest.read_text() == self.expected(tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.csv", "stdout.txt"]
+        for case in self.CASES:
+            work = tmp_path / "-".join(map(str, case))
+            work.mkdir()
+            dest = work / "stdout.txt"
+            with open(dest, "w") as f:
+                proc = self.call(work, *case, "/dev/stdout", stdout=f, stderr=subprocess.PIPE)
+            assert proc.stderr == "", case
+            assert (proc.returncode, dest.read_text()) == self.expected(work, *case), case
+            assert sorted(p.name for p in work.iterdir()) == ["c.ini", "ref.csv", "stdout.txt"]
 
 
 class TestDeterminism:
@@ -653,51 +687,74 @@ def test_total_cells_are_fsum(rows):
     assert cli._total_cells(path, last) == expected
 
 
+def seed_rows_argv(command, work, name):
+    """The argv of a ``command`` whose seeds write rows to ``work / name``:
+    ``simulate --out`` or ``compare`` with ``[compare] trajectories``, from
+    the config ``work / "c.ini"``."""
+    cfg = work / "c.ini"
+    if command == "simulate":
+        cfg.write_text("")
+        return ["simulate", "--config", str(cfg), "--out", str(work / name)]
+    cfg.write_text(f"[compare]\ntrajectories = {work / name}\n")
+    return ["compare", "--config", str(cfg)]
+
+
 def test_simulate_drops_each_seed_text_before_the_next(tmp_path, capsys, monkeypatch, pools):
     # a pool worker writes its seed's rows to a file of its own and returns
     # its path, not the text; the parent appends the file and deletes it
-    # before the next seed's result arrives
+    # before the next seed's result arrives. So do compare's trajectories.
     spooled = []
-    sim_spooled = cli._sim_spooled
+    spool_one = cli._spooled
 
-    def spy(payload):
+    def spy(fn, spool, payload):
         assert not any(os.path.exists(path) for path in spooled)
-        *numbers, path = sim_spooled(payload)
-        assert not any(isinstance(x, str) for x in numbers)
+        result, path = spool_one(fn, spool, payload)
+        assert not any(isinstance(x, str) for x in result)
         spooled.append(path)
-        return (*numbers, path)
+        return result, path
 
-    monkeypatch.setattr(cli, "_sim_spooled", spy)
-    argv = ["simulate", "--seeds", "1..3", "--horizon", "50", "--jobs", "2"]
-    code, _, _ = run([*argv, "--out", str(tmp_path / "s.csv")], capsys)
-    assert code == 0 and len(spooled) == 3
-    assert [workers for workers, _ in pools] == [2]
-    # the directory of the spooled files went with the run
-    assert not os.path.exists(os.path.dirname(spooled[0]))
-    code, _, _ = run([*argv[:-2], "--jobs", "1", "--out", str(tmp_path / "one.csv")], capsys)
-    assert code == 0 and (tmp_path / "s.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    monkeypatch.setattr(cli, "_spooled", spy)
+    argv = ["--seeds", "1..3", "--horizon", "50"]
+    for command in ("simulate", "compare"):
+        spooled.clear()
+        work = tmp_path / command
+        work.mkdir()
+        code, _, _ = run([*seed_rows_argv(command, work, "s.csv"), *argv, "--jobs", "2"], capsys)
+        assert code == 0 and len(spooled) == 3, command
+        # the directory of the spooled files went with the run
+        assert not os.path.exists(os.path.dirname(spooled[0]))
+        code, _, _ = run([*seed_rows_argv(command, work, "one.csv"), *argv, "--jobs", "1"], capsys)
+        assert code == 0 and (work / "s.csv").read_bytes() == (work / "one.csv").read_bytes()
+    assert [workers for workers, _ in pools] == [2, 2]
 
 
 def test_simulate_spool_is_removed_when_a_seed_fails(tmp_path, capsys, monkeypatch):
     # a real pool of two workers; seed 2 fails while seeds 1 and 3 may have
-    # written their files: none is left, and neither is a partial CSV
-    sim_one = cli._sim_one
+    # written their files: none is left, and neither is a partial CSV. The
+    # workers are forked, so they draw through the patched functions.
+    def failing(real):
+        def draw(model, seed, *args):
+            if seed == 2:
+                raise RuntimeError("seed 2 failed")
+            return real(model, seed, *args)
 
-    def failing(payload, out=None):
-        if payload[1] == 2:
-            raise RuntimeError("seed 2 failed")
-        return sim_one(payload, out)
+        return draw
 
-    spool_root = tmp_path / "tmp"
-    spool_root.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(spool_root))
+    for name in ("generate_forward", "generate"):  # simulate's and compare's
+        monkeypatch.setattr(cli, name, failing(getattr(cli, name)))
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_sim_one", failing)
-    argv = ["simulate", "--seeds", "1..4", "--horizon", "3000", "--jobs", "2"]
-    code, _, err = run([*argv, "--out", str(tmp_path / "s.csv")], capsys)
-    assert code == 70 and "seed 2 failed" in err
-    assert list(spool_root.iterdir()) == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["tmp"]
+    for command in ("simulate", "compare"):
+        work = tmp_path / command
+        spool_root = work / "tmp"
+        spool_root.mkdir(parents=True)
+        monkeypatch.setattr(tempfile, "tempdir", str(spool_root))
+        argv = [*seed_rows_argv(command, work, "s.csv"), "--seeds", "1..4", "--horizon", "3000"]
+        code, out, err = run([*argv, "--jobs", "2"], capsys)
+        assert code == 70 and "seed 2 failed" in err, command
+        # a run that fails prints no seed's summary
+        assert out == ""
+        assert list(spool_root.iterdir()) == []
+        assert sorted(p.name for p in work.iterdir()) == ["c.ini", "tmp"]
 
 
 def test_simulate_writes_each_block_as_it_is_formatted(tmp_path, capsys, monkeypatch, pools):

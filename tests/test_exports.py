@@ -1,6 +1,7 @@
 """Every exported name resolves, so a deletion cannot leave a dangling export."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -35,6 +36,39 @@ def test_bench_lookups_resolve(name):
     assert not missing, missing
 
 
+# bench/test_smoke.py::MEASURED_ON["compare-wide"] needs
+# comparison.compare_server_counts.self_s and comparison.steps_checked, which
+# the bench's tracer reads from its wrap of cli.compare_server_counts (the
+# report's steps_checked). A compare that checked its seeds another way would
+# read 0 on both, and this suite would not see it.
+@pytest.mark.parametrize(
+    "mode, name, keys",
+    [
+        ("servers", "compare_server_counts", "servers_small = 2\n"),
+        ("allocation", "compare_allocation_ranks", "rank = 2\n"),
+    ],
+)
+def test_compare_checks_each_seed_through_the_library_call(mode, name, keys, tmp_path, monkeypatch):
+    cli = importlib.import_module("jswsim.cli")
+    processes = importlib.import_module("jswsim.processes")
+    real = getattr(cli, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        marks = inspect.signature(real).bind(*args, **kwargs).arguments["marks"]
+        calls.append((type(marks), len(marks)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(
+        f"[compare]\nmode = {mode}\nservers = 3\n{keys}trajectories = {tmp_path / 't.csv'}\n"
+    )
+    argv = ["compare", "--config", str(cfg), "--seeds", "1..3", "--horizon", "40", "--jobs", "1"]
+    assert cli.main(argv) == 0
+    assert calls == [(processes.MarkSequence, 40)] * 3
+
+
 @pytest.mark.parametrize("name", ["comparison", "cli"])
 def test_forward_runs_go_through_the_one_walk(name, monkeypatch, tmp_path, capsys):
     # profiles._path_chunks alone cuts a run into path_profiles calls and
@@ -44,7 +78,9 @@ def test_forward_runs_go_through_the_one_walk(name, monkeypatch, tmp_path, capsy
     assert not bound, bound
     if name == "cli":
         # simulate draws its marks chunk by chunk as the walk steps them,
-        # never the whole run at once; compare still draws through generate
+        # never the whole run at once
+        generate = module.generate
+
         def whole_run(*args):
             raise AssertionError("simulate drew a whole run")
 
@@ -52,6 +88,21 @@ def test_forward_runs_go_through_the_one_walk(name, monkeypatch, tmp_path, capsy
         argv = ["simulate", "--seeds", "1 2", "--horizon", "40000", "--jobs", "1"]
         assert module.main([*argv, "--out", str(tmp_path / "s.csv")]) == 0
         assert capsys.readouterr().out.count("40000 arrivals") == 2
+        # compare draws each seed's run once, with generate, and writes its
+        # trajectories from the marks it has just checked
+        drawn = []
+
+        def counted(model, seed, horizon):
+            drawn.append(seed)
+            return generate(model, seed, horizon)
+
+        monkeypatch.setattr(module, "generate", counted)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[compare]\ntrajectories = {tmp_path / 't.csv'}\n")
+        argv = ["compare", "--config", str(cfg), "--seeds", "1 2", "--horizon", "50", "--jobs", "1"]
+        assert module.main(argv) == 0
+        assert drawn == [1, 2]
+        assert "wrote " + str(tmp_path / "t.csv") + " (510 rows)" in capsys.readouterr().out
 
 
 # One call of each public mark generator of jswsim.processes.
