@@ -192,8 +192,12 @@ def _replay(
     shallower depth d joins it, empty, at mark d - 1, after which they step
     together. The marks come oldest first, in descending mark index, in
     chunks (:func:`generate_chunks`), and a pass holds R seeds times one
-    chunk, at most ``_PASS_MARKS`` marks, at every depth. Each pass steps all its replays, the rows of one array,
-    through :func:`lockstep_profiles`, one call per stretch between joins.
+    chunk, at most ``_PASS_MARKS`` marks, at every depth. Each pass steps
+    all its replays, the rows of one array, through
+    :func:`lockstep_profiles`, one call per stretch between joins: as one
+    array from ``_LOCKSTEP_MIN_ROWS`` rows on, and below that each row on
+    its own, as a time-blocked path when the stretch spans a walk chunk of
+    ``_PATH_CHUNK`` marks, as a single seed's deep replay does.
     """
     n = depths[-1]
     rows = min(n, max(_MIN_CHUNK_ROWS, _PASS_MARKS // len(seeds)))

@@ -20,12 +20,15 @@ profiles in blocks, one contiguous row per coordinate. ``compare``,
 two take a system's mean offered wait from :class:`_OfferedWait`.
 :func:`lockstep_profiles` gives R systems' final profiles, the rows of an
 array, bit for bit those of :func:`pth_step`, for backward replays; it
-shares one array step, :func:`_iter_lockstep`, with :func:`path_profiles`.
+shares one array step, :func:`_iter_lockstep`, with :func:`path_profiles`,
+and steps each row of a long call of a few rows as a time-blocked path,
+by :func:`path_profiles` itself.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import insort
 from collections import deque
 from itertools import chain
@@ -161,18 +164,48 @@ _PATH_BLOCK = 32
 #   2**14: 0.165 0.308 0.332 0.441 0.622, 4.0 MB
 #   2**15: 0.152 0.280 0.331 0.437 0.631, 7.9 MB
 _PATH_CHUNK = 2**14
-# A lockstep_profiles call with fewer rows steps them one at a time. The
-# array kernel costs about as much per step for one row as for ten, the
-# scalar loop one step per row. Microseconds per step of R seeds, 2048
-# steps at rank 1, array kernel / scalar loop, median of three runs of 15
-# pinned to one CPU of a 2-core VM, numpy 2.4.6:
-#   S = 2: R = 1 7.3/1.5, R = 4 6.2/6.2, R = 5 6.4/7.6, R = 6 6.4/8.5, R = 8 6.3/12.2
-#   S = 4: R = 1 10.8/1.8, R = 4 10.5/6.7, R = 6 10.2/8.9, R = 7 9.4/12.1, R = 8 8.3/13.3
-#   S = 8: R = 1 10.4/2.1, R = 4 10.5/8.4, R = 5 10.7/10.5, R = 6 10.7/12.3, R = 8 10.7/16.6
-# The kernel wins from R = 5 at S = 2, 7 at S = 4 and 6 at S = 8, so 7
-# would serve every S here. It stays 8, as no bench workload steps 3 to 7
-# rows: loynes on 5 to 7 seeds at S = 2, 4 and 8, whose lockstep calls step
-# that many rows, timed end to end at 7 against 8, would settle it.
+# A lockstep_profiles call with fewer rows steps them one by one: one
+# arrival at a time, or, once the call spans _PATH_CHUNK marks, each row as
+# a time-blocked path by path_profiles. The array kernel costs about as
+# much per step for one row as for ten, the other two one row's steps per
+# row. CPU per step of R rows from zeros at load 0.9, rank 1, as the median
+# ratio of five alternating runs pinned to one CPU of a 2-core VM shared
+# with other jobs, numpy 2.4.6:
+#   kernel / walk        R = 4     6     8    12    16
+#     n = 2048,  S = 2:     1.32  0.95  0.57  0.44  0.30
+#                S = 4:     1.46  1.03  0.80  0.47  0.33
+#                S = 8:     1.15  0.85  0.52  0.39  0.28
+#     n = 16384, S = 2:     3.24  1.97  1.21  1.00  0.77
+#                S = 4:     3.86  2.32  1.89  1.27  0.85
+#                S = 8:     2.52  1.49  1.28  0.94  0.63
+#   kernel / row loop, n = 2048:
+#                S = 2:     0.96  0.69  0.55  0.37  0.27
+#                S = 4:     1.55  1.01  0.91  0.51  0.34
+#                S = 8:     1.12  0.81  0.67  0.43  0.28
+# The kernel wins from R = 6 to 8 at n = 2048, against either, and from
+# R = 12 to 16 against the walk at n = 16384. The count stays 8: a higher
+# one would serve only calls of 8 to 11 rows that span a walk chunk, which
+# no bench workload makes, and would hand such rows of shorter calls to the
+# slower row loop.
+#
+# The length rule: a row steps as a path only from _PATH_CHUNK marks on.
+# One row from zeros, rank 1, CPU per step of the walk over the row loop,
+# the median ratio of nine alternating runs (same VM; the loop took 0.9 to
+# 2.1 us per step), by the call's marks n:
+#                n = 512  1024  2048  4096  8192  16384
+#   S = 2, load 0.5:   1.48  0.91  0.40  0.21  0.12  0.10
+#               0.9:   1.64  1.11  0.64  0.56  0.72  0.36
+#              0.98:   1.87  1.60  1.14  1.16  1.24  1.08
+#   S = 4, load 0.5:   1.86  1.05  0.51  0.25  0.15  0.10
+#               0.9:   2.13  1.38  1.29  0.67  0.61  0.26
+#              0.98:   2.29  1.78  1.72  1.34  1.09  1.02
+#   S = 8, load 0.5:   1.68  1.01  0.49  0.23  0.16  0.13
+#               0.9:   1.93  1.18  0.94  0.66  0.81  0.28
+#              0.98:   2.03  1.58  1.52  1.34  1.41  1.31
+# At loads 0.5 and 0.9 the walk is faster from 4096 marks on; at 0.98 it is
+# slower at every length, as few of its blocks merge and path_profiles then
+# steps nearly all of them in order after its array passes. No shorter
+# length is no slower at all three loads, so the rule stays one walk chunk.
 _LOCKSTEP_MIN_ROWS = 8
 # A pass of path_profiles with fewer dirty blocks finishes the path in
 # order, at once, where a kernel pass may leave some dirty. The bench's
@@ -231,20 +264,39 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
     with the same rounding, so row r of the result equals the last profile
     of :func:`iter_profiles` over column r, bit for bit, and a run over
     marks split in two is one call chained into another. Returns a new
-    ``(R, S)`` array; other shapes and a rank outside [1, S] raise
-    ValueError. Fewer than ``_LOCKSTEP_MIN_ROWS`` rows are stepped one at a
-    time, as by :func:`iter_profiles`; more as one array, by
-    :func:`_iter_lockstep`. Adding +0.0 to the start maps -0.0 to +0.0, as
+    ``(R, S)`` array; other shapes, a rank outside [1, S] and a start row
+    that :func:`pth_step` refuses raise ValueError. From
+    ``_LOCKSTEP_MIN_ROWS`` rows on, the rows are stepped as one array, by
+    :func:`_iter_lockstep`. Fewer rows are stepped one by one: each as a
+    time-blocked path, by :func:`path_profiles` a walk chunk
+    (``_PATH_CHUNK`` arrivals) at a time, when the call spans at least one
+    chunk, and one arrival at a time, as by :func:`iter_profiles`, when it
+    is shorter. Adding +0.0 to the start maps -0.0 to +0.0, as
     :func:`pth_step` does.
     """
     u = np.array(start, dtype=np.float64)
     if u.ndim != 2 or np.shape(sigma) != np.shape(xi) or np.shape(sigma)[1:] != u.shape[:1]:
         raise ValueError(f"need (R, S) starts and (n, R) marks, got {u.shape}, {np.shape(sigma)}")
     _require_rank(zero_profile(u.shape[1]), rank)
+    # each row as the chain 0 <= u[0] <= ... <= u[S - 1] <= the largest
+    # float, _require_profile's rule; every link is false at a NaN
+    padded = np.zeros((len(u), u.shape[1] + 2))
+    padded[:, -1], padded[:, 1:-1] = sys.float_info.max, u
+    links = padded[:, :-1] <= padded[:, 1:]
+    if np.count_nonzero(links) < links.size:
+        r = int(np.argmin(links.all(axis=1)))
+        _require_profile(tuple(u[r].tolist()), f"start row {r}")
     u += 0.0
     if len(u) < _LOCKSTEP_MIN_ROWS:
         for r, row in enumerate(u.tolist()):
-            u[r] = deque(_iter_steps(tuple(row), sigma[:, r], xi[:, r], rank), maxlen=1)[0]
+            if len(sigma) < _PATH_CHUNK:
+                u[r] = deque(_iter_steps(tuple(row), sigma[:, r], xi[:, r], rank), maxlen=1)[0]
+            else:
+                # a time-blocked path, a walk chunk per path_profiles call
+                for lo in range(0, len(sigma), _PATH_CHUNK):
+                    part = slice(lo, lo + _PATH_CHUNK)
+                    path = path_profiles(tuple(u[r].tolist()), sigma[part, r], xi[part, r], rank)
+                    u[r] = path[-1]
         return u
     u = np.array(u.T, order="C")
     # Each step's gaps copied to every coordinate row, so that the subtract

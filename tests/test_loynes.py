@@ -11,7 +11,7 @@ from formulas import backward_marks, loynes_iterate
 from jswsim.errors import StabilityError
 from jswsim.loynes import estimate_stationary, estimate_stationary_many
 from jswsim.orderings import prec
-from jswsim.processes import Deterministic, Exponential, IIDModel, generate
+from jswsim.processes import Deterministic, Exponential, IIDModel, TraceModel, generate
 from jswsim.profiles import _LOCKSTEP_MIN_ROWS, pth_step
 
 MM1_HALF = IIDModel(Exponential(1.0), Exponential(0.5))  # load 0.25 on 2 servers
@@ -122,6 +122,25 @@ class TestEstimate:
         a = estimate_stationary(MM1_HALF, 77, 3)
         b = estimate_stationary(MM1_HALF, 77, 3)
         assert a.profile == b.profile and a.steps_used == b.steps_used
+
+    def test_one_trace_seed_is_the_formulas_replay(self, tmp_path):
+        # The 2^14 most recent marks load two servers to 1.3 and the older
+        # ones to 0.5, so no two depths agree before n = 2^15. Depths 2^14
+        # and 2^15 replay their one row a walk chunk or more at a time, as
+        # time-blocked paths.
+        rng = np.random.default_rng(0)
+        lines = 2**15
+        sigma = rng.exponential(1.0, lines)
+        xi = rng.exponential(1.0, lines) / np.where(np.arange(lines) < 2**14, 2.6, 1.0)
+        path = tmp_path / "marks.trace"
+        path.write_text("".join(f"{s!r} {x!r}\n" for s, x in zip(sigma.tolist(), xi.tolist())))
+        model = TraceModel(str(path))
+        res = estimate_stationary(model, 5, 2, window=2**12, max_n=lines, keep_history=True)
+        depths = [2**12, 2**13, 2**14, 2**15]
+        expected = tuple((n, loynes_iterate(backward_marks(model, 5, n), 2)) for n in depths)
+        assert res.steps_used == lines
+        assert repr(res.history) == repr(expected)
+        assert repr(res.profile) == repr(expected[-1][1])
 
 
 class TestManySeeds:

@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import jswsim.profiles
 from jswsim.processes import MarkSequence
 from jswsim.profiles import (
+    _PATH_CHUNK,
     Mark,
     iter_profiles,
     kw_step,
@@ -322,11 +324,88 @@ class TestLockstep:
         chained = lockstep_profiles(head, sigma[137:], xi[137:], rank)
         assert _bits(chained.tolist()) == _bits(whole.tolist())
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(math.nan, 1.0), (0.5, math.nan), (0.0, math.inf), (-1.0, 0.0), (1.0, 0.5), (-0.5, -1.0)],
+    )
+    @pytest.mark.parametrize("systems,n", [(1, 3), (8, 3), (1, _PATH_CHUNK), (3, _PATH_CHUNK)])
+    def test_start_rows_must_be_profiles(self, bad, systems, n):
+        # unchecked, a NaN row stepped to (0.4, 1.2) one row at a time and
+        # to NaNs as an array, and an unsorted row sent its arrivals to the
+        # wrong queue
+        start = np.zeros((systems, 2))
+        start[-1] = bad
+        sigma, xi = np.full((n, systems), 0.5), np.full((n, systems), 0.1)
+        row = rf"start row {systems - 1} must be finite, nonnegative and nondecreasing"
+        with pytest.raises(ValueError, match=row):
+            lockstep_profiles(start, sigma, xi, 1)
+
+    def test_signed_zero_rows_are_profiles(self):
+        start = np.array([[-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 2.0]])
+        out = lockstep_profiles(start, np.zeros((1, 3)), np.zeros((1, 3)), 1)
+        assert _bits(out.tolist()) == _bits([(0.0, 0.0, 0.0)] * 2 + [(0.0, 0.0, 2.0)])
+
+    # walk chunks, whole and with a ragged last one, at load 0.5 and 1.5 on
+    # the servers a rank-th arrival can join
+    @pytest.mark.parametrize("n", [_PATH_CHUNK, _PATH_CHUNK + 37])
+    @pytest.mark.parametrize("servers,rank", [(1, 1), (2, 1), (2, 2), (8, 1), (8, 8)])
+    @pytest.mark.parametrize("load", [0.5, 1.5])
+    def test_long_call_matches_iter_profiles(self, n, servers, rank, load):
+        start, sigma, xi = _long_call(n, servers, rank, load)
+        final = lockstep_profiles(start, sigma, xi, rank)
+        assert _bits(final.tolist()) == _long_call_reference(n, servers, rank, load)
+
+
+def _long_call(n, servers, rank, load):
+    """The start rows and marks of a two-row call of ``n`` arrivals."""
+    rng = np.random.default_rng([n, servers, rank, int(10 * load)])
+    sigma = rng.exponential(1.0, (n, 2)) * (rng.random((n, 2)) < 0.9)
+    xi = rng.exponential(0.9 / (load * (servers - rank + 1)), (n, 2))
+    start = np.vstack([np.zeros(servers), np.sort(rng.exponential(3.0, servers))])
+    return start, sigma, xi
+
+
+@functools.cache
+def _long_call_reference(n, servers, rank, load):
+    start, sigma, xi = _long_call(n, servers, rank, load)
+    columns = (SimpleNamespace(sigma=sigma[:, r], xi=xi[:, r]) for r in range(len(start)))
+    return _bits(
+        deque(iter_profiles(tuple(row), marks, rank), maxlen=1)[0]
+        for row, marks in zip(start.tolist(), columns)
+    )
+
 
 class TestLockstepRowByRow(TestLockstep):
-    """The same cases with every call stepping its rows one at a time."""
+    """The same cases with every call stepping its rows one by one: those of
+    a walk chunk or more as time-blocked paths."""
 
     MIN_ROWS = 2**62
+
+
+@pytest.mark.usefixtures("forced_split")
+class TestLockstepSplitPaths:
+    """The long calls, their rows stepped as paths cut into blocks of 1 to 3
+    arrivals, each pass of them stepped as one array."""
+
+    test_long_call_matches_iter_profiles = TestLockstep.test_long_call_matches_iter_profiles
+
+
+def test_only_long_few_row_calls_step_as_paths(monkeypatch):
+    # a call of fewer than _LOCKSTEP_MIN_ROWS rows steps each row through
+    # path_profiles, a walk chunk at a time, once it spans a chunk; shorter
+    # calls step one arrival at a time and wider ones as one array
+    calls = []
+    walk = jswsim.profiles.path_profiles
+    monkeypatch.setattr(
+        jswsim.profiles, "path_profiles", lambda *a: calls.append(len(a[1])) or walk(*a)
+    )
+    rng = np.random.default_rng(1)
+    wide = jswsim.profiles._LOCKSTEP_MIN_ROWS
+    cases = [(1, 128), (wide - 1, 128), (wide, _PATH_CHUNK), (1, _PATH_CHUNK)]
+    for systems, n in cases + [(wide - 1, _PATH_CHUNK + 37)]:
+        sigma, xi = rng.exponential(1.0, (n, systems)), rng.exponential(1.0, (n, systems))
+        lockstep_profiles(np.zeros((systems, 2)), sigma, xi, 1)
+    assert calls == [_PATH_CHUNK] + [_PATH_CHUNK, 37] * (wide - 1)
 
 
 def _path_reference(start, sigma, xi, rank):
