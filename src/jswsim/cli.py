@@ -42,7 +42,7 @@ from . import __version__
 from .comparison import compare_allocation_ranks, compare_server_counts
 from .config import CONFIG_ENV_VAR, CONFIG_HELP, ExperimentConfig, load_config
 from .errors import ConfigError, InputError, PremiseError, StabilityError
-from .loynes import _blocks, estimate_stationary_many
+from .loynes import _blocks, _require_seed_count, estimate_stationary_many
 from .orderings import run_property_suite
 from .processes import RNG_ALGORITHM, generate, generate_forward, model_label
 from .profiles import _OfferedWait, _path_chunks, _slices
@@ -313,6 +313,10 @@ def _loynes_block(payload):
 
 
 def cmd_loynes(cfg: ExperimentConfig) -> int:
+    try:
+        _require_seed_count(cfg.model, cfg.seeds)
+    except ValueError as exc:
+        raise ConfigError(f"[run] seeds: {exc}") from exc
     settings = cfg.loynes
     keep = cfg.out is not None
     # One lockstep estimation per worker, over a contiguous block of seeds.

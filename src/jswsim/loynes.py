@@ -33,6 +33,7 @@ from .profiles import (  # noqa: F401
 from .processes import (
     InputModel,
     StabilityVerdict,
+    TraceModel,
     generate_chunks,
     mean_sigma,
     mean_xi,
@@ -125,10 +126,14 @@ def estimate_stationary_many(
     doubling and return on the next, so the flag is evidence, not proof.
 
     All seeds still running at depth n are replayed together (see
-    :func:`_replay`), and each seed stops on its own increment, so every
-    result equals the one this function gives for that seed alone.
+    :func:`_replay`), and the stop is decided for all of them at once, at
+    the deepest depth of the call, each on its own increment: so every
+    result equals the one this function gives for that seed alone. A trace
+    gives every seed the same marks, so it takes at most one seed.
     """
     _require_loynes_settings(servers, rank, tolerance, window, max_n)
+    seeds = list(seeds)
+    _require_seed_count(model, seeds)
     effective = servers - rank + 1
     verdict = stability_check(model, effective)
     if verdict is not StabilityVerdict.STABLE:
@@ -137,44 +142,39 @@ def estimate_stationary_many(
             f"{effective} * {mean_xi(model)!r} for {effective} effective server(s)"
         )
 
-    seeds = list(seeds)
-    results: list[LoynesResult | None] = [None] * len(seeds)
-    histories: list[list[tuple[int, Profile]]] = [[] for _ in seeds]
-    prev: list[Profile | None] = [None] * len(seeds)
-    increment = [math.inf] * len(seeds)
-
-    def record(i: int, n: int, profile: Profile) -> bool:
-        """Take seed i's n-deep profile; True when the seed stops there."""
-        if keep_history:
-            histories[i].append((n, profile))
-        converged = False
-        if prev[i] is not None:
-            increment[i] = max(abs(a - b) for a, b in zip(profile, prev[i]))
-            converged = increment[i] <= tolerance
-        if converged or 2 * n > max_n:
-            results[i] = LoynesResult(
-                profile=profile,
-                steps_used=n,
-                converged=converged,
-                last_increment=increment[i],
-                history=tuple(histories[i]) if keep_history else None,
-            )
-            return True
-        prev[i] = profile
-        return False
-
-    active = list(range(len(seeds)))
+    results: list[LoynesResult] = [None] * len(seeds)  # type: ignore[list-item]
+    running = np.arange(len(seeds))
+    # the running seeds' profiles one depth back; none before the first
+    prev = np.full((len(seeds), servers), math.inf)
+    snapshots: list[tuple[int, np.ndarray]] = []  # (n, a row per seed), with keep_history
     # Every seed needs the first two depths before it can stop, so they share one draw.
     depths = [window, 2 * window] if 2 * window <= max_n else [window]
-    while active:
-        replays = _replay(model, [seeds[i] for i in active], servers, rank, depths)
-        active = [
-            i
-            for i, profiles in zip(active, replays)
-            if not any(record(i, n, profile) for n, profile in zip(depths, profiles))
-        ]
-        depths = [2 * depths[-1]]
-    return results  # type: ignore[return-value]
+    while running.size:
+        replays = _replay(model, [seeds[i] for i in running], servers, rank, depths)
+        if keep_history:
+            table = np.empty((len(depths), len(seeds), servers))
+            table[:, running] = replays
+            snapshots.extend(zip(depths, table))
+        # Seeds stop only at a call's deepest depth: the first depth has no increment.
+        n = depths[-1]
+        prev, profile = (prev, *replays)[-2:]
+        increment = np.abs(profile - prev).max(axis=1)
+        converged = increment <= tolerance
+        stop = converged | (2 * n > max_n)
+        for i, j in zip(running[stop].tolist(), np.flatnonzero(stop)):
+            history = tuple((d, tuple(t[i].tolist())) for d, t in snapshots) if keep_history else None
+            results[i] = LoynesResult(
+                tuple(profile[j].tolist()), n, bool(converged[j]), float(increment[j]), history
+            )
+        running, prev = running[~stop], profile[~stop]
+        depths = [2 * n]
+    return results
+
+
+def _require_seed_count(model: InputModel, seeds: Sequence[int]) -> None:
+    """A trace gives every seed the same marks, so it takes one seed."""
+    if isinstance(model, TraceModel) and len(seeds) > 1:
+        raise ValueError(f"a trace gives every seed the same marks; got {len(seeds)} seeds")
 
 
 def _blocks(items, count):
@@ -184,8 +184,10 @@ def _blocks(items, count):
 
 def _replay(
     model: InputModel, seeds: list[int], servers: int, rank: int, depths: list[int]
-) -> list[tuple[Profile, ...]]:
-    """The backward profile of each seed, in order, at each of the ascending ``depths``.
+) -> np.ndarray:
+    """The backward profiles at the ascending ``depths``, as a ``(depths,
+    seeds, S)`` float64 array: entry [k, r] is the profile of ``seeds[r]``
+    at ``depths[k]``.
 
     All depths replay one draw of the deepest past, n = ``depths[-1]``
     marks: a replay starts empty at the oldest mark, and the replay of a
@@ -202,7 +204,7 @@ def _replay(
     n = depths[-1]
     rows = min(n, max(_MIN_CHUNK_ROWS, _PASS_MARKS // len(seeds)))
     passes = -(-len(seeds) // (_PASS_MARKS // rows))
-    out: list[tuple[Profile, ...]] = []
+    out = []
     for block in _blocks(seeds, passes):
         # (replays * R, S), deepest replay first
         state = np.zeros((0, servers))
@@ -215,6 +217,5 @@ def _replay(
                 reps = len(state) // len(block)
                 sig, x = sigma[bottom - lo : top - lo][::-1], xi[bottom - lo : top - lo][::-1]
                 state = lockstep_profiles(state, np.tile(sig, reps), np.tile(x, reps), rank)
-        final = [list(map(tuple, part.tolist())) for part in np.split(state, len(depths))]
-        out.extend(zip(*final[::-1]))
-    return out
+        out.append(state.reshape(len(depths), len(block), servers)[::-1])
+    return np.concatenate(out, axis=1)

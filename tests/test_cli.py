@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from jswsim import cli, profiles
 from jswsim.cli import main
 from jswsim.config import load_config
-from jswsim.processes import generate
+from jswsim.processes import TraceModel, generate
 from jswsim.profiles import iter_profiles
 
 
@@ -412,7 +412,7 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
         assert len({line.split()[2] for line in outputs[0][0].splitlines()[:19]}) > 1
 
-    def test_loynes_trace_jobs_do_not_change_output(self, tmp_path, capsys, monkeypatch):
+    def test_simulate_trace_jobs_do_not_change_output(self, tmp_path, capsys, monkeypatch):
         # Each worker reads the trace itself: under --jobs 2 this process
         # never parses it, so the model is sent to the workers unread.
         import jswsim.processes as processes
@@ -433,19 +433,57 @@ class TestDeterminism:
         cfg = tmp_path / "c.ini"
         cfg.write_text(
             f"[model]\nkind = trace\npath = {trace}\n"
-            "[run]\nseeds = 1..4\n[loynes]\nservers = 2\nwindow = 16\nmax_n = 2048\n"
+            "[run]\nseeds = 1..4\nhorizon = 2000\n[system]\nservers = 2\n"
         )
         outputs = []
         for jobs in ("1", "2"):
             reads.clear()
-            snap = tmp_path / f"s{jobs}.csv"
-            argv = ["loynes", "--config", str(cfg), "--jobs", jobs, "--out", str(snap)]
+            sim = tmp_path / f"s{jobs}.csv"
+            argv = ["simulate", "--config", str(cfg), "--jobs", jobs, "--out", str(sim)]
             code, out, _ = run(argv, capsys)
             assert code == 0
-            outputs.append((out.replace(str(snap), "SNAP"), snap.read_bytes()))
+            outputs.append((out.replace(str(sim), "SIM"), sim.read_bytes()))
             assert len(reads) == (1 if jobs == "1" else 0)
         assert outputs[0] == outputs[1]
-        assert "seed 4: n=256 converged" in outputs[0][0]
+        # every seed replays the same marks, so all four runs are one run
+        lines = outputs[0][0].splitlines()[:4]
+        assert lines[3].startswith("seed 4: 2000 arrivals, mean offered wait")
+        assert len({line.split(":", 1)[1] for line in lines}) == 1
+
+    def test_loynes_refuses_trace_seeds_before_replaying(self, tmp_path, capsys, monkeypatch):
+        # A trace gives every seed the same marks, so several seeds would
+        # print one draw as an average over seeds. The API refuses them with
+        # a ValueError, and the command exits 2 in this process, before
+        # opening its output or replaying, under any --jobs.
+        import jswsim.loynes as loynes
+
+        trace = tmp_path / "t.txt"
+        trace.write_text("1.0 2.0\n" * 64)
+        model = TraceModel(str(trace))
+        with pytest.raises(ValueError, match="same marks; got 2 seeds"):
+            loynes.estimate_stationary_many(model, [1, 2], 2, window=8, max_n=64)
+
+        def no_replay(*args):
+            raise AssertionError("replayed")
+
+        monkeypatch.setattr(loynes, "_replay", no_replay)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            f"[model]\nkind = trace\npath = {trace}\n[run]\nseeds = 1 2\n"
+            "[loynes]\nwindow = 8\nmax_n = 64\n"
+        )
+        snap = tmp_path / "snap.csv"
+        for jobs in ("1", "2"):
+            argv = ["loynes", "--config", str(cfg), "--jobs", jobs, "--out", str(snap)]
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert "[run] seeds: a trace gives every seed the same marks; got 2 seeds" in err
+            assert not snap.exists()
+        # one seed still runs, and --seeds can name it
+        monkeypatch.undo()
+        code, out, _ = run(["loynes", "--config", str(cfg), "--seeds", "2"], capsys)
+        assert code == 0 and out.startswith("seed 2: n=")
 
     def test_compare_jobs_do_not_change_output(self, tmp_path, capsys, monkeypatch):
         outputs = []

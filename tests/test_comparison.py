@@ -161,6 +161,20 @@ class TestAllocationComparison:
         with pytest.raises(ValueError):
             compare_allocation_ranks(3, 4, (0.0,) * 3, (0.0,) * 3, marks)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="float rounding: tail_sum[1] misses by 1 ulp at steps 3, 5 and 6",
+    )
+    def test_premise_met_with_equality_holds_in_floats(self):
+        # The starts are rank-ordered with equal totals, so the premise holds
+        # with equality, and the order holds at every step in exact
+        # arithmetic on these float marks. The float recursion rounds the
+        # two systems' coordinates differently, and the tail sums then differ
+        # by 1 ulp the wrong way; seeds 2, 5 and 8 fail the same way.
+        marks = generate(IIDModel(Exponential(0.0001), Exponential(0.0002)), 1, 2000)
+        report = compare_allocation_ranks(2, 2, (40192.0, 48384.0), (32512.0, 56064.0), marks)
+        assert report.passed
+
 
 class TestFcfsOracle:
     def test_single_server(self, tmp_path):

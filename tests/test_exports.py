@@ -71,8 +71,10 @@ def test_compare_checks_each_seed_through_the_library_call(mode, name, keys, tmp
 
 @pytest.mark.parametrize("name", ["comparison", "cli"])
 def test_forward_runs_go_through_the_one_walk(name, monkeypatch, tmp_path, capsys):
-    # profiles._path_chunks alone cuts a run into path_profiles calls and
-    # row blocks; the modules that step forward runs only consume it
+    # profiles cuts every run into path_profiles calls: _path_chunks cuts a
+    # forward run into calls and row blocks, and lockstep_profiles cuts a
+    # long few-row call at _PATH_CHUNK; the modules that step forward runs
+    # only consume the walk
     module = importlib.import_module(f"jswsim.{name}")
     bound = [n for n in ("path_profiles", "_PATH_CHUNK", "_CHUNK") if hasattr(module, n)]
     assert not bound, bound

@@ -127,7 +127,7 @@ CASES = {
         0,
     ),
     "loynes-trace": (
-        "[model]\nkind = trace\npath = t.txt\n[run]\nseeds = 1 2\n"
+        "[model]\nkind = trace\npath = t.txt\n[run]\nseeds = 1\n"
         "[loynes]\nservers = 2\nwindow = 16\nmax_n = 512\n",
         ["loynes", "--out", "snap.csv"],
         ["snap.csv"],
@@ -192,10 +192,13 @@ DIGESTS = {
         "stdout": "d23007483821a13b925048cee223f0e494b2f0b20348b0cb0cf8a84a574cff9c",
         "sim.csv": "6a252cccde5b4ddff2d1442d1b50e9be074f7958e814fc5300e976ba6602f87b",
     },
-    # the estimate stops at n = 256 of the trace's 600 marks
+    # the estimate stops at n = 256 of the trace's 600 marks; re-recorded
+    # for one seed when loynes began to refuse more than one on a trace,
+    # whose seeds all read the same marks (the bytes the earlier code gives
+    # for seeds = 1)
     "loynes-trace": {
-        "stdout": "ed23753ec18164b87a274a6233ee93eb98d7f1ca6ce81fb6e8d3806701b1df79",
-        "snap.csv": "6ae4ed2f79effdb19ea041268c7a571d12de8e7cee691b03c474dba7ceed7c6b",
+        "stdout": "7bf803aaca5701e94bd4b5b5fe7770e88ecf8eda47e90931050d9b10d6e79cab",
+        "snap.csv": "886a418b6842e91ca1cca3563eb070ab38cbb8c1060e0b8f3d63c323eccbacce",
     },
 }
 

@@ -240,6 +240,28 @@ class TestManySeeds:
         assert [self._fields(r) for r in many] == [self._fields(r) for r in one]
         assert {r.steps_used for r in many} == {2**14}
 
+    def test_one_depth_stops_every_seed_unconverged(self):
+        # 2 * window > max_n: each seed is replayed at one depth, with no
+        # increment to compare
+        args = dict(self.ARGS, window=16, max_n=31)
+        many = estimate_stationary_many(self.MODEL, range(1, 21), **args)
+        assert [(r.steps_used, r.converged, r.last_increment) for r in many] == [
+            (16, False, math.inf)
+        ] * 20
+        assert all(r.converged is False and len(r.history) == 1 for r in many)
+
+    def test_a_seed_stops_when_its_increment_equals_the_tolerance(self):
+        # the stop rule is increment <= tolerance, decided at depth 2 * window
+        seeds = list(range(1, 11))
+        first = estimate_stationary_many(self.MODEL, seeds, **dict(self.ARGS, max_n=16))
+        (_, a), (_, b) = first[4].history
+        t = max(abs(x - y) for x, y in zip(b, a))
+        assert 0.0 < t < math.inf
+        at = estimate_stationary_many(self.MODEL, seeds, **dict(self.ARGS, tolerance=t))[4]
+        assert (at.steps_used, at.converged, at.last_increment) == (16, True, t)
+        below = dict(self.ARGS, tolerance=math.nextafter(t, 0.0))
+        assert estimate_stationary_many(self.MODEL, seeds, **below)[4].steps_used > 16
+
     def test_seed_order_and_repeats(self):
         seeds = [9, 3, 9, 1, 4, 7]
         many = estimate_stationary_many(self.MODEL, seeds, **self.ARGS)
