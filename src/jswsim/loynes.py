@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import processes
 from .errors import StabilityError
 # pth_step is not called here; it stays importable for the benchmark's tracer test.
 from .profiles import (  # noqa: F401
@@ -34,6 +35,7 @@ from .processes import (
     InputModel,
     StabilityVerdict,
     TraceModel,
+    _chunk_rows,
     generate_chunks,
     mean_sigma,
     mean_xi,
@@ -45,13 +47,6 @@ __all__ = [
     "estimate_stationary",
     "estimate_stationary_many",
 ]
-
-# Marks held per replay pass, as seeds x rows of one chunk, at any depth.
-_PASS_MARKS = 2**15
-# Rows per chunk when a pass has many seeds, so that moving each seed's
-# Philox stream to the chunk stays a small share of drawing it.
-_MIN_CHUNK_ROWS = 128
-
 
 @dataclass(frozen=True)
 class LoynesResult:
@@ -193,17 +188,17 @@ def _replay(
     marks: a replay starts empty at the oldest mark, and the replay of a
     shallower depth d joins it, empty, at mark d - 1, after which they step
     together. The marks come oldest first, in descending mark index, in
-    chunks (:func:`generate_chunks`), and a pass holds R seeds times one
-    chunk, at most ``_PASS_MARKS`` marks, at every depth. Each pass steps
-    all its replays, the rows of one array, through
-    :func:`lockstep_profiles`, one call per stretch between joins: as one
-    array from ``_LOCKSTEP_MIN_ROWS`` rows on, and below that each row on
-    its own, as a time-blocked path when the stretch spans a walk chunk of
-    ``_PATH_CHUNK`` marks, as a single seed's deep replay does.
+    chunks (:func:`generate_chunks`) of ``processes._chunk_rows`` rows, and
+    a pass holds R seeds times one chunk, at most ``_PASS_MARKS`` marks, at
+    every depth. Each pass steps all its replays, the rows of one array,
+    through :func:`lockstep_profiles`, one call per stretch between joins:
+    as one array from ``_LOCKSTEP_MIN_ROWS`` rows on, and below that each
+    row on its own, as a time-blocked path when the stretch spans a walk
+    chunk of ``_PATH_CHUNK`` marks, as a single seed's deep replay does.
     """
     n = depths[-1]
-    rows = min(n, max(_MIN_CHUNK_ROWS, _PASS_MARKS // len(seeds)))
-    passes = -(-len(seeds) // (_PASS_MARKS // rows))
+    rows = _chunk_rows(n, len(seeds))
+    passes = -(-len(seeds) // (processes._PASS_MARKS // rows))
     out = []
     for block in _blocks(seeds, passes):
         # (replays * R, S), deepest replay first

@@ -66,6 +66,11 @@ _CRITICALITY_REL_TOL = 1e-12
 # Uniforms whose state picks _markov_states turns into Python ints at a time,
 # and marks a states-only walk (_walk) steps a Markov chain at a time.
 _CHUNK = 4096
+# Marks per chunk of a draw of many seeds, as seeds x rows.
+_PASS_MARKS = 2**15
+# Rows per chunk when there are many seeds, so that moving each seed's
+# Philox stream to the chunk stays a small share of drawing it.
+_MIN_CHUNK_ROWS = 128
 
 
 def _to_uniforms(raw: np.ndarray) -> np.ndarray:
@@ -476,7 +481,8 @@ class TraceModel:
     :func:`_read_trace`: numpy's text reader takes a well-formed file in one
     call, and any other file goes through the per-line loop
     :func:`_read_trace_lines`, which defines the format and locates its
-    errors.
+    errors. ``_columns`` are read-only views of the one parsed array, 16
+    bytes per mark, and every draw from the model is a view of them.
     """
 
     path: str
@@ -525,9 +531,10 @@ class MarkSequence:
         for name, a in (("sigma", self.sigma), ("xi", self.xi)):
             if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.float64):
                 raise ValueError(f"{name} must be a 1-d float64 array")
-            bad = np.flatnonzero(~((a >= 0.0) & (a < math.inf)))  # NaN too
-            if bad.size:
-                raise ValueError(f"{name}[{bad[0]}] = {float(a[bad[0]])!r}, must be finite, >= 0")
+            # false for NaN too; the first bad entry is looked for only when one is there
+            if a.size and not (a.min() >= 0.0 and a.max() < math.inf):
+                bad = np.flatnonzero(~((a >= 0.0) & (a < math.inf)))[0]
+                raise ValueError(f"{name}[{bad}] = {float(a[bad])!r}, must be finite, >= 0")
             a.setflags(write=False)
         if len(self.sigma) != len(self.xi):
             raise ValueError(f"{len(self.sigma)} sigma marks but {len(self.xi)} xi marks")
@@ -591,6 +598,7 @@ def _stream(
         draw = _generate_iid if isinstance(model, IIDModel) else _generate_markov
         sigma, xi, at = draw(model, seeds, at, lo, n)
         yield lo, sigma, xi
+        del sigma, xi  # not held while the next chunk is drawn
 
 
 def _walk(model: InputModel, seeds: list[int], at: Checkpoint, lo: int, n: int) -> Checkpoint:
@@ -698,15 +706,22 @@ def _generate_markov(
 
 
 def _read_trace(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """The trace's ``(sigma, xi)`` columns, as contiguous float64 arrays.
+    """The trace's ``(sigma, xi)`` columns: read-only 1-d float64 views of
+    one array that holds the marks, 16 bytes each.
 
     ``np.loadtxt`` splits on the same whitespace and comments as
     :func:`_read_trace_lines` and converts each token with CPython's
     correctly rounded ``PyOS_string_to_double``, so a file it reads into n
-    valid rows of two values gives ``float()``'s bits. It refuses some
-    tokens ``float()`` takes (``1_0``, non-ASCII digits), and every refusal,
-    wrong shape, empty file or out-of-range value is left to the loop, which
+    valid rows of two values gives ``float()``'s bits. Its ``(n, 2)`` array
+    is kept, the columns are its strided views, and they are checked by
+    reductions, which hold nothing of size n. It refuses some tokens
+    ``float()`` takes (``1_0``, non-ASCII digits), and every refusal, wrong
+    shape, empty file or out-of-range value is left to the loop, which
     returns its marks or raises its ``path:line`` error.
+
+    The file is opened here, as UTF-8 text, and numpy is handed the file
+    object: given a path, it would read a compressed sibling of a missing
+    file and decompress a ``.gz`` name.
     """
     try:
         with open(path, "r", encoding="utf-8") as f, warnings.catch_warnings():
@@ -716,13 +731,17 @@ def _read_trace(path: str) -> tuple[np.ndarray, np.ndarray]:
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         marks = None
     if marks is not None and marks.shape[0] >= 1 and marks.shape[1] == 2:
-        sig, xis = marks.T.copy()
-        if np.isfinite(marks).all() and (sig >= 0.0).all() and (xis > 0.0).all():
+        marks.setflags(write=False)
+        sig, xis = marks.T
+        # false for NaN too
+        if marks.max() < math.inf and sig.min() >= 0.0 and xis.min() > 0.0:
             return sig, xis
     sig_list, xis_list = _read_trace_lines(path)
     if not sig_list:
         raise InputError(f"trace {path!r} is empty")
-    return np.asarray(sig_list, dtype=np.float64), np.asarray(xis_list, dtype=np.float64)
+    marks = np.array([sig_list, xis_list], dtype=np.float64)
+    marks.setflags(write=False)
+    return marks[0], marks[1]
 
 
 def _read_trace_lines(path: str) -> tuple[list[float], list[float]]:
@@ -770,6 +789,13 @@ def _require_seeds(seeds: Iterable[int]) -> list[int]:
     return seeds
 
 
+def _chunk_rows(length: int, seeds: int) -> int:
+    """Rows per chunk of a draw of ``length`` marks of ``seeds`` seeds:
+    ``_PASS_MARKS`` marks in all, but at least ``_MIN_CHUNK_ROWS`` rows and
+    at most ``length``."""
+    return min(length, max(_MIN_CHUNK_ROWS, _PASS_MARKS // max(seeds, 1)))
+
+
 def generate_many(
     model: InputModel, seeds: Sequence[int], length: int, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -777,11 +803,23 @@ def generate_many(
 
     Both are ``(length, R)`` float64 arrays for R seeds: column r holds the
     marks of ``seeds[r]``, bit for bit rows ``start`` onward of
-    ``generate(model, seeds[r], start + length)``: the one-chunk case of
-    :func:`_stream`. A trace ignores the seed, so its arrays are read-only
+    ``generate(model, seeds[r], start + length)``. They are allocated once
+    and filled from :func:`_stream` a chunk of :func:`_chunk_rows` rows at
+    a time, so a draw holds its 16 bytes per mark and one chunk's
+    temporaries. A trace ignores the seed, so its arrays are read-only
     views whose columns share the file's marks.
     """
-    return next(_stream(model, seeds, length, length, start))[1:]
+    seeds = list(seeds)
+    rows = length if isinstance(model, TraceModel) else _chunk_rows(length, len(seeds))
+    chunks = _stream(model, seeds, length, rows, start)
+    if rows == length:  # one chunk: a trace's views, or a short draw as it is drawn
+        return next(chunks)[1:]
+    sigma, xi = np.empty((length, len(seeds))), np.empty((length, len(seeds)))
+    for lo, s, x in chunks:
+        sigma[lo - start : lo - start + len(s)] = s
+        xi[lo - start : lo - start + len(x)] = x
+        del s, x  # not held while the next chunk is drawn
+    return sigma, xi
 
 
 def generate_chunks(

@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,17 @@ def forced_split(request):
         mp.setattr(jswsim.profiles, "_PATH_BLOCK", request.param)
         mp.setattr(jswsim.profiles, "_PATH_MIN_DIRTY", 0)
         yield request.param
+
+
+def traced_peak(fn) -> int:
+    """The most memory, in bytes, that Python objects and numpy arrays held
+    at once while ``fn()`` ran, as ``tracemalloc`` counts it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import gzip
 import io
 import math
 import os
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from jswsim import cli, profiles
 from jswsim.cli import main
 from jswsim.config import load_config
+from jswsim.errors import InputError
 from jswsim.processes import TraceModel, generate
 from jswsim.profiles import iter_profiles
 
@@ -115,6 +117,23 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == f"input error: trace {str(trace)!r} is empty\n"
+
+    # Given a path rather than a file object, numpy's reader would open
+    # m.trace.gz for a missing m.trace and decompress a .gz name.
+    @pytest.mark.parametrize("kind", ["missing-beside-gz", "gzip-named-gz"])
+    def test_trace_is_the_named_text_file(self, kind, tmp_path, capsys):
+        gz = tmp_path / "m.trace.gz"
+        text = "".join(f"{0.5 + k % 3 / 4} 1.5\n" for k in range(256))
+        gz.write_bytes(gzip.compress(text.encode()))
+        trace = tmp_path / "m.trace" if kind == "missing-beside-gz" else gz
+        why = "No such file" if kind == "missing-beside-gz" else "'utf-8' codec can't decode"
+        with pytest.raises(InputError, match=f"cannot read trace file .*: .*{why}"):
+            TraceModel(str(trace))._columns
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[model]\nkind = trace\npath = {trace}\n")
+        code, out, err = run(["loynes", "--config", str(cfg), "--seed", "1"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"input error: cannot read trace file {str(trace)!r}: ")
 
     def test_unstable_is_four(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"

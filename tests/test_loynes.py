@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import jswsim.loynes as loynes
+import jswsim.processes as processes
 from formulas import backward_marks, loynes_iterate
 from jswsim.errors import StabilityError
 from jswsim.loynes import estimate_stationary, estimate_stationary_many
@@ -159,7 +160,7 @@ class TestManySeeds:
     def test_equals_one_seed_at_a_time(self, pass_marks, monkeypatch):
         # 256 marks per pass splits the early depths into several lockstep
         # passes and replays n = 64 in passes of four seeds, seed by seed
-        monkeypatch.setattr(loynes, "_PASS_MARKS", pass_marks)
+        monkeypatch.setattr(processes, "_PASS_MARKS", pass_marks)
         calls = []
         kernel = loynes.lockstep_profiles
         monkeypatch.setattr(
@@ -183,11 +184,11 @@ class TestManySeeds:
     # chunks of 5 to 12 rows, one of them across the row where the 8-deep
     # replay joins the 16-deep one
     @pytest.mark.parametrize(
-        "pass_marks,min_rows", [(loynes._PASS_MARKS, loynes._MIN_CHUNK_ROWS), (100, 5)]
+        "pass_marks,min_rows", [(processes._PASS_MARKS, processes._MIN_CHUNK_ROWS), (100, 5)]
     )
     def test_chunks_tile_each_depth_oldest_first(self, pass_marks, min_rows, monkeypatch):
-        monkeypatch.setattr(loynes, "_PASS_MARKS", pass_marks)
-        monkeypatch.setattr(loynes, "_MIN_CHUNK_ROWS", min_rows)
+        monkeypatch.setattr(processes, "_PASS_MARKS", pass_marks)
+        monkeypatch.setattr(processes, "_MIN_CHUNK_ROWS", min_rows)
         draws = {}
         generate_chunks = loynes.generate_chunks
 

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import traced_peak
 from formulas import log1p_fdlibm, read_trace_reference
 from hypothesis import example, given, settings, strategies as st
 
@@ -33,9 +34,11 @@ from jswsim.processes import (
     Uniform,
     _CHUNK,
     _LOG_CHUNK,
+    _chunk_rows,
     _log1m,
     _markov_states,
     _read_trace,
+    _stream,
     _uniforms,
     generate,
     generate_chunks,
@@ -251,28 +254,44 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def block_cases():
+    """``(seeds, length, start)`` of ``generate_many`` draws: short ones of
+    three seeds, and for one and three seeds one mark below, at and above
+    the rows of a chunk, from mark 0, and the longest from mark 5 too."""
+    cases = [pytest.param(BLOCK_SEEDS, n, 0, id=str(n)) for n in (1, 7, 64)]
+    for seeds in (BLOCK_SEEDS[1:2], BLOCK_SEEDS):
+        rows = _chunk_rows(2**30, len(seeds))
+        for n, start in ((rows - 1, 0), (rows, 0), (rows + 1, 0), (rows + 1, 5)):
+            cases.append(pytest.param(seeds, n, start, id=f"R{len(seeds)}-{n}-from{start}"))
+    return cases
+
+
 class TestBlockGeneration:
     """``generate_many`` columns are the per-seed ``generate`` marks, bit for bit."""
 
     @staticmethod
-    def assert_columns_match(model, seeds, length):
-        sigma, xi = generate_many(model, seeds, length)
+    def assert_columns_match(model, seeds, length, start=0):
+        sigma, xi = generate_many(model, seeds, length, start)
         assert sigma.shape == xi.shape == (length, len(seeds))
         assert sigma.dtype == xi.dtype == np.float64
+        # the whole draw as one chunk, then each seed on its own, cut elsewhere
+        _, whole_sigma, whole_xi = next(_stream(model, seeds, length, length, start))
+        assert np.array_equal(bits(sigma), bits(whole_sigma))
+        assert np.array_equal(bits(xi), bits(whole_xi))
         for r, seed in enumerate(seeds):
-            marks = generate(model, seed, length)
-            assert np.array_equal(bits(sigma[:, r]), bits(marks.sigma)), (seed, "sigma")
-            assert np.array_equal(bits(xi[:, r]), bits(marks.xi)), (seed, "xi")
+            marks = generate(model, seed, start + length)
+            assert np.array_equal(bits(sigma[:, r]), bits(marks.sigma[start:])), (seed, "sigma")
+            assert np.array_equal(bits(xi[:, r]), bits(marks.xi[start:])), (seed, "xi")
 
-    @pytest.mark.parametrize("length", [1, 7, 64])
+    @pytest.mark.parametrize("seeds,length,start", block_cases())
     @pytest.mark.parametrize("xi_law", LAWS, ids=lambda law: type(law).__name__)
     @pytest.mark.parametrize("sigma_law", LAWS, ids=lambda law: type(law).__name__)
-    def test_iid_columns(self, sigma_law, xi_law, length):
-        self.assert_columns_match(IIDModel(sigma_law, xi_law), BLOCK_SEEDS, length)
+    def test_iid_columns(self, sigma_law, xi_law, seeds, length, start):
+        self.assert_columns_match(IIDModel(sigma_law, xi_law), seeds, length, start)
 
-    @pytest.mark.parametrize("length", [1, 7, 64])
-    def test_markov_columns(self, length):
-        self.assert_columns_match(THREE_STATE, BLOCK_SEEDS, length)
+    @pytest.mark.parametrize("seeds,length,start", block_cases())
+    def test_markov_columns(self, seeds, length, start):
+        self.assert_columns_match(THREE_STATE, seeds, length, start)
 
     def test_trace_columns_are_shared(self, tmp_path):
         p = tmp_path / "marks.txt"
@@ -991,9 +1010,14 @@ class TestTraces:
         new = read_or_message(_read_trace, str(path))
         assert new == read_or_message(read_trace_reference, str(path))
         if not isinstance(new, str):
+            # read-only columns of one array that holds 16 bytes per mark
+            # (np.shares_memory(sig, xis) is false: interleaved columns have no
+            # element in common)
             sig, xis = _read_trace(str(path))
-            assert sig.dtype == xis.dtype == np.float64
-            assert sig.flags.c_contiguous and xis.flags.c_contiguous
+            assert sig.ndim == xis.ndim == 1 and sig.dtype == xis.dtype == np.float64
+            assert not sig.flags.writeable and not xis.flags.writeable
+            assert sig.base is xis.base and sig.base.nbytes == 16 * len(sig)
+            assert np.shares_memory(sig.base, sig) and np.shares_memory(sig.base, xis)
 
     # Each kind of refusal, after a comment, a mark and a blank line, so the
     # message must count lines as the reference does.
@@ -1058,6 +1082,39 @@ class TestTraces:
         model = TraceModel(str(p))
         assert read_or_message(lambda path: model._columns, str(p)) == expected
         assert opened == [str(p)]
+        # the columns are the two views of numpy's one array, and stay as read
+        sig, xis = model._columns
+        assert sig.base is xis.base and sig.base.shape == (4096, 2)
+        for column in (sig, xis):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
+
+class TestPeakMemory:
+    """Marks are held at their final size, 16 bytes each, and a draw adds
+    the temporaries of one chunk, however long it is."""
+
+    def test_trace_read_holds_one_array(self, tmp_path):
+        lines = 2**16
+        rng = np.random.default_rng(5)
+        marks = zip(rng.exponential(0.9, lines).tolist(), rng.exponential(1.0, lines).tolist())
+        p = tmp_path / "marks.trace"
+        p.write_text("# sigma xi\n" + "".join(f"{s!r} {x!r}\n" for s, x in marks))
+        _read_trace(str(p))  # numpy's reader and its imports are warm
+        peak = traced_peak(lambda: _read_trace(str(p)))
+        assert peak <= 1.4 * 16 * lines, peak / (16 * lines)
+
+    # A chunk of 2**15 marks of one seed holds about 60 bytes per mark of
+    # temporaries for these iid laws, and about 110 for the Markov model,
+    # whose draw keeps its state path, offsets and uniforms.
+    @pytest.mark.parametrize(
+        "model,chunk_bytes", [(MM1, 2 * 2**20), (THREE_STATE, 4 * 2**20)], ids=["iid", "markov"]
+    )
+    def test_generate_holds_the_marks_and_one_chunk(self, model, chunk_bytes):
+        length = 2**17
+        generate(model, 1, 5)  # Philox's lazy imports are done
+        peak = traced_peak(lambda: generate(model, 1, length))
+        assert peak <= 16 * length + chunk_bytes, (peak - 16 * length) / 2**20
 
 
 class TestStability:
