@@ -16,9 +16,11 @@ still printed), 6 a comparison premise does not hold, 70 an internal error
 Every output file is a CSV written by this module. Each one is opened
 before the run starts, so an unwritable path is a configuration error, and
 its rows are written as the results arrive, to a new file that replaces the
-named one only when the command finishes. Floats are written with repr
-(shortest round-trip), line endings are LF and nothing depends on the
-clock, so a rerun with the same configuration is byte-identical.
+named one only when the command finishes. Floats are written as repr
+writes them (shortest round-trip; the rows of simulate and of the compare
+trajectories through jswsim._rows, whose bytes are repr's), line endings
+are LF and nothing depends on the clock, so a rerun with the same
+configuration is byte-identical.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import ConfigError, InputError, PremiseError, StabilityError
 from .loynes import _blocks, _require_seed_count, estimate_stationary_many
 from .orderings import run_property_suite
 from .processes import RNG_ALGORITHM, generate, generate_forward, model_label
-from .profiles import _OfferedWait, _path_chunks, _slices
+from .profiles import _OfferedWait, _block_columns, _path_chunks, _slices
 
 __all__ = ["main"]
 
@@ -204,10 +206,10 @@ def _provenance(title: str, cfg: ExperimentConfig) -> list[str]:
 # ---------------------------------------------------------------- simulate
 
 
-def _total_cells(path, last):
-    """The ``total`` cells of ``path``, an ``(S, n)`` array whose columns
-    are profiles past step 0 and whose row S - 1 has the cells ``last``:
-    each the ``repr`` of ``math.fsum`` of its column.
+def _total_cells(path):
+    """The ``total`` of each profile of ``path``, an ``(S, n)`` array whose
+    columns are profiles past step 0: ``math.fsum`` of its column, as a
+    float array.
 
     A profile past step 0 is nondecreasing and each zero in it is +0.0, so
     one with at most one nonzero coordinate sums to its coordinate S and
@@ -216,21 +218,19 @@ def _total_cells(path, last):
     other profiles, and those whose add is not finite, go through ``fsum``,
     which raises on an overflow.
     """
-    cells = list(last)
+    totals = path[-1].copy()
     if len(path) == 1:
-        return cells
+        return totals
     two = np.flatnonzero(path[-2])  # the profiles with two or more nonzero
     with np.errstate(over="ignore"):
         pair = path[-2, two] + path[-1, two]
     exact = np.isfinite(pair)
     if len(path) > 2:
         exact &= path[-3, two] == 0.0
-    for i, x in zip(two[exact].tolist(), map(repr, pair[exact].tolist())):
-        cells[i] = x
+    totals[two[exact]] = pair[exact]
     rest = two[~exact]
-    for i, profile in zip(rest.tolist(), path[:, rest].T.tolist()):
-        cells[i] = repr(math.fsum(profile))
-    return cells
+    totals[rest] = [math.fsum(profile) for profile in path[:, rest].T.tolist()]
+    return totals
 
 
 def _sim_one(payload, out=None):
@@ -241,30 +241,27 @@ def _sim_one(payload, out=None):
 
     The marks are drawn by :func:`~jswsim.processes.generate_forward`, one
     walk chunk at a time, just before they are stepped, so that memory does
-    not grow with the horizon. The rows are formatted by coordinates, one
-    contiguous row of the block each: ``tolist`` gives back the very floats
-    the path holds, so each cell is the ``repr`` of a coordinate and
-    ``total`` that of their exactly rounded sum (see :func:`_total_cells`;
-    step 0 goes through ``fsum``, which sums a -0.0 start to 0.0)."""
+    not grow with the horizon. Each float cell is the ``repr`` of a
+    coordinate, or of the exactly rounded sum of a profile (see
+    :func:`_total_cells`; step 0 goes through ``fsum``, which sums a -0.0
+    start to 0.0), byte for byte: :func:`~jswsim._rows.float_slots` writes
+    a whole block's cells with numpy, finds the digits of each value from
+    1e-4 up to 1e16 itself and takes every other value's from ``repr``."""
     model, seed, horizon, system = payload
-    r = system.rank - 1
     draw = functools.partial(generate_forward, model, seed, horizon)
-    seed_cell = str(seed)
     wait = _OfferedWait(system.rank, horizon)
-    wait_cell = [""]  # step 0 precedes the first arrival
+    if out is not None:
+        # imported here, as only a run that writes rows needs it
+        from ._rows import SimulateRows
+
+        rows = SimulateRows(seed, horizon, system, _block_columns(horizon))
     for step, path in _path_chunks(system.start_profile(), draw, system.rank):
         wait.add(step, path)
         if out is not None:
-            cells = [list(map(repr, row)) for row in path.tolist()]
-            totals = _total_cells(path, cells[-1])
-            if step == 0:
-                totals[0] = repr(math.fsum(path[:, 0].tolist()))
-            # the wait column is coordinate r shifted down one row
-            waits = wait_cell + cells[r][:-1]
-            wait_cell = cells[r][-1:]
-            steps = map(str, range(step, step + path.shape[1]))
-            rows = zip(itertools.repeat(seed_cell), steps, *cells, totals, waits)
-            out.write("\n".join(map(",".join, rows)) + "\n")
+            totals = _total_cells(path)
+            if step == 0:  # fsum sums a -0.0 start to 0.0
+                totals[0] = math.fsum(path[:, 0].tolist())
+            out.write(rows.block(step, path, totals))
     return seed, wait.mean, math.fsum(path[:, -1].tolist())
 
 
@@ -370,7 +367,8 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
 def _compare_one(payload, out=None):
     """Check one seed; return it and its report. Given the open CSV ``out``,
     write both systems' trajectories from the marks just checked, one
-    step, system, coordinate, value row per profile coordinate."""
+    step, system, coordinate, value row per profile coordinate, a block of
+    :func:`~jswsim.profiles._path_chunks` at a time."""
     model, seed, horizon, settings = payload
     marks = generate(model, seed, horizon)
     first, second = settings.systems()
@@ -388,16 +386,14 @@ def _compare_one(payload, out=None):
             tol=settings.tolerance,
         )
     if out is not None:
+        from ._rows import TrajectoryRows  # as in _sim_one
+
+        columns = _block_columns(len(marks))
         for system in (first, second):
-            label, start = f"seed{seed}:{system.label}", system.start_profile()
+            start = system.start_profile()
+            rows = TrajectoryRows(f"seed{seed}:{system.label}", len(start), len(marks), columns)
             for step, path in _path_chunks(start, _slices(marks), system.rank):
-                steps = list(map(str, range(step, step + path.shape[1])))
-                # each coordinate's rows, by coordinates, then interleaved step by step
-                coords = [
-                    map(",".join, zip(steps, itertools.repeat(f"{label},{i}"), map(repr, row)))
-                    for i, row in enumerate(path.tolist(), start=1)
-                ]
-                out.write("\n".join(itertools.chain.from_iterable(zip(*coords))) + "\n")
+                out.write(rows.block(step, path))
     return seed, report
 
 

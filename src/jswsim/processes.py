@@ -684,8 +684,11 @@ def _generate_markov(
     # Mark t of seeds[r] reads its state's sigma uniforms, then its xi
     # uniforms, from offset first[r, t] of the joined stream-0 words of all seeds.
     used = model._tables[2][path]  # type: ignore[attr-defined]
-    first = np.cumsum(used).reshape(used.shape) - used
-    u = np.empty(int(used.sum()))
+    first = np.cumsum(used).reshape(used.shape)
+    first -= used
+    shape, words = used.shape, int(used.sum())
+    del used  # 8 bytes a mark, not needed while the marks are drawn
+    u = np.empty(words)
     bitgen = np.random.Philox(key=0)
     counts = (after[1] - at[1]).tolist()
     for seed, off, count, word in zip(seeds, first[:, 0].tolist(), counts, at[1].tolist()):
@@ -693,8 +696,8 @@ def _generate_markov(
     first = first.ravel()
     # Each state's marks of every seed are drawn in one batch, as short
     # batches cost the array logarithm more per draw, and scattered back.
-    sig = np.empty(used.shape)
-    xis = np.empty(used.shape)
+    sig = np.empty(shape)
+    xis = np.empty(shape)
     for s, laws in enumerate(zip(model.sigma_laws, model.xi_laws)):
         picked = np.flatnonzero(path == s)
         offset = first[picked]

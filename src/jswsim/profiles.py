@@ -494,6 +494,12 @@ def _path_chunks(
         start, step = tuple(path[-1].tolist()), step + len(marks)
 
 
+def _block_columns(arrivals: int) -> int:
+    """The most columns of a block of :func:`_path_chunks` over ``arrivals``
+    marks: those of its first block."""
+    return min(arrivals + 1, _CHUNK)
+
+
 def _slices(marks: MarkSequence) -> Callable[[int], Iterator[MarkSequence]]:
     """The ``draw`` of :func:`_path_chunks` for a run whose marks are all
     held: ``draw(rows)`` yields ``marks`` in slices of ``rows``, in ascending index."""

@@ -687,15 +687,25 @@ class TestSimulateRows:
         )
         assert calls
 
-    def test_exponent_notation_initial_profile(self, tmp_path, capsys):
+    # values repr writes in exponent form, and -0.0, which the formatter
+    # splices in or writes as a constant, in every row while 2.5e16 lasts
+    @pytest.mark.parametrize(
+        "initial,row",
+        [
+            ("0 1e-05 2.5e+16", "3,0,0.0,1e-05,2.5e+16,2.5e+16,"),
+            ("-0.0 3e-07 2.5e16", "3,0,-0.0,3e-07,2.5e+16,2.5e+16,"),
+        ],
+        ids=["exponent", "negative-zero"],
+    )
+    def test_exponent_notation_initial_profile(self, initial, row, tmp_path, capsys):
         for rank in (1, 2, 3):
             raw = self.assert_rows_match(
                 tmp_path,
                 capsys,
                 "[run]\nseeds = 3 1\nhorizon = 4097\n"
-                f"[system]\nservers = 3\nrank = {rank}\ninitial = 0 1e-05 2.5e+16\n",
+                f"[system]\nservers = 3\nrank = {rank}\ninitial = {initial}\n",
             )
-            assert b"\n3,0,0.0,1e-05,2.5e+16,2.5e+16,\n" in raw
+            assert f"\n{row}\n".encode() in raw
 
     def test_jobs_give_the_same_bytes(self, tmp_path, capsys):
         text = "[run]\nseeds = 1..3\nhorizon = 4097\n[system]\nservers = 2\nrank = 2\n"
@@ -734,14 +744,13 @@ _coordinates = st.one_of(
 def test_total_cells_are_fsum(rows):
     # the walk's blocks hold one profile per column, one coordinate per row
     path = np.ascontiguousarray(np.array(rows).T)
-    last = list(map(repr, path[-1].tolist()))
     try:
         expected = [repr(math.fsum(row)) for row in rows]
     except OverflowError:
         with pytest.raises(OverflowError):
-            cli._total_cells(path, last)
+            cli._total_cells(path)
         return
-    assert cli._total_cells(path, last) == expected
+    assert list(map(repr, cli._total_cells(path).tolist())) == expected
 
 
 def seed_rows_argv(command, work, name):
@@ -988,10 +997,26 @@ class TestOutputs:
             assert label.split(":")[1:] == ["S2-vs-S1", "total"]
             assert float(lhs) > float(rhs) - 0.05
 
-    def test_compare_trajectory_dump(self, tmp_path, capsys):
+    # The second case starts from values the formatter writes as a
+    # constant (-0.0) or splices in from repr (exponent form, subnormal);
+    # sums near 2.5e16 round by 4 per add, and the tolerance keeps the
+    # verdict a PASS.
+    @pytest.mark.parametrize(
+        "section,systems",
+        [
+            ("servers = 2\nservers_small = 1\n", 2 + 1),
+            (
+                "mode = allocation\nservers = 3\nrank = 2\nstart = -0.0 3e-07 2.5e16\n"
+                "start_alt = 5e-324 1e-05 2.5e16\ntolerance = 100\n",
+                3 + 3,
+            ),
+        ],
+        ids=["servers", "allocation-repr-starts"],
+    )
+    def test_compare_trajectory_dump(self, section, systems, tmp_path, capsys):
         traj = tmp_path / "t.csv"
         cfg = tmp_path / "c.ini"
-        cfg.write_text(f"[compare]\nservers = 2\nservers_small = 1\ntrajectories = {traj}\n")
+        cfg.write_text(f"[compare]\n{section}trajectories = {traj}\n")
         # past the first two chunks of 4096 arrivals
         code, out, _ = run(
             ["compare", "--config", str(cfg), "--seeds", "3 4", "--horizon", "8193"], capsys
@@ -1001,17 +1026,19 @@ class TestOutputs:
         assert b"\r" not in raw
         lines = raw.decode().splitlines()
         assert lines[0] == "step,system,coordinate,value"
-        rows = 2 * 8194 * (2 + 1)  # seeds x (horizon + 1) x (S_big + S_small)
+        rows = 2 * 8194 * systems  # seeds x (horizon + 1) x (S + S')
         assert len(lines) == 1 + rows
         assert f"wrote {traj} ({rows} rows)" in out
         # every value is the repr of the profile coordinate, bit for bit
-        model = load_config(str(cfg)).model
+        config = load_config(str(cfg))
         expected = [
-            f"{step},seed{seed}:S{servers}P1,{i},{value!r}"
+            f"{step},seed{seed}:{system.label},{i},{value!r}"
             for seed in (3, 4)
-            for servers in (2, 1)
+            for system in config.compare.systems()
             for step, profile in enumerate(
-                iter_profiles((0.0,) * servers, generate(model, seed, 8193), 1)
+                iter_profiles(
+                    system.start_profile(), generate(config.model, seed, 8193), system.rank
+                )
             )
             for i, value in enumerate(profile, start=1)
         ]
