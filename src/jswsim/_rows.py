@@ -70,11 +70,13 @@ _LAST, _KEEPS = _LAST.ravel(), _KEEPS.ravel()
 del _j, _p
 
 
-# The most values float_slots formats at once: a row of a block. A block
-# of simulate at S = 2, 3 * 4096 values, formatted at once took about a
-# quarter less time, but its 1.9 MB of scratch, held through the walk,
-# raised the bench's peak RSS from 40.6 to 42.0 MB.
-_LANES = 4096
+# The most values float_slots formats at once: a whole block of simulate at
+# S = 2, 3 * 4096 values, in one pass, which takes about a fifth less CPU
+# than a pass per row (1.65 against 2.03 ms a block). Its 1.9 MB of scratch
+# is held through the walk. The Markov draw's batches (processes._BATCH) and
+# Rows.text, which copies no rows, make room for it, so that simulate's peak
+# RSS on the bench stays within 0.3 MB of a pass per row's.
+_LANES = 3 * 4096
 
 
 class _Scratch:
@@ -309,10 +311,16 @@ class Rows:
         """Write ``text`` into every row, from byte ``start``."""
         self.bytes[:, start : start + len(text)] = np.frombuffer(text, np.uint8)
 
-    def text(self, rows: int) -> str:
-        """The first ``rows`` rows, without their NUL bytes."""
-        store = self._store if rows == len(self.words) else self.bytes[:rows].tobytes()
-        return store.translate(None, b"\0").decode("ascii")
+    def text(self, rows: int) -> bytearray:
+        """The first ``rows`` rows, without their NUL bytes: ASCII, as bytes.
+
+        The whole store is translated, and the text of the rows past
+        ``rows`` is cut from the end: a copy of the first rows to translate
+        would hold as much again."""
+        text = self._store.translate(None, b"\0")
+        if rows < len(self.words):
+            del text[np.count_nonzero(self.bytes[:rows]) :]
+        return text
 
 
 class SimulateRows:
@@ -337,7 +345,7 @@ class SimulateRows:
         self.wait[0] = ord(",")
 
     def block(self, step, path, totals):
-        """The text of the rows of steps ``step``, ``step + 1``, ... whose
+        """The bytes of the rows of steps ``step``, ``step + 1``, ... whose
         profiles are the columns of ``path`` and whose totals ``totals``."""
         n = path.shape[1]
         words = self.rows.words[:n]
@@ -371,7 +379,7 @@ class TrajectoryRows:
             self.rows.put(8 * (self.line * (i + 1) - 1), b"\n")
 
     def block(self, step, path):
-        """The text of the rows of steps ``step``, ``step + 1``, ... whose
+        """The bytes of the rows of steps ``step``, ``step + 1``, ... whose
         profiles are the columns of ``path``."""
         servers, n = path.shape
         lines = self.rows.words[:n].reshape(n, servers, self.line)

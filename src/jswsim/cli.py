@@ -98,6 +98,14 @@ def _spooled(fn, spool, payload):
         return fn(payload, f), path
 
 
+def _binary(f):
+    """The binary buffer of the open text file ``f``, once ``f`` has passed
+    on what its text layer holds, so that bytes written to the buffer
+    follow the comment lines and the header."""
+    f.flush()
+    return f.buffer
+
+
 def _run_seeds(fn, payloads, jobs, out):
     """Yield ``fn(p, out)`` for each payload, in order, as the results
     arrive: ``fn`` writes the seed's rows to the open CSV ``out``, if any.
@@ -112,9 +120,10 @@ def _run_seeds(fn, payloads, jobs, out):
         # closed first, so no worker still writes when the directory goes
         results = _pool_map(functools.partial(_spooled, fn, spool), payloads, jobs)
         with contextlib.closing(results):
+            binary = _binary(out)
             for result, path in results:
-                with open(path, encoding="utf-8", newline="") as rows:
-                    shutil.copyfileobj(rows, out)
+                with open(path, "rb") as rows:
+                    shutil.copyfileobj(rows, binary)
                 os.unlink(path)
                 yield result
 
@@ -237,7 +246,7 @@ def _sim_one(payload, out=None):
     """Step one seed; return it, its mean offered wait and its final total
     workload. Given the open CSV ``out``, format its rows, one
     :func:`~jswsim.profiles._path_chunks` block at a time, and write each
-    block to ``out`` as soon as it is formatted.
+    block's bytes to ``out``'s binary buffer as soon as it is formatted.
 
     The marks are drawn by :func:`~jswsim.processes.generate_forward`, one
     walk chunk at a time, just before they are stepped, so that memory does
@@ -255,13 +264,14 @@ def _sim_one(payload, out=None):
         from ._rows import SimulateRows
 
         rows = SimulateRows(seed, horizon, system, _block_columns(horizon))
+        write = _binary(out).write
     for step, path in _path_chunks(system.start_profile(), draw, system.rank):
         wait.add(step, path)
         if out is not None:
             totals = _total_cells(path)
             if step == 0:  # fsum sums a -0.0 start to 0.0
                 totals[0] = math.fsum(path[:, 0].tolist())
-            out.write(rows.block(step, path, totals))
+            write(rows.block(step, path, totals))
     return seed, wait.mean, math.fsum(path[:, -1].tolist())
 
 
@@ -389,11 +399,12 @@ def _compare_one(payload, out=None):
         from ._rows import TrajectoryRows  # as in _sim_one
 
         columns = _block_columns(len(marks))
+        write = _binary(out).write
         for system in (first, second):
             start = system.start_profile()
             rows = TrajectoryRows(f"seed{seed}:{system.label}", len(start), len(marks), columns)
             for step, path in _path_chunks(start, _slices(marks), system.rank):
-                out.write(rows.block(step, path))
+                write(rows.block(step, path))
     return seed, report
 
 

@@ -29,6 +29,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -63,11 +64,15 @@ __all__ = [
 RNG_ALGORITHM = "philox4x64/u52/inverse-cdf-v2"
 
 _CRITICALITY_REL_TOL = 1e-12
-# Uniforms whose state picks _markov_states turns into Python ints at a time,
-# and marks a states-only walk (_walk) steps a Markov chain at a time.
+# Marks a states-only walk (_walk) steps a Markov chain at a time.
 _CHUNK = 4096
 # Marks per chunk of a draw of many seeds, as seeds x rows.
 _PASS_MARKS = 2**15
+# Marks of one state per batch of a Markov draw. Drawing the 2 x 2e5 marks of
+# the bench's 2-state chain took 77 ms in batches of 4096, 86 ms in batches
+# of 8192 and 88 ms in batches of 2048 (medians of 11 alternating runs, one
+# 2-core VM); 4096 also holds half the buffers of 8192.
+_BATCH = 4096
 # Rows per chunk when there are many seeds, so that moving each seed's
 # Philox stream to the chunk stays a small share of drawing it.
 _MIN_CHUNK_ROWS = 128
@@ -635,30 +640,65 @@ def _markov_states(
     start: Sequence[float],
     rows: Sequence[Sequence[float]],
     u: np.ndarray,
-    prev: int | None = None,
-) -> list[int]:
-    """The chain's state path picked by the uniforms ``u``.
+    prev: np.ndarray | None = None,
+) -> np.ndarray:
+    """The state paths of R chains picked by the uniforms ``u``, an ``(R, n)``
+    array: row r of the ``(R, n)`` result is chain r's path, of dtype uint8
+    for at most 256 states.
 
-    The first state is picked by ``u[0]`` from ``rows[prev]``, or from the
-    running sums ``start`` when ``prev`` is None (the chain's first mark);
-    state t from ``rows[state t - 1]`` by ``u[t]``. A pick is the first j
-    with ``u < cum[j]``, or the last state when there is none. For each
-    chunk of ``u``, every row's picks come from one ``searchsorted`` and the
-    path walks those tables, so memory stays at (states, chunk) entries.
+    Chain r's first state is picked by ``u[r, 0]`` from ``rows[prev[r]]``,
+    or from the running sums ``start`` when ``prev`` is None (the chains'
+    first mark); state t from ``rows[state t - 1]`` by ``u[r, t]``. A pick
+    is the first j with ``u < cum[j]``, or the last state when there is none.
+
+    Every row's picks come from one ``searchsorted`` over all of ``u``. A
+    mark at which every row picks one state sets the state, and one at
+    which each row k picks k keeps it. Only the other marks depend on the
+    state before them: they are stepped in order through their tables, each
+    run of them from the state set before it. Every other state is the
+    last one set, carried forward.
     """
-    last = len(rows) - 1
-
-    def picks(cum, v):
-        return np.minimum(np.searchsorted(cum, v, side="right"), last)
-
-    state = int(picks(start if prev is None else rows[prev], u[0]))
-    states = [state]
-    for lo in range(1, len(u), _CHUNK):
-        part = u[lo : lo + _CHUNK]
-        # tables[t][k] is the state after u[lo + t] when the state before is k
-        tables = zip(*(picks(cum, part).tolist() for cum in rows))
-        states += [state := nxt[state] for nxt in tables]
-    return states
+    small = len(rows) <= 256  # a state fits in a byte
+    n = u.shape[1]
+    # picks[k, r, t]: the state after mark t of chain r when the state before
+    # is k. Searching all running sums but the last picks the last state
+    # wherever none is above u.
+    picks = np.empty((len(rows), *u.shape), dtype=np.uint8 if small else np.intp)
+    for pick, cum in zip(picks, rows):
+        pick[...] = np.searchsorted(cum[:-1], u, side="right")
+    if prev is None:
+        picks[:, :, 0] = np.searchsorted(start[:-1], u[:, 0], side="right")
+    same, keeps = np.ones(u.shape, dtype=bool), picks[0] == 0
+    for k, pick in enumerate(picks[1:], 1):
+        same &= pick == picks[0]
+        keeps &= pick == k
+    # value[r, 1 + t] is the state mark t of chain r sets, if it sets one,
+    # and value[r, 0] the state before its mark 0
+    value = np.empty((len(u), n + 1), dtype=picks.dtype)
+    value[:, 0] = 0 if prev is None else prev
+    value[:, 1:] = picks[0]
+    # set_at[r, j]: the flat index in value of the last state set at or
+    # before value[r, j]
+    set_at = np.arange(value.size).reshape(value.shape)
+    set_at[:, 1:][keeps] = 0
+    np.maximum.accumulate(set_at, axis=1, out=set_at)
+    at = np.flatnonzero(~(same | keeps))
+    if at.size:
+        # np.take, as it gathers several times faster than an index array
+        tables = np.take(picks.reshape(len(rows), -1), at, axis=1)
+        del picks, same, keeps  # not held through the walk
+        pos = at + at // n + 1  # in value
+        before = np.take(set_at, pos - 1)
+        # the first mark of each run steps from a state set before it
+        first = np.flatnonzero(np.append(True, before[1:] != pos[:-1]))
+        tables[:, first] = tables[np.take(value, before[first]), first]
+        # a row of bytes gives ints as fast as a list, and the walk's states
+        # make a bytearray, which numpy reads at once
+        rows_of = map(bytes, tables) if small else tables.tolist()
+        state = 0  # any: the first mark's table is constant
+        walked = [state := nxt[state] for nxt in zip(*rows_of)]
+        value.ravel()[pos] = bytearray(walked) if small else walked
+    return np.take(value, set_at[:, 1:])
 
 
 def _chain(
@@ -669,10 +709,10 @@ def _chain(
     start_cum, row_cums, used = model._tables  # type: ignore[attr-defined]
     states, words = at
     bitgen = np.random.Philox(key=0)
-    path = np.empty((len(seeds), n), dtype=np.intp)
+    u = np.empty((len(seeds), n), dtype=np.uint64)
     for r, seed in enumerate(seeds):
-        prev = None if states is None else int(states[r])
-        path[r] = _markov_states(start_cum, row_cums, _uniforms(bitgen, seed, 1, n, lo), prev)
+        u[r] = _words(bitgen, seed, 1, lo, n)
+    path = _markov_states(start_cum, row_cums, _to_uniforms(u), states)
     return path, (path[:, -1].copy(), words + used[path].sum(axis=1))
 
 
@@ -694,17 +734,19 @@ def _generate_markov(
     for seed, off, count, word in zip(seeds, first[:, 0].tolist(), counts, at[1].tolist()):
         u[off : off + count] = _uniforms(bitgen, seed, 0, count, word)
     first = first.ravel()
-    # Each state's marks of every seed are drawn in one batch, as short
-    # batches cost the array logarithm more per draw, and scattered back.
+    # Each state's marks of every seed are drawn in batches of _BATCH and
+    # scattered back.
     sig = np.empty(shape)
     xis = np.empty(shape)
     for s, laws in enumerate(zip(model.sigma_laws, model.xi_laws)):
         picked = np.flatnonzero(path == s)
-        offset = first[picked]
-        for out, law in zip((sig.reshape(-1), xis.reshape(-1)), laws):
-            cols = [u[offset + c] for c in range(law.uniforms)]
-            out[picked] = law.draw_batch(cols, len(picked))
-            offset = offset + law.uniforms
+        for a in range(0, len(picked), _BATCH):
+            batch = picked[a : a + _BATCH]
+            offset = first[batch]
+            for out, law in zip((sig.reshape(-1), xis.reshape(-1)), laws):
+                cols = [u[offset + c] for c in range(law.uniforms)]
+                out[batch] = law.draw_batch(cols, len(batch))
+                offset += law.uniforms
     return sig.T, xis.T, after
 
 
@@ -722,15 +764,19 @@ def _read_trace(path: str) -> tuple[np.ndarray, np.ndarray]:
     shape, empty file or out-of-range value is left to the loop, which
     returns its marks or raises its ``path:line`` error.
 
-    The file is opened here, as UTF-8 text, and numpy is handed the file
-    object: given a path, it would read a compressed sibling of a missing
-    file and decompress a ``.gz`` name.
+    The file is opened here, as UTF-8 text, and numpy is handed the path
+    of that descriptor, ``/dev/fd/N``, where the platform has one, else the
+    file object. numpy reads a path in large pieces but a file object line
+    by line. It is never given ``path`` itself: it would read a compressed
+    sibling of a missing file and decompress a ``.gz`` name.
     """
     try:
         with open(path, "r", encoding="utf-8") as f, warnings.catch_warnings():
             # numpy warns on a file without data; the loop reports it
             warnings.simplefilter("ignore", UserWarning)
-            marks = np.loadtxt(f, comments="#", ndmin=2, dtype=np.float64)
+            fd = f"/dev/fd/{f.fileno()}"
+            source = fd if os.path.exists(fd) else f
+            marks = np.loadtxt(source, comments="#", ndmin=2, dtype=np.float64, encoding="utf-8")
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         marks = None
     if marks is not None and marks.shape[0] >= 1 and marks.shape[1] == 2:
@@ -858,6 +904,7 @@ def generate_forward(
     """
     for _, sigma, xi in _stream(model, [seed], length, rows):
         yield MarkSequence(sigma=sigma[:, 0], xi=xi[:, 0])
+        del sigma, xi  # not held while the next chunk is drawn
 
 
 def generate(model: InputModel, seed: int, length: int) -> MarkSequence:

@@ -490,8 +490,11 @@ def _path_chunks(
     for marks in draw(_PATH_CHUNK):
         path = path_profiles(start, marks.sigma, marks.xi, rank)
         for base in range(1 if step else 0, len(path), _CHUNK):
-            yield step + base, np.ascontiguousarray(path[base : base + _CHUNK].T)
+            # a copy always: ascontiguousarray gives a one-column block as a
+            # view, which would hold the whole path while the next is drawn
+            yield step + base, path[base : base + _CHUNK].T.copy()
         start, step = tuple(path[-1].tolist()), step + len(marks)
+        del marks, path  # not held while the next chunk is drawn
 
 
 def _block_columns(arrivals: int) -> int:

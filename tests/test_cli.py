@@ -347,6 +347,16 @@ OUT_TO_STDOUT = {
         "[compare]\nsum_slack = -0.05\ntrajectories = DEST\n",
         ["compare", "--seeds", "1..3", "--horizon", "50", "--jobs", "2"],
     ),
+    # the rows go to the file's binary buffer, after its text layer's lines:
+    # from one worker, and from two workers' spooled files, two blocks a seed
+    "trajectories-one-worker": (
+        "[compare]\nsum_slack = -0.05\ntrajectories = DEST\n",
+        ["compare", "--seeds", "1 2", "--horizon", "50", "--jobs", "1"],
+    ),
+    "simulate-two-workers": (
+        "",
+        ["simulate", "--seeds", "1..3", "--horizon", "4097", "--jobs", "2", "--out", "DEST"],
+    ),
 }
 
 

@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -34,12 +35,15 @@ from jswsim.processes import (
     Uniform,
     _CHUNK,
     _LOG_CHUNK,
+    _chain,
     _chunk_rows,
+    _generate_markov,
     _log1m,
     _markov_states,
     _read_trace,
     _stream,
     _uniforms,
+    _walk,
     generate,
     generate_chunks,
     generate_forward,
@@ -648,7 +652,7 @@ class TestForwardChunks:
             counts = []
 
             def counting_states(start, rows_, u, prev=None):
-                counts.append(len(u))
+                counts.append(u.size)
                 return states(start, rows_, u, prev)
 
             with pytest.MonkeyPatch.context() as mp:
@@ -665,6 +669,26 @@ class TestForwardChunks:
         # from start = rows: the earlier marks states only, then the draw's own
         many_walked = walked(lambda: [generate_many(model, seeds, length, rows)])
         assert many_walked == (rows + length) * len(seeds)
+
+    def test_a_chunk_is_dropped_before_the_next_is_drawn(self, monkeypatch):
+        # neither generator holds the chunk it yielded while it draws the next
+        for model in (MM1, THREE_STATE):
+            name = "_generate_iid" if model is MM1 else "_generate_markov"
+            draw = getattr(jswsim.processes, name)
+            held = []
+
+            def checked(*args, draw=draw, held=held):
+                assert all(ref() is None for ref in held)
+                sigma, xi, at = draw(*args)
+                held.extend(weakref.ref(a.base if a.base is not None else a) for a in (sigma, xi))
+                return sigma, xi, at
+
+            monkeypatch.setattr(jswsim.processes, name, checked)
+            chunks = generate_forward(model, 3, 40, 16)
+            for _ in range(3):
+                chunk = next(chunks)
+                del chunk
+            assert len(held) == 6
 
     def test_trace(self, tmp_path):
         p = tmp_path / "marks.txt"
@@ -815,9 +839,11 @@ def pick_state(cum, u):
     return len(cum) - 1
 
 
-def scalar_states(start, rows, u):
-    """State path with one scalar pick per uniform, the reference for _markov_states."""
-    state = pick_state(start, u[0])
+def scalar_states(start, rows, u, prev=None):
+    """State path with one scalar pick per uniform, the reference for
+    _markov_states: the first state is picked from ``rows[prev]``, or from
+    ``start`` when ``prev`` is None."""
+    state = pick_state(start if prev is None else rows[prev], u[0])
     states = [state]
     for x in u[1:]:
         state = pick_state(rows[state], x)
@@ -828,27 +854,49 @@ def scalar_states(start, rows, u):
 # Transition entries: exact zeros, values whose running sums tie, arbitrary
 # floats. Rows are not normalised, so running sums may end below 1.
 ENTRY = st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.25, 0.5]), st.floats(0.0, 1.0))
+# A chain whose every mark moves it on: no mark sets or keeps the state.
+CYCLIC = MarkovModulatedModel(
+    ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+    (Exponential(1.0), LAWS[3], Deterministic(0.5)),
+    (Uniform(0.5, 1.5), Exponential(2.0), LAWS[3]),
+)
+# Lengths at and around the _CHUNK marks a states-only walk steps at a time.
+CHAIN_LENGTHS = [1, 2, 3, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 1]
+
+
+def assert_scalar_paths(start, rows, u, prev, path):
+    """Row r of ``path`` is the scalar path of chain r from ``prev[r]``."""
+    assert path.shape == u.shape
+    for r, chain in enumerate(path.tolist()):
+        before = None if prev is None else int(prev[r])
+        assert chain == scalar_states(start, rows, u[r].tolist(), before), r
 
 
 class TestMarkovStatePath:
+    """``_markov_states`` and ``_chain`` step several chains at once; each
+    chain's path is the one the scalar picks give, one uniform at a time."""
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.integers(1, 5).flatmap(
             lambda k: st.lists(st.lists(ENTRY, min_size=k, max_size=k), min_size=k + 1, max_size=k + 1)
         ),
-        st.sampled_from([1, 2, 3, 100, 4095, 4096, 4097, 4098, 8193]),
+        st.sampled_from(CHAIN_LENGTHS),
+        st.integers(1, 3),
+        st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    def test_matches_scalar_picks(self, probs, length, seed):
+    def test_matches_scalar_picks(self, probs, length, chains, checkpoint, seed):
         cums = [tuple(itertools.accumulate(p)) for p in probs]
         start, rows = cums[0], cums[1:]
         rng = np.random.default_rng(seed)
-        u = rng.random(length)
+        u = rng.random((chains, length))
         # a third of the uniforms hit a running sum exactly or lie past them all
         edges = np.array(sorted({c for cum in cums for c in cum} | {max(cums[0][-1], 1.0)}))
-        at = rng.random(length) < 1 / 3
+        at = rng.random(u.shape) < 1 / 3
         u[at] = rng.choice(edges, int(at.sum()))
-        assert _markov_states(start, rows, u) == scalar_states(start, rows, u.tolist())
+        prev = rng.integers(0, len(rows), chains) if checkpoint else None
+        assert_scalar_paths(start, rows, u, prev, _markov_states(start, rows, u, prev))
 
     def test_zero_entries_and_short_rows(self):
         # Row 0 never stays (a zero entry). Row 1 never moves to state 1 and
@@ -856,8 +904,64 @@ class TestMarkovStatePath:
         rows = [(0.0, 1.0, 1.0), (0.5, 0.5, 0.75), (0.0, 0.0, 1.0)]
         u = np.array([0.3, 0.2, 0.9, 0.1, 0.5, 0.75, 0.999])
         expected = [1, 0, 1, 0, 1, 2, 2]
-        assert _markov_states((0.25, 0.5, 1.0), rows, u) == expected
+        assert _markov_states((0.25, 0.5, 1.0), rows, u[None]).tolist() == [expected]
         assert scalar_states((0.25, 0.5, 1.0), rows, u.tolist()) == expected
+        # from a checkpoint in each state
+        paths = _markov_states((0.25, 0.5, 1.0), rows, np.tile(u, (3, 1)), np.arange(3))
+        assert paths.tolist() == [[1, 0, 1, 0, 1, 2, 2], [0, 1, 2, 2, 2, 2, 2], [2] * 7]
+
+    def test_more_states_than_a_byte_holds(self):
+        # 300 states, each row moving to a few of them: most marks step
+        rng = np.random.default_rng(11)
+        probs = rng.random((301, 300)) * (rng.random((301, 300)) < 0.02)
+        probs[:, 0] += 0.01
+        cums = [tuple(itertools.accumulate(p)) for p in (probs / probs.sum(1)[:, None]).tolist()]
+        start, rows = cums[0], cums[1:]
+        u = rng.random((2, 3000))
+        for prev in (None, np.array([299, 7])):
+            path = _markov_states(start, rows, u, prev)
+            assert path.max() > 255
+            assert_scalar_paths(start, rows, u, prev, path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=markov_chains() | st.sampled_from([THREE_STATE, CYCLIC]),
+        length=st.sampled_from(CHAIN_LENGTHS),
+        lo=st.sampled_from([0, 5, _CHUNK]),
+        checkpoint=st.booleans(),
+    )
+    def test_chain_of_several_seeds(self, model, length, lo, checkpoint):
+        # each seed's states from stream 1 of its own, from its checkpoint,
+        # and the stream-0 words its marks then read
+        start, rows, used = model._tables
+        seeds = list(BLOCK_SEEDS)
+        rng = np.random.default_rng(length + lo)
+        prev = rng.integers(0, len(rows), len(seeds)) if checkpoint else None
+        words = rng.integers(0, 100, len(seeds))
+        path, (last, after) = _chain(model, seeds, (prev, words), lo, length)
+        bitgen = np.random.Philox(key=0)
+        u = np.array([_uniforms(bitgen, seed, 1, length, lo) for seed in seeds])
+        assert_scalar_paths(start, rows, u, prev, path)
+        assert np.array_equal(last, path[:, -1])
+        assert after.tolist() == [w + sum(used[s] for s in p) for w, p in zip(words, path.tolist())]
+
+    @pytest.mark.parametrize("length", CHAIN_LENGTHS)
+    def test_walk_reaches_the_drawn_checkpoint(self, length):
+        # the states-only walk, _CHUNK marks a call, ends where one call
+        # that draws the marks does, on the path of that call
+        seeds = list(BLOCK_SEEDS)
+        for model in (TWO_STATE, THREE_STATE, CYCLIC):
+            zero = (None, np.zeros(len(seeds), np.int64))
+            *_, drawn = _generate_markov(model, seeds, zero, 0, length)
+            path, _ = _chain(model, seeds, zero, 0, length)
+            pieces, at = [], zero
+            for lo in range(0, length, _CHUNK):
+                piece, at = _chain(model, seeds, at, lo, min(_CHUNK, length - lo))
+                pieces.append(piece)
+            assert np.array_equal(np.hstack(pieces), path)
+            walked = _walk(model, seeds, zero, 0, length)
+            for a, b, c in zip(walked, drawn, at):
+                assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 # Tokens where numpy's text reader and float() could part ways: spellings
@@ -1105,10 +1209,10 @@ class TestPeakMemory:
         assert peak <= 1.4 * 16 * lines, peak / (16 * lines)
 
     # A chunk of 2**15 marks of one seed holds about 60 bytes per mark of
-    # temporaries for these iid laws, and about 110 for the Markov model,
+    # temporaries for these iid laws, and about 75 for the Markov model,
     # whose draw keeps its state path, offsets and uniforms.
     @pytest.mark.parametrize(
-        "model,chunk_bytes", [(MM1, 2 * 2**20), (THREE_STATE, 4 * 2**20)], ids=["iid", "markov"]
+        "model,chunk_bytes", [(MM1, 2 * 2**20), (THREE_STATE, 3 * 2**20)], ids=["iid", "markov"]
     )
     def test_generate_holds_the_marks_and_one_chunk(self, model, chunk_bytes):
         length = 2**17

@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import weakref
 from collections import deque
 from types import SimpleNamespace
 
@@ -460,6 +461,39 @@ class TestPathProfiles:
     def test_no_marks(self):
         path = path_profiles((0.0, 2.0), np.empty(0), np.empty(0), 2)
         assert path.tolist() == [[0.0, 2.0]]
+
+
+def test_path_chunks_hold_no_chunk_while_the_next_is_drawn(monkeypatch):
+    # a chunk's marks and path are dropped before the next chunk is drawn,
+    # and every block is a copy of its rows, a one-column block too, so
+    # that no block holds a path
+    monkeypatch.setattr(jswsim.profiles, "_PATH_CHUNK", 8)
+    monkeypatch.setattr(jswsim.profiles, "_CHUNK", 4)
+    whole_path = jswsim.profiles.path_profiles
+    held = []
+
+    def path_profiles_kept(*args):
+        path = whole_path(*args)
+        held.append(weakref.ref(path))
+        return path
+
+    monkeypatch.setattr(jswsim.profiles, "path_profiles", path_profiles_kept)
+    rng = np.random.default_rng(5)
+    sigma, xi = rng.exponential(1.0, 24), rng.exponential(0.6, 24)
+
+    def draw(rows):
+        for lo in range(0, len(sigma), rows):
+            assert all(ref() is None for ref in held), lo
+            chunk = MarkSequence(sigma=sigma[lo : lo + rows].copy(), xi=xi[lo : lo + rows].copy())
+            held.append(weakref.ref(chunk.sigma))
+            yield chunk
+            del chunk
+
+    widths = []
+    for _, rows in jswsim.profiles._path_chunks((0.0, 0.0), draw, 1):
+        assert rows.base is None
+        widths.append(rows.shape[1])
+    assert widths == [4, 4, 1] + [4, 4] * 2 and len(held) == 6
 
 
 @pytest.mark.parametrize("path_chunk", [1, 7, 2**14])

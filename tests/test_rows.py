@@ -3,10 +3,12 @@
 the ``repr`` splices it takes for every other value."""
 
 import numpy as np
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jswsim import _rows
+from jswsim.comparison import SystemConfig
 
 
 def formatted(values):
@@ -97,5 +99,25 @@ def test_rows_text_drops_the_padding():
     rows = _rows.Rows(3, 2, 0)
     rows.put(0, b"ab")
     rows.put(9, b"c\n")
-    assert rows.text(3) == "abc\n" * 3
-    assert rows.text(2) == "abc\n" * 2
+    assert rows.text(3) == b"abc\n" * 3
+    # the rows past those asked for are left out, whatever they hold
+    rows.bytes[2, 1:3] = np.frombuffer(b"\0x", np.uint8)
+    assert rows.text(3) == b"abc\n" * 2 + b"axc\n"
+    assert rows.text(2) == b"abc\n" * 2
+    assert rows.text(1) == b"abc\n"
+
+
+def test_a_block_is_one_pass_and_holds_only_its_text():
+    # simulate at S = 2: the 3 * 4096 floats of a whole block are formatted
+    # in one pass through the kept scratch, and a block, whole or not,
+    # allocates no more than the text of its whole store
+    rng = np.random.default_rng(3)
+    columns = 4096
+    rows = _rows.SimulateRows(12345, 200_000, SystemConfig(2), columns)
+    assert rows.rows.scratch.lanes == 3 * columns
+    for n in (columns, columns - 96, 1):
+        path = np.sort(rng.exponential(2.0, (2, n)), axis=0)
+        totals = path.sum(axis=0)
+        rows.block(1, path, totals)  # numpy's first calls are done
+        peak = traced_peak(lambda: rows.block(1 + n, path, totals))
+        assert peak <= rows.rows.words.nbytes + 2**14, peak / rows.rows.words.nbytes
