@@ -487,14 +487,19 @@ class TraceModel:
     call, and any other file goes through the per-line loop
     :func:`_read_trace_lines`, which defines the format and locates its
     errors. ``_columns`` are read-only views of the one parsed array, 16
-    bytes per mark, and every draw from the model is a view of them.
+    bytes per mark, and every draw from the model is a view of them;
+    ``_read`` holds them with their sums, found in the same pass.
     """
 
     path: str
 
     @functools.cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+    def _read(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[float, float]]:
         return _read_trace(self.path)
+
+    @property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._read[0]
 
 
 InputModel = IIDModel | MarkovModulatedModel | TraceModel
@@ -750,19 +755,22 @@ def _generate_markov(
     return sig.T, xis.T, after
 
 
-def _read_trace(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """The trace's ``(sigma, xi)`` columns: read-only 1-d float64 views of
-    one array that holds the marks, 16 bytes each.
+def _read_trace(path: str) -> tuple[tuple[np.ndarray, np.ndarray], tuple[float, float]]:
+    """The trace's ``(sigma, xi)`` columns, read-only 1-d float64 views of
+    one ``(n, 2)`` array that holds the marks, 16 bytes each, and their
+    sums, equal to ``math.fsum`` of each column.
 
     ``np.loadtxt`` splits on the same whitespace and comments as
     :func:`_read_trace_lines` and converts each token with CPython's
     correctly rounded ``PyOS_string_to_double``, so a file it reads into n
-    valid rows of two values gives ``float()``'s bits. Its ``(n, 2)`` array
-    is kept, the columns are its strided views, and they are checked by
-    reductions, which hold nothing of size n. It refuses some tokens
-    ``float()`` takes (``1_0``, non-ASCII digits), and every refusal, wrong
-    shape, empty file or out-of-range value is left to the loop, which
-    returns its marks or raises its ``path:line`` error.
+    valid rows of two values gives ``float()``'s bits. Its array is kept,
+    and one pass of :func:`_column_sums` checks every mark and sums each
+    column, holding nothing of size n. numpy refuses some tokens ``float()``
+    takes (``1_0``, non-ASCII digits), and every refusal, wrong shape, empty
+    file or out-of-range value is left to the loop, which returns its marks
+    or raises its ``path:line`` error; its marks then go through the same
+    pass. A -0.0 sigma, which both take, is read by the loop. A column whose
+    sum passes the largest float raises ``InputError``.
 
     The file is opened here, as UTF-8 text, and numpy is handed the path
     of that descriptor, ``/dev/fd/N``, where the platform has one, else the
@@ -780,17 +788,99 @@ def _read_trace(path: str) -> tuple[np.ndarray, np.ndarray]:
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         marks = None
     if marks is not None and marks.shape[0] >= 1 and marks.shape[1] == 2:
-        marks.setflags(write=False)
-        sig, xis = marks.T
-        # false for NaN too
-        if marks.max() < math.inf and sig.min() >= 0.0 and xis.min() > 0.0:
-            return sig, xis
+        sums = _column_sums(path, marks)
+        if sums is not None:
+            marks.setflags(write=False)
+            return tuple(marks.T), sums
     sig_list, xis_list = _read_trace_lines(path)
     if not sig_list:
         raise InputError(f"trace {path!r} is empty")
-    marks = np.array([sig_list, xis_list], dtype=np.float64)
+    marks = np.empty((len(sig_list), 2))
+    marks[:, 0], marks[:, 1] = sig_list, xis_list
     marks.setflags(write=False)
-    return marks[0], marks[1]
+    # the loop checked every mark; + 0.0 maps a -0.0 sigma, which it takes,
+    # to +0.0, and fsum adds it as 0.0
+    return tuple(marks.T), _column_sums(path, marks + 0.0)
+
+
+# Rows of trace marks that _column_sums checks and sums at a time: 2**12
+# rows hold 128 KiB of buffers. One pass over the 2**18 marks of the
+# benchmark's trace took 3.0 ms in blocks of 2**13 rows, 3.6 ms in 2**12
+# and 4.7 ms in 2**11, against 22 ms for the three reductions and two
+# fsum loops it replaced (medians of 15, one 2-core VM).
+_SUM_BLOCK = 2**12
+# Rows of marks whose parts _column_sums adds in float64 buckets before it
+# carries the buckets to Python ints: at most 2**26, to keep them exact.
+_SUM_CARRY = 2**26
+_HIGH_BITS = np.uint64(2**64 - 2**26)  # all but the 26 low fraction bits
+
+
+def _column_sums(path: str, marks: np.ndarray) -> tuple[float, float] | None:
+    """``math.fsum`` of each column of the C-contiguous ``(n, 2)`` float64
+    ``marks``, bit for bit, from one pass over them in row blocks; None if a
+    mark is negative (-0.0 too), inf or NaN, or a xi is 0.
+
+    :func:`_bucket_sums` sums the marks of up to ``_SUM_CARRY`` rows at a
+    time exactly, in float64 buckets. They are carried as integers in units
+    of 2**-1074, and one int/int division, which CPython rounds correctly,
+    as ``fsum`` is, gives each column's sum. Every term is >= 0, so a bucket
+    reaches inf only when its column's sum passes the largest float; then
+    ``InputError`` names the column.
+    """
+    totals = [0, 0]
+    for top in range(0, len(marks), _SUM_CARRY):
+        buckets = _bucket_sums(marks[top : top + _SUM_CARRY])
+        if buckets is None:
+            return None
+        for i in np.flatnonzero(buckets).tolist():
+            value = float(buckets[i])
+            # an inf bucket counts as 2**1024, which the division below refuses
+            num, den = value.as_integer_ratio() if value < math.inf else (2**1024, 1)
+            totals[(i >> 11) & 1] += num << (1075 - den.bit_length())
+    sums = []
+    for name, total in zip(("sigma", "xi"), totals):
+        try:
+            sums.append(total / 2**1074)
+        except OverflowError:
+            message = f"trace {path!r}: its {name} column sums past the largest float"
+            raise InputError(message) from None
+    return sums[0], sums[1]
+
+
+def _bucket_sums(marks: np.ndarray) -> np.ndarray | None:
+    """Exact float64 sums of the parts of up to 2**26 rows of ``marks``, as
+    :func:`_column_sums` takes them, ``_SUM_BLOCK`` rows at a time: 8192
+    buckets, keyed by part (high, low), column and exponent field. None if a
+    mark is outside the trace format.
+
+    A mark's bits shifted right by 52 are its exponent field e, with the
+    sign bit above it, so a key of 2047 or more is a negative, inf or NaN
+    mark. Each mark x splits into ``high``, x with its 26 low fraction bits
+    cleared, and ``low = x - high``, both exact. With E = max(e, 1) - 1075,
+    every ``high`` of a bucket is a multiple of 2**(E + 26) below
+    2**(E + 53), and every ``low`` one of 2**E below 2**(E + 26), so every
+    running sum of up to 2**26 of them is exact, or inf past the largest
+    float.
+    """
+    words = marks.view(np.uint64)
+    block = min(_SUM_BLOCK, len(marks))
+    key = np.empty((block, 2), dtype=np.uint64)
+    part = np.empty((block, 2), dtype=np.uint64)
+    buckets = np.zeros(2 * 4096)
+    with np.errstate(over="ignore"):  # _column_sums refuses an inf bucket
+        for a in range(0, len(marks), block):
+            w = words[a : a + block]
+            k, p = key[: len(w)], part[: len(w)]
+            np.right_shift(w, 52, out=k)
+            if k.max() >= 2047 or w[:, 1].min() == 0:
+                return None
+            k[:, 1] += 2048  # the xi buckets follow the sigma buckets
+            keys = k.view(np.int64).reshape(-1)
+            p = np.bitwise_and(w, _HIGH_BITS, out=p).view(np.float64)
+            buckets[:4096] += np.bincount(keys, p.reshape(-1), 4096)
+            np.subtract(marks[a : a + block], p, out=p)  # the low parts
+            buckets[4096:] += np.bincount(keys, p.reshape(-1), 4096)
+    return buckets
 
 
 def _read_trace_lines(path: str) -> tuple[list[float], list[float]]:
@@ -930,8 +1020,8 @@ def _mean(model: InputModel, side: int) -> float:
         laws = (model.sigma_laws, model.xi_laws)[side]
         return math.fsum(p * law.mean() for p, law in zip(model.stationary(), laws))
     if isinstance(model, TraceModel):
-        marks = model._columns[side]
-        return math.fsum(memoryview(marks)) / len(marks)
+        columns, sums = model._read
+        return sums[side] / len(columns[side])
     raise TypeError(f"unknown input model {model!r}")
 
 

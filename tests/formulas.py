@@ -5,7 +5,8 @@ The queueing formulas are textbook results for the FCFS multi-server queue
 with Poisson arrivals and exponential service; ``log1p_fdlibm`` is a scalar
 port of the C library routine the mark generator's array logarithm
 reproduces; ``read_trace_reference`` is the per-line trace reader as it was
-before numpy's text reader took the well-formed files. These are computed
+before numpy's text reader took the well-formed files; ``rank_waiting_times``
+is an event-based simulation of fixed-rank allocation. These are computed
 independently of the package under test, which only lends its error class.
 ``backward_marks`` and ``loynes_iterate`` replay one seed's past from empty
 with the package's reference step loop, ``iter_profiles``, one customer at a
@@ -162,6 +163,26 @@ def read_trace_reference(path: str) -> tuple[list[float], list[float]]:
     if not sig:
         raise InputError(f"trace {path!r} is empty")
     return sig, xis
+
+
+def rank_waiting_times(marks: MarkSequence, servers: int, rank: int) -> list[float]:
+    """Offered waits at ``rank`` from an event-based simulation that keeps
+    each queue's absolute free epoch, in the manner of
+    ``comparison.fcfs_waiting_times``: customer k arrives at the sum of the
+    gaps before it, joins the queue with the rank-th least remaining work
+    (ties to the lowest index), waits that work out and then holds the queue
+    for its service requirement. Equals coordinate ``rank`` of the profile
+    recursion's k-th profile up to the rounding drift of absolute epochs."""
+    free = [0.0] * servers
+    now = 0.0
+    waits = []
+    for s, x in zip(marks.sigma.tolist(), marks.xi.tolist()):
+        queue = sorted(range(servers), key=lambda i: max(free[i] - now, 0.0))[rank - 1]
+        begin = max(free[queue], now)
+        waits.append(begin - now)
+        free[queue] = begin + s
+        now += x
+    return waits
 
 
 def backward_marks(model: InputModel, seed: int, n: int) -> MarkSequence:

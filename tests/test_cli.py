@@ -135,6 +135,37 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith(f"input error: cannot read trace file {str(trace)!r}: ")
 
+    # A trace column whose sum passes the largest float is refused by every
+    # command (each of these exited 70, or 0 with an inf mean wait, before).
+    @pytest.mark.parametrize(
+        "argv, line, lines, keys",
+        [
+            (["loynes"], "1e308 1e308", 2, "[loynes]\nservers = 2\nwindow = 1\nmax_n = 2\n"),
+            (["simulate", "--out", "sim.csv"], "1e308 1e300", 4, "[run]\nhorizon = 4\n"),
+            (["simulate"], "1e308 1e300", 4, "[run]\nhorizon = 4\n"),
+            (
+                ["compare"],
+                "1e308 1e300",
+                4,
+                "[run]\nhorizon = 4\n[compare]\nservers = 2\nservers_small = 1\n",
+            ),
+        ],
+        ids=["loynes", "simulate-out", "simulate", "compare"],
+    )
+    def test_trace_sum_past_the_largest_float_is_three(
+        self, argv, line, lines, keys, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        trace = tmp_path / "t.txt"
+        trace.write_text(f"{line}\n" * lines)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[model]\nkind = trace\npath = {trace}\n{keys}")
+        code, out, err = run([argv[0], "--config", str(cfg), *argv[1:]], capsys)
+        assert code == 3 and out == ""
+        why = "its sigma column sums past the largest float"
+        assert err == f"input error: trace {str(trace)!r}: {why}\n"
+        assert not (tmp_path / "sim.csv").exists()
+
     def test_unstable_is_four(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[model]\nsigma = exponential(0.5)\nxi = exponential(2.0)\n")
@@ -879,12 +910,6 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
     (short_code, short), (long_code, long) = peak(2**14), peak(2**17)
     assert short_code == long_code == 0
     assert long <= short + 2**20, (short, long)
-
-
-def test_import_leaves_the_process_pool_out():
-    code = "import sys, jswsim.cli; print('concurrent.futures.process' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +18,17 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, missing
+
+
+# cli imports the CSV row formatter and the process pool only when a run
+# needs them, and nothing it imports loads numpy.random (about 5.5 MB of
+# peak RSS and 12 ms of CPU in a child process): each would cost every
+# command's start-up.
+def test_cli_import_leaves_the_lazy_modules_out():
+    lazy = ["jswsim._rows", "concurrent.futures.process", "numpy.random"]
+    code = f"import sys, jswsim.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 # The attributes the benchmark (bench/run.py, bench/test_smoke.py) looks up

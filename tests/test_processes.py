@@ -37,6 +37,7 @@ from jswsim.processes import (
     _LOG_CHUNK,
     _chain,
     _chunk_rows,
+    _column_sums,
     _generate_markov,
     _log1m,
     _markov_states,
@@ -1023,13 +1024,38 @@ def trace_files(draw):
 
 
 def read_or_message(reader, path):
-    """``reader(path)``'s two columns as uint64 bit patterns, or its
-    ``InputError`` message."""
+    """``reader(path)``'s two columns and two sums as uint64 bit patterns,
+    or its ``InputError`` message."""
     try:
-        sig, xis = reader(path)
+        columns, sums = reader(path)
     except InputError as exc:
         return str(exc)
-    return [np.asarray(c, dtype=np.float64).view(np.uint64).tolist() for c in (sig, xis)]
+    return [np.asarray(c, dtype=np.float64).view(np.uint64).tolist() for c in (*columns, sums)]
+
+
+def reference_read(path):
+    """The reference reader's columns and ``math.fsum`` of each; a column
+    whose sum passes the largest float is refused, naming the trace."""
+    columns = read_trace_reference(path)
+    sums = []
+    for name, column in zip(("sigma", "xi"), columns):
+        try:
+            sums.append(math.fsum(column))
+        except OverflowError:
+            raise InputError(f"trace {path!r}: its {name} column sums past the largest float")
+    return columns, sums
+
+
+def read_by_the_loop(path):
+    """``_read_trace(path)`` with numpy's text reader refusing every file,
+    so that the line loop reads it."""
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", refuse)
+        return _read_trace(path)
 
 
 class TestTraces:
@@ -1108,16 +1134,23 @@ class TestTraces:
     @example(b"1e400 1\n")
     @example(b"5e-324 5e-324\n0 2.4703282292062328e-324\n")
     @example(b"1 1\n\n# only comments after\n")
+    @example(b"-0.0 1\n2 3\n-0 0.5\n")  # a -0.0 sigma is a mark of the loop
+    @example(b"1 1\n1 -0.0\n")
+    @example(b"1e308 1\n1e308 1\n")  # column sums past the largest float
+    @example(b"1 1e308\n1_0 1e308\n")
+    @example(b"1.7976931348623157e308 1\n9.9792015476736e291 1\n")  # ties, rounds to inf
+    @example(b"1.7976931348623157e308 1\n4.9896007738368e291 1\n")  # rounds down: kept
     def test_reader_matches_the_line_loop(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("trace") / "marks.txt"
         path.write_bytes(data)
         new = read_or_message(_read_trace, str(path))
-        assert new == read_or_message(read_trace_reference, str(path))
+        assert new == read_or_message(reference_read, str(path))
+        assert new == read_or_message(read_by_the_loop, str(path))
         if not isinstance(new, str):
             # read-only columns of one array that holds 16 bytes per mark
             # (np.shares_memory(sig, xis) is false: interleaved columns have no
             # element in common)
-            sig, xis = _read_trace(str(path))
+            (sig, xis), _ = _read_trace(str(path))
             assert sig.ndim == xis.ndim == 1 and sig.dtype == xis.dtype == np.float64
             assert not sig.flags.writeable and not xis.flags.writeable
             assert sig.base is xis.base and sig.base.nbytes == 16 * len(sig)
@@ -1133,6 +1166,7 @@ class TestTraces:
         "sigma-nan": b"nan 1\n",
         "sigma-inf": b"inf 1\n",
         "xi-zero": b"1 0\n",
+        "xi-minus-zero": b"1 -0.0\n",
         "xi-negative": b"1 -2\n",
         "xi-inf": b"1 inf\n",
         "not-utf8": b"\xff\xfe 1\n",
@@ -1144,7 +1178,8 @@ class TestTraces:
         path.write_bytes(b"# trace\r\n0.5 1.5\r\n\r\n" + self.BAD_LINES[kind] + b"1 1\n")
         message = read_or_message(_read_trace, str(path))
         assert isinstance(message, str)
-        assert message == read_or_message(read_trace_reference, str(path))
+        assert message == read_or_message(reference_read, str(path))
+        assert message == read_or_message(read_by_the_loop, str(path))
         if kind != "not-utf8":
             assert message.startswith(f"{path}:4: ")
 
@@ -1159,7 +1194,7 @@ class TestTraces:
             path.write_bytes(b"# a\r\n\r\n  # b\n\t\n")
         message = read_or_message(_read_trace, str(path))
         assert isinstance(message, str)
-        assert message == read_or_message(read_trace_reference, str(path))
+        assert message == read_or_message(reference_read, str(path))
 
     def test_valid_trace_skips_the_line_loop(self, tmp_path, monkeypatch):
         import builtins
@@ -1169,7 +1204,7 @@ class TestTraces:
         p = tmp_path / "marks.txt"
         rows = (f"{1.0 + (k % 3) * 0.25} {1.5 + k / 4096!r}  # mark {k}\n" for k in range(4096))
         p.write_text("# sigma xi\n" + "".join(rows))
-        expected = read_or_message(read_trace_reference, str(p))
+        expected = read_or_message(reference_read, str(p))
 
         def no_loop(path):
             raise AssertionError("the line loop ran")
@@ -1184,7 +1219,7 @@ class TestTraces:
         monkeypatch.setattr(processes, "_read_trace_lines", no_loop)
         monkeypatch.setattr(builtins, "open", counting_open)
         model = TraceModel(str(p))
-        assert read_or_message(lambda path: model._columns, str(p)) == expected
+        assert read_or_message(lambda path: model._read, str(p)) == expected
         assert opened == [str(p)]
         # the columns are the two views of numpy's one array, and stay as read
         sig, xis = model._columns
@@ -1192,6 +1227,80 @@ class TestTraces:
         for column in (sig, xis):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1.0
+
+
+@st.composite
+def mark_arrays(draw):
+    """``(n, 2)`` arrays of finite nonnegative floats from the whole
+    exponent range: any such float, subnormals, zeros, powers of two,
+    values near the largest float, pairs whose sum ties at half an ulp, and
+    runs of many rows of one exponent. The shorter column is padded with
+    0.0 (sigma) or 1.0 (xi)."""
+    top = 1.7976931348623157e308
+    value = st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+        st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+        st.just(0.0),
+        st.floats(min_value=top / 4, max_value=top),
+    )
+    tie = value.map(lambda x: [x, math.ulp(x) / 2])
+    run = st.tuples(st.integers(-1074, 971), st.integers(1, 3 * 4096 + 5), st.integers(0, 2**32))
+
+    def run_values(spec):
+        k, count, seed = spec
+        mantissas = np.random.default_rng(seed).integers(2**52, 2**53, count)
+        return np.ldexp(mantissas.astype(np.float64), k).tolist()
+
+    piece = st.one_of(value.map(lambda x: [x]), tie, run.map(run_values))
+    columns = []
+    for _ in range(2):
+        column = [x for part in draw(st.lists(piece, max_size=6)) for x in part]
+        columns.append(draw(st.permutations(column)) if len(column) < 64 else column)
+    n = max(1, *map(len, columns))
+    columns[0] += [0.0] * (n - len(columns[0]))
+    columns[1] += [1.0] * (n - len(columns[1]))
+    return np.array(columns).T.copy()
+
+
+def fsums_or_message(marks):
+    """What ``_column_sums`` must give: None if a xi is 0, else
+    ``math.fsum`` of each column, or the message for the first whose sum
+    passes the largest float."""
+    if (marks[:, 1] == 0.0).any():
+        return None
+    sums = []
+    for name, column in zip(("sigma", "xi"), marks.T):
+        try:
+            sums.append(math.fsum(column.tolist()))
+        except OverflowError:
+            return f"trace 't': its {name} column sums past the largest float"
+    return tuple(sums)
+
+
+class TestColumnSums:
+    """One pass over a trace's marks sums each column exactly, bit for bit
+    ``math.fsum``, in any cut of its rows into blocks and carries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mark_arrays(), st.sampled_from([None, (1, 1), (3, 7), (5, 10)]))
+    @example(np.array([[1.0, 1.0]] + [[2.0**-1074, 3.0]] * (3 * 4096 + 1)), None)
+    @example(np.array([[1.0, 2.0**-1022], [2.0**-53, 2.0**-1074]] * 9), (2, 4))
+    @example(np.array([[2.0**1023, 1.0]] * 2), (1, 1))  # a bucket overflows between blocks
+    def test_sums_equal_fsum(self, marks, cut):
+        import jswsim.processes as processes
+
+        with pytest.MonkeyPatch.context() as mp:
+            if cut is not None:  # rows per block, rows per carry
+                mp.setattr(processes, "_SUM_BLOCK", cut[0])
+                mp.setattr(processes, "_SUM_CARRY", cut[1])
+            try:
+                got = _column_sums("t", marks)
+            except InputError as exc:
+                got = str(exc)
+        expected = fsums_or_message(marks)
+        hexed = [[x.hex() for x in r] if isinstance(r, tuple) else r for r in (got, expected)]
+        assert hexed[0] == hexed[1]  # bit for bit: -0.0 is not 0.0
 
 
 class TestPeakMemory:

@@ -9,10 +9,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from formulas import rank_waiting_times
 from hypothesis import given, settings, strategies as st
 
 import jswsim.profiles
-from jswsim.processes import MarkSequence
+from jswsim.comparison import fcfs_waiting_times
+from jswsim.processes import Exponential, IIDModel, MarkSequence, generate
 from jswsim.profiles import (
     _PATH_CHUNK,
     Mark,
@@ -629,3 +631,21 @@ def test_iter_profiles_crosses_chunk_boundaries():
         state = pth_step(state, m, 2)
         expected.append(state)
     assert list(iter_profiles((0.0, 0.0), marks, 2)) == expected
+
+
+# The profile recursion against the event-based oracle for every rank: each
+# arrival's offered wait is coordinate P of the profile it sees. Rank 1 is
+# also the FCFS oracle's wait, bit for bit. The load is 0.8 per queue, so at
+# rank S, where every arrival joins the longest queue, the waits grow.
+@pytest.mark.parametrize("servers", [2, 3, 4, 5, 6])
+def test_every_rank_matches_the_event_oracle(servers):
+    model = IIDModel(Exponential(1.0), Exponential(0.8 * servers))
+    for seed in (1, 2, 3):
+        marks = generate(model, seed, 1000)
+        for rank in range(1, servers + 1):
+            oracle = rank_waiting_times(marks, servers, rank)
+            profiles = list(iter_profiles(zero_profile(servers), marks, rank))[:-1]
+            recursion = [p[rank - 1] for p in profiles]
+            np.testing.assert_allclose(oracle, recursion, rtol=1e-9, atol=1e-9)
+            if rank == 1:
+                assert oracle == fcfs_waiting_times(marks, servers)
