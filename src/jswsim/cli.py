@@ -347,7 +347,7 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
             all_converged &= res.converged
             inc = "inf" if math.isinf(res.last_increment) else f"{res.last_increment:.3g}"
             prof = "(" + ", ".join(f"{x:.6g}" for x in res.profile) + ")"
-            lines.append(f"seed {seed}: n={res.steps_used} {state} increment={inc} profile={prof}")
+            lines.append(f"seed {seed}: n={res.steps_used} {state} increment={inc} profile={prof}\n")
             # the wait of an arrival routed to coordinate rank, as in simulate
             waits.append(res.profile[settings.rank - 1])
             if out is not None:
@@ -356,11 +356,14 @@ def cmd_loynes(cfg: ExperimentConfig) -> int:
                     for n, profile in res.history
                     for j, value in enumerate(profile, start=1)
                 )
-    for line in lines:
-        print(line)
-    print(f"mean offered wait over {len(waits)} seeds: {math.fsum(waits) / len(waits):.6g}")
+        try:  # in the stack, so that a failed mean leaves no CSV
+            mean = math.fsum(waits) / len(waits)
+        except OverflowError:
+            raise InputError(f"the mean over {len(waits)} seeds passes the largest float") from None
+    lines.append(f"mean offered wait over {len(waits)} seeds: {mean:.6g}\n")
     if keep:
-        print(f"wrote {cfg.out}")
+        lines.append(f"wrote {cfg.out}\n")
+    sys.stdout.write("".join(lines))  # one write for all of them
     if not all_converged:
         print(
             f"tolerance {settings.tolerance:g} not reached by n={settings.max_n}; "

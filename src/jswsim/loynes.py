@@ -22,16 +22,19 @@ from typing import Sequence
 import numpy as np
 
 from . import processes
-from .errors import StabilityError
+from .errors import InputError, StabilityError
 # pth_step is not called here; it stays importable for the benchmark's tracer test.
 from .profiles import (  # noqa: F401
+    _LOCKSTEP_MIN_ROWS,
     Profile,
+    _lockstep,
     _require_rank,
     lockstep_profiles,
     pth_step,
     zero_profile,
 )
 from .processes import (
+    IIDModel,
     InputModel,
     StabilityVerdict,
     TraceModel,
@@ -124,7 +127,8 @@ def estimate_stationary_many(
     :func:`_replay`), and the stop is decided for all of them at once, at
     the deepest depth of the call, each on its own increment: so every
     result equals the one this function gives for that seed alone. A trace
-    gives every seed the same marks, so it takes at most one seed.
+    gives every seed the same marks, so it takes at most one seed. A replay
+    that passes the largest float raises InputError.
     """
     _require_loynes_settings(servers, rank, tolerance, window, max_n)
     seeds = list(seeds)
@@ -144,8 +148,13 @@ def estimate_stationary_many(
     snapshots: list[tuple[int, np.ndarray]] = []  # (n, a row per seed), with keep_history
     # Every seed needs the first two depths before it can stop, so they share one draw.
     depths = [window, 2 * window] if 2 * window <= max_n else [window]
+    # One draw buffer for every depth (see _replay), with room for the words
+    # of a whole pass: a buffer per depth, freed into the heap, left 0.2 MB
+    # more resident at the peak of the bench's loynes-heavy run.
+    words = model.sigma_law.uniforms + model.xi_law.uniforms if isinstance(model, IIDModel) else 0
+    buffer = np.empty(processes._SCRATCH + words * processes._PASS_MARKS)
     while running.size:
-        replays = _replay(model, [seeds[i] for i in running], servers, rank, depths)
+        replays = _replay(model, [seeds[i] for i in running], servers, rank, depths, buffer)
         if keep_history:
             table = np.empty((len(depths), len(seeds), servers))
             table[:, running] = replays
@@ -156,11 +165,10 @@ def estimate_stationary_many(
         increment = np.abs(profile - prev).max(axis=1)
         converged = increment <= tolerance
         stop = converged | (2 * n > max_n)
-        for i, j in zip(running[stop].tolist(), np.flatnonzero(stop)):
+        fields = (a[stop].tolist() for a in (running, profile, converged, increment))
+        for i, prof, conv, inc in zip(*fields):
             history = tuple((d, tuple(t[i].tolist())) for d, t in snapshots) if keep_history else None
-            results[i] = LoynesResult(
-                tuple(profile[j].tolist()), n, bool(converged[j]), float(increment[j]), history
-            )
+            results[i] = LoynesResult(tuple(prof), n, conv, inc, history)
         running, prev = running[~stop], profile[~stop]
         depths = [2 * n]
     return results
@@ -178,7 +186,12 @@ def _blocks(items, count):
 
 
 def _replay(
-    model: InputModel, seeds: list[int], servers: int, rank: int, depths: list[int]
+    model: InputModel,
+    seeds: list[int],
+    servers: int,
+    rank: int,
+    depths: list[int],
+    buffer: np.ndarray,
 ) -> np.ndarray:
     """The backward profiles at the ascending ``depths``, as a ``(depths,
     seeds, S)`` float64 array: entry [k, r] is the profile of ``seeds[r]``
@@ -190,27 +203,59 @@ def _replay(
     together. The marks come oldest first, in descending mark index, in
     chunks (:func:`generate_chunks`) of ``processes._chunk_rows`` rows, and
     a pass holds R seeds times one chunk, at most ``_PASS_MARKS`` marks, at
-    every depth. Each pass steps all its replays, the rows of one array,
-    through :func:`lockstep_profiles`, one call per stretch between joins:
-    as one array from ``_LOCKSTEP_MIN_ROWS`` rows on, and below that each
-    row on its own, as a time-blocked path when the stretch spans a walk
-    chunk of ``_PATH_CHUNK`` marks, as a single seed's deep replay does.
+    every depth. Each chunk of every pass is drawn into the tail of
+    ``buffer``, ``generate_chunks``' ``out``, whose head is the logarithm's
+    scratch and then each stretch's marks, laid out for the kernel. The call
+    allocates one state, the ``(S, replays, R)`` profiles of a pass's
+    replays, deepest first, which :func:`_step` steps once per stretch
+    between joins. A state past the largest float raises InputError, naming
+    the seed and the depth.
     """
     n = depths[-1]
-    rows = _chunk_rows(n, len(seeds))
-    passes = -(-len(seeds) // (processes._PASS_MARKS // rows))
-    out = []
-    for block in _blocks(seeds, passes):
-        # (replays * R, S), deepest replay first
-        state = np.zeros((0, servers))
-        for lo, sigma, xi in generate_chunks(model, block, n, rows):
+    rows = _chunk_rows(n, len(seeds), processes._PASS_MARKS)
+    blocks = _blocks(seeds, -(-len(seeds) // (processes._PASS_MARKS // rows)))
+    width = max(map(len, blocks))
+    # the stepping scratch holds at least a row of every replay's gaps and the sigma row
+    need = width * (servers * len(depths) + 1)
+    scratch = buffer[: processes._SCRATCH] if need <= processes._SCRATCH else np.empty(need)
+    state = np.empty(servers * len(depths) * width)
+    out = np.empty((len(depths), len(seeds), servers))
+    done = 0
+    for block in blocks:
+        u = state[:0].reshape(servers, 0, len(block))
+        for lo, sigma, xi in generate_chunks(model, block, n, rows, out=buffer):
             hi = lo + len(sigma)
             cuts = sorted({lo, hi, *(d for d in depths if lo < d < hi)}, reverse=True)
             for top, bottom in zip(cuts, cuts[1:]):
-                if top in depths:
-                    state = np.concatenate((state, np.zeros((len(block), servers))))
-                reps = len(state) // len(block)
-                sig, x = sigma[bottom - lo : top - lo][::-1], xi[bottom - lo : top - lo][::-1]
-                state = lockstep_profiles(state, np.tile(sig, reps), np.tile(x, reps), rank)
-        out.append(state.reshape(len(depths), len(block), servers)[::-1])
-    return np.concatenate(out, axis=1)
+                if top in depths:  # the replay from depth top joins, empty
+                    k = u.shape[1]
+                    grown = state[: servers * (k + 1) * len(block)].reshape(servers, k + 1, -1)
+                    grown[:, :k], grown[:, k] = u, 0.0
+                    u = grown
+                part = slice(bottom - lo, top - lo)
+                with np.errstate(over="ignore"):
+                    _step(u, sigma[part][::-1], xi[part][::-1], rank, scratch)
+                # a replay past the largest float stays there, in its top queue
+                if not u[-1].max() < math.inf:
+                    k, r = divmod(int(np.argmin(u[-1] < math.inf)), len(block))
+                    raise InputError(
+                        f"seed {block[r]}: the replay from depth {depths[-1 - k]} "
+                        "passes the largest float"
+                    )
+        out[:, done : done + len(block)] = u.transpose(1, 2, 0)[::-1]
+        done += len(block)
+    return out
+
+
+def _step(u: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank: int, scratch: np.ndarray) -> None:
+    """Step every replay of the ``(S, replays, R)`` state ``u`` in place
+    through the ``(m, R)`` marks: as one array, by :func:`_lockstep`, from
+    ``_LOCKSTEP_MIN_ROWS`` columns on; else a replay at a time by the row
+    branches of :func:`lockstep_profiles`, each row on its own, as a
+    time-blocked path when the stretch spans a walk chunk of
+    ``_PATH_CHUNK`` marks, as a single seed's deep replay is."""
+    if u.shape[1] * u.shape[2] >= _LOCKSTEP_MIN_ROWS:
+        _lockstep(u, sigma, xi, rank, scratch)
+        return
+    for k in range(u.shape[1]):
+        u[:, k] = lockstep_profiles(u[:, k].T, sigma, xi, rank).T

@@ -66,8 +66,9 @@ RNG_ALGORITHM = "philox4x64/u52/inverse-cdf-v2"
 _CRITICALITY_REL_TOL = 1e-12
 # Marks a states-only walk (_walk) steps a Markov chain at a time.
 _CHUNK = 4096
-# Marks per chunk of a draw of many seeds, as seeds x rows.
-_PASS_MARKS = 2**15
+# Marks per chunk of a draw of many seeds, as seeds x rows: of a loynes pass,
+# drawn in place, and of generate_many, which copies each chunk out of a new one.
+_PASS_MARKS, _DRAW_MARKS = 2**16, 2**15
 # Marks of one state per batch of a Markov draw. Drawing the 2 x 2e5 marks of
 # the bench's 2-state chain took 77 ms in batches of 4096, 86 ms in batches
 # of 8192 and 88 ms in batches of 2048 (medians of 11 alternating runs, one
@@ -78,18 +79,10 @@ _BATCH = 4096
 _MIN_CHUNK_ROWS = 128
 
 
-def _to_uniforms(raw: np.ndarray) -> np.ndarray:
-    """Map raw words to uniforms in (0, 1) in place; returns a float64 view of ``raw``."""
-    np.right_shift(raw, np.uint64(12), out=raw)
-    u = raw.view(np.float64)
-    np.add(raw, 0.5, out=u)  # exact: the shifted words are below 2**52
-    u *= 2.0**-52
-    return u
-
-
-def _words(bitgen: np.random.Philox, seed: int, stream: int, first: int, count: int) -> np.ndarray:
-    """Words ``[first, first + count)`` of Philox stream ``stream`` of ``seed``,
-    read with ``bitgen``.
+def _uniforms(stream: int, reads: Iterable[tuple[int, int, int]], out: np.ndarray) -> np.ndarray:
+    """Uniforms of words ``[first, first + count)`` of Philox stream
+    ``stream`` of ``seed``, for each ``(seed, first, count)`` of ``reads``,
+    one after the other in the 1-d uint64 ``out``; returns its float64 view.
 
     Philox is counter-based (Salmon et al. 2011, "Parallel random numbers:
     as easy as 1, 2, 3"): each 4-word block is a function of the key and
@@ -98,27 +91,32 @@ def _words(bitgen: np.random.Philox, seed: int, stream: int, first: int, count: 
     ``first - first % 4`` of the words a freshly built
     ``np.random.Philox(key=...)`` gives, and no earlier word is computed.
     """
-    # The state setter reads each word with a C cast, so plain lists serve
-    # and no small arrays are built for them.
-    bitgen.state = {
+    bitgen = np.random.Philox(key=0)
+    # One state for every read, its key and counter set for each: the setter copies
+    # each word with a C cast, so plain lists serve and no small arrays are built.
+    state = {
         "bit_generator": "Philox",
-        "state": {"counter": [first // 4, 0, 0, 0], "key": [seed, stream]},
+        "state": {"counter": [0, 0, 0, 0], "key": [0, stream]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,  # empty: the next word starts a new block
         "has_uint32": 0,
         "uinteger": 0,
     }
-    if first % 4:
-        bitgen.random_raw(first % 4)  # the earlier words of the first block
-    return bitgen.random_raw(count)
-
-
-def _uniforms(
-    bitgen: np.random.Philox, seed: int, stream: int, count: int, first: int = 0
-) -> np.ndarray:
-    """Uniforms ``[first, first + count)`` in (0, 1) of Philox stream ``stream``
-    of ``seed``, one per word, read with ``bitgen``."""
-    return _to_uniforms(_words(bitgen, seed, stream, first, count))
+    at = 0
+    for seed, first, count in reads:
+        state["state"]["counter"][0], state["state"]["key"][0] = first // 4, seed
+        bitgen.state = state
+        if first % 4:
+            bitgen.random_raw(first % 4)  # the earlier words of the first block
+        out[at : at + count] = bitgen.random_raw(count)
+        at += count
+    np.right_shift(out, 12, out=out)
+    # w < 2**52 as the float 2**52 + w, exactly: no cast, so no copy of the words
+    np.bitwise_or(out, 0x4330000000000000, out=out)
+    u = out.view(np.float64)
+    u -= 2.0**52 - 0.5  # w + 1/2, exact
+    u *= 2.0**-52
+    return u
 
 
 # fdlibm's s_log1p.c (Sun Microsystems, 1993): ln 2 split so that k * _LN2_HI
@@ -143,15 +141,19 @@ _EXPONENT_FIELD = -(1 << 52)  # 0xfff0000000000000 as int64
 # hfsq = f * f / 2 at |f| = 1.5 * 2**-20: every lane at or below it is
 # checked against fdlibm's two rare branches.
 _RARE_HFSQ = 1.125 * 2.0**-40
-# Elements per pass of _log1m: its eight float buffers stay in a core's L2.
-_LOG_CHUNK = 8192
+# Elements per pass of _log1m. Its ten buffers head every loynes draw buffer:
+# 4096 ran 10% slower per element, 8192 no faster but 0.2 MB up on peak RSS.
+_LOG_CHUNK = 6144
+# Floats of _log1m's buffers, the scratch at the head of a draw buffer.
+_SCRATCH = 10 * _LOG_CHUNK
 
 
-def _log1m(u: np.ndarray) -> np.ndarray:
+def _log1m(u: np.ndarray, out: np.ndarray | None = None, scratch=()) -> np.ndarray:
     """``log(1 - u)`` of every element of the 1-d ``u``, a float64 array of
     uniforms on the u52 grid, bit for bit as fdlibm's ``log1p(-u)``
     (s_log1p.c) computes it with plain IEEE operations, as glibc's build for
-    a CPU without FMA does.
+    a CPU without FMA does. Written into ``out``, which may be ``u`` itself,
+    or into a new array; returns it.
 
     Only correctly rounded ``+ - * /``, exact operations on the bits and
     ``np.where`` are used, so the bits depend on neither the C library nor
@@ -167,19 +169,19 @@ def _log1m(u: np.ndarray) -> np.ndarray:
     The lanes where fdlibm branches away from this, u < 2**-29 and a zero
     high mantissa word of the reduced argument, are fixed up after each
     pass by :func:`_log1m_rare`. Works in passes of ``_LOG_CHUNK`` elements
-    through reused buffers.
+    through ten buffers: the head of ``scratch`` when it holds them.
     """
-    out = np.empty(u.size)
+    out = np.empty(u.size) if out is None else out
     n = min(_LOG_CHUNK, u.size)
-    f, k, h, s, z, z2, r, t = np.empty((8, n))
-    b = np.empty(n, np.int64)
-    rare = np.empty(n, bool)
+    buffers = scratch if 0 < 10 * n <= len(scratch) else np.empty(10 * n)
+    f, k, h, s, z, z2, r, t, o = buffers[: 9 * n].reshape(9, n)
+    rare = buffers[9 * n : 10 * n].view(bool)[:n]
     for lo in range(0, u.size, _LOG_CHUNK):
-        o = out[lo : lo + n]
         part = u[lo : lo + n]
-        if len(part) < n:
-            m = len(part)
-            f, k, h, s, z, z2, r, t, b, rare = (a[:m] for a in (f, k, h, s, z, z2, r, t, b, rare))
+        if len(part) < n:  # the last pass, short
+            f, k, h, s, z, z2, r, t, o = buffers[: 9 * len(part)].reshape(9, -1)
+            rare = rare[: len(part)]
+        b = o.view(np.int64)  # spent before o is first written
         # v = 1 - u = 2**k * (1 + f)
         np.subtract(1.0, part, out=f)
         bits = f.view(np.int64)
@@ -225,6 +227,7 @@ def _log1m(u: np.ndarray) -> np.ndarray:
         if np.count_nonzero(rare):
             at = np.flatnonzero(rare)
             o[at] = _log1m_rare(part[at], f[at], k[at], o[at])
+        out[lo : lo + n] = o  # after the last read of part, as out may be u
     return out
 
 
@@ -258,9 +261,9 @@ def _require_finite_draws(rate: float, law: str) -> None:
 
 # --------------------------------------------------------------------------
 # Distribution laws. Each law knows how many uniforms one draw consumes and
-# has a single code path, ``draw_batch(cols, n)``, that maps n draws' worth
-# of uniforms to a float64 array of n samples; ``cols[c]`` is a float64 array
-# of the c-th uniform of every draw. Each sample takes the same IEEE
+# has a single code path, ``draw_batch(cols, n, scratch)``, that maps n draws'
+# worth of uniforms to a float64 array of n samples, in place where it can;
+# ``cols[c]`` holds the c-th uniform of every draw. Each sample takes the same IEEE
 # operations, in the same order, as the scalar inverse CDF it implements.
 # Each constructor rejects a negative support, so every law is a valid
 # service law; ``positive()`` says whether it is also a valid gap law.
@@ -283,9 +286,9 @@ class Exponential:
         # draws use uniforms in the open interval, so 0 is never returned
         return True
 
-    def draw_batch(self, cols: Sequence[np.ndarray], n: int) -> np.ndarray:
+    def draw_batch(self, cols: Sequence[np.ndarray], n: int, scratch=()) -> np.ndarray:
         # -log(1 - u) / rate; dividing by -rate gives the same bits
-        draws = _log1m(cols[0])
+        draws = _log1m(cols[0], cols[0], scratch)
         draws /= -self.rate
         return draws
 
@@ -308,7 +311,7 @@ class Deterministic:
     def positive(self) -> bool:
         return self.value > 0.0
 
-    def draw_batch(self, cols: Sequence[np.ndarray], n: int) -> np.ndarray:
+    def draw_batch(self, cols: Sequence[np.ndarray], n: int, scratch=()) -> np.ndarray:
         return np.full(n, self.value)
 
     def label(self) -> str:
@@ -332,8 +335,9 @@ class Uniform:
     def positive(self) -> bool:
         return self.lo > 0.0
 
-    def draw_batch(self, cols: Sequence[np.ndarray], n: int) -> np.ndarray:
-        return self.lo + cols[0] * (self.hi - self.lo)
+    def draw_batch(self, cols: Sequence[np.ndarray], n: int, scratch=()) -> np.ndarray:
+        # lo + u * (hi - lo); IEEE addition commutes
+        return np.add(np.multiply(cols[0], self.hi - self.lo, out=cols[0]), self.lo, out=cols[0])
 
     def label(self) -> str:
         return f"uniform({self.lo!r},{self.hi!r})"
@@ -373,12 +377,12 @@ class Hyperexponential:
     def positive(self) -> bool:
         return True
 
-    def draw_batch(self, cols: Sequence[np.ndarray], n: int) -> np.ndarray:
+    def draw_batch(self, cols: Sequence[np.ndarray], n: int, scratch=()) -> np.ndarray:
         # Branch j is the first with cols[0] < cum[j], the last if there is
         # none; then -log(1 - u) / rates[j] with u from cols[1].
         cum = self._cum  # type: ignore[attr-defined]
         branch = np.minimum(np.searchsorted(cum, cols[0], side="right"), len(cum) - 1)
-        draws = _log1m(cols[1])
+        draws = _log1m(cols[1], cols[1], scratch)
         draws /= np.negative(self.rates)[branch]
         return draws
 
@@ -565,18 +569,18 @@ def _stream(
     length: int,
     rows: int,
     start: int = 0,
-    at: Checkpoint | None = None,
-    marks: bool = True,
+    backward: bool = False,
+    out: np.ndarray | None = None,
 ) -> Iterator[tuple]:
-    """Marks ``[start, start + length)`` of every seed, ascending, ``rows`` at a time.
+    """Marks ``[start, start + length)`` of every seed, ``rows`` at a time.
 
-    Yields ``(lo, sigma, xi)`` for lo = start, start + rows, ...: ``(n, R)``
-    float64 arrays of marks ``[lo, lo + n)``, column r for ``seeds[r]``.
-    The first chunk starts from ``at``, the checkpoint at ``start``, or else
-    from the chains walked there states only; each later chunk from the
-    checkpoint the one before it ended at. With ``marks`` false it draws
-    nothing and yields ``(lo, checkpoint)`` at the start of every chunk of a
-    descending read, whose chunks are cut down from the end.
+    Yields ``(lo, sigma, xi)``: ``(n, R)`` float64 arrays of marks
+    ``[lo, lo + n)``, column r for ``seeds[r]``, for lo = start, start +
+    rows, ...: the first chunk from the chains walked to ``start`` states
+    only, each later one from the checkpoint the one before it ended at.
+    ``backward`` cuts the chunks down from the end and yields them in
+    descending order, each from a checkpoint a states-only walk recorded.
+    ``out`` is as in :func:`generate_chunks`.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -590,23 +594,27 @@ def _stream(
         raise TypeError(f"unknown input model {model!r}")
     if isinstance(model, TraceModel) and len(model._columns[0]) < end:
         raise InputError(f"trace {model.path!r} has {len(model._columns[0])} marks, need {end}")
-    if at is None:
-        at = _walk(model, seeds, (None, np.zeros(len(seeds), np.int64)), 0, start)
-    if not marks:
-        yield start, at
-        for lo, hi in itertools.pairwise([start, *reversed(range(end - rows, start, -rows))]):
-            at = _walk(model, seeds, at, lo, hi - lo)
-            yield hi, at
-        return
-    for lo in range(start, end, rows):
-        n = min(rows, end - lo)
+
+    def draw(at: Checkpoint, lo: int, n: int) -> tuple[np.ndarray, np.ndarray, Checkpoint]:
         if isinstance(model, TraceModel):
             # the seed is ignored: read-only views whose columns share the file's marks
             shape = (n, len(seeds))
-            yield lo, *(np.broadcast_to(c[lo : lo + n, None], shape) for c in model._columns)
-            continue
-        draw = _generate_iid if isinstance(model, IIDModel) else _generate_markov
-        sigma, xi, at = draw(model, seeds, at, lo, n)
+            return (*(np.broadcast_to(c[lo : lo + n, None], shape) for c in model._columns), at)
+        if isinstance(model, IIDModel):
+            return _generate_iid(model, seeds, at, lo, n, out)
+        return _generate_markov(model, seeds, at, lo, n)
+
+    at = _walk(model, seeds, (None, np.zeros(len(seeds), np.int64)), 0, start)
+    if backward:
+        cuts = [start, *reversed(range(end - rows, start, -rows)), end]
+        starts = [at]
+        for lo, hi in zip(cuts, cuts[1:-1]):
+            starts.append(at := _walk(model, seeds, at, lo, hi - lo))
+        for lo, hi, at in reversed(list(zip(cuts, cuts[1:], starts))):
+            yield (lo, *draw(at, lo, hi - lo)[:2])
+        return
+    for lo in range(start, end, rows):
+        sigma, xi, at = draw(at, lo, min(rows, end - lo))
         yield lo, sigma, xi
         del sigma, xi  # not held while the next chunk is drawn
 
@@ -621,22 +629,22 @@ def _walk(model: InputModel, seeds: list[int], at: Checkpoint, lo: int, n: int) 
 
 
 def _generate_iid(
-    model: IIDModel, seeds: list[int], at: Checkpoint, lo: int, n: int
+    model: IIDModel, seeds: list[int], at: Checkpoint, lo: int, n: int, out=None
 ) -> tuple[np.ndarray, np.ndarray, Checkpoint]:
-    """Marks ``[lo, lo + n)`` of every seed, and ``at`` as it was: iid marks carry none."""
-    # uniform c of mark t of seeds[r] is u[t, r, c], the sigma law's first
+    """Marks ``[lo, lo + n)`` of every seed, and ``at`` as it was: iid marks
+    carry none. Drawn in place in a new array, or in ``out`` as in
+    :func:`generate_chunks`; ``sigma`` and ``xi`` are views of it."""
     sigma_law, xi_law = model.sigma_law, model.xi_law
     ku = sigma_law.uniforms + xi_law.uniforms
-    bitgen = np.random.Philox(key=0)
-    words = np.empty((len(seeds), n * ku), dtype=np.uint64)
-    for r, seed in enumerate(seeds):
-        words[r] = _words(bitgen, seed, 0, lo * ku, n * ku)
-    u = _to_uniforms(words).reshape(len(seeds), n, ku).swapaxes(0, 1)
     size = n * len(seeds)
+    out = np.empty(ku * size) if out is None else out
+    scratch, words = out[: len(out) - ku * size], out[len(out) - ku * size :]
+    # uniform c of mark t of seeds[r] is u[(r * n + t) * ku + c], the sigma law's first
+    u = _uniforms(0, ((seed, lo * ku, n * ku) for seed in seeds), words.view(np.uint64))
 
     def draw(law: Law, first: int) -> np.ndarray:
-        cols = [u[:, :, c].ravel() for c in range(first, first + law.uniforms)]
-        return law.draw_batch(cols, size).reshape(n, len(seeds))
+        cols = [u[c::ku] for c in range(first, first + law.uniforms)]
+        return law.draw_batch(cols, size, scratch).reshape(len(seeds), n).T
 
     return draw(sigma_law, 0), draw(xi_law, sigma_law.uniforms), at
 
@@ -713,11 +721,8 @@ def _chain(
     after, which copies the last states so that a kept checkpoint holds no path."""
     start_cum, row_cums, used = model._tables  # type: ignore[attr-defined]
     states, words = at
-    bitgen = np.random.Philox(key=0)
-    u = np.empty((len(seeds), n), dtype=np.uint64)
-    for r, seed in enumerate(seeds):
-        u[r] = _words(bitgen, seed, 1, lo, n)
-    path = _markov_states(start_cum, row_cums, _to_uniforms(u), states)
+    u = _uniforms(1, ((seed, lo, n) for seed in seeds), np.empty(len(seeds) * n, np.uint64))
+    path = _markov_states(start_cum, row_cums, u.reshape(len(seeds), n), states)
     return path, (path[:, -1].copy(), words + used[path].sum(axis=1))
 
 
@@ -733,11 +738,8 @@ def _generate_markov(
     first -= used
     shape, words = used.shape, int(used.sum())
     del used  # 8 bytes a mark, not needed while the marks are drawn
-    u = np.empty(words)
-    bitgen = np.random.Philox(key=0)
-    counts = (after[1] - at[1]).tolist()
-    for seed, off, count, word in zip(seeds, first[:, 0].tolist(), counts, at[1].tolist()):
-        u[off : off + count] = _uniforms(bitgen, seed, 0, count, word)
+    reads = zip(seeds, at[1].tolist(), (after[1] - at[1]).tolist())
+    u = _uniforms(0, reads, np.empty(words, np.uint64))
     first = first.ravel()
     # Each state's marks of every seed are drawn in batches of _BATCH and
     # scattered back.
@@ -928,11 +930,11 @@ def _require_seeds(seeds: Iterable[int]) -> list[int]:
     return seeds
 
 
-def _chunk_rows(length: int, seeds: int) -> int:
+def _chunk_rows(length: int, seeds: int, marks: int = _DRAW_MARKS) -> int:
     """Rows per chunk of a draw of ``length`` marks of ``seeds`` seeds:
-    ``_PASS_MARKS`` marks in all, but at least ``_MIN_CHUNK_ROWS`` rows and
-    at most ``length``."""
-    return min(length, max(_MIN_CHUNK_ROWS, _PASS_MARKS // max(seeds, 1)))
+    ``marks`` marks in all, but at least ``_MIN_CHUNK_ROWS`` rows and at
+    most ``length``."""
+    return min(length, max(_MIN_CHUNK_ROWS, marks // max(seeds, 1)))
 
 
 def generate_many(
@@ -962,7 +964,7 @@ def generate_many(
 
 
 def generate_chunks(
-    model: InputModel, seeds: Sequence[int], length: int, rows: int
+    model: InputModel, seeds: Sequence[int], length: int, rows: int, out=None
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The first ``length`` marks of every seed, ``rows`` at a time, in
     descending mark index: the deepest past first.
@@ -970,14 +972,12 @@ def generate_chunks(
     Yields ``(lo, sigma, xi)`` for hi = length, length - rows, ... while
     hi > 0, with lo = max(0, hi - rows): ``sigma`` and ``xi`` equal, bit
     for bit, the arrays of ``generate_many(model, seeds, hi - lo, lo)``, and
-    only one chunk is held at a time. The states-only part of :func:`_stream`
-    records each chunk's checkpoint, and each chunk is drawn from its own.
+    only one chunk is held at a time: the backward read of :func:`_stream`.
+    With ``out``, a 1-d float64 array ``_SCRATCH`` floats longer than the
+    words of a chunk or more, an iid chunk is drawn in place in its tail,
+    with its head as scratch, so each chunk overwrites the one before it.
     """
-    seeds = list(seeds)
-    hi = length
-    for lo, at in reversed(list(_stream(model, seeds, length, rows, marks=False))):
-        yield next(_stream(model, seeds, hi - lo, rows, lo, at))
-        hi = lo
+    return _stream(model, seeds, length, rows, backward=True, out=out)
 
 
 def generate_forward(

@@ -267,7 +267,7 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
     ``(R, S)`` array; other shapes, a rank outside [1, S] and a start row
     that :func:`pth_step` refuses raise ValueError. From
     ``_LOCKSTEP_MIN_ROWS`` rows on, the rows are stepped as one array, by
-    :func:`_iter_lockstep`. Fewer rows are stepped one by one: each as a
+    :func:`_lockstep`. Fewer rows are stepped one by one: each as a
     time-blocked path, by :func:`path_profiles` a walk chunk
     (``_PATH_CHUNK`` arrivals) at a time, when the call spans at least one
     chunk, and one arrival at a time, as by :func:`iter_profiles`, when it
@@ -298,13 +298,31 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
                     path = path_profiles(tuple(u[r].tolist()), sigma[part, r], xi[part, r], rank)
                     u[r] = path[-1]
         return u
-    u = np.array(u.T, order="C")
-    # Each step's gaps copied to every coordinate row, so that the subtract
-    # is same-shape: broadcasting an (R,) row over (S, R) costs about three
-    # times as much per step.
-    gaps = np.repeat(np.asarray(xi)[:, None, :], u.shape[0], axis=1)
-    deque(_iter_lockstep(u, sigma, gaps, rank), maxlen=0)
-    return u.T
+    u = np.array(u.T[:, None], order="C")
+    _lockstep(u, sigma, xi, rank, np.empty(max(len(sigma), 1) * len(start) * (len(u) + 1)))
+    return u[:, 0].T
+
+
+def _lockstep(u: np.ndarray, sigma, xi, rank: int, scratch: np.ndarray) -> None:
+    """Step the ``(S, k, R)`` state ``u`` in place, k replays of R systems,
+    through the ``(m, R)`` marks ``sigma`` and ``xi``, one row per arrival:
+    column r of every replay on the marks of column r. The marks go through
+    :func:`_iter_lockstep` a scratch-full at a time, copied into the float64
+    ``scratch``, which holds at least one row: each row's gaps to every
+    queue of every replay, so that the subtract is same-shape (broadcasting
+    an (R,) row over (S, R) costs about three times as much per step), then
+    the sigma rows.
+    """
+    servers, reps, width = u.shape
+    per = max(1, len(scratch) // max(1, width * (servers * reps + 1)))  # rows per scratch-full
+    for a in range(0, len(sigma), per):
+        m = len(sigma[a : a + per])
+        gaps = scratch[: m * servers * reps * width].reshape(m, servers * reps, width)
+        gaps[:, 0] = xi[a : a + m]
+        gaps[:, 1:] = gaps[:, :1]
+        sig = scratch[gaps.size : gaps.size + m * width].reshape(m, width)
+        sig[...] = sigma[a : a + m]
+        deque(_iter_lockstep(u, sig, gaps.reshape(m, servers, reps, width), rank), maxlen=0)
 
 
 def _iter_lockstep(u: np.ndarray, sigma, gaps, rank: int) -> Iterator[np.ndarray]:

@@ -20,7 +20,7 @@ from jswsim.comparison import (
     compare_server_counts,
     fcfs_waiting_times,
 )
-from jswsim.loynes import estimate_stationary
+from jswsim.loynes import estimate_stationary, estimate_stationary_many
 from jswsim.orderings import (
     prec,
     sample_rank_ordered_pair,
@@ -197,8 +197,8 @@ def test_c07_stationary_closed_forms(criterion_log):
     details = []
     for name, model, servers, target, reps in cases:
         waits = []
-        for seed in range(1, reps + 1):
-            res = estimate_stationary(model, seed, servers)
+        # each seed's result is the one it gets alone, estimate_stationary's
+        for seed, res in enumerate(estimate_stationary_many(model, range(1, reps + 1), servers), 1):
             assert res.converged, (name, seed)
             waits.append(res.profile[0])
         mean = math.fsum(waits) / reps

@@ -166,6 +166,30 @@ class TestExitCodes:
         assert err == f"input error: trace {str(trace)!r}: {why}\n"
         assert not (tmp_path / "sim.csv").exists()
 
+    # loynes near the largest float, at servers = 1 over seeds 1..300: a
+    # replay past it (exit 70 from the next lockstep call's start-row check,
+    # before), and finite profiles whose sum for the mean overflows fsum
+    # (exit 70). Numpy's overflow warnings are errors here, so none is raised.
+    @pytest.mark.parametrize(
+        "xi, why",
+        [
+            ("4.9e306", "seed 29: the replay from depth 256 passes the largest float"),
+            ("5.5e306", "the mean over 300 seeds passes the largest float"),
+        ],
+        ids=["replay", "mean"],
+    )
+    def test_loynes_past_the_largest_float_is_three(self, xi, why, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            f"[model]\nsigma = exponential(2.1e-307)\nxi = deterministic({xi})\n"
+            "[run]\nseeds = 1..300\n[loynes]\nservers = 1\n"
+        )
+        snapshots = tmp_path / "s.csv"
+        code, out, err = run(["loynes", "--config", str(cfg), "--out", str(snapshots)], capsys)
+        assert code == 3 and out == ""
+        assert err == f"input error: {why}\n"
+        assert not snapshots.exists()
+
     def test_unstable_is_four(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[model]\nsigma = exponential(0.5)\nxi = exponential(2.0)\n")

@@ -8,8 +8,9 @@ import pytest
 
 import jswsim.loynes as loynes
 import jswsim.processes as processes
+from conftest import traced_peak
 from formulas import backward_marks, loynes_iterate
-from jswsim.errors import StabilityError
+from jswsim.errors import InputError, StabilityError
 from jswsim.loynes import estimate_stationary, estimate_stationary_many
 from jswsim.orderings import prec
 from jswsim.processes import Deterministic, Exponential, IIDModel, TraceModel, generate
@@ -156,20 +157,26 @@ class TestManySeeds:
     def _fields(res):
         return (res.profile, res.steps_used, res.converged, repr(res.last_increment), res.history)
 
-    @pytest.mark.parametrize("pass_marks", [2**14, 256])
+    @staticmethod
+    def record_kernel(monkeypatch):
+        """The columns, replays times seeds, of each array-kernel call of the replay."""
+        columns = []
+        kernel = loynes._lockstep
+        monkeypatch.setattr(
+            loynes, "_lockstep", lambda u, *a: columns.append(u[0].size) or kernel(u, *a)
+        )
+        return columns
+
+    @pytest.mark.parametrize("pass_marks", [2**16, 2**14, 256])
     def test_equals_one_seed_at_a_time(self, pass_marks, monkeypatch):
         # 256 marks per pass splits the early depths into several lockstep
         # passes and replays n = 64 in passes of four seeds, seed by seed
         monkeypatch.setattr(processes, "_PASS_MARKS", pass_marks)
-        calls = []
-        kernel = loynes.lockstep_profiles
-        monkeypatch.setattr(
-            loynes, "lockstep_profiles", lambda *a: calls.append(a[0].shape) or kernel(*a)
-        )
+        columns = self.record_kernel(monkeypatch)
         seeds = list(range(1, 41))
         many = estimate_stationary_many(self.MODEL, seeds, **self.ARGS)
-        # every pass calls the kernel; a call this large steps its rows as one array
-        assert max(rows for rows, _ in calls) >= _LOCKSTEP_MIN_ROWS, "the array kernel was not used"
+        # the first pass has every seed at two depths: as one array
+        assert max(columns) >= _LOCKSTEP_MIN_ROWS, "the array kernel was not used"
         one = [estimate_stationary(self.MODEL, s, **self.ARGS) for s in seeds]
         assert [self._fields(r) for r in many] == [self._fields(r) for r in one]
         assert {r.steps_used for r in many} == {16, 32, 64}
@@ -179,12 +186,13 @@ class TestManySeeds:
     # recorded before the passes drew their marks in one block
     DIGEST_1_40 = "40ad9f96f66d865fbc1b77b75839ebf9dfb9d235fb5c7334b4d51b62a130c10c"
 
-    # (marks per pass, rows per chunk at least): the defaults, which hold
-    # each depth in one chunk, and small ones, which cut every depth into
-    # chunks of 5 to 12 rows, one of them across the row where the 8-deep
-    # replay joins the 16-deep one
+    # (marks per pass, rows per chunk at least): the defaults and half their
+    # pass, which hold each depth in one chunk, and small ones, which cut
+    # every depth into chunks of 5 to 12 rows, one of them across the row
+    # where the 8-deep replay joins the 16-deep one
     @pytest.mark.parametrize(
-        "pass_marks,min_rows", [(processes._PASS_MARKS, processes._MIN_CHUNK_ROWS), (100, 5)]
+        "pass_marks,min_rows",
+        [(processes._PASS_MARKS, processes._MIN_CHUNK_ROWS), (2**15, 128), (100, 5)],
     )
     def test_chunks_tile_each_depth_oldest_first(self, pass_marks, min_rows, monkeypatch):
         monkeypatch.setattr(processes, "_PASS_MARKS", pass_marks)
@@ -192,21 +200,17 @@ class TestManySeeds:
         draws = {}
         generate_chunks = loynes.generate_chunks
 
-        def recording_chunks(model, seeds, length, rows):
-            for lo, sigma, xi in generate_chunks(model, seeds, length, rows):
+        def recording_chunks(model, seeds, length, rows, **kwargs):
+            for lo, sigma, xi in generate_chunks(model, seeds, length, rows, **kwargs):
                 assert sigma.size <= pass_marks
                 for seed in seeds:
                     draws.setdefault(seed, []).append((lo, lo + len(sigma)))
                 yield lo, sigma, xi
 
         monkeypatch.setattr(loynes, "generate_chunks", recording_chunks)
-        kernel_rows = []
-        kernel = loynes.lockstep_profiles
-        monkeypatch.setattr(
-            loynes, "lockstep_profiles", lambda *a: kernel_rows.append(len(a[0])) or kernel(*a)
-        )
+        columns = self.record_kernel(monkeypatch)
         many = estimate_stationary_many(self.MODEL, range(1, 41), **self.ARGS)
-        assert max(kernel_rows) >= _LOCKSTEP_MIN_ROWS, "the array kernel was not used"
+        assert max(columns) >= _LOCKSTEP_MIN_ROWS, "the array kernel was not used"
         # 40 seeds at n = 8 and 16, the 14 still running at n = 32, the 8 at n = 64
         running = [(sum(n in dict(r.history) for r in many), n) for n in (8, 16, 32, 64)]
         assert running == [(40, 8), (40, 16), (14, 32), (8, 64)]
@@ -227,19 +231,36 @@ class TestManySeeds:
 
     def test_deep_replay_stays_in_lockstep(self, monkeypatch):
         # 8 seeds at n = 2^13 and 2^14: a pass of all eight, in chunks
-        kernel_rows = []
-        kernel = loynes.lockstep_profiles
-        monkeypatch.setattr(
-            loynes, "lockstep_profiles", lambda *a: kernel_rows.append(len(a[0])) or kernel(*a)
-        )
+        columns = self.record_kernel(monkeypatch)
         model = IIDModel(Exponential(1.0), Exponential(0.55))
         args = dict(servers=2, tolerance=1e-12, window=2**13, max_n=2**14)
         seeds = list(range(8))
         many = estimate_stationary_many(model, seeds, **args)
-        assert set(kernel_rows) == {8, 16}
+        assert set(columns) == {8, 16}
         one = [estimate_stationary(model, s, **args) for s in seeds]
         assert [self._fields(r) for r in many] == [self._fields(r) for r in one]
         assert {r.steps_used for r in many} == {2**14}
+
+    def test_a_pass_fits_in_the_memory_of_a_half_size_pass(self):
+        # M/M/2 at load 0.9 over 4000 seeds: eight passes of 512 seeds at the
+        # first level. 3,582,826 bytes is the peak when each chunk of 2**15
+        # marks was drawn into new arrays and tiled for the second depth; at
+        # 2**16 marks that design held 5.4 MB.
+        model = IIDModel(Exponential(1.0), Exponential(1.8))
+        estimate_stationary_many(model, range(1, 9), servers=2)  # lazy imports done
+        peak = traced_peak(lambda: estimate_stationary_many(model, range(1, 4001), servers=2))
+        assert peak <= 3_582_826, peak
+
+    def test_a_replay_past_the_largest_float_is_refused(self):
+        # mean work 4.76e306 against gaps of 4.9e306 at one server: seed 14
+        # passes the largest float alone, a row at a time, and seed 29 first
+        # in a lockstep pass of seeds 1..300
+        model = IIDModel(Exponential(2.1e-307), Deterministic(4.9e306))
+        why = "^seed 14: the replay from depth 512 passes the largest float$"
+        with pytest.raises(InputError, match=why):
+            estimate_stationary(model, 14, servers=1)
+        with pytest.raises(InputError, match="^seed 29: the replay from depth 256 "):
+            estimate_stationary_many(model, range(1, 301), servers=1)
 
     def test_one_depth_stops_every_seed_unconverged(self):
         # 2 * window > max_n: each seed is replayed at one depth, with no

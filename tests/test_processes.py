@@ -58,6 +58,11 @@ from jswsim.processes import (
 MM1 = IIDModel(Exponential(1.0), Exponential(0.5))
 
 
+def uniforms(seed, stream, count, first=0):
+    """Uniforms ``[first, first + count)`` of Philox stream ``stream`` of ``seed``."""
+    return _uniforms(stream, [(seed, first, count)], np.empty(count, np.uint64))
+
+
 class TestLaws:
     def test_means(self):
         assert Exponential(2.0).mean() == 0.5
@@ -323,13 +328,14 @@ class TestBlockGeneration:
         self.assert_columns_match(IIDModel(LAWS[3], LAWS[0]), [1, 2], _LOG_CHUNK + 7)
 
     def test_uniforms_reset_between_streams(self):
-        bitgen = np.random.Philox(key=0)
-        _uniforms(bitgen, 3, 0, 5)  # leaves three of four block words buffered
         for seed, stream in ((2**63 + 9, 1), (3, 0)):
+            # the first read leaves three of four block words buffered
+            reads = [(3, 0, 5), (seed, 0, 11)]
+            got = _uniforms(stream, reads, np.empty(16, np.uint64))[5:]
             key = np.array([seed % 2**64, stream], dtype=np.uint64)
             raw = np.random.Philox(key=key).random_raw(11)
             fresh = ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
-            assert np.array_equal(bits(_uniforms(bitgen, seed, stream, 11)), bits(fresh))
+            assert np.array_equal(bits(got), bits(fresh))
 
     # the smallest and the largest uniform the u52 mapping produces, and the
     # first cumulative probability of LAWS[3], where the branch test is a tie
@@ -438,7 +444,7 @@ class TestLog1m:
 
     @pytest.mark.parametrize("length", [_LOG_CHUNK - 1, _LOG_CHUNK, _LOG_CHUNK + 1])
     def test_chunk_boundaries(self, length):
-        u = _uniforms(np.random.Philox(key=0), 5, 0, length)
+        u = uniforms(5, 0, length)
         # lanes that need the fix-up at both ends of each pass
         for j, at in enumerate((0, _LOG_CHUNK - 1, _LOG_CHUNK, length - 1)):
             if at < length:
@@ -940,8 +946,7 @@ class TestMarkovStatePath:
         prev = rng.integers(0, len(rows), len(seeds)) if checkpoint else None
         words = rng.integers(0, 100, len(seeds))
         path, (last, after) = _chain(model, seeds, (prev, words), lo, length)
-        bitgen = np.random.Philox(key=0)
-        u = np.array([_uniforms(bitgen, seed, 1, length, lo) for seed in seeds])
+        u = np.array([uniforms(seed, 1, length, lo) for seed in seeds])
         assert_scalar_paths(start, rows, u, prev, path)
         assert np.array_equal(last, path[:, -1])
         assert after.tolist() == [w + sum(used[s] for s in p) for w, p in zip(words, path.tolist())]
