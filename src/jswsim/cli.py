@@ -258,14 +258,15 @@ def _sim_one(payload, out=None):
     1e-4 up to 1e16 itself and takes every other value's from ``repr``."""
     model, seed, horizon, system = payload
     draw = functools.partial(generate_forward, model, seed, horizon)
-    wait = _OfferedWait(system.rank, horizon)
+    name = f"seed {seed}: {system.label}"
+    wait = _OfferedWait(system.rank, horizon, name)
     if out is not None:
         # imported here, as only a run that writes rows needs it
         from ._rows import SimulateRows
 
         rows = SimulateRows(seed, horizon, system, _block_columns(horizon))
         write = _binary(out).write
-    for step, path in _path_chunks(system.start_profile(), draw, system.rank):
+    for step, path in _path_chunks(system.start_profile(), draw, system.rank, name):
         wait.add(step, path)
         if out is not None:
             totals = _total_cells(path)
@@ -385,19 +386,22 @@ def _compare_one(payload, out=None):
     model, seed, horizon, settings = payload
     marks = generate(model, seed, horizon)
     first, second = settings.systems()
-    if settings.mode == "servers":
-        report = compare_server_counts(
-            first.servers, second.servers, marks, sum_slack=settings.sum_slack
-        )
-    else:
-        report = compare_allocation_ranks(
-            first.servers,
-            second.rank,
-            first.start_profile(),
-            second.start_profile(),
-            marks,
-            tol=settings.tolerance,
-        )
+    try:  # a run past the largest float names its system and step; add the seed
+        if settings.mode == "servers":
+            report = compare_server_counts(
+                first.servers, second.servers, marks, sum_slack=settings.sum_slack
+            )
+        else:
+            report = compare_allocation_ranks(
+                first.servers,
+                second.rank,
+                first.start_profile(),
+                second.start_profile(),
+                marks,
+                tol=settings.tolerance,
+            )
+    except InputError as exc:
+        raise InputError(f"seed {seed}: {exc}") from None
     if out is not None:
         from ._rows import TrajectoryRows  # as in _sim_one
 
@@ -406,7 +410,7 @@ def _compare_one(payload, out=None):
         for system in (first, second):
             start = system.start_profile()
             rows = TrajectoryRows(f"seed{seed}:{system.label}", len(start), len(marks), columns)
-            for step, path in _path_chunks(start, _slices(marks), system.rank):
+            for step, path in _path_chunks(start, _slices(marks), system.rank, system.label):
                 write(rows.block(step, path))
     return seed, report
 

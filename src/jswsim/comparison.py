@@ -138,19 +138,24 @@ def _run_coupled(
 
     Each system's mean offered wait is that of
     :class:`~jswsim.profiles._OfferedWait`, the same float ``simulate``
-    reports.
+    reports. A profile, a total workload or a sum of offered waits past
+    the largest float raises InputError naming the system, by its label in
+    ``report``, and the step; sums the screen makes past it give it an inf
+    or NaN slack and no numpy warning.
     """
     arrivals = len(marks)
     if not arrivals:
         raise ValueError("a coupled comparison needs at least one arrival, got no marks")
     (start_a, rank_a), (start_b, rank_b) = first, second
-    wait_a, wait_b = _OfferedWait(rank_a, arrivals), _OfferedWait(rank_b, arrivals)
+    name_a, name_b = report.systems
+    wait_a, wait_b = _OfferedWait(rank_a, arrivals, name_a), _OfferedWait(rank_b, arrivals, name_b)
     walks = zip(
-        _path_chunks(start_a, _slices(marks), rank_a),
-        _path_chunks(start_b, _slices(marks), rank_b),
+        _path_chunks(start_a, _slices(marks), rank_a, name_a),
+        _path_chunks(start_b, _slices(marks), rank_b, name_b),
     )
     for (step, block_a), (_, block_b) in walks:
-        slack = screen(block_a, block_b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = screen(block_a, block_b)
         confirm = set(np.flatnonzero(~(slack >= 0.0)).tolist())
         confirm.add(int(slack.argmin()))
         for i in sorted(confirm):
@@ -192,6 +197,8 @@ def compare_server_counts(
     servers_small + 1`` (tail sums within ``sum_slack``). At most one
     violation is recorded per step, the first in that order. A negative
     ``sum_slack`` tightens the sum inequalities, and so forces violations.
+    A profile, a total workload or a sum of offered waits past the largest
+    float raises InputError naming the system and the step.
     """
     _require_server_counts(servers_big, servers_small)
     _require_tolerance(sum_slack, "sum_slack")
@@ -272,7 +279,9 @@ def compare_allocation_ranks(
     least-loaded queue, the second from ``start_alt`` joining the rank-th
     least-loaded queue. The rank ordering is re-checked after every arrival
     with tolerance ``tol`` (the two paths share one arithmetic route, so the
-    default is exact; a negative ``tol`` tightens every clause).
+    default is exact; a negative ``tol`` tightens every clause). A profile,
+    a total workload or a sum of offered waits past the largest float
+    raises InputError naming the system and the step.
     """
     start, start_alt = _allocation_starts(servers, rank, start, start_alt)
     premise = prec_p(start, start_alt, rank, tol)

@@ -22,20 +22,22 @@ two take a system's mean offered wait from :class:`_OfferedWait`.
 array, bit for bit those of :func:`pth_step`, for backward replays; it
 shares one array step, :func:`_iter_lockstep`, with :func:`path_profiles`,
 and steps each row of a long call of a few rows as a time-blocked path,
-by :func:`path_profiles` itself.
+by :func:`path_profiles` itself. Both step their in-order stretches by
+:func:`_row_loop`, one loop generated per (S, rank).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from bisect import insort
 from collections import deque
-from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .errors import InputError
 from .processes import MarkSequence
 
 __all__ = [
@@ -165,47 +167,49 @@ _PATH_BLOCK = 32
 #   2**15: 0.152 0.280 0.331 0.437 0.631, 7.9 MB
 _PATH_CHUNK = 2**14
 # A lockstep_profiles call with fewer rows steps them one by one: one
-# arrival at a time, or, once the call spans _PATH_CHUNK marks, each row as
-# a time-blocked path by path_profiles. The array kernel costs about as
-# much per step for one row as for ten, the other two one row's steps per
-# row. CPU per step of R rows from zeros at load 0.9, rank 1, as the median
-# ratio of five alternating runs pinned to one CPU of a 2-core VM shared
-# with other jobs, numpy 2.4.6:
+# arrival at a time, by _row_loop, or, once the call spans _PATH_CHUNK
+# marks, each row as a time-blocked path by path_profiles. The array kernel
+# costs about as much per step for one row as for ten, the other two one
+# row's steps per row. CPU per step of R rows from zeros at load 0.9, rank
+# 1, as the median ratio of five alternating runs pinned to one CPU of a
+# 2-core VM shared with other jobs, numpy 2.4.6, with the row loop and the
+# walk's in-order rows generated per (S, rank):
 #   kernel / walk        R = 4     6     8    12    16
-#     n = 2048,  S = 2:     1.32  0.95  0.57  0.44  0.30
-#                S = 4:     1.46  1.03  0.80  0.47  0.33
-#                S = 8:     1.15  0.85  0.52  0.39  0.28
-#     n = 16384, S = 2:     3.24  1.97  1.21  1.00  0.77
-#                S = 4:     3.86  2.32  1.89  1.27  0.85
-#                S = 8:     2.52  1.49  1.28  0.94  0.63
+#     n = 2048,  S = 2:     2.12  1.39  1.06  0.73  0.54
+#                S = 4:     2.17  1.41  0.99  0.65  0.53
+#                S = 8:     1.54  1.18  0.82  0.61  0.46
+#     n = 16384, S = 2:     6.27  4.11  3.06  2.16  2.05
+#                S = 4:     6.45  4.31  2.55  2.22  1.52
+#                S = 8:     3.71  2.82  2.04  1.29  1.03
 #   kernel / row loop, n = 2048:
-#                S = 2:     0.96  0.69  0.55  0.37  0.27
-#                S = 4:     1.55  1.01  0.91  0.51  0.34
-#                S = 8:     1.12  0.81  0.67  0.43  0.28
-# The kernel wins from R = 6 to 8 at n = 2048, against either, and from
-# R = 12 to 16 against the walk at n = 16384. The count stays 8: a higher
-# one would serve only calls of 8 to 11 rows that span a walk chunk, which
-# no bench workload makes, and would hand such rows of shorter calls to the
-# slower row loop.
+#                S = 2:     4.93  3.35  2.67  1.72  1.31
+#                S = 4:     5.68  3.71  2.83  1.70  1.29
+#                S = 8:     3.02  2.11  1.76  1.30  0.87
+# The kernel wins from R = 8 to 12 against the walk at n = 2048, but
+# against the row loop only at S = 8 and R = 16, and against the walk at
+# n = 16384 at no R up to 16. The count stays 8 all the same: a higher one
+# would hand loynes replays of 8 to 15 rows to the row loop, a move not yet
+# measured end to end.
 #
 # The length rule: a row steps as a path only from _PATH_CHUNK marks on.
 # One row from zeros, rank 1, CPU per step of the walk over the row loop,
-# the median ratio of nine alternating runs (same VM; the loop took 0.9 to
-# 2.1 us per step), by the call's marks n:
+# the median ratio of nine alternating runs (same VM; the loop took 0.2 to
+# 0.8 us per step), by the call's marks n:
 #                n = 512  1024  2048  4096  8192  16384
-#   S = 2, load 0.5:   1.48  0.91  0.40  0.21  0.12  0.10
-#               0.9:   1.64  1.11  0.64  0.56  0.72  0.36
-#              0.98:   1.87  1.60  1.14  1.16  1.24  1.08
-#   S = 4, load 0.5:   1.86  1.05  0.51  0.25  0.15  0.10
-#               0.9:   2.13  1.38  1.29  0.67  0.61  0.26
-#              0.98:   2.29  1.78  1.72  1.34  1.09  1.02
-#   S = 8, load 0.5:   1.68  1.01  0.49  0.23  0.16  0.13
-#               0.9:   1.93  1.18  0.94  0.66  0.81  0.28
-#              0.98:   2.03  1.58  1.52  1.34  1.41  1.31
-# At loads 0.5 and 0.9 the walk is faster from 4096 marks on; at 0.98 it is
-# slower at every length, as few of its blocks merge and path_profiles then
-# steps nearly all of them in order after its array passes. No shorter
-# length is no slower at all three loads, so the rule stays one walk chunk.
+#   S = 2, load 0.5:   5.08  2.94  1.74  0.72  0.41  0.23
+#               0.9:   4.63  3.15  2.76  1.62  0.76  0.67
+#              0.98:   5.13  3.96  2.21  2.04  1.66  1.45
+#   S = 4, load 0.5:   5.54  3.02  1.75  0.90  0.48  0.28
+#               0.9:   5.39  3.54  2.31  1.72  1.12  0.92
+#              0.98:   5.34  5.39  3.10  2.03  1.79  1.46
+#   S = 8, load 0.5:   3.14  1.74  0.89  0.57  0.34  0.23
+#               0.9:   4.24  2.97  2.03  1.30  1.28  0.75
+#              0.98:   4.21  3.69  2.52  1.75  1.86  1.94
+# At load 0.5 the walk is faster from 2048 to 8192 marks on, at 0.9 from
+# 8192 or 16384; at 0.98 it is slower at every length, as few of its
+# blocks merge and path_profiles then steps nearly all of them in order
+# after its array passes. No shorter length is no slower at loads 0.5 and
+# 0.9, so the rule stays one walk chunk.
 _LOCKSTEP_MIN_ROWS = 8
 # A pass of path_profiles with fewer dirty blocks finishes the path in
 # order, at once, where a kernel pass may leave some dirty. The bench's
@@ -255,6 +259,49 @@ def _iter_steps(state: Profile, sigma, xi, rank: int) -> Iterator[Profile]:
             yield state
 
 
+@functools.lru_cache(maxsize=None)
+def _row_loop(servers: int, rank: int) -> Callable:
+    """The in-order loop of a system of ``servers`` queues whose arrivals
+    join the rank-th least workload: ``loop(state, sigma, xi, out)`` steps
+    the profile tuple ``state`` through the float lists ``sigma`` and
+    ``xi``, extends the list ``out`` with each profile's coordinates in
+    turn and returns the last profile, a tuple.
+
+    Each arrival makes exactly :func:`_step`'s float operations, so every
+    profile is bit for bit :func:`_step`'s: one add at ``rank``, giving v;
+    v placed among the other queues by a chain of ``v < q`` tests upwards
+    from the queue above ``rank``, before the first that is greater, as
+    ``insort`` places it, after any equal (the queues below ``rank`` are no
+    greater than v, so they take no test); then ``q - x if q > x else 0.0``
+    for every queue. The code holds the queues in local variables, so it is
+    generated for each (servers, rank), as :mod:`dataclasses` generates its
+    methods, and compiled once; only those two integers go into its text.
+    """
+    p, queues = rank - 1, [f"q{k}" for k in range(servers)]
+    state = ", ".join(queues) + ","
+    # place i: old queues p + 1 .. i move down one, v becomes queue i
+    moves = [
+        f"{', '.join(queues[p : i + 1])} = {', '.join([*queues[p + 1 : i + 1], 'v'])}"
+        for i in range(p, servers)
+    ]
+    tests = [f"{'el' if i > p else ''}if v < q{i + 1}:" for i in range(p, servers - 1)] + ["else:"]
+    insert = moves if len(moves) == 1 else [f"{t}\n            {m}" for t, m in zip(tests, moves)]
+    lines = [
+        "def row_loop(state, sigma, xi, out):",
+        f"    {state} = state",
+        "    extend = out.extend",
+        "    for s, x in zip(sigma, xi):",
+        f"        v = q{p} + s",
+        *(f"        {line}" for line in insert),
+        *(f"        {q} = {q} - x if {q} > x else 0.0" for q in queues),
+        f"        extend(({state}))",
+        f"    return {state}",
+    ]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["row_loop"]
+
+
 def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank: int) -> np.ndarray:
     """Final profiles of R systems stepped in lockstep from the rows of ``start``.
 
@@ -270,7 +317,7 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
     :func:`_lockstep`. Fewer rows are stepped one by one: each as a
     time-blocked path, by :func:`path_profiles` a walk chunk
     (``_PATH_CHUNK`` arrivals) at a time, when the call spans at least one
-    chunk, and one arrival at a time, as by :func:`iter_profiles`, when it
+    chunk, and one arrival at a time, by :func:`_row_loop`, when it
     is shorter. Adding +0.0 to the start maps -0.0 to +0.0, as
     :func:`pth_step` does.
     """
@@ -288,9 +335,11 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
         _require_profile(tuple(u[r].tolist()), f"start row {r}")
     u += 0.0
     if len(u) < _LOCKSTEP_MIN_ROWS:
+        loop = _row_loop(u.shape[1], rank)
         for r, row in enumerate(u.tolist()):
             if len(sigma) < _PATH_CHUNK:
-                u[r] = deque(_iter_steps(tuple(row), sigma[:, r], xi[:, r], rank), maxlen=1)[0]
+                # only the last profile is kept: the rows go to a sink
+                u[r] = loop(tuple(row), sigma[:, r].tolist(), xi[:, r].tolist(), deque(maxlen=0))
             else:
                 # a time-blocked path, a walk chunk per path_profiles call
                 for lo in range(0, len(sigma), _PATH_CHUNK):
@@ -395,7 +444,7 @@ def path_profiles(start: Profile, sigma: np.ndarray, xi: np.ndarray, rank: int) 
     (Heidelberger & Stone 1990; Lin & Lazowska 1991). When fewer than
     ``_PATH_MIN_DIRTY`` blocks are dirty, or when a fix-up pass after the
     first leaves more than four fifths of those it stepped, the rest is
-    stepped in order, one row at a time, by :func:`_step_blocks_in_order`:
+    stepped in order, by the row loop, :func:`_step_blocks_in_order`:
     each dirty block, then each block after it while the end just given to
     the block before differs from its start; the clean stretches between
     are jumped over. A ragged last block is padded with zero marks; the
@@ -451,12 +500,13 @@ def _step_blocks_at_once(body, starts, sig, gap, rows, rank: int) -> None:
 
 
 def _step_blocks_in_order(body, starts, sig, gap, dirty, start: np.ndarray, rank: int) -> int:
-    """Step the ``dirty`` blocks of a path in order, one row at a time, each
-    from the end of the block before it, block 0 from ``start``, and with
-    each one the blocks after it, up to the first whose ``starts`` row is
-    the end just given to the block before it; return how many blocks were
-    stepped."""
+    """Step the ``dirty`` blocks of a path in order, by :func:`_row_loop`,
+    each from the end of the block before it, block 0 from ``start``, and
+    with each one the blocks after it, up to the first whose ``starts`` row
+    is the end just given to the block before it; return how many blocks
+    were stepped."""
     blocks, length, servers = body.shape
+    loop = _row_loop(servers, rank)
     stepped = done = 0
     for b in dirty.tolist():
         if b < done:
@@ -465,25 +515,49 @@ def _step_blocks_in_order(body, starts, sig, gap, dirty, start: np.ndarray, rank
         chained = True
         while chained:
             # a run of blocks stepped anew, written at once, at most _CHUNK rows
-            rows, e = [], b
-            while chained and len(rows) < _CHUNK:
-                steps = _iter_steps(state, sig[e], gap[e], rank)
-                next(steps)
-                rows += steps
-                state, e = rows[-1], e + 1
+            flat, e = [], b
+            while chained and (e - b) * length < _CHUNK:
+                state, e = loop(state, sig[e].tolist(), gap[e].tolist(), flat), e + 1
                 # no profile holds -0.0 or NaN, so == on these floats is
                 # equality of bits
                 chained = e < blocks and state != tuple(starts[e].tolist())
-            flat = np.fromiter(chain.from_iterable(rows), float, len(rows) * servers)
-            body[b:e] = flat.reshape(e - b, length, servers)
+            body[b:e] = np.fromiter(flat, float, len(flat)).reshape(e - b, length, servers)
             stepped, b = stepped + e - b, e
         # block e, if any, starts from the end just given to block e - 1
         done = e + 1
     return stepped
 
 
+def _past_the_largest_float(name: str, what: str, step: int) -> InputError:
+    """The error of the forward run ``name`` whose ``what`` at ``step`` passes
+    the largest float: an overflow is a fault of the input, not a result."""
+    return InputError(f"{name}: {what} at step {step} passes the largest float")
+
+
+def _require_in_float_range(rows: np.ndarray, name: str, step: int) -> None:
+    """Raise InputError at the first profile of the block ``rows`` of the
+    run ``name``, whose columns are the profiles of steps ``step``, ``step +
+    1``, ..., that passes the largest float or whose total workload does,
+    as ``math.fsum`` adds it. Only a profile whose top queue reaches a
+    ``2 S``-th of the largest float can: the others sum to at most half of
+    it. Profiles are nondecreasing, so one reduction over the top row
+    clears nearly every block.
+    """
+    bound = sys.float_info.max / (2 * len(rows))
+    if rows[-1].max() < bound:
+        return
+    for i in np.flatnonzero(~(rows[-1] < bound)).tolist():
+        profile = rows[:, i].tolist()
+        if not profile[-1] < math.inf:
+            raise _past_the_largest_float(name, "the profile", step + i)
+        try:
+            math.fsum(profile)
+        except OverflowError:
+            raise _past_the_largest_float(name, "the total workload", step + i) from None
+
+
 def _path_chunks(
-    start: Profile, draw: Callable[[int], Iterable[MarkSequence]], rank: int
+    start: Profile, draw: Callable[[int], Iterable[MarkSequence]], rank: int, name: str
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(step, rows)`` for one system's forward run, at least one
     arrival: ``rows`` holds the profiles of steps ``step``, ``step + 1``,
@@ -502,15 +576,22 @@ def _path_chunks(
     profile of the one before and drops its own row 0, that same profile.
     Step 0 is ``start`` as given. Each block is a transposed copy of its
     rows, at most 256 KB at S = 8: one copy of a whole call's rows raised
-    the peak RSS of ``compare`` at 8 vs 4 servers by 2 MB.
+    the peak RSS of ``compare`` at 8 vs 4 servers by 2 MB. A profile or a
+    total workload past the largest float raises InputError naming the run
+    ``name`` and the step, by :func:`_require_in_float_range`, before its
+    block is yielded, so every total that ``fsum`` adds from a block is
+    finite.
     """
     step = 0
     for marks in draw(_PATH_CHUNK):
-        path = path_profiles(start, marks.sigma, marks.xi, rank)
+        with np.errstate(over="ignore"):
+            path = path_profiles(start, marks.sigma, marks.xi, rank)
         for base in range(1 if step else 0, len(path), _CHUNK):
             # a copy always: ascontiguousarray gives a one-column block as a
             # view, which would hold the whole path while the next is drawn
-            yield step + base, path[base : base + _CHUNK].T.copy()
+            rows = path[base : base + _CHUNK].T.copy()
+            _require_in_float_range(rows, name, step + base)
+            yield step + base, rows
         start, step = tuple(path[-1].tolist()), step + len(marks)
         del marks, path  # not held while the next chunk is drawn
 
@@ -531,23 +612,29 @@ def _slices(marks: MarkSequence) -> Callable[[int], Iterator[MarkSequence]]:
 
 
 class _OfferedWait:
-    """The mean offered wait of a forward run over ``arrivals`` marks whose
-    arrivals join coordinate ``rank``: coordinate ``rank`` of steps 0 ..
-    ``arrivals - 1``, the profiles the arrivals see, added in step order,
-    so that it is the same float on every Python version, and divided by
-    ``arrivals``. :meth:`add` takes the chunks of :func:`_path_chunks`, in
-    order, and adds a chunk's coordinate row by ``np.add.accumulate``
-    seeded with the sum so far: one IEEE add per step, in step order, the
-    adds ``functools.reduce(operator.add, ...)`` makes."""
+    """The mean offered wait of the forward run ``name`` over ``arrivals``
+    marks whose arrivals join coordinate ``rank``: coordinate ``rank`` of
+    steps 0 .. ``arrivals - 1``, the profiles the arrivals see, added in
+    step order, so that it is the same float on every Python version, and
+    divided by ``arrivals``. :meth:`add` takes the chunks of
+    :func:`_path_chunks`, in order, and adds a chunk's coordinate row by
+    ``np.add.accumulate`` seeded with the sum so far: one IEEE add per
+    step, in step order, the adds ``functools.reduce(operator.add, ...)``
+    makes. A sum past the largest float raises InputError naming the step
+    whose add passed it."""
 
-    def __init__(self, rank: int, arrivals: int) -> None:
-        self.rank, self.arrivals, self.sum = rank, arrivals, 0.0
+    def __init__(self, rank: int, arrivals: int, name: str) -> None:
+        self.rank, self.arrivals, self.name, self.sum = rank, arrivals, name, 0.0
 
     def add(self, step: int, rows: np.ndarray) -> None:
         seeded = np.concatenate(([self.sum], rows[self.rank - 1, : self.arrivals - step]))
-        # a sum past the largest float is inf, as a Python add gives it
         with np.errstate(over="ignore"):
-            self.sum = float(np.add.accumulate(seeded)[-1])
+            sums = np.add.accumulate(seeded)
+        self.sum = float(sums[-1])
+        if not self.sum < math.inf:
+            # sums[j] holds the adds to step step + j - 1; sums[0] is finite
+            first = step + int(np.argmin(sums < math.inf)) - 1
+            raise _past_the_largest_float(self.name, "the sum of offered waits", first)
 
     @property
     def mean(self) -> float:

@@ -2,7 +2,10 @@
 scalar backward replay used as oracles by the tests.
 
 The queueing formulas are textbook results for the FCFS multi-server queue
-with Poisson arrivals and exponential service; ``log1p_fdlibm`` is a scalar
+with Poisson arrivals and exponential service, and for the single-server
+queue with one of the two laws general: Pollaczek-Khinchine's mean wait of
+M/G/1 and the mean wait of GI/M/1 from the root of its arrival law's
+transform; ``log1p_fdlibm`` is a scalar
 port of the C library routine the mark generator's array logarithm
 reproduces; ``read_trace_reference`` is the per-line trace reader as it was
 before numpy's text reader took the well-formed files; ``rank_waiting_times``
@@ -18,7 +21,15 @@ import struct
 from collections import deque
 
 from jswsim.errors import InputError
-from jswsim.processes import InputModel, MarkSequence, generate
+from jswsim.processes import (
+    Deterministic,
+    Exponential,
+    Hyperexponential,
+    InputModel,
+    MarkSequence,
+    Uniform,
+    generate,
+)
 from jswsim.profiles import Profile, iter_profiles, zero_profile
 
 
@@ -38,6 +49,63 @@ def mmc_mean_wait(servers: int, arrival_rate: float, service_rate: float) -> flo
     a = arrival_rate / service_rate
     block = erlang_c(servers, a)
     return block / (servers * service_rate - arrival_rate)
+
+
+def mg1_mean_wait(sigma_law, arrival_rate: float) -> float:
+    """Mean waiting time of an M/G/1 customer whose service requirement has
+    the law ``sigma_law``, by Pollaczek-Khinchine: lambda E[sigma^2] / (2 (1 - rho))."""
+    if isinstance(sigma_law, Exponential):
+        second = 2.0 / sigma_law.rate**2
+    elif isinstance(sigma_law, Deterministic):
+        second = sigma_law.value**2
+    elif isinstance(sigma_law, Uniform):
+        a, b = sigma_law.lo, sigma_law.hi
+        second = (a * a + a * b + b * b) / 3.0
+    elif isinstance(sigma_law, Hyperexponential):
+        second = math.fsum(2.0 * p / r**2 for p, r in zip(sigma_law.probs, sigma_law.rates))
+    else:
+        raise TypeError(f"no second moment for {sigma_law!r}")
+    rho = arrival_rate * sigma_law.mean()
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"load must lie in (0, 1), got {rho!r}")
+    return arrival_rate * second / (2.0 * (1.0 - rho))
+
+
+def _transform(law, s: float) -> float:
+    """E exp(-s X) of a gap X with the law ``law``, for s > 0."""
+    if isinstance(law, Exponential):
+        return law.rate / (law.rate + s)
+    if isinstance(law, Deterministic):
+        return math.exp(-s * law.value)
+    if isinstance(law, Uniform):
+        a, b = law.lo, law.hi
+        if a == b:
+            return math.exp(-s * a)
+        return (math.exp(-s * a) - math.exp(-s * b)) / (s * (b - a))
+    if isinstance(law, Hyperexponential):
+        return math.fsum(p * r / (r + s) for p, r in zip(law.probs, law.rates))
+    raise TypeError(f"no transform for {law!r}")
+
+
+def gim1_mean_wait(xi_law, service_rate: float) -> float:
+    """Mean waiting time of a GI/M/1 customer whose inter-arrival gaps have
+    the law ``xi_law``: z / (mu (1 - z)), where z is the root in (0, 1) of
+    z = A*(mu (1 - z)) and A* is the gaps' Laplace-Stieltjes transform.
+    z - A*(mu (1 - z)) is concave in z, below 0 at 0 and 0 at 1, where it
+    falls under a load below 1; so it is below 0 on (0, z) and above 0 on
+    (z, 1), and bisection finds z."""
+    rho = 1.0 / (service_rate * xi_law.mean())
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"load must lie in (0, 1), got {rho!r}")
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if mid - _transform(xi_law, service_rate * (1.0 - mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    z = (lo + hi) / 2.0
+    return z / (service_rate * (1.0 - z))
 
 
 def mm1_wait_cdf(arrival_rate: float, service_rate: float, t: float) -> float:

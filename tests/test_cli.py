@@ -190,6 +190,75 @@ class TestExitCodes:
         assert err == f"input error: {why}\n"
         assert not snapshots.exists()
 
+    # forward runs near the largest float, seed 1, each failing at the first
+    # step it passes: at 1e308 per arrival and gaps of 1, two busy queues
+    # make a total that fsum overflows, and a second arrival at one queue
+    # makes it inf. Before, the first four (the runs of the float-range
+    # probe) exited 0 printing inf from simulate, 70 from simulate --out and
+    # servers-mode compare, and 0 printing PASS over inf waits from
+    # allocation-mode compare. Numpy's overflow warnings are errors here, so
+    # none is raised.
+    @pytest.mark.parametrize(
+        "argv, marks, keys, why",
+        [
+            (["simulate"], "1e308 1", "", "S2P1: the total workload at step 2"),
+            (["simulate", "--out", "o.csv"], "1e308 1", "", "S2P1: the total workload at step 2"),
+            (
+                ["compare"],
+                "1e308 1",
+                "[compare]\nservers_small = 1\nservers = 2\n",
+                "S2: the total workload at step 2",
+            ),
+            (
+                ["compare"],
+                "1e308 1",
+                "[compare]\nmode = allocation\nservers = 2\nrank = 2\n",
+                "S2P1: the total workload at step 2",
+            ),
+            (["simulate"], "1e308 1", "[system]\nservers = 1\n", "S1P1: the profile at step 2"),
+            (
+                ["simulate", "--out", "o.csv"],
+                "1e308 1",
+                "[system]\nservers = 1\n",
+                "S1P1: the profile at step 2",
+            ),
+            (
+                ["compare"],
+                "1e308 1",
+                "[compare]\nservers_small = 1\nservers = 1\n",
+                "S1: the profile at step 2",
+            ),
+            (
+                ["simulate"],
+                "1e307 1e307",
+                "[system]\nservers = 1\ninitial = 1e308\n",
+                "S1P1: the sum of offered waits at step 1",
+            ),
+        ],
+        ids=[
+            "simulate",
+            "simulate-out",
+            "compare",
+            "compare-allocation",
+            "simulate-profile",
+            "simulate-out-profile",
+            "compare-profile",
+            "simulate-wait",
+        ],
+    )
+    def test_forward_run_past_the_largest_float_is_three(
+        self, argv, marks, keys, why, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        sigma, xi = marks.split()
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[model]\nsigma = deterministic({sigma})\nxi = deterministic({xi})\n{keys}")
+        argv = [argv[0], "--config", str(cfg), "--seed", "1", "--horizon", "4", *argv[1:]]
+        code, out, err = run(argv, capsys)
+        assert code == 3 and out == ""
+        assert err == f"input error: seed 1: {why} passes the largest float\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unstable_is_four(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[model]\nsigma = exponential(0.5)\nxi = exponential(2.0)\n")

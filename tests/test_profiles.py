@@ -224,6 +224,41 @@ class TestInsertionStep:
         assert _bits([pth_step((0.0, -0.0), Mark(0.0, 0.0), 2)]) == _bits([(0.0, 0.0)])
 
 
+# Starts with ties, zeros of both signs and queues near the largest float;
+# sigma with both zeros; gaps from the least subnormal to 1e300, and equal
+# to a queue, so that it clamps to an exact zero. Marks near the largest
+# float push a queue to inf, where it stays.
+row_coords = st.sampled_from([-0.0, 0.0, 0.25, 1.0, 1.5, 1e308, 1.7e308]) | coords
+row_sigmas = st.sampled_from([0.0, -0.0, 0.25, 1.0, 1e308]) | st.floats(0.0, 1e300)
+row_gaps = st.sampled_from([5e-324, 0.25, 1.0, 1.5, 1e300]) | st.floats(5e-324, 1e300)
+
+
+@pytest.mark.parametrize("servers", range(1, 9))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_row_loop_matches_step(servers, data):
+    # every rank's generated loop against the chain of _step calls, and the
+    # row branch of lockstep_profiles, one row of fewer than _PATH_CHUNK
+    # marks, against iter_profiles
+    start = tuple(sorted(data.draw(st.lists(row_coords, min_size=servers, max_size=servers))))
+    steps = data.draw(st.lists(st.tuples(row_sigmas, row_gaps), min_size=1, max_size=30))
+    sigma, xi = (list(column) for column in zip(*steps))
+    for rank in range(1, servers + 1):
+        expected = [start]
+        for s, x in steps:
+            expected.append(jswsim.profiles._step(expected[-1], s, x, rank))
+        rows = []
+        last = jswsim.profiles._row_loop(servers, rank)(start, sigma, xi, rows)
+        assert _bits([last]) == _bits(expected[-1:]), rank
+        got, want = np.array(rows).view(np.uint64), np.ravel(expected[1:]).view(np.uint64)
+        assert np.array_equal(got, want), rank
+        columns = np.array(sigma)[:, None], np.array(xi)[:, None]
+        final = lockstep_profiles(np.array([start]), *columns, rank)
+        marks = SimpleNamespace(sigma=columns[0][:, 0], xi=columns[1][:, 0])
+        reference = deque(iter_profiles(start, marks, rank), maxlen=1)[0]
+        assert _bits(final.tolist()) == _bits([reference]), rank
+
+
 class TestLockstep:
     """The (R, S) array kernel against pth_step, bit for bit."""
 
@@ -492,7 +527,7 @@ def test_path_chunks_hold_no_chunk_while_the_next_is_drawn(monkeypatch):
             del chunk
 
     widths = []
-    for _, rows in jswsim.profiles._path_chunks((0.0, 0.0), draw, 1):
+    for _, rows in jswsim.profiles._path_chunks((0.0, 0.0), draw, 1, "run"):
         assert rows.base is None
         widths.append(rows.shape[1])
     assert widths == [4, 4, 1] + [4, 4] * 2 and len(held) == 6
@@ -513,7 +548,7 @@ def test_path_chunks_walk_every_step_once(path_chunk, monkeypatch):
             asked.append(rows)
             return jswsim.profiles._slices(marks)(rows)
 
-        walk = jswsim.profiles._path_chunks(start, draw, rank)
+        walk = jswsim.profiles._path_chunks(start, draw, rank, "run")
         assert asked == []
         chunks = list(walk)
         assert asked == [path_chunk]
@@ -546,7 +581,7 @@ def test_offered_wait_adds_as_reduce_does(chunk, rank):
         scale = np.where(rng.random(n + 1) < 0.2, 10.0 ** rng.uniform(-300, 300, n + 1), 1.0)
         coords = rng.random((3, n + 1)) * scale * (rng.random((3, n + 1)) < 0.8)
         path = np.ascontiguousarray(np.sort(coords, axis=0))
-        wait = jswsim.profiles._OfferedWait(rank, n)
+        wait = jswsim.profiles._OfferedWait(rank, n, "run")
         blocks = [(step, path[:, step : step + chunk]) for step in range(0, n + 1, chunk)]
         for step, rows in blocks:
             wait.add(step, rows)
