@@ -24,15 +24,7 @@ import numpy as np
 from . import processes
 from .errors import InputError, StabilityError
 # pth_step is not called here; it stays importable for the benchmark's tracer test.
-from .profiles import (  # noqa: F401
-    _LOCKSTEP_MIN_ROWS,
-    Profile,
-    _lockstep,
-    _require_rank,
-    lockstep_profiles,
-    pth_step,
-    zero_profile,
-)
+from .profiles import Profile, _advance, _require_rank, pth_step, zero_profile  # noqa: F401
 from .processes import (
     IIDModel,
     InputModel,
@@ -207,8 +199,9 @@ def _replay(
     ``buffer``, ``generate_chunks``' ``out``, whose head is the logarithm's
     scratch and then each stretch's marks, laid out for the kernel. The call
     allocates one state, the ``(S, replays, R)`` profiles of a pass's
-    replays, deepest first, which :func:`_step` steps once per stretch
-    between joins. A state past the largest float raises InputError, naming
+    replays, deepest first, which :func:`~jswsim.profiles._advance`, the
+    one stepper of every backward replay, steps once per stretch between
+    joins. A state past the largest float raises InputError, naming
     the seed and the depth.
     """
     n = depths[-1]
@@ -234,7 +227,7 @@ def _replay(
                     u = grown
                 part = slice(bottom - lo, top - lo)
                 with np.errstate(over="ignore"):
-                    _step(u, sigma[part][::-1], xi[part][::-1], rank, scratch)
+                    _advance(u, sigma[part][::-1], xi[part][::-1], rank, scratch)
                 # a replay past the largest float stays there, in its top queue
                 if not u[-1].max() < math.inf:
                     k, r = divmod(int(np.argmin(u[-1] < math.inf)), len(block))
@@ -246,16 +239,3 @@ def _replay(
         done += len(block)
     return out
 
-
-def _step(u: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank: int, scratch: np.ndarray) -> None:
-    """Step every replay of the ``(S, replays, R)`` state ``u`` in place
-    through the ``(m, R)`` marks: as one array, by :func:`_lockstep`, from
-    ``_LOCKSTEP_MIN_ROWS`` columns on; else a replay at a time by the row
-    branches of :func:`lockstep_profiles`, each row on its own, as a
-    time-blocked path when the stretch spans a walk chunk of
-    ``_PATH_CHUNK`` marks, as a single seed's deep replay is."""
-    if u.shape[1] * u.shape[2] >= _LOCKSTEP_MIN_ROWS:
-        _lockstep(u, sigma, xi, rank, scratch)
-        return
-    for k in range(u.shape[1]):
-        u[:, k] = lockstep_profiles(u[:, k].T, sigma, xi, rank).T

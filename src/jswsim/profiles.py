@@ -19,11 +19,13 @@ profiles in blocks, one contiguous row per coordinate. ``compare``,
 ``simulate`` and the trajectory dump all step through it, and the first
 two take a system's mean offered wait from :class:`_OfferedWait`.
 :func:`lockstep_profiles` gives R systems' final profiles, the rows of an
-array, bit for bit those of :func:`pth_step`, for backward replays; it
-shares one array step, :func:`_iter_lockstep`, with :func:`path_profiles`,
-and steps each row of a long call of a few rows as a time-blocked path,
-by :func:`path_profiles` itself. Both step their in-order stretches by
-:func:`_row_loop`, one loop generated per (S, rank).
+array, bit for bit those of :func:`pth_step`. It and the backward replays
+of :mod:`jswsim.loynes` step through one private stepper, :func:`_advance`,
+which alone chooses how: many columns as one array, by the array step
+:func:`_iter_lockstep` that :func:`path_profiles` shares; a few columns
+one by one, by :func:`_row_loop`, one loop generated per (S, rank), which
+also steps the walk's in-order stretches, or, over a walk chunk or more,
+each as a time-blocked path, by :func:`path_profiles` itself.
 """
 
 from __future__ import annotations
@@ -166,9 +168,9 @@ _PATH_BLOCK = 32
 #   2**14: 0.165 0.308 0.332 0.441 0.622, 4.0 MB
 #   2**15: 0.152 0.280 0.331 0.437 0.631, 7.9 MB
 _PATH_CHUNK = 2**14
-# A lockstep_profiles call with fewer rows steps them one by one: one
-# arrival at a time, by _row_loop, or, once the call spans _PATH_CHUNK
-# marks, each row as a time-blocked path by path_profiles. The array kernel
+# A replay of fewer columns, in _advance, steps them one by one: one
+# arrival at a time, by _row_loop, or, once its marks span _PATH_CHUNK,
+# each column as a time-blocked path by path_profiles. The array kernel
 # costs about as much per step for one row as for ten, the other two one
 # row's steps per row. CPU per step of R rows from zeros at load 0.9, rank
 # 1, as the median ratio of five alternating runs pinned to one CPU of a
@@ -312,14 +314,11 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
     of :func:`iter_profiles` over column r, bit for bit, and a run over
     marks split in two is one call chained into another. Returns a new
     ``(R, S)`` array; other shapes, a rank outside [1, S] and a start row
-    that :func:`pth_step` refuses raise ValueError. From
-    ``_LOCKSTEP_MIN_ROWS`` rows on, the rows are stepped as one array, by
-    :func:`_lockstep`. Fewer rows are stepped one by one: each as a
-    time-blocked path, by :func:`path_profiles` a walk chunk
-    (``_PATH_CHUNK`` arrivals) at a time, when the call spans at least one
-    chunk, and one arrival at a time, by :func:`_row_loop`, when it
-    is shorter. Adding +0.0 to the start maps -0.0 to +0.0, as
-    :func:`pth_step` does.
+    that :func:`pth_step` refuses raise ValueError. The rows step as the
+    one replay of :func:`_advance`, the stepper of every backward replay,
+    which picks the array kernel, copying at most ``_CHUNK`` arrivals'
+    marks at a time, the row loop or the time-blocked path. Adding +0.0 to
+    the start maps -0.0 to +0.0, as :func:`pth_step` does.
     """
     u = np.array(start, dtype=np.float64)
     if u.ndim != 2 or np.shape(sigma) != np.shape(xi) or np.shape(sigma)[1:] != u.shape[:1]:
@@ -334,41 +333,54 @@ def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank
         r = int(np.argmin(links.all(axis=1)))
         _require_profile(tuple(u[r].tolist()), f"start row {r}")
     u += 0.0
-    if len(u) < _LOCKSTEP_MIN_ROWS:
-        loop = _row_loop(u.shape[1], rank)
-        for r, row in enumerate(u.tolist()):
-            if len(sigma) < _PATH_CHUNK:
-                # only the last profile is kept: the rows go to a sink
-                u[r] = loop(tuple(row), sigma[:, r].tolist(), xi[:, r].tolist(), deque(maxlen=0))
-            else:
-                # a time-blocked path, a walk chunk per path_profiles call
-                for lo in range(0, len(sigma), _PATH_CHUNK):
-                    part = slice(lo, lo + _PATH_CHUNK)
-                    path = path_profiles(tuple(u[r].tolist()), sigma[part, r], xi[part, r], rank)
-                    u[r] = path[-1]
-        return u
-    u = np.array(u.T[:, None], order="C")
-    _lockstep(u, sigma, xi, rank, np.empty(max(len(sigma), 1) * len(start) * (len(u) + 1)))
-    return u[:, 0].T
+    state = np.array(u.T[:, None], order="C")
+    _advance(state, sigma, xi, rank)
+    return state[:, 0].T
 
 
-def _lockstep(u: np.ndarray, sigma, xi, rank: int, scratch: np.ndarray) -> None:
+def _advance(u: np.ndarray, sigma, xi, rank: int, scratch: np.ndarray | None = None) -> None:
+    """Step the ``(S, k, R)`` state ``u`` in place, k replays of R systems,
+    through the ``(m, R)`` marks ``sigma`` and ``xi``, column r of every
+    replay on the marks of column r: the one choice of stepper of every
+    backward replay. From ``_LOCKSTEP_MIN_ROWS`` columns on, as one array,
+    by :func:`_lockstep` with ``scratch``; fewer columns one by one, each by
+    :func:`_row_loop`, one arrival at a time, or, once the marks span a walk
+    chunk of ``_PATH_CHUNK`` arrivals, as a time-blocked path, one
+    :func:`path_profiles` call per chunk. All three give :func:`_step`'s bits.
+    """
+    if u.shape[1] * u.shape[2] >= _LOCKSTEP_MIN_ROWS:
+        _lockstep(u, sigma, xi, rank, scratch)
+        return
+    loop = _row_loop(u.shape[0], rank)
+    for k, r in np.ndindex(u.shape[1:]):
+        column, s, x = u[:, k, r], sigma[:, r], xi[:, r]
+        if len(sigma) < _PATH_CHUNK:
+            # only the last profile is kept: the rows go to a sink
+            column[:] = loop(tuple(column.tolist()), s.tolist(), x.tolist(), deque(maxlen=0))
+            continue
+        for lo in range(0, len(sigma), _PATH_CHUNK):
+            part = slice(lo, lo + _PATH_CHUNK)
+            column[:] = path_profiles(tuple(column.tolist()), s[part], x[part], rank)[-1]
+
+
+def _lockstep(u: np.ndarray, sigma, xi, rank: int, scratch: np.ndarray | None) -> None:
     """Step the ``(S, k, R)`` state ``u`` in place, k replays of R systems,
     through the ``(m, R)`` marks ``sigma`` and ``xi``, one row per arrival:
     column r of every replay on the marks of column r. The marks go through
     :func:`_iter_lockstep` a scratch-full at a time, copied into the float64
-    ``scratch``, which holds at least one row: each row's gaps to every
-    queue of every replay, so that the subtract is same-shape (broadcasting
-    an (R,) row over (S, R) costs about three times as much per step), then
-    the sigma rows.
+    ``scratch``, which holds at least one row, or, if None, into a new one of
+    at most ``_CHUNK`` rows: each row's gaps to every queue of every replay,
+    so that the subtract is same-shape (broadcasting an (R,) row over (S, R)
+    costs about three times as much per step), then the sigma rows.
     """
     servers, reps, width = u.shape
+    if scratch is None:
+        scratch = np.empty(min(max(len(sigma), 1), _CHUNK) * width * (servers * reps + 1))
     per = max(1, len(scratch) // max(1, width * (servers * reps + 1)))  # rows per scratch-full
     for a in range(0, len(sigma), per):
         m = len(sigma[a : a + per])
         gaps = scratch[: m * servers * reps * width].reshape(m, servers * reps, width)
-        gaps[:, 0] = xi[a : a + m]
-        gaps[:, 1:] = gaps[:, :1]
+        np.copyto(gaps, xi[a : a + m, None])
         sig = scratch[gaps.size : gaps.size + m * width].reshape(m, width)
         sig[...] = sigma[a : a + m]
         deque(_iter_lockstep(u, sig, gaps.reshape(m, servers, reps, width), rank), maxlen=0)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, determinism, output files."""
 
 import concurrent.futures
+import contextlib
 import csv
 import gzip
 import io
@@ -1352,3 +1353,125 @@ class TestHelp:
         )
         assert proc.returncode == 0
         assert "jswsim 0.1.0" in proc.stdout
+
+
+# The config grammar with edge floats in its numeric values: the least
+# subnormal, values near the largest float and zero among ordinary values,
+# and in one value of some configs a negative, signed zero, infinity or NaN,
+# so that most configs are valid and each bad value is still met.
+_EDGE = [0.0, 5e-324, 1e-300, 0.25, 1.0, 1e300, 1e308, 1.7976931348623157e308]
+_ordinary = st.floats(0.05, 4.0)
+_edge = st.one_of(st.sampled_from(_EDGE), _ordinary, _ordinary)  # two thirds ordinary
+_positive = st.one_of(st.sampled_from(_EDGE[1:]), _ordinary, _ordinary)
+_bad = st.sampled_from([-0.0, -1.0, -1e308, math.inf, -math.inf, math.nan])
+_prob = st.sampled_from([0.0, 1e-300, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _fuzz_run(draw):
+    """A config file's text, a trace's lines and a command line: one of
+    simulate with and without --out, loynes and compare, S from 1 to 4; and
+    whether only one loynes depth fits under max_n."""
+    values, bad = iter(range(10**6)), draw(st.integers(0, 24))
+
+    def value(positive=False):
+        return repr(draw(_bad if next(values) == bad else _positive if positive else _edge))
+
+    def law():
+        kind = draw(st.sampled_from(["exponential", "deterministic", "uniform", "hyper"]))
+        if kind == "uniform":
+            return "uniform({},{})".format(*sorted([value(), value()], key=float))
+        if kind == "hyper":
+            p = draw(_prob)
+            return f"hyperexponential({p!r},{1.0 - p!r};{value(True)},{value(True)})"
+        return f"{kind}({value(kind == 'exponential')})"
+
+    def profile(servers):
+        return " ".join(sorted((value() for _ in range(servers)), key=float))
+
+    kind = draw(st.sampled_from(["iid", "markov", "trace"]))
+    model, trace = [f"kind = {kind}"], None
+    if kind == "iid":
+        model += [f"sigma = {law()}", f"xi = {law()}"]
+    elif kind == "markov":
+        p, q = draw(_prob), draw(_prob)
+        model += [
+            f"transition = {p!r} {1.0 - p!r} / {1.0 - q!r} {q!r}",
+            f"sigma_states = {law()} | {law()}",
+            f"xi_states = {law()} | {law()}",
+        ]
+    else:
+        model.append("path = TRACE")
+        # a few lines, repeated up to some length
+        rows = [f"{value()} {value()}\n" for _ in range(draw(st.integers(1, 3)))]
+        trace = "".join(rows * draw(st.integers(1, 40)))
+    servers, small = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rank = draw(st.integers(1, servers))
+    window = draw(st.sampled_from([1, 2, 5, 16, 64]))
+    max_n = window * draw(st.sampled_from([1, 2, 4, 16]))
+    sections = {
+        "system": [f"servers = {servers}", f"rank = {rank}"],
+        "loynes": [
+            f"servers = {servers}",
+            f"rank = {rank}",
+            f"tolerance = {value(True)}",
+            f"window = {window}",
+            f"max_n = {max_n}",
+        ],
+        "compare": [f"sum_slack = {value()}"],
+    }
+    if draw(st.booleans()):
+        sections["system"].append(f"initial = {profile(servers)}")
+    if draw(st.booleans()):
+        sections["compare"] += [f"servers = {max(servers, small)}", f"servers_small = {small}"]
+    else:
+        sections["compare"] += [
+            "mode = allocation",
+            f"servers = {servers}",
+            f"rank = {rank}",
+            f"tolerance = {value()}",
+        ]
+        for key in ("start", "start_alt"):
+            if draw(st.booleans()):
+                sections["compare"].append(f"{key} = {profile(servers)}")
+    command = draw(st.sampled_from(["simulate", "simulate --out", "loynes", "compare"]))
+    flags = ["--seeds", draw(st.sampled_from(["1", "2 7"]))]
+    if command != "loynes":
+        flags += ["--horizon", str(draw(st.integers(1, 30)))]
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+        for name, lines in [("model", model), *sections.items()]
+    )
+    return text, trace, command, flags, 2 * window > max_n
+
+
+_INF_OR_NAN = re.compile(r"\b(?:inf|nan)\b", re.IGNORECASE)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_fuzz_run())
+def test_config_grammar_fuzz_exits_with_a_documented_code(case):
+    # every config of the grammar ends in a documented exit, 0 to 6, with
+    # no traceback; a run that ends in 0, 1 or 5 prints no inf or nan, but
+    # for loynes' increment=inf when only one depth fits under max_n
+    text, trace, command, flags, one_depth = case
+    with tempfile.TemporaryDirectory() as work:
+        cfg = os.path.join(work, "c.ini")
+        if trace is not None:
+            text = text.replace("TRACE", os.path.join(work, "t.trace"))
+            with open(os.path.join(work, "t.trace"), "w") as f:
+                f.write(trace)
+        with open(cfg, "w") as f:
+            f.write(text)
+        argv = [command.split()[0], "--config", cfg, "--jobs", "1", *flags]
+        if command.endswith("--out"):
+            argv += ["--out", os.path.join(work, "s.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        printed = (out.getvalue() + err.getvalue()).replace(work, "")
+    assert 0 <= code <= 6 and "Traceback" not in printed, (text, argv, printed)
+    if code in (0, 1, 5):
+        if command == "loynes" and one_depth:
+            printed = printed.replace("increment=inf ", "")
+        assert not _INF_OR_NAN.search(printed), (text, argv, printed)

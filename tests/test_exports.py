@@ -1,5 +1,6 @@
 """Every exported name resolves, so a deletion cannot leave a dangling export."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -118,6 +119,32 @@ def test_forward_runs_go_through_the_one_walk(name, monkeypatch, tmp_path, capsy
         assert module.main(argv) == 0
         assert drawn == [1, 2]
         assert "wrote " + str(tmp_path / "t.csv") + " (510 rows)" in capsys.readouterr().out
+
+
+def test_backward_replays_go_through_the_one_stepper():
+    # profiles._advance alone chooses how a backward replay steps: loynes
+    # hands it every stretch and binds none of the steppers it picks from,
+    # and no other function reads the count of columns that picks the kernel
+    loynes = importlib.import_module("jswsim.loynes")
+    kernels = (
+        "_LOCKSTEP_MIN_ROWS",
+        "_lockstep",
+        "_iter_lockstep",
+        "_row_loop",
+        "lockstep_profiles",
+        "path_profiles",
+    )
+    bound = [n for n in kernels if hasattr(loynes, n)]
+    assert not bound, bound
+    readers = []
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+                if "_LOCKSTEP_MIN_ROWS" in names:
+                    readers.append(f"{name}.{fn.name}")
+    assert readers == ["jswsim.profiles._advance"]
 
 
 # One call of each public mark generator of jswsim.processes.

@@ -8,6 +8,7 @@ import pytest
 
 import jswsim.loynes as loynes
 import jswsim.processes as processes
+import jswsim.profiles as profiles
 from conftest import traced_peak
 from formulas import backward_marks, loynes_iterate
 from jswsim.errors import InputError, StabilityError
@@ -144,6 +145,26 @@ class TestEstimate:
         assert repr(res.history) == repr(expected)
         assert repr(res.profile) == repr(expected[-1][1])
 
+    def test_a_deep_one_seed_replay_steps_as_walk_chunks(self, monkeypatch):
+        # a single seed's replays are one or two columns, too few for the
+        # array kernel: from window 2**14 on every stretch spans a walk
+        # chunk, so profiles._advance steps each column as a time-blocked
+        # path, one path_profiles call per _PATH_CHUNK marks
+        calls = []
+        walk = profiles.path_profiles
+        monkeypatch.setattr(
+            profiles, "path_profiles", lambda *a: calls.append(len(a[1])) or walk(*a)
+        )
+        # load 0.98 on 2 servers; seed 6 first converges at 2**16, whose one
+        # replay steps four walk chunks
+        model = IIDModel(Exponential(1.0), Exponential(1.96))
+        res = estimate_stationary(model, 6, 2, window=2**14, max_n=2**16, keep_history=True)
+        depths = [n for n, _ in res.history]
+        assert depths == [2**14, 2**15, 2**16]
+        assert calls == [profiles._PATH_CHUNK] * (sum(depths) // profiles._PATH_CHUNK)
+        expected = tuple((n, loynes_iterate(backward_marks(model, 6, n), 2)) for n in depths)
+        assert repr(res.history) == repr(expected)
+
 
 class TestManySeeds:
     """The lockstep estimator gives every seed the result it gets alone."""
@@ -159,11 +180,12 @@ class TestManySeeds:
 
     @staticmethod
     def record_kernel(monkeypatch):
-        """The columns, replays times seeds, of each array-kernel call of the replay."""
+        """The columns, replays times seeds, of each array-kernel call of the
+        replay: the kernel itself, which the stepper profiles._advance calls."""
         columns = []
-        kernel = loynes._lockstep
+        kernel = profiles._lockstep
         monkeypatch.setattr(
-            loynes, "_lockstep", lambda u, *a: columns.append(u[0].size) or kernel(u, *a)
+            profiles, "_lockstep", lambda u, *a: columns.append(u[0].size) or kernel(u, *a)
         )
         return columns
 

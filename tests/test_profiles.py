@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from formulas import rank_waiting_times
 from hypothesis import given, settings, strategies as st
 
@@ -382,6 +383,20 @@ class TestLockstep:
         start = np.array([[-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 2.0]])
         out = lockstep_profiles(start, np.zeros((1, 3)), np.zeros((1, 3)), 1)
         assert _bits(out.tolist()) == _bits([(0.0, 0.0, 0.0)] * 2 + [(0.0, 0.0, 2.0)])
+
+    # R systems over 2**16 arrivals, the marks of each array 4.2 and 8.4 MB:
+    # one scratch-full of _CHUNK rows of gaps and sigmas is 2.4 and 1.6 MB,
+    # where a scratch of every arrival's rows, S + 1 mark arrays, would
+    # reach a traced peak of 67.1 and 33.6 MB.
+    @pytest.mark.parametrize("systems,servers", [(8, 8), (16, 2)])
+    def test_scratch_holds_at_most_a_chunk_of_arrivals(self, systems, servers):
+        rng = np.random.default_rng([systems, servers])
+        n = 2**16
+        sigma = rng.exponential(1.0, (n, systems))
+        xi = rng.exponential(2.0 / servers, (n, systems))  # load 0.5
+        start = np.zeros((systems, servers))
+        peak = traced_peak(lambda: lockstep_profiles(start, sigma, xi, 1))
+        assert peak < sigma.nbytes, peak
 
     # walk chunks, whole and with a ragged last one, at load 0.5 and 1.5 on
     # the servers a rank-th arrival can join
