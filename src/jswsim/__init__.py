@@ -4,9 +4,8 @@ join-the-shortest-workload).
 
 The public surface re-exported here:
 
-- profile arithmetic, the one-step workload recursion (`pth_step`), its
-  run over a mark sequence (`iter_profiles`) and over many systems in
-  lockstep (`lockstep_profiles`),
+- profile arithmetic, the one-step workload recursion (`pth_step`) and its
+  run over a mark sequence (`iter_profiles`),
 - partial orderings on profiles and randomized closure-property suites,
 - reproducible mark generation (iid, Markov-modulated, trace),
 - backward stationary-profile estimation,
@@ -60,7 +59,6 @@ from .processes import (
     generate,
     generate_chunks,
     generate_forward,
-    generate_many,
     mean_sigma,
     mean_xi,
     model_label,
@@ -71,10 +69,8 @@ from .profiles import (
     Profile,
     iter_profiles,
     kw_step,
-    lockstep_profiles,
     pad,
     pth_step,
-    sort_ascending,
     total_workload,
     zero_profile,
 )
@@ -121,11 +117,9 @@ __all__ = [
     "generate",
     "generate_chunks",
     "generate_forward",
-    "generate_many",
     "iter_profiles",
     "kw_step",
     "load_config",
-    "lockstep_profiles",
     "mean_sigma",
     "mean_xi",
     "model_label",
@@ -138,7 +132,6 @@ __all__ = [
     "pth_step",
     "run_property_suite",
     "schur_convex_leq",
-    "sort_ascending",
     "stability_check",
     "suite_names",
     "total_workload",

@@ -26,7 +26,6 @@ from .errors import InputError, StabilityError
 # pth_step is not called here; it stays importable for the benchmark's tracer test.
 from .profiles import Profile, _advance, _require_rank, pth_step, zero_profile  # noqa: F401
 from .processes import (
-    IIDModel,
     InputModel,
     StabilityVerdict,
     TraceModel,
@@ -140,13 +139,12 @@ def estimate_stationary_many(
     snapshots: list[tuple[int, np.ndarray]] = []  # (n, a row per seed), with keep_history
     # Every seed needs the first two depths before it can stop, so they share one draw.
     depths = [window, 2 * window] if 2 * window <= max_n else [window]
-    # One draw buffer for every depth (see _replay), with room for the words
-    # of a whole pass: a buffer per depth, freed into the heap, left 0.2 MB
-    # more resident at the peak of the bench's loynes-heavy run.
-    words = model.sigma_law.uniforms + model.xi_law.uniforms if isinstance(model, IIDModel) else 0
-    buffer = np.empty(processes._SCRATCH + words * processes._PASS_MARKS)
+    # One draw buffer for every depth (see _replay): a buffer per depth,
+    # freed into the heap, left 0.2 MB more resident at the peak of the
+    # bench's loynes-heavy run.
+    buffers = processes._pass_buffer(model)
     while running.size:
-        replays = _replay(model, [seeds[i] for i in running], servers, rank, depths, buffer)
+        replays = _replay(model, [seeds[i] for i in running], servers, rank, depths, buffers)
         if keep_history:
             table = np.empty((len(depths), len(seeds), servers))
             table[:, running] = replays
@@ -183,7 +181,7 @@ def _replay(
     servers: int,
     rank: int,
     depths: list[int],
-    buffer: np.ndarray,
+    buffers: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """The backward profiles at the ascending ``depths``, as a ``(depths,
     seeds, S)`` float64 array: entry [k, r] is the profile of ``seeds[r]``
@@ -195,22 +193,25 @@ def _replay(
     together. The marks come oldest first, in descending mark index, in
     chunks (:func:`generate_chunks`) of ``processes._chunk_rows`` rows, and
     a pass holds R seeds times one chunk, at most ``_PASS_MARKS`` marks, at
-    every depth. Each chunk of every pass is drawn into the tail of
-    ``buffer``, ``generate_chunks``' ``out``, whose head is the logarithm's
+    every depth. Each chunk of every pass is drawn into the tail of the
+    first of ``buffers``, ``generate_chunks``' ``out`` from
+    ``processes._pass_buffer``, whose head, the second, is the logarithm's
     scratch and then each stretch's marks, laid out for the kernel. The call
     allocates one state, the ``(S, replays, R)`` profiles of a pass's
     replays, deepest first, which :func:`~jswsim.profiles._advance`, the
     one stepper of every backward replay, steps once per stretch between
-    joins. A state past the largest float raises InputError, naming
+    joins, and a scratch of one such row when the head is too short for
+    it. A state past the largest float raises InputError, naming
     the seed and the depth.
     """
     n = depths[-1]
-    rows = _chunk_rows(n, len(seeds), processes._PASS_MARKS)
+    rows = _chunk_rows(n, len(seeds))
     blocks = _blocks(seeds, -(-len(seeds) // (processes._PASS_MARKS // rows)))
     width = max(map(len, blocks))
     # the stepping scratch holds at least a row of every replay's gaps and the sigma row
     need = width * (servers * len(depths) + 1)
-    scratch = buffer[: processes._SCRATCH] if need <= processes._SCRATCH else np.empty(need)
+    buffer, head = buffers
+    scratch = head if need <= len(head) else np.empty(need)
     state = np.empty(servers * len(depths) * width)
     out = np.empty((len(depths), len(seeds), servers))
     done = 0

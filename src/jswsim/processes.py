@@ -54,7 +54,6 @@ __all__ = [
     "generate",
     "generate_chunks",
     "generate_forward",
-    "generate_many",
     "mean_sigma",
     "mean_xi",
     "model_label",
@@ -66,8 +65,8 @@ RNG_ALGORITHM = "philox4x64/u52/inverse-cdf-v2"
 _CRITICALITY_REL_TOL = 1e-12
 # Marks a states-only walk (_walk) steps a Markov chain at a time.
 _CHUNK = 4096
-# Marks per chunk of a draw of many seeds, as seeds x rows: of a loynes pass,
-# drawn in place, and of generate_many, which copies each chunk out of a new one.
+# Marks per chunk of a draw: of a loynes pass, seeds x rows, drawn in place,
+# and of generate's one seed, which copies each chunk out of a new one.
 _PASS_MARKS, _DRAW_MARKS = 2**16, 2**15
 # Marks of one state per batch of a Markov draw. Drawing the 2 x 2e5 marks of
 # the bench's 2-state chain took 77 ms in batches of 4096, 86 ms in batches
@@ -568,16 +567,14 @@ def _stream(
     seeds: Iterable[int],
     length: int,
     rows: int,
-    start: int = 0,
     backward: bool = False,
     out: np.ndarray | None = None,
 ) -> Iterator[tuple]:
-    """Marks ``[start, start + length)`` of every seed, ``rows`` at a time.
+    """The first ``length`` marks of every seed, ``rows`` at a time.
 
     Yields ``(lo, sigma, xi)``: ``(n, R)`` float64 arrays of marks
-    ``[lo, lo + n)``, column r for ``seeds[r]``, for lo = start, start +
-    rows, ...: the first chunk from the chains walked to ``start`` states
-    only, each later one from the checkpoint the one before it ended at.
+    ``[lo, lo + n)``, column r for ``seeds[r]``, for lo = 0, rows, ...:
+    each chunk from the checkpoint the one before it ended at.
     ``backward`` cuts the chunks down from the end and yields them in
     descending order, each from a checkpoint a states-only walk recorded.
     ``out`` is as in :func:`generate_chunks`.
@@ -586,14 +583,11 @@ def _stream(
         raise ValueError(f"length must be >= 1, got {length}")
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
-    if start < 0:
-        raise ValueError(f"start must be >= 0, got {start}")
     seeds = _require_seeds(seeds)
-    end = start + length
     if not isinstance(model, (IIDModel, MarkovModulatedModel, TraceModel)):
         raise TypeError(f"unknown input model {model!r}")
-    if isinstance(model, TraceModel) and len(model._columns[0]) < end:
-        raise InputError(f"trace {model.path!r} has {len(model._columns[0])} marks, need {end}")
+    if isinstance(model, TraceModel) and len(model._columns[0]) < length:
+        raise InputError(f"trace {model.path!r} has {len(model._columns[0])} marks, need {length}")
 
     def draw(at: Checkpoint, lo: int, n: int) -> tuple[np.ndarray, np.ndarray, Checkpoint]:
         if isinstance(model, TraceModel):
@@ -604,17 +598,17 @@ def _stream(
             return _generate_iid(model, seeds, at, lo, n, out)
         return _generate_markov(model, seeds, at, lo, n)
 
-    at = _walk(model, seeds, (None, np.zeros(len(seeds), np.int64)), 0, start)
+    at: Checkpoint = (None, np.zeros(len(seeds), np.int64))
     if backward:
-        cuts = [start, *reversed(range(end - rows, start, -rows)), end]
+        cuts = [0, *reversed(range(length - rows, 0, -rows)), length]
         starts = [at]
         for lo, hi in zip(cuts, cuts[1:-1]):
             starts.append(at := _walk(model, seeds, at, lo, hi - lo))
         for lo, hi, at in reversed(list(zip(cuts, cuts[1:], starts))):
             yield (lo, *draw(at, lo, hi - lo)[:2])
         return
-    for lo in range(start, end, rows):
-        sigma, xi, at = draw(at, lo, min(rows, end - lo))
+    for lo in range(0, length, rows):
+        sigma, xi, at = draw(at, lo, min(rows, length - lo))
         yield lo, sigma, xi
         del sigma, xi  # not held while the next chunk is drawn
 
@@ -930,37 +924,11 @@ def _require_seeds(seeds: Iterable[int]) -> list[int]:
     return seeds
 
 
-def _chunk_rows(length: int, seeds: int, marks: int = _DRAW_MARKS) -> int:
-    """Rows per chunk of a draw of ``length`` marks of ``seeds`` seeds:
-    ``marks`` marks in all, but at least ``_MIN_CHUNK_ROWS`` rows and at
-    most ``length``."""
-    return min(length, max(_MIN_CHUNK_ROWS, marks // max(seeds, 1)))
-
-
-def generate_many(
-    model: InputModel, seeds: Sequence[int], length: int, start: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Marks ``[start, start + length)`` of every seed, as ``(sigma, xi)``.
-
-    Both are ``(length, R)`` float64 arrays for R seeds: column r holds the
-    marks of ``seeds[r]``, bit for bit rows ``start`` onward of
-    ``generate(model, seeds[r], start + length)``. They are allocated once
-    and filled from :func:`_stream` a chunk of :func:`_chunk_rows` rows at
-    a time, so a draw holds its 16 bytes per mark and one chunk's
-    temporaries. A trace ignores the seed, so its arrays are read-only
-    views whose columns share the file's marks.
-    """
-    seeds = list(seeds)
-    rows = length if isinstance(model, TraceModel) else _chunk_rows(length, len(seeds))
-    chunks = _stream(model, seeds, length, rows, start)
-    if rows == length:  # one chunk: a trace's views, or a short draw as it is drawn
-        return next(chunks)[1:]
-    sigma, xi = np.empty((length, len(seeds))), np.empty((length, len(seeds)))
-    for lo, s, x in chunks:
-        sigma[lo - start : lo - start + len(s)] = s
-        xi[lo - start : lo - start + len(x)] = x
-        del s, x  # not held while the next chunk is drawn
-    return sigma, xi
+def _chunk_rows(length: int, seeds: int) -> int:
+    """Rows per chunk of a loynes pass of ``length`` marks of ``seeds``
+    seeds: ``_PASS_MARKS`` marks in all, but at least ``_MIN_CHUNK_ROWS``
+    rows and at most ``length``."""
+    return min(length, max(_MIN_CHUNK_ROWS, _PASS_MARKS // max(seeds, 1)))
 
 
 def generate_chunks(
@@ -970,9 +938,10 @@ def generate_chunks(
     descending mark index: the deepest past first.
 
     Yields ``(lo, sigma, xi)`` for hi = length, length - rows, ... while
-    hi > 0, with lo = max(0, hi - rows): ``sigma`` and ``xi`` equal, bit
-    for bit, the arrays of ``generate_many(model, seeds, hi - lo, lo)``, and
-    only one chunk is held at a time: the backward read of :func:`_stream`.
+    hi > 0, with lo = max(0, hi - rows): column r of ``sigma`` and ``xi``
+    equals, bit for bit, marks ``[lo, hi)`` of ``generate(model, seeds[r],
+    length)``, and only one chunk is held at a time: the backward read of
+    :func:`_stream`.
     With ``out``, a 1-d float64 array ``_SCRATCH`` floats longer than the
     words of a chunk or more, an iid chunk is drawn in place in its tail,
     with its head as scratch, so each chunk overwrites the one before it.
@@ -998,14 +967,35 @@ def generate_forward(
 
 
 def generate(model: InputModel, seed: int, length: int) -> MarkSequence:
-    """Generate ``length`` marks for (model, seed): the one-seed case of
-    :func:`generate_many`.
+    """Generate ``length`` marks for (model, seed).
 
     Bit-identical on regeneration, and a longer run extends a shorter one:
     ``generate(m, s, a).sigma == generate(m, s, b).sigma[:a]`` for a <= b.
+    The arrays are allocated once and filled from :func:`_stream` a chunk of
+    ``_DRAW_MARKS`` marks at a time, so a draw holds its 16 bytes per mark
+    and one chunk's temporaries. A trace ignores the seed, so its arrays are
+    read-only views of the file's marks.
     """
-    sig, xis = generate_many(model, [seed], length)
-    return MarkSequence(sigma=sig[:, 0], xi=xis[:, 0])
+    rows = length if isinstance(model, TraceModel) else _DRAW_MARKS
+    chunks = _stream(model, [seed], length, rows)
+    if length <= rows:  # one chunk: a trace's views, or a short draw as it is drawn
+        _, sigma, xi = next(chunks)
+    else:
+        sigma, xi = np.empty((length, 1)), np.empty((length, 1))
+        for lo, s, x in chunks:
+            sigma[lo : lo + len(s)], xi[lo : lo + len(x)] = s, x
+            del s, x  # not held while the next chunk is drawn
+    return MarkSequence(sigma=sigma[:, 0], xi=xi[:, 0])
+
+
+def _pass_buffer(model: InputModel) -> tuple[np.ndarray, np.ndarray]:
+    """A draw buffer for every chunk of up to ``_PASS_MARKS`` marks of
+    ``model``, the ``out`` of :func:`generate_chunks`, and its head: the
+    ``_SCRATCH`` floats that a draw takes as the logarithm's scratch and
+    that are free between draws."""
+    words = model.sigma_law.uniforms + model.xi_law.uniforms if isinstance(model, IIDModel) else 0
+    buffer = np.empty(_SCRATCH + words * _PASS_MARKS)
+    return buffer, buffer[:_SCRATCH]
 
 
 # --------------------------------------------------------------------------

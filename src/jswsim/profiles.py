@@ -18,14 +18,13 @@ at a time, steps each chunk in one ``path_profiles`` call and hands out its
 profiles in blocks, one contiguous row per coordinate. ``compare``,
 ``simulate`` and the trajectory dump all step through it, and the first
 two take a system's mean offered wait from :class:`_OfferedWait`.
-:func:`lockstep_profiles` gives R systems' final profiles, the rows of an
-array, bit for bit those of :func:`pth_step`. It and the backward replays
-of :mod:`jswsim.loynes` step through one private stepper, :func:`_advance`,
-which alone chooses how: many columns as one array, by the array step
-:func:`_iter_lockstep` that :func:`path_profiles` shares; a few columns
-one by one, by :func:`_row_loop`, one loop generated per (S, rank), which
-also steps the walk's in-order stretches, or, over a walk chunk or more,
-each as a time-blocked path, by :func:`path_profiles` itself.
+The backward replays of :mod:`jswsim.loynes` step through one private
+stepper, :func:`_advance`, which alone chooses how: many columns as one
+array, by the array step :func:`_iter_lockstep` that :func:`path_profiles`
+shares; a few columns one by one, by :func:`_row_loop`, one loop generated
+per (S, rank), which also steps the walk's in-order stretches, or, over a
+walk chunk or more, each as a time-blocked path, by :func:`path_profiles`
+itself.
 """
 
 from __future__ import annotations
@@ -47,11 +46,9 @@ __all__ = [
     "Profile",
     "iter_profiles",
     "kw_step",
-    "lockstep_profiles",
     "pad",
     "path_profiles",
     "pth_step",
-    "sort_ascending",
     "sort_raw",
     "total_workload",
     "zero_profile",
@@ -80,17 +77,6 @@ def sort_raw(values: Iterable[float]) -> tuple[float, ...]:
             raise ValueError(f"non-finite entry {x!r}")
     vals.sort()
     return tuple(vals)
-
-
-def sort_ascending(values: Iterable[float]) -> Profile:
-    """Nondecreasing rearrangement of a nonnegative workload vector.
-
-    Rejects empty input, negative entries and non-finite entries. Use
-    :func:`sort_raw` for signed vectors.
-    """
-    out = sort_raw(values)
-    _require_profile(out)
-    return out
 
 
 def zero_profile(servers: int) -> Profile:
@@ -304,41 +290,7 @@ def _row_loop(servers: int, rank: int) -> Callable:
     return namespace["row_loop"]
 
 
-def lockstep_profiles(start: np.ndarray, sigma: np.ndarray, xi: np.ndarray, rank: int) -> np.ndarray:
-    """Final profiles of R systems stepped in lockstep from the rows of ``start``.
-
-    ``start`` is an ``(R, S)`` float64 array of profiles. ``sigma`` and
-    ``xi`` are ``(n, R)`` arrays: row t holds the marks of arrival t,
-    column r those of system r. Each step is :func:`pth_step` on every row
-    with the same rounding, so row r of the result equals the last profile
-    of :func:`iter_profiles` over column r, bit for bit, and a run over
-    marks split in two is one call chained into another. Returns a new
-    ``(R, S)`` array; other shapes, a rank outside [1, S] and a start row
-    that :func:`pth_step` refuses raise ValueError. The rows step as the
-    one replay of :func:`_advance`, the stepper of every backward replay,
-    which picks the array kernel, copying at most ``_CHUNK`` arrivals'
-    marks at a time, the row loop or the time-blocked path. Adding +0.0 to
-    the start maps -0.0 to +0.0, as :func:`pth_step` does.
-    """
-    u = np.array(start, dtype=np.float64)
-    if u.ndim != 2 or np.shape(sigma) != np.shape(xi) or np.shape(sigma)[1:] != u.shape[:1]:
-        raise ValueError(f"need (R, S) starts and (n, R) marks, got {u.shape}, {np.shape(sigma)}")
-    _require_rank(zero_profile(u.shape[1]), rank)
-    # each row as the chain 0 <= u[0] <= ... <= u[S - 1] <= the largest
-    # float, _require_profile's rule; every link is false at a NaN
-    padded = np.zeros((len(u), u.shape[1] + 2))
-    padded[:, -1], padded[:, 1:-1] = sys.float_info.max, u
-    links = padded[:, :-1] <= padded[:, 1:]
-    if np.count_nonzero(links) < links.size:
-        r = int(np.argmin(links.all(axis=1)))
-        _require_profile(tuple(u[r].tolist()), f"start row {r}")
-    u += 0.0
-    state = np.array(u.T[:, None], order="C")
-    _advance(state, sigma, xi, rank)
-    return state[:, 0].T
-
-
-def _advance(u: np.ndarray, sigma, xi, rank: int, scratch: np.ndarray | None = None) -> None:
+def _advance(u: np.ndarray, sigma, xi, rank: int, scratch: np.ndarray) -> None:
     """Step the ``(S, k, R)`` state ``u`` in place, k replays of R systems,
     through the ``(m, R)`` marks ``sigma`` and ``xi``, column r of every
     replay on the marks of column r: the one choice of stepper of every
@@ -363,20 +315,18 @@ def _advance(u: np.ndarray, sigma, xi, rank: int, scratch: np.ndarray | None = N
             column[:] = path_profiles(tuple(column.tolist()), s[part], x[part], rank)[-1]
 
 
-def _lockstep(u: np.ndarray, sigma, xi, rank: int, scratch: np.ndarray | None) -> None:
+def _lockstep(u: np.ndarray, sigma, xi, rank: int, scratch: np.ndarray) -> None:
     """Step the ``(S, k, R)`` state ``u`` in place, k replays of R systems,
     through the ``(m, R)`` marks ``sigma`` and ``xi``, one row per arrival:
     column r of every replay on the marks of column r. The marks go through
     :func:`_iter_lockstep` a scratch-full at a time, copied into the float64
-    ``scratch``, which holds at least one row, or, if None, into a new one of
-    at most ``_CHUNK`` rows: each row's gaps to every queue of every replay,
-    so that the subtract is same-shape (broadcasting an (R,) row over (S, R)
-    costs about three times as much per step), then the sigma rows.
+    ``scratch``, which holds at least one row: each row's gaps to every
+    queue of every replay, so that the subtract is same-shape (broadcasting
+    an (R,) row over (S, R) costs about three times as much per step), then
+    the sigma rows.
     """
     servers, reps, width = u.shape
-    if scratch is None:
-        scratch = np.empty(min(max(len(sigma), 1), _CHUNK) * width * (servers * reps + 1))
-    per = max(1, len(scratch) // max(1, width * (servers * reps + 1)))  # rows per scratch-full
+    per = len(scratch) // (width * (servers * reps + 1))  # rows per scratch-full
     for a in range(0, len(sigma), per):
         m = len(sigma[a : a + per])
         gaps = scratch[: m * servers * reps * width].reshape(m, servers * reps, width)

@@ -86,8 +86,8 @@ def test_compare_checks_each_seed_through_the_library_call(mode, name, keys, tmp
 @pytest.mark.parametrize("name", ["comparison", "cli"])
 def test_forward_runs_go_through_the_one_walk(name, monkeypatch, tmp_path, capsys):
     # profiles cuts every run into path_profiles calls: _path_chunks cuts a
-    # forward run into calls and row blocks, and lockstep_profiles cuts a
-    # long few-row call at _PATH_CHUNK; the modules that step forward runs
+    # forward run into calls and row blocks, and _advance cuts a long
+    # few-column replay at _PATH_CHUNK; the modules that step forward runs
     # only consume the walk
     module = importlib.import_module(f"jswsim.{name}")
     bound = [n for n in ("path_profiles", "_PATH_CHUNK", "_CHUNK") if hasattr(module, n)]
@@ -131,7 +131,6 @@ def test_backward_replays_go_through_the_one_stepper():
         "_lockstep",
         "_iter_lockstep",
         "_row_loop",
-        "lockstep_profiles",
         "path_profiles",
     )
     bound = [n for n in kernels if hasattr(loynes, n)]
@@ -150,7 +149,6 @@ def test_backward_replays_go_through_the_one_stepper():
 # One call of each public mark generator of jswsim.processes.
 DRAWS = {
     "generate": lambda p, model: p.generate(model, 1, 3),
-    "generate_many": lambda p, model: p.generate_many(model, [1, 2], 3, 1),
     "generate_chunks": lambda p, model: next(p.generate_chunks(model, [1, 2], 3, 2)),
     "generate_forward": lambda p, model: next(p.generate_forward(model, 1, 3, 2)),
 }

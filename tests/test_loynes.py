@@ -263,6 +263,26 @@ class TestManySeeds:
         assert [self._fields(r) for r in many] == [self._fields(r) for r in one]
         assert {r.steps_used for r in many} == {2**14}
 
+    def test_a_scratch_past_the_buffer_head_equals_one_seed_at_a_time(self, monkeypatch):
+        # a pass of 512 seeds at depths 64 and 128 on 60 servers: a row of
+        # every replay's gaps and the sigma row, 512 x (2 x 60 + 1) floats,
+        # do not fit in the _SCRATCH floats of the draw buffer's head, so
+        # the replay steps through a scratch of its own
+        sizes = []
+        advance = loynes._advance
+
+        def recording_advance(u, sigma, xi, rank, scratch):
+            sizes.append((scratch.size, scratch.base is None))
+            advance(u, sigma, xi, rank, scratch)
+
+        monkeypatch.setattr(loynes, "_advance", recording_advance)
+        model = IIDModel(Exponential(1.0), Exponential(54.0))  # load 0.9
+        args = dict(servers=60, window=64, max_n=128, keep_history=True)
+        many = estimate_stationary_many(model, range(1, 513), **args)
+        assert max(sizes) == (512 * 121, True) and 512 * 121 > processes._SCRATCH
+        one = [estimate_stationary(model, s, **args) for s in range(1, 513)]
+        assert [self._fields(r) for r in many] == [self._fields(r) for r in one]
+
     def test_a_pass_fits_in_the_memory_of_a_half_size_pass(self):
         # M/M/2 at load 0.9 over 4000 seeds: eight passes of 512 seeds at the
         # first level. 3,582,826 bytes is the peak when each chunk of 2**15

@@ -34,9 +34,9 @@ from jswsim.processes import (
     TraceModel,
     Uniform,
     _CHUNK,
+    _DRAW_MARKS,
     _LOG_CHUNK,
     _chain,
-    _chunk_rows,
     _column_sums,
     _generate_markov,
     _log1m,
@@ -48,7 +48,6 @@ from jswsim.processes import (
     generate,
     generate_chunks,
     generate_forward,
-    generate_many,
     mean_sigma,
     mean_xi,
     model_label,
@@ -187,8 +186,7 @@ class TestReproducibility:
         # Philox keys a stream by 64 bits: such a seed would alias seed % 2**64
         for call in (
             lambda: generate(MM1, seed, 3),
-            lambda: generate_many(MM1, [1, seed], 3),
-            lambda: next(generate_chunks(MM1, [seed], 3, 2)),
+            lambda: next(generate_chunks(MM1, [1, seed], 3, 2)),
             lambda: next(generate_chunks(THREE_STATE, [seed], 3, 2)),
             lambda: jswsim.estimate_stationary_many(MM1, [1, seed], 2, window=4, max_n=8),
         ):
@@ -200,7 +198,7 @@ class TestReproducibility:
         # Philox would truncate 1.5 to seed 1's key and give seed 1's marks
         for call in (
             lambda: generate(MM1, seed, 3),
-            lambda: generate_many(MM1, [1, seed], 3),
+            lambda: next(generate_chunks(MM1, [1, seed], 3, 2)),
             lambda: next(generate_chunks(THREE_STATE, [seed], 3, 2)),
             lambda: next(generate_forward(MM1, seed, 3, 2)),
         ):
@@ -265,67 +263,79 @@ def bits(a):
 
 
 def block_cases():
-    """``(seeds, length, start)`` of ``generate_many`` draws: short ones of
+    """``(seeds, length, rows)`` of ``generate_chunks`` draws: short ones of
     three seeds, and for one and three seeds one mark below, at and above
-    the rows of a chunk, from mark 0, and the longest from mark 5 too."""
-    cases = [pytest.param(BLOCK_SEEDS, n, 0, id=str(n)) for n in (1, 7, 64)]
+    the ``_DRAW_MARKS`` rows of a chunk of ``generate``, in one chunk, and
+    the longest in two, the deeper from mark 5."""
+    cases = [pytest.param(BLOCK_SEEDS, n, n, id=str(n)) for n in (1, 7, 64)]
     for seeds in (BLOCK_SEEDS[1:2], BLOCK_SEEDS):
-        rows = _chunk_rows(2**30, len(seeds))
-        for n, start in ((rows - 1, 0), (rows, 0), (rows + 1, 0), (rows + 1, 5)):
-            cases.append(pytest.param(seeds, n, start, id=f"R{len(seeds)}-{n}-from{start}"))
+        for n in (_DRAW_MARKS - 1, _DRAW_MARKS, _DRAW_MARKS + 1):
+            cases.append(pytest.param(seeds, n, n, id=f"R{len(seeds)}-{n}"))
+        n = _DRAW_MARKS + 1
+        cases.append(pytest.param(seeds, n, n - 5, id=f"R{len(seeds)}-{n}-rows{n - 5}"))
     return cases
 
 
+def joined_chunks(model, seeds, length, rows):
+    """The chunks of ``generate_chunks``, deepest first, joined in mark order."""
+    chunks = list(generate_chunks(model, seeds, length, rows))
+    assert [lo for lo, _, _ in chunks] == [max(0, hi - rows) for hi in range(length, 0, -rows)]
+    return tuple(np.concatenate([c[k] for c in reversed(chunks)]) for k in (1, 2))
+
+
 class TestBlockGeneration:
-    """``generate_many`` columns are the per-seed ``generate`` marks, bit for bit."""
+    """``generate_chunks`` columns are the per-seed ``generate`` marks, bit for bit."""
 
     @staticmethod
-    def assert_columns_match(model, seeds, length, start=0):
-        sigma, xi = generate_many(model, seeds, length, start)
+    def assert_columns_match(model, seeds, length, rows):
+        sigma, xi = joined_chunks(model, seeds, length, rows)
         assert sigma.shape == xi.shape == (length, len(seeds))
         assert sigma.dtype == xi.dtype == np.float64
         # the whole draw as one chunk, then each seed on its own, cut elsewhere
-        _, whole_sigma, whole_xi = next(_stream(model, seeds, length, length, start))
+        _, whole_sigma, whole_xi = next(_stream(model, seeds, length, length))
         assert np.array_equal(bits(sigma), bits(whole_sigma))
         assert np.array_equal(bits(xi), bits(whole_xi))
         for r, seed in enumerate(seeds):
-            marks = generate(model, seed, start + length)
-            assert np.array_equal(bits(sigma[:, r]), bits(marks.sigma[start:])), (seed, "sigma")
-            assert np.array_equal(bits(xi[:, r]), bits(marks.xi[start:])), (seed, "xi")
+            marks = generate(model, seed, length)
+            assert np.array_equal(bits(sigma[:, r]), bits(marks.sigma)), (seed, "sigma")
+            assert np.array_equal(bits(xi[:, r]), bits(marks.xi)), (seed, "xi")
 
-    @pytest.mark.parametrize("seeds,length,start", block_cases())
+    @pytest.mark.parametrize("seeds,length,rows", block_cases())
     @pytest.mark.parametrize("xi_law", LAWS, ids=lambda law: type(law).__name__)
     @pytest.mark.parametrize("sigma_law", LAWS, ids=lambda law: type(law).__name__)
-    def test_iid_columns(self, sigma_law, xi_law, seeds, length, start):
-        self.assert_columns_match(IIDModel(sigma_law, xi_law), seeds, length, start)
+    def test_iid_columns(self, sigma_law, xi_law, seeds, length, rows):
+        self.assert_columns_match(IIDModel(sigma_law, xi_law), seeds, length, rows)
 
-    @pytest.mark.parametrize("seeds,length,start", block_cases())
-    def test_markov_columns(self, seeds, length, start):
-        self.assert_columns_match(THREE_STATE, seeds, length, start)
+    @pytest.mark.parametrize("seeds,length,rows", block_cases())
+    def test_markov_columns(self, seeds, length, rows):
+        self.assert_columns_match(THREE_STATE, seeds, length, rows)
 
     def test_trace_columns_are_shared(self, tmp_path):
         p = tmp_path / "marks.txt"
         p.write_text("".join(f"{0.5 + k} {1.0 + k / 8}\n" for k in range(64)))
         model = TraceModel(str(p))
-        for length in (1, 7, 64):
-            self.assert_columns_match(model, BLOCK_SEEDS, length)
-        sigma, _ = generate_many(model, BLOCK_SEEDS, 7)
+        for length, rows in ((1, 1), (7, 7), (64, 64), (64, 5)):
+            self.assert_columns_match(model, BLOCK_SEEDS, length, rows)
+        _, sigma, _ = next(generate_chunks(model, BLOCK_SEEDS, 7, 7))
         assert sigma.strides[1] == 0 and not sigma.flags.writeable
+        # generate returns a trace's marks as views of the file's
+        assert np.shares_memory(generate(model, 1, 64).sigma, model._columns[0])
 
     def test_leftover_words_do_not_leak_between_seeds(self):
         # three words per mark: seven marks leave words of the last Philox
         # block buffered, which must not start the next seed's stream
         model = IIDModel(Hyperexponential((0.4, 0.6), (1.0, 3.0)), Exponential(1.8))
         seeds = [5, 5, 6, 2**64 - 1, 6]
-        self.assert_columns_match(model, seeds, 7)
-        sigma, _ = generate_many(model, seeds, 7)
+        self.assert_columns_match(model, seeds, 7, 7)
+        _, sigma, _ = next(generate_chunks(model, seeds, 7, 7))
         assert np.array_equal(bits(sigma[:, 0]), bits(sigma[:, 1]))
         assert np.array_equal(bits(sigma[:, 2]), bits(sigma[:, 4]))
 
     def test_block_spans_several_log1p_chunks(self):
         # 2 x (_LOG_CHUNK + 7) draws per law in the block, three passes of
         # the array logarithm; two in each one-seed call
-        self.assert_columns_match(IIDModel(LAWS[3], LAWS[0]), [1, 2], _LOG_CHUNK + 7)
+        n = _LOG_CHUNK + 7
+        self.assert_columns_match(IIDModel(LAWS[3], LAWS[0]), [1, 2], n, n)
 
     def test_uniforms_reset_between_streams(self):
         for seed, stream in ((2**63 + 9, 1), (3, 0)):
@@ -365,7 +375,7 @@ class TestBlockGeneration:
 
     def test_length_validated(self):
         with pytest.raises(ValueError):
-            generate_many(MM1, [1, 2], 0)
+            next(generate_chunks(MM1, [1, 2], 0, 4))
 
 
 def grid(m):
@@ -493,12 +503,14 @@ class TestLog1m:
 
 
 class TestOffsets:
-    """Marks from a start offset are the slice of a longer draw, bit for bit."""
+    """A chunk from a later mark is the slice of a draw from mark 0, bit for bit."""
 
     @staticmethod
     def assert_slice(model, seeds, length, start):
-        sigma, xi = generate_many(model, seeds, length, start)
-        longer_sigma, longer_xi = generate_many(model, seeds, start + length)
+        # the deepest chunk of start + length marks is marks [start, start + length)
+        lo, sigma, xi = next(generate_chunks(model, seeds, start + length, length))
+        _, longer_sigma, longer_xi = next(_stream(model, seeds, start + length, start + length))
+        assert lo == start
         assert sigma.shape == xi.shape == (length, len(seeds))
         assert np.array_equal(bits(sigma), bits(longer_sigma[start:])), start
         assert np.array_equal(bits(xi), bits(longer_xi[start:])), start
@@ -542,13 +554,9 @@ class TestOffsets:
         model = TraceModel(str(p))
         if start + length > 64:
             with pytest.raises(InputError):
-                generate_many(model, [1], length, start)
+                next(generate_chunks(model, [1], start + length, length))
         else:
             self.assert_slice(model, BLOCK_SEEDS, length, start)
-
-    def test_negative_start(self):
-        with pytest.raises(ValueError):
-            generate_many(MM1, [1], 4, -1)
 
     @pytest.mark.parametrize("rows", [5, 500, _CHUNK, 3 * _CHUNK])
     def test_chunks_tile_oldest_first(self, rows, tmp_path):
@@ -559,7 +567,7 @@ class TestOffsets:
         p.write_text("".join(f"{k % 5} {1 + k % 3}\n" for k in range(n)))
         models = [THREE_STATE, IIDModel(LAWS[3], LAWS[0]), TraceModel(str(p))]
         for model in models:
-            sigma, xi = generate_many(model, BLOCK_SEEDS, n)
+            _, sigma, xi = next(_stream(model, BLOCK_SEEDS, n, n))
             hi = n
             for lo, s, x in generate_chunks(model, BLOCK_SEEDS, n, rows):
                 assert lo == max(0, hi - rows)
@@ -580,9 +588,6 @@ class TestOffsets:
         p = tmp_path / "marks.txt"
         p.write_text("".join(f"{0.5 + k} {1.0 + k / 8}\n" for k in range(9)))
         for model in (MM1, THREE_STATE, TraceModel(str(p))):
-            for start in (0, 5):
-                sigma, xi = generate_many(model, [], 4, start)
-                assert sigma.shape == xi.shape == (4, 0)
             chunks = [(lo, s.shape, x.shape) for lo, s, x in generate_chunks(model, [], 9, 4)]
             assert chunks == [(5, (4, 0), (4, 0)), (1, (4, 0), (4, 0)), (0, (1, 0), (1, 0))]
 
@@ -673,9 +678,6 @@ class TestForwardChunks:
         # once: at most 2 * length per seed
         chunks_walked = walked(lambda: generate_chunks(model, seeds, length, rows))
         assert chunks_walked == (2 * length - min(rows, length)) * len(seeds)
-        # from start = rows: the earlier marks states only, then the draw's own
-        many_walked = walked(lambda: [generate_many(model, seeds, length, rows)])
-        assert many_walked == (rows + length) * len(seeds)
 
     def test_a_chunk_is_dropped_before_the_next_is_drawn(self, monkeypatch):
         # neither generator holds the chunk it yielded while it draws the next

@@ -14,18 +14,18 @@ from formulas import rank_waiting_times
 from hypothesis import given, settings, strategies as st
 
 import jswsim.profiles
-from jswsim.comparison import fcfs_waiting_times
-from jswsim.processes import Exponential, IIDModel, MarkSequence, generate
+from jswsim.comparison import SystemConfig, compare_allocation_ranks, fcfs_waiting_times
+from jswsim.loynes import estimate_stationary_many
+from jswsim.orderings import prec_p
+from jswsim.processes import _SCRATCH, Exponential, IIDModel, MarkSequence, generate
 from jswsim.profiles import (
     _PATH_CHUNK,
     Mark,
     iter_profiles,
     kw_step,
-    lockstep_profiles,
     pad,
     path_profiles,
     pth_step,
-    sort_ascending,
     total_workload,
     zero_profile,
 )
@@ -88,15 +88,6 @@ class TestHelpers:
         assert zero_profile(3) == (0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             zero_profile(0)
-
-    def test_sort_ascending_validates(self):
-        assert sort_ascending([2.0, 0.0, 1.0]) == (0.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            sort_ascending([-1.0, 2.0])
-        with pytest.raises(ValueError):
-            sort_ascending([])
-        with pytest.raises(ValueError):
-            sort_ascending([math.nan])
 
     def test_totals_and_wait(self):
         assert total_workload((0.25, 0.5, 1.0)) == 1.75
@@ -234,13 +225,24 @@ row_sigmas = st.sampled_from([0.0, -0.0, 0.25, 1.0, 1e308]) | st.floats(0.0, 1e3
 row_gaps = st.sampled_from([5e-324, 0.25, 1.0, 1.5, 1e300]) | st.floats(5e-324, 1e300)
 
 
+def advance(start, sigma, xi, rank):
+    """The final profiles of R systems from the rows of the ``(R, S)``
+    ``start``, stepped through the ``(n, R)`` marks by ``profiles._advance``
+    as one replay, an ``(S, 1, R)`` state, with a scratch of ``_SCRATCH``
+    floats: the rows of an ``(R, S)`` array. The state starts from
+    ``start + 0.0``, as a replay holds no -0.0."""
+    state = np.array(np.transpose(start)[:, None] + 0.0, order="C")
+    jswsim.profiles._advance(state, sigma, xi, rank, np.empty(_SCRATCH))
+    return state[:, 0].T
+
+
 @pytest.mark.parametrize("servers", range(1, 9))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_row_loop_matches_step(servers, data):
     # every rank's generated loop against the chain of _step calls, and the
-    # row branch of lockstep_profiles, one row of fewer than _PATH_CHUNK
-    # marks, against iter_profiles
+    # row branch of _advance, one row of fewer than _PATH_CHUNK marks,
+    # against iter_profiles
     start = tuple(sorted(data.draw(st.lists(row_coords, min_size=servers, max_size=servers))))
     steps = data.draw(st.lists(st.tuples(row_sigmas, row_gaps), min_size=1, max_size=30))
     sigma, xi = (list(column) for column in zip(*steps))
@@ -254,14 +256,15 @@ def test_row_loop_matches_step(servers, data):
         got, want = np.array(rows).view(np.uint64), np.ravel(expected[1:]).view(np.uint64)
         assert np.array_equal(got, want), rank
         columns = np.array(sigma)[:, None], np.array(xi)[:, None]
-        final = lockstep_profiles(np.array([start]), *columns, rank)
+        final = advance(np.array([start]), *columns, rank)
         marks = SimpleNamespace(sigma=columns[0][:, 0], xi=columns[1][:, 0])
         reference = deque(iter_profiles(start, marks, rank), maxlen=1)[0]
         assert _bits(final.tolist()) == _bits([reference]), rank
 
 
 class TestLockstep:
-    """The (R, S) array kernel against pth_step, bit for bit."""
+    """The (S, 1, R) replay of the array kernel, through _advance, against
+    pth_step, bit for bit."""
 
     # rows per call from which the kernel steps them as one array: every call here
     MIN_ROWS = 0
@@ -286,53 +289,9 @@ class TestLockstep:
             sigma.append(data.draw(st.sampled_from([0.0, 0.5]) | marks.map(lambda m: m.sigma)))
             xi.append(data.draw(st.sampled_from(row) | st.sampled_from([0.0, 0.25, 1e-3])))
         for rank in range(1, servers + 1):
-            out = lockstep_profiles(np.array(rows), np.array([sigma]), np.array([xi]), rank)
+            out = advance(np.array(rows), np.array([sigma]), np.array([xi]), rank)
             expected = [pth_step(u, Mark(s, x), rank) for u, s, x in zip(rows, sigma, xi)]
             assert _bits(out.tolist()) == _bits(expected), rank
-
-    def test_signed_zero_start_is_cleared(self):
-        out = lockstep_profiles(np.array([[-0.0, 0.0]]), np.array([[0.0]]), np.array([[0.0]]), 1)
-        assert _bits(out.tolist()) == _bits([(0.0, 0.0)])
-
-    def test_zero_marks_clear_a_signed_zero_start(self):
-        start = np.array([[-0.0, 0.0, 1.5], [-0.0, -0.0, 0.0]])
-        out = lockstep_profiles(start, np.empty((0, 2)), np.empty((0, 2)), 2)
-        assert _bits(out.tolist()) == _bits([(0.0, 0.0, 1.5), (0.0, 0.0, 0.0)])
-        assert math.copysign(1.0, start[0, 0]) == -1.0
-
-    def test_zero_rows(self):
-        out = lockstep_profiles(np.zeros((0, 3)), np.ones((5, 0)), np.ones((5, 0)), 2)
-        assert out.shape == (0, 3)
-
-    # rows of start, shape of sigma, shape of xi
-    @pytest.mark.parametrize(
-        "rows,sigma_shape,xi_shape",
-        [
-            (8, (3, 1), (3, 1)),
-            (7, (3, 1), (3, 1)),
-            (2, (3, 2), (4, 2)),
-            (2, (3, 2), (3, 3)),
-            (2, (2,), (2,)),
-            (1, (3, 1, 1), (3, 1, 1)),
-        ],
-    )
-    def test_marks_need_one_column_per_row(self, rows, sigma_shape, xi_shape):
-        with pytest.raises(ValueError, match="need"):
-            lockstep_profiles(np.zeros((rows, 2)), np.ones(sigma_shape), np.ones(xi_shape), 1)
-
-    def test_start_needs_rows_of_servers(self):
-        for start in (np.zeros(3), np.zeros((2, 2, 2))):
-            with pytest.raises(ValueError, match="need"):
-                lockstep_profiles(start, np.ones((3, 2)), np.ones((3, 2)), 1)
-        with pytest.raises(ValueError, match="servers must be >= 1"):
-            lockstep_profiles(np.zeros((2, 0)), np.ones((3, 2)), np.ones((3, 2)), 1)
-
-    @pytest.mark.parametrize("rank", [0, -1, 4])
-    def test_rank_outside_the_servers_is_refused(self, rank):
-        # unchecked, rank 0 would step as rank S and rank -1 leave profiles unsorted
-        sigma, xi = np.full((4, 2), 0.5), np.full((4, 2), 0.1)
-        with pytest.raises(ValueError, match=rf"allocation rank {rank} outside \[1, 3\]"):
-            lockstep_profiles(np.zeros((2, 3)), sigma, xi, rank)
 
     @pytest.mark.parametrize(
         "servers,rank", [(1, 1), (2, 1), (3, 2), (8, 8), (12, 1), (12, 6), (12, 12)]
@@ -342,14 +301,12 @@ class TestLockstep:
         n, systems = 300, 7
         sigma = rng.exponential(1.0, (n, systems)) * (rng.random((n, systems)) < 0.8)
         xi = rng.exponential(0.9 / servers, (n, systems))
-        start = np.zeros((systems, servers))
-        final = lockstep_profiles(start, sigma, xi, rank)
+        final = advance(np.zeros((systems, servers)), sigma, xi, rank)
         expected = [
             list(iter_profiles((0.0,) * servers, SimpleNamespace(sigma=sigma[:, r], xi=xi[:, r]), rank))[-1]
             for r in range(systems)
         ]
         assert _bits(final.tolist()) == _bits(expected)
-        assert not start.any()
 
     @pytest.mark.parametrize("servers,rank", [(1, 1), (2, 1), (3, 2), (4, 4)])
     def test_two_chunks_chain_into_one_call(self, servers, rank):
@@ -358,44 +315,34 @@ class TestLockstep:
         sigma = rng.exponential(1.0, (n, systems))
         xi = rng.exponential(0.9 / servers, (n, systems))
         start = np.sort(rng.exponential(1.0, (systems, servers)), axis=1)
-        whole = lockstep_profiles(start, sigma, xi, rank)
-        head = lockstep_profiles(start, sigma[:137], xi[:137], rank)
-        chained = lockstep_profiles(head, sigma[137:], xi[137:], rank)
+        whole = advance(start, sigma, xi, rank)
+        head = advance(start, sigma[:137], xi[:137], rank)
+        chained = advance(head, sigma[137:], xi[137:], rank)
         assert _bits(chained.tolist()) == _bits(whole.tolist())
 
-    @pytest.mark.parametrize(
-        "bad",
-        [(math.nan, 1.0), (0.5, math.nan), (0.0, math.inf), (-1.0, 0.0), (1.0, 0.5), (-0.5, -1.0)],
-    )
-    @pytest.mark.parametrize("systems,n", [(1, 3), (8, 3), (1, _PATH_CHUNK), (3, _PATH_CHUNK)])
-    def test_start_rows_must_be_profiles(self, bad, systems, n):
-        # unchecked, a NaN row stepped to (0.4, 1.2) one row at a time and
-        # to NaNs as an array, and an unsorted row sent its arrivals to the
-        # wrong queue
-        start = np.zeros((systems, 2))
-        start[-1] = bad
-        sigma, xi = np.full((n, systems), 0.5), np.full((n, systems), 0.1)
-        row = rf"start row {systems - 1} must be finite, nonnegative and nondecreasing"
-        with pytest.raises(ValueError, match=row):
-            lockstep_profiles(start, sigma, xi, 1)
+    def test_no_marks_leave_the_state(self):
+        start = np.array([[0.0, 0.0, 1.5], [0.25, 2.0, 2.0]])
+        out = advance(start, np.empty((0, 2)), np.empty((0, 2)), 2)
+        assert _bits(out.tolist()) == _bits(start.tolist())
 
-    def test_signed_zero_rows_are_profiles(self):
-        start = np.array([[-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 2.0]])
-        out = lockstep_profiles(start, np.zeros((1, 3)), np.zeros((1, 3)), 1)
-        assert _bits(out.tolist()) == _bits([(0.0, 0.0, 0.0)] * 2 + [(0.0, 0.0, 2.0)])
+    def test_signed_zero_sigma_gives_positive_zeros(self):
+        # 0.0 + -0.0 is 0.0, and every queue is aged by a zero gap: the
+        # state stays +0.0, as _step gives it
+        start = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        out = advance(start, np.full((3, 2), -0.0), np.zeros((3, 2)), 1)
+        assert _bits(out.tolist()) == _bits([(0.0, 0.0, 0.0), (0.0, 0.0, 2.0)])
 
     # R systems over 2**16 arrivals, the marks of each array 4.2 and 8.4 MB:
-    # one scratch-full of _CHUNK rows of gaps and sigmas is 2.4 and 1.6 MB,
-    # where a scratch of every arrival's rows, S + 1 mark arrays, would
-    # reach a traced peak of 67.1 and 33.6 MB.
+    # the kernel steps them through the given scratch, and a row of them a
+    # walk chunk at a time, so neither holds anything the size of the marks
     @pytest.mark.parametrize("systems,servers", [(8, 8), (16, 2)])
-    def test_scratch_holds_at_most_a_chunk_of_arrivals(self, systems, servers):
+    def test_a_long_replay_allocates_less_than_its_marks(self, systems, servers):
         rng = np.random.default_rng([systems, servers])
         n = 2**16
         sigma = rng.exponential(1.0, (n, systems))
         xi = rng.exponential(2.0 / servers, (n, systems))  # load 0.5
-        start = np.zeros((systems, servers))
-        peak = traced_peak(lambda: lockstep_profiles(start, sigma, xi, 1))
+        state, scratch = np.zeros((servers, 1, systems)), np.empty(_SCRATCH)
+        peak = traced_peak(lambda: jswsim.profiles._advance(state, sigma, xi, 1, scratch))
         assert peak < sigma.nbytes, peak
 
     # walk chunks, whole and with a ragged last one, at load 0.5 and 1.5 on
@@ -405,7 +352,7 @@ class TestLockstep:
     @pytest.mark.parametrize("load", [0.5, 1.5])
     def test_long_call_matches_iter_profiles(self, n, servers, rank, load):
         start, sigma, xi = _long_call(n, servers, rank, load)
-        final = lockstep_profiles(start, sigma, xi, rank)
+        final = advance(start, sigma, xi, rank)
         assert _bits(final.tolist()) == _long_call_reference(n, servers, rank, load)
 
 
@@ -457,8 +404,41 @@ def test_only_long_few_row_calls_step_as_paths(monkeypatch):
     cases = [(1, 128), (wide - 1, 128), (wide, _PATH_CHUNK), (1, _PATH_CHUNK)]
     for systems, n in cases + [(wide - 1, _PATH_CHUNK + 37)]:
         sigma, xi = rng.exponential(1.0, (n, systems)), rng.exponential(1.0, (n, systems))
-        lockstep_profiles(np.zeros((systems, 2)), sigma, xi, 1)
+        advance(np.zeros((systems, 2)), sigma, xi, 1)
     assert calls == [_PATH_CHUNK] + [_PATH_CHUNK, 37] * (wide - 1)
+
+
+# the stepper's three branches: the array kernel, the row loop and, over a
+# walk chunk, the time-blocked path, as (columns from which the kernel
+# steps, arrivals)
+ADVANCE_BRANCHES = {"kernel": (0, 300), "rows": (2**62, 300), "path": (2**62, _PATH_CHUNK + 37)}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("scratch", ["one-row", "ragged", "full"])
+@pytest.mark.parametrize("branch", sorted(ADVANCE_BRANCHES))
+def test_advance_gives_the_same_bits_at_every_scratch_size(branch, scratch, rank, monkeypatch):
+    # two replays of three systems, from zeros and from a loaded profile, at
+    # each rank of 3 servers (rank 1 steps on a view of the other queues,
+    # the others on a copy of them): the kernel copies a scratch-full of
+    # rows at a time, one row, 37 rows, which leave a ragged last fill of
+    # 300 arrivals, or _SCRATCH floats, which hold them all
+    min_rows, n = ADVANCE_BRANCHES[branch]
+    monkeypatch.setattr(jswsim.profiles, "_LOCKSTEP_MIN_ROWS", min_rows)
+    servers, reps, width = 3, 2, 3
+    row = width * (servers * reps + 1)
+    size = {"one-row": row, "ragged": 37 * row, "full": _SCRATCH}[scratch]
+    rng = np.random.default_rng(n)
+    sigma = rng.exponential(1.0, (n, width)) * (rng.random((n, width)) < 0.9)
+    xi = rng.exponential(0.6, (n, width))
+    starts = np.zeros((reps, width, servers))
+    starts[1] = np.sort(rng.exponential(2.0, (width, servers)), axis=1)
+    state = np.array(starts.transpose(2, 0, 1), order="C")
+    jswsim.profiles._advance(state, sigma, xi, rank, np.empty(size))
+    for k, r in np.ndindex(reps, width):
+        marks = SimpleNamespace(sigma=sigma[:, r], xi=xi[:, r])
+        reference = deque(iter_profiles(tuple(starts[k, r].tolist()), marks, rank), maxlen=1)[0]
+        assert _bits([state[:, k, r].tolist()]) == _bits([reference]), (k, r)
 
 
 def _path_reference(start, sigma, xi, rank):
@@ -669,6 +649,53 @@ def test_in_order_tail_steps_just_the_stale_blocks(servers, rank, xi_rate):
 def test_path_profiles_checks_start_and_rank(start, rank):
     with pytest.raises(ValueError):
         path_profiles(start, np.ones(3), np.ones(3), rank)
+
+
+# Every public call that steps from a start profile or at a rank, with a
+# 2-server start, checks both when it is called, by profiles' one rule each.
+_MARKS = MarkSequence(sigma=np.full(3, 0.5), xi=np.full(3, 0.1))
+START_ENTRIES = {
+    "pth_step": lambda start, rank: pth_step(start, Mark(0.5, 0.1), rank),
+    "iter_profiles": lambda start, rank: iter_profiles(start, _MARKS, rank),
+    "path_profiles": lambda start, rank: path_profiles(start, _MARKS.sigma, _MARKS.xi, rank),
+    "SystemConfig": lambda start, rank: SystemConfig(len(start), rank, start),
+    "compare_allocation_ranks": lambda start, rank: compare_allocation_ranks(
+        len(start), rank, start, start, _MARKS
+    ),
+}
+RANK_ENTRIES = {
+    **START_ENTRIES,
+    "estimate_stationary_many": lambda start, rank: estimate_stationary_many(
+        IIDModel(Exponential(1.0), Exponential(0.5)), [1], len(start), rank
+    ),
+    "prec_p": lambda start, rank: prec_p(start, start, rank),
+}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(math.nan, 1.0), (0.5, math.nan), (0.0, math.inf), (-1.0, 0.0), (1.0, 0.5), (-0.5, -1.0)],
+)
+@pytest.mark.parametrize("entry", sorted(START_ENTRIES))
+def test_every_start_must_be_a_profile(entry, bad):
+    # unchecked, a NaN start stepped to NaNs, and an unsorted one sent its
+    # arrivals to the wrong queue
+    with pytest.raises(ValueError, match="must be finite, nonnegative and nondecreasing"):
+        START_ENTRIES[entry](bad, 1)
+
+
+@pytest.mark.parametrize("rank", [0, -1, 3])
+@pytest.mark.parametrize("entry", sorted(RANK_ENTRIES))
+def test_every_rank_outside_the_servers_is_refused(entry, rank):
+    # unchecked, rank 0 would step as rank S and rank -1 leave profiles unsorted
+    with pytest.raises(ValueError, match=rf"allocation rank {rank} outside \[1, 2\]"):
+        RANK_ENTRIES[entry]((0.0, 1.0), rank)
+
+
+@pytest.mark.parametrize("entry", sorted(set(RANK_ENTRIES) - {"prec_p"}))
+def test_every_system_needs_a_server(entry):
+    with pytest.raises(ValueError, match="server"):
+        RANK_ENTRIES[entry]((), 1)
 
 
 def test_iter_profiles_crosses_chunk_boundaries():
