@@ -221,23 +221,21 @@ def _total_cells(path):
     float array.
 
     A profile past step 0 is nondecreasing and each zero in it is +0.0, so
-    one with at most one nonzero coordinate sums to its coordinate S and
-    one with at most two (S <= 2 or coordinate S - 2 zero) to the sum of
-    its last two, one IEEE add, rounded correctly as ``fsum`` rounds. The
-    other profiles, and those whose add is not finite, go through ``fsum``,
-    which raises on an overflow.
+    one with at most two nonzero coordinates (S <= 2 or coordinate S - 2
+    zero) sums to the sum of its last two, one IEEE add, rounded correctly
+    as ``fsum`` rounds; with at most one, that add gives coordinate S, bit
+    for bit, whose cell :class:`~jswsim._rows.SimulateRows` then copies.
+    The other profiles, and those whose add is not finite, go through
+    ``fsum``, which raises on an overflow.
     """
-    totals = path[-1].copy()
     if len(path) == 1:
-        return totals
-    two = np.flatnonzero(path[-2])  # the profiles with two or more nonzero
+        return path[0].copy()
     with np.errstate(over="ignore"):
-        pair = path[-2, two] + path[-1, two]
-    exact = np.isfinite(pair)
+        totals = path[-2] + path[-1]
+    rest = ~np.isfinite(totals)
     if len(path) > 2:
-        exact &= path[-3, two] == 0.0
-    totals[two[exact]] = pair[exact]
-    rest = two[~exact]
+        rest |= path[-3] != 0.0
+    rest = np.flatnonzero(rest)
     totals[rest] = [math.fsum(profile) for profile in path[:, rest].T.tolist()]
     return totals
 
@@ -253,9 +251,12 @@ def _sim_one(payload, out=None):
     not grow with the horizon. Each float cell is the ``repr`` of a
     coordinate, or of the exactly rounded sum of a profile (see
     :func:`_total_cells`; step 0 goes through ``fsum``, which sums a -0.0
-    start to 0.0), byte for byte: :func:`~jswsim._rows.float_slots` writes
-    a whole block's cells with numpy, finds the digits of each value from
-    1e-4 up to 1e16 itself and takes every other value's from ``repr``."""
+    start to 0.0), byte for byte. :class:`~jswsim._rows.SimulateRows`
+    formats a cell only when its text is not known: a +0.0 is a constant
+    cell, a total with its coordinate S's bits a copy of that cell, and
+    :func:`~jswsim._rows.float_slots` formats the rest of a block together
+    with numpy, finding the digits of each value from 1e-4 up to 1e16
+    itself and taking every other value's from ``repr``."""
     model, seed, horizon, system = payload
     draw = functools.partial(generate_forward, model, seed, horizon)
     name = f"seed {seed}: {system.label}"

@@ -6,7 +6,10 @@ from hypothesis import settings
 
 # Every property test draws the same examples on every run, so that tier-1
 # passes or fails alike from run to run; each test keeps its max_examples.
+# ``--hypothesis-profile=long`` loads a longer search instead: new examples
+# on every run, and ten times the examples of a test that sets none.
 settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.register_profile("long", derandomize=False, deadline=None, max_examples=1000)
 settings.load_profile("tier1")
 
 _criterion_lines: list[str] = []
