@@ -22,11 +22,7 @@ from .comparison import (
 )
 from .config import ExperimentConfig, load_config, parse_law, parse_seeds
 from .errors import ConfigError, InputError, PremiseError, StabilityError
-from .loynes import (
-    LoynesResult,
-    estimate_stationary,
-    estimate_stationary_many,
-)
+from .loynes import LoynesResult, estimate_stationary_many
 from .orderings import (
     PropertySuiteReport,
     OrderVerdict,
@@ -68,7 +64,6 @@ from .profiles import (
     Mark,
     Profile,
     iter_profiles,
-    kw_step,
     pad,
     pth_step,
     total_workload,
@@ -111,14 +106,12 @@ __all__ = [
     "compare_allocation_ranks",
     "compare_server_counts",
     "convex_symmetric_battery",
-    "estimate_stationary",
     "estimate_stationary_many",
     "fcfs_waiting_times",
     "generate",
     "generate_chunks",
     "generate_forward",
     "iter_profiles",
-    "kw_step",
     "load_config",
     "mean_sigma",
     "mean_xi",

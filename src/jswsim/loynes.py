@@ -38,7 +38,6 @@ from .processes import (
 
 __all__ = [
     "LoynesResult",
-    "estimate_stationary",
     "estimate_stationary_many",
 ]
 
@@ -56,25 +55,6 @@ class LoynesResult:
     converged: bool
     last_increment: float
     history: tuple[tuple[int, Profile], ...] | None = None
-
-
-def estimate_stationary(
-    model: InputModel,
-    seed: int,
-    servers: int,
-    rank: int = 1,
-    tolerance: float = 1e-6,
-    window: int = 64,
-    max_n: int = 2**22,
-    keep_history: bool = False,
-) -> LoynesResult:
-    """Estimate the minimal stationary profile for (model, seed).
-
-    The one-seed case of :func:`estimate_stationary_many`.
-    """
-    return estimate_stationary_many(
-        model, [seed], servers, rank, tolerance, window, max_n, keep_history
-    )[0]
 
 
 def _require_loynes_settings(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import PremiseError
-from .profiles import Mark, Profile, _require_rank, kw_step, pth_step, sort_raw
+from .profiles import Mark, Profile, _require_rank, pth_step, sort_raw
 
 __all__ = [
     "OrderVerdict",
@@ -40,7 +40,6 @@ __all__ = [
     "run_property_suite",
     "sample_balance_pair",
     "sample_coordinatewise_pair",
-    "sample_rank_ordered_pair",
     "sample_signed_vector",
     "sample_sorted_profile",
     "sample_tail_sum_pair",
@@ -295,7 +294,7 @@ def check_step_comparison(
     if not prec_p(u, v, rank, tol):
         raise PremiseError("inputs are not ordered by prec_p")
     gv = pth_step(v, mark, rank)
-    shortest_ok = prec_p(kw_step(u, mark), gv, rank, tol).holds
+    shortest_ok = prec_p(pth_step(u, mark, 1), gv, rank, tol).holds
     ranked_ok = prec_p(pth_step(u, mark, rank), gv, rank, tol).holds
     return shortest_ok, ranked_ok
 
@@ -312,14 +311,12 @@ def _dyadic(rng: random.Random, lo: float, hi: float) -> float:
     return rng.randint(round(lo * _DENOM), round(hi * _DENOM)) / _DENOM
 
 
-def sample_sorted_profile(rng: random.Random, servers: int, hi: float = 4.0) -> Profile:
-    return tuple(sorted(_dyadic(rng, 0.0, hi) for _ in range(servers)))
+def sample_sorted_profile(rng: random.Random, servers: int) -> Profile:
+    return tuple(sorted(_dyadic(rng, 0.0, 4.0) for _ in range(servers)))
 
 
-def sample_signed_vector(
-    rng: random.Random, size: int, lo: float = -4.0, hi: float = 4.0
-) -> tuple[float, ...]:
-    return tuple(_dyadic(rng, lo, hi) for _ in range(size))
+def sample_signed_vector(rng: random.Random, size: int) -> tuple[float, ...]:
+    return tuple(_dyadic(rng, -4.0, 4.0) for _ in range(size))
 
 
 def sample_coordinatewise_pair(rng: random.Random, servers: int) -> tuple[Profile, Profile]:
@@ -346,7 +343,7 @@ def sample_tail_sum_pair(
     """A pair u, v with u tail-sum dominated by v.
 
     With ``rank`` given, u is additionally coordinatewise below v from that
-    index up. Built downward from the top coordinate: at each index the
+    index up: rank-ordered below v, as ``prec_p`` checks. Built downward from the top coordinate: at each index the
     admissible interval for u is computed from v's remaining tail budget,
     the sortedness cap and (at and above the rank) v's own coordinate, then
     sampled with atoms at both endpoints so tight and slack instances both
@@ -367,13 +364,6 @@ def sample_tail_sum_pair(
         tail_u += ui
         cap = ui
     return tuple(reversed(out)), v
-
-
-def sample_rank_ordered_pair(
-    rng: random.Random, servers: int, rank: int
-) -> tuple[Profile, Profile]:
-    """A pair u, v with u rank-ordered below v for the given rank."""
-    return sample_tail_sum_pair(rng, servers, rank)
 
 
 def sample_balance_pair(
@@ -402,7 +392,11 @@ def sample_balance_pair(
 
 
 # --------------------------------------------------------------------------
-# Randomized suites over the checkers, shared by the CLI and the tests.
+# Randomized suites over the checkers, shared by the CLI and the tests. A
+# suite's runner draws one instance and returns its description and the
+# check to run on it.
+
+_Instance = tuple[str, Callable[[], bool]]
 
 
 @dataclass
@@ -419,16 +413,16 @@ class PropertySuiteReport:
         return self.failures == 0
 
 
-def _run_negation(rng: random.Random, dim: int, tol: float) -> tuple[bool, str]:
+def _run_negation(rng: random.Random, dim: int, tol: float) -> _Instance:
     if rng.random() < 0.5:
         u, v = sample_balance_pair(rng, dim)
     else:
         u = sample_signed_vector(rng, dim)
         v = sample_signed_vector(rng, dim)
-    return check_negation_symmetry(u, v, tol), f"u={u!r} v={v!r}"
+    return f"u={u!r} v={v!r}", lambda: check_negation_symmetry(u, v, tol)
 
 
-def _run_shift(rng: random.Random, dim: int, tol: float) -> tuple[bool, str]:
+def _run_shift(rng: random.Random, dim: int, tol: float) -> _Instance:
     if rng.random() < 0.8:
         u, v = sample_coordinatewise_pair(rng, dim)
     else:
@@ -436,40 +430,41 @@ def _run_shift(rng: random.Random, dim: int, tol: float) -> tuple[bool, str]:
         v = sample_sorted_profile(rng, dim)
     x = _dyadic(rng, -min(u[0], v[0]), 2.0)
     y = x if rng.random() < 0.2 else _dyadic(rng, x, 2.5)
-    return check_shift_monotonicity(u, v, x, y, tol), f"u={u!r} v={v!r} x={x!r} y={y!r}"
+    descr = f"u={u!r} v={v!r} x={x!r} y={y!r}"
+    return descr, lambda: check_shift_monotonicity(u, v, x, y, tol)
 
 
-def _run_battery(rng: random.Random, dim: int, tol: float) -> tuple[bool, str]:
+def _run_battery(rng: random.Random, dim: int, tol: float) -> _Instance:
     u, v = sample_balance_pair(rng, dim)
     # the log-sum-exp member is transcendental, so never check at exactly zero
-    return convex_symmetric_battery(u, v, max(tol, 1e-9)), f"u={u!r} v={v!r}"
+    return f"u={u!r} v={v!r}", lambda: convex_symmetric_battery(u, v, max(tol, 1e-9))
 
 
-def _run_sorted_difference(rng: random.Random, dim: int, tol: float) -> tuple[bool, str]:
+def _run_sorted_difference(rng: random.Random, dim: int, tol: float) -> _Instance:
     u = sample_signed_vector(rng, dim)
     v = sample_signed_vector(rng, dim)
-    return check_sorted_difference_balance(u, v, tol), f"u={u!r} v={v!r}"
+    return f"u={u!r} v={v!r}", lambda: check_sorted_difference_balance(u, v, tol)
 
 
-def _run_clamp_insert(rng: random.Random, dim: int, tol: float) -> tuple[bool, str]:
+def _run_clamp_insert(rng: random.Random, dim: int, tol: float) -> _Instance:
     u, v = sample_tail_sum_pair(rng, dim)
     x = _dyadic(rng, -1.0, max(v) + 1.0)
     y = _dyadic(rng, 0.0, 2.0)
     eligible = [j for j in range(1, dim + 1) if u[j - 1] <= v[j - 1]]
     j = rng.choice(eligible)
-    ok = check_clamp_insert_stability(u, v, x, j, y, tol)
-    return ok, f"u={u!r} v={v!r} x={x!r} j={j} y={y!r}"
+    descr = f"u={u!r} v={v!r} x={x!r} j={j} y={y!r}"
+    return descr, lambda: check_clamp_insert_stability(u, v, x, j, y, tol)
 
 
-def _run_step_comparison(rng: random.Random, dim: int, tol: float) -> tuple[bool, str]:
+def _run_step_comparison(rng: random.Random, dim: int, tol: float) -> _Instance:
     rank = rng.randint(1, dim)
-    u, v = sample_rank_ordered_pair(rng, dim, rank)
+    u, v = sample_tail_sum_pair(rng, dim, rank)
     mark = Mark(_dyadic(rng, 0.0, 4.0), _dyadic(rng, 1.0 / _DENOM, 2.0))
-    ok = all(check_step_comparison(u, v, mark, rank, tol))
-    return ok, f"u={u!r} v={v!r} mark={tuple(mark)!r} rank={rank}"
+    descr = f"u={u!r} v={v!r} mark={tuple(mark)!r} rank={rank}"
+    return descr, lambda: all(check_step_comparison(u, v, mark, rank, tol))
 
 
-_SUITES: dict[str, Callable[[random.Random, int, float], tuple[bool, str]]] = {
+_SUITES: dict[str, Callable[[random.Random, int, float], _Instance]] = {
     "negation-symmetry": _run_negation,
     "shift-monotonicity": _run_shift,
     "convex-battery": _run_battery,
@@ -501,12 +496,14 @@ def run_property_suite(
     max_dim: int = 8,
     seed: int = 1,
     tol: float = 0.0,
-    keep: int = 10,
 ) -> PropertySuiteReport:
     """Run one closure-property suite over randomized premise-satisfying inputs.
 
     Dimensions cycle over [1, max_dim]. String-seeded so runs are reproducible
-    and independent across suites for the same seed.
+    and independent across suites for the same seed. An instance whose
+    premise fails under ``tol`` (a negative one tightens it past what the
+    sampler built) counts as a failure, not as a PremiseError. The report
+    keeps the first 10 counterexamples.
     """
     _require_suite_settings((name,), instances, max_dim, tol)
     runner = _SUITES[name]
@@ -514,9 +511,13 @@ def run_property_suite(
     report = PropertySuiteReport(name=name, instances=instances)
     for k in range(instances):
         dim = 1 + k % max_dim
-        ok, descr = runner(rng, dim, tol)
+        descr, check = runner(rng, dim, tol)
+        try:
+            ok = check()
+        except PremiseError as exc:
+            ok, descr = False, f"{descr} (premise not satisfied: {exc})"
         if not ok:
             report.failures += 1
-            if len(report.counterexamples) < keep:
+            if len(report.counterexamples) < 10:
                 report.counterexamples.append(descr)
     return report

@@ -45,7 +45,6 @@ __all__ = [
     "Mark",
     "Profile",
     "iter_profiles",
-    "kw_step",
     "pad",
     "path_profiles",
     "pth_step",
@@ -601,11 +600,6 @@ class _OfferedWait:
     @property
     def mean(self) -> float:
         return self.sum / self.arrivals
-
-
-def kw_step(u: Profile, mark: Mark) -> Profile:
-    """Advance one arrival under join-the-shortest-workload routing."""
-    return pth_step(u, mark, 1)
 
 
 def pad(profile: Profile, servers: int) -> Profile:

@@ -9,7 +9,9 @@ transform; ``log1p_fdlibm`` is a scalar
 port of the C library routine the mark generator's array logarithm
 reproduces; ``read_trace_reference`` is the per-line trace reader as it was
 before numpy's text reader took the well-formed files; ``rank_waiting_times``
-is an event-based simulation of fixed-rank allocation. These are computed
+is an event-based simulation of fixed-rank allocation, and
+``sort_formula_step`` the one-step recursion as first written, by sorting,
+which ``pth_step`` must match bit for bit. These are computed
 independently of the package under test, which only lends its error class.
 ``backward_marks`` and ``loynes_iterate`` replay one seed's past from empty
 with the package's reference step loop, ``iter_profiles``, one customer at a
@@ -251,6 +253,14 @@ def rank_waiting_times(marks: MarkSequence, servers: int, rank: int) -> list[flo
         free[queue] = begin + s
         now += x
     return waits
+
+
+def sort_formula_step(u: Profile, mark, rank: int) -> Profile:
+    """The step as first written: add sigma at rank, age all, clamp, sort."""
+    sigma, xi = mark
+    vals = [x - xi for x in u]
+    vals[rank - 1] = (u[rank - 1] + sigma) - xi
+    return tuple(sorted(0.0 if v <= 0.0 else v for v in vals))
 
 
 def backward_marks(model: InputModel, seed: int, n: int) -> MarkSequence:

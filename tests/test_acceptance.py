@@ -10,22 +10,23 @@ The whole module is deterministic: every seed is pinned.
 
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
-from formulas import backward_marks, loynes_iterate, mmc_mean_wait
+from formulas import backward_marks, loynes_iterate, mmc_mean_wait, sort_formula_step
 from jswsim.comparison import (
     compare_allocation_ranks,
     compare_server_counts,
     fcfs_waiting_times,
 )
-from jswsim.loynes import estimate_stationary, estimate_stationary_many
+from jswsim.loynes import estimate_stationary_many
 from jswsim.orderings import (
     prec,
-    sample_rank_ordered_pair,
-    suite_names,
     run_property_suite,
+    sample_tail_sum_pair,
+    suite_names,
 )
 from jswsim.processes import (
     Exponential,
@@ -37,7 +38,7 @@ from jswsim.processes import (
     Uniform,
     generate,
 )
-from jswsim.profiles import Mark, kw_step, pad, pth_step, total_workload, zero_profile
+from jswsim.profiles import Mark, pad, pth_step, total_workload, zero_profile
 
 MM1_LOAD_HALF = IIDModel(Exponential(1.0), Exponential(0.5))
 
@@ -62,11 +63,11 @@ def dyadic_mark_arrays(rng: random.Random, n: int) -> MarkSequence:
 
 
 def test_c01_step_correctness(criterion_log):
-    """Worked single-step examples exact; rank-1 step is bit-identical to
-    the shortest-workload step on random inputs."""
-    assert kw_step((0.0, 0.0), Mark(1.0, 0.4)) == (0.0, 0.6)
-    assert kw_step((1.0, 2.0, 3.0), Mark(2.0, 1.0)) == (1.0, 2.0, 2.0)
-    assert kw_step((5.0,), Mark(0.0, 10.0)) == (0.0,)
+    """Worked single-step examples exact; the step at every rank is
+    bit-identical to the sort formula on random inputs."""
+    assert pth_step((0.0, 0.0), Mark(1.0, 0.4), 1) == (0.0, 0.6)
+    assert pth_step((1.0, 2.0, 3.0), Mark(2.0, 1.0), 1) == (1.0, 2.0, 2.0)
+    assert pth_step((5.0,), Mark(0.0, 10.0), 1) == (0.0,)
     assert pth_step((1.0, 2.0, 3.0), Mark(2.0, 1.0), 2) == (0.0, 2.0, 3.0)
     rng = random.Random(100)
     checks = 100_000
@@ -74,10 +75,14 @@ def test_c01_step_correctness(criterion_log):
         servers = rng.randint(1, 10)
         u = tuple(sorted(rng.uniform(0.0, 20.0) for _ in range(servers)))
         m = Mark(rng.uniform(0.0, 5.0), rng.uniform(0.01, 5.0))
-        assert pth_step(u, m, 1) == kw_step(u, m)
+        # the floats' bytes tell -0.0 from +0.0, which == does not
+        bits = struct.Struct(f"{servers}d").pack
+        for rank in range(1, servers + 1):
+            assert bits(*pth_step(u, m, rank)) == bits(*sort_formula_step(u, m, rank)), (u, rank)
     criterion_log(
         f"criterion 01 step correctness: PASS "
-        f"(4 worked examples exact, rank-1 identity on {checks} random inputs, S<=10)"
+        f"(4 worked examples exact, every rank bit-identical to the sort formula "
+        f"on {checks} random inputs, S<=10)"
     )
 
 
@@ -145,7 +150,7 @@ def test_c05_allocation_rank_dominance(criterion_log):
     for k in range(1000):
         servers = 1 + k % 8
         rank = rng.randint(1, servers)
-        start, start_alt = sample_rank_ordered_pair(rng, servers, rank)
+        start, start_alt = sample_tail_sum_pair(rng, servers, rank)
         marks = dyadic_mark_arrays(rng, horizon)
         report = compare_allocation_ranks(servers, rank, start, start_alt, marks, tol=0.0)
         assert report.passed, (k, servers, rank, report.violations[:3])
@@ -197,7 +202,7 @@ def test_c07_stationary_closed_forms(criterion_log):
     details = []
     for name, model, servers, target, reps in cases:
         waits = []
-        # each seed's result is the one it gets alone, estimate_stationary's
+        # each seed's result is the one it gets alone
         for seed, res in enumerate(estimate_stationary_many(model, range(1, reps + 1), servers), 1):
             assert res.converged, (name, seed)
             waits.append(res.profile[0])
@@ -216,9 +221,10 @@ def test_c08_rank_padding_identity(criterion_log):
     """A rank-P system from empty is the rank-1 system on S-P+1 servers
     padded with idle servers, bit-exactly at every step of shared marks."""
     servers = 4
+    seeds = range(1, 51)
     for rank in (2, 3):
         small_servers = servers - rank + 1
-        for seed in range(1, 51):
+        for seed in seeds:
             marks = generate(MM1_LOAD_HALF, seed, 2000)
             big = zero_profile(servers)
             small = zero_profile(small_servers)
@@ -229,10 +235,11 @@ def test_c08_rank_padding_identity(criterion_log):
                 big = pth_step(big, mark, rank)
                 small = pth_step(small, mark, 1)
                 assert big == pad(small, servers), (rank, seed, k)
-            res_big = estimate_stationary(MM1_LOAD_HALF, seed, servers, rank=rank)
-            res_small = estimate_stationary(MM1_LOAD_HALF, seed, small_servers)
-            assert res_big.profile == pad(res_small.profile, servers)
-            assert res_big.steps_used == res_small.steps_used
+        bigs = estimate_stationary_many(MM1_LOAD_HALF, seeds, servers, rank=rank)
+        smalls = estimate_stationary_many(MM1_LOAD_HALF, seeds, small_servers)
+        for seed, res_big, res_small in zip(seeds, bigs, smalls):
+            assert res_big.profile == pad(res_small.profile, servers), (rank, seed)
+            assert res_big.steps_used == res_small.steps_used, (rank, seed)
     criterion_log(
         "criterion 08 rank padding identity: PASS "
         "(S=4, P in (2,3), 50 seeds, 2000 steps each, bit-exact, estimates agree)"
@@ -242,8 +249,8 @@ def test_c08_rank_padding_identity(criterion_log):
 def test_c09_stability_dichotomy(criterion_log):
     """Subcritical inputs converge for every seed; supercritical inputs
     accumulate workload at least half the drift rate by n = 10^5."""
-    for seed in range(1, 51):
-        assert estimate_stationary(MM1_LOAD_HALF, seed, 2).converged, seed
+    for seed, res in enumerate(estimate_stationary_many(MM1_LOAD_HALF, range(1, 51), 2), 1):
+        assert res.converged, seed
     heavy = IIDModel(Exponential(0.5), Exponential(2.0))  # E[sigma]=2, 2*E[xi]=1
     drift = 2.0 - 2 * 0.5
     n = 100_000

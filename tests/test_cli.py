@@ -21,6 +21,7 @@ from jswsim import cli, profiles
 from jswsim.cli import main
 from jswsim.config import load_config
 from jswsim.errors import InputError
+from jswsim.orderings import suite_names
 from jswsim.processes import TraceModel, generate
 from jswsim.profiles import iter_profiles
 
@@ -63,6 +64,18 @@ class TestExitCodes:
         assert all(row.startswith("seed1:S3P1-vs-S3P2:") for row in rows)
         steps = [int(row.split(",")[1]) for row in rows]
         assert steps == sorted(set(steps)) and steps[-1] <= 50
+
+    @pytest.mark.parametrize("suite", suite_names())
+    def test_negative_property_tolerance_is_never_six(self, suite, tmp_path, capsys):
+        # exit 6 is for starts the user gave; a sampled instance whose
+        # premise fails under the tightened tolerance is a counterexample
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[properties]\nsuites = {suite}\ntolerance = -0.01\n")
+        argv = ["verify-properties", "--config", str(cfg), "--instances", "300"]
+        code, out, err = run(argv, capsys)
+        assert code in (0, 1) and err == "", (code, err)
+        if suite in ("clamp-insert-stability", "step-comparison"):
+            assert code == 1 and "(premise not satisfied: inputs are not ordered by" in out
 
     def test_escaped_exception_is_seventy(self, capsys, monkeypatch):
         def broken(cfg):
@@ -780,7 +793,12 @@ class TestSimulateRows:
 
     @pytest.mark.parametrize(
         "initial,first",
-        [("-0.0 -0.0", "1,0,-0.0,-0.0,0.0,"), ("0.0 -0.0 2.0", "1,0,0.0,-0.0,2.0,2.0,")],
+        [
+            # at S = 1 the total is coordinate 1's cell unless step 0's fsum makes it 0.0
+            ("-0.0", "1,0,-0.0,0.0,"),
+            ("-0.0 -0.0", "1,0,-0.0,-0.0,0.0,"),
+            ("0.0 -0.0 2.0", "1,0,0.0,-0.0,2.0,2.0,"),
+        ],
     )
     def test_negative_zero_start_sums_by_fsum(self, initial, first, tmp_path, capsys):
         raw = self.assert_rows_match(

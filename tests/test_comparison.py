@@ -23,7 +23,7 @@ from jswsim.comparison import (
 from jswsim.errors import PremiseError
 from jswsim.orderings import prec, prec_p, prec_star
 from jswsim.processes import Exponential, IIDModel, MarkSequence, generate
-from jswsim.profiles import iter_profiles, pad, total_workload, zero_profile
+from jswsim.profiles import iter_profiles, pad, pth_step, total_workload, zero_profile
 
 MM1 = IIDModel(Exponential(1.0), Exponential(0.5))
 
@@ -190,11 +190,9 @@ class TestFcfsOracle:
         marks = generate(MM1, 13, 2000)
         waits = fcfs_waiting_times(marks, servers)
         profile = (0.0,) * servers
-        from jswsim.profiles import kw_step
-
         for k, mark in enumerate(zip(marks.sigma.tolist(), marks.xi.tolist())):
             assert abs(waits[k] - profile[0]) <= 1e-9, k
-            profile = kw_step(profile, mark)
+            profile = pth_step(profile, mark, 1)
 
 
 class TestMeanWaitMonotoneInServers:
@@ -204,12 +202,12 @@ class TestMeanWaitMonotoneInServers:
         # must come out nonincreasing in the server count
         import math
 
-        from jswsim.loynes import estimate_stationary
+        from jswsim.loynes import estimate_stationary_many
 
         seeds = range(1, 201)
         means = []
         for servers in range(1, 6):
-            vals = [estimate_stationary(MM1, s, servers).profile[0] for s in seeds]
+            vals = [res.profile[0] for res in estimate_stationary_many(MM1, seeds, servers)]
             means.append(math.fsum(vals) / len(vals))
         assert all(hi >= lo for hi, lo in zip(means, means[1:])), means
         assert means[0] > 0.5  # M/M/1 at half load really queues

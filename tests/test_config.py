@@ -1,5 +1,6 @@
 """Configuration file parsing and flag overrides."""
 
+import inspect
 import math
 import re
 
@@ -18,7 +19,7 @@ from jswsim.config import (
     parse_seeds,
 )
 from jswsim.errors import ConfigError
-from jswsim.loynes import estimate_stationary
+from jswsim.loynes import estimate_stationary_many
 from jswsim.orderings import run_property_suite, suite_names
 from jswsim.processes import (
     Deterministic,
@@ -310,6 +311,31 @@ class TestSchema:
             value = self.HELP_WORDS[text] if text in self.HELP_WORDS else parse(text, key)
             assert value == getattr(block, key), (section, key, text)
 
+    # The library function each settings block configures repeats some of
+    # its defaults, under these parameter names.
+    SHARED_DEFAULTS = {
+        "loynes": {
+            estimate_stationary_many: {
+                "rank": "rank", "tolerance": "tolerance", "window": "window", "max_n": "max_n"
+            },
+        },
+        "compare": {
+            compare_server_counts: {"sum_slack": "sum_slack"},
+            compare_allocation_ranks: {"tol": "tolerance"},
+        },
+        "properties": {
+            run_property_suite: {"max_dim": "max_dim", "seed": "seed", "tol": "tolerance"},
+        },
+    }
+
+    @pytest.mark.parametrize("section", sorted(SHARED_DEFAULTS))
+    def test_function_defaults_are_the_dataclass_defaults(self, section):
+        block = getattr(ExperimentConfig(), section)
+        for function, keys in self.SHARED_DEFAULTS[section].items():
+            parameters = inspect.signature(function).parameters
+            for name, key in keys.items():
+                assert parameters[name].default == getattr(block, key), (function, name)
+
 
 MM1 = IIDModel(Exponential(1.0), Exponential(0.5))
 MARKS = generate(MM1, 1, 20)
@@ -320,23 +346,23 @@ MARKS = generate(MM1, 1, 20)
 INVALID_VALUES = {
     "loynes-nan-tolerance": (
         "[loynes]\ntolerance = nan\n",
-        lambda: estimate_stationary(MM1, 1, 2, tolerance=math.nan, window=16, max_n=64),
+        lambda: estimate_stationary_many(MM1, [1], 2, tolerance=math.nan, window=16, max_n=64),
     ),
     "loynes-zero-tolerance": (
         "[loynes]\ntolerance = 0\n",
-        lambda: estimate_stationary(MM1, 1, 2, tolerance=0.0),
+        lambda: estimate_stationary_many(MM1, [1], 2, tolerance=0.0),
     ),
     "loynes-inf-tolerance": (
         "[loynes]\ntolerance = inf\n",
-        lambda: estimate_stationary(MM1, 1, 2, tolerance=math.inf, window=16, max_n=64),
+        lambda: estimate_stationary_many(MM1, [1], 2, tolerance=math.inf, window=16, max_n=64),
     ),
     "loynes-zero-window": (
         "[loynes]\nwindow = 0\n",
-        lambda: estimate_stationary(MM1, 1, 2, window=0),
+        lambda: estimate_stationary_many(MM1, [1], 2, window=0),
     ),
     "loynes-rank-above-servers": (
         "[loynes]\nservers = 2\nrank = 3\n",
-        lambda: estimate_stationary(MM1, 1, 2, rank=3),
+        lambda: estimate_stationary_many(MM1, [1], 2, rank=3),
     ),
     "compare-small-above-big": (
         "[compare]\nservers = 2\nservers_small = 3\n",
@@ -365,7 +391,7 @@ INVALID_VALUES = {
     "run-seed-negative": ("[run]\nseeds = -1\n", lambda: generate(MM1, -1, 5)),
     "run-seed-2-64": (
         "[run]\nseeds = 18446744073709551616\n",
-        lambda: estimate_stationary(MM1, 2**64, 2, window=16, max_n=64),
+        lambda: estimate_stationary_many(MM1, [2**64], 2, window=16, max_n=64),
     ),
     "properties-unknown-suite": (
         "[properties]\nsuites = bogus\n",

@@ -21,6 +21,32 @@ def test_all_names_resolve(name):
     assert not missing, missing
 
 
+def test_no_public_function_only_calls_another():
+    # a public function whose body (past its docstring) returns one call of
+    # another public name, or an item of it, is a second name for that
+    # function: call the function itself
+    public = {name: getattr(importlib.import_module(name), "__all__", ()) for name in MODULES}
+    exported = set().union(*public.values())
+    aliases = []
+    for name in MODULES:
+        for fn in ast.parse(inspect.getsource(importlib.import_module(name))).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name not in public[name]:
+                continue
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            value = body[0].value
+            if isinstance(value, ast.Subscript):
+                value = value.value
+            if (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in exported - {fn.name}
+            ):
+                aliases.append(f"{name}.{fn.name} -> {value.func.id}")
+    assert not aliases, aliases
+
+
 # cli imports the CSV row formatter and the process pool only when a run
 # needs them, and nothing it imports loads numpy.random (about 5.5 MB of
 # peak RSS and 12 ms of CPU in a child process): each would cost every

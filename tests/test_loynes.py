@@ -12,7 +12,7 @@ import jswsim.profiles as profiles
 from conftest import traced_peak
 from formulas import backward_marks, loynes_iterate
 from jswsim.errors import InputError, StabilityError
-from jswsim.loynes import estimate_stationary, estimate_stationary_many
+from jswsim.loynes import estimate_stationary_many
 from jswsim.orderings import prec
 from jswsim.processes import Deterministic, Exponential, IIDModel, TraceModel, generate
 from jswsim.profiles import _LOCKSTEP_MIN_ROWS, pth_step
@@ -66,14 +66,14 @@ class TestBackwardFold:
 
 class TestEstimate:
     def test_converges_at_light_load(self):
-        res = estimate_stationary(MM1_HALF, 1, 2)
+        res = estimate_stationary_many(MM1_HALF, [1], 2)[0]
         assert res.converged
         assert res.last_increment <= 1e-6
         assert len(res.profile) == 2
         assert all(x >= 0.0 for x in res.profile)
 
     def test_history_records_doublings(self):
-        res = estimate_stationary(MM1_HALF, 1, 2, window=16, keep_history=True)
+        res = estimate_stationary_many(MM1_HALF, [1], 2, window=16, keep_history=True)[0]
         ns = [n for n, _ in res.history]
         assert ns[0] == 16
         assert all(b == 2 * a for a, b in zip(ns, ns[1:]))
@@ -85,45 +85,45 @@ class TestEstimate:
     def test_refuses_unstable(self):
         heavy = IIDModel(Exponential(0.5), Exponential(2.0))
         with pytest.raises(StabilityError):
-            estimate_stationary(heavy, 1, 2)
+            estimate_stationary_many(heavy, [1], 2)
 
     def test_refuses_critical(self):
         knife = IIDModel(Deterministic(2.0), Deterministic(1.0))
         with pytest.raises(StabilityError):
-            estimate_stationary(knife, 1, 2)
+            estimate_stationary_many(knife, [1], 2)
 
     def test_rank_shrinks_effective_capacity(self):
         # stable on two servers, but rank-2 arrivals only ever see one
         model = IIDModel(Deterministic(1.6), Deterministic(1.0))
-        assert estimate_stationary(model, 1, 2).converged
+        assert estimate_stationary_many(model, [1], 2)[0].converged
         with pytest.raises(StabilityError):
-            estimate_stationary(model, 1, 2, rank=2)
+            estimate_stationary_many(model, [1], 2, rank=2)
 
     def test_non_convergence_reports_last_iterate(self):
         # seed 12 keeps finding new maxima through n=64 at this load
         heavy = IIDModel(Exponential(1.0), Exponential(0.9))  # load 0.9
-        res = estimate_stationary(heavy, 12, 1, tolerance=1e-9, window=16, max_n=64)
+        res = estimate_stationary_many(heavy, [12], 1, tolerance=1e-9, window=16, max_n=64)[0]
         assert not res.converged
         assert res.steps_used == 64
         assert res.last_increment > 1e-9
         assert res.profile[0] > 0.0
 
     def test_single_evaluation_never_converges(self):
-        res = estimate_stationary(MM1_HALF, 1, 2, window=64, max_n=64)
+        res = estimate_stationary_many(MM1_HALF, [1], 2, window=64, max_n=64)[0]
         assert not res.converged
         assert math.isinf(res.last_increment)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            estimate_stationary(MM1_HALF, 1, 2, tolerance=0.0)
+            estimate_stationary_many(MM1_HALF, [1], 2, tolerance=0.0)
         with pytest.raises(ValueError):
-            estimate_stationary(MM1_HALF, 1, 2, window=0)
+            estimate_stationary_many(MM1_HALF, [1], 2, window=0)
         with pytest.raises(ValueError):
-            estimate_stationary(MM1_HALF, 1, 2, window=128, max_n=64)
+            estimate_stationary_many(MM1_HALF, [1], 2, window=128, max_n=64)
 
     def test_deterministic_given_seed(self):
-        a = estimate_stationary(MM1_HALF, 77, 3)
-        b = estimate_stationary(MM1_HALF, 77, 3)
+        a = estimate_stationary_many(MM1_HALF, [77], 3)[0]
+        b = estimate_stationary_many(MM1_HALF, [77], 3)[0]
         assert a.profile == b.profile and a.steps_used == b.steps_used
 
     def test_one_trace_seed_is_the_formulas_replay(self, tmp_path):
@@ -138,7 +138,9 @@ class TestEstimate:
         path = tmp_path / "marks.trace"
         path.write_text("".join(f"{s!r} {x!r}\n" for s, x in zip(sigma.tolist(), xi.tolist())))
         model = TraceModel(str(path))
-        res = estimate_stationary(model, 5, 2, window=2**12, max_n=lines, keep_history=True)
+        (res,) = estimate_stationary_many(
+            model, [5], 2, window=2**12, max_n=lines, keep_history=True
+        )
         depths = [2**12, 2**13, 2**14, 2**15]
         expected = tuple((n, loynes_iterate(backward_marks(model, 5, n), 2)) for n in depths)
         assert res.steps_used == lines
@@ -158,7 +160,9 @@ class TestEstimate:
         # load 0.98 on 2 servers; seed 6 first converges at 2**16, whose one
         # replay steps four walk chunks
         model = IIDModel(Exponential(1.0), Exponential(1.96))
-        res = estimate_stationary(model, 6, 2, window=2**14, max_n=2**16, keep_history=True)
+        (res,) = estimate_stationary_many(
+            model, [6], 2, window=2**14, max_n=2**16, keep_history=True
+        )
         depths = [n for n, _ in res.history]
         assert depths == [2**14, 2**15, 2**16]
         assert calls == [profiles._PATH_CHUNK] * (sum(depths) // profiles._PATH_CHUNK)
@@ -199,7 +203,7 @@ class TestManySeeds:
         many = estimate_stationary_many(self.MODEL, seeds, **self.ARGS)
         # the first pass has every seed at two depths: as one array
         assert max(columns) >= _LOCKSTEP_MIN_ROWS, "the array kernel was not used"
-        one = [estimate_stationary(self.MODEL, s, **self.ARGS) for s in seeds]
+        one = [estimate_stationary_many(self.MODEL, [s], **self.ARGS)[0] for s in seeds]
         assert [self._fields(r) for r in many] == [self._fields(r) for r in one]
         assert {r.steps_used for r in many} == {16, 32, 64}
         assert 0 < sum(not r.converged for r in many) < len(seeds)
@@ -259,7 +263,7 @@ class TestManySeeds:
         seeds = list(range(8))
         many = estimate_stationary_many(model, seeds, **args)
         assert set(columns) == {8, 16}
-        one = [estimate_stationary(model, s, **args) for s in seeds]
+        one = [estimate_stationary_many(model, [s], **args)[0] for s in seeds]
         assert [self._fields(r) for r in many] == [self._fields(r) for r in one]
         assert {r.steps_used for r in many} == {2**14}
 
@@ -280,7 +284,7 @@ class TestManySeeds:
         args = dict(servers=60, window=64, max_n=128, keep_history=True)
         many = estimate_stationary_many(model, range(1, 513), **args)
         assert max(sizes) == (512 * 121, True) and 512 * 121 > processes._SCRATCH
-        one = [estimate_stationary(model, s, **args) for s in range(1, 513)]
+        one = [estimate_stationary_many(model, [s], **args)[0] for s in range(1, 513)]
         assert [self._fields(r) for r in many] == [self._fields(r) for r in one]
 
     def test_a_pass_fits_in_the_memory_of_a_half_size_pass(self):
@@ -300,7 +304,7 @@ class TestManySeeds:
         model = IIDModel(Exponential(2.1e-307), Deterministic(4.9e306))
         why = "^seed 14: the replay from depth 512 passes the largest float$"
         with pytest.raises(InputError, match=why):
-            estimate_stationary(model, 14, servers=1)
+            estimate_stationary_many(model, [14], servers=1)
         with pytest.raises(InputError, match="^seed 29: the replay from depth 256 "):
             estimate_stationary_many(model, range(1, 301), servers=1)
 
@@ -330,7 +334,7 @@ class TestManySeeds:
         seeds = [9, 3, 9, 1, 4, 7]
         many = estimate_stationary_many(self.MODEL, seeds, **self.ARGS)
         assert [self._fields(r) for r in many] == [
-            self._fields(estimate_stationary(self.MODEL, s, **self.ARGS)) for s in seeds
+            self._fields(estimate_stationary_many(self.MODEL, [s], **self.ARGS)[0]) for s in seeds
         ]
 
     def test_no_seeds(self):
@@ -360,7 +364,7 @@ class TestStationarity:
         from scipy import stats
 
         model = IIDModel(Exponential(1.0), Exponential(1.0))
-        est = estimate_stationary(model, 2, 2)
+        est = estimate_stationary_many(model, [2], 2)[0]
         assert est.converged and est.profile[0] > 0.0
         n = 20_000
         # the series is autocorrelated, so the bar sits well above the

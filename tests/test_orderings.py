@@ -20,14 +20,13 @@ from jswsim.orderings import (
     run_property_suite,
     sample_balance_pair,
     sample_coordinatewise_pair,
-    sample_rank_ordered_pair,
     sample_signed_vector,
     sample_sorted_profile,
     sample_tail_sum_pair,
     schur_convex_leq,
     suite_names,
 )
-from jswsim.profiles import Mark, kw_step, pad, pth_step
+from jswsim.profiles import Mark, pad, pth_step
 
 
 class TestPredicateExamples:
@@ -130,7 +129,7 @@ class TestCheckerExamples:
         u, v = (0.0, 2.0, 2.0), (1.0, 1.0, 3.0)
         m = Mark(1.0, 0.5)
         # the two advanced states are exactly (0.5, 1.5, 1.5) and (0.5, 0.5, 3.5)
-        assert kw_step(u, m) == (0.5, 1.5, 1.5)
+        assert pth_step(u, m, 1) == (0.5, 1.5, 1.5)
         assert pth_step(v, m, 3) == (0.5, 0.5, 3.5)
         shortest_ok, ranked_ok = check_step_comparison(u, v, m, 3)
         assert shortest_ok and ranked_ok
@@ -172,7 +171,7 @@ class TestSamplers:
         for _ in range(500):
             servers = 1 + rng.randrange(8)
             rank = 1 + rng.randrange(servers)
-            u, v = sample_rank_ordered_pair(rng, servers, rank)
+            u, v = sample_tail_sum_pair(rng, servers, rank)
             assert prec_p(u, v, rank), (u, v, rank)
 
     def test_balance_pair_invariant(self):

@@ -1112,7 +1112,7 @@ class TestTraces:
     def test_file_parsed_once_per_model(self, tmp_path, monkeypatch):
         import builtins
 
-        from jswsim.loynes import estimate_stationary
+        from jswsim.loynes import estimate_stationary_many
 
         p = tmp_path / "marks.txt"
         p.write_text("".join(f"{1.0 + (k % 3) * 0.25} 1.5\n" for k in range(4096)))
@@ -1124,7 +1124,7 @@ class TestTraces:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", counting_open)
-        res = estimate_stationary(TraceModel(str(p)), 1, 2, window=64, max_n=4096)
+        res = estimate_stationary_many(TraceModel(str(p)), [1], 2, window=64, max_n=4096)[0]
         assert res.steps_used >= 128  # means plus at least two depths
         assert opened.count(str(p)) == 1
 

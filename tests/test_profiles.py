@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import traced_peak
-from formulas import rank_waiting_times
+from formulas import rank_waiting_times, sort_formula_step
 from hypothesis import given, settings, strategies as st
 
 import jswsim.profiles
@@ -22,7 +22,6 @@ from jswsim.profiles import (
     _PATH_CHUNK,
     Mark,
     iter_profiles,
-    kw_step,
     pad,
     path_profiles,
     pth_step,
@@ -43,27 +42,22 @@ marks = st.tuples(
 class TestStepExamples:
     # hand-computed single steps
     def test_two_servers_from_empty(self):
-        assert kw_step((0.0, 0.0), Mark(1.0, 0.4)) == (0.0, 0.6)
+        assert pth_step((0.0, 0.0), Mark(1.0, 0.4), 1) == (0.0, 0.6)
 
     def test_three_servers_interior(self):
-        assert kw_step((1.0, 2.0, 3.0), Mark(2.0, 1.0)) == (1.0, 2.0, 2.0)
+        assert pth_step((1.0, 2.0, 3.0), Mark(2.0, 1.0), 1) == (1.0, 2.0, 2.0)
 
     def test_clamp_dominates(self):
-        assert kw_step((5.0,), Mark(0.0, 10.0)) == (0.0,)
+        assert pth_step((5.0,), Mark(0.0, 10.0), 1) == (0.0,)
 
     def test_ranked_step(self):
         assert pth_step((1.0, 2.0, 3.0), Mark(2.0, 1.0), 2) == (0.0, 2.0, 3.0)
 
-    def test_rank_one_is_shortest(self):
-        u = (0.5, 1.25, 4.0)
-        m = Mark(2.0, 0.75)
-        assert pth_step(u, m, 1) == kw_step(u, m)
-
     def test_two_step_trajectory(self):
         u = zero_profile(2)
-        u = kw_step(u, Mark(1.0, 0.4))
+        u = pth_step(u, Mark(1.0, 0.4), 1)
         assert u == (0.0, 0.6)
-        u = kw_step(u, Mark(1.0, 0.4))
+        u = pth_step(u, Mark(1.0, 0.4), 1)
         assert u == pytest.approx((0.2, 0.6), abs=1e-12)
 
     def test_rank_bounds(self):
@@ -96,7 +90,7 @@ class TestHelpers:
 class TestStepProperties:
     @given(profiles, marks)
     def test_output_sorted_nonnegative(self, u, m):
-        out = kw_step(u, m)
+        out = pth_step(u, m, 1)
         assert len(out) == len(u)
         assert all(x >= 0.0 for x in out)
         assert list(out) == sorted(out)
@@ -115,14 +109,14 @@ class TestStepProperties:
     def test_monotone_in_state(self, u, m):
         # coordinatewise monotonicity of the one-step map
         v = tuple(x + 0.5 for x in u)
-        a, b = kw_step(u, m), kw_step(v, m)
+        a, b = pth_step(u, m, 1), pth_step(v, m, 1)
         assert all(x <= y for x, y in zip(a, b))
 
     @given(profiles, marks)
     def test_sup_norm_contraction_in_state(self, u, m):
         # the map is 1-Lipschitz for the sup norm
         v = tuple(x + 0.25 for x in u)
-        a, b = kw_step(u, m), kw_step(v, m)
+        a, b = pth_step(u, m, 1), pth_step(v, m, 1)
         assert max(abs(x - y) for x, y in zip(a, b)) <= 0.25 + 1e-12
 
     @given(profiles, marks, st.integers(min_value=1, max_value=9))
@@ -150,14 +144,6 @@ def _bits(rows):
 # Few distinct values, so that ties, sigma = 0 and xi equal to a coordinate
 # (exact zeros before the clamp) come up often; -0.0 tests the clamp's sign.
 tie_coords = st.sampled_from([-0.0, 0.0, 0.25, 1.0, 1.5, 3.0]) | coords
-
-
-def sort_formula_step(u, mark, rank):
-    """The step as first written: add sigma at rank, age all, clamp, sort."""
-    sigma, xi = mark
-    vals = [x - xi for x in u]
-    vals[rank - 1] = (u[rank - 1] + sigma) - xi
-    return tuple(sorted(0.0 if v <= 0.0 else v for v in vals))
 
 
 class TestInsertionStep:
