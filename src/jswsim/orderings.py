@@ -137,7 +137,9 @@ def schur_convex_leq(u: Sequence[float], v: Sequence[float], tol: float = 0.0) -
     Holds when |sum(u) - sum(v)| <= tol and, after sorting both vectors
     nondecreasingly, sum(u[k:]) <= sum(v[k:]) + tol for every k >= 2.
     Exactly the vectors that every convex symmetric statistic ranks
-    consistently (v at least as spread out as u).
+    consistently (v at least as spread out as u). A negative ``tol``
+    tightens the tail clauses, but the total-sum clause then fails for
+    every pair, so the order holds for no pair, not even u = v.
     """
     n = _require_same_length(u, v)
     _require_tolerance(tol)

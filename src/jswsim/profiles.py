@@ -20,11 +20,11 @@ profiles in blocks, one contiguous row per coordinate. ``compare``,
 two take a system's mean offered wait from :class:`_OfferedWait`.
 The backward replays of :mod:`jswsim.loynes` step through one private
 stepper, :func:`_advance`, which alone chooses how: many columns as one
-array, by the array step :func:`_iter_lockstep` that :func:`path_profiles`
-shares; a few columns one by one, by :func:`_row_loop`, one loop generated
-per (S, rank), which also steps the walk's in-order stretches, or, over a
-walk chunk or more, each as a time-blocked path, by :func:`path_profiles`
-itself.
+array, by the array kernel :func:`_lockstep_kernel` that
+:func:`path_profiles` shares; a few columns one by one, by
+:func:`_row_loop`, one loop generated per (S, rank), which also steps the
+walk's in-order stretches, or, over a walk chunk or more, each as a
+time-blocked path, by :func:`path_profiles` itself.
 """
 
 from __future__ import annotations
@@ -158,25 +158,31 @@ _PATH_CHUNK = 2**14
 # each column as a time-blocked path by path_profiles. The array kernel
 # costs about as much per step for one row as for ten, the other two one
 # row's steps per row. CPU per step of R rows from zeros at load 0.9, rank
-# 1, as the median ratio of five alternating runs pinned to one CPU of a
-# 2-core VM shared with other jobs, numpy 2.4.6, with the row loop and the
-# walk's in-order rows generated per (S, rank):
+# 1, as the median ratio of five alternating repeats in one process pinned
+# to one CPU of a 2-core VM shared with other jobs, numpy 2.4.6, with the
+# row loop and the walk's in-order rows generated per (S, rank); the
+# kernel's CPU per row-step is nearly the same at every S, 800 ns at R = 4
+# and 210 ns at R = 16:
 #   kernel / walk        R = 4     6     8    12    16
-#     n = 2048,  S = 2:     2.12  1.39  1.06  0.73  0.54
-#                S = 4:     2.17  1.41  0.99  0.65  0.53
-#                S = 8:     1.54  1.18  0.82  0.61  0.46
-#     n = 16384, S = 2:     6.27  4.11  3.06  2.16  2.05
-#                S = 4:     6.45  4.31  2.55  2.22  1.52
-#                S = 8:     3.71  2.82  2.04  1.29  1.03
+#     n = 2048,  S = 2:     2.18  1.42  1.11  0.75  0.56
+#                S = 4:     1.88  1.29  0.99  0.62  0.49
+#                S = 8:     1.45  1.02  0.71  0.53  0.38
+#     n = 16384, S = 2:     7.25  4.63  3.40  2.24  1.57
+#                S = 4:     5.27  3.27  2.41  1.66  1.23
+#                S = 8:     3.59  1.94  1.62  1.05  0.74
 #   kernel / row loop, n = 2048:
-#                S = 2:     4.93  3.35  2.67  1.72  1.31
-#                S = 4:     5.68  3.71  2.83  1.70  1.29
-#                S = 8:     3.02  2.11  1.76  1.30  0.87
-# The kernel wins from R = 8 to 12 against the walk at n = 2048, but
-# against the row loop only at S = 8 and R = 16, and against the walk at
-# n = 16384 at no R up to 16. The count stays 8 all the same: a higher one
-# would hand loynes replays of 8 to 15 rows to the row loop, a move not yet
-# measured end to end.
+#                S = 2:     4.65  3.18  2.34  1.61  1.20
+#                S = 4:     3.40  2.27  1.72  1.15  0.87
+#                S = 8:     2.11  1.43  1.11  0.73  0.56
+#                n = 16384:
+#                S = 2:     4.70  3.13  2.35  1.57  1.16
+#                S = 4:     3.39  2.23  1.68  1.12  0.84
+#                S = 8:     2.12  1.41  1.06  0.71  0.53
+# The kernel wins against the walk at n = 2048 from R = 8 (12 at S = 2),
+# and at n = 16384 only at S = 8 and R = 16; against the row loop at S = 8
+# from R = 12, at S = 4 at R = 16 and at S = 2 at no R up to 16. The count
+# stays 8 all the same: a higher one would hand loynes replays of 8 to 15
+# rows to the row loop, a move not yet measured end to end.
 #
 # The length rule: a row steps as a path only from _PATH_CHUNK marks on.
 # One row from zeros, rank 1, CPU per step of the walk over the row loop,
@@ -318,68 +324,61 @@ def _lockstep(u: np.ndarray, sigma, xi, rank: int, scratch: np.ndarray) -> None:
     """Step the ``(S, k, R)`` state ``u`` in place, k replays of R systems,
     through the ``(m, R)`` marks ``sigma`` and ``xi``, one row per arrival:
     column r of every replay on the marks of column r. The marks go through
-    :func:`_iter_lockstep` a scratch-full at a time, copied into the float64
-    ``scratch``, which holds at least one row: each row's gaps to every
-    queue of every replay, so that the subtract is same-shape (broadcasting
-    an (R,) row over (S, R) costs about three times as much per step), then
-    the sigma rows.
+    :func:`_lockstep_kernel` a scratch-full at a time, copied into the
+    float64 ``scratch``, which holds at least one row: each row's gaps to
+    every queue of every replay, so that the subtract is same-shape
+    (broadcasting an (R,) row over (S, R) costs about three times as much
+    per step), then the sigma rows.
     """
     servers, reps, width = u.shape
     per = len(scratch) // (width * (servers * reps + 1))  # rows per scratch-full
     for a in range(0, len(sigma), per):
         m = len(sigma[a : a + per])
-        gaps = scratch[: m * servers * reps * width].reshape(m, servers * reps, width)
-        np.copyto(gaps, xi[a : a + m, None])
+        gaps = scratch[: m * servers * reps * width].reshape(m, servers, reps, width)
+        np.copyto(gaps, xi[a : a + m, None, None])
         sig = scratch[gaps.size : gaps.size + m * width].reshape(m, width)
         sig[...] = sigma[a : a + m]
-        deque(_iter_lockstep(u, sig, gaps.reshape(m, servers, reps, width), rank), maxlen=0)
+        _lockstep_kernel(u, sig, gaps, rank)
 
 
-def _iter_lockstep(u: np.ndarray, sigma, gaps, rank: int) -> Iterator[np.ndarray]:
-    """Step the ``(S, R)`` state ``u`` in place, one arrival per row of the
-    ``(n, R)`` ``sigma`` and the ``(n, S, R)`` ``gaps``, and yield ``u``
-    after each step; row t of ``gaps`` is read only after step t - 1 is
-    yielded.
+def _lockstep_kernel(u: np.ndarray, sigma, gaps, rank: int, keep: bool = False) -> None:
+    """Step the state ``u``, whose columns along axis 0 are profiles, +0.0
+    where zero, in place through the rows of ``sigma`` and ``gaps``: step t
+    adds row t of ``sigma`` to every column's rank-th queue and ages every
+    queue by row t of ``gaps``, of ``u``'s shape. With ``keep``, the state
+    after step t is written over row t of ``gaps``, whose gaps it has just
+    used.
 
-    Column r of ``u`` is a profile, +0.0 where it is zero, and steps as
-    :func:`_step` steps it, bit for bit. A step inserts v, the arrival's
-    queue plus ``sigma``, into a, the other queues in order, as
-    :func:`_step` does by ``insort``: queue 0 becomes min(a[0], v), queues
-    1 .. S - 2 become max(a[k - 1], min(v, a[k])) as two whole-array calls,
-    and queue S - 1 becomes max(a[S - 2], v). With the add and the ageing
-    below, that is seven array calls per step for any S >= 3 and five at
-    S = 2; at a rank above 1, a is copied from u first, in one or two
-    calls. Selection does no arithmetic, so it is exact. Then every queue
-    x becomes ``max(x - xi, 0.0)``; no difference is -0.0, so the maximum
-    never has to choose between two zeros.
+    Every column steps as :func:`_step` steps it, bit for bit. The steps run
+    on a copy of ``u`` with one +inf guard row above the top queue, S. With
+    p = rank - 1 and v = u[p] + sigma, queues p .. S - 1 become
+    max(u[k], min(v, u[k + 1])), two whole-array selections: the sorted
+    merge of v into the other queues that :func:`_step` makes by ``insort``,
+    as u[p] <= v and u[p] <= u[p + 1]; min(v, +inf) = v, so the top queue
+    becomes max(u[S - 1], v), and the queues below p, which ``insort``
+    leaves in place, are not touched. Selection does no arithmetic, and no
+    profile holds -0.0 or NaN, so equal floats are equal bits. Then every
+    queue x becomes ``max(x - xi, 0.0)``; no difference is -0.0, so the
+    maximum never has to choose between two zeros. That is five array calls
+    per step at every S and rank, and a sixth with ``keep``; ``u`` and the
+    kept rows get the queues, never the guard.
     """
     servers, p = u.shape[0], rank - 1
-    arrival = u[p]
-    # v, the arrival's queue plus sigma; at S = 1 the whole profile
-    v = arrival if servers == 1 else np.empty(u.shape[1:])
-    if servers > 1:
-        # a, the other queues in order: at rank 1 rows 1 .. S - 1 of u, each
-        # read before the step writes over it, else a copy taken each step
-        a = u[1:] if p == 0 else np.empty((servers - 1, *u.shape[1:]))
-        pairs = ((a[:p], u[:p]), (a[p:], u[p + 1 :])) if p else ()
-        copies = [(dst, src) for dst, src in pairs if len(src)]
-        a_first, a_low, a_high, a_last = a[0], a[:-1], a[1:], a[-1]
-        first, middle, last = u[0], u[1:-1], u[-1]
-        # min(v, a[k]) for the middle queues k = 1 .. S - 2
-        low = np.empty(middle.shape)
+    guarded = np.empty((servers + 1, *u.shape[1:]))
+    guarded[:servers], guarded[servers] = u, math.inf
+    queues, arrival = guarded[:servers], guarded[p]
+    # queues p .. S - 1 and the rows one above them, the guard the last
+    merged, above = guarded[p:servers], guarded[p + 1 :]
+    v, low = np.empty(arrival.shape), np.empty(above.shape)
     for s, x in zip(sigma, gaps):
         np.add(arrival, s, out=v)
-        if servers > 1:
-            for dst, src in copies:
-                np.copyto(dst, src)
-            np.minimum(a_first, v, out=first)
-            if servers > 2:
-                np.minimum(v, a_high, out=low)
-                np.maximum(a_low, low, out=middle)
-            np.maximum(a_last, v, out=last)
-        u -= x
-        np.maximum(u, 0.0, out=u)
-        yield u
+        np.minimum(v, above, out=low)
+        np.maximum(merged, low, out=merged)
+        queues -= x
+        np.maximum(queues, 0.0, out=queues)
+        if keep:
+            x[...] = queues
+    u[...] = queues
 
 
 def path_profiles(start: Profile, sigma: np.ndarray, xi: np.ndarray, rank: int) -> np.ndarray:
@@ -391,7 +390,7 @@ def path_profiles(start: Profile, sigma: np.ndarray, xi: np.ndarray, rank: int) 
     there.
 
     The marks are cut into blocks of ``_PATH_BLOCK`` arrivals, which are
-    stepped side by side as the columns of :func:`_iter_lockstep`. The
+    stepped side by side as the columns of :func:`_lockstep_kernel`. The
     first pass takes them in ``_PATH_CLASSES`` interleaved classes, class j
     holding the blocks b with b mod ``_PATH_CLASSES`` = j, one array call
     each: class 0 steps block 0 from ``start + 0.0`` and its other blocks
@@ -450,13 +449,11 @@ def path_profiles(start: Profile, sigma: np.ndarray, xi: np.ndarray, rank: int) 
 
 def _step_blocks_at_once(body, starts, sig, gap, rows, rank: int) -> None:
     """Step the blocks ``rows`` of a path side by side from their ``starts``."""
-    u = np.array(starts[rows].T, order="C")
     # the gaps, copied to every coordinate row for a same-shape subtract,
     # then overwritten step by step with the profiles
-    steps = np.empty((body.shape[1], *u.shape))
+    steps = np.empty((body.shape[1], body.shape[2], len(rows)))
     np.copyto(steps, gap[rows].T[:, None, :])
-    for t, state in enumerate(_iter_lockstep(u, sig[rows].T, steps, rank)):
-        steps[t] = state
+    _lockstep_kernel(starts[rows].T, sig[rows].T, steps, rank, keep=True)
     body[rows] = steps.transpose(2, 0, 1)
 
 

@@ -52,9 +52,12 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def pytest_collection_modifyitems(items):
-    """Turn numpy's RuntimeWarnings into failures in this directory's tests:
-    a NaN or an overflow met while stepping is a fault, not a result."""
+    """Turn numpy's RuntimeWarnings and every DeprecationWarning into
+    failures in this directory's tests: a NaN or an overflow met while
+    stepping is a fault, not a result, and a deprecated call, such as a
+    positional ``out`` of ``np.minimum``, stops working in a later release."""
     here = pathlib.Path(__file__).parent
     for item in items:
         if here in item.path.parents:
             item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::DeprecationWarning"))

@@ -77,6 +77,20 @@ class TestExitCodes:
         if suite in ("clamp-insert-stability", "step-comparison"):
             assert code == 1 and "(premise not satisfied: inputs are not ordered by" in out
 
+    def test_negative_property_tolerance_counts(self, tmp_path, capsys):
+        # at a negative tolerance the balance order holds for no pair:
+        # sorted-difference, which asks for it, fails every instance, and
+        # negation-symmetry, which asks that two verdicts agree, passes every one
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[properties]\nsuites = sorted-difference negation-symmetry\ntolerance = -0.01\n"
+        )
+        argv = ["verify-properties", "--config", str(cfg), "--instances", "3000", "--seed", "5"]
+        code, out, _ = run(argv, capsys)
+        assert code == 1
+        assert "suite sorted-difference: 3000 instances, 3000 failures FAIL" in out
+        assert "suite negation-symmetry: 3000 instances, 0 failures PASS" in out
+
     def test_escaped_exception_is_seventy(self, capsys, monkeypatch):
         def broken(cfg):
             raise RuntimeError("boom")

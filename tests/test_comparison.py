@@ -620,11 +620,11 @@ def test_compare_steps_most_rows_as_arrays(monkeypatch):
     # compare-wide's systems: 8 vs 4 servers at load 0.8 on the small one
     marks = generate(IIDModel(Exponential(1.0), Exponential(3.2)), 1, 2**14 + 5)
     steps = {"array": 0, "one at a time": 0}
-    lockstep, row_loop = jswsim.profiles._iter_lockstep, jswsim.profiles._row_loop
+    lockstep, row_loop = jswsim.profiles._lockstep_kernel, jswsim.profiles._row_loop
 
-    def array_spy(u, sigma, gaps, rank):
+    def array_spy(u, sigma, gaps, rank, keep=False):
         steps["array"] += len(sigma) * u.shape[1]
-        return lockstep(u, sigma, gaps, rank)
+        return lockstep(u, sigma, gaps, rank, keep)
 
     def row_loop_spy(servers, rank):
         loop = row_loop(servers, rank)
@@ -635,7 +635,7 @@ def test_compare_steps_most_rows_as_arrays(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(jswsim.profiles, "_iter_lockstep", array_spy)
+    monkeypatch.setattr(jswsim.profiles, "_lockstep_kernel", array_spy)
     monkeypatch.setattr(jswsim.profiles, "_row_loop", row_loop_spy)
     assert compare_server_counts(8, 4, marks).passed
     # each system's every row is stepped as an array at least once, and on

@@ -155,7 +155,7 @@ def test_backward_replays_go_through_the_one_stepper():
     kernels = (
         "_LOCKSTEP_MIN_ROWS",
         "_lockstep",
-        "_iter_lockstep",
+        "_lockstep_kernel",
         "_row_loop",
         "path_profiles",
     )

@@ -79,6 +79,13 @@ class TestPredicateExamples:
         assert not prec((0.0, 1.05), (1.0, 1.0))
         assert prec((0.0, 1.05), (1.0, 1.0), tol=0.1)
 
+    def test_negative_tolerance_holds_the_balance_order_for_no_pair(self):
+        # |sum(u) - sum(v)| > tol for every pair when tol < 0: the total-sum
+        # clause fails even for u = v, where the tail clauses hold
+        same = schur_convex_leq([1.0, 2.0], [1.0, 2.0], -0.01)
+        assert not same and same.first_violation.clause == "total_sum"
+        assert schur_convex_leq([1.0, 2.0], [1.0, 2.0], 0.0)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance_rejected(self, tol):
         # a NaN or infinite tolerance would make every clause that adds it hold

@@ -261,8 +261,9 @@ class TestLockstep:
             mp.setattr(jswsim.profiles, "_LOCKSTEP_MIN_ROWS", request.cls.MIN_ROWS)
             yield
 
-    # past the bench's 8 servers too: the rank-1 view of the other queues
-    # and the copy taken at every other rank
+    # past the bench's 8 servers too, at every rank: from rank 1, which
+    # selects over every queue, to rank S, which selects the top queue
+    # against the kernel's +inf guard alone
     @pytest.mark.parametrize("servers", range(1, 13))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -376,6 +377,38 @@ class TestLockstepSplitPaths:
     test_long_call_matches_iter_profiles = TestLockstep.test_long_call_matches_iter_profiles
 
 
+@pytest.mark.parametrize("keep", [False, True], ids=["state", "kept-rows"])
+@pytest.mark.parametrize("servers", range(1, 9))
+def test_kernel_guard_reaches_no_state_or_row(servers, keep):
+    # the kernel's +inf guard row lies above the top queue of its own copy
+    # of the state: the state it steps and the rows it keeps hold the S
+    # queues alone, finite, bit for bit _step's, at every rank, the rank-S
+    # step included. In column 0 the first arrival's v equals the top
+    # queue; the columns after it start from ties and from zeros.
+    top = 3.0
+    rising = [*np.linspace(0.0, 2.0, servers - 1), top]
+    base = np.array([rising, [1.0] * servers, [0.0] * servers])
+    rng = np.random.default_rng(servers)
+    for rank in range(1, servers + 1):
+        sigma = np.vstack([[top - base[0, rank - 1], 0.5, 0.0], rng.exponential(1.0, (5, 3))])
+        xi = np.vstack([[0.25, 0.0, 0.5], rng.exponential(0.5, (5, 3))])
+        state = np.array(base.T, order="C")
+        gaps = np.array(np.broadcast_to(xi[:, None, :], (len(xi), servers, 3)))
+        jswsim.profiles._lockstep_kernel(state, sigma, gaps, rank, keep)
+        expected = []
+        for r, row in enumerate(base.tolist()):
+            path = [tuple(row)]
+            for s, x in zip(sigma[:, r].tolist(), xi[:, r].tolist()):
+                path.append(jswsim.profiles._step(path[-1], s, x, rank))
+            expected.append(path[1:])
+        assert state.shape == (servers, 3) and np.isfinite(state).all()
+        assert _bits(state.T.tolist()) == _bits([path[-1] for path in expected]), rank
+        if keep:
+            assert np.isfinite(gaps).all()
+            for r, path in enumerate(expected):
+                assert _bits(gaps[:, :, r].tolist()) == _bits(path), (rank, r)
+
+
 def test_only_long_few_row_calls_step_as_paths(monkeypatch):
     # a call of fewer than _LOCKSTEP_MIN_ROWS rows steps each row through
     # path_profiles, a walk chunk at a time, once it spans a chunk; shorter
@@ -405,10 +438,9 @@ ADVANCE_BRANCHES = {"kernel": (0, 300), "rows": (2**62, 300), "path": (2**62, _P
 @pytest.mark.parametrize("branch", sorted(ADVANCE_BRANCHES))
 def test_advance_gives_the_same_bits_at_every_scratch_size(branch, scratch, rank, monkeypatch):
     # two replays of three systems, from zeros and from a loaded profile, at
-    # each rank of 3 servers (rank 1 steps on a view of the other queues,
-    # the others on a copy of them): the kernel copies a scratch-full of
-    # rows at a time, one row, 37 rows, which leave a ragged last fill of
-    # 300 arrivals, or _SCRATCH floats, which hold them all
+    # each rank of 3 servers: the kernel copies a scratch-full of rows at a
+    # time, one row, 37 rows, which leave a ragged last fill of 300
+    # arrivals, or _SCRATCH floats, which hold them all
     min_rows, n = ADVANCE_BRANCHES[branch]
     monkeypatch.setattr(jswsim.profiles, "_LOCKSTEP_MIN_ROWS", min_rows)
     servers, reps, width = 3, 2, 3
