@@ -41,6 +41,7 @@ from .processes import (
     MarkovModulatedModel,
     TraceModel,
     Uniform,
+    _require_seed_count,
     _require_seeds,
 )
 
@@ -69,12 +70,12 @@ def _require(ok: bool, where: str, message: str) -> None:
 
 
 @contextlib.contextmanager
-def _section(name: str) -> typing.Iterator[None]:
-    """Report a ValueError as a ConfigError naming the section ``[name]``."""
+def _section(name: str, key: str = "") -> typing.Iterator[None]:
+    """Report a ValueError as a ConfigError naming ``[name]`` and its ``key``, if any."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"[{name}]: {exc}") from exc
+        raise ConfigError(f"[{name}]{key and ' '}{key}: {exc}") from exc
 
 
 # Each settings block validates itself on construction with the checks of the functions it
@@ -159,8 +160,9 @@ class ExperimentConfig:
         _require(self.jobs >= 1, "[run] jobs", f"must be >= 1, got {self.jobs}")
         # Seed order is part of the output contract: reports are written
         # seed-sorted no matter how the seed list was spelled.
-        with _section("run"):
+        with _section("run", "seeds"):
             object.__setattr__(self, "seeds", tuple(sorted(_require_seeds(self.seeds))))
+            _require_seed_count(self.model, self.seeds)
 
 
 CONFIG_HELP = """\
@@ -177,7 +179,7 @@ hyperexponential(P1,..,Pk; R1,..,Rk)
   transition    markov rows, '/' between rows: 0.9 0.1 / 0.2 0.8
   sigma_states  one service law per state, '|'-separated
   xi_states     one inter-arrival law per state, '|'-separated
-  path          trace file of 'sigma xi' lines, '#' comments allowed
+  path          trace file of 'sigma xi' lines, '#' comments allowed; takes one seed
 
 [run]
   seeds         integers in [0, 2**64) and inclusive ranges: 1 2 10..20 (1)

@@ -28,8 +28,8 @@ from .profiles import Profile, _advance, _require_rank, pth_step, zero_profile  
 from .processes import (
     InputModel,
     StabilityVerdict,
-    TraceModel,
     _chunk_rows,
+    _require_seed_count,
     generate_chunks,
     mean_sigma,
     mean_xi,
@@ -142,12 +142,6 @@ def estimate_stationary_many(
         running, prev = running[~stop], profile[~stop]
         depths = [2 * n]
     return results
-
-
-def _require_seed_count(model: InputModel, seeds: Sequence[int]) -> None:
-    """A trace gives every seed the same marks, so it takes one seed."""
-    if isinstance(model, TraceModel) and len(seeds) > 1:
-        raise ValueError(f"a trace gives every seed the same marks; got {len(seeds)} seeds")
 
 
 def _blocks(items, count):

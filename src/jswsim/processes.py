@@ -484,7 +484,8 @@ def _gth_stationary(rows: tuple[tuple[float, ...], ...]) -> tuple[float, ...]:
 class TraceModel:
     """Marks replayed from a text file: one 'sigma xi' pair per line.
 
-    Blank lines are skipped and '#' starts a comment. The seed is ignored.
+    Blank lines are skipped and '#' starts a comment. The seed is ignored,
+    so a run takes one seed (:func:`_require_seed_count`).
     The file is read on first use and kept for the model's lifetime, by
     :func:`_read_trace`: numpy's text reader takes a well-formed file in one
     call, and any other file goes through the per-line loop
@@ -506,6 +507,12 @@ class TraceModel:
 
 
 InputModel = IIDModel | MarkovModulatedModel | TraceModel
+
+
+def _require_seed_count(model: InputModel, seeds: Sequence[int]) -> None:
+    """A trace gives every seed the same marks, so it takes one seed."""
+    if isinstance(model, TraceModel) and len(seeds) > 1:
+        raise ValueError(f"a trace gives every seed the same marks; got {len(seeds)} seeds")
 
 
 def _strongly_connected(rows: tuple[tuple[float, ...], ...]) -> bool:
@@ -765,8 +772,9 @@ def _read_trace(path: str) -> tuple[tuple[np.ndarray, np.ndarray], tuple[float, 
     takes (``1_0``, non-ASCII digits), and every refusal, wrong shape, empty
     file or out-of-range value is left to the loop, which returns its marks
     or raises its ``path:line`` error; its marks then go through the same
-    pass. A -0.0 sigma, which both take, is read by the loop. A column whose
-    sum passes the largest float raises ``InputError``.
+    pass. A -0.0 sigma, which both take and the pass refuses, stays in its
+    column and is summed from the marks + 0.0, as the loop's are. A column
+    whose sum passes the largest float raises ``InputError``.
 
     The file is opened here, as UTF-8 text, and numpy is handed the path
     of that descriptor, ``/dev/fd/N``, where the platform has one, else the
@@ -784,7 +792,7 @@ def _read_trace(path: str) -> tuple[tuple[np.ndarray, np.ndarray], tuple[float, 
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         marks = None
     if marks is not None and marks.shape[0] >= 1 and marks.shape[1] == 2:
-        sums = _column_sums(path, marks)
+        sums = _column_sums(path, marks) or _column_sums(path, marks + 0.0)
         if sums is not None:
             marks.setflags(write=False)
             return tuple(marks.T), sums

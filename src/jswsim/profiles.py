@@ -141,10 +141,11 @@ _CHUNK = 4096
 #   16: 0.173 0.312 0.365 0.604 0.787
 #   32: 0.165 0.308 0.332 0.441 0.622
 #   64: 0.174 0.312 0.326 0.454 0.688
-# With the interleaved first pass (_PATH_CLASSES), median ratio of walk CPU,
-# 64 against 32, over 15 alternating runs in one process (same VM), on the
-# five cases and then 2e5 marks of simulate-markov-csv's 2-state chain:
-# 1.26 0.95 1.12 0.93 0.95, 0.82. The first is the bench's compare-wide.
+# With the interleaved first pass (_PATH_CLASSES) and the selection kernel,
+# median ratio of walk CPU, 64 against 32, over 15 alternating runs in one
+# pinned process (same VM), on 2e5 marks of bench seed 8101000001 of the
+# five cases and then of simulate-markov-csv's 2-state chain:
+# 1.15 1.12 1.08 1.00 0.99, 1.08. The first is the bench's compare-wide.
 _PATH_BLOCK = 32
 # Arrivals per path_profiles call of the forward walk, _path_chunks, and so
 # per chunk of marks that simulate draws. Median CPU seconds of compare on
@@ -203,6 +204,12 @@ _PATH_CHUNK = 2**14
 # blocks merge and path_profiles then steps nearly all of them in order
 # after its array passes. No shorter length is no slower at loads 0.5 and
 # 0.9, so the rule stays one walk chunk.
+# A shorter row handed to path_profiles would step in order, by
+# _step_blocks_in_order, after the block set-up, which a short call cannot
+# yet skip. CPU per call over the row loop's, one row at S = 2, load 0.9,
+# median of 15 alternating runs (same VM):
+#                n = 64   256  1024  4096  16383
+#                    1.93  1.51  1.36  1.33  1.32
 _LOCKSTEP_MIN_ROWS = 8
 # A pass of path_profiles with fewer dirty blocks finishes the path in
 # order, at once, where a kernel pass may leave some dirty. The bench's

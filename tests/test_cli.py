@@ -373,6 +373,12 @@ BAD_SETTINGS = {
     "run-seed-negative": ("[run]\nseeds = 1 -1\n", [], "simulate"),
     "run-seed-2-64-flag": ("", ["--seeds", "18446744073709551616"], "loynes"),
     "run-seed-negative-flag": ("", ["--seed", "-1"], "compare"),
+    # a trace gives every seed the same marks; t.txt does not exist, as it is never read
+    "run-trace-seeds": (
+        "[model]\nkind = trace\npath = t.txt\n[run]\nseeds = 1 2\n",
+        [],
+        "verify-properties",
+    ),
     "properties-inf-tolerance": ("[properties]\ntolerance = inf\n", [], "verify-properties"),
     "properties-zero-max-dim": ("[properties]\nmax_dim = 0\n", [], "verify-properties"),
     "properties-zero-instances-flag": ("", ["--instances", "0"], "verify-properties"),
@@ -594,8 +600,8 @@ class TestDeterminism:
         assert len({line.split()[2] for line in outputs[0][0].splitlines()[:19]}) > 1
 
     def test_simulate_trace_jobs_do_not_change_output(self, tmp_path, capsys, monkeypatch):
-        # Each worker reads the trace itself: under --jobs 2 this process
-        # never parses it, so the model is sent to the workers unread.
+        # A trace takes one seed, and one seed takes no worker: under
+        # --jobs 2 too this process reads the trace, once.
         import jswsim.processes as processes
 
         real_read = processes._read_trace
@@ -614,7 +620,7 @@ class TestDeterminism:
         cfg = tmp_path / "c.ini"
         cfg.write_text(
             f"[model]\nkind = trace\npath = {trace}\n"
-            "[run]\nseeds = 1..4\nhorizon = 2000\n[system]\nservers = 2\n"
+            "[run]\nseeds = 4\nhorizon = 2000\n[system]\nservers = 2\n"
         )
         outputs = []
         for jobs in ("1", "2"):
@@ -624,12 +630,9 @@ class TestDeterminism:
             code, out, _ = run(argv, capsys)
             assert code == 0
             outputs.append((out.replace(str(sim), "SIM"), sim.read_bytes()))
-            assert len(reads) == (1 if jobs == "1" else 0)
+            assert len(reads) == 1
         assert outputs[0] == outputs[1]
-        # every seed replays the same marks, so all four runs are one run
-        lines = outputs[0][0].splitlines()[:4]
-        assert lines[3].startswith("seed 4: 2000 arrivals, mean offered wait")
-        assert len({line.split(":", 1)[1] for line in lines}) == 1
+        assert outputs[0][0].startswith("seed 4: 2000 arrivals, mean offered wait")
 
     def test_loynes_refuses_trace_seeds_before_replaying(self, tmp_path, capsys, monkeypatch):
         # A trace gives every seed the same marks, so several seeds would
@@ -665,6 +668,38 @@ class TestDeterminism:
         monkeypatch.undo()
         code, out, _ = run(["loynes", "--config", str(cfg), "--seeds", "2"], capsys)
         assert code == 0 and out.startswith("seed 2: n=")
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_trace_seeds_are_refused_before_any_output(self, command, tmp_path, capsys, monkeypatch):
+        # The settings block refuses several seeds on a trace for every
+        # command, as loynes refuses them above: before the trace is read or
+        # an output opened, under any --jobs.
+        import jswsim.processes as processes
+
+        def no_read(path):
+            raise AssertionError("read the trace")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(processes, "_read_trace", no_read)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        (tmp_path / "t.txt").write_text("1.0 2.0\n0.5 1.5\n" * 32)
+        (tmp_path / "c.ini").write_text(
+            "[model]\nkind = trace\npath = t.txt\n[run]\nseeds = 1 2\nhorizon = 64\n"
+            "[compare]\ntrajectories = traj.csv\n"
+        )
+        for jobs in ("1", "2"):
+            argv = [command, "--config", "c.ini", "--jobs", jobs, "--out", "o.csv"]
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert err == (
+                "config error: [run] seeds: a trace gives every seed the same marks; got 2 seeds\n"
+            )
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "t.txt"]
+        # one seed still runs, and --seeds can name it
+        monkeypatch.undo()
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run([command, "--config", "c.ini", "--seeds", "2", "--out", "o.csv"], capsys)
+        assert code == 0 and out.startswith("seed 2: ")
 
     def test_compare_jobs_do_not_change_output(self, tmp_path, capsys, monkeypatch):
         outputs = []

@@ -393,6 +393,10 @@ INVALID_VALUES = {
         "[run]\nseeds = 18446744073709551616\n",
         lambda: estimate_stationary_many(MM1, [2**64], 2, window=16, max_n=64),
     ),
+    "run-trace-seeds": (
+        "[run]\nseeds = 1 2\n[model]\nkind = trace\npath = t.txt\n",
+        lambda: estimate_stationary_many(TraceModel("t.txt"), [1, 2], 2),
+    ),
     "properties-unknown-suite": (
         "[properties]\nsuites = bogus\n",
         lambda: run_property_suite("bogus", 1),

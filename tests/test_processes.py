@@ -1235,6 +1235,23 @@ class TestTraces:
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1.0
 
+    def test_minus_zero_sigma_skips_the_line_loop(self, tmp_path, monkeypatch):
+        # The format takes a -0.0 sigma and the summing pass refuses it, so
+        # it is summed as +0.0; the columns keep it, as the loop's do.
+        import jswsim.processes as processes
+
+        p = tmp_path / "marks.txt"
+        p.write_bytes(b"1.5 2\n-0.0 1.0\n0.25 3e-17\n-0 0.5\n")
+        expected = read_or_message(read_by_the_loop, str(p))
+        assert expected == read_or_message(reference_read, str(p))
+        assert np.signbit(np.array(expected[0], dtype=np.uint64).view(np.float64)).sum() == 2
+
+        def no_loop(path):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(processes, "_read_trace_lines", no_loop)
+        assert read_or_message(_read_trace, str(p)) == expected
+
 
 @st.composite
 def mark_arrays(draw):
