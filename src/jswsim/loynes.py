@@ -41,6 +41,7 @@ __all__ = [
     "estimate_stationary_many",
 ]
 
+
 @dataclass(frozen=True)
 class LoynesResult:
     """Stationary profile estimate from the doubling scheme.

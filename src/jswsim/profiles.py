@@ -19,12 +19,10 @@ profiles in blocks, one contiguous row per coordinate. ``compare``,
 ``simulate`` and the trajectory dump all step through it, and the first
 two take a system's mean offered wait from :class:`_OfferedWait`.
 The backward replays of :mod:`jswsim.loynes` step through one private
-stepper, :func:`_advance`, which alone chooses how: many columns as one
-array, by the array kernel :func:`_lockstep_kernel` that
-:func:`path_profiles` shares; a few columns one by one, by
-:func:`_row_loop`, one loop generated per (S, rank), which also steps the
-walk's in-order stretches, or, over a walk chunk or more, each as a
-time-blocked path, by :func:`path_profiles` itself.
+stepper, :func:`_advance`, which alone chooses how, by the count of
+columns: many as one array, by the array kernel :func:`_lockstep_kernel`
+that :func:`path_profiles` shares; a few one by one, by :func:`_row_loop`,
+the in-order loop that also steps the walk's in-order stretches.
 """
 
 from __future__ import annotations
@@ -129,9 +127,10 @@ def pth_step(u: Profile, mark: Mark, rank: int) -> Profile:
     return _step(u, sigma, xi, rank)
 
 
-# Marks converted to Python floats at a time by iter_profiles and the most
-# rows of one block of the forward walk, _path_chunks: compare screens and
-# simulate and the trajectory dump format one block at a time.
+# Marks converted to Python floats at a time by iter_profiles and by the
+# row loop of _advance, and the most rows of one block of the forward walk,
+# _path_chunks: compare screens and simulate and the trajectory dump format
+# one block at a time.
 _CHUNK = 4096
 # Arrivals per block of path_profiles. Shorter blocks take more fix-up
 # passes, longer ones waste more steps per pass. Median CPU seconds of
@@ -148,68 +147,36 @@ _CHUNK = 4096
 # 1.15 1.12 1.08 1.00 0.99, 1.08. The first is the bench's compare-wide.
 _PATH_BLOCK = 32
 # Arrivals per path_profiles call of the forward walk, _path_chunks, and so
-# per chunk of marks that simulate draws. Median CPU seconds of compare on
-# the same five cases, with the peak traced memory of the first:
-#   2**13: 0.181 0.321 0.377 0.518 0.650, 2.0 MB
-#   2**14: 0.165 0.308 0.332 0.441 0.622, 4.0 MB
-#   2**15: 0.152 0.280 0.331 0.437 0.631, 7.9 MB
+# per chunk of marks that simulate draws. By _PATH_BLOCK's protocol, median
+# ratio of walk CPU against 2**14 on the five cases and the 2-state chain,
+# in two passes, then the peak traced memory of the first case's two walks
+# (2.6 MB at 2**14):
+#   2**13: 1.34 1.28 1.18 1.12 1.13, 1.36 / 1.37 1.24 1.14 1.14 1.14, 1.33
+#          1.8 MB
+#   2**15: 0.82 0.89 0.98 0.91 0.93, 0.81 / 0.85 0.88 0.86 0.91 0.90, 0.78
+#          4.8 MB
+# 2**15 walks every case faster, at nearly twice the peak: not yet weighed
+# against peak_rss_mb in a bench pass, so the size stays 2**14.
 _PATH_CHUNK = 2**14
-# A replay of fewer columns, in _advance, steps them one by one: one
-# arrival at a time, by _row_loop, or, once its marks span _PATH_CHUNK,
-# each column as a time-blocked path by path_profiles. The array kernel
-# costs about as much per step for one row as for ten, the other two one
-# row's steps per row. CPU per step of R rows from zeros at load 0.9, rank
-# 1, as the median ratio of five alternating repeats in one process pinned
-# to one CPU of a 2-core VM shared with other jobs, numpy 2.4.6, with the
-# row loop and the walk's in-order rows generated per (S, rank); the
-# kernel's CPU per row-step is nearly the same at every S, 800 ns at R = 4
-# and 210 ns at R = 16:
-#   kernel / walk        R = 4     6     8    12    16
-#     n = 2048,  S = 2:     2.18  1.42  1.11  0.75  0.56
-#                S = 4:     1.88  1.29  0.99  0.62  0.49
-#                S = 8:     1.45  1.02  0.71  0.53  0.38
-#     n = 16384, S = 2:     7.25  4.63  3.40  2.24  1.57
-#                S = 4:     5.27  3.27  2.41  1.66  1.23
-#                S = 8:     3.59  1.94  1.62  1.05  0.74
-#   kernel / row loop, n = 2048:
-#                S = 2:     4.65  3.18  2.34  1.61  1.20
+# A replay of fewer columns, in _advance, steps them one by one, by
+# _row_loop. The array kernel costs about as much per step for one row as
+# for ten, the row loop one row's steps per row. CPU per step of R rows
+# from zeros at load 0.9, rank 1, kernel over row loop, as the median ratio
+# of five alternating repeats in one process pinned to one CPU of a 2-core
+# VM shared with other jobs, numpy 2.4.6, with the row loop generated per
+# (S, rank); the kernel's CPU per row-step is nearly the same at every S,
+# 800 ns at R = 4 and 210 ns at R = 16:
+#                          R = 4     6     8    12    16
+#     n = 2048,  S = 2:     4.65  3.18  2.34  1.61  1.20
 #                S = 4:     3.40  2.27  1.72  1.15  0.87
 #                S = 8:     2.11  1.43  1.11  0.73  0.56
-#                n = 16384:
-#                S = 2:     4.70  3.13  2.35  1.57  1.16
+#     n = 16384, S = 2:     4.70  3.13  2.35  1.57  1.16
 #                S = 4:     3.39  2.23  1.68  1.12  0.84
 #                S = 8:     2.12  1.41  1.06  0.71  0.53
-# The kernel wins against the walk at n = 2048 from R = 8 (12 at S = 2),
-# and at n = 16384 only at S = 8 and R = 16; against the row loop at S = 8
-# from R = 12, at S = 4 at R = 16 and at S = 2 at no R up to 16. The count
-# stays 8 all the same: a higher one would hand loynes replays of 8 to 15
-# rows to the row loop, a move not yet measured end to end.
-#
-# The length rule: a row steps as a path only from _PATH_CHUNK marks on.
-# One row from zeros, rank 1, CPU per step of the walk over the row loop,
-# the median ratio of nine alternating runs (same VM; the loop took 0.2 to
-# 0.8 us per step), by the call's marks n:
-#                n = 512  1024  2048  4096  8192  16384
-#   S = 2, load 0.5:   5.08  2.94  1.74  0.72  0.41  0.23
-#               0.9:   4.63  3.15  2.76  1.62  0.76  0.67
-#              0.98:   5.13  3.96  2.21  2.04  1.66  1.45
-#   S = 4, load 0.5:   5.54  3.02  1.75  0.90  0.48  0.28
-#               0.9:   5.39  3.54  2.31  1.72  1.12  0.92
-#              0.98:   5.34  5.39  3.10  2.03  1.79  1.46
-#   S = 8, load 0.5:   3.14  1.74  0.89  0.57  0.34  0.23
-#               0.9:   4.24  2.97  2.03  1.30  1.28  0.75
-#              0.98:   4.21  3.69  2.52  1.75  1.86  1.94
-# At load 0.5 the walk is faster from 2048 to 8192 marks on, at 0.9 from
-# 8192 or 16384; at 0.98 it is slower at every length, as few of its
-# blocks merge and path_profiles then steps nearly all of them in order
-# after its array passes. No shorter length is no slower at loads 0.5 and
-# 0.9, so the rule stays one walk chunk.
-# A shorter row handed to path_profiles would step in order, by
-# _step_blocks_in_order, after the block set-up, which a short call cannot
-# yet skip. CPU per call over the row loop's, one row at S = 2, load 0.9,
-# median of 15 alternating runs (same VM):
-#                n = 64   256  1024  4096  16383
-#                    1.93  1.51  1.36  1.33  1.32
+# The kernel wins at S = 8 from R = 12, at S = 4 at R = 16 and at S = 2 at
+# no R up to 16. The count stays 8 all the same: a higher one would hand
+# loynes replays of 8 to 15 rows to the row loop, a move not yet measured
+# end to end.
 _LOCKSTEP_MIN_ROWS = 8
 # A pass of path_profiles with fewer dirty blocks finishes the path in
 # order, at once, where a kernel pass may leave some dirty. The bench's
@@ -236,6 +203,21 @@ _PATH_MIN_DIRTY = 8
 #   2: 0.98 0.95 0.98 0.98 0.99 1.02
 #   4: 1.00 0.98 1.00 1.03 1.01 1.06
 _PATH_CLASSES = 3
+# The most servers whose row loop _row_loop generates. The generated code
+# takes one tuple rotation per place an arrival can go to, so its text
+# grows as S^2: at S = 500 compiling it took 0.78 s and 222 MB of peak
+# RSS, and at S = 3000 it ran out of recursion depth. ns per step of the
+# generated loop and of a loop over _step, at rank 1 and at rank S/2, 2000
+# marks from zeros at load 0.9, median of 7 alternating runs on one pinned
+# CPU (same VM), then the generated loop's build CPU and traced peak:
+#   S =  32:  2728 /  3699   1473 /  2151     3 ms   1.2 MB
+#        64:  5352 /  6106   3016 /  3834    13 ms   4.2 MB
+#       128: 12373 / 11752   8953 / 10536    60 ms  15.4 MB
+#       256: 23560 / 21588  10614 / 12571   184 ms  59.4 MB
+#       384: 33824 / 25606  25637 / 26607   480 ms 128.8 MB
+# Up to 64 the generated loop is 12-32% faster; from 128 on the two are
+# within the VM's noise or _step is faster, while the build keeps growing.
+_ROW_LOOP_MAX_SERVERS = 64
 
 
 def iter_profiles(start: Profile, marks, rank: int) -> Iterator[Profile]:
@@ -276,7 +258,19 @@ def _row_loop(servers: int, rank: int) -> Callable:
     for every queue. The code holds the queues in local variables, so it is
     generated for each (servers, rank), as :mod:`dataclasses` generates its
     methods, and compiled once; only those two integers go into its text.
+    That text grows as the square of ``servers``, so above
+    ``_ROW_LOOP_MAX_SERVERS`` the loop calls :func:`_step` instead.
     """
+    if servers > _ROW_LOOP_MAX_SERVERS:
+
+        def row_loop(state, sigma, xi, out):
+            extend = out.extend
+            for s, x in zip(sigma, xi):
+                state = _step(state, s, x, rank)
+                extend(state)
+            return state
+
+        return row_loop
     p, queues = rank - 1, [f"q{k}" for k in range(servers)]
     state = ", ".join(queues) + ","
     # place i: old queues p + 1 .. i move down one, v becomes queue i
@@ -306,25 +300,23 @@ def _advance(u: np.ndarray, sigma, xi, rank: int, scratch: np.ndarray) -> None:
     """Step the ``(S, k, R)`` state ``u`` in place, k replays of R systems,
     through the ``(m, R)`` marks ``sigma`` and ``xi``, column r of every
     replay on the marks of column r: the one choice of stepper of every
-    backward replay. From ``_LOCKSTEP_MIN_ROWS`` columns on, as one array,
-    by :func:`_lockstep` with ``scratch``; fewer columns one by one, each by
-    :func:`_row_loop`, one arrival at a time, or, once the marks span a walk
-    chunk of ``_PATH_CHUNK`` arrivals, as a time-blocked path, one
-    :func:`path_profiles` call per chunk. All three give :func:`_step`'s bits.
+    backward replay, by the count of columns alone. From
+    ``_LOCKSTEP_MIN_ROWS`` columns on, as one array, by :func:`_lockstep`
+    with ``scratch``; fewer columns one by one, each by :func:`_row_loop`,
+    one arrival at a time, fed ``_CHUNK`` marks at a time, so that no list
+    of a whole column is held. Both give :func:`_step`'s bits.
     """
     if u.shape[1] * u.shape[2] >= _LOCKSTEP_MIN_ROWS:
         _lockstep(u, sigma, xi, rank, scratch)
         return
-    loop = _row_loop(u.shape[0], rank)
+    # only the last profile is kept: the rows go to a sink
+    loop, sink = _row_loop(u.shape[0], rank), deque(maxlen=0)
     for k, r in np.ndindex(u.shape[1:]):
-        column, s, x = u[:, k, r], sigma[:, r], xi[:, r]
-        if len(sigma) < _PATH_CHUNK:
-            # only the last profile is kept: the rows go to a sink
-            column[:] = loop(tuple(column.tolist()), s.tolist(), x.tolist(), deque(maxlen=0))
-            continue
-        for lo in range(0, len(sigma), _PATH_CHUNK):
-            part = slice(lo, lo + _PATH_CHUNK)
-            column[:] = path_profiles(tuple(column.tolist()), s[part], x[part], rank)[-1]
+        state, s, x = tuple(u[:, k, r].tolist()), sigma[:, r], xi[:, r]
+        for lo in range(0, len(s), _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            state = loop(state, s[part].tolist(), x[part].tolist(), sink)
+        u[:, k, r] = state
 
 
 def _lockstep(u: np.ndarray, sigma, xi, rank: int, scratch: np.ndarray) -> None:

@@ -111,10 +111,9 @@ def test_compare_checks_each_seed_through_the_library_call(mode, name, keys, tmp
 
 @pytest.mark.parametrize("name", ["comparison", "cli"])
 def test_forward_runs_go_through_the_one_walk(name, monkeypatch, tmp_path, capsys):
-    # profiles cuts every run into path_profiles calls: _path_chunks cuts a
-    # forward run into calls and row blocks, and _advance cuts a long
-    # few-column replay at _PATH_CHUNK; the modules that step forward runs
-    # only consume the walk
+    # profiles cuts every forward run into path_profiles calls and row
+    # blocks, in _path_chunks; the modules that step forward runs only
+    # consume the walk
     module = importlib.import_module(f"jswsim.{name}")
     bound = [n for n in ("path_profiles", "_PATH_CHUNK", "_CHUNK") if hasattr(module, n)]
     assert not bound, bound
@@ -150,7 +149,9 @@ def test_forward_runs_go_through_the_one_walk(name, monkeypatch, tmp_path, capsy
 def test_backward_replays_go_through_the_one_stepper():
     # profiles._advance alone chooses how a backward replay steps: loynes
     # hands it every stretch and binds none of the steppers it picks from,
-    # and no other function reads the count of columns that picks the kernel
+    # and no other function reads the count of columns that picks the
+    # kernel. It picks by that count alone: the forward walk's
+    # path_profiles and its chunk length are not among its choices
     loynes = importlib.import_module("jswsim.loynes")
     kernels = (
         "_LOCKSTEP_MIN_ROWS",
@@ -170,6 +171,10 @@ def test_backward_replays_go_through_the_one_stepper():
                 if "_LOCKSTEP_MIN_ROWS" in names:
                     readers.append(f"{name}.{fn.name}")
     assert readers == ["jswsim.profiles._advance"]
+    profiles = importlib.import_module("jswsim.profiles")
+    body = ast.parse(inspect.getsource(profiles._advance))
+    named = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+    assert not named & {"path_profiles", "_PATH_CHUNK"}, named
 
 
 # One call of each public mark generator of jswsim.processes.

@@ -129,8 +129,8 @@ class TestEstimate:
     def test_one_trace_seed_is_the_formulas_replay(self, tmp_path):
         # The 2^14 most recent marks load two servers to 1.3 and the older
         # ones to 0.5, so no two depths agree before n = 2^15. Depths 2^14
-        # and 2^15 replay their one row a walk chunk or more at a time, as
-        # time-blocked paths.
+        # and 2^15 replay their one row through the row loop, many _CHUNK
+        # slices of marks each.
         rng = np.random.default_rng(0)
         lines = 2**15
         sigma = rng.exponential(1.0, lines)
@@ -147,25 +147,26 @@ class TestEstimate:
         assert repr(res.history) == repr(expected)
         assert repr(res.profile) == repr(expected[-1][1])
 
-    def test_a_deep_one_seed_replay_steps_as_walk_chunks(self, monkeypatch):
+    def test_a_deep_one_seed_replay_steps_by_the_row_loop(self, monkeypatch):
         # a single seed's replays are one or two columns, too few for the
-        # array kernel: from window 2**14 on every stretch spans a walk
-        # chunk, so profiles._advance steps each column as a time-blocked
-        # path, one path_profiles call per _PATH_CHUNK marks
+        # array kernel, so profiles._advance steps each column by the row
+        # loop however long its stretch: no stretch goes to the forward
+        # walk's path_profiles, though from window 2**14 on each spans one
+        # of its chunks
         calls = []
-        walk = profiles.path_profiles
-        monkeypatch.setattr(
-            profiles, "path_profiles", lambda *a: calls.append(len(a[1])) or walk(*a)
-        )
-        # load 0.98 on 2 servers; seed 6 first converges at 2**16, whose one
-        # replay steps four walk chunks
+        for name in ("path_profiles", "_lockstep", "_row_loop"):
+            stepper = getattr(profiles, name)
+            monkeypatch.setattr(
+                profiles, name, lambda *a, f=stepper, n=name: calls.append(n) or f(*a)
+            )
+        # load 0.98 on 2 servers; seed 6 first converges at 2**16
         model = IIDModel(Exponential(1.0), Exponential(1.96))
         (res,) = estimate_stationary_many(
             model, [6], 2, window=2**14, max_n=2**16, keep_history=True
         )
         depths = [n for n, _ in res.history]
         assert depths == [2**14, 2**15, 2**16]
-        assert calls == [profiles._PATH_CHUNK] * (sum(depths) // profiles._PATH_CHUNK)
+        assert set(calls) == {"_row_loop"}
         expected = tuple((n, loynes_iterate(backward_marks(model, 6, n), 2)) for n in depths)
         assert repr(res.history) == repr(expected)
 

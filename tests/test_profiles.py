@@ -19,6 +19,7 @@ from jswsim.loynes import estimate_stationary_many
 from jswsim.orderings import prec_p
 from jswsim.processes import _SCRATCH, Exponential, IIDModel, MarkSequence, generate
 from jswsim.profiles import (
+    _CHUNK,
     _PATH_CHUNK,
     Mark,
     iter_profiles,
@@ -227,8 +228,7 @@ def advance(start, sigma, xi, rank):
 @given(data=st.data())
 def test_row_loop_matches_step(servers, data):
     # every rank's generated loop against the chain of _step calls, and the
-    # row branch of _advance, one row of fewer than _PATH_CHUNK marks,
-    # against iter_profiles
+    # row branch of _advance, one row, against iter_profiles
     start = tuple(sorted(data.draw(st.lists(row_coords, min_size=servers, max_size=servers))))
     steps = data.draw(st.lists(st.tuples(row_sigmas, row_gaps), min_size=1, max_size=30))
     sigma, xi = (list(column) for column in zip(*steps))
@@ -246,6 +246,28 @@ def test_row_loop_matches_step(servers, data):
         marks = SimpleNamespace(sigma=columns[0][:, 0], xi=columns[1][:, 0])
         reference = deque(iter_profiles(start, marks, rank), maxlen=1)[0]
         assert _bits(final.tolist()) == _bits([reference]), rank
+
+
+@pytest.mark.parametrize("servers", [64, 65, 400])
+def test_a_wide_row_loop_is_small_and_steps_as_step(servers):
+    # the generated loop's text grows as S^2, and building it for 400
+    # servers traces a 130 MB peak: past _ROW_LOOP_MAX_SERVERS the loop
+    # calls _step, with the same contract and the same bits
+    rng = np.random.default_rng(servers)
+    start = tuple(np.sort(rng.exponential(1.0, servers)).tolist())
+    sigma = rng.exponential(1.0, 20).tolist()
+    xi = rng.exponential(1.0 / servers, 20).tolist()
+    for rank in sorted({1, servers // 2, servers}):
+        rows, last = [], []
+        build = jswsim.profiles._row_loop.__wrapped__  # not the cached loop
+        peak = traced_peak(lambda: last.append(build(servers, rank)(start, sigma, xi, rows)))
+        assert peak < 8 * 2**20, (rank, peak)
+        expected = [start]
+        for s, x in zip(sigma, xi):
+            expected.append(jswsim.profiles._step(expected[-1], s, x, rank))
+        assert _bits(last) == _bits(expected[-1:]), rank
+        got, want = np.array(rows).view(np.uint64), np.ravel(expected[1:]).view(np.uint64)
+        assert np.array_equal(got, want), rank
 
 
 class TestLockstep:
@@ -320,8 +342,8 @@ class TestLockstep:
         assert _bits(out.tolist()) == _bits([(0.0, 0.0, 0.0), (0.0, 0.0, 2.0)])
 
     # R systems over 2**16 arrivals, the marks of each array 4.2 and 8.4 MB:
-    # the kernel steps them through the given scratch, and a row of them a
-    # walk chunk at a time, so neither holds anything the size of the marks
+    # the kernel steps them through the given scratch, so it holds nothing
+    # the size of the marks
     @pytest.mark.parametrize("systems,servers", [(8, 8), (16, 2)])
     def test_a_long_replay_allocates_less_than_its_marks(self, systems, servers):
         rng = np.random.default_rng([systems, servers])
@@ -332,14 +354,18 @@ class TestLockstep:
         peak = traced_peak(lambda: jswsim.profiles._advance(state, sigma, xi, 1, scratch))
         assert peak < sigma.nbytes, peak
 
-    # walk chunks, whole and with a ragged last one, at load 0.5 and 1.5 on
-    # the servers a rank-th arrival can join
+    # the final profiles of each row of a call
+    final_profiles = staticmethod(advance)
+
+    # a walk chunk of marks and 37 more, at load 0.5 and 1.5 on the servers
+    # a rank-th arrival can join; stepped row by row, that is four whole
+    # _CHUNK slices, and then a ragged fifth
     @pytest.mark.parametrize("n", [_PATH_CHUNK, _PATH_CHUNK + 37])
     @pytest.mark.parametrize("servers,rank", [(1, 1), (2, 1), (2, 2), (8, 1), (8, 8)])
     @pytest.mark.parametrize("load", [0.5, 1.5])
     def test_long_call_matches_iter_profiles(self, n, servers, rank, load):
         start, sigma, xi = _long_call(n, servers, rank, load)
-        final = advance(start, sigma, xi, rank)
+        final = self.final_profiles(start, sigma, xi, rank)
         assert _bits(final.tolist()) == _long_call_reference(n, servers, rank, load)
 
 
@@ -363,16 +389,29 @@ def _long_call_reference(n, servers, rank, load):
 
 
 class TestLockstepRowByRow(TestLockstep):
-    """The same cases with every call stepping its rows one by one: those of
-    a walk chunk or more as time-blocked paths."""
+    """The same cases with every call stepping its rows one by one, by the
+    row loop."""
 
     MIN_ROWS = 2**62
+
+    # two rows over 2**16 arrivals, the marks of each array 1 MB: the row
+    # loop takes a row's marks as lists of _CHUNK floats, never the whole
+    # row's, which would hold 4 MB
+    @pytest.mark.parametrize("systems,servers", [(2, 8), (2, 2)])
+    def test_a_long_replay_allocates_less_than_its_marks(self, systems, servers):
+        super().test_a_long_replay_allocates_less_than_its_marks(systems, servers)
 
 
 @pytest.mark.usefixtures("forced_split")
 class TestLockstepSplitPaths:
-    """The long calls, their rows stepped as paths cut into blocks of 1 to 3
-    arrivals, each pass of them stepped as one array."""
+    """The long calls, each row stepped by one path_profiles call, as the
+    forward walk steps a run, cut into blocks of 1 to 3 arrivals, each pass
+    of them stepped as one array."""
+
+    @staticmethod
+    def final_profiles(start, sigma, xi, rank):
+        rows = enumerate(start.tolist())
+        return np.array([path_profiles(tuple(u), sigma[:, r], xi[:, r], rank)[-1] for r, u in rows])
 
     test_long_call_matches_iter_profiles = TestLockstep.test_long_call_matches_iter_profiles
 
@@ -409,28 +448,10 @@ def test_kernel_guard_reaches_no_state_or_row(servers, keep):
                 assert _bits(gaps[:, :, r].tolist()) == _bits(path), (rank, r)
 
 
-def test_only_long_few_row_calls_step_as_paths(monkeypatch):
-    # a call of fewer than _LOCKSTEP_MIN_ROWS rows steps each row through
-    # path_profiles, a walk chunk at a time, once it spans a chunk; shorter
-    # calls step one arrival at a time and wider ones as one array
-    calls = []
-    walk = jswsim.profiles.path_profiles
-    monkeypatch.setattr(
-        jswsim.profiles, "path_profiles", lambda *a: calls.append(len(a[1])) or walk(*a)
-    )
-    rng = np.random.default_rng(1)
-    wide = jswsim.profiles._LOCKSTEP_MIN_ROWS
-    cases = [(1, 128), (wide - 1, 128), (wide, _PATH_CHUNK), (1, _PATH_CHUNK)]
-    for systems, n in cases + [(wide - 1, _PATH_CHUNK + 37)]:
-        sigma, xi = rng.exponential(1.0, (n, systems)), rng.exponential(1.0, (n, systems))
-        advance(np.zeros((systems, 2)), sigma, xi, 1)
-    assert calls == [_PATH_CHUNK] + [_PATH_CHUNK, 37] * (wide - 1)
-
-
-# the stepper's three branches: the array kernel, the row loop and, over a
-# walk chunk, the time-blocked path, as (columns from which the kernel
-# steps, arrivals)
-ADVANCE_BRANCHES = {"kernel": (0, 300), "rows": (2**62, 300), "path": (2**62, _PATH_CHUNK + 37)}
+# the stepper's two branches, the array kernel and the row loop, the second
+# also over three whole _CHUNK slices of marks and a ragged fourth, as
+# (columns from which the kernel steps, arrivals)
+ADVANCE_BRANCHES = {"kernel": (0, 300), "rows": (2**62, 300), "slices": (2**62, 3 * _CHUNK + 37)}
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
